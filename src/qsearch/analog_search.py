@@ -7,7 +7,8 @@ Two Hamiltonians are covered (hbar = 1 throughout):
   [[0, i], [-i, 0]] in the (target, bad) basis and the propagator has the
   closed form cos(x) I + sin(x) [[0, 1], [-1, 0]] with x = 2 beta t / sqrt(N);
 - the two-projector driving Hamiltonian E(|target><target| + |psi><psi|),
-  evolved numerically with a fixed-step 4th-order integrator.
+  evolved by :func:`plane_propagator`, the closed-form exponential of any
+  2x2 Hermitian matrix; its first target-probability peak is known exactly.
 
 The printed closed form for the optimal search time carries an arcsine whose
 argument exceeds one; we evaluate asin(sqrt((N-1)/N)) instead, which restores
@@ -34,6 +35,15 @@ def alpha_beta(n: int) -> tuple[float, float]:
     return 1.0 / math.sqrt(n), math.sqrt((n - 1) / n)
 
 
+def _check_hermitian(h: np.ndarray) -> np.ndarray:
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape != (2, 2):
+        raise ValueError("plane Hamiltonian must be 2x2")
+    if np.max(np.abs(h - h.conj().T)) > TOL_ALG * max(1.0, np.max(np.abs(h))):
+        raise ValueError("plane Hamiltonian must be Hermitian")
+    return h
+
+
 @dataclass(frozen=True)
 class PlaneHamiltonian:
     """2x2 Hermitian generator on the search plane."""
@@ -44,11 +54,7 @@ class PlaneHamiltonian:
     energy: float | None = None
 
     def __post_init__(self) -> None:
-        h = self.matrix
-        if h.shape != (2, 2):
-            raise ValueError("plane Hamiltonian must be 2x2")
-        if np.max(np.abs(h - h.conj().T)) > TOL_ALG * max(1.0, np.max(np.abs(h))):
-            raise ValueError("plane Hamiltonian must be Hermitian")
+        _check_hermitian(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,22 @@ def unitary_series_exp(generator: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def plane_propagator(h: np.ndarray, ts) -> np.ndarray:
+    """exp(-i H t) for a 2x2 Hermitian H at every time in ts; the result has
+    shape ts.shape + (2, 2).
+
+    Pauli-vector form: with h0 = tr(H)/2 and K = H - h0 I, K^2 = r^2 I, so
+    exp(-i H t) = e^{-i h0 t} [cos(r t) I - i (sin(r t)/r) K].  sin(r t)/r is
+    evaluated as t sinc(r t/pi), which stays exact at r = 0 without a branch.
+    """
+    h = _check_hermitian(h)
+    ts = np.asarray(ts, dtype=np.float64)[..., None, None]
+    h0 = 0.5 * (h[0, 0].real + h[1, 1].real)
+    k = h - h0 * np.eye(2)
+    r = math.hypot(k[0, 0].real, abs(k[0, 1]))
+    return np.exp(-1j * h0 * ts) * (np.cos(r * ts) * np.eye(2) - 1j * ts * np.sinc(r * ts / math.pi) * k)
+
+
 def farhi_gutmann_matrix(n: int, energy: float) -> PlaneHamiltonian:
     """Two-projector Hamiltonian E(P_target + P_uniform) on the orthonormal
     (target, bad) basis."""
@@ -129,26 +151,6 @@ def farhi_gutmann_matrix(n: int, energy: float) -> PlaneHamiltonian:
     return PlaneHamiltonian(matrix=h, model="farhi-gutmann", n=n, energy=energy)
 
 
-def _fg_step_size(n: int, energy: float) -> float:
-    # one ten-thousandth of the commutator-model period, shrunk further for
-    # strong driving so the local truncation error stays phase-dominated
-    _, beta = alpha_beta(n)
-    period = math.pi * math.sqrt(n) / beta
-    return period / (1.0e4 * max(1.0, energy))
-
-
-def _rk4_step(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
-    def deriv(v):
-        return -1j * (h @ v)
-
-    k1 = deriv(psi)
-    k2 = deriv(psi + 0.5 * dt * k1)
-    k3 = deriv(psi + 0.5 * dt * k2)
-    k4 = deriv(psi + dt * k3)
-    out = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out / np.linalg.norm(out)
-
-
 @dataclass(frozen=True)
 class FgTrajectory:
     n: int
@@ -159,82 +161,33 @@ class FgTrajectory:
 
 
 def fg_scan(n: int, energy: float, t_max: float | None = None, samples: int = 10**4) -> FgTrajectory:
-    """Integrate the two-projector evolution from the uniform state over a
+    """Propagate the uniform state under the two-projector Hamiltonian over a
     uniform time grid."""
     ham = farhi_gutmann_matrix(n, energy)
     if t_max is None:
-        # the first probability peak falls at (pi/2) sqrt(N)/E; scan half a
-        # peak period beyond it so the maximum is interior to the window
-        t_max = 3.0 * (math.pi / 4.0) * math.sqrt(n) / energy
+        # run a quarter period past the first peak so the maximum is interior
+        # to the window
+        t_max = 1.5 * fg_peak_time(n, energy)
     if t_max <= 0.0 or samples < 2:
         raise ValueError("scan needs positive horizon and at least two samples")
-    alpha, beta = alpha_beta(n)
     ts = np.linspace(0.0, t_max, samples)
-    grid_dt = ts[1] - ts[0]
-    h_step = _fg_step_size(n, energy)
-    substeps = max(1, int(math.ceil(grid_dt / h_step)))
-    dt = grid_dt / substeps
-    psi = np.array([alpha, beta], dtype=np.complex128)
-    states = np.empty((samples, 2), dtype=np.complex128)
-    states[0] = psi
-    for i in range(1, samples):
-        for _ in range(substeps):
-            psi = _rk4_step(ham.matrix, psi, dt)
-        states[i] = psi
+    states = plane_propagator(ham.matrix, ts) @ np.array(alpha_beta(n))
     p = np.abs(states[:, 0]) ** 2
     return FgTrajectory(n=n, energy=energy, ts=ts, states=states, p_target=p)
 
 
-def _fg_probability_from(traj: FgTrajectory, t: float) -> float:
-    """Target probability at an off-grid time, continuing the integration
-    from the nearest grid point below."""
-    if t <= traj.ts[0]:
-        return float(traj.p_target[0])
-    idx = min(int(t // (traj.ts[1] - traj.ts[0])), len(traj.ts) - 1)
-    psi = traj.states[idx].copy()
-    remainder = t - traj.ts[idx]
-    if remainder > 0.0:
-        h_step = _fg_step_size(traj.n, traj.energy)
-        substeps = max(1, int(math.ceil(remainder / h_step)))
-        dt = remainder / substeps
-        ham = farhi_gutmann_matrix(traj.n, traj.energy)
-        for _ in range(substeps):
-            psi = _rk4_step(ham.matrix, psi, dt)
-    return float(abs(psi[0]) ** 2)
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def fg_peak_time(n: int, energy: float) -> float:
+    """First peak time (pi/2) sqrt(N)/E of the two-projector model: from the
+    uniform state the target probability is sin^2(E t/sqrt(N)) +
+    cos^2(E t/sqrt(N))/N, which first reaches one there (Farhi & Gutmann,
+    PRA 57, 2403, 1998)."""
+    return 0.5 * math.pi * math.sqrt(n) / energy
 
 
 def fg_first_peak(n: int, energy: float) -> tuple[float, float]:
-    """Time and value of the first maximum of the target probability.
-
-    Dense scan to bracket the first peak, then golden-section refinement to
-    1e-10 time resolution.
-    """
-    traj = fg_scan(n, energy)
-    p = traj.p_target
-    idx = None
-    for i in range(1, len(p) - 1):
-        if p[i] >= p[i - 1] and p[i] >= p[i + 1] and p[i] > p[0]:
-            idx = i
-            break
-    if idx is None:
-        raise ValueError("no interior probability peak inside the scan window")
-    lo, hi = traj.ts[idx - 1], traj.ts[idx + 1]
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _fg_probability_from(traj, c)
-    fd = _fg_probability_from(traj, d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _fg_probability_from(traj, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _fg_probability_from(traj, d)
-    t_peak = 0.5 * (a + b)
-    return t_peak, _fg_probability_from(traj, t_peak)
+    """Time of the first maximum of the target probability, and the
+    probability there from the plane propagator (one up to roundoff)."""
+    ham = farhi_gutmann_matrix(n, energy)
+    t_peak = fg_peak_time(n, energy)
+    state = plane_propagator(ham.matrix, t_peak) @ np.array(alpha_beta(n))
+    return t_peak, float(abs(state[0]) ** 2)

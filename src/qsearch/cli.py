@@ -109,7 +109,9 @@ def _run_with_manifest(args, name: str, params: dict, body) -> list[Path]:
 # -- digital ------------------------------------------------------------------
 
 
-_N_CAP = 1 << 22  # keeps state-vector runs under seconds
+# largest accepted N: a state is 64 MiB here, and `--k auto` at the cap takes
+# about 110 s on a 2-CPU host
+_N_CAP = 1 << 22
 
 
 def cmd_digital(args) -> list[Path]:
@@ -310,25 +312,29 @@ def cmd_geodesic(args) -> list[Path]:
     n = args.N
     if n < 2:
         raise ValueError("N must be at least 2")
+    if args.dtheta <= 0.0:
+        raise ValueError("step must be positive")
     family = ig.grover_family(n)
     root = math.sqrt(n - 1)
     q0 = np.full(n, 1.0 / root)
     q0[0] = 0.0
     qdot0 = np.zeros(n)
     qdot0[0] = 1.0
-    sol = ig.solve_geodesic(n, q0, qdot0, args.theta_end, args.dtheta)
+    # rows keep every stride-th point of the grid i * dtheta, whose last
+    # point is theta_end itself
+    steps = max(1, math.ceil(args.theta_end / args.dtheta - 1e-12))
+    index = np.arange(0, steps + 1, max(1, (steps + 1) // args.max_rows))
+    sol = ig.solve_geodesic(n, q0, qdot0, np.where(index < steps, index * args.dtheta, args.theta_end))
     margin = 1e-2
     rows = []
-    stride = max(1, len(sol.thetas) // args.max_rows)
     n_q_cols = min(n, 4)
-    for i in range(0, len(sol.thetas), stride):
-        t = float(sol.thetas[i])
+    for i, t in enumerate(sol.thetas.tolist()):
         t_eval = min(max(t, margin), math.pi / 2 - margin)
         f = ig.fisher_information(family, t_eval)
         k = ig.kinetic_energy(family, t_eval)
         ds2 = ig.wigner_yanase_line_element(family, t_eval, args.dtheta)
         rows.append(
-            (t, f, k, ds2, *[float(sol.q[i, j]) for j in range(n_q_cols)], sol.residual_max)
+            (t, f, k, ds2, *sol.q[i, :n_q_cols].tolist(), sol.residual_max)
         )
 
     def body(out_dir: Path) -> list[Path]:
@@ -532,6 +538,13 @@ def cmd_sweep(args) -> list[Path]:
 # -- parser ----------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsearch",
@@ -543,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory (env QSEARCH_OUT overrides the default)")
         p.add_argument("--seed", type=int, default=0, help="seed for the named PCG64 generator")
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("digital", help="state-vector search probabilities per iteration")
     p.add_argument("--N", type=int, required=True)
@@ -577,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=float, default=0.0)
     p.add_argument("--theta-end", dest="theta_end", type=float, default=10.0)
     p.add_argument("--dtheta", type=float, default=1e-3)
-    p.add_argument("--max-rows", dest="max_rows", type=int, default=200)
+    p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=cmd_damped)
 
@@ -585,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--dtheta", type=float, default=1e-3)
     p.add_argument("--theta-end", dest="theta_end", type=float, default=math.pi / 2)
-    p.add_argument("--max-rows", dest="max_rows", type=int, default=200)
+    p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=cmd_geodesic)
 
@@ -607,6 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cartesian parameter sweep from a config file")
     p.add_argument("--config", required=True)
+    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_sweep)
 

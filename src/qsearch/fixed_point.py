@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import bessel
-from .info_geom import GeodesicSolution, ParametricFamily, _central_diff, _rk4
+from .info_geom import GeodesicSolution, ParametricFamily, _central_diff
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
 MAX_DEPTH = 5
@@ -225,6 +225,25 @@ class DampedGeodesicParams:
     def __post_init__(self) -> None:
         if self.l0 <= 0.0 or self.gamma <= 0.0:
             raise ValueError("L0 and gamma must be positive")
+
+
+def _rk4(deriv, y0: np.ndarray, t0: float, t1: float, dt: float):
+    """Classic fixed-step RK4; the final step is shortened to land on t1."""
+    steps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
+    ts = np.empty(steps + 1)
+    ys = np.empty((steps + 1,) + y0.shape)
+    t, y = t0, y0.astype(np.float64)
+    ts[0], ys[0] = t, y
+    for i in range(steps):
+        h = min(dt, t1 - t)
+        k1 = deriv(t, y)
+        k2 = deriv(t + h / 2, y + h / 2 * k1)
+        k3 = deriv(t + h / 2, y + h / 2 * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + h
+        ts[i + 1], ys[i + 1] = t, y
+    return ts, ys
 
 
 def damped_geodesic_solve(

@@ -107,11 +107,6 @@ def success_probability(k: int, n: int) -> float:
     return math.sin((2 * k + 1) * theta) ** 2
 
 
-def simulated_success_probability(n: int, k: int, target: int = 0) -> float:
-    state = run_grover(n, k, target)
-    return float(abs(state[target]) ** 2)
-
-
 def optimal_iterations(n: int) -> int:
     """Iteration count k = round(pi/(4 theta) - 1/2), i.e. floor(pi/(4 theta)).
 

@@ -9,7 +9,7 @@ safely positive.
 
 Geodesics in amplitude coordinates q_l = sqrt(p_l) obey q'' + q = 0 once the
 Fisher information is constant at 4 and the normalization multiplier is fixed
-at one; the integrator here is classic fixed-step RK4.
+at one; they are evaluated in closed form, q0 cos(theta) + qdot0 sin(theta).
 
 Step counting follows the general iterate G = -I_i U^{-1} I_f U built from two
 selective inversions around arbitrary unitaries: the squared Wigner-Yanase
@@ -224,57 +224,40 @@ def geodesic_residual(
     return d2q - (dlag / lag) * dq + 0.5 * lam * lag * q
 
 
-def _rk4(deriv, y0: np.ndarray, t0: float, t1: float, dt: float):
-    """Classic fixed-step RK4; the final step is shortened to land on t1."""
-    steps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
-    ts = np.empty(steps + 1)
-    ys = np.empty((steps + 1,) + y0.shape)
-    t, y = t0, y0.astype(np.float64)
-    ts[0], ys[0] = t, y
-    for i in range(steps):
-        h = min(dt, t1 - t)
-        k1 = deriv(t, y)
-        k2 = deriv(t + h / 2, y + h / 2 * k1)
-        k3 = deriv(t + h / 2, y + h / 2 * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        ts[i + 1], ys[i + 1] = t, y
-    return ts, ys
-
-
 def solve_geodesic(
     n: int,
     q0: Sequence[float],
     qdot0: Sequence[float],
-    theta_end: float,
-    dtheta: float,
+    thetas: Sequence[float],
 ) -> GeodesicSolution:
-    """Integrate q'' + q = 0 (constant Lagrangian 2, unit multiplier) from
-    normalized amplitudes q0."""
+    """Geodesic q = q0 cos(theta) + qdot0 sin(theta), the solution of
+    q'' + q = 0 (constant Lagrangian 2, unit multiplier) from normalized
+    amplitudes q0, evaluated only at the given parameter values.
+
+    ``residual_max`` checks the path against the equation: the largest
+    |q'' + q| over those values, with q'' by a central second difference of
+    step 1e-3 (the step :func:`qsearch.fixed_point.bessel_ode_residual` uses;
+    its h^2/12 truncation term dominates).
+    """
     q0 = np.asarray(q0, dtype=np.float64)
     qdot0 = np.asarray(qdot0, dtype=np.float64)
     if q0.shape != (n,) or qdot0.shape != (n,):
         raise ValueError("initial data must have length N")
     if abs(np.sum(q0 * q0) - 1.0) > 1e-8:
         raise ValueError("initial amplitudes must be normalized")
-    if dtheta <= 0.0:
-        raise ValueError("step must be positive")
-
-    def deriv(_t, y):
-        return np.concatenate([y[n:], -y[:n]])
-
-    ts, ys = _rk4(deriv, np.concatenate([q0, qdot0]), 0.0, theta_end, dtheta)
-    q = ys[:, :n]
-    qdot = ys[:, n:]
+    thetas = np.asarray(thetas, dtype=np.float64)
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    q = cos * q0 + sin * qdot0
+    qdot = cos * qdot0 - sin * q0
+    h = 1e-3
+    # one row at a time, so the check needs no further rows x N arrays
     resid = 0.0
-    for i in range(1, len(ts) - 1):
-        h = ts[i + 1] - ts[i]
-        if abs((ts[i] - ts[i - 1]) - h) > 1e-12 * max(1.0, h):
-            continue  # skip the shortened final interval
-        d2q = (q[i + 1] - 2.0 * q[i] + q[i - 1]) / (h * h)
-        resid = max(resid, float(np.max(np.abs(d2q + q[i]))))
-    return GeodesicSolution(thetas=ts, q=q, qdot=qdot, residual_max=resid)
+    for theta, q_row in zip(thetas.tolist(), q):
+        q_plus = math.cos(theta + h) * q0 + math.sin(theta + h) * qdot0
+        q_minus = math.cos(theta - h) * q0 + math.sin(theta - h) * qdot0
+        d2q = (q_plus - 2.0 * q_row + q_minus) / (h * h)
+        resid = max(resid, float(np.max(np.abs(d2q + q_row))))
+    return GeodesicSolution(thetas=thetas, q=q, qdot=qdot, residual_max=resid)
 
 
 def christoffel(

@@ -192,7 +192,7 @@ def test_c06_information_geometry():
     q0[0] = 0.0
     qdot0 = np.zeros(n)
     qdot0[0] = 1.0
-    sol = ig.solve_geodesic(n, q0, qdot0, math.pi / 2, 1e-3)
+    sol = ig.solve_geodesic(n, q0, qdot0, np.linspace(0.0, math.pi / 2, 101))
     endpoint_err = float(np.max(np.abs(sol.q[-1] - q(math.pi / 2))))
     ok &= endpoint_err < 1e-6
     elapsed = time.perf_counter() - start

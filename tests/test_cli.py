@@ -134,6 +134,15 @@ class TestDampedAndGeodesic:
             assert float(row[2]) == pytest.approx(1.0, abs=1e-8)
         assert float(rows[-1][-1]) < 1e-6
 
+    @pytest.mark.parametrize("argv", [["geodesic", "--N", "8"], ["damped"]])
+    def test_zero_max_rows_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--max-rows", "0"], tmp_path)
+        assert exc.value.code == cli.EXIT_USAGE
+
+    def test_geodesic_zero_step_domain_error(self, tmp_path):
+        assert run_cli(["geodesic", "--N", "8", "--dtheta", "0"], tmp_path) == cli.EXIT_DOMAIN
+
     def test_infogeo_grover(self, tmp_path):
         assert run_cli(["infogeo", "--family", "grover", "--N", "64", "--points", "50"], tmp_path) == 0
         _, rows = read_csv(tmp_path / "infogeo_grover_N64.csv")
@@ -221,6 +230,11 @@ target = 0
             data["params"]["config"] = os.path.basename(data["params"]["config"])
             manifests.append(data)
         assert manifests[0] == manifests[1]
+
+    def test_workers_only_on_sweep(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["digital", "--N", "8", "--workers", "3"], tmp_path)
+        assert exc.value.code == cli.EXIT_USAGE
 
     def test_parallel_workers_match_serial(self, tmp_path):
         cfg = self.write_config(tmp_path)

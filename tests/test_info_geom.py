@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 
 THETA_GRID = np.linspace(0.01, math.pi / 2 - 0.01, 250)
@@ -245,7 +246,7 @@ class TestGeodesicResidual:
         q0[1:] = 1.0 / math.sqrt(n - 1)
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        sol = ig.solve_geodesic(n, q0, qdot0, math.pi / 2, 1e-3)
+        sol = ig.solve_geodesic(n, q0, qdot0, np.linspace(0.0, math.pi / 2, 101))
         assert sol.residual_max < 1e-6
 
 
@@ -257,7 +258,7 @@ class TestSolveGeodesic:
         q0[1:] = 1.0 / root
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        sol = ig.solve_geodesic(n, q0, qdot0, math.pi / 2, 1e-3)
+        sol = ig.solve_geodesic(n, q0, qdot0, np.linspace(0.0, math.pi / 2, 101))
         want = np.full(n, math.cos(math.pi / 2) / root)
         want[0] = math.sin(math.pi / 2)
         assert np.max(np.abs(sol.q[-1] - want)) < 1e-6
@@ -266,8 +267,8 @@ class TestSolveGeodesic:
         n = 3
         q0 = np.array([0.0, 0.6, 0.8])
         qdot0 = np.array([1.0, 0.0, 0.0])
-        fwd = ig.solve_geodesic(n, q0, qdot0, 1.0, 1e-3)
-        back = ig.solve_geodesic(n, fwd.q[-1] / np.linalg.norm(fwd.q[-1]), -fwd.qdot[-1], 1.0, 1e-3)
+        fwd = ig.solve_geodesic(n, q0, qdot0, [0.0, 1.0])
+        back = ig.solve_geodesic(n, fwd.q[-1] / np.linalg.norm(fwd.q[-1]), -fwd.qdot[-1], [0.0, 1.0])
         assert np.max(np.abs(back.q[-1] - q0)) < 1e-6
 
     def test_norm_drift(self):
@@ -276,7 +277,7 @@ class TestSolveGeodesic:
         q0[1:] = 0.5
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        sol = ig.solve_geodesic(n, q0, qdot0, math.pi / 2, 1e-3)
+        sol = ig.solve_geodesic(n, q0, qdot0, np.linspace(0.0, math.pi / 2, 101))
         norms = np.sum(sol.q**2, axis=1) + 0.0
         # q'' = -q conserves q.q + qdot.qdot; with |qdot0| = 1 the amplitude
         # norm oscillates but the invariant stays put
@@ -284,9 +285,22 @@ class TestSolveGeodesic:
         assert np.max(np.abs(invariant - invariant[0])) < 1e-8
         assert norms[0] == pytest.approx(1.0)
 
+    def test_matches_rk4_oracle(self):
+        # gamma = 0, L0 = 2 turns the damped RK4 into q'' + q = 0
+        n = 4
+        q0 = np.array([0.0, 0.6, 0.0, 0.8])
+        qdot0 = np.array([1.0, 0.0, 0.3, 0.0])
+        worst = 0.0
+        for j in range(n):
+            rk4 = fp.damped_geodesic_solve(2.0, 0.0, q0[j], qdot0[j], math.pi / 2, 1e-3)
+            sol = ig.solve_geodesic(n, q0, qdot0, rk4.thetas)
+            worst = max(worst, float(np.max(np.abs(sol.q[:, j] - rk4.q[:, 0]))))
+            worst = max(worst, float(np.max(np.abs(sol.qdot[:, j] - rk4.qdot[:, 0]))))
+        assert worst < 1e-9
+
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            ig.solve_geodesic(2, [1.0, 1.0], [0.0, 0.0], 1.0, 1e-3)
+            ig.solve_geodesic(2, [1.0, 1.0], [0.0, 0.0], [0.0, 1.0])
 
 
 class TestChristoffel:
