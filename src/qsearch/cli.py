@@ -178,6 +178,8 @@ def cmd_analog(args) -> list[Path]:
         if energy <= 0:
             raise ValueError("energy scale must be positive")
         t_max = args.t_max if args.t_max is not None else 3.0 * (math.pi / 4.0) * math.sqrt(n) / energy
+        if args.dt is not None and args.dt <= 0:
+            raise ValueError("time grid must be positive")
         samples = 1001 if args.dt is None else int(math.floor(t_max / args.dt + 1e-9)) + 1
         if samples < 2:
             raise ValueError("time grid must contain at least two samples")
@@ -211,27 +213,35 @@ def _epsilon_unitary(eps: float) -> np.ndarray:
     return np.array([[-s, c], [c, s]], dtype=np.complex128)
 
 
+# largest accepted N for `--u0 random`, which draws and keeps dense N x N
+# complex matrices: 16 MiB each at the cap, where a run peaks near 150 MB RSS
+_RANDOM_U0_CAP = 1024
+
+
 def cmd_fixed_point(args) -> list[Path]:
     if args.depth < 0 or args.depth > fp.MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {fp.MAX_DEPTH}")
+    n = args.N
     if args.epsilon is not None:
         u0 = _epsilon_unitary(args.epsilon)
         target = 1
         source = 0
     elif args.u0 == "wh":
-        n_qubits = int(round(math.log2(args.N)))
-        if 2**n_qubits != args.N:
-            raise ValueError("Walsh-Hadamard initialization needs N = 2^n")
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        u0 = np.array([[1.0]])
-        for _ in range(n_qubits):
-            u0 = np.kron(u0, h)
-        u0 = u0.astype(np.complex128)
+        # the transform keeps no matrix, only states of N amplitudes: at
+        # N = 2^20, depth 5 peaks near 250 MB RSS and takes about 16 s on a
+        # 2-CPU host, and the cap is digital's
+        if n < 2 or n > _N_CAP or n & (n - 1):
+            raise ValueError(
+                f"Walsh-Hadamard initialization needs N = 2^n with 2 <= N <= {_N_CAP}, got N={n}"
+            )
+        u0 = fp.walsh_hadamard_operator(n.bit_length() - 1)
         target = args.target
         source = 0
     else:
+        if not 1 <= n <= _RANDOM_U0_CAP:
+            raise ValueError(f"random U0 needs 1 <= N <= {_RANDOM_U0_CAP}, got N={n}")
         rng = np.random.default_rng(np.random.PCG64(args.seed))
-        z = (rng.normal(size=(args.N, args.N)) + 1j * rng.normal(size=(args.N, args.N))) / math.sqrt(2.0)
+        z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2.0)
         q, r = np.linalg.qr(z)
         u0 = q * (np.diag(r) / np.abs(np.diag(r)))
         target = args.target
@@ -397,14 +407,17 @@ def cmd_ga_verify(args) -> list[Path]:
     n_list = [int(x) for x in args.N_list.split(",") if x]
     if not n_list:
         raise ValueError("N list must be nonempty")
+    for n in n_list:
+        # the state-vector side holds a state of N amplitudes, as digital does
+        if not 2 <= n <= _N_CAP:
+            raise ValueError(f"ga-verify needs 2 <= N <= {_N_CAP}, got N={n}")
     rows = []
     for n in n_list:
         k_max = args.k_max if args.k_max is not None else 2 * gd.optimal_iterations(n)
         state = gd.init_uniform(n)
         worst = 0.0
-        for k in range(k_max + 1):
+        for k, rotor in enumerate(msta.ga_grover_orbit(n, k_max)):
             digital = gd.plane_coordinates(state, target=0)
-            rotor = msta.ga_grover_apply(k, n)
             dev = max(
                 abs(rotor.a_target - digital.a_target), abs(rotor.a_bad - digital.a_bad)
             )
@@ -545,6 +558,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsearch",
@@ -567,14 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analog", help="continuous-time target probability over a time grid")
     p.add_argument("--model", choices=["fenner", "farhi-gutmann"], required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--E", type=float, default=1.0)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--E", type=_finite_float, default=1.0)
+    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=None)
+    p.add_argument("--dt", type=_finite_float, default=None)
     common(p)
     p.set_defaults(func=cmd_analog)
 
     p = sub.add_parser("fixed-point", help="pi/3 recursion failure probabilities")
-    p.add_argument("--epsilon", type=float, default=None, help="initial failure; builds a two-level unitary")
+    p.add_argument("--epsilon", type=_finite_float, default=None, help="initial failure; builds a two-level unitary")
     p.add_argument("--u0", choices=["wh", "random"], default="wh")
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--depth", type=int, required=True)
@@ -583,20 +610,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fixed_point)
 
     p = sub.add_parser("damped", help="damped geodesic solution and residuals")
-    p.add_argument("--L0", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--A", type=float, default=1.0)
-    p.add_argument("--B", type=float, default=0.0)
-    p.add_argument("--theta-end", dest="theta_end", type=float, default=10.0)
-    p.add_argument("--dtheta", type=float, default=1e-3)
+    p.add_argument("--L0", type=_finite_float, default=2.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
+    p.add_argument("--A", type=_finite_float, default=1.0)
+    p.add_argument("--B", type=_finite_float, default=0.0)
+    p.add_argument("--theta-end", dest="theta_end", type=_finite_float, default=10.0)
+    p.add_argument("--dtheta", type=_finite_float, default=1e-3)
     p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=cmd_damped)
 
     p = sub.add_parser("geodesic", help="search-family geodesic with metric columns")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--dtheta", type=float, default=1e-3)
-    p.add_argument("--theta-end", dest="theta_end", type=float, default=math.pi / 2)
+    p.add_argument("--dtheta", type=_finite_float, default=1e-3)
+    p.add_argument("--theta-end", dest="theta_end", type=_finite_float, default=math.pi / 2)
     p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=cmd_geodesic)
@@ -604,16 +631,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infogeo", help="Fisher information and kinetic energy profiles")
     p.add_argument("--family", choices=["grover", "damped-const", "damped-exp"], default="grover")
     p.add_argument("--N", type=int, default=16)
-    p.add_argument("--xi-const", dest="xi_const", type=float, default=0.5)
-    p.add_argument("--A", type=float, default=1.0)
+    p.add_argument("--xi-const", dest="xi_const", type=_finite_float, default=0.5)
+    p.add_argument("--A", type=_finite_float, default=0.5)
     p.add_argument("--points", type=int, default=200)
     common(p)
     p.set_defaults(func=cmd_infogeo)
 
     p = sub.add_parser("ga-verify", help="rotor vs state-vector cross-verification table")
     p.add_argument("--N-list", dest="N_list", default="4,16,64,256,1024")
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--k-max", dest="k_max", type=_nonnegative_int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     common(p)
     p.set_defaults(func=cmd_ga_verify)
 

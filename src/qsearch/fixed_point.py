@@ -5,7 +5,14 @@ shifts on the source and target states drives the failure probability to
 eps^(3^k), monotonically.  The operator word grows as 3^k, so U_k is never
 materialized as a matrix: its action on a state is computed recursively, and
 a parallel coefficient track c_{k+1} = e^{i pi/3}(e^{i pi/3} + eps_k) c_k,
-eps_{k+1} = eps_k^3 cross-checks the simulation at every depth.
+eps_{k+1} = eps_k^3 cross-checks the simulation at every depth.  Depth k+1
+reuses the state U_k|s> of depth k, so reaching depth d applies U0 or its
+adjoint 3^d times in total.
+
+U0 itself is an operator, a pair of functions applying U0 and its adjoint:
+either a validated dense matrix with its adjoint formed once, or the
+Walsh-Hadamard transform H^{(x)n} applied as an O(N log N) butterfly that is
+never materialized as a Kronecker matrix.
 
 The damped two-component family p_1 = xi(theta) exp(-theta) gives a Fisher
 information that decays instead of staying constant, and the geodesic
@@ -55,14 +62,71 @@ class RecursionState:
     state: np.ndarray
 
 
-def _check_unitary(u: np.ndarray) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a square unitary matrix; returns it with its adjoint."""
     u = np.asarray(u, dtype=np.complex128)
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError("U0 must be square")
-    if np.max(np.abs(u.conj().T @ u - np.eye(n))) > 1e-10:
+    u_dag = u.conj().T
+    if np.max(np.abs(u_dag @ u - np.eye(n))) > 1e-10:
         raise ValueError("U0 must be unitary")
-    return u
+    return u, u_dag
+
+
+@dataclass(frozen=True)
+class UnitaryOperator:
+    """A unitary on C^n given by its action on states: apply(v) = U v and
+    apply_dag(v) = U^dag v."""
+
+    n: int
+    apply: Callable[[np.ndarray], np.ndarray]
+    apply_dag: Callable[[np.ndarray], np.ndarray]
+
+
+def dense_operator(u: np.ndarray) -> UnitaryOperator:
+    """Operator of a dense unitary matrix, validated, with its adjoint
+    formed once."""
+    u, u_dag = _check_unitary(u)
+    return UnitaryOperator(u.shape[0], u.__matmul__, u_dag.__matmul__)
+
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
+def walsh_hadamard_transform(v: np.ndarray) -> np.ndarray:
+    """H^{(x)n} v for a state of length N = 2^n in O(N log N); returns a new
+    array.
+
+    Radix-2 butterflies in constant geometry: each of the n passes combines
+    the pairs (x[2i], x[2i+1]) into the two halves of a second buffer, which
+    transforms the lowest index bit and rotates it to the top, so after n
+    passes every bit is transformed and back in place.  On a basis state
+    the butterflies are exact integer sums, so the amplitudes carry only the
+    rounding of the one final scaling by 1/sqrt(N).
+    """
+    x = np.array(v, dtype=np.complex128)
+    size = x.shape[0]
+    if x.shape != (size,) or size < 2 or size & (size - 1):
+        raise ValueError("the Walsh-Hadamard transform needs a vector of length 2^n, n >= 1")
+    y = np.empty_like(x)
+    half = size // 2
+    for _ in range(size.bit_length() - 1):
+        even, odd = x[0::2], x[1::2]
+        np.add(even, odd, out=y[:half])
+        np.subtract(even, odd, out=y[half:])
+        x, y = y, x
+    x *= 1.0 / math.sqrt(size)
+    return x
+
+
+def walsh_hadamard_operator(n_qubits: int) -> UnitaryOperator:
+    """H^{(x)n} on N = 2^n amplitudes, self-adjoint; unitary because its
+    2x2 factor is, which is what gets checked."""
+    if n_qubits < 1:
+        raise ValueError("the Walsh-Hadamard operator needs at least one qubit")
+    _check_unitary(_HADAMARD)
+    return UnitaryOperator(1 << n_qubits, walsh_hadamard_transform, walsh_hadamard_transform)
 
 
 def _basis_state(n: int, index: int) -> np.ndarray:
@@ -73,19 +137,23 @@ def _basis_state(n: int, index: int) -> np.ndarray:
     return v
 
 
-def _apply_uk(k: int, v: np.ndarray, u0: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+def _apply_uk(k: int, v: np.ndarray, u0: UnitaryOperator, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     if k == 0:
-        return u0 @ v
-    w = _apply_uk(k - 1, v, u0, src, tgt)
+        return u0.apply(v)
+    return _raise_depth(k - 1, _apply_uk(k - 1, v, u0, src, tgt), u0, src, tgt)
+
+
+def _raise_depth(k: int, w: np.ndarray, u0: UnitaryOperator, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """U_k R_s U_k^dag R_t w: the map taking U_k v to U_{k+1} v."""
     w = selective_phase(w, tgt, math.pi / 3.0)
-    w = _apply_uk_dag(k - 1, w, u0, src, tgt)
+    w = _apply_uk_dag(k, w, u0, src, tgt)
     w = selective_phase(w, src, math.pi / 3.0)
-    return _apply_uk(k - 1, w, u0, src, tgt)
+    return _apply_uk(k, w, u0, src, tgt)
 
 
-def _apply_uk_dag(k: int, v: np.ndarray, u0: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+def _apply_uk_dag(k: int, v: np.ndarray, u0: UnitaryOperator, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     if k == 0:
-        return u0.conj().T @ v
+        return u0.apply_dag(v)
     w = _apply_uk_dag(k - 1, v, u0, src, tgt)
     w = selective_phase(w, src, -math.pi / 3.0)
     w = _apply_uk(k - 1, w, u0, src, tgt)
@@ -111,21 +179,23 @@ def coefficient_track(c0: complex, depth: int) -> list[tuple[complex, float]]:
 
 
 def fixed_point_run(
-    u0: np.ndarray,
+    u0: UnitaryOperator | np.ndarray,
     target: int,
     depth: int,
     source: int | np.ndarray = 0,
 ) -> list[RecursionState]:
     """Run the recursion to the given depth, returning both tracks per depth.
 
-    The source defaults to the all-zeros register state; any basis index or
+    U0 is an operator, or a dense unitary matrix that is wrapped as one.  The
+    source defaults to the all-zeros register state; any basis index or
     explicit normalized state vector may be supplied instead.  The simulated
     and coefficient tracks must agree to TOL_TRACKS at every depth.
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_DEPTH} (operator word grows as 3^k)")
-    u0 = _check_unitary(u0)
-    n = u0.shape[0]
+    if not isinstance(u0, UnitaryOperator):
+        u0 = dense_operator(u0)
+    n = u0.n
     tgt = _basis_state(n, target)
     if isinstance(source, (int, np.integer)):
         src = _basis_state(n, int(source))
@@ -135,7 +205,7 @@ def fixed_point_run(
             raise ValueError("source must be a normalized length-N state")
     states = []
     for k in range(depth + 1):
-        psi = _apply_uk(k, src, u0, src, tgt)
+        psi = u0.apply(src) if k == 0 else _raise_depth(k - 1, states[-1].state, u0, src, tgt)
         c = complex(np.vdot(tgt, psi))
         # the failure probability is summed over the non-target amplitudes:
         # 1 - |c|^2 loses all relative precision once eps^(3^k) is tiny

@@ -359,18 +359,26 @@ def ga_grover_multivector(n: int) -> Multivector:
     return Multivector.scalar(CL3, (n - 2) / n) + (2.0 * math.sqrt(n - 1) / n) * plane
 
 
-def ga_grover_apply(k: int, n: int) -> SearchPlaneState:
-    """Plane coordinates after k iterations, via actual repeated rotor
-    sandwiching of the initial state vector."""
-    if k < 0:
+def ga_grover_orbit(n: int, k_max: int) -> list[SearchPlaneState]:
+    """Plane coordinates after k = 0..k_max iterations, via actual repeated
+    rotor sandwiching of the initial state vector, one sandwich per step."""
+    if k_max < 0:
         raise ValueError("iteration count must be nonnegative")
     g = ga_grover_rotor(n)
     v = _plane_vector(n)
-    for _ in range(k):
-        v = g.apply(v)
-    return SearchPlaneState(
-        a_target=float(v.coeffs[0b100]), a_bad=float(v.coeffs[0b001])
-    )
+    orbit = []
+    for k in range(k_max + 1):
+        if k:
+            v = g.apply(v)
+        orbit.append(
+            SearchPlaneState(a_target=float(v.coeffs[0b100]), a_bad=float(v.coeffs[0b001]))
+        )
+    return orbit
+
+
+def ga_grover_apply(k: int, n: int) -> SearchPlaneState:
+    """Plane coordinates after k iterations: the last point of the orbit."""
+    return ga_grover_orbit(n, k)[-1]
 
 
 def ga_iterations_to_peak(n: int) -> int:

@@ -5,15 +5,34 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qsearch import cli
+from qsearch.ga_core import Rotor
 
 
 def run_cli(argv, tmp_path):
     return cli.main([*argv, "--out", str(tmp_path)])
+
+
+def usage_exit_code(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, tmp_path)
+    return exc.value.code
+
+
+def run_cli_traced(argv, tmp_path):
+    """Exit code and tracemalloc peak in bytes of one in-process run."""
+    tracemalloc.start()
+    try:
+        code = run_cli(argv, tmp_path)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_csv(path):
@@ -90,6 +109,15 @@ class TestAnalog:
         ps = [float(r[4]) for r in rows]
         assert max(ps) > 0.999
 
+    def test_farhi_gutmann_zero_step_domain_error(self, tmp_path, capsys):
+        argv = ["analog", "--model", "farhi-gutmann", "--N", "16", "--dt", "0"]
+        assert run_cli(argv, tmp_path) == cli.EXIT_DOMAIN
+        assert "time grid must be positive" in capsys.readouterr().err
+
+    def test_infinite_horizon_is_usage_error(self, tmp_path):
+        argv = ["analog", "--model", "fenner", "--N", "16", "--t-max", "inf"]
+        assert usage_exit_code(argv, tmp_path) == cli.EXIT_USAGE
+
 
 class TestFixedPoint:
     def test_epsilon_run_failure_column(self, tmp_path):
@@ -114,6 +142,36 @@ class TestFixedPoint:
         _, rows = read_csv(tmp_path / "fixed_point_depth3.csv")
         for row in rows:
             assert float(row[3]) < 1e-10
+
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_epsilon_is_usage_error(self, tmp_path, eps):
+        assert usage_exit_code(["fixed-point", "--epsilon", eps, "--depth", "2"], tmp_path) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["0", "1", "12"])
+    def test_walsh_hadamard_size_domain_error(self, tmp_path, capsys, n):
+        assert run_cli(["fixed-point", "--u0", "wh", "--N", n, "--depth", "2"], tmp_path) == cli.EXIT_DOMAIN
+        assert f"N={n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "u0, n", [("wh", 2 * cli._N_CAP), ("random", cli._RANDOM_U0_CAP + 1)]
+    )
+    def test_size_caps_checked_before_allocating(self, tmp_path, capsys, u0, n):
+        code, peak = run_cli_traced(["fixed-point", "--u0", u0, "--N", str(n), "--depth", "1"], tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        assert f"N={n}" in capsys.readouterr().err
+        # one wh state at twice the cap is 128 MiB, one random matrix 16 MiB
+        assert peak < 4 << 20
+
+    def test_walsh_hadamard_large_n(self, tmp_path):
+        # a dense H^(x)16 would be a 64 GiB matrix
+        start = time.perf_counter()
+        assert run_cli(["fixed-point", "--u0", "wh", "--N", "65536", "--depth", "3", "--target", "1"], tmp_path) == 0
+        elapsed = time.perf_counter() - start
+        _, rows = read_csv(tmp_path / "fixed_point_depth3.csv")
+        assert [r[0] for r in rows] == ["1", "2", "3"]
+        for row in rows:
+            assert float(row[3]) < 1e-10
+        assert elapsed < 10.0
 
 
 class TestDampedAndGeodesic:
@@ -143,6 +201,24 @@ class TestDampedAndGeodesic:
     def test_geodesic_zero_step_domain_error(self, tmp_path):
         assert run_cli(["geodesic", "--N", "8", "--dtheta", "0"], tmp_path) == cli.EXIT_DOMAIN
 
+    def test_geodesic_infinite_horizon_is_usage_error(self, tmp_path):
+        assert usage_exit_code(["geodesic", "--N", "8", "--theta-end", "inf"], tmp_path) == cli.EXIT_USAGE
+
+    def test_damped_nan_is_usage_error(self, tmp_path):
+        assert usage_exit_code(["damped", "--L0", "nan"], tmp_path) == cli.EXIT_USAGE
+        assert not (tmp_path / "damped_geodesic.csv").exists()
+
+    def test_infogeo_nan_is_usage_error(self, tmp_path):
+        argv = ["infogeo", "--family", "damped-exp", "--A", "nan"]
+        assert usage_exit_code(argv, tmp_path) == cli.EXIT_USAGE
+
+    def test_infogeo_damped_exp_defaults(self, tmp_path):
+        assert run_cli(["infogeo", "--family", "damped-exp"], tmp_path) == 0
+        _, rows = read_csv(tmp_path / "infogeo_damped_exp0.5.csv")
+        assert len(rows) == 200
+        for row in rows:
+            assert math.isfinite(float(row[2])) and math.isfinite(float(row[3]))
+
     def test_infogeo_grover(self, tmp_path):
         assert run_cli(["infogeo", "--family", "grover", "--N", "64", "--points", "50"], tmp_path) == 0
         _, rows = read_csv(tmp_path / "infogeo_grover_N64.csv")
@@ -168,6 +244,30 @@ class TestGaVerify:
         tail = rows[-1]
         assert tail[0] == "qubit_roundtrip"
         assert float(tail[5]) < 1e-14
+
+    def test_negative_k_max_is_usage_error(self, tmp_path):
+        assert usage_exit_code(["ga-verify", "--N-list", "4", "--k-max", "-1"], tmp_path) == cli.EXIT_USAGE
+        assert not (tmp_path / "ga_verify.csv").exists()
+
+    def test_zero_samples_is_usage_error(self, tmp_path):
+        assert usage_exit_code(["ga-verify", "--N-list", "4", "--samples", "0"], tmp_path) == cli.EXIT_USAGE
+        assert not (tmp_path / "ga_verify.csv").exists()
+
+    @pytest.mark.parametrize("n", [1, 2 * cli._N_CAP])
+    def test_size_checked_before_allocating(self, tmp_path, capsys, n):
+        code, peak = run_cli_traced(["ga-verify", "--N-list", f"4,{n}"], tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        assert f"N={n}" in capsys.readouterr().err
+        assert peak < 4 << 20
+
+    def test_one_sandwich_per_step(self, tmp_path, monkeypatch):
+        # k_max = 2, 6 and 12: one rotor sandwich per step, not one per
+        # step of every prefix (102)
+        calls = []
+        apply = Rotor.apply
+        monkeypatch.setattr(Rotor, "apply", lambda self, v: calls.append(1) or apply(self, v))
+        assert run_cli(["ga-verify", "--N-list", "4,16,64", "--samples", "10"], tmp_path) == 0
+        assert len(calls) == 20
 
 
 class TestSweep:

@@ -128,6 +128,56 @@ class TestFailureLaw:
         assert abs(fp.closed_form_failure(0.1, 2) - 1e-9) < 1e-22
 
 
+class TestWalshHadamardOperator:
+    def test_transform_matches_kron_matrix(self):
+        rng = np.random.default_rng(55)
+        for n_qubits in range(1, 9):
+            dense = walsh_hadamard(n_qubits)
+            for _ in range(3):
+                v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+                got = fp.walsh_hadamard_transform(v)
+                assert np.max(np.abs(got - dense @ v)) < 1e-13
+                assert np.max(np.abs(fp.walsh_hadamard_transform(got) - v)) < 1e-13
+
+    def test_transform_leaves_input_untouched(self):
+        v = np.arange(8, dtype=np.complex128)
+        fp.walsh_hadamard_transform(v)
+        assert np.array_equal(v, np.arange(8))
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 12])
+    def test_transform_rejects_other_lengths(self, length):
+        with pytest.raises(ValueError):
+            fp.walsh_hadamard_transform(np.ones(length))
+
+    def test_operator_needs_a_qubit(self):
+        with pytest.raises(ValueError):
+            fp.walsh_hadamard_operator(0)
+
+    def test_run_matches_dense_matrix(self):
+        for n_qubits, target in [(1, 1), (2, 2), (3, 5), (5, 0), (6, 41), (8, 200)]:
+            fast = fp.fixed_point_run(fp.walsh_hadamard_operator(n_qubits), target=target, depth=4)
+            dense = fp.fixed_point_run(walsh_hadamard(n_qubits), target=target, depth=4)
+            for a, b in zip(fast, dense):
+                assert abs(a.eps_k - b.eps_k) < 1e-12
+
+    def test_depth_reuse_counts(self, monkeypatch):
+        # depth k + 1 starts from depth k's state: reaching depth 5 applies U0
+        # or its adjoint 3^5 times and the selective phases 242 times
+        applied = []
+        wh = fp.walsh_hadamard_operator(4)
+        counted = fp.UnitaryOperator(
+            wh.n,
+            lambda v: applied.append(1) or wh.apply(v),
+            lambda v: applied.append(1) or wh.apply_dag(v),
+        )
+        phases = []
+        selective_phase = fp.selective_phase
+        monkeypatch.setattr(fp, "selective_phase", lambda *a: phases.append(1) or selective_phase(*a))
+        fp.fixed_point_run(counted, target=3, depth=5)
+        assert len(applied) == 3**5
+        assert len(phases) == 242
+
+
 class TestCoefficientIdentity:
     def test_null_case(self):
         assert fp.coefficient_identity_check(0.0)

@@ -292,6 +292,24 @@ class TestGroverApply:
                 assert abs(rotor.a_bad - digital.a_bad) < 1e-10
                 state = gd.grover_iterate(state, 0)
 
+    def test_orbit_is_bitwise_apply(self):
+        for n in (4, 37, 1024):
+            k_max = 2 * gd.optimal_iterations(n) + 3
+            orbit = msta.ga_grover_orbit(n, k_max)
+            assert len(orbit) == k_max + 1
+            # the parent's chain of sandwiches, restarted from zero for each k
+            g = msta.ga_grover_rotor(n)
+            for k, point in enumerate(orbit):
+                assert point == msta.ga_grover_apply(k, n)
+                v = msta._plane_vector(n)
+                for _ in range(k):
+                    v = g.apply(v)
+                assert (point.a_target, point.a_bad) == (v.coeffs[0b100], v.coeffs[0b001])
+
+    def test_orbit_rejects_negative_length(self):
+        with pytest.raises(ValueError):
+            msta.ga_grover_orbit(4, -1)
+
     def test_planar_norm_conserved(self):
         for k in (0, 3, 17, 100):
             coords = msta.ga_grover_apply(k, 37)
