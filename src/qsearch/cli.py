@@ -94,10 +94,15 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _dispatch(args) -> list[Path]:
+    """Run the parsed subcommand, stamping its manifest's start first."""
+    args.started = _utc_now()
+    return args.func(args)
+
+
 def _run_with_manifest(args, name: str, params: dict, body) -> list[Path]:
     out_dir = _out_dir(args)
-    manifest = RunManifest(command=name, params=params)
-    manifest.started = _utc_now()
+    manifest = RunManifest(command=name, params=params, started=args.started)
     written = body(out_dir)
     manifest.finished = _utc_now()
     for path in written:
@@ -112,6 +117,29 @@ def _run_with_manifest(args, name: str, params: dict, body) -> list[Path]:
 # largest accepted N: a state is 64 MiB here, and `--k auto` at the cap takes
 # about 110 s on a 2-CPU host
 _N_CAP = 1 << 22
+
+# largest step count of a time or angle grid, and of `digital --k` and
+# `ga-verify --k-max`, about ten times the finest fenner grid of a sweep over
+# N <= 4096 at dt = 1e-3; the rows built at the cap peak near 610 MB RSS
+# (`ga-verify --k-max`, about 50 s on a 2-CPU host), 520 MB for `digital --k`
+# and 430 MB for an analog grid
+_ROW_CAP = 1 << 20
+
+
+def _check_rows(count: float, what: str) -> None:
+    if not count <= _ROW_CAP:  # also false for nan
+        raise ValueError(f"{what} {count} exceeds the cap of {_ROW_CAP}")
+
+
+def _grid_steps(span: float, step: float, round_up: bool = False) -> int:
+    """Steps of size `step` covering `span`: floor(span / step + 1e-9), or
+    ceil(span / step - 1e-12) with round_up.  Raises ValueError for a step
+    that is not positive or a count that is not finite or exceeds _ROW_CAP."""
+    if step <= 0.0:
+        raise ValueError("grid step must be positive")
+    count = span / step
+    _check_rows(count, "grid step count")
+    return math.ceil(count - 1e-12) if round_up else math.floor(count + 1e-9)
 
 
 def cmd_digital(args) -> list[Path]:
@@ -129,6 +157,7 @@ def cmd_digital(args) -> list[Path]:
         k_final = int(args.k)
         if k_final < 0:
             raise ValueError("iteration count must be nonnegative")
+        _check_rows(k_final, "iteration count")
     theta = gd.theta_for(n)
     rows = []
     state = gd.init_uniform(n)
@@ -168,7 +197,7 @@ def cmd_analog(args) -> list[Path]:
         dt = args.dt if args.dt is not None else t_max / 1000.0
         if dt <= 0 or t_max <= 0:
             raise ValueError("time grid must be positive")
-        steps = int(math.floor(t_max / dt + 1e-9))
+        steps = _grid_steps(t_max, dt)
         rows = []
         for i in range(steps + 1):
             t = i * dt
@@ -180,7 +209,7 @@ def cmd_analog(args) -> list[Path]:
         t_max = args.t_max if args.t_max is not None else 3.0 * (math.pi / 4.0) * math.sqrt(n) / energy
         if args.dt is not None and args.dt <= 0:
             raise ValueError("time grid must be positive")
-        samples = 1001 if args.dt is None else int(math.floor(t_max / args.dt + 1e-9)) + 1
+        samples = 1001 if args.dt is None else _grid_steps(t_max, args.dt) + 1
         if samples < 2:
             raise ValueError("time grid must contain at least two samples")
         traj = an.fg_scan(n, energy, t_max=t_max, samples=samples)
@@ -280,6 +309,8 @@ def cmd_fixed_point(args) -> list[Path]:
 def cmd_damped(args) -> list[Path]:
     l0, gamma = args.L0, args.gamma
     params = fp.DampedGeodesicParams(l0=l0, gamma=gamma, a=args.A, b=args.B)
+    # the RK4 loop's step count
+    _grid_steps(args.theta_end, args.dtheta, round_up=True)
     h = 1e-6
     q0 = fp.bessel_solution(0.0, params.a, params.b, l0, gamma)
     qdot0 = (
@@ -322,8 +353,7 @@ def cmd_geodesic(args) -> list[Path]:
     n = args.N
     if n < 2:
         raise ValueError("N must be at least 2")
-    if args.dtheta <= 0.0:
-        raise ValueError("step must be positive")
+    steps = max(1, _grid_steps(args.theta_end, args.dtheta, round_up=True))
     family = ig.grover_family(n)
     root = math.sqrt(n - 1)
     q0 = np.full(n, 1.0 / root)
@@ -332,7 +362,6 @@ def cmd_geodesic(args) -> list[Path]:
     qdot0[0] = 1.0
     # rows keep every stride-th point of the grid i * dtheta, whose last
     # point is theta_end itself
-    steps = max(1, math.ceil(args.theta_end / args.dtheta - 1e-12))
     index = np.arange(0, steps + 1, max(1, (steps + 1) // args.max_rows))
     sol = ig.solve_geodesic(n, q0, qdot0, np.where(index < steps, index * args.dtheta, args.theta_end))
     margin = 1e-2
@@ -407,6 +436,8 @@ def cmd_ga_verify(args) -> list[Path]:
     n_list = [int(x) for x in args.N_list.split(",") if x]
     if not n_list:
         raise ValueError("N list must be nonempty")
+    if args.k_max is not None:
+        _check_rows(args.k_max, "iteration count")
     for n in n_list:
         # the state-vector side holds a state of N amplitudes, as digital does
         if not 2 <= n <= _N_CAP:
@@ -510,7 +541,7 @@ def _run_cell(payload: dict) -> list[str]:
     argv.extend(["--out", payload["cell_dir"]])
     parser = build_parser()
     args = parser.parse_args(argv)
-    written = args.func(args)
+    written = _dispatch(args)
     return [str(p) for p in written]
 
 
@@ -520,8 +551,9 @@ def cmd_sweep(args) -> list[Path]:
     if not cells:
         raise SweepConfigError("sweep grid is empty")
     out_dir = _out_dir(args)
-    manifest = RunManifest(command="sweep", params={"config": str(args.config), "workers": args.workers})
-    manifest.started = _utc_now()
+    manifest = RunManifest(
+        command="sweep", params={"config": str(args.config), "workers": args.workers}, started=args.started
+    )
     payloads = []
     index_rows = []
     for cell in cells:
@@ -657,7 +689,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        _dispatch(args)
     except SweepConfigError as exc:
         print(f"qsearch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -263,22 +263,13 @@ def register_product(a: GaRegister, b: GaRegister) -> GaRegister:
         raise ValueError("register size mismatch")
     if a.n > 4:
         raise ValueError("dense register product supported for n <= 4")
-    t = _slot_structure()
-    out = np.zeros((4,) * a.n)
-    for i in np.ndindex(a.coeffs.shape):
-        ai = a.coeffs[i]
-        if ai == 0.0:
-            continue
-        for j in np.ndindex(b.coeffs.shape):
-            bj = b.coeffs[j]
-            if bj == 0.0:
-                continue
-            term = ai * bj
-            block = t[i[0], j[0], :]
-            for s in range(1, a.n):
-                block = np.multiply.outer(block, t[i[s], j[s], :])
-            out += term * block
-    return GaRegister(a.n, out)
+    # einsum labels: slot s of a is s, of b is n + s, of the product 2n + s
+    n = a.n
+    operands = [a.coeffs, list(range(n)), b.coeffs, list(range(n, 2 * n))]
+    for s in range(n):
+        operands += [_slot_structure(), [s, n + s, 2 * n + s]]
+    out = np.einsum(*operands, list(range(2 * n, 3 * n)), optimize=True)
+    return GaRegister(n, out)
 
 
 # -- state-vector round trip -------------------------------------------------

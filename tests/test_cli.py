@@ -347,6 +347,60 @@ target = 0
             assert (parallel / rel).read_bytes() == path.read_bytes()
 
 
+class TestRowCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analog", "--model", "fenner", "--N", "16", "--t-max", "1e300", "--dt", "1e-300"],
+            ["analog", "--model", "farhi-gutmann", "--N", "16", "--t-max", "1e300", "--dt", "1e-300"],
+            ["geodesic", "--N", "8", "--theta-end", "1e300", "--dtheta", "1e-300"],
+            ["damped", "--theta-end", "1e300", "--dtheta", "1e-300"],
+            ["digital", "--N", "4", "--k", str(cli._ROW_CAP + 1)],
+            ["ga-verify", "--N-list", "4", "--k-max", str(cli._ROW_CAP + 1)],
+        ],
+        ids=["fenner", "farhi-gutmann", "geodesic", "damped", "digital", "ga-verify"],
+    )
+    def test_over_cap_is_domain_error(self, tmp_path, capsys, argv):
+        code, peak = run_cli_traced(argv, tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        assert f"exceeds the cap of {cli._ROW_CAP}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+        assert peak < 4 << 20
+
+    def test_damped_zero_step_domain_error(self, tmp_path):
+        assert run_cli(["damped", "--dtheta", "0"], tmp_path) == cli.EXIT_DOMAIN
+
+    def test_grid_steps_at_the_cap(self):
+        assert cli._grid_steps(1.0, 1.0 / cli._ROW_CAP) == cli._ROW_CAP
+        assert cli._grid_steps(1.0, 1.0 / cli._ROW_CAP, round_up=True) == cli._ROW_CAP
+        with pytest.raises(ValueError):
+            cli._grid_steps(2.0, 1.0 / cli._ROW_CAP)
+        with pytest.raises(ValueError):
+            cli._grid_steps(float("nan"), 1.0)
+
+    def test_fenner_sweep_grid_admitted(self):
+        # the finest fenner sweep cell run in the benchmark: N = 4096, dt = 1e-3
+        t_max = 2.0 * cli.an.fenner_time(4096)
+        assert cli._grid_steps(t_max, 1e-3) < cli._ROW_CAP
+
+
+class TestManifestStamps:
+    def test_started_precedes_computation(self, tmp_path, monkeypatch):
+        events = []
+
+        def stamp():
+            events.append("stamp")
+            return f"stamp-{len(events)}"
+
+        iterate = cli.gd.grover_iterate
+        monkeypatch.setattr(cli, "_utc_now", stamp)
+        monkeypatch.setattr(cli.gd, "grover_iterate", lambda *a: events.append("compute") or iterate(*a))
+        assert run_cli(["digital", "--N", "16", "--k", "3"], tmp_path) == 0
+        assert events == ["stamp", "compute", "compute", "compute", "stamp"]
+        manifest = json.loads((tmp_path / "digital_manifest.json").read_text())
+        assert (manifest["started"], manifest["finished"]) == ("stamp-1", "stamp-5")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         env = dict(os.environ, QSEARCH_OUT=str(tmp_path))

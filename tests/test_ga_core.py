@@ -1,10 +1,12 @@
-"""Algebra kernel checks: hand tables for Cl(3) and Cl(1,3), algebraic
-identities on random multivectors, reflection/rotation geometry."""
+"""Algebra kernel checks: hand tables for Cl(3) and Cl(1,3), the table-driven
+products against a pairwise swap-counting oracle, algebraic identities on
+random multivectors, reflection/rotation geometry."""
 import math
 
 import numpy as np
 import pytest
 
+from qsearch import msta
 from qsearch.ga_core import (
     CL3,
     CL13,
@@ -12,6 +14,7 @@ from qsearch.ga_core import (
     Rotor,
     Signature,
     TOL_ALG,
+    _product_tables,
     allclose,
     bivector_exp,
     geometric_product,
@@ -46,6 +49,42 @@ def random_unit_vector(rng, sig=CL3):
     return Multivector.vector(sig, v)
 
 
+def oracle_blade_sign(a, b, metric):
+    """Sign of blade a times blade b: the parity of the swaps that merge b
+    into a, times the square of every basis vector the two share."""
+    total = 0
+    shifted = a >> 1
+    while shifted:
+        total += bin(shifted & b).count("1")
+        shifted >>= 1
+    sign = -1 if total & 1 else 1
+    for i, square in enumerate(metric):
+        if (a & b) >> i & 1:
+            sign *= square
+    return sign
+
+
+def oracle_products(a, b):
+    """Geometric, inner and outer products one blade pair at a time, and the
+    coefficient scale: the largest sum of |a_i b_j| landing on one blade."""
+    sig = a.sig
+    metric = sig.metric()
+    grade = [bin(mask).count("1") for mask in range(sig.size)]
+    geo, inner, outer, scale = (np.zeros(sig.size) for _ in range(4))
+    for i in np.nonzero(a.coeffs)[0].tolist():
+        for j in np.nonzero(b.coeffs)[0].tolist():
+            term = a.coeffs[i] * b.coeffs[j]
+            k = i ^ j
+            signed = oracle_blade_sign(i, j, metric) * term
+            geo[k] += signed
+            if grade[k] == abs(grade[i] - grade[j]):
+                inner[k] += signed
+            if grade[k] == grade[i] + grade[j]:
+                outer[k] += signed
+            scale[k] += abs(term)
+    return geo, inner, outer, float(scale.max())
+
+
 class TestSignature:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -54,6 +93,85 @@ class TestSignature:
             Signature(9, 8)
         assert Signature(3, 0).size == 8
         assert Signature(1, 3).metric() == (1, -1, -1, -1)
+
+    def test_dimension_capped_at_eight(self):
+        assert Signature(4, 4).size == 256
+        with pytest.raises(ValueError):
+            Signature(5, 4)
+
+
+class TestProductTables:
+    @pytest.mark.parametrize(
+        "p, q, samples", [(3, 0, 20), (1, 3, 20), (2, 3, 10), (0, 4, 10), (4, 4, 1)]
+    )
+    def test_products_match_pairwise_oracle(self, p, q, samples):
+        sig = Signature(p, q)
+        rng = np.random.default_rng(100 + 10 * p + q)
+        for _ in range(samples):
+            a, b = random_mv(rng, sig), random_mv(rng, sig)
+            geo, inner, outer, scale = oracle_products(a, b)
+            tol = 1e-13 * scale
+            assert np.max(np.abs(geometric_product(a, b).coeffs - geo)) <= tol
+            assert np.max(np.abs(inner_product(a, b).coeffs - inner)) <= tol
+            assert np.max(np.abs(outer_product(a, b).coeffs - outer)) <= tol
+
+    def test_basis_blade_products_are_exact(self):
+        # one pair of blades lands on one blade with coefficient exactly +-1
+        sig = Signature(2, 3)
+        for i in range(sig.size):
+            for j in range(sig.size):
+                a, b = Multivector.blade(sig, i), Multivector.blade(sig, j)
+                geo, inner, outer, _ = oracle_products(a, b)
+                assert np.array_equal(geometric_product(a, b).coeffs, geo)
+                assert np.array_equal(inner_product(a, b).coeffs, inner)
+                assert np.array_equal(outer_product(a, b).coeffs, outer)
+
+    def test_tables_cached_and_read_only(self):
+        tables = _product_tables(CL13)
+        assert _product_tables(Signature(1, 3)) is tables
+        for table in tables:
+            assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            tables.geometric[0, 0] = -1.0
+
+
+def slotwise_register_product(a, b):
+    """Register product contracted one particle slot at a time: before slot s
+    the axes are (k_0..k_{s-1}, i_s..i_{n-1}, j_s..j_{n-1})."""
+    n = a.ndim
+    t = msta._slot_structure()
+    x = np.multiply.outer(a, b)
+    for s in range(n):
+        x = np.moveaxis(np.tensordot(x, t, axes=([s, n], [0, 1])), -1, s)
+    return x
+
+
+class TestRegisterProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_slotwise_contraction(self, n):
+        rng = np.random.default_rng(200 + n)
+        a = msta.GaRegister(n, rng.uniform(-1.0, 1.0, (4,) * n))
+        b = msta.GaRegister(n, rng.uniform(-1.0, 1.0, (4,) * n))
+        got = msta.register_product(a, b).coeffs
+        want = slotwise_register_product(a.coeffs, b.coeffs)
+        assert got.shape == (4,) * n
+        assert np.max(np.abs(got - want)) <= 1e-13 * 4**n
+
+    def test_single_slot_is_the_algebra_product(self):
+        # one slot is Cl+(3) itself: compare with the geometric product
+        rng = np.random.default_rng(205)
+        for _ in range(20):
+            p, r = (msta._qubit_from_components(*rng.uniform(-1.0, 1.0, 4)) for _ in range(2))
+            got = msta.register_product(
+                msta.GaRegister(1, np.array(p.components())), msta.GaRegister(1, np.array(r.components()))
+            )
+            want = msta.GaQubit(geometric_product(p.mv, r.mv)).components()
+            assert np.allclose(got.coeffs, want, atol=1e-15)
+
+    def test_larger_registers_rejected(self):
+        big = msta.GaRegister(5, np.zeros((4,) * 5))
+        with pytest.raises(ValueError):
+            msta.register_product(big, big)
 
 
 class TestGeometricProduct:
