@@ -47,9 +47,18 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header, rows) -> Path:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    """Stream the header and the formatted rows into `path`.  The rows go to
+    a sibling `.part` file that replaces `path` only once every row is
+    written, so a row that fails to format leaves no partial CSV."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", encoding="ascii", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(_fmt(cell) for cell in row) + "\n" for row in rows)
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -118,11 +127,12 @@ def _run_with_manifest(args, name: str, params: dict, body) -> list[Path]:
 # about 110 s on a 2-CPU host
 _N_CAP = 1 << 22
 
-# largest step count of a time or angle grid, and of `digital --k` and
-# `ga-verify --k-max`, about ten times the finest fenner grid of a sweep over
-# N <= 4096 at dt = 1e-3; the rows built at the cap peak near 610 MB RSS
-# (`ga-verify --k-max`, about 50 s on a 2-CPU host), 520 MB for `digital --k`
-# and 430 MB for an analog grid
+# largest step count of a time or angle grid, of `digital --k` and
+# `ga-verify --k-max`, and of `infogeo --points`: about ten times the finest
+# fenner grid of a sweep over N <= 4096 at dt = 1e-3.  The rows built at the
+# cap peak near 470 MB RSS (`ga-verify --k-max`, about 45 s on a 2-CPU host),
+# 330 MB for `digital --k` and `infogeo --points`, 300 MB for a Farhi-Gutmann
+# grid and 240 MB for a fenner grid
 _ROW_CAP = 1 << 20
 
 
@@ -349,29 +359,38 @@ def cmd_damped(args) -> list[Path]:
 # -- geodesic / infogeo ----------------------------------------------------------
 
 
+# largest accepted (output rows) x N of a geodesic, whose q and q' are
+# rows x N arrays; the largest admitted runs peak near 840 MB RSS in under
+# 4 s on a 2-CPU host: the default grid's 225 rows at N = 149130, or 8 rows
+# at N = 2^22
+_GEODESIC_CELL_CAP = 1 << 25
+
+
 def cmd_geodesic(args) -> list[Path]:
     n = args.N
-    if n < 2:
-        raise ValueError("N must be at least 2")
+    if not 2 <= n <= _N_CAP:
+        raise ValueError(f"geodesic needs 2 <= N <= {_N_CAP}, got N={n}")
     steps = max(1, _grid_steps(args.theta_end, args.dtheta, round_up=True))
+    # rows keep every stride-th point of the grid i * dtheta, whose last
+    # point is theta_end itself
+    stride = max(1, (steps + 1) // args.max_rows)
+    cells = len(range(0, steps + 1, stride)) * n
+    if cells > _GEODESIC_CELL_CAP:
+        raise ValueError(f"geodesic rows x N = {cells} exceeds the cap of {_GEODESIC_CELL_CAP}")
     family = ig.grover_family(n)
     root = math.sqrt(n - 1)
     q0 = np.full(n, 1.0 / root)
     q0[0] = 0.0
     qdot0 = np.zeros(n)
     qdot0[0] = 1.0
-    # rows keep every stride-th point of the grid i * dtheta, whose last
-    # point is theta_end itself
-    index = np.arange(0, steps + 1, max(1, (steps + 1) // args.max_rows))
+    index = np.arange(0, steps + 1, stride)
     sol = ig.solve_geodesic(n, q0, qdot0, np.where(index < steps, index * args.dtheta, args.theta_end))
     margin = 1e-2
     rows = []
     n_q_cols = min(n, 4)
     for i, t in enumerate(sol.thetas.tolist()):
         t_eval = min(max(t, margin), math.pi / 2 - margin)
-        f = ig.fisher_information(family, t_eval)
-        k = ig.kinetic_energy(family, t_eval)
-        ds2 = ig.wigner_yanase_line_element(family, t_eval, args.dtheta)
+        f, k, ds2 = ig.metric_row(family, t_eval, args.dtheta)
         rows.append(
             (t, f, k, ds2, *sol.q[i, :n_q_cols].tolist(), sol.residual_max)
         )
@@ -390,6 +409,8 @@ def cmd_geodesic(args) -> list[Path]:
 
 def _infogeo_family(args):
     if args.family == "grover":
+        if args.N > _N_CAP:
+            raise ValueError(f"N is capped at {_N_CAP} in the CLI")
         fam = ig.grover_family(args.N)
         lo, hi = 1e-2, math.pi / 2 - 1e-2
         label = f"grover_N{args.N}"
@@ -407,15 +428,11 @@ def _infogeo_family(args):
 
 
 def cmd_infogeo(args) -> list[Path]:
+    _check_rows(args.points, "point count")
     fam, lo, hi, label = _infogeo_family(args)
-    thetas = np.linspace(lo, hi, args.points)
     rows = []
-    for t in thetas:
-        t = float(t)
-        f = ig.fisher_information(fam, t)
-        k = ig.kinetic_energy(fam, t)
-        ds2 = ig.wigner_yanase_line_element(fam, t, 1e-3)
-        rows.append((args.family, t, f, k, ds2))
+    for t in np.linspace(lo, hi, args.points).tolist():
+        rows.append((args.family, t, *ig.metric_row(fam, t, 1e-3)))
 
     def body(out_dir: Path) -> list[Path]:
         path = write_csv(
@@ -665,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=16)
     p.add_argument("--xi-const", dest="xi_const", type=_finite_float, default=0.5)
     p.add_argument("--A", type=_finite_float, default=0.5)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=cmd_infogeo)
 

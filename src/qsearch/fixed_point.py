@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -297,25 +298,6 @@ class DampedGeodesicParams:
             raise ValueError("L0 and gamma must be positive")
 
 
-def _rk4(deriv, y0: np.ndarray, t0: float, t1: float, dt: float):
-    """Classic fixed-step RK4; the final step is shortened to land on t1."""
-    steps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
-    ts = np.empty(steps + 1)
-    ys = np.empty((steps + 1,) + y0.shape)
-    t, y = t0, y0.astype(np.float64)
-    ts[0], ys[0] = t, y
-    for i in range(steps):
-        h = min(dt, t1 - t)
-        k1 = deriv(t, y)
-        k2 = deriv(t + h / 2, y + h / 2 * k1)
-        k3 = deriv(t + h / 2, y + h / 2 * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        ts[i + 1], ys[i + 1] = t, y
-    return ts, ys
-
-
 def damped_geodesic_solve(
     l0: float,
     gamma: float,
@@ -324,31 +306,49 @@ def damped_geodesic_solve(
     theta_end: float,
     dtheta: float = 1e-3,
 ) -> GeodesicSolution:
-    """RK4 integration of q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0."""
+    """RK4 integration of q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0.
+
+    Classic fixed-step RK4 on the pair (q, q') held as two floats; the final
+    step is shortened to land on theta_end.  The path is kept in C double
+    arrays, 8 bytes a value, and becomes ndarrays once at the end."""
     if l0 < 0.0 or gamma < 0.0:
         raise ValueError("L0 and gamma must be nonnegative")
     if dtheta <= 0.0 or theta_end <= 0.0:
         raise ValueError("step and horizon must be positive")
 
-    def deriv(t, y):
-        q, qd = y
-        return np.array([qd, -gamma * qd - 0.5 * l0 * math.exp(-gamma * t) * q])
+    def accel(t, q, qd):
+        return -gamma * qd - 0.5 * l0 * math.exp(-gamma * t) * q
 
-    ts, ys = _rk4(deriv, np.array([q0, qdot0], dtype=np.float64), 0.0, theta_end, dtheta)
-    q = ys[:, :1]
-    qdot = ys[:, 1:]
+    steps = max(1, int(math.ceil(theta_end / dtheta - 1e-12)))
+    t, q, qd = 0.0, float(q0), float(qdot0)
+    ts, qs, qds = array("d", [t]), array("d", [q]), array("d", [qd])
+    for _ in range(steps):
+        h = min(dtheta, theta_end - t)
+        half = h / 2
+        k1q, k1v = qd, accel(t, q, qd)
+        k2q = qd + half * k1v
+        k2v = accel(t + half, q + half * k1q, k2q)
+        k3q = qd + half * k2v
+        k3v = accel(t + half, q + half * k2q, k3q)
+        k4q = qd + h * k3v
+        k4v = accel(t + h, q + h * k3q, k4q)
+        q = q + h / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        qd = qd + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        t = t + h
+        ts.append(t)
+        qs.append(q)
+        qds.append(qd)
     resid = 0.0
     for i in range(1, len(ts) - 1):
         h = ts[i + 1] - ts[i]
         if abs((ts[i] - ts[i - 1]) - h) > 1e-12 * max(1.0, h):
             continue
-        d2q = (q[i + 1, 0] - 2.0 * q[i, 0] + q[i - 1, 0]) / (h * h)
-        dq = (q[i + 1, 0] - q[i - 1, 0]) / (2.0 * h)
-        resid = max(
-            resid,
-            abs(d2q + gamma * dq + 0.5 * l0 * math.exp(-gamma * ts[i]) * q[i, 0]),
-        )
-    return GeodesicSolution(thetas=ts, q=q, qdot=qdot, residual_max=resid)
+        d2q = (qs[i + 1] - 2.0 * qs[i] + qs[i - 1]) / (h * h)
+        dq = (qs[i + 1] - qs[i - 1]) / (2.0 * h)
+        resid = max(resid, abs(d2q + gamma * dq + 0.5 * l0 * math.exp(-gamma * ts[i]) * qs[i]))
+    return GeodesicSolution(
+        thetas=np.frombuffer(ts), q=np.frombuffer(qs)[:, None], qdot=np.frombuffer(qds)[:, None], residual_max=resid
+    )
 
 
 def bessel_argument(theta: float, l0: float, gamma: float) -> float:

@@ -5,7 +5,10 @@ phases phi_l(theta) with analytic derivatives when available; central finite
 differences (relative step 1e-5) fill in otherwise.  The Fisher information
 is computed through the square-root form 4 sum (d sqrt(p))^2, which stays
 finite where components vanish; the p'^2/p form is used only where p is
-safely positive.
+safely positive.  A family without phases has the real amplitudes sqrt(p),
+so no complex arithmetic runs for it.  :func:`metric_row` evaluates the
+Fisher-Rao metric, the kinetic energy and the Wigner-Yanase line element at
+one theta in one pass, computing the Fisher-Rao metric once for both.
 
 Geodesics in amplitude coordinates q_l = sqrt(p_l) obey q'' + q = 0 once the
 Fisher information is constant at 4 and the normalization multiplier is fixed
@@ -79,6 +82,9 @@ class ParametricFamily:
         return _central_diff(self.phi, theta)
 
     def amplitudes(self, theta: float) -> np.ndarray:
+        """sqrt(p) exp(i phi); the real sqrt(p) when the family has no phases."""
+        if self.phi is None:
+            return np.sqrt(self.probabilities(theta))
         return np.sqrt(self.probabilities(theta)) * np.exp(1j * self.phases(theta))
 
 
@@ -123,17 +129,18 @@ def grover_family(n: int) -> ParametricFamily:
 def _sqrt_p_derivatives(family: ParametricFamily, theta: float) -> np.ndarray:
     """d sqrt(p_l)/d theta, analytic where p_l is safely positive, finite
     difference on sqrt(p) elsewhere."""
+    def sqrt_p(t: float) -> np.ndarray:
+        return np.sqrt(family.probabilities(t))
+
     p = family.probabilities(theta)
-    out = np.empty_like(p)
-    if family.dp is not None:
-        dp = family.dprobabilities(theta)
-        safe = p > _P_FLOOR
-        out[safe] = dp[safe] / (2.0 * np.sqrt(p[safe]))
-        if not np.all(safe):
-            fd = _central_diff(lambda t: np.sqrt(family.probabilities(t)), theta)
-            out[~safe] = fd[~safe]
-    else:
-        out = _central_diff(lambda t: np.sqrt(family.probabilities(t)), theta)
+    if family.dp is None:
+        return _central_diff(sqrt_p, theta)
+    dp = family.dprobabilities(theta)
+    safe = p > _P_FLOOR
+    if safe.all():
+        return dp / (2.0 * np.sqrt(p))
+    out = _central_diff(sqrt_p, theta)
+    out[safe] = dp[safe] / (2.0 * np.sqrt(p[safe]))
     return out
 
 
@@ -150,15 +157,30 @@ def fisher_information(family: ParametricFamily, theta: float) -> float:
     return fisher_rao(family, theta)
 
 
-def wigner_yanase_line_element(family: ParametricFamily, theta: float, dtheta: float) -> float:
-    """ds^2 = {F + 4 [sum p phi'^2 - (sum p phi')^2]} dtheta^2."""
-    family.check_theta(theta)
-    f = fisher_rao(family, theta)
+def _phase_term(family: ParametricFamily, theta: float) -> float:
+    """4 [sum p phi'^2 - (sum p phi')^2], the phase part of the line element;
+    exactly 0.0 for a family without phases."""
+    if family.phi is None:
+        return 0.0
     p = family.probabilities(theta)
     dphi = family.dphases(theta)
     mean_current = float(np.sum(p * dphi))
-    phase_term = 4.0 * (float(np.sum(p * dphi * dphi)) - mean_current**2)
-    return (f + phase_term) * dtheta * dtheta
+    return 4.0 * (float(np.sum(p * dphi * dphi)) - mean_current**2)
+
+
+def wigner_yanase_line_element(family: ParametricFamily, theta: float, dtheta: float) -> float:
+    """ds^2 = {F + 4 [sum p phi'^2 - (sum p phi')^2]} dtheta^2."""
+    return (fisher_rao(family, theta) + _phase_term(family, theta)) * dtheta * dtheta
+
+
+def metric_row(family: ParametricFamily, theta: float, dtheta: float) -> tuple[float, float, float]:
+    """(F, K, ds^2) at one theta: the Fisher-Rao metric, the kinetic energy
+    and the Wigner-Yanase line element over the step dtheta, with F computed
+    once and shared by the line element.  Bitwise equal to
+    (fisher_rao, kinetic_energy, wigner_yanase_line_element)."""
+    f = fisher_rao(family, theta)
+    k = kinetic_energy(family, theta)
+    return f, k, (f + _phase_term(family, theta)) * dtheta * dtheta
 
 
 def current_density(family: ParametricFamily, theta: float, l: int) -> float:
@@ -169,9 +191,14 @@ def current_density(family: ParametricFamily, theta: float, l: int) -> float:
 
 
 def kinetic_energy(family: ParametricFamily, theta: float) -> float:
-    """<d psi | d psi> by direct finite differencing of the amplitudes."""
+    """<d psi | d psi> by direct finite differencing of the amplitudes.
+
+    The difference is scaled by 1/(2h), which is also what numpy's complex
+    division by the real step 2h computes, so real and complex amplitudes
+    of one state give the same bits."""
     family.check_theta(theta)
-    dpsi = _central_diff(family.amplitudes, theta)
+    h = _fd_step(theta)
+    dpsi = (family.amplitudes(theta + h) - family.amplitudes(theta - h)) * (1.0 / (2.0 * h))
     return float(np.sum(np.abs(dpsi) ** 2))
 
 

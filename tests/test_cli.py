@@ -226,6 +226,57 @@ class TestDampedAndGeodesic:
             assert float(row[2]) == pytest.approx(4.0, abs=1e-9)
             assert float(row[3]) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["geodesic", "--N", "64", "--max-rows", "30"], 31),
+            (["infogeo", "--family", "grover", "--N", "64", "--points", "17"], 17),
+            (["infogeo", "--family", "damped-exp", "--points", "9"], 9),
+        ],
+    )
+    def test_one_fisher_rao_per_row(self, tmp_path, monkeypatch, argv, rows):
+        calls = []
+        fisher_rao = cli.ig.fisher_rao
+        monkeypatch.setattr(cli.ig, "fisher_rao", lambda *a: calls.append(1) or fisher_rao(*a))
+        assert run_cli(argv, tmp_path) == 0
+        (csv,) = tmp_path.glob("*.csv")
+        assert len(read_csv(csv)[1]) == rows
+        assert len(calls) == rows
+
+    def test_infogeo_zero_points_is_usage_error(self, tmp_path):
+        assert usage_exit_code(["infogeo", "--points", "0"], tmp_path) == cli.EXIT_USAGE
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["infogeo", "--family", "grover", "--N", str(2 * cli._N_CAP)], "capped at"),
+            (["geodesic", "--N", str(cli._N_CAP + 1), "--max-rows", "1"], f"N={cli._N_CAP + 1}"),
+            # the default grid keeps 225 rows
+            (["geodesic", "--N", "149131"], f"exceeds the cap of {cli._GEODESIC_CELL_CAP}"),
+            (["geodesic", "--N", str(cli._N_CAP), "--max-rows", "8"], f"exceeds the cap of {cli._GEODESIC_CELL_CAP}"),
+        ],
+        ids=["infogeo-N", "geodesic-N", "geodesic-cells", "geodesic-cells-at-N-cap"],
+    )
+    def test_size_caps_checked_before_allocating(self, tmp_path, capsys, argv, what):
+        code, peak = run_cli_traced(argv, tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        assert what in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("n", ["100000", "149130"])
+    def test_geodesic_default_grid_admitted(self, tmp_path, monkeypatch, n):
+        class Admitted(Exception):
+            pass
+
+        def stop(*args):
+            raise Admitted
+
+        monkeypatch.setattr(cli.ig, "solve_geodesic", stop)
+        with pytest.raises(Admitted):
+            run_cli(["geodesic", "--N", n], tmp_path)
+
     def test_infogeo_damped_decreases(self, tmp_path):
         assert run_cli(["infogeo", "--family", "damped-const", "--xi-const", "0.7", "--points", "40"], tmp_path) == 0
         _, rows = read_csv(tmp_path / "infogeo_damped_const0.7.csv")
@@ -357,8 +408,9 @@ class TestRowCap:
             ["damped", "--theta-end", "1e300", "--dtheta", "1e-300"],
             ["digital", "--N", "4", "--k", str(cli._ROW_CAP + 1)],
             ["ga-verify", "--N-list", "4", "--k-max", str(cli._ROW_CAP + 1)],
+            ["infogeo", "--points", str(cli._ROW_CAP + 1)],
         ],
-        ids=["fenner", "farhi-gutmann", "geodesic", "damped", "digital", "ga-verify"],
+        ids=["fenner", "farhi-gutmann", "geodesic", "damped", "digital", "ga-verify", "infogeo"],
     )
     def test_over_cap_is_domain_error(self, tmp_path, capsys, argv):
         code, peak = run_cli_traced(argv, tmp_path)
@@ -382,6 +434,34 @@ class TestRowCap:
         # the finest fenner sweep cell run in the benchmark: N = 4096, dt = 1e-3
         t_max = 2.0 * cli.an.fenner_time(4096)
         assert cli._grid_steps(t_max, 1e-3) < cli._ROW_CAP
+
+
+class TestWriteCsv:
+    def test_streams_the_same_bytes(self, tmp_path):
+        # against the whole table joined into one string
+        header = ["n", "x", "flag", "s"]
+        rows = [(1, 0.1, True, "a"), (2, np.float64(1e-300), np.False_, "b"), (np.int64(3), -0.0, 1, "")]
+        lines = [",".join(header)] + [",".join(cli._fmt(cell) for cell in row) for row in rows]
+        path = cli.write_csv(tmp_path / "t.csv", header, rows)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+        assert path.read_bytes() == b"n,x,flag,s\n1,0.10000000000000001,1,a\n2,1e-300,0,b\n3,-0,1,\n"
+
+    def test_failed_row_leaves_no_partial_csv(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("cannot format")
+
+        path = tmp_path / "t.csv"
+        rows = [(1, 2.0)] * 5000 + [(3, Unprintable())]
+        with pytest.raises(ValueError):
+            cli.write_csv(path, ["a", "b"], rows)
+        assert list(tmp_path.iterdir()) == []
+        # an earlier table of the same name stays whole
+        cli.write_csv(path, ["a", "b"], [(1, 2.0)])
+        with pytest.raises(ValueError):
+            cli.write_csv(path, ["a", "b"], rows)
+        assert path.read_text() == "a,b\n1,2\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestManifestStamps:

@@ -226,7 +226,67 @@ class TestDampedFisher:
             fp.DampedFamily(xi=lambda t: 0.5).probabilities(-20.0)
 
 
+def rk4_oracle(deriv, y0, t0, t1, dt):
+    """Classic fixed-step RK4 on ndarray states; the final step is shortened
+    to land on t1."""
+    steps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
+    ts = np.empty(steps + 1)
+    ys = np.empty((steps + 1,) + y0.shape)
+    t, y = t0, y0.astype(np.float64)
+    ts[0], ys[0] = t, y
+    for i in range(steps):
+        h = min(dt, t1 - t)
+        k1 = deriv(t, y)
+        k2 = deriv(t + h / 2, y + h / 2 * k1)
+        k3 = deriv(t + h / 2, y + h / 2 * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + h
+        ts[i + 1], ys[i + 1] = t, y
+    return ts, ys
+
+
+def damped_oracle(l0, gamma, q0, qdot0, theta_end, dtheta):
+    """The damped geodesic and its residual check through the ndarray RK4."""
+
+    def deriv(t, y):
+        q, qd = y
+        return np.array([qd, -gamma * qd - 0.5 * l0 * math.exp(-gamma * t) * q])
+
+    ts, ys = rk4_oracle(deriv, np.array([q0, qdot0], dtype=np.float64), 0.0, theta_end, dtheta)
+    q = ys[:, :1]
+    resid = 0.0
+    for i in range(1, len(ts) - 1):
+        h = ts[i + 1] - ts[i]
+        if abs((ts[i] - ts[i - 1]) - h) > 1e-12 * max(1.0, h):
+            continue
+        d2q = (q[i + 1, 0] - 2.0 * q[i, 0] + q[i - 1, 0]) / (h * h)
+        dq = (q[i + 1, 0] - q[i - 1, 0]) / (2.0 * h)
+        resid = max(resid, abs(d2q + gamma * dq + 0.5 * l0 * math.exp(-gamma * ts[i]) * q[i, 0]))
+    return ts, q, ys[:, 1:], resid
+
+
 class TestDampedGeodesic:
+    @pytest.mark.parametrize(
+        "l0, gamma, theta_end, dtheta",
+        [(2.0, 1.0, 10.0, 1e-3), (2.0, 0.0, 3.0, 1e-3), (3.3, 0.7, 7.77, 3e-3), (3.3, 0.7, 7.771, 3e-3)],
+    )
+    def test_bitwise_equal_to_ndarray_rk4(self, l0, gamma, theta_end, dtheta):
+        q0, qdot0 = 0.3, -0.8
+        sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, theta_end, dtheta)
+        ts, q, qdot, resid = damped_oracle(l0, gamma, q0, qdot0, theta_end, dtheta)
+        assert sol.thetas.tobytes() == ts.tobytes()
+        assert sol.q.shape == q.shape and sol.q.tobytes() == q.tobytes()
+        assert sol.qdot.shape == qdot.shape and sol.qdot.tobytes() == qdot.tobytes()
+        assert sol.residual_max == resid
+        assert resid > 0.0
+
+    def test_final_step_shortened(self):
+        # 7.771 / 3e-3 is not an integer: the last step lands on the horizon
+        sol = fp.damped_geodesic_solve(3.3, 0.7, 0.3, -0.8, 7.771, 3e-3)
+        assert sol.thetas[-1] == pytest.approx(7.771, abs=1e-12)
+        assert sol.thetas[-1] - sol.thetas[-2] == pytest.approx(1e-3, abs=1e-9)
+
     def test_rk4_matches_bessel_closed_form(self):
         l0, gamma = 2.0, 1.0
         a, b = 1.0, 0.0

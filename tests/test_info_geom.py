@@ -185,7 +185,83 @@ class TestWignerYanase:
             assert ig.wigner_yanase_line_element(fam, rng.uniform(0.2, 3.0), 1e-2) >= 0.0
 
 
+def damped_families():
+    return [
+        fp.DampedFamily(xi=lambda t: 0.5).as_parametric_family(),
+        fp.DampedFamily(xi=lambda t: 0.5 * math.exp(-t)).as_parametric_family(),
+    ]
+
+
+class TestMetricRow:
+    def assert_row_matches(self, fam, thetas, dtheta=1e-3):
+        for theta in thetas:
+            separate = (
+                ig.fisher_rao(fam, theta),
+                ig.kinetic_energy(fam, theta),
+                ig.wigner_yanase_line_element(fam, theta, dtheta),
+            )
+            assert ig.metric_row(fam, theta, dtheta) == separate
+
+    def test_grover_bitwise(self):
+        # 0 and pi/2 put components under the floor: the masked path
+        self.assert_row_matches(ig.grover_family(20000), [0.0, 0.01, 0.4, 1.2, math.pi / 2 - 0.01, math.pi / 2])
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["const", "exp"])
+    def test_damped_bitwise(self, index):
+        # no analytic dp: sqrt(p) by finite differences
+        self.assert_row_matches(damped_families()[index], np.linspace(0.0, 10.0, 25).tolist())
+
+    def test_phased_bitwise(self):
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            self.assert_row_matches(trig_family(rng), rng.uniform(0.2, 3.0, size=4).tolist(), dtheta=1e-2)
+
+    def test_one_fisher_rao_call(self, monkeypatch):
+        calls = []
+        fisher_rao = ig.fisher_rao
+        monkeypatch.setattr(ig, "fisher_rao", lambda *a: calls.append(1) or fisher_rao(*a))
+        ig.metric_row(ig.grover_family(16), 0.3, 1e-3)
+        assert len(calls) == 1
+
+    def test_unmasked_path_matches_masked(self):
+        fam = ig.grover_family(20000)
+        for theta in (0.01, 0.7, 1.5):
+            p, dp = fam.probabilities(theta), fam.dprobabilities(theta)
+            safe = p > ig._P_FLOOR
+            assert safe.all()
+            masked = np.empty_like(p)
+            masked[safe] = dp[safe] / (2.0 * np.sqrt(p[safe]))
+            assert ig._sqrt_p_derivatives(fam, theta).tobytes() == masked.tobytes()
+
+
 class TestCurrentAndKinetic:
+    def test_phaseless_amplitudes_are_real(self):
+        fam = ig.grover_family(8)
+        amps = fam.amplitudes(0.4)
+        assert amps.dtype == np.float64
+        assert np.array_equal(amps, np.sqrt(fam.probabilities(0.4)))
+
+    def test_phaseless_kinetic_bitwise_equals_zero_phases(self):
+        rng = np.random.default_rng(48)
+        base = trig_family(rng, n=6, with_phases=False)
+        families = [(ig.grover_family(20000), 20000), (base, 6)]
+        families += [(fam, 2) for fam in damped_families()]
+        for fam, n in families:
+            zero_phased = ig.ParametricFamily(
+                n=n, p=fam.p, dp=fam.dp, phi=lambda t, n=n: np.zeros(n), domain=fam.domain
+            )
+            for theta in (0.05, 0.6, 1.3):
+                assert ig.kinetic_energy(fam, theta) == ig.kinetic_energy(zero_phased, theta)
+
+    def test_kinetic_bitwise_equals_complex_division(self):
+        # scaling by 1/(2h) is what numpy's complex division by 2h computes
+        rng = np.random.default_rng(49)
+        for _ in range(5):
+            fam = trig_family(rng)
+            theta = rng.uniform(0.3, 3.0)
+            dpsi = ig._central_diff(fam.amplitudes, theta)
+            assert ig.kinetic_energy(fam, theta) == float(np.sum(np.abs(dpsi) ** 2))
+
     def test_grover_current_zero_kinetic_one(self):
         fam = ig.grover_family(32)
         for theta in (0.1, 0.8, 1.5):
