@@ -1,8 +1,13 @@
 """Batch command-line front end.
 
-Every subcommand writes CSV tables plus a JSON run manifest recording the
-command, parameters, timestamps, tool version, and the SHA-256 of each output
-file.  All numeric output uses 17-significant-digit formatting, so reruns on
+Each subcommand `cmd_<name>(args)` checks its arguments, computes its rows
+and returns `(params, tables, written)`: the manifest's parameters, a list of
+`(file name, header, rows)` tables, and the CSVs it wrote itself (only
+`sweep`'s cells write their own).  The runner `_dispatch` alone writes the
+outputs: it makes the output directory once the command returns, writes each
+table as a CSV, and writes a JSON run manifest recording the command,
+parameters, timestamps, tool version, and the SHA-256 of each CSV.  All
+numeric output uses 17-significant-digit formatting, so reruns on
 the same platform produce byte-identical CSVs (manifests differ only in their
 timestamps).  Randomized paths draw from numpy's PCG64 generator seeded by
 --seed, and the seed is recorded in the manifest.
@@ -19,8 +24,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,16 +83,8 @@ class RunManifest:
         self.outputs.append({"path": str(path), "sha256": _sha256(path)})
 
     def write(self, out_dir: Path) -> Path:
-        target = out_dir / f"{self.command.replace(' ', '_')}_manifest.json"
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "started": self.started,
-            "finished": self.finished,
-            "tool_version": self.tool_version,
-            "outputs": self.outputs,
-        }
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        target = out_dir / f"{self.command}_manifest.json"
+        target.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         return target
 
 
@@ -97,27 +93,24 @@ def _utc_now() -> str:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("QSEARCH_OUT") or "qsearch-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out or os.environ.get("QSEARCH_OUT") or "qsearch-out")
 
 
 def _dispatch(args) -> list[Path]:
-    """Run the parsed subcommand, stamping its manifest's start first."""
-    args.started = _utc_now()
-    return args.func(args)
-
-
-def _run_with_manifest(args, name: str, params: dict, body) -> list[Path]:
+    """Run the parsed subcommand, then write its tables and its manifest,
+    which records the CSVs the command wrote itself and then the tables.  The
+    output directory is made only once the command returns.  Returns the
+    recorded CSVs."""
+    started = _utc_now()
+    params, tables, written = args.func(args)
     out_dir = _out_dir(args)
-    manifest = RunManifest(command=name, params=params, started=args.started)
-    written = body(out_dir)
-    manifest.finished = _utc_now()
-    for path in written:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = written + [write_csv(out_dir / name, header, rows) for name, header, rows in tables]
+    manifest = RunManifest(command=args.subcommand, params=params, started=started, finished=_utc_now())
+    for path in outputs:
         manifest.record(path)
-    manifest_path = manifest.write(out_dir)
-    return written + [manifest_path]
+    manifest.write(out_dir)
+    return outputs
 
 
 # -- digital ------------------------------------------------------------------
@@ -152,7 +145,7 @@ def _grid_steps(span: float, step: float, round_up: bool = False) -> int:
     return math.ceil(count - 1e-12) if round_up else math.floor(count + 1e-9)
 
 
-def cmd_digital(args) -> list[Path]:
+def cmd_digital(args):
     n = args.N
     if n < 2:
         raise ValueError("N must be at least 2")
@@ -165,8 +158,6 @@ def cmd_digital(args) -> list[Path]:
         k_final = gd.optimal_iterations(n)
     else:
         k_final = int(args.k)
-        if k_final < 0:
-            raise ValueError("iteration count must be nonnegative")
         _check_rows(k_final, "iteration count")
     theta = gd.theta_for(n)
     rows = []
@@ -181,23 +172,15 @@ def cmd_digital(args) -> list[Path]:
         sim = float(abs(state[target]) ** 2)
         rows.append((n, 0, theta, closed, sim, abs(closed - sim)))
 
-    def body(out_dir: Path) -> list[Path]:
-        path = write_csv(
-            out_dir / f"digital_N{n}_k{args.k}.csv",
-            ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"],
-            rows,
-        )
-        return [path]
-
-    return _run_with_manifest(
-        args, "digital", {"N": n, "k": args.k, "target": target}, body
-    )
+    header = ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"]
+    table = (f"digital_N{n}_k{args.k}.csv", header, rows)
+    return {"N": n, "k": args.k, "target": target}, [table], []
 
 
 # -- analog -------------------------------------------------------------------
 
 
-def cmd_analog(args) -> list[Path]:
+def cmd_analog(args):
     n = args.N
     if n < 2:
         raise ValueError("N must be at least 2")
@@ -228,16 +211,8 @@ def cmd_analog(args) -> list[Path]:
             for t, p in zip(traj.ts, traj.p_target)
         ]
 
-    def body(out_dir: Path) -> list[Path]:
-        path = write_csv(
-            out_dir / f"analog_{args.model}_N{n}.csv",
-            ["model", "N", "E", "t", "p_target"],
-            rows,
-        )
-        return [path]
-
     params = {"model": args.model, "N": n, "E": energy, "t_max": args.t_max, "dt": args.dt}
-    return _run_with_manifest(args, "analog", params, body)
+    return params, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], rows)], []
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -257,7 +232,7 @@ def _epsilon_unitary(eps: float) -> np.ndarray:
 _RANDOM_U0_CAP = 1024
 
 
-def cmd_fixed_point(args) -> list[Path]:
+def cmd_fixed_point(args):
     if args.depth < 0 or args.depth > fp.MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {fp.MAX_DEPTH}")
     n = args.N
@@ -293,14 +268,6 @@ def cmd_fixed_point(args) -> list[Path]:
         rel = abs(rec.eps_k - closed) / max(closed, 1e-300)
         rows.append((rec.k, closed, rec.eps_k, rel))
 
-    def body(out_dir: Path) -> list[Path]:
-        path = write_csv(
-            out_dir / f"fixed_point_depth{args.depth}.csv",
-            ["k", "eps_k_closed", "eps_k_simulated", "rel_error"],
-            rows,
-        )
-        return [path]
-
     params = {
         "epsilon": args.epsilon,
         "u0": args.u0,
@@ -310,13 +277,14 @@ def cmd_fixed_point(args) -> list[Path]:
         "seed": args.seed,
         "eps0_computed": eps0,
     }
-    return _run_with_manifest(args, "fixed-point", params, body)
+    header = ["k", "eps_k_closed", "eps_k_simulated", "rel_error"]
+    return params, [(f"fixed_point_depth{args.depth}.csv", header, rows)], []
 
 
 # -- damped geodesic ------------------------------------------------------------
 
 
-def cmd_damped(args) -> list[Path]:
+def cmd_damped(args):
     l0, gamma = args.L0, args.gamma
     params = fp.DampedGeodesicParams(l0=l0, gamma=gamma, a=args.A, b=args.B)
     # the RK4 loop's step count
@@ -337,14 +305,6 @@ def cmd_damped(args) -> list[Path]:
         p1 = min(1.0, q * q)
         rows.append((t, q, resid, 1.0 - p1, p1))
 
-    def body(out_dir: Path) -> list[Path]:
-        path = write_csv(
-            out_dir / "damped_geodesic.csv",
-            ["theta", "q", "residual", "p0", "p1"],
-            rows,
-        )
-        return [path]
-
     meta = {
         "L0": l0,
         "gamma": gamma,
@@ -353,7 +313,7 @@ def cmd_damped(args) -> list[Path]:
         "theta_end": args.theta_end,
         "dtheta": args.dtheta,
     }
-    return _run_with_manifest(args, "damped", meta, body)
+    return meta, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], rows)], []
 
 
 # -- geodesic / infogeo ----------------------------------------------------------
@@ -366,7 +326,7 @@ def cmd_damped(args) -> list[Path]:
 _GEODESIC_CELL_CAP = 1 << 25
 
 
-def cmd_geodesic(args) -> list[Path]:
+def cmd_geodesic(args):
     n = args.N
     if not 2 <= n <= _N_CAP:
         raise ValueError(f"geodesic needs 2 <= N <= {_N_CAP}, got N={n}")
@@ -395,16 +355,9 @@ def cmd_geodesic(args) -> list[Path]:
             (t, f, k, ds2, *sol.q[i, :n_q_cols].tolist(), sol.residual_max)
         )
 
-    def body(out_dir: Path) -> list[Path]:
-        path = write_csv(
-            out_dir / f"geodesic_N{n}.csv",
-            ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual_max"],
-            rows,
-        )
-        return [path]
-
+    header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual_max"]
     meta = {"N": n, "dtheta": args.dtheta, "theta_end": args.theta_end}
-    return _run_with_manifest(args, "geodesic", meta, body)
+    return meta, [(f"geodesic_N{n}.csv", header, rows)], []
 
 
 def _infogeo_family(args):
@@ -427,29 +380,21 @@ def _infogeo_family(args):
     return fam, lo, hi, label
 
 
-def cmd_infogeo(args) -> list[Path]:
+def cmd_infogeo(args):
     _check_rows(args.points, "point count")
     fam, lo, hi, label = _infogeo_family(args)
     rows = []
     for t in np.linspace(lo, hi, args.points).tolist():
         rows.append((args.family, t, *ig.metric_row(fam, t, 1e-3)))
 
-    def body(out_dir: Path) -> list[Path]:
-        path = write_csv(
-            out_dir / f"infogeo_{label}.csv",
-            ["family", "theta", "F", "K", "ds2_wy"],
-            rows,
-        )
-        return [path]
-
     meta = {"family": args.family, "N": args.N, "xi_const": args.xi_const, "A": args.A, "points": args.points}
-    return _run_with_manifest(args, "infogeo", meta, body)
+    return meta, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], rows)], []
 
 
 # -- ga-verify --------------------------------------------------------------------
 
 
-def cmd_ga_verify(args) -> list[Path]:
+def cmd_ga_verify(args):
     n_list = [int(x) for x in args.N_list.split(",") if x]
     if not n_list:
         raise ValueError("N list must be nonempty")
@@ -483,16 +428,8 @@ def cmd_ga_verify(args) -> list[Path]:
         worst_rt = max(worst_rt, abs(back[0] - col[0]), abs(back[1] - col[1]))
     rows.append(("qubit_roundtrip", args.samples, 0, worst_rt, 0.0, worst_rt))
 
-    def body(out_dir: Path) -> list[Path]:
-        path = write_csv(
-            out_dir / "ga_verify.csv",
-            ["check", "N", "k", "ga_value", "digital_value", "abs_dev"],
-            rows,
-        )
-        return [path]
-
     meta = {"N_list": args.N_list, "k_max": args.k_max, "samples": args.samples, "seed": args.seed}
-    return _run_with_manifest(args, "ga-verify", meta, body)
+    return meta, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], rows)], []
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -514,7 +451,11 @@ def parse_sweep_config(path: Path) -> SweepConfig:
     subcommand = None
     grids: dict = {}
     fixed: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SweepConfigError(f"cannot read sweep config: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -538,6 +479,7 @@ def parse_sweep_config(path: Path) -> SweepConfig:
 
 
 def _sweep_cells(cfg: SweepConfig) -> list[dict]:
+    """Cartesian product of the grids over the fixed keys; never empty."""
     keys = sorted(cfg.grids)
     cells = [dict(cfg.fixed)]
     for key in keys:
@@ -547,54 +489,52 @@ def _sweep_cells(cfg: SweepConfig) -> list[dict]:
 
 def _cell_name(subcommand: str, cell: dict, grid_keys) -> str:
     parts = [f"{k}-{cell[k]}" for k in sorted(grid_keys)]
-    return "_".join([subcommand] + parts) if parts else subcommand
+    return "_".join([subcommand, *parts])
 
 
-def _run_cell(payload: dict) -> list[str]:
-    """Run one sweep cell in a worker process; writes into its own directory."""
-    argv = [payload["subcommand"]]
-    for key, value in payload["cell"].items():
-        argv.extend([f"--{key.replace('_', '-')}", str(value)])
-    argv.extend(["--out", payload["cell_dir"]])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    written = _dispatch(args)
-    return [str(p) for p in written]
+class _CellParser(argparse.ArgumentParser):
+    """Parses a sweep cell's arguments, raising SweepConfigError where
+    argparse would print usage and exit."""
+
+    def error(self, message):
+        raise SweepConfigError(message)
 
 
-def cmd_sweep(args) -> list[Path]:
+def _run_cell(args) -> list[Path]:
+    """Run one parsed sweep cell, in a worker process when the sweep has
+    more than one; it writes into its own directory."""
+    return _dispatch(args)
+
+
+def cmd_sweep(args):
     cfg = parse_sweep_config(Path(args.config))
     cells = _sweep_cells(cfg)
-    if not cells:
-        raise SweepConfigError("sweep grid is empty")
-    out_dir = _out_dir(args)
-    manifest = RunManifest(
-        command="sweep", params={"config": str(args.config), "workers": args.workers}, started=args.started
-    )
-    payloads = []
+    # every cell is parsed before any runs, so a bad key or value stops the
+    # sweep before it writes anything
+    parser = build_parser(_CellParser)
+    cell_args = []
     index_rows = []
     for cell in cells:
         name = _cell_name(cfg.subcommand, cell, cfg.grids.keys())
-        cell_dir = out_dir / name
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        payloads.append({"subcommand": cfg.subcommand, "cell": cell, "cell_dir": str(cell_dir)})
+        argv = [cfg.subcommand]
+        for key, value in cell.items():
+            argv.extend([f"--{key.replace('_', '-')}", str(value)])
+        argv.extend(["--out", str(_out_dir(args) / name)])
+        try:
+            cell_args.append(parser.parse_args(argv))
+        except SweepConfigError as exc:
+            raise SweepConfigError(f"sweep cell {name}: {exc}") from None
         index_rows.append((name, cfg.subcommand, json.dumps(cell, sort_keys=True)))
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_cell, payloads))
+            results = list(pool.map(_run_cell, cell_args))
     else:
-        results = [_run_cell(p) for p in payloads]
-    written: list[Path] = []
-    for cell_files in results:
-        written.extend(Path(f) for f in cell_files)
-    index_path = write_csv(out_dir / "sweep_index.csv", ["cell", "subcommand", "params"], index_rows)
-    written.append(index_path)
-    manifest.finished = _utc_now()
-    for path in written:
-        if path.suffix == ".csv":
-            manifest.record(path)
-    manifest_path = manifest.write(out_dir)
-    return written + [manifest_path]
+        results = [_run_cell(a) for a in cell_args]
+    written = [path for cell_outputs in results for path in cell_outputs]
+    params = {"config": str(args.config), "workers": args.workers}
+    return params, [("sweep_index.csv", ["cell", "subcommand", "params"], index_rows)], written
 
 
 # -- parser ----------------------------------------------------------------------
@@ -614,6 +554,28 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _iterations(text: str) -> str:
+    """`auto` or a nonnegative integer, kept as typed for the CSV name and
+    the manifest."""
+    try:
+        if text == "auto" or int(text) >= 0:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be 'auto' or a nonnegative integer, got {text}")
+
+
+def _int_list(text: str) -> str:
+    """Comma-separated integers, kept as typed for the manifest."""
+    try:
+        for item in text.split(","):
+            if item:
+                int(item)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text}") from None
+    return text
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -621,44 +583,41 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="qsearch",
         description="Batch experiments for digital, rotor, and Hamiltonian quantum search",
     )
     parser.add_argument("--version", action="version", version=f"qsearch {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def subcommand(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None, help="output directory (env QSEARCH_OUT overrides the default)")
         p.add_argument("--seed", type=int, default=0, help="seed for the named PCG64 generator")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("digital", help="state-vector search probabilities per iteration")
+    p = subcommand("digital", cmd_digital, "state-vector search probabilities per iteration")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", default="auto", help="iteration count or 'auto' for the optimal count")
+    p.add_argument("--k", type=_iterations, default="auto", help="iteration count or 'auto' for the optimal count")
     p.add_argument("--target", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_digital)
 
-    p = sub.add_parser("analog", help="continuous-time target probability over a time grid")
+    p = subcommand("analog", cmd_analog, "continuous-time target probability over a time grid")
     p.add_argument("--model", choices=["fenner", "farhi-gutmann"], required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--E", type=_finite_float, default=1.0)
     p.add_argument("--t-max", dest="t_max", type=_finite_float, default=None)
     p.add_argument("--dt", type=_finite_float, default=None)
-    common(p)
-    p.set_defaults(func=cmd_analog)
 
-    p = sub.add_parser("fixed-point", help="pi/3 recursion failure probabilities")
+    p = subcommand("fixed-point", cmd_fixed_point, "pi/3 recursion failure probabilities")
     p.add_argument("--epsilon", type=_finite_float, default=None, help="initial failure; builds a two-level unitary")
     p.add_argument("--u0", choices=["wh", "random"], default="wh")
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--target", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_fixed_point)
 
-    p = sub.add_parser("damped", help="damped geodesic solution and residuals")
+    p = subcommand("damped", cmd_damped, "damped geodesic solution and residuals")
     p.add_argument("--L0", type=_finite_float, default=2.0)
     p.add_argument("--gamma", type=_finite_float, default=1.0)
     p.add_argument("--A", type=_finite_float, default=1.0)
@@ -666,38 +625,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-end", dest="theta_end", type=_finite_float, default=10.0)
     p.add_argument("--dtheta", type=_finite_float, default=1e-3)
     p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200)
-    common(p)
-    p.set_defaults(func=cmd_damped)
 
-    p = sub.add_parser("geodesic", help="search-family geodesic with metric columns")
+    p = subcommand("geodesic", cmd_geodesic, "search-family geodesic with metric columns")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--dtheta", type=_finite_float, default=1e-3)
     p.add_argument("--theta-end", dest="theta_end", type=_finite_float, default=math.pi / 2)
     p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200)
-    common(p)
-    p.set_defaults(func=cmd_geodesic)
 
-    p = sub.add_parser("infogeo", help="Fisher information and kinetic energy profiles")
+    p = subcommand("infogeo", cmd_infogeo, "Fisher information and kinetic energy profiles")
     p.add_argument("--family", choices=["grover", "damped-const", "damped-exp"], default="grover")
     p.add_argument("--N", type=int, default=16)
     p.add_argument("--xi-const", dest="xi_const", type=_finite_float, default=0.5)
     p.add_argument("--A", type=_finite_float, default=0.5)
     p.add_argument("--points", type=_positive_int, default=200)
-    common(p)
-    p.set_defaults(func=cmd_infogeo)
 
-    p = sub.add_parser("ga-verify", help="rotor vs state-vector cross-verification table")
-    p.add_argument("--N-list", dest="N_list", default="4,16,64,256,1024")
+    p = subcommand("ga-verify", cmd_ga_verify, "rotor vs state-vector cross-verification table")
+    p.add_argument("--N-list", dest="N_list", type=_int_list, default="4,16,64,256,1024")
     p.add_argument("--k-max", dest="k_max", type=_nonnegative_int, default=None)
     p.add_argument("--samples", type=_positive_int, default=1000)
-    common(p)
-    p.set_defaults(func=cmd_ga_verify)
 
-    p = sub.add_parser("sweep", help="cartesian parameter sweep from a config file")
+    p = subcommand("sweep", cmd_sweep, "cartesian parameter sweep from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     return parser
 

@@ -1,5 +1,6 @@
 """CLI checks: CSV shapes and values for each subcommand, manifests, exit
 codes, and byte-identical determinism of sweep reruns."""
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,18 @@ class TestDigital:
         assert rows[-1][1] == "785"
         assert float(rows[-1][3]) >= 1.0 - 1e-6
         assert float(rows[-1][5]) < 1e-9
+
+    @pytest.mark.parametrize("k", ["abc", "1.5", "-1"])
+    def test_non_integer_k_is_usage_error(self, tmp_path, capsys, k):
+        assert usage_exit_code(["digital", "--N", "8", "--k", k], tmp_path) == cli.EXIT_USAGE
+        assert "must be 'auto' or a nonnegative integer" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_k_keeps_its_text(self, tmp_path):
+        assert run_cli(["digital", "--N", "8", "--k", "02"], tmp_path) == 0
+        manifest = json.loads((tmp_path / "digital_manifest.json").read_text())
+        assert manifest["params"]["k"] == "02"
+        assert len(read_csv(tmp_path / "digital_N8_k02.csv")[1]) == 2
 
     def test_invalid_target_domain_error(self, tmp_path, capsys):
         rc = run_cli(["digital", "--N", "4", "--target", "9"], tmp_path)
@@ -304,6 +318,11 @@ class TestGaVerify:
         assert usage_exit_code(["ga-verify", "--N-list", "4", "--samples", "0"], tmp_path) == cli.EXIT_USAGE
         assert not (tmp_path / "ga_verify.csv").exists()
 
+    def test_non_integer_n_list_is_usage_error(self, tmp_path, capsys):
+        assert usage_exit_code(["ga-verify", "--N-list", "4,x"], tmp_path) == cli.EXIT_USAGE
+        assert "must be comma-separated integers, got 4,x" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("n", [1, 2 * cli._N_CAP])
     def test_size_checked_before_allocating(self, tmp_path, capsys, n):
         code, peak = run_cli_traced(["ga-verify", "--N-list", f"4,{n}"], tmp_path)
@@ -381,6 +400,32 @@ target = 0
             data["params"]["config"] = os.path.basename(data["params"]["config"])
             manifests.append(data)
         assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("config", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, config):
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(tmp_path / config), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "cannot read sweep config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_usage_error(self, tmp_path, workers):
+        cfg = self.write_config(tmp_path)
+        argv = ["sweep", "--config", str(cfg), "--workers", workers]
+        assert usage_exit_code(argv, tmp_path / "out") == cli.EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_cell_stops_before_any_cell_runs(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("subcommand = digital\nN = [4, 8]\nbogus = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "sweep cell digital_N-4: unrecognized arguments: --bogus 1" in err
+        assert "usage:" not in err
+        assert not out.exists()
 
     def test_workers_only_on_sweep(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -462,6 +507,43 @@ class TestWriteCsv:
             cli.write_csv(path, ["a", "b"], rows)
         assert path.read_text() == "a,b\n1,2\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestRunner:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["digital", "--N", "8", "--k", "2"], ["digital_N8_k2.csv"]),
+            (["analog", "--model", "fenner", "--N", "8"], ["analog_fenner_N8.csv"]),
+            (["fixed-point", "--epsilon", "0.2", "--depth", "2"], ["fixed_point_depth2.csv"]),
+            (["damped", "--theta-end", "1"], ["damped_geodesic.csv"]),
+            (["geodesic", "--N", "8"], ["geodesic_N8.csv"]),
+            (["infogeo", "--points", "5"], ["infogeo_grover_N16.csv"]),
+            (["ga-verify", "--N-list", "4", "--samples", "3"], ["ga_verify.csv"]),
+            (
+                ["sweep", "--config", "sweep.cfg", "--workers", "2"],
+                ["digital_N-8/digital_N8_kauto.csv", "digital_N-4/digital_N4_kauto.csv", "sweep_index.csv"],
+            ),
+        ],
+        ids=["digital", "analog", "fixed-point", "damped", "geodesic", "infogeo", "ga-verify", "sweep"],
+    )
+    def test_manifest_records_every_csv(self, tmp_path, monkeypatch, argv, names):
+        # the sweep's cells are recorded in grid order, then its index
+        (tmp_path / "sweep.cfg").write_text("subcommand = digital\nN = [8, 4]\n")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        recorded = [(Path(o["path"]).relative_to(out).as_posix(), o["sha256"]) for o in manifest["outputs"]]
+        assert recorded == [(name, hashlib.sha256((out / name).read_bytes()).hexdigest()) for name in names]
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv")) == sorted(names)
+
+    def test_import_loads_no_process_pool(self):
+        # only `sweep --workers` uses one, and imports it itself
+        code = "import sys, qsearch.cli; print(any(m.startswith('concurrent') for m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestManifestStamps:
