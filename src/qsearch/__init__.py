@@ -14,3 +14,8 @@ Subpackages:
 """
 
 __version__ = "0.1.0"
+
+
+class CrossCheckError(RuntimeError):
+    """Two independent computations of one quantity disagreed beyond their
+    pinned tolerance: a fault in the library, not in its input."""

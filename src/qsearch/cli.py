@@ -13,7 +13,8 @@ timestamps).  Randomized paths draw from numpy's PCG64 generator seeded by
 --seed, and the seed is recorded in the manifest.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric-domain
-error.
+error, 4 failed internal cross-check (two independent computations in the
+library disagreed beyond their tolerance; nothing is written).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import CrossCheckError, __version__
 from . import analog_search as an
 from . import fixed_point as fp
 from . import grover_digital as gd
@@ -38,6 +39,7 @@ from . import msta
 
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_CROSSCHECK = 4
 
 
 def _fmt(value) -> str:
@@ -319,41 +321,30 @@ def cmd_damped(args):
 # -- geodesic / infogeo ----------------------------------------------------------
 
 
-# largest accepted (output rows) x N of a geodesic, whose q and q' are
-# rows x N arrays; the largest admitted runs peak near 840 MB RSS in under
-# 4 s on a 2-CPU host: the default grid's 225 rows at N = 149130, or 8 rows
-# at N = 2^22
-_GEODESIC_CELL_CAP = 1 << 25
-
-
 def cmd_geodesic(args):
     n = args.N
+    # two amplitude classes cost the same at every N; the cap still keeps an
+    # integer N far from where N - 1 would overflow a float
     if not 2 <= n <= _N_CAP:
         raise ValueError(f"geodesic needs 2 <= N <= {_N_CAP}, got N={n}")
     steps = max(1, _grid_steps(args.theta_end, args.dtheta, round_up=True))
     # rows keep every stride-th point of the grid i * dtheta, whose last
     # point is theta_end itself
     stride = max(1, (steps + 1) // args.max_rows)
-    cells = len(range(0, steps + 1, stride)) * n
-    if cells > _GEODESIC_CELL_CAP:
-        raise ValueError(f"geodesic rows x N = {cells} exceeds the cap of {_GEODESIC_CELL_CAP}")
     family = ig.grover_family(n)
-    root = math.sqrt(n - 1)
-    q0 = np.full(n, 1.0 / root)
-    q0[0] = 0.0
-    qdot0 = np.zeros(n)
-    qdot0[0] = 1.0
+    # one amplitude for the target and one shared by the N - 1 other states
+    q0 = (0.0, 1.0 / math.sqrt(n - 1))
+    qdot0 = (1.0, 0.0)
     index = np.arange(0, steps + 1, stride)
-    sol = ig.solve_geodesic(n, q0, qdot0, np.where(index < steps, index * args.dtheta, args.theta_end))
+    thetas = np.where(index < steps, index * args.dtheta, args.theta_end)
+    sol = ig.solve_geodesic(n, q0, qdot0, thetas, family.multiplicity)
     margin = 1e-2
     rows = []
     n_q_cols = min(n, 4)
-    for i, t in enumerate(sol.thetas.tolist()):
+    for t, (q_target, q_rest) in zip(sol.thetas.tolist(), sol.q.tolist()):
         t_eval = min(max(t, margin), math.pi / 2 - margin)
         f, k, ds2 = ig.metric_row(family, t_eval, args.dtheta)
-        rows.append(
-            (t, f, k, ds2, *sol.q[i, :n_q_cols].tolist(), sol.residual_max)
-        )
+        rows.append((t, f, k, ds2, q_target, *[q_rest] * (n_q_cols - 1), sol.residual_max))
 
     header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual_max"]
     meta = {"N": n, "dtheta": args.dtheta, "theta_end": args.theta_end}
@@ -494,7 +485,12 @@ def _cell_name(subcommand: str, cell: dict, grid_keys) -> str:
 
 class _CellParser(argparse.ArgumentParser):
     """Parses a sweep cell's arguments, raising SweepConfigError where
-    argparse would print usage and exit."""
+    argparse would print usage and exit.  A config key must name an option
+    in full, and `help` is no option here: each would otherwise be taken
+    as an abbreviation or print help and exit 0 with no cell run."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**{**kwargs, "allow_abbrev": False, "add_help": False})
 
     def error(self, message):
         raise SweepConfigError(message)
@@ -662,6 +658,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"qsearch: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except CrossCheckError as exc:
+        print(f"qsearch: error: internal cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
     return 0
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bessel
+from . import CrossCheckError, bessel
 from .info_geom import GeodesicSolution, ParametricFamily, _central_diff
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
@@ -216,9 +216,7 @@ def fixed_point_run(
     track = coefficient_track(states[0].c_k, depth)
     for rec, (c_rec, eps_rec) in zip(states, track):
         if abs(rec.c_k - c_rec) > TOL_TRACKS or abs(rec.eps_k - eps_rec) > TOL_TRACKS:
-            raise RuntimeError(
-                f"simulation and coefficient tracks disagree at depth {rec.k}"
-            )
+            raise CrossCheckError(f"simulation and coefficient tracks disagree at depth {rec.k}")
     return states
 
 

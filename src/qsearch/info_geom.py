@@ -2,17 +2,26 @@
 
 A parametric family bundles component probabilities p_l(theta) and optional
 phases phi_l(theta) with analytic derivatives when available; central finite
-differences (relative step 1e-5) fill in otherwise.  The Fisher information
-is computed through the square-root form 4 sum (d sqrt(p))^2, which stays
-finite where components vanish; the p'^2/p form is used only where p is
-safely positive.  A family without phases has the real amplitudes sqrt(p),
-so no complex arithmetic runs for it.  :func:`metric_row` evaluates the
-Fisher-Rao metric, the kinetic energy and the Wigner-Yanase line element at
-one theta in one pass, computing the Fisher-Rao metric once for both.
+differences (relative step 1e-5) fill in otherwise.  A component may stand
+for a class of m_l basis states that share one probability and one phase:
+every sum over basis states is then the weighted sum over components,
+sum_l m_l x_l, computed in one place (:meth:`ParametricFamily.weighted_sum`).
+Multiplicities default to one per component.  The Grover search family is two
+classes, the target and the N - 1 non-target states, so its metrics cost the
+same at every N.
+
+The Fisher information is computed through the square-root form
+4 sum m (d sqrt(p))^2, which stays finite where components vanish; the
+p'^2/p form is used only where p is safely positive.  A family without phases
+has the real amplitudes sqrt(p), so no complex arithmetic runs for it.
+:func:`metric_row` evaluates the Fisher-Rao metric, the kinetic energy and
+the Wigner-Yanase line element at one theta in one pass, computing the
+Fisher-Rao metric once for both.
 
 Geodesics in amplitude coordinates q_l = sqrt(p_l) obey q'' + q = 0 once the
 Fisher information is constant at 4 and the normalization multiplier is fixed
-at one; they are evaluated in closed form, q0 cos(theta) + qdot0 sin(theta).
+at one; they are evaluated in closed form, q0 cos(theta) + qdot0 sin(theta),
+one amplitude per class.
 
 Step counting follows the general iterate G = -I_i U^{-1} I_f U built from two
 selective inversions around arbitrary unitaries: the squared Wigner-Yanase
@@ -22,7 +31,7 @@ remaining distance is 4 (1 - u^2), and the equal-step count scales as 1/(2u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,9 +53,11 @@ def _central_diff(f: Callable[[float], np.ndarray], theta: float) -> np.ndarray:
 class ParametricFamily:
     """Discrete probability/phase family over one real parameter.
 
-    ``p(theta)`` returns the N component probabilities; ``dp`` its analytic
+    ``p(theta)`` returns the n component probabilities; ``dp`` its analytic
     derivative when available.  ``phi``/``dphi`` are the component phases,
-    treated as identically zero when omitted.
+    treated as identically zero when omitted.  ``multiplicity[l]`` is the
+    number of basis states that component l stands for, each with
+    probability p_l and phase phi_l; it defaults to all ones.
     """
 
     n: int
@@ -55,6 +66,20 @@ class ParametricFamily:
     phi: Callable[[float], np.ndarray] | None = None
     dphi: Callable[[float], np.ndarray] | None = None
     domain: tuple[float, float] = (0.0, math.pi / 2)
+    multiplicity: np.ndarray = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        m = np.ones(self.n) if self.multiplicity is None else np.array(self.multiplicity, dtype=np.float64)
+        if m.shape != (self.n,) or not np.all(m >= 1.0):
+            raise ValueError("one multiplicity of at least 1 per component required")
+        m.setflags(write=False)
+        object.__setattr__(self, "multiplicity", m)
+
+    def weighted_sum(self, x: np.ndarray):
+        """sum_l m_l x_l: the sum over basis states of a per-component
+        quantity.  With every m_l one it is np.sum(x), bit for bit, for
+        real x."""
+        return np.sum(self.multiplicity * x)
 
     def check_theta(self, theta: float) -> None:
         lo, hi = self.domain
@@ -89,18 +114,10 @@ class ParametricFamily:
 
 
 @dataclass(frozen=True)
-class MetricSample:
-    theta: float
-    g: float
-
-
-def metric_profile(family: "ParametricFamily", thetas) -> list[MetricSample]:
-    """Fisher-Rao metric sampled along a parameter grid."""
-    return [MetricSample(theta=float(t), g=fisher_rao(family, float(t))) for t in thetas]
-
-
-@dataclass(frozen=True)
 class GeodesicSolution:
+    """A geodesic at the requested parameter values: ``q`` and ``qdot`` hold
+    one row per value and one column per amplitude class."""
+
     thetas: np.ndarray
     q: np.ndarray
     qdot: np.ndarray
@@ -108,22 +125,21 @@ class GeodesicSolution:
 
 
 def grover_family(n: int) -> ParametricFamily:
-    """Search family p_0 = sin^2(theta), p_l = cos^2(theta)/(N-1)."""
+    """Search family over N basis states as two classes: the target with
+    p_0 = sin^2(theta), and the N - 1 non-target states, each with
+    p_1 = cos^2(theta)/(N-1)."""
     if n < 2:
         raise ValueError("N must be at least 2")
+    rest = n - 1
 
     def p(theta: float) -> np.ndarray:
-        out = np.full(n, math.cos(theta) ** 2 / (n - 1))
-        out[0] = math.sin(theta) ** 2
-        return out
+        return np.array([math.sin(theta) ** 2, math.cos(theta) ** 2 / rest])
 
     def dp(theta: float) -> np.ndarray:
         s2 = math.sin(2.0 * theta)
-        out = np.full(n, -s2 / (n - 1))
-        out[0] = s2
-        return out
+        return np.array([s2, -s2 / rest])
 
-    return ParametricFamily(n=n, p=p, dp=dp)
+    return ParametricFamily(n=2, p=p, dp=dp, multiplicity=(1.0, float(rest)))
 
 
 def _sqrt_p_derivatives(family: ParametricFamily, theta: float) -> np.ndarray:
@@ -145,31 +161,26 @@ def _sqrt_p_derivatives(family: ParametricFamily, theta: float) -> np.ndarray:
 
 
 def fisher_rao(family: ParametricFamily, theta: float) -> float:
-    """Fisher-Rao metric component 4 sum (d sqrt(p))^2."""
+    """Fisher-Rao metric component 4 sum m (d sqrt(p))^2, which is also the
+    Fisher information of a one-parameter family."""
     family.check_theta(theta)
     ds = _sqrt_p_derivatives(family, theta)
-    return float(4.0 * np.sum(ds * ds))
-
-
-def fisher_information(family: ParametricFamily, theta: float) -> float:
-    """Fisher information function; identical to the Fisher-Rao component for
-    one-parameter families."""
-    return fisher_rao(family, theta)
+    return float(4.0 * family.weighted_sum(ds * ds))
 
 
 def _phase_term(family: ParametricFamily, theta: float) -> float:
-    """4 [sum p phi'^2 - (sum p phi')^2], the phase part of the line element;
-    exactly 0.0 for a family without phases."""
+    """4 [sum m p phi'^2 - (sum m p phi')^2], the phase part of the line
+    element; exactly 0.0 for a family without phases."""
     if family.phi is None:
         return 0.0
     p = family.probabilities(theta)
     dphi = family.dphases(theta)
-    mean_current = float(np.sum(p * dphi))
-    return 4.0 * (float(np.sum(p * dphi * dphi)) - mean_current**2)
+    mean_current = float(family.weighted_sum(p * dphi))
+    return 4.0 * (float(family.weighted_sum(p * dphi * dphi)) - mean_current**2)
 
 
 def wigner_yanase_line_element(family: ParametricFamily, theta: float, dtheta: float) -> float:
-    """ds^2 = {F + 4 [sum p phi'^2 - (sum p phi')^2]} dtheta^2."""
+    """ds^2 = {F + 4 [sum m p phi'^2 - (sum m p phi')^2]} dtheta^2."""
     return (fisher_rao(family, theta) + _phase_term(family, theta)) * dtheta * dtheta
 
 
@@ -191,7 +202,8 @@ def current_density(family: ParametricFamily, theta: float, l: int) -> float:
 
 
 def kinetic_energy(family: ParametricFamily, theta: float) -> float:
-    """<d psi | d psi> by direct finite differencing of the amplitudes.
+    """<d psi | d psi> = sum m |d psi|^2 by direct finite differencing of the
+    amplitudes.
 
     The difference is scaled by 1/(2h), which is also what numpy's complex
     division by the real step 2h computes, so real and complex amplitudes
@@ -199,22 +211,23 @@ def kinetic_energy(family: ParametricFamily, theta: float) -> float:
     family.check_theta(theta)
     h = _fd_step(theta)
     dpsi = (family.amplitudes(theta + h) - family.amplitudes(theta - h)) * (1.0 / (2.0 * h))
-    return float(np.sum(np.abs(dpsi) ** 2))
+    return float(family.weighted_sum(np.abs(dpsi) ** 2))
 
 
 def kinetic_energy_via_current(family: ParametricFamily, theta: float) -> float:
-    """Same energy through F/4 + sum J^2 p; equality with
+    """Same energy through F/4 + sum m J^2 p; equality with
     :func:`kinetic_energy` is the two-route consistency check."""
     family.check_theta(theta)
     p = family.probabilities(theta)
     j = family.dphases(theta)
-    return fisher_rao(family, theta) / 4.0 + float(np.sum(j * j * p))
+    return fisher_rao(family, theta) / 4.0 + float(family.weighted_sum(j * j * p))
 
 
 def state_overlap(family: ParametricFamily, theta_a: float, theta_b: float) -> complex:
+    """<psi(theta_a) | psi(theta_b)> = sum m conj(a) b."""
     a = family.amplitudes(theta_a)
     b = family.amplitudes(theta_b)
-    return complex(np.vdot(a, b))
+    return complex(family.weighted_sum(np.conj(a) * b))
 
 
 # -- geodesics ---------------------------------------------------------------
@@ -256,10 +269,16 @@ def solve_geodesic(
     q0: Sequence[float],
     qdot0: Sequence[float],
     thetas: Sequence[float],
+    multiplicity: Sequence[float] | None = None,
 ) -> GeodesicSolution:
     """Geodesic q = q0 cos(theta) + qdot0 sin(theta), the solution of
     q'' + q = 0 (constant Lagrangian 2, unit multiplier) from normalized
     amplitudes q0, evaluated only at the given parameter values.
+
+    q0 and qdot0 hold one amplitude per class of basis states, and
+    ``multiplicity`` counts the states of each class; they must add up to N,
+    and sum m q0^2 must be 1.  Without ``multiplicity`` every state is its
+    own class and q0 has N entries.
 
     ``residual_max`` checks the path against the equation: the largest
     |q'' + q| over those values, with q'' by a central second difference of
@@ -268,16 +287,18 @@ def solve_geodesic(
     """
     q0 = np.asarray(q0, dtype=np.float64)
     qdot0 = np.asarray(qdot0, dtype=np.float64)
-    if q0.shape != (n,) or qdot0.shape != (n,):
-        raise ValueError("initial data must have length N")
-    if abs(np.sum(q0 * q0) - 1.0) > 1e-8:
+    m = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=np.float64)
+    if q0.shape != m.shape or qdot0.shape != m.shape:
+        raise ValueError("initial data must have one amplitude per class")
+    if float(np.sum(m)) != n:
+        raise ValueError("class multiplicities must add up to N")
+    if abs(np.sum(m * q0 * q0) - 1.0) > 1e-8:
         raise ValueError("initial amplitudes must be normalized")
     thetas = np.asarray(thetas, dtype=np.float64)
     cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
     q = cos * q0 + sin * qdot0
     qdot = cos * qdot0 - sin * q0
     h = 1e-3
-    # one row at a time, so the check needs no further rows x N arrays
     resid = 0.0
     for theta, q_row in zip(thetas.tolist(), q):
         q_plus = math.cos(theta + h) * q0 + math.sin(theta + h) * qdot0

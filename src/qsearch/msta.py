@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import CrossCheckError
 from .ga_core import (
     CL3,
     Multivector,
@@ -383,7 +384,7 @@ def ga_iterations_to_peak(n: int) -> int:
         v = g.apply(v)
         k += 1
         if k > 4 * int(math.sqrt(n)) + 8:
-            raise RuntimeError("rotor iteration failed to reach the target band")
+            raise CrossCheckError("rotor iteration failed to reach the target band")
     return k
 
 

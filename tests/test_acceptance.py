@@ -164,7 +164,7 @@ def test_c06_information_geometry():
     for n in (4, 16, 64, 256, 1024, 4096):
         fam = ig.grover_family(n)
         for theta in grid:
-            worst_f = max(worst_f, abs(ig.fisher_information(fam, float(theta)) - 4.0))
+            worst_f = max(worst_f, abs(ig.fisher_rao(fam, float(theta)) - 4.0))
         for theta in grid[:: len(grid) // 250]:
             worst_k = max(worst_k, abs(ig.kinetic_energy(fam, float(theta)) - 1.0))
     ok = worst_f < 1e-9 and worst_k < 1e-8

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qsearch import cli
+from qsearch import info_geom as ig
 from qsearch.ga_core import Rotor
 
 
@@ -146,6 +147,22 @@ class TestFixedPoint:
     def test_depth_cap_rejected(self, tmp_path):
         assert run_cli(["fixed-point", "--epsilon", "0.1", "--depth", "6"], tmp_path) == cli.EXIT_DOMAIN
 
+    def test_failed_track_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.fp, "TOL_TRACKS", -1.0)
+        assert run_cli(["fixed-point", "--N", "16", "--depth", "2"], tmp_path) == cli.EXIT_CROSSCHECK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "internal cross-check failed" in err and "at depth 0" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
+        def recurse(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli.fp, "fixed_point_run", recurse)
+        with pytest.raises(RecursionError):
+            run_cli(["fixed-point", "--N", "16", "--depth", "2"], tmp_path)
+
     def test_walsh_hadamard_auto_epsilon(self, tmp_path):
         run_cli(["fixed-point", "--u0", "wh", "--N", "4", "--depth", "2", "--target", "2"], tmp_path)
         manifest = json.loads((tmp_path / "fixed-point_manifest.json").read_text())
@@ -266,11 +283,8 @@ class TestDampedAndGeodesic:
         [
             (["infogeo", "--family", "grover", "--N", str(2 * cli._N_CAP)], "capped at"),
             (["geodesic", "--N", str(cli._N_CAP + 1), "--max-rows", "1"], f"N={cli._N_CAP + 1}"),
-            # the default grid keeps 225 rows
-            (["geodesic", "--N", "149131"], f"exceeds the cap of {cli._GEODESIC_CELL_CAP}"),
-            (["geodesic", "--N", str(cli._N_CAP), "--max-rows", "8"], f"exceeds the cap of {cli._GEODESIC_CELL_CAP}"),
         ],
-        ids=["infogeo-N", "geodesic-N", "geodesic-cells", "geodesic-cells-at-N-cap"],
+        ids=["infogeo-N", "geodesic-N"],
     )
     def test_size_caps_checked_before_allocating(self, tmp_path, capsys, argv, what):
         code, peak = run_cli_traced(argv, tmp_path)
@@ -278,6 +292,45 @@ class TestDampedAndGeodesic:
         assert what in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize(
+        "argv, name, n_rows",
+        [
+            (["geodesic", "--N", str(cli._N_CAP)], f"geodesic_N{cli._N_CAP}.csv", 225),
+            (["infogeo", "--family", "grover", "--N", str(cli._N_CAP)], f"infogeo_grover_N{cli._N_CAP}.csv", 200),
+        ],
+        ids=["geodesic", "infogeo"],
+    )
+    def test_admitted_at_the_n_cap(self, tmp_path, argv, name, n_rows):
+        # two amplitude classes, not N components: the default grids at
+        # N = 2^22 in well under a second, in a few hundred kB
+        start = time.perf_counter()
+        code, peak = run_cli_traced(argv, tmp_path)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        header, rows = read_csv(tmp_path / name)
+        assert len(rows) == n_rows
+        f = header.index("F")
+        for row in rows:
+            assert float(row[f]) == pytest.approx(4.0, abs=1e-9)
+        assert elapsed < 5.0
+        assert peak < 4 << 20
+
+    def test_geodesic_matches_one_component_per_state(self, tmp_path):
+        # q_j and residual_max against the N-component solve, to the bit
+        n = 64
+        assert run_cli(["geodesic", "--N", str(n)], tmp_path) == 0
+        header, rows = read_csv(tmp_path / f"geodesic_N{n}.csv")
+        q0 = np.full(n, 1.0 / math.sqrt(n - 1))
+        q0[0] = 0.0
+        qdot0 = np.zeros(n)
+        qdot0[0] = 1.0
+        thetas = [float(row[0]) for row in rows]
+        sol = ig.solve_geodesic(n, q0, qdot0, thetas)
+        assert header[4:] == ["q_0", "q_1", "q_2", "q_3", "residual_max"]
+        for row, q in zip(rows, sol.q):
+            assert row[4:8] == [cli._fmt(x) for x in q[:4]]
+            assert row[8] == cli._fmt(sol.residual_max)
 
     @pytest.mark.parametrize("n", ["100000", "149130"])
     def test_geodesic_default_grid_admitted(self, tmp_path, monkeypatch, n):
@@ -425,6 +478,20 @@ target = 0
         err = capsys.readouterr().err
         assert "sweep cell digital_N-4: unrecognized arguments: --bogus 1" in err
         assert "usage:" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, option", [("help", "--help"), ("h", "--h"), ("tar", "--tar")], ids=["help", "h", "abbreviation"]
+    )
+    def test_cell_keys_name_options_in_full(self, tmp_path, capsys, key, option):
+        # neither help nor an abbreviation of --target is a cell option
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"subcommand = digital\nN = [8]\n{key} = 3\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"sweep cell digital_N-8: unrecognized arguments: {option} 3" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_workers_only_on_sweep(self, tmp_path):

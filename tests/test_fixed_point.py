@@ -212,7 +212,7 @@ class TestDampedFisher:
         fam = fp.DampedFamily(xi=lambda t: 0.5 + 0.3 * math.exp(-t))
         parametric = fam.as_parametric_family()
         for theta in (0.5, 1.5, 4.0):
-            assert abs(fp.damped_fisher(fam, theta) - ig.fisher_information(parametric, theta)) < 1e-8
+            assert abs(fp.damped_fisher(fam, theta) - ig.fisher_rao(parametric, theta)) < 1e-8
 
     def test_kinetic_is_quarter_fisher(self):
         fam = fp.DampedFamily(xi=lambda t: 0.9, dxi=lambda t: 0.0)

@@ -59,6 +59,23 @@ def trig_family(rng, n=5, with_phases=True):
     return ig.ParametricFamily(n=n, p=p, dp=dp, phi=phi, dphi=dphi, domain=(0.0, 10.0))
 
 
+def grover_oracle(n):
+    """The search family with one component per basis state: p_0 =
+    sin^2(theta) and N - 1 equal components cos^2(theta)/(N-1)."""
+
+    def p(t):
+        out = np.full(n, math.cos(t) ** 2 / (n - 1))
+        out[0] = math.sin(t) ** 2
+        return out
+
+    def dp(t):
+        out = np.full(n, -math.sin(2.0 * t) / (n - 1))
+        out[0] = math.sin(2.0 * t)
+        return out
+
+    return ig.ParametricFamily(n=n, p=p, dp=dp)
+
+
 class TestGroverFamily:
     def test_endpoints(self):
         fam = ig.grover_family(8)
@@ -70,7 +87,84 @@ class TestGroverFamily:
     def test_normalization_on_grid(self):
         fam = ig.grover_family(64)
         for theta in np.linspace(0.0, math.pi / 2, 1000):
-            assert abs(fam.probabilities(theta).sum() - 1.0) < 1e-10
+            assert abs(fam.weighted_sum(fam.probabilities(theta)) - 1.0) < 1e-10
+
+    def test_two_classes(self):
+        for n in (2, 3, 4194304):
+            fam = ig.grover_family(n)
+            assert fam.n == 2
+            assert fam.multiplicity.tolist() == [1.0, n - 1.0]
+
+    def test_default_multiplicity_is_ones(self):
+        fam = ig.ParametricFamily(n=3, p=lambda t: np.array([0.2, 0.3, 0.5]))
+        assert fam.multiplicity.tolist() == [1.0, 1.0, 1.0]
+        x = np.array([0.1, 0.7, 1e-17])
+        assert fam.weighted_sum(x) == np.sum(x)
+
+    @pytest.mark.parametrize("multiplicity", [(1.0,), (1.0, 0.0)], ids=["length", "zero"])
+    def test_bad_multiplicity_rejected(self, multiplicity):
+        with pytest.raises(ValueError):
+            ig.ParametricFamily(n=2, p=lambda t: np.array([0.5, 0.5]), multiplicity=multiplicity)
+
+
+class TestTwoLevelGrover:
+    """The two-class family against the one-component-per-state oracle."""
+
+    SIZES = (2, 3, 64, 20000)
+    # 0 and pi/2 put a component under the floor: the finite-difference path
+    THETAS = (0.0, 0.01, 0.3, math.pi / 4, 1.2, math.pi / 2 - 0.01, math.pi / 2)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_metrics_match_oracle(self, n):
+        fam, oracle = ig.grover_family(n), grover_oracle(n)
+        for theta in self.THETAS:
+            for got, want in zip(ig.metric_row(fam, theta, 1e-3), ig.metric_row(oracle, theta, 1e-3)):
+                self.assert_close(got, want)
+            self.assert_close(ig.kinetic_energy_via_current(fam, theta), ig.kinetic_energy_via_current(oracle, theta))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_overlap_matches_oracle(self, n):
+        fam, oracle = ig.grover_family(n), grover_oracle(n)
+        for a, b in ((0.0, 0.3), (0.2, 0.2), (0.4, 1.1), (1.5, math.pi / 2)):
+            got, want = ig.state_overlap(fam, a, b), ig.state_overlap(oracle, a, b)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_phased_classes_match_expansion(self):
+        # every weighted sum, the phase term's included, against the same
+        # family with each class written out as m equal components
+        rng = np.random.default_rng(51)
+        m = np.array([1.0, 3.0, 2.0, 5.0])
+        reps = m.astype(int)
+        for _ in range(5):
+            base = trig_family(rng, n=4)
+            classed = ig.ParametricFamily(
+                n=4,
+                p=lambda t, f=base: f.p(t) / m,
+                dp=lambda t, f=base: f.dp(t) / m,
+                phi=base.phi,
+                dphi=base.dphi,
+                domain=base.domain,
+                multiplicity=m,
+            )
+            expanded = ig.ParametricFamily(
+                n=int(reps.sum()),
+                p=lambda t, f=classed: np.repeat(f.p(t), reps),
+                dp=lambda t, f=classed: np.repeat(f.dp(t), reps),
+                phi=lambda t, f=classed: np.repeat(f.phi(t), reps),
+                dphi=lambda t, f=classed: np.repeat(f.dphi(t), reps),
+                domain=base.domain,
+            )
+            theta = rng.uniform(0.3, 3.0)
+            got = [*ig.metric_row(classed, theta, 1e-2), ig.kinetic_energy_via_current(classed, theta)]
+            want = [*ig.metric_row(expanded, theta, 1e-2), ig.kinetic_energy_via_current(expanded, theta)]
+            got.append(ig.state_overlap(classed, theta, theta + 0.1))
+            want.append(ig.state_overlap(expanded, theta, theta + 0.1))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * abs(w)
 
 
 class TestFisherRao:
@@ -97,10 +191,9 @@ class TestFisherRao:
         with pytest.raises(ValueError):
             ig.fisher_rao(ig.grover_family(4), 3.0)
 
-    def test_metric_profile_samples(self):
-        samples = ig.metric_profile(ig.grover_family(8), [0.2, 0.9])
-        assert [s.theta for s in samples] == [0.2, 0.9]
-        assert all(abs(s.g - 4.0) < 1e-12 for s in samples)
+    def test_samples_along_a_grid(self):
+        fam = ig.grover_family(8)
+        assert all(abs(ig.fisher_rao(fam, theta) - 4.0) < 1e-12 for theta in (0.2, 0.9))
 
 
 class TestFisherInformation:
@@ -115,7 +208,7 @@ class TestFisherInformation:
             domain=fam.domain,
         )
         for theta in (0.5, 1.5, 3.0):
-            assert abs(ig.fisher_information(fam, theta) - ig.fisher_information(shuffled, theta)) < 1e-12
+            assert abs(ig.fisher_rao(fam, theta) - ig.fisher_rao(shuffled, theta)) < 1e-12
 
     def test_orthogonal_reparametrization_invariance(self):
         # rotating the amplitude vector by a fixed orthogonal matrix leaves
@@ -125,12 +218,13 @@ class TestFisherInformation:
         q_mat, _ = np.linalg.qr(rng.normal(size=(6, 6)))
 
         def p(t):
-            amps = q_mat @ np.sqrt(base.probabilities(t))
+            # the six basis-state amplitudes: each class repeated m times
+            amps = q_mat @ np.repeat(np.sqrt(base.probabilities(t)), base.multiplicity.astype(int))
             return amps * amps
 
         rotated = ig.ParametricFamily(n=6, p=p, domain=base.domain)
         for theta in (0.3, 0.7, 1.2):
-            assert abs(ig.fisher_information(rotated, theta) - 4.0) < 1e-7
+            assert abs(ig.fisher_rao(rotated, theta) - 4.0) < 1e-7
 
     def test_matches_second_log_derivative_form(self):
         rng = np.random.default_rng(42)
@@ -141,7 +235,7 @@ class TestFisherInformation:
             lp = lambda t: np.log(fam.probabilities(t))
             d2 = (lp(theta + h) - 2 * lp(theta) + lp(theta - h)) / (h * h)
             oracle = float(np.sum(p * (-d2)))
-            assert abs(ig.fisher_information(fam, theta) - oracle) < 1e-6
+            assert abs(ig.fisher_rao(fam, theta) - oracle) < 1e-6
 
 
 class TestWignerYanase:
@@ -244,11 +338,15 @@ class TestCurrentAndKinetic:
     def test_phaseless_kinetic_bitwise_equals_zero_phases(self):
         rng = np.random.default_rng(48)
         base = trig_family(rng, n=6, with_phases=False)
-        families = [(ig.grover_family(20000), 20000), (base, 6)]
-        families += [(fam, 2) for fam in damped_families()]
-        for fam, n in families:
+        for fam in [ig.grover_family(20000), base, *damped_families()]:
+            n = fam.n
             zero_phased = ig.ParametricFamily(
-                n=n, p=fam.p, dp=fam.dp, phi=lambda t, n=n: np.zeros(n), domain=fam.domain
+                n=n,
+                p=fam.p,
+                dp=fam.dp,
+                phi=lambda t, n=n: np.zeros(n),
+                domain=fam.domain,
+                multiplicity=fam.multiplicity,
             )
             for theta in (0.05, 0.6, 1.3):
                 assert ig.kinetic_energy(fam, theta) == ig.kinetic_energy(zero_phased, theta)
@@ -265,7 +363,7 @@ class TestCurrentAndKinetic:
     def test_grover_current_zero_kinetic_one(self):
         fam = ig.grover_family(32)
         for theta in (0.1, 0.8, 1.5):
-            assert ig.current_density(fam, theta, 3) == 0.0
+            assert ig.current_density(fam, theta, 1) == 0.0
             assert abs(ig.kinetic_energy(fam, theta) - 1.0) < 1e-8
             assert abs(ig.kinetic_energy_via_current(fam, theta) - 1.0) < 1e-12
 

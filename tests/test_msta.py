@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from qsearch import CrossCheckError
 from qsearch import grover_digital as gd
 from qsearch import msta
-from qsearch.ga_core import CL3, Multivector, allclose, geometric_product, reverse
+from qsearch.ga_core import CL3, Multivector, Rotor, allclose, geometric_product, reverse
 
 SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -320,6 +321,12 @@ class TestGroverApply:
         k = msta.ga_iterations_to_peak(n)
         ratio = k / (math.pi / 4 * math.sqrt(n))
         assert abs(ratio - 1.0) < 0.002
+
+    def test_stalled_rotor_is_cross_check_error(self, monkeypatch):
+        # a rotor that never turns never reaches the band
+        monkeypatch.setattr(msta, "ga_grover_rotor", lambda n: Rotor(Multivector.scalar(CL3, 1.0)))
+        with pytest.raises(CrossCheckError, match="target band"):
+            msta.ga_iterations_to_peak(64)
 
 
 class TestFennerBasisChange:
