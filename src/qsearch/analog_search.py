@@ -1,14 +1,15 @@
 """Continuous-time search on the two-dimensional search plane.
 
-Two Hamiltonians are covered (hbar = 1 throughout):
+Two Hamiltonians are covered (hbar = 1 throughout), and both are evolved by
+:func:`plane_propagator`, the closed-form exponential exp(-i H t) of any 2x2
+Hermitian matrix and the only propagator here:
 
 - the commutator-built search Hamiltonian whose evolution reproduces the
   digital iterate exactly; its plane matrix is (2 beta / sqrt(N)) times
-  [[0, i], [-i, 0]] in the (target, bad) basis and the propagator has the
-  closed form cos(x) I + sin(x) [[0, 1], [-1, 0]] with x = 2 beta t / sqrt(N);
-- the two-projector driving Hamiltonian E(|target><target| + |psi><psi|),
-  evolved by :func:`plane_propagator`, the closed-form exponential of any
-  2x2 Hermitian matrix; its first target-probability peak is known exactly.
+  [[0, i], [-i, 0]] in the (target, bad) basis, so its propagator is
+  cos(x) I + sin(x) [[0, 1], [-1, 0]] with x = 2 beta t / sqrt(N);
+- the two-projector driving Hamiltonian E(|target><target| + |psi><psi|);
+  its first target-probability peak is known exactly.
 
 The printed closed form for the optimal search time carries an arcsine whose
 argument exceeds one; we evaluate asin(sqrt((N-1)/N)) instead, which restores
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL_ALG = 1e-12
-
-_SZ_SX = np.array([[0.0, 1.0], [-1.0, 0.0]])  # sigma_z sigma_x on the plane
 
 
 def alpha_beta(n: int) -> tuple[float, float]:
@@ -59,11 +58,13 @@ class PlaneHamiltonian:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """State coordinates on (target, bad) at time t and the target probability."""
+    """State coordinates on (target, bad) at time t and the target
+    probability; with an array of times, one state and one probability per
+    time."""
 
-    t: float
+    t: float | np.ndarray
     state: np.ndarray
-    p_target: float
+    p_target: float | np.ndarray
 
 
 def fenner_matrix(n: int) -> PlaneHamiltonian:
@@ -74,19 +75,12 @@ def fenner_matrix(n: int) -> PlaneHamiltonian:
     return PlaneHamiltonian(matrix=h, model="fenner", n=n)
 
 
-def fenner_evolve(t: float, n: int) -> np.ndarray:
-    """Closed-form propagator cos(x) I + sin(x) sigma_z sigma_x."""
-    _, beta = alpha_beta(n)
-    x = 2.0 * beta * t / math.sqrt(n)
-    return math.cos(x) * np.eye(2) + math.sin(x) * _SZ_SX
-
-
-def fenner_state(t: float, n: int) -> EvolutionResult:
-    """Evolved uniform state; target probability matches
+def fenner_state(t, n: int) -> EvolutionResult:
+    """Uniform state evolved under the commutator-built Hamiltonian to one
+    time or to each of an array of times; the target probability is
     [alpha cos(x) + beta sin(x)]^2."""
-    alpha, beta = alpha_beta(n)
-    state = fenner_evolve(t, n) @ np.array([alpha, beta])
-    return EvolutionResult(t=t, state=state, p_target=float(abs(state[0]) ** 2))
+    state = plane_propagator(fenner_matrix(n).matrix, t) @ np.array(alpha_beta(n))
+    return EvolutionResult(t=t, state=state, p_target=np.abs(state[..., 0]) ** 2)
 
 
 def fenner_time(n: int) -> float:
@@ -95,31 +89,6 @@ def fenner_time(n: int) -> float:
     if n < 2:
         raise ValueError("N must be at least 2")
     return n / (2.0 * math.sqrt(n - 1)) * math.asin(math.sqrt((n - 1) / n))
-
-
-def unitary_series_exp(generator: np.ndarray, t: float) -> np.ndarray:
-    """exp(generator * t) for a 2x2 anti-Hermitian generator, by scaling and
-    squaring a Taylor series converged to machine precision."""
-    g = np.asarray(generator, dtype=np.complex128)
-    if g.shape != (2, 2):
-        raise ValueError("generator must be 2x2")
-    skew = np.max(np.abs(g + g.conj().T))
-    if skew > 1e-9 * max(1.0, np.max(np.abs(g))):
-        raise ValueError("generator must be anti-Hermitian")
-    m = g * t
-    norm = np.max(np.abs(m))
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    m /= 2.0**squarings
-    term = np.eye(2, dtype=np.complex128)
-    out = np.eye(2, dtype=np.complex128)
-    for k in range(1, 40):
-        term = term @ m / k
-        out += term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def plane_propagator(h: np.ndarray, ts) -> np.ndarray:

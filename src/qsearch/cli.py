@@ -1,16 +1,18 @@
 """Batch command-line front end.
 
 Each subcommand `cmd_<name>(args)` checks its arguments, computes its rows
-and returns `(params, tables, written)`: the manifest's parameters, a list of
-`(file name, header, rows)` tables, and the CSVs it wrote itself (only
-`sweep`'s cells write their own).  The runner `_dispatch` alone writes the
-outputs: it makes the output directory once the command returns, writes each
-table as a CSV, and writes a JSON run manifest recording the command,
-parameters, timestamps, tool version, and the SHA-256 of each CSV.  All
-numeric output uses 17-significant-digit formatting, so reruns on
-the same platform produce byte-identical CSVs (manifests differ only in their
-timestamps).  Randomized paths draw from numpy's PCG64 generator seeded by
---seed, and the seed is recorded in the manifest.
+and returns `(computed, tables, written)`: the values it derived that the
+manifest records beside the options (only `fixed-point`'s `eps0_computed`), a
+list of `(file name, header, rows)` tables, and the CSVs it wrote itself
+(only `sweep`'s cells write their own).  The runner `_dispatch` alone writes
+the outputs: it makes the output directory once the command returns, writes
+each table as a CSV, and writes a JSON run manifest recording the command,
+every option of the subcommand but `--out`, the computed values, timestamps,
+tool version, and the SHA-256 of each CSV.  All numeric output uses
+17-significant-digit formatting, so reruns on the same platform produce
+byte-identical CSVs (manifests differ only in their timestamps).
+Randomized paths draw from numpy's PCG64 generator seeded by --seed, and the
+seed is recorded in the manifest.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric-domain
 error, 4 failed internal cross-check (two independent computations in the
@@ -104,7 +106,8 @@ def _dispatch(args) -> list[Path]:
     output directory is made only once the command returns.  Returns the
     recorded CSVs."""
     started = _utc_now()
-    params, tables, written = args.func(args)
+    computed, tables, written = args.func(args)
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = written + [write_csv(out_dir / name, header, rows) for name, header, rows in tables]
@@ -126,8 +129,8 @@ _N_CAP = 1 << 22
 # `ga-verify --k-max`, and of `infogeo --points`: about ten times the finest
 # fenner grid of a sweep over N <= 4096 at dt = 1e-3.  The rows built at the
 # cap peak near 470 MB RSS (`ga-verify --k-max`, about 45 s on a 2-CPU host),
-# 330 MB for `digital --k` and `infogeo --points`, 300 MB for a Farhi-Gutmann
-# grid and 240 MB for a fenner grid
+# 330 MB for `digital --k` and `infogeo --points`, and 270 MB for an `analog`
+# grid of either model (about 9 s)
 _ROW_CAP = 1 << 20
 
 
@@ -175,8 +178,7 @@ def cmd_digital(args):
         rows.append((n, 0, theta, closed, sim, abs(closed - sim)))
 
     header = ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"]
-    table = (f"digital_N{n}_k{args.k}.csv", header, rows)
-    return {"N": n, "k": args.k, "target": target}, [table], []
+    return {}, [(f"digital_N{n}_k{args.k}.csv", header, rows)], []
 
 
 # -- analog -------------------------------------------------------------------
@@ -184,20 +186,18 @@ def cmd_digital(args):
 
 def cmd_analog(args):
     n = args.N
-    if n < 2:
-        raise ValueError("N must be at least 2")
+    # the cap geodesic uses: a larger N costs nothing more here, but one past
+    # float range would overflow in 1/sqrt(N)
+    if not 2 <= n <= _N_CAP:
+        raise ValueError(f"analog needs 2 <= N <= {_N_CAP}, got N={n}")
     energy = args.E
     if args.model == "fenner":
         t_max = args.t_max if args.t_max is not None else 2.0 * an.fenner_time(n)
         dt = args.dt if args.dt is not None else t_max / 1000.0
         if dt <= 0 or t_max <= 0:
             raise ValueError("time grid must be positive")
-        steps = _grid_steps(t_max, dt)
-        rows = []
-        for i in range(steps + 1):
-            t = i * dt
-            res = an.fenner_state(t, n)
-            rows.append(("fenner", n, energy, t, res.p_target))
+        ts = np.arange(_grid_steps(t_max, dt) + 1) * dt
+        p_target = an.fenner_state(ts, n).p_target
     else:
         if energy <= 0:
             raise ValueError("energy scale must be positive")
@@ -208,13 +208,9 @@ def cmd_analog(args):
         if samples < 2:
             raise ValueError("time grid must contain at least two samples")
         traj = an.fg_scan(n, energy, t_max=t_max, samples=samples)
-        rows = [
-            ("farhi-gutmann", n, energy, float(t), float(p))
-            for t, p in zip(traj.ts, traj.p_target)
-        ]
-
-    params = {"model": args.model, "N": n, "E": energy, "t_max": args.t_max, "dt": args.dt}
-    return params, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], rows)], []
+        ts, p_target = traj.ts, traj.p_target
+    rows = [(args.model, n, energy, t, p) for t, p in zip(ts.tolist(), p_target.tolist())]
+    return {}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], rows)], []
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -270,52 +266,32 @@ def cmd_fixed_point(args):
         rel = abs(rec.eps_k - closed) / max(closed, 1e-300)
         rows.append((rec.k, closed, rec.eps_k, rel))
 
-    params = {
-        "epsilon": args.epsilon,
-        "u0": args.u0,
-        "N": args.N,
-        "depth": args.depth,
-        "target": args.target,
-        "seed": args.seed,
-        "eps0_computed": eps0,
-    }
     header = ["k", "eps_k_closed", "eps_k_simulated", "rel_error"]
-    return params, [(f"fixed_point_depth{args.depth}.csv", header, rows)], []
+    return {"eps0_computed": eps0}, [(f"fixed_point_depth{args.depth}.csv", header, rows)], []
 
 
 # -- damped geodesic ------------------------------------------------------------
 
 
 def cmd_damped(args):
-    l0, gamma = args.L0, args.gamma
-    params = fp.DampedGeodesicParams(l0=l0, gamma=gamma, a=args.A, b=args.B)
+    l0, gamma, a, b = args.L0, args.gamma, args.A, args.B
     # the RK4 loop's step count
     _grid_steps(args.theta_end, args.dtheta, round_up=True)
     h = 1e-6
-    q0 = fp.bessel_solution(0.0, params.a, params.b, l0, gamma)
-    qdot0 = (
-        fp.bessel_solution(h, params.a, params.b, l0, gamma)
-        - fp.bessel_solution(-h, params.a, params.b, l0, gamma)
-    ) / (2.0 * h)
+    # bessel_solution rejects L0 <= 0 or gamma <= 0 before the RK4 loop runs
+    q0 = fp.bessel_solution(0.0, a, b, l0, gamma)
+    qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2.0 * h)
     sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, args.theta_end, args.dtheta)
     rows = []
     stride = max(1, len(sol.thetas) // args.max_rows)
     for i in range(0, len(sol.thetas), stride):
         t = float(sol.thetas[i])
         q = float(sol.q[i, 0])
-        resid = fp.bessel_ode_residual(t, params.a, params.b, l0, gamma)
+        resid = fp.bessel_ode_residual(t, a, b, l0, gamma)
         p1 = min(1.0, q * q)
         rows.append((t, q, resid, 1.0 - p1, p1))
 
-    meta = {
-        "L0": l0,
-        "gamma": gamma,
-        "A": args.A,
-        "B": args.B,
-        "theta_end": args.theta_end,
-        "dtheta": args.dtheta,
-    }
-    return meta, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], rows)], []
+    return {}, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], rows)], []
 
 
 # -- geodesic / infogeo ----------------------------------------------------------
@@ -347,8 +323,7 @@ def cmd_geodesic(args):
         rows.append((t, f, k, ds2, q_target, *[q_rest] * (n_q_cols - 1), sol.residual_max))
 
     header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual_max"]
-    meta = {"N": n, "dtheta": args.dtheta, "theta_end": args.theta_end}
-    return meta, [(f"geodesic_N{n}.csv", header, rows)], []
+    return {}, [(f"geodesic_N{n}.csv", header, rows)], []
 
 
 def _infogeo_family(args):
@@ -378,8 +353,7 @@ def cmd_infogeo(args):
     for t in np.linspace(lo, hi, args.points).tolist():
         rows.append((args.family, t, *ig.metric_row(fam, t, 1e-3)))
 
-    meta = {"family": args.family, "N": args.N, "xi_const": args.xi_const, "A": args.A, "points": args.points}
-    return meta, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], rows)], []
+    return {}, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], rows)], []
 
 
 # -- ga-verify --------------------------------------------------------------------
@@ -419,8 +393,7 @@ def cmd_ga_verify(args):
         worst_rt = max(worst_rt, abs(back[0] - col[0]), abs(back[1] - col[1]))
     rows.append(("qubit_roundtrip", args.samples, 0, worst_rt, 0.0, worst_rt))
 
-    meta = {"N_list": args.N_list, "k_max": args.k_max, "samples": args.samples, "seed": args.seed}
-    return meta, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], rows)], []
+    return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], rows)], []
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -529,8 +502,7 @@ def cmd_sweep(args):
     else:
         results = [_run_cell(a) for a in cell_args]
     written = [path for cell_outputs in results for path in cell_outputs]
-    params = {"config": str(args.config), "workers": args.workers}
-    return params, [("sweep_index.csv", ["cell", "subcommand", "params"], index_rows)], written
+    return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], index_rows)], written
 
 
 # -- parser ----------------------------------------------------------------------

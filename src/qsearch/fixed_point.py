@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import CrossCheckError, bessel
-from .info_geom import GeodesicSolution, ParametricFamily, _central_diff
+from .info_geom import GeodesicSolution, ParametricFamily, _central_diff, geodesic_residual
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
 MAX_DEPTH = 5
@@ -281,21 +281,6 @@ def damped_kinetic(xi, theta: float, dxi=None) -> float:
 # -- damped geodesic ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DampedGeodesicParams:
-    """Damped geodesic data: Lagrangian scale L0, decay rate gamma, and the
-    two Bessel integration constants."""
-
-    l0: float
-    gamma: float
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.l0 <= 0.0 or self.gamma <= 0.0:
-            raise ValueError("L0 and gamma must be positive")
-
-
 def damped_geodesic_solve(
     l0: float,
     gamma: float,
@@ -371,20 +356,10 @@ def bessel_solution(theta: float, a: float, b: float, l0: float, gamma: float) -
 
 
 def bessel_ode_residual(theta: float, a: float, b: float, l0: float, gamma: float) -> float:
-    """Residual of the closed form under the damped geodesic equation,
-    second derivative by central differences.
-
-    The probe step is wider than the first-derivative default: a second
-    difference amplifies function roundoff by 1/h^2, and h = 1e-3 balances
-    that against the h^2 truncation term.
-    """
-    h = 1e-3
-    qm = bessel_solution(theta - h, a, b, l0, gamma)
-    q0 = bessel_solution(theta, a, b, l0, gamma)
-    qp = bessel_solution(theta + h, a, b, l0, gamma)
-    d2q = (qp - 2.0 * q0 + qm) / (h * h)
-    dq = (qp - qm) / (2.0 * h)
-    return d2q + gamma * dq + 0.5 * l0 * math.exp(-gamma * theta) * q0
+    """Residual of the closed form under the damped geodesic equation: the
+    :func:`qsearch.info_geom.geodesic_residual` of :func:`bessel_solution`,
+    by central differences of step 1e-3."""
+    return float(geodesic_residual(lambda t: bessel_solution(t, a, b, l0, gamma), theta, l0, gamma))
 
 
 def asymptotic_probabilities(a: float, theta: float) -> tuple[float, float]:

@@ -165,9 +165,6 @@ class Multivector:
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
 
-    def vector_components(self) -> np.ndarray:
-        return np.array([self.coeffs[1 << i] for i in range(self.sig.dim)])
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.sig.size else 0.0
 
@@ -354,12 +351,6 @@ class Rotor:
 
     def apply(self, v: Multivector) -> Multivector:
         return geometric_product(geometric_product(self.mv, v), reverse(self.mv))
-
-    def reversed(self) -> "Rotor":
-        return Rotor(reverse(self.mv))
-
-    def __mul__(self, other: "Rotor") -> "Rotor":
-        return Rotor(geometric_product(self.mv, other.mv))
 
     def __repr__(self) -> str:
         return f"Rotor({self.mv!r})"

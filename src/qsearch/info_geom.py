@@ -21,7 +21,10 @@ Fisher-Rao metric once for both.
 Geodesics in amplitude coordinates q_l = sqrt(p_l) obey q'' + q = 0 once the
 Fisher information is constant at 4 and the normalization multiplier is fixed
 at one; they are evaluated in closed form, q0 cos(theta) + qdot0 sin(theta),
-one amplitude per class.
+one amplitude per class.  :func:`geodesic_residual` is the one residual of
+the geodesic equation q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0 for
+the Lagrangian L0 e^{-gamma theta}: the flat case here (L0 = 2, gamma = 0)
+and the damped closed form of :mod:`qsearch.fixed_point` both call it.
 
 Step counting follows the general iterate G = -I_i U^{-1} I_f U built from two
 selective inversions around arbitrary unitaries: the squared Wigner-Yanase
@@ -233,17 +236,16 @@ def state_overlap(family: ParametricFamily, theta_a: float, theta_b: float) -> c
 # -- geodesics ---------------------------------------------------------------
 
 
-def geodesic_residual(
-    q_path,
-    theta: float,
-    lagrangian: Callable[[float], float] | float = 2.0,
-    lam: float = 1.0,
-) -> np.ndarray:
-    """Residual q'' - (L'/L) q' + (lam/2) L q at one parameter value.
+def geodesic_residual(q_path, theta: float, l0: float = 2.0, gamma: float = 0.0) -> np.ndarray:
+    """Residual q'' + gamma q' + (L0/2) e^{-gamma theta} q of the geodesic
+    equation for the Lagrangian L0 e^{-gamma theta}, whose L'/L is exactly
+    -gamma; the defaults give the flat geodesic q'' + q = 0.
 
-    ``q_path`` is either a callable theta -> q array (derivatives by central
-    differences) or a (q, dq, d2q) triple of callables for analytic
-    derivatives.  ``lagrangian`` is a constant or a callable L(theta).
+    ``q_path`` is either a (q, dq, d2q) triple of callables for analytic
+    derivatives, or a callable theta -> q, evaluated at theta and theta +- h
+    with h = 1e-3 for central differences.  That step is wider than the
+    first-derivative default: a second difference amplifies roundoff in q by
+    1/h^2, and h = 1e-3 balances that against the h^2/12 truncation term.
     """
     if isinstance(q_path, tuple):
         qf, dqf, d2qf = q_path
@@ -251,17 +253,13 @@ def geodesic_residual(
         dq = np.asarray(dqf(theta), dtype=np.float64)
         d2q = np.asarray(d2qf(theta), dtype=np.float64)
     else:
+        h = 1e-3
+        q_minus = np.asarray(q_path(theta - h), dtype=np.float64)
         q = np.asarray(q_path(theta), dtype=np.float64)
-        dq = _central_diff(q_path, theta)
-        h = _fd_step(theta)
-        d2q = (np.asarray(q_path(theta + h)) - 2.0 * q + np.asarray(q_path(theta - h))) / (h * h)
-    if callable(lagrangian):
-        lag = float(lagrangian(theta))
-        dlag = _central_diff(lambda t: np.array([lagrangian(t)]), theta)[0]
-    else:
-        lag = float(lagrangian)
-        dlag = 0.0
-    return d2q - (dlag / lag) * dq + 0.5 * lam * lag * q
+        q_plus = np.asarray(q_path(theta + h), dtype=np.float64)
+        d2q = (q_plus - 2.0 * q + q_minus) / (h * h)
+        dq = (q_plus - q_minus) / (2.0 * h)
+    return d2q + gamma * dq + 0.5 * l0 * math.exp(-gamma * theta) * q
 
 
 def solve_geodesic(
@@ -281,9 +279,8 @@ def solve_geodesic(
     own class and q0 has N entries.
 
     ``residual_max`` checks the path against the equation: the largest
-    |q'' + q| over those values, with q'' by a central second difference of
-    step 1e-3 (the step :func:`qsearch.fixed_point.bessel_ode_residual` uses;
-    its h^2/12 truncation term dominates).
+    :func:`geodesic_residual` of the closed form over those values, by
+    central differences of step 1e-3 (its h^2/12 truncation term dominates).
     """
     q0 = np.asarray(q0, dtype=np.float64)
     qdot0 = np.asarray(qdot0, dtype=np.float64)
@@ -298,13 +295,11 @@ def solve_geodesic(
     cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
     q = cos * q0 + sin * qdot0
     qdot = cos * qdot0 - sin * q0
-    h = 1e-3
-    resid = 0.0
-    for theta, q_row in zip(thetas.tolist(), q):
-        q_plus = math.cos(theta + h) * q0 + math.sin(theta + h) * qdot0
-        q_minus = math.cos(theta - h) * q0 + math.sin(theta - h) * qdot0
-        d2q = (q_plus - 2.0 * q_row + q_minus) / (h * h)
-        resid = max(resid, float(np.max(np.abs(d2q + q_row))))
+
+    def path(theta: float) -> np.ndarray:
+        return math.cos(theta) * q0 + math.sin(theta) * qdot0
+
+    resid = max((float(np.max(np.abs(geodesic_residual(path, t)))) for t in thetas.tolist()), default=0.0)
     return GeodesicSolution(thetas=thetas, q=q, qdot=qdot, residual_max=resid)
 
 

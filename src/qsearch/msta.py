@@ -215,9 +215,6 @@ class GaRegister:
         out = np.moveaxis(moved, -1, slot)
         return GaRegister(self.n, np.ascontiguousarray(out), self.correlated)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
 
 def _identity_register(n: int) -> GaRegister:
     c = np.zeros((4,) * n)

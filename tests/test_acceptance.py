@@ -21,6 +21,7 @@ from qsearch.ga_core import (
     orientation_sign,
     rotate,
 )
+from test_analog_search import unitary_series_exp
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -131,13 +132,19 @@ def test_c04_ga_structure():
 def test_c05_analog_search():
     start = time.perf_counter()
     rng = np.random.default_rng(4096)
-    gen = -1j * an.fenner_matrix(16).matrix
-    worst_series = 0.0
+    n = 16
+    h = an.fenner_matrix(n).matrix
+    sz_sx = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    worst_closed = worst_series = 0.0
     for _ in range(1000):
         t = rng.uniform(0, 200)
-        diff = np.max(np.abs(an.fenner_evolve(t, 16) - an.unitary_series_exp(gen, t)))
-        worst_series = max(worst_series, float(diff))
-    ok = worst_series < 1e-12
+        u = an.plane_propagator(h, t)
+        # the paper's closed form cos(x) I + sin(x) sigma_z sigma_x
+        x = 2.0 * math.sqrt((n - 1) / n) * t / math.sqrt(n)
+        closed = math.cos(x) * np.eye(2) + math.sin(x) * sz_sx
+        worst_closed = max(worst_closed, float(np.max(np.abs(u - closed))))
+        worst_series = max(worst_series, float(np.max(np.abs(u - unitary_series_exp(-1j * h, t)))))
+    ok = worst_closed < 1e-12 and worst_series < 1e-12
     ratio = an.fenner_time(10**6) / (math.pi / 4 * 1000.0)
     ok &= abs(ratio - 1.0) < 0.01
     scaled = []
@@ -153,7 +160,8 @@ def test_c05_analog_search():
     report(
         "C5 analog search",
         ok,
-        f"series dev {worst_series:.2e}, time ratio {ratio:.5f}, CV {cv:.2e}, {elapsed:.2f}s",
+        f"closed-form dev {worst_closed:.2e}, series dev {worst_series:.2e}, "
+        f"time ratio {ratio:.5f}, CV {cv:.2e}, {elapsed:.2f}s",
     )
 
 

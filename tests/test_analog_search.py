@@ -1,4 +1,5 @@
-"""Analog-search checks: closed-form propagators vs series exponential and
+"""Analog-search checks: the closed-form plane propagator vs the paper's
+written-out fenner propagator and the series exponential and
 eigendecomposition oracles, the corrected optimal time, the two-projector
 scan and first peak, and digital/analog agreement."""
 import math
@@ -15,6 +16,44 @@ def eig_propagator(h: np.ndarray, t: float) -> np.ndarray:
     """Independent oracle: exponentiate via eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
+
+
+def unitary_series_exp(generator: np.ndarray, t: float) -> np.ndarray:
+    """Independent oracle: exp(generator * t) for a 2x2 anti-Hermitian
+    generator, by scaling and squaring a Taylor series converged to machine
+    precision."""
+    g = np.asarray(generator, dtype=np.complex128)
+    if g.shape != (2, 2):
+        raise ValueError("generator must be 2x2")
+    skew = np.max(np.abs(g + g.conj().T))
+    if skew > 1e-9 * max(1.0, np.max(np.abs(g))):
+        raise ValueError("generator must be anti-Hermitian")
+    m = g * t
+    norm = np.max(np.abs(m))
+    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
+    m /= 2.0**squarings
+    term = np.eye(2, dtype=np.complex128)
+    out = np.eye(2, dtype=np.complex128)
+    for k in range(1, 40):
+        term = term @ m / k
+        out += term
+        if np.max(np.abs(term)) < 1e-18:
+            break
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def fenner_closed_form(t: float, n: int) -> np.ndarray:
+    """The paper's fenner propagator cos(x) I + sin(x) sigma_z sigma_x with
+    x = 2 beta t / sqrt(N), written out independently of the library."""
+    beta = math.sqrt((n - 1) / n)
+    x = 2.0 * beta * t / math.sqrt(n)
+    return math.cos(x) * np.eye(2) + math.sin(x) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def fenner_propagator(t, n: int) -> np.ndarray:
+    return an.plane_propagator(an.fenner_matrix(n).matrix, t)
 
 
 class TestFennerMatrix:
@@ -37,13 +76,13 @@ class TestFennerMatrix:
 
 class TestFennerEvolve:
     def test_identity_at_zero(self):
-        assert np.allclose(an.fenner_evolve(0.0, 8), np.eye(2))
+        assert np.allclose(fenner_propagator(0.0, 8), np.eye(2))
 
     def test_quarter_period_is_pure_rotation_block(self):
         n = 16
         _, beta = an.alpha_beta(n)
         t = math.pi * math.sqrt(n) / (4.0 * beta)
-        got = an.fenner_evolve(t, n)
+        got = fenner_propagator(t, n)
         assert abs(got[0, 0]) < 1e-12
         assert abs(got[0, 1] - 1.0) < 1e-12
 
@@ -51,26 +90,28 @@ class TestFennerEvolve:
         rng = np.random.default_rng(31)
         for _ in range(50):
             t = rng.uniform(0, 100)
-            g = an.fenner_evolve(t, 9)
+            g = fenner_propagator(t, 9)
             assert np.allclose(g @ g.T.conj(), np.eye(2), atol=1e-12)
 
     def test_unitary_over_scanned_grid(self):
         n = 256
-        for t in np.linspace(0.0, 2.0 * an.fenner_time(n), 2000):
-            g = an.fenner_evolve(float(t), n)
+        for g in fenner_propagator(np.linspace(0.0, 2.0 * an.fenner_time(n), 2000), n):
             assert np.max(np.abs(g @ g.conj().T - np.eye(2))) < 1e-11
 
     def test_matches_series_exponential(self):
+        # against both references: the written-out closed form and the series
         rng = np.random.default_rng(32)
         n = 16
         h = an.fenner_matrix(n).matrix
         gen = -1j * h
-        worst = 0.0
+        worst_closed = worst_series = 0.0
         for _ in range(1000):
             t = rng.uniform(0, 200)
-            diff = np.max(np.abs(an.fenner_evolve(t, n) - an.unitary_series_exp(gen, t)))
-            worst = max(worst, diff)
-        assert worst < 1e-12
+            got = fenner_propagator(t, n)
+            worst_closed = max(worst_closed, np.max(np.abs(got - fenner_closed_form(t, n))))
+            worst_series = max(worst_series, np.max(np.abs(got - unitary_series_exp(gen, t))))
+        assert worst_closed < 1e-12
+        assert worst_series < 1e-12
 
 
 class TestFennerState:
@@ -95,6 +136,20 @@ class TestFennerState:
             t = rng.uniform(0, 100)
             state = an.fenner_state(t, n).state
             assert abs(np.vdot(state, state).real - 1.0) < 1e-12
+
+    def test_array_of_times(self):
+        # one call over a grid: one state and one probability per time, each
+        # the written-out closed form
+        n = 64
+        ts = np.arange(1001) * 0.01
+        res = an.fenner_state(ts, n)
+        assert res.state.shape == (1001, 2)
+        assert res.p_target.shape == (1001,)
+        alpha, beta = an.alpha_beta(n)
+        for t, p, state in zip(ts, res.p_target, res.state):
+            want = fenner_closed_form(t, n) @ np.array([alpha, beta])
+            assert np.max(np.abs(state - want)) < 1e-12
+            assert abs(p - want[0] ** 2) < 1e-12
 
 
 class TestFennerTime:
@@ -134,14 +189,14 @@ class TestDigitalAnalogAgreement:
 
 class TestUnitarySeriesExp:
     def test_zero_generator(self):
-        assert np.allclose(an.unitary_series_exp(np.zeros((2, 2)), 3.0), np.eye(2))
+        assert np.allclose(unitary_series_exp(np.zeros((2, 2)), 3.0), np.eye(2))
 
     def test_unitarity_preserved(self):
         rng = np.random.default_rng(35)
         for _ in range(50):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             gen = a - a.conj().T  # anti-Hermitian
-            u = an.unitary_series_exp(gen, rng.uniform(0, 10))
+            u = unitary_series_exp(gen, rng.uniform(0, 10))
             assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
     def test_matches_eig_oracle(self):
@@ -150,12 +205,12 @@ class TestUnitarySeriesExp:
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             h = 0.5 * (a + a.conj().T)
             t = rng.uniform(0, 5)
-            got = an.unitary_series_exp(-1j * h, t)
+            got = unitary_series_exp(-1j * h, t)
             assert np.max(np.abs(got - eig_propagator(h, t))) < 1e-12
 
     def test_non_anti_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            an.unitary_series_exp(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+            unitary_series_exp(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
 
 
 class TestPlanePropagator:
@@ -171,7 +226,7 @@ class TestPlanePropagator:
             assert got.shape == (len(ts), 2, 2)
             for t, u in zip(ts, got):
                 assert np.max(np.abs(u - eig_propagator(h, t))) < 1e-12
-                assert np.max(np.abs(u - an.unitary_series_exp(-1j * h, t))) < 1e-12
+                assert np.max(np.abs(u - unitary_series_exp(-1j * h, t))) < 1e-12
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,13 @@ class TestDigital:
         assert manifest["params"]["k"] == "02"
         assert len(read_csv(tmp_path / "digital_N8_k02.csv")[1]) == 2
 
+    def test_zero_iterations_is_one_row(self, tmp_path):
+        assert run_cli(["digital", "--N", "8", "--k", "0"], tmp_path) == 0
+        _, rows = read_csv(tmp_path / "digital_N8_k0.csv")
+        assert [row[1] for row in rows] == ["0"]
+        assert float(rows[0][3]) == pytest.approx(1.0 / 8.0, abs=1e-15)
+        assert float(rows[0][4]) == pytest.approx(1.0 / 8.0, abs=1e-15)
+
     def test_invalid_target_domain_error(self, tmp_path, capsys):
         rc = run_cli(["digital", "--N", "4", "--target", "9"], tmp_path)
         assert rc == cli.EXIT_DOMAIN
@@ -133,6 +140,39 @@ class TestAnalog:
         argv = ["analog", "--model", "fenner", "--N", "16", "--t-max", "inf"]
         assert usage_exit_code(argv, tmp_path) == cli.EXIT_USAGE
 
+    def test_fenner_grid_is_one_propagator_call(self, tmp_path, monkeypatch):
+        calls = []
+        fenner_state = cli.an.fenner_state
+        monkeypatch.setattr(cli.an, "fenner_state", lambda *a: calls.append(1) or fenner_state(*a))
+        assert run_cli(["analog", "--model", "fenner", "--N", "16", "--dt", "0.01"], tmp_path) == 0
+        _, rows = read_csv(tmp_path / "analog_fenner_N16.csv")
+        assert len(calls) == 1
+        # the time column is i * dt, as the rows were once made one by one
+        assert [row[3] for row in rows] == [cli._fmt(i * 0.01) for i in range(len(rows))]
+
+    @pytest.mark.parametrize("model", ["fenner", "farhi-gutmann"])
+    @pytest.mark.parametrize("n", ["1", "1" + "0" * 400, str(cli._N_CAP + 1)], ids=["1", "huge", "over-cap"])
+    def test_n_checked_before_computing(self, tmp_path, capsys, model, n):
+        code, peak = run_cli_traced(["analog", "--model", model, "--N", n], tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        assert f"got N={n}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["--model", "fenner", "--t-max", "-1"], "time grid must be positive"),
+            (["--model", "farhi-gutmann", "--E", "0"], "energy scale must be positive"),
+            (["--model", "farhi-gutmann", "--t-max", "1e-9", "--dt", "1"], "at least two samples"),
+        ],
+        ids=["fenner-negative-horizon", "farhi-gutmann-zero-energy", "farhi-gutmann-one-sample"],
+    )
+    def test_bad_grid_or_energy_is_domain_error(self, tmp_path, capsys, argv, what):
+        assert run_cli(["analog", "--N", "16", *argv], tmp_path) == cli.EXIT_DOMAIN
+        assert what in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestFixedPoint:
     def test_epsilon_run_failure_column(self, tmp_path):
@@ -143,6 +183,11 @@ class TestFixedPoint:
         assert float(rows[1][1]) == pytest.approx(1e-9, rel=1e-12)
         assert float(rows[0][3]) < 1e-10
         assert float(rows[1][3]) < 1e-10
+
+    def test_epsilon_one_is_domain_error(self, tmp_path, capsys):
+        assert run_cli(["fixed-point", "--epsilon", "1", "--depth", "1"], tmp_path) == cli.EXIT_DOMAIN
+        assert "epsilon must lie in [0, 1)" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_depth_cap_rejected(self, tmp_path):
         assert run_cli(["fixed-point", "--epsilon", "0.1", "--depth", "6"], tmp_path) == cli.EXIT_DOMAIN
@@ -234,6 +279,12 @@ class TestDampedAndGeodesic:
 
     def test_geodesic_infinite_horizon_is_usage_error(self, tmp_path):
         assert usage_exit_code(["geodesic", "--N", "8", "--theta-end", "inf"], tmp_path) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["--gamma", "0"], ["--L0", "-1"]], ids=["gamma-zero", "L0-negative"])
+    def test_damped_nonpositive_l0_or_gamma_is_domain_error(self, tmp_path, capsys, argv):
+        assert run_cli(["damped", *argv], tmp_path) == cli.EXIT_DOMAIN
+        assert "L0 and gamma must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_damped_nan_is_usage_error(self, tmp_path):
         assert usage_exit_code(["damped", "--L0", "nan"], tmp_path) == cli.EXIT_USAGE
@@ -376,6 +427,11 @@ class TestGaVerify:
         assert "must be comma-separated integers, got 4,x" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_empty_n_list_is_domain_error(self, tmp_path, capsys):
+        assert run_cli(["ga-verify", "--N-list", ","], tmp_path) == cli.EXIT_DOMAIN
+        assert "N list must be nonempty" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("n", [1, 2 * cli._N_CAP])
     def test_size_checked_before_allocating(self, tmp_path, capsys, n):
         code, peak = run_cli_traced(["ga-verify", "--N-list", f"4,{n}"], tmp_path)
@@ -422,6 +478,22 @@ target = 0
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("subcommand = digital\nN = []\n")
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("subcommand = digital\nN [4, 8]\n", "bad.cfg:2: expected key = value"),
+            ("N = [4, 8]\n", "sweep config must name a subcommand"),
+        ],
+        ids=["no-equals", "no-subcommand"],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, what):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert what in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -605,6 +677,31 @@ class TestRunner:
         recorded = [(Path(o["path"]).relative_to(out).as_posix(), o["sha256"]) for o in manifest["outputs"]]
         assert recorded == [(name, hashlib.sha256((out / name).read_bytes()).hexdigest()) for name in names]
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv")) == sorted(names)
+
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (
+                ["geodesic", "--N", "64", "--max-rows", "7"],
+                {"N": 64, "dtheta": 1e-3, "theta_end": math.pi / 2, "max_rows": 7, "seed": 0},
+            ),
+            (
+                ["damped", "--theta-end", "1", "--max-rows", "5", "--seed", "3"],
+                {"L0": 2.0, "gamma": 1.0, "A": 1.0, "B": 0.0, "theta_end": 1.0, "dtheta": 1e-3}
+                | {"max_rows": 5, "seed": 3},
+            ),
+            (
+                ["fixed-point", "--epsilon", "0.25", "--depth", "1", "--seed", "9"],
+                {"epsilon": 0.25, "u0": "wh", "N": 4, "depth": 1, "target": 0, "seed": 9, "eps0_computed": 0.25},
+            ),
+        ],
+        ids=["geodesic", "damped", "fixed-point"],
+    )
+    def test_manifest_records_every_option(self, tmp_path, argv, params):
+        # every option but --out, plus what the command computed
+        assert run_cli(argv, tmp_path) == 0
+        manifest = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
+        assert manifest["params"] == params
 
     def test_import_loads_no_process_pool(self):
         # only `sweep --workers` uses one, and imports it itself

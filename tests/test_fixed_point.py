@@ -338,9 +338,12 @@ class TestBesselSolution:
     def test_zero_constants_give_zero(self):
         assert fp.bessel_solution(3.0, 0.0, 0.0, 2.0, 1.0) == 0.0
 
-    def test_params_dataclass_validation(self):
-        with pytest.raises(ValueError):
-            fp.DampedGeodesicParams(l0=-1.0, gamma=1.0, a=1.0, b=0.0)
+    @pytest.mark.parametrize("l0, gamma", [(-1.0, 1.0), (0.0, 1.0), (2.0, 0.0), (2.0, -0.5)])
+    def test_nonpositive_l0_or_gamma_rejected(self, l0, gamma):
+        with pytest.raises(ValueError, match="L0 and gamma must be positive"):
+            fp.bessel_solution(1.0, 1.0, 0.0, l0, gamma)
+        with pytest.raises(ValueError, match="L0 and gamma must be positive"):
+            fp.bessel_ode_residual(1.0, 1.0, 0.0, l0, gamma)
 
 
 class TestAsymptoticProbabilities:

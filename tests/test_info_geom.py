@@ -414,6 +414,13 @@ class TestGeodesicResidual:
         resid = ig.geodesic_residual(lambda t: qconst, 0.9)
         assert np.allclose(resid, qconst, atol=1e-6)
 
+    @pytest.mark.parametrize("theta", [0.3, 0.9, 1.4])
+    def test_callable_path_on_the_exact_geodesic(self, theta):
+        # central differences of step 1e-3 leave about 7e-8; a second
+        # difference of step 1e-5 would read up to 1.6e-6 from roundoff
+        resid = ig.geodesic_residual(lambda t: np.array([math.cos(t), math.sin(t)]), theta)
+        assert np.max(np.abs(resid)) < 1e-7
+
     def test_rk4_path_residual(self):
         n = 4
         q0 = np.zeros(n)
