@@ -15,8 +15,14 @@ Randomized paths draw from numpy's PCG64 generator seeded by --seed, and the
 seed is recorded in the manifest.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric-domain
-error, 4 failed internal cross-check (two independent computations in the
-library disagreed beyond their tolerance; nothing is written).
+error (a rejected value, an overflow or division by zero, or a non-finite
+number in a table, which `write_csv` refuses to write), 4 failed internal
+cross-check (two independent computations in the library disagreed beyond
+their tolerance; nothing is written).
+
+The CLI owns its process, so it alone sets OpenBLAS to one thread before
+numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
+the tool's only parallelism.
 """
 from __future__ import annotations
 
@@ -29,6 +35,14 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+# OpenBLAS starts its worker threads when numpy is imported, before any BLAS
+# call runs, and an idle worker still spins on a CPU: on a 2-CPU host a bare
+# `import numpy` took a median 0.20 s CPU with the default pool and 0.13 s
+# with one thread.  No subcommand needs a second BLAS thread (`sweep
+# --workers` is the parallelism), so the CLI, which owns its process, starts
+# with one unless the user has set a count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -50,6 +64,8 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot write the non-finite value {float(value)} to a CSV")
         return f"{float(value):.17g}"
     return str(value)
 
@@ -57,7 +73,8 @@ def _fmt(value) -> str:
 def write_csv(path: Path, header, rows) -> Path:
     """Stream the header and the formatted rows into `path`.  The rows go to
     a sibling `.part` file that replaces `path` only once every row is
-    written, so a row that fails to format leaves no partial CSV."""
+    written, so a row that fails to format, a non-finite number included,
+    leaves no partial CSV."""
     part = path.with_name(path.name + ".part")
     try:
         with part.open("w", encoding="ascii", newline="\n") as fh:
@@ -226,7 +243,8 @@ def _epsilon_unitary(eps: float) -> np.ndarray:
 
 
 # largest accepted N for `--u0 random`, which draws and keeps dense N x N
-# complex matrices: 16 MiB each at the cap, where a run peaks near 150 MB RSS
+# complex matrices: 16 MiB each at the cap, where depth 5 peaks near 145 MB
+# RSS and takes about 1.1 s on one BLAS thread (2-CPU host)
 _RANDOM_U0_CAP = 1024
 
 
@@ -303,6 +321,8 @@ def cmd_geodesic(args):
     # integer N far from where N - 1 would overflow a float
     if not 2 <= n <= _N_CAP:
         raise ValueError(f"geodesic needs 2 <= N <= {_N_CAP}, got N={n}")
+    if args.theta_end <= 0.0:
+        raise ValueError(f"geodesic needs a positive --theta-end, got {args.theta_end}")
     steps = max(1, _grid_steps(args.theta_end, args.dtheta, round_up=True))
     # rows keep every stride-th point of the grid i * dtheta, whose last
     # point is theta_end itself
@@ -470,8 +490,8 @@ class _CellParser(argparse.ArgumentParser):
 
 
 def _run_cell(args) -> list[Path]:
-    """Run one parsed sweep cell, in a worker process when the sweep has
-    more than one; it writes into its own directory."""
+    """Run one parsed sweep cell, in a worker process when the sweep runs
+    more than one at a time; it writes into its own directory."""
     return _dispatch(args)
 
 
@@ -494,10 +514,12 @@ def cmd_sweep(args):
         except SweepConfigError as exc:
             raise SweepConfigError(f"sweep cell {name}: {exc}") from None
         index_rows.append((name, cfg.subcommand, json.dumps(cell, sort_keys=True)))
-    if args.workers > 1:
+    # a forking pool starts all its workers at once: no more workers than cells
+    workers = min(args.workers, len(cell_args))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, cell_args))
     else:
         results = [_run_cell(a) for a in cell_args]
@@ -627,7 +649,7 @@ def main(argv=None) -> int:
     except SweepConfigError as exc:
         print(f"qsearch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"qsearch: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except CrossCheckError as exc:

@@ -12,8 +12,12 @@ same at every N.
 
 The Fisher information is computed through the square-root form
 4 sum m (d sqrt(p))^2, which stays finite where components vanish; the
-p'^2/p form is used only where p is safely positive.  A family without phases
-has the real amplitudes sqrt(p), so no complex arithmetic runs for it.
+p'^2/p form is used only where p is safely positive.  At a zero of p_l,
+where sqrt(p_l) has a kink, (d sqrt(p_l))^2 comes from the second difference
+of p_l, for the Fisher information and the kinetic energy alike, so the
+search family reads F = 4 and K = 1 at theta = 0 and pi/2 too.  A family
+without phases has the real amplitudes sqrt(p), so no complex arithmetic
+runs for it.
 :func:`metric_row` evaluates the Fisher-Rao metric, the kinetic energy and
 the Wigner-Yanase line element at one theta in one pass, computing the
 Fisher-Rao metric once for both.
@@ -145,21 +149,34 @@ def grover_family(n: int) -> ParametricFamily:
     return ParametricFamily(n=2, p=p, dp=dp, multiplicity=(1.0, float(rest)))
 
 
+def _sqrt_p_rate_squared(family: ParametricFamily, theta: float, p: np.ndarray) -> np.ndarray:
+    """(d sqrt(p_l))^2 from the second difference of p,
+    (p(theta + h) + p(theta - h) - 2 p(theta)) / (2 h^2), clipped at 0.
+
+    At a double zero of p_l this is the exact limit, where sqrt(p_l) has a
+    kink (|sin theta| at 0) and its central difference reads 0; the phase
+    term p_l phi_l'^2 vanishes there too."""
+    h = _fd_step(theta)
+    second = family.probabilities(theta + h) + family.probabilities(theta - h) - 2.0 * p
+    return np.maximum(second / (2.0 * h * h), 0.0)
+
+
 def _sqrt_p_derivatives(family: ParametricFamily, theta: float) -> np.ndarray:
-    """d sqrt(p_l)/d theta, analytic where p_l is safely positive, finite
-    difference on sqrt(p) elsewhere."""
+    """d sqrt(p_l)/d theta: analytic where p_l is safely positive, a finite
+    difference on sqrt(p) where no dp is given, and for p_l <= _P_FLOOR the
+    magnitude from :func:`_sqrt_p_rate_squared`, since the one-sided slopes
+    of sqrt(p_l) differ in sign at its zero."""
     def sqrt_p(t: float) -> np.ndarray:
         return np.sqrt(family.probabilities(t))
 
     p = family.probabilities(theta)
+    low = p <= _P_FLOOR
     if family.dp is None:
-        return _central_diff(sqrt_p, theta)
-    dp = family.dprobabilities(theta)
-    safe = p > _P_FLOOR
-    if safe.all():
-        return dp / (2.0 * np.sqrt(p))
-    out = _central_diff(sqrt_p, theta)
-    out[safe] = dp[safe] / (2.0 * np.sqrt(p[safe]))
+        out = _central_diff(sqrt_p, theta)
+    else:
+        out = np.divide(family.dprobabilities(theta), 2.0 * np.sqrt(p), out=np.zeros_like(p), where=~low)
+    if low.any():
+        out[low] = np.sqrt(_sqrt_p_rate_squared(family, theta, p)[low])
     return out
 
 
@@ -210,11 +227,18 @@ def kinetic_energy(family: ParametricFamily, theta: float) -> float:
 
     The difference is scaled by 1/(2h), which is also what numpy's complex
     division by the real step 2h computes, so real and complex amplitudes
-    of one state give the same bits."""
+    of one state give the same bits.  A component with p_l <= _P_FLOOR
+    contributes :func:`_sqrt_p_rate_squared` instead, since the central
+    difference of |amplitude| reads 0 at its zero."""
     family.check_theta(theta)
     h = _fd_step(theta)
     dpsi = (family.amplitudes(theta + h) - family.amplitudes(theta - h)) * (1.0 / (2.0 * h))
-    return float(family.weighted_sum(np.abs(dpsi) ** 2))
+    rate = np.abs(dpsi) ** 2
+    p = family.probabilities(theta)
+    low = p <= _P_FLOOR
+    if low.any():
+        rate[low] = _sqrt_p_rate_squared(family, theta, p)[low]
+    return float(family.weighted_sum(rate))
 
 
 def kinetic_energy_via_current(family: ParametricFamily, theta: float) -> float:

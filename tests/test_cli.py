@@ -581,6 +581,85 @@ target = 0
             rel = path.relative_to(serial)
             assert (parallel / rel).read_bytes() == path.read_bytes()
 
+    @staticmethod
+    def counting_pool(monkeypatch):
+        """Patch in a process pool that records each pool made and each worker
+        it starts."""
+        from concurrent import futures
+
+        pools, spawned = [], []
+
+        class CountingPool(futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+            def _spawn_process(self):
+                spawned.append(1)
+                super()._spawn_process()
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+        return pools, spawned
+
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("subcommand = digital\nN = [4, 8]\n")
+        serial = tmp_path / "serial"
+        parallel = tmp_path / "parallel"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
+        pools, spawned = self.counting_pool(monkeypatch)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(parallel), "--workers", "4"]) == 0
+        assert len(pools) == 1 and 1 <= len(spawned) <= 2
+        csvs = sorted(path.relative_to(serial) for path in serial.rglob("*.csv"))
+        assert csvs == sorted(path.relative_to(parallel) for path in parallel.rglob("*.csv"))
+        for rel in csvs:
+            assert (parallel / rel).read_bytes() == (serial / rel).read_bytes()
+
+    def test_one_cell_runs_in_process(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("subcommand = digital\nN = 4\n")
+        pools, spawned = self.counting_pool(monkeypatch)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "4"]) == 0
+        assert (pools, spawned) == ([], [])
+        assert (tmp_path / "out" / "digital" / "digital_N4_kauto.csv").exists()
+
+
+class TestNumericDomain:
+    """Each input gives finite numbers or exit 3 with a one-line message:
+    never rows of NaN with exit 0, and never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["damped", "--A", "1e308"], "non-finite value"),
+            (["damped", "--B", "1e308"], "non-finite value"),
+            (["analog", "--model", "farhi-gutmann", "--N", "64", "--E", "1e308"], "non-finite value"),
+            (["geodesic", "--N", "4", "--theta-end", "1e300", "--dtheta", "1e295"], "non-finite value"),
+            (["damped", "--gamma", "1e308"], ""),
+            (["damped", "--gamma", "1e-300"], ""),
+            (["geodesic", "--N", "4", "--theta-end", "-1"], "positive --theta-end"),
+            (["geodesic", "--N", "4", "--theta-end", "0"], "positive --theta-end"),
+            (["damped", "--theta-end", "-1"], "must be positive"),
+        ],
+        ids=[
+            "damped-A-nan-rows",
+            "damped-B-nan-rows",
+            "farhi-gutmann-E-nan-rows",
+            "geodesic-ds2-inf",
+            "damped-gamma-overflow",
+            "damped-gamma-zero-division",
+            "geodesic-negative-horizon",
+            "geodesic-zero-horizon",
+            "damped-negative-horizon",
+        ],
+    )
+    def test_exit_3_and_nothing_written(self, tmp_path, capsys, argv, message):
+        assert run_cli(argv, tmp_path) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("qsearch: error: ") and err.count("\n") == 1
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRowCap:
     @pytest.mark.parametrize(
@@ -646,6 +725,19 @@ class TestWriteCsv:
             cli.write_csv(path, ["a", "b"], rows)
         assert path.read_text() == "a,b\n1,2\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, np.float64(np.nan), np.float32(np.inf)],
+        ids=["nan", "inf", "-inf", "numpy-nan", "numpy-float32-inf"],
+    )
+    def test_non_finite_float_is_refused(self, tmp_path, value):
+        with pytest.raises(ValueError, match="non-finite value"):
+            cli._fmt(value)
+        with pytest.raises(ValueError, match="non-finite value"):
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2.0), (3, value)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunner:
@@ -737,6 +829,31 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (tmp_path / "digital_N4_kauto.csv").exists()
+
+    @staticmethod
+    def blas_after_import(threads=None):
+        """OPENBLAS_NUM_THREADS and the thread count (None without
+        /proc/self/task) of a fresh process once it has imported the CLI."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        code = (
+            "import os, qsearch.cli; task = '/proc/self/task'; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(task)) if os.path.isdir(task) else None)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        value, count = proc.stdout.split()
+        return value, None if count == "None" else int(count)
+
+    def test_one_blas_thread_by_default(self):
+        assert self.blas_after_import()[0] == "1"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
+    def test_import_starts_no_blas_worker(self):
+        assert self.blas_after_import()[1] == 1
+
+    def test_user_blas_thread_count_wins(self):
+        assert self.blas_after_import("2")[0] == "2"
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSEARCH_OUT", str(tmp_path / "envout"))

@@ -196,6 +196,49 @@ class TestFisherRao:
         assert all(abs(ig.fisher_rao(fam, theta) - 4.0) < 1e-12 for theta in (0.2, 0.9))
 
 
+class TestZerosOfP:
+    """At theta = 0 and pi/2 one class of the search family has p = 0, where
+    sqrt(p) has a kink and its central difference reads 0."""
+
+    @staticmethod
+    def without_dp(fam):
+        return ig.ParametricFamily(n=fam.n, p=fam.p, multiplicity=fam.multiplicity)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 20000])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2], ids=["zero", "half-pi"])
+    @pytest.mark.parametrize("analytic", [True, False], ids=["dp", "no-dp"])
+    def test_fisher_four_kinetic_one(self, n, theta, analytic):
+        fam = ig.grover_family(n) if analytic else self.without_dp(ig.grover_family(n))
+        assert abs(ig.fisher_rao(fam, theta) - 4.0) < 1e-8
+        assert abs(ig.kinetic_energy(fam, theta) - 1.0) < 1e-8
+        f, k, _ = ig.metric_row(fam, theta, 1e-3)
+        assert abs(f - 4.0) < 1e-8 and abs(k - 1.0) < 1e-8
+
+    def test_magnitude_only_at_the_zero(self):
+        # the slope of sqrt(p_1) = cos(theta)/sqrt(N - 1) keeps its sign; that
+        # of |sin theta| at 0 is reported as its magnitude
+        fam = ig.grover_family(5)
+        ds = ig._sqrt_p_derivatives(fam, 0.0)
+        assert ds[0] == pytest.approx(1.0, abs=1e-10) and ds[1] == 0.0
+        assert ig._sqrt_p_derivatives(fam, 0.7)[1] < 0.0
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["dp", "no-dp"])
+    def test_interior_bits_unchanged(self, analytic):
+        # off the zeros no component is under the floor: the plain formulas
+        fam = ig.grover_family(64) if analytic else self.without_dp(ig.grover_family(64))
+        for theta in np.linspace(0.01, math.pi / 2 - 0.01, 40).tolist():
+            assert (fam.probabilities(theta) > ig._P_FLOOR).all()
+            if analytic:
+                p = fam.probabilities(theta)
+                ds = fam.dprobabilities(theta) / (2.0 * np.sqrt(p))
+            else:
+                ds = ig._central_diff(lambda t: np.sqrt(fam.probabilities(t)), theta)
+            assert ig.fisher_rao(fam, theta) == float(4.0 * fam.weighted_sum(ds * ds))
+            h = ig._fd_step(theta)
+            dpsi = (fam.amplitudes(theta + h) - fam.amplitudes(theta - h)) * (1.0 / (2.0 * h))
+            assert ig.kinetic_energy(fam, theta) == float(fam.weighted_sum(np.abs(dpsi) ** 2))
+
+
 class TestFisherInformation:
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(41)
