@@ -1,8 +1,10 @@
 """Continuous-time search on the two-dimensional search plane.
 
-Two Hamiltonians are covered (hbar = 1 throughout), and both are evolved by
-:func:`plane_propagator`, the closed-form exponential exp(-i H t) of any 2x2
-Hermitian matrix and the only propagator here:
+Two Hamiltonians are covered (hbar = 1 throughout).  Both start from the
+uniform state, whose plane coordinates (alpha, beta) come from
+:func:`qsearch.grover_digital.alpha_beta`, and both evolve it in one place,
+through :func:`plane_propagator`, the closed-form exponential exp(-i H t) of
+any 2x2 Hermitian matrix and the only propagator here:
 
 - the commutator-built search Hamiltonian whose evolution reproduces the
   digital iterate exactly; its plane matrix is (2 beta / sqrt(N)) times
@@ -23,48 +25,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grover_digital import alpha_beta
+
 TOL_ALG = 1e-12
-
-
-def alpha_beta(n: int) -> tuple[float, float]:
-    """Plane coordinates of the uniform state: alpha = 1/sqrt(N) on the
-    target, beta = sqrt((N-1)/N) on the bad direction."""
-    if n < 2:
-        raise ValueError("N must be at least 2")
-    return 1.0 / math.sqrt(n), math.sqrt((n - 1) / n)
-
-
-def _check_hermitian(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (2, 2):
-        raise ValueError("plane Hamiltonian must be 2x2")
-    if np.max(np.abs(h - h.conj().T)) > TOL_ALG * max(1.0, np.max(np.abs(h))):
-        raise ValueError("plane Hamiltonian must be Hermitian")
-    return h
 
 
 @dataclass(frozen=True)
 class PlaneHamiltonian:
-    """2x2 Hermitian generator on the search plane."""
+    """2x2 Hermitian generator on the search plane; :func:`plane_propagator`
+    checks it."""
 
     matrix: np.ndarray
-    model: str
-    n: int
-    energy: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_hermitian(self.matrix)
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """State coordinates on (target, bad) at time t and the target
+    """State coordinates on (target, bad) at time ts and the target
     probability; with an array of times, one state and one probability per
     time."""
 
-    t: float | np.ndarray
+    ts: float | np.ndarray
     state: np.ndarray
     p_target: float | np.ndarray
+
+
+def _evolve_uniform(h: np.ndarray, n: int, ts) -> EvolutionResult:
+    """The uniform state of N basis states evolved under the plane
+    Hamiltonian h to time ts, or to each of an array of times."""
+    state = plane_propagator(h, ts) @ np.array(alpha_beta(n))
+    return EvolutionResult(ts=ts, state=state, p_target=np.abs(state[..., 0]) ** 2)
 
 
 def fenner_matrix(n: int) -> PlaneHamiltonian:
@@ -72,23 +61,21 @@ def fenner_matrix(n: int) -> PlaneHamiltonian:
     _, beta = alpha_beta(n)
     pref = 2.0 * beta / math.sqrt(n)
     h = pref * np.array([[0.0, 1j], [-1j, 0.0]])
-    return PlaneHamiltonian(matrix=h, model="fenner", n=n)
+    return PlaneHamiltonian(matrix=h)
 
 
 def fenner_state(t, n: int) -> EvolutionResult:
     """Uniform state evolved under the commutator-built Hamiltonian to one
     time or to each of an array of times; the target probability is
     [alpha cos(x) + beta sin(x)]^2."""
-    state = plane_propagator(fenner_matrix(n).matrix, t) @ np.array(alpha_beta(n))
-    return EvolutionResult(t=t, state=state, p_target=np.abs(state[..., 0]) ** 2)
+    return _evolve_uniform(fenner_matrix(n).matrix, n, t)
 
 
 def fenner_time(n: int) -> float:
     """Search time (N / (2 sqrt(N-1))) asin(sqrt((N-1)/N)); asymptotically
     (pi/4) sqrt(N), and p_target(fenner_time) = 1 exactly."""
-    if n < 2:
-        raise ValueError("N must be at least 2")
-    return n / (2.0 * math.sqrt(n - 1)) * math.asin(math.sqrt((n - 1) / n))
+    _, beta = alpha_beta(n)
+    return n / (2.0 * math.sqrt(n - 1)) * math.asin(beta)
 
 
 def plane_propagator(h: np.ndarray, ts) -> np.ndarray:
@@ -99,7 +86,11 @@ def plane_propagator(h: np.ndarray, ts) -> np.ndarray:
     exp(-i H t) = e^{-i h0 t} [cos(r t) I - i (sin(r t)/r) K].  sin(r t)/r is
     evaluated as t sinc(r t/pi), which stays exact at r = 0 without a branch.
     """
-    h = _check_hermitian(h)
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape != (2, 2):
+        raise ValueError("plane Hamiltonian must be 2x2")
+    if np.max(np.abs(h - h.conj().T)) > TOL_ALG * max(1.0, np.max(np.abs(h))):
+        raise ValueError("plane Hamiltonian must be Hermitian")
     ts = np.asarray(ts, dtype=np.float64)[..., None, None]
     h0 = 0.5 * (h[0, 0].real + h[1, 1].real)
     k = h - h0 * np.eye(2)
@@ -117,19 +108,10 @@ def farhi_gutmann_matrix(n: int, energy: float) -> PlaneHamiltonian:
         [[1.0 + alpha * alpha, alpha * beta], [alpha * beta, beta * beta]],
         dtype=np.complex128,
     )
-    return PlaneHamiltonian(matrix=h, model="farhi-gutmann", n=n, energy=energy)
+    return PlaneHamiltonian(matrix=h)
 
 
-@dataclass(frozen=True)
-class FgTrajectory:
-    n: int
-    energy: float
-    ts: np.ndarray
-    states: np.ndarray
-    p_target: np.ndarray
-
-
-def fg_scan(n: int, energy: float, t_max: float | None = None, samples: int = 10**4) -> FgTrajectory:
+def fg_scan(n: int, energy: float, t_max: float | None = None, samples: int = 10**4) -> EvolutionResult:
     """Propagate the uniform state under the two-projector Hamiltonian over a
     uniform time grid."""
     ham = farhi_gutmann_matrix(n, energy)
@@ -139,10 +121,7 @@ def fg_scan(n: int, energy: float, t_max: float | None = None, samples: int = 10
         t_max = 1.5 * fg_peak_time(n, energy)
     if t_max <= 0.0 or samples < 2:
         raise ValueError("scan needs positive horizon and at least two samples")
-    ts = np.linspace(0.0, t_max, samples)
-    states = plane_propagator(ham.matrix, ts) @ np.array(alpha_beta(n))
-    p = np.abs(states[:, 0]) ** 2
-    return FgTrajectory(n=n, energy=energy, ts=ts, states=states, p_target=p)
+    return _evolve_uniform(ham.matrix, n, np.linspace(0.0, t_max, samples))
 
 
 def fg_peak_time(n: int, energy: float) -> float:
@@ -158,5 +137,4 @@ def fg_first_peak(n: int, energy: float) -> tuple[float, float]:
     probability there from the plane propagator (one up to roundoff)."""
     ham = farhi_gutmann_matrix(n, energy)
     t_peak = fg_peak_time(n, energy)
-    state = plane_propagator(ham.matrix, t_peak) @ np.array(alpha_beta(n))
-    return t_peak, float(abs(state[0]) ** 2)
+    return t_peak, float(_evolve_uniform(ham.matrix, n, t_peak).p_target)

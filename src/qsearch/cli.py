@@ -27,6 +27,7 @@ the tool's only parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
@@ -34,6 +35,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 # OpenBLAS starts its worker threads when numpy is imported, before any BLAS
@@ -120,14 +122,25 @@ def _out_dir(args) -> Path:
 def _dispatch(args) -> list[Path]:
     """Run the parsed subcommand, then write its tables and its manifest,
     which records the CSVs the command wrote itself and then the tables.  The
-    output directory is made only once the command returns.  Returns the
-    recorded CSVs."""
+    output directory is made only once the command returns, and removed
+    again if a table is refused.  Returns the recorded CSVs."""
     started = _utc_now()
-    computed, tables, written = args.func(args)
+    # `write_csv` refuses a NaN or infinity, so numpy's warnings about one
+    # would only precede the one-line error
+    with np.errstate(all="ignore"):
+        computed, tables, written = args.func(args)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
     out_dir = _out_dir(args)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = written + [write_csv(out_dir / name, header, rows) for name, header, rows in tables]
+    try:
+        outputs = written + [write_csv(out_dir / name, header, rows) for name, header, rows in tables]
+    except BaseException:
+        # deepest first; a directory that holds anything stops the removal
+        with contextlib.suppress(OSError):
+            for d in made:
+                d.rmdir()
+        raise
     manifest = RunManifest(command=args.subcommand, params=params, started=started, finished=_utc_now())
     for path in outputs:
         manifest.record(path)
@@ -169,10 +182,9 @@ def _grid_steps(span: float, step: float, round_up: bool = False) -> int:
 
 def cmd_digital(args):
     n = args.N
-    if n < 2:
-        raise ValueError("N must be at least 2")
     if n > _N_CAP:
         raise ValueError(f"N is capped at {_N_CAP} in the CLI")
+    theta = gd.theta_for(n)
     target = args.target
     if not 0 <= target < n:
         raise ValueError(f"target index {target} out of range for N={n}")
@@ -181,18 +193,13 @@ def cmd_digital(args):
     else:
         k_final = int(args.k)
         _check_rows(k_final, "iteration count")
-    theta = gd.theta_for(n)
+    # one row per iteration k = 1..k_final, or the uniform state's row alone
+    first = min(1, k_final)
     rows = []
-    state = gd.init_uniform(n)
-    for k in range(1, k_final + 1):
-        state = gd.grover_iterate(state, target)
+    for k, state in enumerate(islice(gd.grover_orbit(n, target), first, k_final + 1), first):
         closed = gd.success_probability(k, n)
         sim = float(abs(state[target]) ** 2)
         rows.append((n, k, theta, closed, sim, abs(closed - sim)))
-    if k_final == 0:
-        closed = gd.success_probability(0, n)
-        sim = float(abs(state[target]) ** 2)
-        rows.append((n, 0, theta, closed, sim, abs(closed - sim)))
 
     header = ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"]
     return {}, [(f"digital_N{n}_k{args.k}.csv", header, rows)], []
@@ -392,16 +399,16 @@ def cmd_ga_verify(args):
     rows = []
     for n in n_list:
         k_max = args.k_max if args.k_max is not None else 2 * gd.optimal_iterations(n)
-        state = gd.init_uniform(n)
         worst = 0.0
-        for k, rotor in enumerate(msta.ga_grover_orbit(n, k_max)):
+        # the range ends the zip before an iterate past k_max is made; a flat
+        # zip reuses its tuple, where enumerate(zip(...)) pins the first state
+        for k, rotor, state in zip(range(k_max + 1), msta.ga_grover_orbit(n, k_max), gd.grover_orbit(n, 0)):
             digital = gd.plane_coordinates(state, target=0)
             dev = max(
                 abs(rotor.a_target - digital.a_target), abs(rotor.a_bad - digital.a_bad)
             )
             worst = max(worst, dev)
             rows.append(("plane_coords", n, k, rotor.a_target, digital.a_target, dev))
-            state = gd.grover_iterate(state, 0)
         rows.append(("plane_coords_max", n, k_max, worst, 0.0, worst))
     rng = np.random.default_rng(np.random.PCG64(args.seed))
     worst_rt = 0.0

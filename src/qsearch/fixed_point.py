@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import CrossCheckError, bessel
-from .info_geom import GeodesicSolution, ParametricFamily, _central_diff, geodesic_residual
+from .info_geom import GeodesicSolution, ParametricFamily, _central_diff, _check_unitary, geodesic_residual
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
 MAX_DEPTH = 5
@@ -63,18 +63,6 @@ class RecursionState:
     state: np.ndarray
 
 
-def _check_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a square unitary matrix; returns it with its adjoint."""
-    u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[0]
-    if u.shape != (n, n):
-        raise ValueError("U0 must be square")
-    u_dag = u.conj().T
-    if np.max(np.abs(u_dag @ u - np.eye(n))) > 1e-10:
-        raise ValueError("U0 must be unitary")
-    return u, u_dag
-
-
 @dataclass(frozen=True)
 class UnitaryOperator:
     """A unitary on C^n given by its action on states: apply(v) = U v and
@@ -90,9 +78,6 @@ def dense_operator(u: np.ndarray) -> UnitaryOperator:
     formed once."""
     u, u_dag = _check_unitary(u)
     return UnitaryOperator(u.shape[0], u.__matmul__, u_dag.__matmul__)
-
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def walsh_hadamard_transform(v: np.ndarray) -> np.ndarray:
@@ -122,11 +107,10 @@ def walsh_hadamard_transform(v: np.ndarray) -> np.ndarray:
 
 
 def walsh_hadamard_operator(n_qubits: int) -> UnitaryOperator:
-    """H^{(x)n} on N = 2^n amplitudes, self-adjoint; unitary because its
-    2x2 factor is, which is what gets checked."""
+    """H^{(x)n} on N = 2^n amplitudes: self-adjoint, and unitary because
+    its 2x2 factor [[1, 1], [1, -1]]/sqrt(2) is."""
     if n_qubits < 1:
         raise ValueError("the Walsh-Hadamard operator needs at least one qubit")
-    _check_unitary(_HADAMARD)
     return UnitaryOperator(1 << n_qubits, walsh_hadamard_transform, walsh_hadamard_transform)
 
 

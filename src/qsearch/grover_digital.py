@@ -1,22 +1,24 @@
-"""Exact complex state-vector simulator of the digital search.
+"""Exact complex state-vector simulator of the digital search, and the one
+definition of the search plane that the rotor and Hamiltonian pictures use.
 
 States are plain numpy complex arrays of length N.  N is arbitrary (not only
 powers of two); the Walsh-Hadamard construction only fixes the uniform initial
 state, which is well defined for any N.  All operations are state-in/state-out
-pure functions.
+pure functions, and :func:`grover_orbit` makes one iterate per step taken.
 
-Two-by-two matrices are expressed on the plane spanned by the collective
-non-target state and the target state, with rows and columns ordered
-(bad, target).
+The plane, spanned by the collective non-target state and the target state,
+needs N >= 2; its angle (:func:`theta_for`) and the uniform state's
+coordinates (:func:`alpha_beta`) are defined here only.  Two-by-two matrices
+on it order their rows and columns (bad, target).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
-
-TOL_STATE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -30,11 +32,23 @@ class SearchPlaneState:
         return abs(self.a_target**2 + self.a_bad**2 - 1.0)
 
 
+def check_plane_size(n: int) -> None:
+    """The search plane needs the target and at least one other state."""
+    if n < 2:
+        raise ValueError("N must be at least 2")
+
+
 def theta_for(n: int) -> float:
     """Rotation half-angle: sin(theta) = 1/sqrt(N)."""
-    if n < 1:
-        raise ValueError("N must be positive")
+    check_plane_size(n)
     return math.asin(1.0 / math.sqrt(n))
+
+
+def alpha_beta(n: int) -> tuple[float, float]:
+    """Plane coordinates of the uniform state: alpha = 1/sqrt(N) on the
+    target, beta = sqrt((N-1)/N) on the bad direction."""
+    check_plane_size(n)
+    return 1.0 / math.sqrt(n), math.sqrt((n - 1) / n)
 
 
 def init_uniform(n: int) -> np.ndarray:
@@ -72,15 +86,21 @@ def grover_iterate(state: np.ndarray, target: int) -> np.ndarray:
     return inversion_about_mean(oracle_apply(state, target))
 
 
-def run_grover(n: int, k: int, target: int = 0) -> np.ndarray:
-    """k iterations applied to the uniform state."""
-    if k < 0:
-        raise ValueError("iteration count must be nonnegative")
+def grover_orbit(n: int, target: int = 0) -> Iterator[np.ndarray]:
+    """The uniform state, then its iterates k = 1, 2, ... without end; each
+    iterate is computed only when the next state is asked for."""
     state = init_uniform(n)
     _check_target(state, target)
-    for _ in range(k):
+    while True:
+        yield state
         state = grover_iterate(state, target)
-    return state
+
+
+def run_grover(n: int, k: int, target: int = 0) -> np.ndarray:
+    """k iterations applied to the uniform state: point k of the orbit."""
+    if k < 0:
+        raise ValueError("iteration count must be nonnegative")
+    return next(islice(grover_orbit(n, target), k, None))
 
 
 def plane_coordinates(state: np.ndarray, target: int) -> SearchPlaneState:
@@ -91,11 +111,9 @@ def plane_coordinates(state: np.ndarray, target: int) -> SearchPlaneState:
     """
     _check_target(state, target)
     n = state.shape[0]
+    check_plane_size(n)
     a_t = state[target]
-    if n > 1:
-        a_b = (state.sum() - a_t) / math.sqrt(n - 1)
-    else:
-        a_b = 0.0
+    a_b = (state.sum() - a_t) / math.sqrt(n - 1)
     return SearchPlaneState(a_target=float(np.real(a_t)), a_bad=float(np.real(a_b)))
 
 
@@ -113,8 +131,7 @@ def optimal_iterations(n: int) -> int:
     This lands (2k+1) theta within theta of pi/2, hence the target probability
     is at least 1 - 1/N.
     """
-    theta = theta_for(n)
-    return max(0, math.floor(math.pi / (4.0 * theta)))
+    return math.floor(continuous_optimal_iterations(n))
 
 
 def continuous_optimal_iterations(n: int) -> float:

@@ -43,6 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import grover_digital as gd
+
 FD_REL_STEP = 1e-5
 _P_FLOOR = 1e-12
 
@@ -135,8 +137,7 @@ def grover_family(n: int) -> ParametricFamily:
     """Search family over N basis states as two classes: the target with
     p_0 = sin^2(theta), and the N - 1 non-target states, each with
     p_1 = cos^2(theta)/(N-1)."""
-    if n < 2:
-        raise ValueError("N must be at least 2")
+    gd.check_plane_size(n)
     rest = n - 1
 
     def p(theta: float) -> np.ndarray:
@@ -375,21 +376,29 @@ def steps_estimate(u: float) -> float:
     return 1.0 / (2.0 * u)
 
 
+def _check_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a square unitary matrix; returns it with its adjoint."""
+    u = np.asarray(u, dtype=np.complex128)
+    n = u.shape[0]
+    if u.shape != (n, n):
+        raise ValueError("U must be square")
+    u_dag = u.conj().T
+    if np.max(np.abs(u_dag @ u - np.eye(n))) > 1e-10:
+        raise ValueError("U must be unitary")
+    return u, u_dag
+
+
 def general_iterate(u_mat: np.ndarray, i: int, f: int) -> np.ndarray:
     """General search iterate G = -I_i U^{-1} I_f U for basis states i, f."""
-    u_mat = np.asarray(u_mat, dtype=np.complex128)
+    u_mat, u_dag = _check_unitary(u_mat)
     n = u_mat.shape[0]
-    if u_mat.shape != (n, n):
-        raise ValueError("U must be square")
-    if np.max(np.abs(u_mat.conj().T @ u_mat - np.eye(n))) > 1e-10:
-        raise ValueError("U must be unitary")
     if not (0 <= i < n and 0 <= f < n):
         raise ValueError("state indices out of range")
     ii = np.eye(n, dtype=np.complex128)
     ii[i, i] = -1.0
     if_ = np.eye(n, dtype=np.complex128)
     if_[f, f] = -1.0
-    return -ii @ u_mat.conj().T @ if_ @ u_mat
+    return -ii @ u_dag @ if_ @ u_mat
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,22 @@ locks the per-particle complex structures together and cuts the real
 dimension from 4^n to 2^(n+1).
 
 The search-plane rotor dynamics run in a single copy of the algebra with the
-identification e_target = e3, e_bad = e1.
+identification e_target = e3, e_bad = e1.  The plane's angle and the uniform
+state's coordinates are those of :mod:`qsearch.grover_digital`; the rotor
+orbit is walked in one place, one sandwich per step.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from . import CrossCheckError
+from . import grover_digital as gd
 from .ga_core import (
     CL3,
     Multivector,
@@ -29,7 +34,6 @@ from .ga_core import (
     grade_project,
     reverse,
 )
-from .grover_digital import SearchPlaneState
 
 TOL_STATE = 1e-10
 
@@ -325,16 +329,14 @@ def register_to_state(reg: GaRegister) -> np.ndarray:
 
 
 def _plane_vector(n: int) -> Multivector:
-    theta = math.asin(1.0 / math.sqrt(n))
+    theta = gd.theta_for(n)
     return math.sin(theta) * E_TARGET + math.cos(theta) * E_BAD
 
 
 def ga_grover_rotor(n: int) -> Rotor:
     """Half-iterate rotor g = cos(theta) + e_target e_bad sin(theta),
     sin(theta) = 1/sqrt(N); sandwiching with it advances one full iteration."""
-    if n < 2:
-        raise ValueError("N must be at least 2")
-    theta = math.asin(1.0 / math.sqrt(n))
+    theta = gd.theta_for(n)
     plane = geometric_product(E_TARGET, E_BAD)
     mv = Multivector.scalar(CL3, math.cos(theta)) + math.sin(theta) * plane
     return Rotor(mv)
@@ -342,30 +344,33 @@ def ga_grover_rotor(n: int) -> Rotor:
 
 def ga_grover_multivector(n: int) -> Multivector:
     """Full-iterate multivector (N-2)/N + (2 sqrt(N-1)/N) e_target e_bad."""
-    if n < 2:
-        raise ValueError("N must be at least 2")
+    gd.check_plane_size(n)
     plane = geometric_product(E_TARGET, E_BAD)
     return Multivector.scalar(CL3, (n - 2) / n) + (2.0 * math.sqrt(n - 1) / n) * plane
 
 
-def ga_grover_orbit(n: int, k_max: int) -> list[SearchPlaneState]:
+def _rotor_orbit(n: int) -> Iterator[Multivector]:
+    """The initial plane vector, then its rotor sandwiches without end, one
+    sandwich per step taken."""
+    g = ga_grover_rotor(n)
+    v = _plane_vector(n)
+    while True:
+        yield v
+        v = g.apply(v)
+
+
+def ga_grover_orbit(n: int, k_max: int) -> list[gd.SearchPlaneState]:
     """Plane coordinates after k = 0..k_max iterations, via actual repeated
     rotor sandwiching of the initial state vector, one sandwich per step."""
     if k_max < 0:
         raise ValueError("iteration count must be nonnegative")
-    g = ga_grover_rotor(n)
-    v = _plane_vector(n)
-    orbit = []
-    for k in range(k_max + 1):
-        if k:
-            v = g.apply(v)
-        orbit.append(
-            SearchPlaneState(a_target=float(v.coeffs[0b100]), a_bad=float(v.coeffs[0b001]))
-        )
-    return orbit
+    return [
+        gd.SearchPlaneState(a_target=float(v.coeffs[0b100]), a_bad=float(v.coeffs[0b001]))
+        for v in islice(_rotor_orbit(n), k_max + 1)
+    ]
 
 
-def ga_grover_apply(k: int, n: int) -> SearchPlaneState:
+def ga_grover_apply(k: int, n: int) -> gd.SearchPlaneState:
     """Plane coordinates after k iterations: the last point of the orbit."""
     return ga_grover_orbit(n, k)[-1]
 
@@ -373,25 +378,19 @@ def ga_grover_apply(k: int, n: int) -> SearchPlaneState:
 def ga_iterations_to_peak(n: int) -> int:
     """Smallest k whose sandwiched target coordinate reaches cos(theta) =
     sqrt(1 - 1/N), found by iterating the rotor."""
-    g = ga_grover_rotor(n)
-    v = _plane_vector(n)
-    bound = math.sqrt((n - 1) / n)
-    k = 0
-    while v.coeffs[0b100] < bound:
-        v = g.apply(v)
-        k += 1
-        if k > 4 * int(math.sqrt(n)) + 8:
+    _, bound = gd.alpha_beta(n)
+    limit = 4 * int(math.sqrt(n)) + 8
+    for k, v in enumerate(_rotor_orbit(n)):
+        if v.coeffs[0b100] >= bound:
+            return k
+        if k == limit:
             raise CrossCheckError("rotor iteration failed to reach the target band")
-    return k
 
 
 def ga_fenner_basis_change(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rotation A aligning the search-plane frame with the (e3, e1) frame used
     by the Hamiltonian picture, and its inverse; det A = +1 and A A^T = I."""
-    if n < 2:
-        raise ValueError("N must be at least 2")
-    alpha = 1.0 / math.sqrt(n)
-    beta = math.sqrt((n - 1) / n)
+    alpha, beta = gd.alpha_beta(n)
     a = np.array([[beta, alpha], [-alpha, beta]])
     return a, a.T.copy()
 

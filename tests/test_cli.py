@@ -13,8 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsearch import analog_search as an
 from qsearch import cli
+from qsearch import grover_digital as gd
 from qsearch import info_geom as ig
+from qsearch import msta
 from qsearch.ga_core import Rotor
 
 
@@ -441,12 +444,17 @@ class TestGaVerify:
 
     def test_one_sandwich_per_step(self, tmp_path, monkeypatch):
         # k_max = 2, 6 and 12: one rotor sandwich per step, not one per
-        # step of every prefix (102)
+        # step of every prefix (102), and one state-vector iterate per step,
+        # none past k_max (23)
         calls = []
         apply = Rotor.apply
         monkeypatch.setattr(Rotor, "apply", lambda self, v: calls.append(1) or apply(self, v))
+        iterates = []
+        iterate = cli.gd.grover_iterate
+        monkeypatch.setattr(cli.gd, "grover_iterate", lambda s, t: iterates.append(1) or iterate(s, t))
         assert run_cli(["ga-verify", "--N-list", "4,16,64", "--samples", "10"], tmp_path) == 0
         assert len(calls) == 20
+        assert len(iterates) == 20
 
 
 class TestSweep:
@@ -629,17 +637,19 @@ class TestNumericDomain:
     never rows of NaN with exit 0, and never a traceback."""
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, message, out",
         [
-            (["damped", "--A", "1e308"], "non-finite value"),
-            (["damped", "--B", "1e308"], "non-finite value"),
-            (["analog", "--model", "farhi-gutmann", "--N", "64", "--E", "1e308"], "non-finite value"),
-            (["geodesic", "--N", "4", "--theta-end", "1e300", "--dtheta", "1e295"], "non-finite value"),
-            (["damped", "--gamma", "1e308"], ""),
-            (["damped", "--gamma", "1e-300"], ""),
-            (["geodesic", "--N", "4", "--theta-end", "-1"], "positive --theta-end"),
-            (["geodesic", "--N", "4", "--theta-end", "0"], "positive --theta-end"),
-            (["damped", "--theta-end", "-1"], "must be positive"),
+            (["damped", "--A", "1e308"], "non-finite value", "."),
+            (["damped", "--B", "1e308"], "non-finite value", "."),
+            (["analog", "--model", "farhi-gutmann", "--N", "64", "--E", "1e308"], "non-finite value", "."),
+            (["geodesic", "--N", "4", "--theta-end", "1e300", "--dtheta", "1e295"], "non-finite value", "."),
+            (["damped", "--gamma", "1e308"], "", "."),
+            (["damped", "--gamma", "1e-300"], "", "."),
+            (["geodesic", "--N", "4", "--theta-end", "-1"], "positive --theta-end", "."),
+            (["geodesic", "--N", "4", "--theta-end", "0"], "positive --theta-end", "."),
+            (["damped", "--theta-end", "-1"], "must be positive", "."),
+            # the directory made for the refused table goes again
+            (["damped", "--B", "1e308"], "non-finite value", "fresh/out"),
         ],
         ids=[
             "damped-A-nan-rows",
@@ -651,14 +661,66 @@ class TestNumericDomain:
             "geodesic-negative-horizon",
             "geodesic-zero-horizon",
             "damped-negative-horizon",
+            "damped-B-nan-rows-fresh-out",
         ],
     )
-    def test_exit_3_and_nothing_written(self, tmp_path, capsys, argv, message):
-        assert run_cli(argv, tmp_path) == cli.EXIT_DOMAIN
+    def test_exit_3_and_nothing_written(self, tmp_path, capsys, argv, message, out):
+        assert run_cli(argv, tmp_path / out) == cli.EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.startswith("qsearch: error: ") and err.count("\n") == 1
         assert message in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["damped", "--B", "1e308"], ["analog", "--model", "farhi-gutmann", "--N", "64", "--E", "1e308"]],
+        ids=["damped", "farhi-gutmann"],
+    )
+    def test_one_stderr_line_in_a_fresh_process(self, tmp_path, argv):
+        # a fresh interpreter prints numpy's RuntimeWarnings, which pytest
+        # would otherwise capture
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsearch.cli", *argv, "--out", str(tmp_path)], capture_output=True, text=True
+        )
+        assert proc.returncode == cli.EXIT_DOMAIN
+        assert proc.stderr.startswith("qsearch: error: cannot write the non-finite value")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["digital", "--N", "1"],
+            ["infogeo", "--family", "grover", "--N", "1"],
+            gd.theta_for,
+            gd.alpha_beta,
+            an.fenner_time,
+            msta.ga_grover_rotor,
+            msta.ga_grover_multivector,
+            msta.ga_fenner_basis_change,
+            ig.grover_family,
+            lambda n: gd.plane_coordinates(gd.init_uniform(n), 0),
+        ],
+        ids=[
+            "digital",
+            "infogeo",
+            "theta_for",
+            "alpha_beta",
+            "fenner_time",
+            "ga_grover_rotor",
+            "ga_grover_multivector",
+            "ga_fenner_basis_change",
+            "grover_family",
+            "plane_coordinates",
+        ],
+    )
+    def test_search_plane_needs_two_states(self, tmp_path, capsys, entry):
+        if isinstance(entry, list):
+            assert run_cli(entry, tmp_path) == cli.EXIT_DOMAIN
+            assert capsys.readouterr().err == "qsearch: error: N must be at least 2\n"
+            assert list(tmp_path.iterdir()) == []
+        else:
+            with pytest.raises(ValueError, match="N must be at least 2"):
+                entry(1)
 
 
 class TestRowCap:

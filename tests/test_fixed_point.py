@@ -123,6 +123,20 @@ class TestFailureLaw:
         with pytest.raises(ValueError):
             fp.fixed_point_run(walsh_hadamard(2), target=0, depth=1, source=np.ones(4))
 
+    @pytest.mark.parametrize(
+        "u, message",
+        [(np.eye(2, 3), "U must be square"), (np.array([[1.0, 1.0], [0.0, 1.0]]), "U must be unitary")],
+        ids=["non-square", "non-unitary"],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [lambda u: fp.fixed_point_run(u, target=1, depth=1), lambda u: ig.general_iterate(u, 0, 1)],
+        ids=["fixed_point_run", "general_iterate"],
+    )
+    def test_matrix_that_is_not_unitary_rejected(self, run, u, message):
+        with pytest.raises(ValueError, match=message):
+            run(u)
+
     def test_closed_form_examples(self):
         assert abs(fp.closed_form_failure(0.1, 1) - 1e-3) < 1e-18
         assert abs(fp.closed_form_failure(0.1, 2) - 1e-9) < 1e-22

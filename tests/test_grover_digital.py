@@ -1,5 +1,6 @@
 """Digital simulator checks: exact N=4 values, closed form vs simulation,
 matrix representations, unitarity and involution properties."""
+import itertools
 import math
 
 import numpy as np
@@ -74,6 +75,23 @@ class TestGroverIterate:
                 coords = gd.plane_coordinates(gd.run_grover(n, k, target=1), target=1)
                 assert abs(coords.a_target - math.sin((2 * k + 1) * theta)) < 1e-10
                 assert abs(coords.a_bad - math.cos((2 * k + 1) * theta)) < 1e-10
+
+    def test_orbit_is_the_iterate_chain(self, monkeypatch):
+        # point k is k iterates of the uniform state, bit for bit, and taking
+        # k + 1 points makes k iterates, none ahead
+        n, target, k_max = 37, 5, 9
+        state = gd.init_uniform(n)
+        chain = [state]
+        for _ in range(k_max):
+            state = gd.grover_iterate(state, target)
+            chain.append(state)
+        calls = []
+        iterate = gd.grover_iterate
+        monkeypatch.setattr(gd, "grover_iterate", lambda s, t: calls.append(1) or iterate(s, t))
+        orbit = list(itertools.islice(gd.grover_orbit(n, target), k_max + 1))
+        assert len(calls) == k_max
+        for got, want in zip(orbit, chain, strict=True):
+            assert np.array_equal(got, want)
 
     def test_plane_closure_bad_amplitudes_stay_equal(self):
         n, target = 32, 7
