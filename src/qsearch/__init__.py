@@ -5,8 +5,8 @@ Subpackages:
 - ``ga_core``: signature-generic real Clifford algebra kernel
 - ``msta``: translation layer between complex Hilbert-space objects and real
   multivectors, plus the rotor form of the search iterate
-- ``grover_digital``: exact complex state-vector simulator of the digital
-  search
+- ``grover_digital``: exact state-vector simulator of the digital search, on
+  real amplitudes stepped in place
 - ``analog_search``: continuous-time search Hamiltonians and their evolution
 - ``info_geom``: Fisher/Wigner-Yanase metrics, geodesics, step counting
 - ``fixed_point``: the pi/3 fixed-point recursion and the damped geodesic

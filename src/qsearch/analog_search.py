@@ -21,7 +21,7 @@ one exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +30,14 @@ from .grover_digital import alpha_beta
 TOL_ALG = 1e-12
 
 
-@dataclass(frozen=True)
-class PlaneHamiltonian:
+class PlaneHamiltonian(NamedTuple):
     """2x2 Hermitian generator on the search plane; :func:`plane_propagator`
     checks it."""
 
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
+class EvolutionResult(NamedTuple):
     """State coordinates on (target, bad) at time ts and the target
     probability; with an array of times, one state and one probability per
     time."""

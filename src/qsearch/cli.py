@@ -34,9 +34,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 # OpenBLAS starts its worker threads when numpy is imported, before any BLAS
 # call runs, and an idle worker still spins on a CPU: on a 2-CPU host a bare
@@ -93,21 +93,23 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
+    """A run's record; `record` appends each CSV's path and SHA-256 to
+    `outputs`, and `write` saves the fields as `<command>_manifest.json`."""
+
     command: str
     params: dict
-    started: str = ""
-    finished: str = ""
+    started: str
+    finished: str
+    outputs: list
     tool_version: str = __version__
-    outputs: list = field(default_factory=list)
 
     def record(self, path: Path) -> None:
         self.outputs.append({"path": str(path), "sha256": _sha256(path)})
 
     def write(self, out_dir: Path) -> Path:
         target = out_dir / f"{self.command}_manifest.json"
-        target.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        target.write_text(json.dumps(self._asdict(), indent=2, sort_keys=True) + "\n")
         return target
 
 
@@ -141,7 +143,7 @@ def _dispatch(args) -> list[Path]:
             for d in made:
                 d.rmdir()
         raise
-    manifest = RunManifest(command=args.subcommand, params=params, started=started, finished=_utc_now())
+    manifest = RunManifest(args.subcommand, params, started, _utc_now(), outputs=[])
     for path in outputs:
         manifest.record(path)
     manifest.write(out_dir)
@@ -151,16 +153,19 @@ def _dispatch(args) -> list[Path]:
 # -- digital ------------------------------------------------------------------
 
 
-# largest accepted N: a state is 64 MiB here, and `--k auto` at the cap takes
-# about 110 s on a 2-CPU host
+# largest accepted N: a state is 32 MiB of float64 amplitudes here, and
+# `--k auto` at the cap (1608 in-place iterates) takes about 6 s and peaks near
+# 66 MB RSS on a 2-CPU host
 _N_CAP = 1 << 22
 
-# largest step count of a time or angle grid, of `digital --k` and
-# `ga-verify --k-max`, and of `infogeo --points`: about ten times the finest
-# fenner grid of a sweep over N <= 4096 at dt = 1e-3.  The rows built at the
-# cap peak near 470 MB RSS (`ga-verify --k-max`, about 45 s on a 2-CPU host),
-# 330 MB for `digital --k` and `infogeo --points`, and 270 MB for an `analog`
-# grid of either model (about 9 s)
+# largest step count of a time or angle grid, of `digital --k`, of
+# `ga-verify --k-max` and `--samples`, and of `infogeo --points`: about ten
+# times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  The
+# rows built at the cap peak near 470 MB RSS (`ga-verify --k-max`, about 45 s
+# on a 2-CPU host), 330 MB for `digital --k` and `infogeo --points`, and
+# 270 MB for an `analog` grid of either model (about 9 s); `ga-verify
+# --samples` at the cap, which draws every sample at once, peaks near 180 MB
+# (about 16 s)
 _ROW_CAP = 1 << 20
 
 
@@ -186,8 +191,6 @@ def cmd_digital(args):
         raise ValueError(f"N is capped at {_N_CAP} in the CLI")
     theta = gd.theta_for(n)
     target = args.target
-    if not 0 <= target < n:
-        raise ValueError(f"target index {target} out of range for N={n}")
     if args.k == "auto":
         k_final = gd.optimal_iterations(n)
     else:
@@ -392,6 +395,7 @@ def cmd_ga_verify(args):
         raise ValueError("N list must be nonempty")
     if args.k_max is not None:
         _check_rows(args.k_max, "iteration count")
+    _check_rows(args.samples, "sample count")
     for n in n_list:
         # the state-vector side holds a state of N amplitudes, as digital does
         if not 2 <= n <= _N_CAP:
@@ -410,14 +414,16 @@ def cmd_ga_verify(args):
             worst = max(worst, dev)
             rows.append(("plane_coords", n, k, rotor.a_target, digital.a_target, dev))
         rows.append(("plane_coords_max", n, k_max, worst, 0.0, worst))
-    rng = np.random.default_rng(np.random.PCG64(args.seed))
+    # one draw of every sample's four normals reads the PCG64 stream in the
+    # order that one draw per sample would
+    v = np.random.default_rng(np.random.PCG64(args.seed)).normal(size=(args.samples, 4))
+    cols = v[:, 0::2] + 1j * v[:, 1::2]
+    cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+    alphas, betas = cols.T.tolist()
     worst_rt = 0.0
-    for _ in range(args.samples):
-        v = rng.normal(size=4)
-        col = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
-        col /= np.linalg.norm(col)
-        back = msta.mv_to_qubit(msta.qubit_to_mv(col[0], col[1]))
-        worst_rt = max(worst_rt, abs(back[0] - col[0]), abs(back[1] - col[1]))
+    for alpha, beta in zip(alphas, betas):
+        back = msta.mv_to_qubit(msta.qubit_to_mv(alpha, beta))
+        worst_rt = max(worst_rt, abs(back[0] - alpha), abs(back[1] - beta))
     rows.append(("qubit_roundtrip", args.samples, 0, worst_rt, 0.0, worst_rt))
 
     return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], rows)], []
@@ -430,8 +436,7 @@ class SweepConfigError(ValueError):
     """Malformed sweep configuration: reported as a usage error."""
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(NamedTuple):
     subcommand: str
     grids: dict
     fixed: dict

@@ -25,8 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,8 +51,7 @@ def selective_phase(state: np.ndarray, anchor_state: np.ndarray, phi: float) -> 
     return state - (1.0 - cmath.exp(1j * phi)) * overlap * anchor
 
 
-@dataclass(frozen=True)
-class RecursionState:
+class RecursionState(NamedTuple):
     """One depth of the recursion: overlap, failure probability, and the
     exactly simulated state."""
 
@@ -63,8 +61,7 @@ class RecursionState:
     state: np.ndarray
 
 
-@dataclass(frozen=True)
-class UnitaryOperator:
+class UnitaryOperator(NamedTuple):
     """A unitary on C^n given by its action on states: apply(v) = U v and
     apply_dag(v) = U^dag v."""
 
@@ -217,8 +214,7 @@ def coefficient_identity_check(eps: float, tol: float = 1e-14) -> bool:
 # -- damped family -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DampedFamily:
+class DampedFamily(NamedTuple):
     """Two-component family p_0 = 1 - xi e^{-theta}, p_1 = xi e^{-theta} with
     differentiable xi taking values in (0, 1]."""
 

@@ -17,7 +17,6 @@ worker processes or threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -26,18 +25,27 @@ import numpy as np
 TOL_ALG = 1e-12
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Clifford algebra signature: p basis squares of +1, q of -1."""
-
+class _SignatureFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
+
+class Signature(_SignatureFields):
+    """Clifford algebra signature: p basis squares of +1, q of -1."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "Signature":
+        if p < 0 or q < 0:
             raise ValueError("signature counts must be nonnegative")
-        if self.p + self.q > 8:
+        if p + q > 8:
             raise ValueError("p + q must not exceed 8")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds its result through `_make`, past `__new__`'s checks
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
@@ -90,6 +98,13 @@ def _product_tables(sig: Signature) -> _ProductTables:
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+@lru_cache(maxsize=None)
+def _odd_blades(sig: Signature) -> np.ndarray:
+    odd = _grades(sig) % 2 == 1
+    odd.setflags(write=False)
+    return odd
 
 
 @lru_cache(maxsize=None)
@@ -271,6 +286,16 @@ def _require_grade(v: Multivector, g: int, what: str) -> None:
         raise ValueError(f"{what} must be homogeneous of grade {g}")
 
 
+def require_even(v: Multivector, tol: float, what: str) -> None:
+    """Raise unless every odd-grade coefficient of v is within tol times
+    max(1, max |coefficient|) of zero."""
+    odd = v.coeffs[_odd_blades(v.sig)]
+    worst = np.max(np.abs(odd)) if odd.size else 0.0
+    # worst > tol * max(1, max_abs), reading max_abs only past the first test
+    if worst > tol and worst > tol * v.max_abs():
+        raise ValueError(f"{what} must have even grades only")
+
+
 # -- reflections, rotors, orientation ---------------------------------------
 
 
@@ -329,15 +354,15 @@ def rotate(v: Multivector, plane: Multivector, angle: float) -> Multivector:
 
 
 class Rotor:
-    """Unit even multivector acting by the two-sided sandwich product."""
+    """Unit even multivector acting by the two-sided sandwich product; its
+    reverse is formed once, at construction."""
 
-    __slots__ = ("mv",)
+    __slots__ = ("mv", "_rev")
 
     def __init__(self, mv: Multivector) -> None:
-        odd = mv.coeffs[_grades(mv.sig) % 2 == 1]
-        if odd.size and np.max(np.abs(odd)) > TOL_ALG * max(1.0, mv.max_abs()):
-            raise ValueError("rotor must have even grades only")
-        rr = geometric_product(mv, reverse(mv))
+        require_even(mv, TOL_ALG, "rotor")
+        rev = reverse(mv)
+        rr = geometric_product(mv, rev)
         if abs(rr.scalar_part() - 1.0) > 1e-9:
             raise ValueError(f"rotor must be unit: <R R~>_0 = {rr.scalar_part()}")
         rest = rr.coeffs.copy()
@@ -345,12 +370,13 @@ class Rotor:
         if np.max(np.abs(rest)) > 1e-9:
             raise ValueError("R R~ must be scalar")
         object.__setattr__(self, "mv", mv)
+        object.__setattr__(self, "_rev", rev)
 
     def __setattr__(self, name, value):
         raise AttributeError("Rotor is immutable")
 
     def apply(self, v: Multivector) -> Multivector:
-        return geometric_product(geometric_product(self.mv, v), reverse(self.mv))
+        return geometric_product(geometric_product(self.mv, v), self._rev)
 
     def __repr__(self) -> str:
         return f"Rotor({self.mv!r})"

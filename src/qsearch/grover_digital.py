@@ -1,10 +1,13 @@
-"""Exact complex state-vector simulator of the digital search, and the one
-definition of the search plane that the rotor and Hamiltonian pictures use.
+"""State-vector simulator of the digital search, and the one definition of
+the search plane that the rotor and Hamiltonian pictures use.
 
-States are plain numpy complex arrays of length N.  N is arbitrary (not only
-powers of two); the Walsh-Hadamard construction only fixes the uniform initial
-state, which is well defined for any N.  All operations are state-in/state-out
-pure functions, and :func:`grover_orbit` makes one iterate per step taken.
+States are plain numpy arrays of length N.  N is arbitrary (not only powers
+of two); the Walsh-Hadamard construction only fixes the uniform initial
+state, which is well defined for any N.  That state is real, and both
+reflections of the iterate keep a state real, so the simulator steps float64
+amplitudes; the reflections also take complex states.  Each operation
+returns a new state unless it is handed an `out` buffer, and
+:func:`grover_orbit` steps one buffer in place, one iterate per step taken.
 
 The plane, spanned by the collective non-target state and the target state,
 needs N >= 2; its angle (:func:`theta_for`) and the uniform state's
@@ -14,15 +17,13 @@ on it order their rows and columns (bad, target).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SearchPlaneState:
+class SearchPlaneState(NamedTuple):
     """Real coordinates of a state on the (target, bad) search plane."""
 
     a_target: float
@@ -52,48 +53,62 @@ def alpha_beta(n: int) -> tuple[float, float]:
 
 
 def init_uniform(n: int) -> np.ndarray:
+    """The uniform state 1/sqrt(N) on every basis state, as real amplitudes."""
     if n < 1:
         raise ValueError("N must be positive")
-    return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+    return np.full(n, 1.0 / math.sqrt(n))
 
 
-def _check_target(state: np.ndarray, target: int) -> None:
-    if not 0 <= target < state.shape[0]:
-        raise ValueError(f"target index {target} out of range for N={state.shape[0]}")
+def _check_target(n: int, target: int) -> None:
+    if not 0 <= target < n:
+        raise ValueError(f"target index {target} out of range for N={n}")
 
 
-def oracle_apply(state: np.ndarray, target: int) -> np.ndarray:
-    """Flip the amplitude of the marked state."""
-    _check_target(state, target)
-    out = state.copy()
+def oracle_apply(state: np.ndarray, target: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Flip the amplitude of the marked state, into a new array or into
+    `out`, which may be `state` itself."""
+    _check_target(state.shape[0], target)
+    if out is None:
+        out = state.copy()
+    elif out is not state:
+        np.copyto(out, state)
     out[target] = -out[target]
     return out
 
 
-def inversion_about_mean(state: np.ndarray) -> np.ndarray:
-    """Send every amplitude a_x to 2*mean - a_x.
+def inversion_about_mean(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Send every amplitude a_x to 2*mean - a_x, into a new array or into
+    `out`, which may be `state` itself.
 
     This is the reflection 2|u><u| - I about the uniform state |u>:
     conjugating the zero-state phase flip by the Walsh-Hadamard transform
     gives H (2|0><0| - I) H = 2|u><u| - I, and (2|u><u| - I) a has components
     2 mean(a) - a_x.  It is unitary and an involution.
     """
-    mean = state.mean()
-    return 2.0 * mean - state
+    return np.subtract(2.0 * state.mean(), state, out=out)
 
 
-def grover_iterate(state: np.ndarray, target: int) -> np.ndarray:
-    return inversion_about_mean(oracle_apply(state, target))
+def grover_iterate(state: np.ndarray, target: int, out: np.ndarray | None = None) -> np.ndarray:
+    """One iterate, the oracle then the inversion about the mean, as a new
+    state or into `out` (with out=state, in place).  Both reflections work in
+    the one output array, so the result is the same, bit for bit, however it
+    is called."""
+    flipped = oracle_apply(state, target, out)
+    return inversion_about_mean(flipped, out=flipped)
 
 
 def grover_orbit(n: int, target: int = 0) -> Iterator[np.ndarray]:
     """The uniform state, then its iterates k = 1, 2, ... without end; each
-    iterate is computed only when the next state is asked for."""
+    iterate is computed only when the next state is asked for.
+
+    The orbit steps one real buffer in place: every state it yields is that
+    buffer, which the next step overwrites, so a caller who keeps a state
+    must copy it.  The target is checked before the buffer is allocated."""
+    _check_target(n, target)
     state = init_uniform(n)
-    _check_target(state, target)
     while True:
         yield state
-        state = grover_iterate(state, target)
+        grover_iterate(state, target, out=state)
 
 
 def run_grover(n: int, k: int, target: int = 0) -> np.ndarray:
@@ -109,8 +124,8 @@ def plane_coordinates(state: np.ndarray, target: int) -> SearchPlaneState:
     The bad coordinate is the overlap with the normalized uniform superposition
     of all non-target basis states.
     """
-    _check_target(state, target)
     n = state.shape[0]
+    _check_target(n, target)
     check_plane_size(n)
     a_t = state[target]
     a_b = (state.sum() - a_t) / math.sqrt(n - 1)

@@ -38,8 +38,7 @@ remaining distance is 4 (1 - u^2), and the equal-step count scales as 1/(2u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,8 +57,17 @@ def _central_diff(f: Callable[[float], np.ndarray], theta: float) -> np.ndarray:
     return (np.asarray(f(theta + h)) - np.asarray(f(theta - h))) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class ParametricFamily:
+class _ParametricFamilyFields(NamedTuple):
+    n: int
+    p: Callable[[float], np.ndarray]
+    dp: Callable[[float], np.ndarray] | None
+    phi: Callable[[float], np.ndarray] | None
+    dphi: Callable[[float], np.ndarray] | None
+    domain: tuple[float, float]
+    multiplicity: np.ndarray
+
+
+class ParametricFamily(_ParametricFamilyFields):
     """Discrete probability/phase family over one real parameter.
 
     ``p(theta)`` returns the n component probabilities; ``dp`` its analytic
@@ -69,20 +77,28 @@ class ParametricFamily:
     probability p_l and phase phi_l; it defaults to all ones.
     """
 
-    n: int
-    p: Callable[[float], np.ndarray]
-    dp: Callable[[float], np.ndarray] | None = None
-    phi: Callable[[float], np.ndarray] | None = None
-    dphi: Callable[[float], np.ndarray] | None = None
-    domain: tuple[float, float] = (0.0, math.pi / 2)
-    multiplicity: np.ndarray = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = np.ones(self.n) if self.multiplicity is None else np.array(self.multiplicity, dtype=np.float64)
-        if m.shape != (self.n,) or not np.all(m >= 1.0):
+    def __new__(
+        cls,
+        n: int,
+        p: Callable[[float], np.ndarray],
+        dp: Callable[[float], np.ndarray] | None = None,
+        phi: Callable[[float], np.ndarray] | None = None,
+        dphi: Callable[[float], np.ndarray] | None = None,
+        domain: tuple[float, float] = (0.0, math.pi / 2),
+        multiplicity=None,
+    ) -> "ParametricFamily":
+        m = np.ones(n) if multiplicity is None else np.array(multiplicity, dtype=np.float64)
+        if m.shape != (n,) or not np.all(m >= 1.0):
             raise ValueError("one multiplicity of at least 1 per component required")
         m.setflags(write=False)
-        object.__setattr__(self, "multiplicity", m)
+        return super().__new__(cls, n, p, dp, phi, dphi, domain, m)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds its result through `_make`, past `__new__`'s checks
+        return cls(*iterable)
 
     def weighted_sum(self, x: np.ndarray):
         """sum_l m_l x_l: the sum over basis states of a per-component
@@ -122,8 +138,7 @@ class ParametricFamily:
         return np.sqrt(self.probabilities(theta)) * np.exp(1j * self.phases(theta))
 
 
-@dataclass(frozen=True)
-class GeodesicSolution:
+class GeodesicSolution(NamedTuple):
     """A geodesic at the requested parameter values: ``q`` and ``qdot`` hold
     one row per value and one column per amplitude class."""
 
@@ -401,8 +416,7 @@ def general_iterate(u_mat: np.ndarray, i: int, f: int) -> np.ndarray:
     return -ii @ u_dag @ if_ @ u_mat
 
 
-@dataclass(frozen=True)
-class StepGeometryReport:
+class StepGeometryReport(NamedTuple):
     """Per-step Wigner-Yanase lengths, norms, and the plane-restricted
     determinant of the general iterate."""
 
@@ -424,8 +438,10 @@ def verify_step_geometry(u_mat: np.ndarray, i: int, f: int, n_steps: int | None 
     """Walk the iterate and report step lengths, norms, and the restricted
     determinant 1 - u^2."""
     g = general_iterate(u_mat, i, f)
+    # the complex array general_iterate validated, also for a nested list
+    u_mat = np.asarray(u_mat, dtype=np.complex128)
     n = g.shape[0]
-    u_fi = complex(np.asarray(u_mat)[f, i])
+    u_fi = complex(u_mat[f, i])
     u = abs(u_fi)
     if u == 0.0:
         raise ValueError("zero transition amplitude: the iterate never moves")
@@ -443,7 +459,7 @@ def verify_step_geometry(u_mat: np.ndarray, i: int, f: int, n_steps: int | None 
         psi = nxt
     psi_i = np.zeros(n, dtype=np.complex128)
     psi_i[i] = 1.0
-    psi_f_back = u_mat.conj().T[:, f].copy()  # U^{-1} |f>
+    psi_f_back = u_mat[f].conj()  # U^{-1} |f>
     m = np.array(
         [
             [np.vdot(psi_i, g @ psi_i), np.vdot(psi_i, g @ psi_f_back)],

@@ -17,10 +17,9 @@ orbit is walked in one place, one sandwich per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .ga_core import (
     Multivector,
     Rotor,
     geometric_product,
-    grade_project,
+    require_even,
     reverse,
 )
 
@@ -56,8 +55,7 @@ _IE = {k: _i_e(k) for k in (1, 2, 3)}
 _E3 = Multivector.basis_vector(CL3, 3)
 
 
-@dataclass(frozen=True)
-class ComplexPair:
+class ComplexPair(NamedTuple):
     """Scalar plus ie3 coefficient, behaving as a complex number."""
 
     re: float
@@ -67,18 +65,25 @@ class ComplexPair:
         return complex(self.re, self.im)
 
 
-@dataclass(frozen=True)
-class GaQubit:
-    """Even multivector a0 + a1 ie1 + a2 ie2 + a3 ie3 standing for one qubit."""
-
+class _GaQubitFields(NamedTuple):
     mv: Multivector
 
-    def __post_init__(self) -> None:
-        if self.mv.sig != CL3:
+
+class GaQubit(_GaQubitFields):
+    """Even multivector a0 + a1 ie1 + a2 ie2 + a3 ie3 standing for one qubit."""
+
+    __slots__ = ()
+
+    def __new__(cls, mv: Multivector) -> "GaQubit":
+        if mv.sig != CL3:
             raise ValueError("GaQubit lives in the algebra of physical space")
-        odd = grade_project(self.mv, 1) + grade_project(self.mv, 3)
-        if odd.max_abs() > TOL_STATE * max(1.0, self.mv.max_abs()):
-            raise ValueError("GaQubit must have even grades only")
+        require_even(mv, TOL_STATE, "GaQubit")
+        return super().__new__(cls, mv)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds its result through `_make`, past `__new__`'s checks
+        return cls(*iterable)
 
     def components(self) -> tuple[float, float, float, float]:
         c = self.mv.coeffs
@@ -193,8 +198,13 @@ def _right_mult_matrix(j: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class GaRegister:
+class _GaRegisterFields(NamedTuple):
+    n: int
+    coeffs: np.ndarray
+    correlated: bool
+
+
+class GaRegister(_GaRegisterFields):
     """Dense n-qubit register over the tensor basis of even-subalgebra copies.
 
     ``coeffs`` has shape (4,)*n; axis a indexes the basis {1, ie1, ie2, ie3}
@@ -202,15 +212,19 @@ class GaRegister:
     projected by the n-particle correlator.
     """
 
-    n: int
-    coeffs: np.ndarray
-    correlated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= _MAX_QUBITS:
+    def __new__(cls, n: int, coeffs: np.ndarray, correlated: bool = False) -> "GaRegister":
+        if not 1 <= n <= _MAX_QUBITS:
             raise ValueError(f"register size must be between 1 and {_MAX_QUBITS}")
-        if self.coeffs.shape != (4,) * self.n:
+        if coeffs.shape != (4,) * n:
             raise ValueError("coefficient array must have shape (4,)*n")
+        return super().__new__(cls, n, coeffs, correlated)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds its result through `_make`, past `__new__`'s checks
+        return cls(*iterable)
 
     def right_mult_slot(self, basis_index: int, slot: int) -> "GaRegister":
         """Right-multiply by basis element ``basis_index`` of particle ``slot``."""

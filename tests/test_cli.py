@@ -337,8 +337,12 @@ class TestDampedAndGeodesic:
         [
             (["infogeo", "--family", "grover", "--N", str(2 * cli._N_CAP)], "capped at"),
             (["geodesic", "--N", str(cli._N_CAP + 1), "--max-rows", "1"], f"N={cli._N_CAP + 1}"),
+            (
+                ["digital", "--N", str(cli._N_CAP), "--target", str(cli._N_CAP)],
+                f"target index {cli._N_CAP} out of range for N={cli._N_CAP}",
+            ),
         ],
-        ids=["infogeo-N", "geodesic-N"],
+        ids=["infogeo-N", "geodesic-N", "digital-target"],
     )
     def test_size_caps_checked_before_allocating(self, tmp_path, capsys, argv, what):
         code, peak = run_cli_traced(argv, tmp_path)
@@ -451,7 +455,9 @@ class TestGaVerify:
         monkeypatch.setattr(Rotor, "apply", lambda self, v: calls.append(1) or apply(self, v))
         iterates = []
         iterate = cli.gd.grover_iterate
-        monkeypatch.setattr(cli.gd, "grover_iterate", lambda s, t: iterates.append(1) or iterate(s, t))
+        monkeypatch.setattr(
+            cli.gd, "grover_iterate", lambda s, t, out=None: iterates.append(1) or iterate(s, t, out=out)
+        )
         assert run_cli(["ga-verify", "--N-list", "4,16,64", "--samples", "10"], tmp_path) == 0
         assert len(calls) == 20
         assert len(iterates) == 20
@@ -733,9 +739,10 @@ class TestRowCap:
             ["damped", "--theta-end", "1e300", "--dtheta", "1e-300"],
             ["digital", "--N", "4", "--k", str(cli._ROW_CAP + 1)],
             ["ga-verify", "--N-list", "4", "--k-max", str(cli._ROW_CAP + 1)],
+            ["ga-verify", "--N-list", "4", "--samples", str(cli._ROW_CAP + 1)],
             ["infogeo", "--points", str(cli._ROW_CAP + 1)],
         ],
-        ids=["fenner", "farhi-gutmann", "geodesic", "damped", "digital", "ga-verify", "infogeo"],
+        ids=["fenner", "farhi-gutmann", "geodesic", "damped", "digital", "ga-verify", "ga-verify-samples", "infogeo"],
     )
     def test_over_cap_is_domain_error(self, tmp_path, capsys, argv):
         code, peak = run_cli_traced(argv, tmp_path)
@@ -863,6 +870,13 @@ class TestRunner:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
 
+    def test_import_loads_no_dataclasses(self):
+        # the result types are named tuples: no methods are generated and
+        # compiled at start-up
+        code = "import sys, qsearch.cli; print('dataclasses' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
+
 
 class TestManifestStamps:
     def test_started_precedes_computation(self, tmp_path, monkeypatch):
@@ -874,7 +888,7 @@ class TestManifestStamps:
 
         iterate = cli.gd.grover_iterate
         monkeypatch.setattr(cli, "_utc_now", stamp)
-        monkeypatch.setattr(cli.gd, "grover_iterate", lambda *a: events.append("compute") or iterate(*a))
+        monkeypatch.setattr(cli.gd, "grover_iterate", lambda *a, **kw: events.append("compute") or iterate(*a, **kw))
         assert run_cli(["digital", "--N", "16", "--k", "3"], tmp_path) == 0
         assert events == ["stamp", "compute", "compute", "compute", "stamp"]
         manifest = json.loads((tmp_path / "digital_manifest.json").read_text())

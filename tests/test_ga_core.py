@@ -99,6 +99,21 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature(5, 4)
 
+    def test_replace_validates(self):
+        # the checked named tuples check a `_replace` as they check a call
+        qubit = msta.qubit_to_mv(1.0, 0.0)
+        register = msta.GaRegister(1, np.zeros(4))
+        assert Signature(3, 0)._replace(q=1) == Signature(3, 1)
+        assert register._replace(correlated=True).correlated
+        cases = [
+            lambda: Signature(3, 0)._replace(p=9),
+            lambda: qubit._replace(mv=Multivector.basis_vector(CL3, 1)),
+            lambda: register._replace(n=2),
+        ]
+        for case in cases:
+            with pytest.raises(ValueError):
+                case()
+
 
 class TestProductTables:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 matrix representations, unitarity and involution properties."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ class TestInitUniform:
 
     def test_n1_degenerate(self):
         assert np.allclose(gd.init_uniform(1), [1.0])
+
+    def test_real_amplitudes(self):
+        assert gd.init_uniform(5).dtype == np.float64
 
     def test_norm_random_n(self):
         rng = np.random.default_rng(0)
@@ -87,11 +91,63 @@ class TestGroverIterate:
             chain.append(state)
         calls = []
         iterate = gd.grover_iterate
-        monkeypatch.setattr(gd, "grover_iterate", lambda s, t: calls.append(1) or iterate(s, t))
-        orbit = list(itertools.islice(gd.grover_orbit(n, target), k_max + 1))
+        monkeypatch.setattr(
+            gd, "grover_iterate", lambda s, t, out=None: calls.append(1) or iterate(s, t, out=out)
+        )
+        orbit = [s.copy() for s in itertools.islice(gd.grover_orbit(n, target), k_max + 1)]
         assert len(calls) == k_max
         for got, want in zip(orbit, chain, strict=True):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 37, 1000, 4096, 100003])
+    def test_orbit_is_the_reflection_chain(self, n):
+        # the in-place real orbit against the pure reflections, bit for bit,
+        # at powers of two and between them, for several targets
+        for target in sorted({0, 1, n // 3, n - 1}):
+            want = gd.init_uniform(n)
+            for k, got in enumerate(itertools.islice(gd.grover_orbit(n, target), 12)):
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want), (n, target, k)
+                want = gd.inversion_about_mean(gd.oracle_apply(want, target))
+
+    def test_orbit_overwrites_a_state_kept_without_a_copy(self):
+        orbit = gd.grover_orbit(16, 3)
+        kept = next(orbit)
+        uniform = kept.copy()
+        step = next(orbit)
+        assert step is kept
+        assert np.array_equal(kept, gd.grover_iterate(uniform, 3))
+        assert not np.array_equal(kept, uniform)
+
+    def test_orbit_steps_in_place(self):
+        # one state of 2^16 float64 amplitudes, and no copy per step
+        n = 1 << 16
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(gd.grover_orbit(n, 5), 101):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n
+
+    def test_orbit_checks_its_target(self):
+        with pytest.raises(ValueError, match="target index 9 out of range for N=4"):
+            next(gd.grover_orbit(4, 9))
+
+    def test_out_argument_matches_the_pure_iterate(self):
+        # complex and real states: pure by default, and the same bits into
+        # a separate buffer or in place
+        rng = np.random.default_rng(6)
+        for state in (rng.normal(size=12) + 1j * rng.normal(size=12), rng.normal(size=12)):
+            before = state.copy()
+            want = gd.grover_iterate(state, 4)
+            assert np.array_equal(state, before)
+            buffer = np.empty_like(state)
+            assert gd.grover_iterate(state, 4, out=buffer) is buffer
+            assert np.array_equal(buffer, want)
+            assert gd.grover_iterate(state, 4, out=state) is state
+            assert np.array_equal(state, want)
 
     def test_plane_closure_bad_amplitudes_stay_equal(self):
         n, target = 32, 7

@@ -103,8 +103,11 @@ class TestGroverFamily:
 
     @pytest.mark.parametrize("multiplicity", [(1.0,), (1.0, 0.0)], ids=["length", "zero"])
     def test_bad_multiplicity_rejected(self, multiplicity):
+        fam = ig.ParametricFamily(n=2, p=lambda t: np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            ig.ParametricFamily(n=2, p=lambda t: np.array([0.5, 0.5]), multiplicity=multiplicity)
+            ig.ParametricFamily(n=2, p=fam.p, multiplicity=multiplicity)
+        with pytest.raises(ValueError):
+            fam._replace(multiplicity=multiplicity)
 
 
 class TestTwoLevelGrover:
@@ -592,6 +595,16 @@ class TestStepGeometry:
         assert abs(rep.u - 1.0 / 8.0) < 1e-12
         assert rep.max_step_spread() < 1e-10
         assert rep.max_norm_error() < 1e-10
+
+    def test_nested_list_unitary(self):
+        # general_iterate accepts a list; the report reads the same matrix
+        h = 1.0 / math.sqrt(2.0)
+        listed = ig.verify_step_geometry([[h, h], [h, -h]], 0, 1)
+        arrayed = ig.verify_step_geometry(np.array([[h, h], [h, -h]]), 0, 1)
+        assert listed.u == arrayed.u == h
+        assert np.array_equal(listed.step_lengths, arrayed.step_lengths)
+        assert listed.restricted_determinant == arrayed.restricted_determinant
+        assert abs(listed.restricted_determinant - listed.expected_determinant) < 1e-12
 
     def test_random_unitary_n32_full_report(self):
         rng = np.random.default_rng(48)
