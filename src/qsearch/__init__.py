@@ -1,15 +1,16 @@
 """Quantum search three ways, with the information-geometry analysis on top.
 
-Subpackages:
+Modules:
 
 - ``ga_core``: signature-generic real Clifford algebra kernel
-- ``msta``: translation layer between complex Hilbert-space objects and real
-  multivectors, plus the rotor form of the search iterate
+- ``msta``: translation between complex qubits and even multivectors, and
+  the rotor form of the search iterate
 - ``grover_digital``: exact state-vector simulator of the digital search, on
   real amplitudes stepped in place
 - ``analog_search``: continuous-time search Hamiltonians and their evolution
-- ``info_geom``: Fisher/Wigner-Yanase metrics, geodesics, step counting
+- ``info_geom``: Fisher/Wigner-Yanase metrics, geodesics, step lengths
 - ``fixed_point``: the pi/3 fixed-point recursion and the damped geodesic
+- ``bessel``: first-order Bessel functions for the damped closed form
 - ``cli``: batch command-line front end writing CSV artifacts and manifests
 """
 

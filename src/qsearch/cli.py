@@ -17,8 +17,8 @@ seed is recorded in the manifest.
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric-domain
 error (a rejected value, an overflow or division by zero, or a non-finite
 number in a table, which `write_csv` refuses to write), 4 failed internal
-cross-check (two independent computations in the library disagreed beyond
-their tolerance; nothing is written).
+cross-check (the fixed-point simulation and its coefficient track disagreed
+beyond their tolerance; nothing is written).
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
@@ -301,6 +301,12 @@ def cmd_fixed_point(args):
 # -- damped geodesic ------------------------------------------------------------
 
 
+def _stride(count: int, max_rows: int) -> int:
+    """The smallest stride that keeps at most `max_rows` of `count` points:
+    every stride-th point, from the first, is ceil(count / stride) rows."""
+    return -(-count // max_rows)
+
+
 def cmd_damped(args):
     l0, gamma, a, b = args.L0, args.gamma, args.A, args.B
     # the RK4 loop's step count
@@ -311,8 +317,7 @@ def cmd_damped(args):
     qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2.0 * h)
     sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, args.theta_end, args.dtheta)
     rows = []
-    stride = max(1, len(sol.thetas) // args.max_rows)
-    for i in range(0, len(sol.thetas), stride):
+    for i in range(0, len(sol.thetas), _stride(len(sol.thetas), args.max_rows)):
         t = float(sol.thetas[i])
         q = float(sol.q[i, 0])
         resid = fp.bessel_ode_residual(t, a, b, l0, gamma)
@@ -336,7 +341,7 @@ def cmd_geodesic(args):
     steps = max(1, _grid_steps(args.theta_end, args.dtheta, round_up=True))
     # rows keep every stride-th point of the grid i * dtheta, whose last
     # point is theta_end itself
-    stride = max(1, (steps + 1) // args.max_rows)
+    stride = _stride(steps + 1, args.max_rows)
     family = ig.grover_family(n)
     # one amplitude for the target and one shared by the N - 1 other states
     q0 = (0.0, 1.0 / math.sqrt(n - 1))
@@ -585,6 +590,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_MAX_ROWS_HELP = "write at most this many rows: every stride-th grid point from theta = 0"
+
+
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser = parser_class(
         prog="qsearch",
@@ -626,13 +634,13 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--B", type=_finite_float, default=0.0)
     p.add_argument("--theta-end", dest="theta_end", type=_finite_float, default=10.0)
     p.add_argument("--dtheta", type=_finite_float, default=1e-3)
-    p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200)
+    p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200, help=_MAX_ROWS_HELP)
 
     p = subcommand("geodesic", cmd_geodesic, "search-family geodesic with metric columns")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--dtheta", type=_finite_float, default=1e-3)
     p.add_argument("--theta-end", dest="theta_end", type=_finite_float, default=math.pi / 2)
-    p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200)
+    p.add_argument("--max-rows", dest="max_rows", type=_positive_int, default=200, help=_MAX_ROWS_HELP)
 
     p = subcommand("infogeo", cmd_infogeo, "Fisher information and kinetic energy profiles")
     p.add_argument("--family", choices=["grover", "damped-const", "damped-exp"], default="grover")

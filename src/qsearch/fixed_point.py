@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import CrossCheckError, bessel
-from .info_geom import GeodesicSolution, ParametricFamily, _central_diff, _check_unitary, geodesic_residual
+from .info_geom import GeodesicSolution, ParametricFamily, _check_unitary, geodesic_residual
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
 MAX_DEPTH = 5
@@ -201,16 +201,6 @@ def fixed_point_run(
     return states
 
 
-def coefficient_identity_check(eps: float, tol: float = 1e-14) -> bool:
-    """Verify |omega + eps|^2 = 1 + eps + eps^2 and
-    |omega (omega + eps)|^2 (1 - eps) = 1 - eps^3."""
-    lhs1 = abs(OMEGA + eps) ** 2
-    rhs1 = 1.0 + eps + eps * eps
-    lhs2 = abs(OMEGA * (OMEGA + eps)) ** 2 * (1.0 - eps)
-    rhs2 = 1.0 - eps**3
-    return abs(lhs1 - rhs1) <= tol and abs(lhs2 - rhs2) <= tol
-
-
 # -- damped family -----------------------------------------------------------
 
 
@@ -219,18 +209,12 @@ class DampedFamily(NamedTuple):
     differentiable xi taking values in (0, 1]."""
 
     xi: Callable[[float], float]
-    dxi: Callable[[float], float] | None = None
 
     def xi_at(self, theta: float) -> float:
         x = float(self.xi(theta))
         if not 0.0 < x <= 1.0:
             raise ValueError(f"xi({theta}) = {x} outside (0, 1]")
         return x
-
-    def dxi_at(self, theta: float) -> float:
-        if self.dxi is not None:
-            return float(self.dxi(theta))
-        return float(_central_diff(lambda t: np.array([self.xi(t)]), theta)[0])
 
     def probabilities(self, theta: float) -> np.ndarray:
         p1 = self.xi_at(theta) * math.exp(-theta)
@@ -240,22 +224,6 @@ class DampedFamily(NamedTuple):
 
     def as_parametric_family(self, domain=(0.0, 40.0)) -> ParametricFamily:
         return ParametricFamily(n=2, p=self.probabilities, domain=domain)
-
-
-def damped_fisher(xi, theta: float, dxi=None) -> float:
-    """Fisher information [(xi' - xi)^2 / (xi (1 - xi e^{-theta}))] e^{-theta}."""
-    fam = xi if isinstance(xi, DampedFamily) else DampedFamily(xi=xi, dxi=dxi)
-    x = fam.xi_at(theta)
-    dx = fam.dxi_at(theta)
-    p0 = 1.0 - x * math.exp(-theta)
-    if p0 <= 0.0:
-        raise ValueError("p_0 must be positive")
-    return (dx - x) ** 2 / (x * p0) * math.exp(-theta)
-
-
-def damped_kinetic(xi, theta: float, dxi=None) -> float:
-    """Kinetic energy F/4 under the constant-phase working assumption."""
-    return 0.25 * damped_fisher(xi, theta, dxi)
 
 
 # -- damped geodesic ---------------------------------------------------------
@@ -340,20 +308,6 @@ def bessel_ode_residual(theta: float, a: float, b: float, l0: float, gamma: floa
     :func:`qsearch.info_geom.geodesic_residual` of :func:`bessel_solution`,
     by central differences of step 1e-3."""
     return float(geodesic_residual(lambda t: bessel_solution(t, a, b, l0, gamma), theta, l0, gamma))
-
-
-def asymptotic_probabilities(a: float, theta: float) -> tuple[float, float]:
-    """Asymptotic damped probabilities p_1 = A e^{-2 theta}, p_0 = 1 - p_1.
-
-    At theta = 0 with A = 1 the pair degenerates to (0, 1), the boundary of
-    validity of the expansion.
-    """
-    if not 0.0 < a <= 1.0:
-        raise ValueError("amplitude constant must lie in (0, 1]")
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    p1 = a * math.exp(-2.0 * theta)
-    return 1.0 - p1, p1
 
 
 def fit_p1_decay_exponent(

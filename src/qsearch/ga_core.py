@@ -1,4 +1,6 @@
-"""Signature-generic real Clifford algebra kernel.
+"""Signature-generic real Clifford algebra kernel: dense multivectors, the
+geometric and outer products, reversion, mirrors, rotations and the rotors
+that sandwich vectors, and the orientation sign of a linear vector map.
 
 Multivectors are dense real coefficient arrays of length 2**(p+q), indexed by
 blade bitmask: bit i set means basis vector e_{i+1} is present, and blades are
@@ -7,8 +9,8 @@ the remaining ``q`` to -1, so ``Signature(3, 0)`` is the algebra of physical
 space and ``Signature(1, 3)`` the spacetime algebra.
 
 Products read cached per-signature tables: a gather index and a blade-sign
-table, plus two grade-masked copies of the signs for the inner and outer
-products.  At the cap of p + q <= 8 these take about 2 MB per signature.
+table, plus a grade-masked copy of the signs for the outer product.  At the
+cap of p + q <= 8 these take about 1.5 MB per signature.
 
 Everything here is a pure function over immutable values: coefficient arrays
 are frozen after construction, so multivectors are safe to share across
@@ -55,9 +57,6 @@ class Signature(_SignatureFields):
     def size(self) -> int:
         return 1 << self.dim
 
-    def metric(self) -> tuple[int, ...]:
-        return (1,) * self.p + (-1,) * self.q
-
 
 CL3 = Signature(3, 0)
 CL13 = Signature(1, 3)
@@ -73,7 +72,6 @@ def _grades(sig: Signature) -> np.ndarray:
 class _ProductTables(NamedTuple):
     index: np.ndarray
     geometric: np.ndarray
-    inner: np.ndarray
     outer: np.ndarray
 
 
@@ -83,18 +81,16 @@ def _product_tables(sig: Signature) -> _ProductTables:
     I[k, j] of a times blade j of b lands on blade k, so that the geometric
     product is (S * a[I]) @ b.  The sign counts the swaps that merge the two
     blades into ascending order plus the negative squares they share.  The
-    inner and outer tables keep S where grade(k) is |r - s| and r + s, for
-    factor blades of grades r and s."""
+    outer table keeps S where grade(k) is r + s, for factor blades of grades
+    r and s."""
     g = _grades(sig)
     j = np.arange(sig.size)
     idx = j[:, None] ^ j
     swaps = sum(g[(idx >> s) & j] for s in range(1, sig.dim))
     qmask = ((1 << sig.q) - 1) << sig.p
     signs = 1.0 - 2.0 * ((swaps + g[idx & j & qmask]) & 1)
-    r, s, k = g[idx], g[j], g[:, None]
-    inner = np.where(k == np.abs(r - s), signs, 0.0)
-    outer = np.where(k == r + s, signs, 0.0)
-    tables = _ProductTables(idx, signs, inner, outer)
+    outer = np.where(g[:, None] == g[idx] + g[j], signs, 0.0)
+    tables = _ProductTables(idx, signs, outer)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -137,10 +133,6 @@ class Multivector:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(sig: Signature) -> "Multivector":
-        return Multivector(sig, np.zeros(sig.size))
-
-    @staticmethod
     def scalar(sig: Signature, value: float) -> "Multivector":
         c = np.zeros(sig.size)
         c[0] = value
@@ -172,10 +164,6 @@ class Multivector:
         return Multivector(sig, c)
 
     # -- structure ----------------------------------------------------------
-
-    def grades(self) -> set[int]:
-        present = np.abs(self.coeffs) > 0.0
-        return set(int(g) for g in np.unique(_grades(self.sig)[present]))
 
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
@@ -224,11 +212,6 @@ def _check_sig(a: Multivector, b: Multivector) -> None:
         raise ValueError(f"signature mismatch: {a.sig} vs {b.sig}")
 
 
-def allclose(a: Multivector, b: Multivector, tol: float = TOL_ALG) -> bool:
-    _check_sig(a, b)
-    return bool(np.all(np.abs(a.coeffs - b.coeffs) <= tol))
-
-
 # -- core operations --------------------------------------------------------
 
 
@@ -244,21 +227,9 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return _table_product(a, b, "geometric")
 
 
-def grade_project(a: Multivector, g: int) -> Multivector:
-    if not 0 <= g <= a.sig.dim:
-        raise ValueError(f"grade {g} out of range for dimension {a.sig.dim}")
-    keep = _grades(a.sig) == g
-    return Multivector(a.sig, np.where(keep, a.coeffs, 0.0))
-
-
 def reverse(a: Multivector) -> Multivector:
     """Reversion: grade-g blades pick up (-1)**(g(g-1)/2)."""
     return Multivector(a.sig, a.coeffs * _reverse_signs(a.sig))
-
-
-def inner_product(a: Multivector, b: Multivector) -> Multivector:
-    """Grade-lowering part: <a_r b_s>_{|r-s|}, extended bilinearly."""
-    return _table_product(a, b, "inner")
 
 
 def outer_product(a: Multivector, b: Multivector) -> Multivector:
@@ -268,16 +239,6 @@ def outer_product(a: Multivector, b: Multivector) -> Multivector:
 
 def scalar_product(a: Multivector, b: Multivector) -> float:
     return geometric_product(a, b).scalar_part()
-
-
-def pseudoscalar(sig: Signature) -> Multivector:
-    return Multivector.blade(sig, sig.size - 1)
-
-
-def vector_norm(v: Multivector) -> float:
-    """Norm sqrt(<v~ v>_0) of a grade-1 multivector."""
-    sq = scalar_product(reverse(v), v)
-    return math.sqrt(abs(sq))
 
 
 def _require_grade(v: Multivector, g: int, what: str) -> None:
@@ -296,26 +257,12 @@ def require_even(v: Multivector, tol: float, what: str) -> None:
         raise ValueError(f"{what} must have even grades only")
 
 
-# -- reflections, rotors, orientation ---------------------------------------
-
-
-def reflect(v: Multivector, a: Multivector) -> Multivector:
-    """Reflection of vector v across the line of unit vector a: a v a."""
-    _check_sig(v, a)
-    _require_grade(v, 1, "reflected element")
-    _require_grade(a, 1, "reflection axis")
-    aa = scalar_product(a, a)
-    if abs(aa - 1.0) > 1e-9:
-        raise ValueError(f"reflection axis must be unit: a.a = {aa}")
-    return geometric_product(geometric_product(a, v), a)
+# -- mirrors, rotors, orientation -------------------------------------------
 
 
 def mirror(v: Multivector, n: Multivector) -> Multivector:
-    """Mirror image of vector v in the plane with unit normal n: -n v n.
-
-    Unlike :func:`reflect` (which fixes the line of its axis and is proper in
-    odd dimension), this is the improper orthogonal map with determinant -1.
-    """
+    """Mirror image of vector v in the plane with unit normal n: -n v n, the
+    improper orthogonal map with determinant -1."""
     _check_sig(v, n)
     _require_grade(v, 1, "mirrored element")
     _require_grade(n, 1, "mirror normal")
@@ -380,11 +327,6 @@ class Rotor:
 
     def __repr__(self) -> str:
         return f"Rotor({self.mv!r})"
-
-
-def rotor_from_plane(plane: Multivector, angle: float) -> Rotor:
-    """Rotor exp(plane * angle); applying it sandwiches a rotation by 2*angle."""
-    return Rotor(bivector_exp(plane, angle))
 
 
 def orientation_sign(transform: Callable[[Multivector], Multivector], sig: Signature = CL3) -> int:

@@ -29,9 +29,6 @@ class SearchPlaneState(NamedTuple):
     a_target: float
     a_bad: float
 
-    def norm_error(self) -> float:
-        return abs(self.a_target**2 + self.a_bad**2 - 1.0)
-
 
 def check_plane_size(n: int) -> None:
     """The search plane needs the target and at least one other state."""
@@ -170,19 +167,3 @@ def matrix_inversion(theta: float) -> np.ndarray:
 def matrix_oracle() -> np.ndarray:
     """Plane restriction of the oracle: diag(1, -1)."""
     return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
-
-def generalized_iterate_matrix(alpha_phase: float, beta_phase: float, theta: float) -> np.ndarray:
-    """Plane matrix of the iterate built from selective phase operators with
-    phases (alpha, beta) on the source and target states; (pi, pi) recovers
-    :func:`matrix_G`."""
-    ea = np.exp(1j * alpha_phase)
-    eb = np.exp(1j * beta_phase)
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array(
-        [
-            [(1 - ea) * c * c - 1.0, eb * (1 - ea) * s * c],
-            [(1 - ea) * s * c, eb * ((1 - ea) * s * s - 1.0)],
-        ],
-        dtype=np.complex128,
-    )

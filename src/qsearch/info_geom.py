@@ -1,4 +1,4 @@
-"""Metrics on parametric families, geodesics, step counting, thermal Fisher.
+"""Metrics on parametric families, geodesics, step lengths, thermal Fisher.
 
 A parametric family bundles component probabilities p_l(theta) and optional
 phases phi_l(theta) with analytic derivatives when available; central finite
@@ -30,10 +30,9 @@ the geodesic equation q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0 for
 the Lagrangian L0 e^{-gamma theta}: the flat case here (L0 = 2, gamma = 0)
 and the damped closed form of :mod:`qsearch.fixed_point` both call it.
 
-Step counting follows the general iterate G = -I_i U^{-1} I_f U built from two
+Step lengths follow the general iterate G = -I_i U^{-1} I_f U built from two
 selective inversions around arbitrary unitaries: the squared Wigner-Yanase
-step length is 16 u^2 (1 - u^2) with u the transition amplitude modulus, the
-remaining distance is 4 (1 - u^2), and the equal-step count scales as 1/(2u).
+step length is 16 u^2 (1 - u^2) with u the transition amplitude modulus.
 """
 from __future__ import annotations
 
@@ -230,13 +229,6 @@ def metric_row(family: ParametricFamily, theta: float, dtheta: float) -> tuple[f
     return f, k, (f + _phase_term(family, theta)) * dtheta * dtheta
 
 
-def current_density(family: ParametricFamily, theta: float, l: int) -> float:
-    """Normalized current density J_theta(l) = phi_l'(theta)."""
-    if not 0 <= l < family.n:
-        raise ValueError("component index out of range")
-    return float(family.dphases(theta)[l])
-
-
 def kinetic_energy(family: ParametricFamily, theta: float) -> float:
     """<d psi | d psi> = sum m |d psi|^2 by direct finite differencing of the
     amplitudes.
@@ -255,22 +247,6 @@ def kinetic_energy(family: ParametricFamily, theta: float) -> float:
     if low.any():
         rate[low] = _sqrt_p_rate_squared(family, theta, p)[low]
     return float(family.weighted_sum(rate))
-
-
-def kinetic_energy_via_current(family: ParametricFamily, theta: float) -> float:
-    """Same energy through F/4 + sum m J^2 p; equality with
-    :func:`kinetic_energy` is the two-route consistency check."""
-    family.check_theta(theta)
-    p = family.probabilities(theta)
-    j = family.dphases(theta)
-    return fisher_rao(family, theta) / 4.0 + float(family.weighted_sum(j * j * p))
-
-
-def state_overlap(family: ParametricFamily, theta_a: float, theta_b: float) -> complex:
-    """<psi(theta_a) | psi(theta_b)> = sum m conj(a) b."""
-    a = family.amplitudes(theta_a)
-    b = family.amplitudes(theta_b)
-    return complex(family.weighted_sum(np.conj(a) * b))
 
 
 # -- geodesics ---------------------------------------------------------------
@@ -343,52 +319,14 @@ def solve_geodesic(
     return GeodesicSolution(thetas=thetas, q=q, qdot=qdot, residual_max=resid)
 
 
-def christoffel(
-    metric_fn: Callable[[float], float],
-    theta: float,
-    dmetric_fn: Callable[[float], float] | None = None,
-) -> float:
-    """One-parameter Christoffel coefficient (1/2) g^{-1} g'."""
-    g = float(metric_fn(theta))
-    if g <= 0.0:
-        raise ValueError("metric must be positive")
-    if dmetric_fn is not None:
-        dg = float(dmetric_fn(theta))
-    else:
-        dg = _central_diff(lambda t: np.array([metric_fn(t)]), theta)[0]
-    return 0.5 * dg / g
-
-
-# -- step counting -----------------------------------------------------------
-
-
-def _check_u(u: float) -> None:
-    if not 0.0 < u <= 1.0:
-        raise ValueError("transition amplitude modulus must lie in (0, 1]")
+# -- step lengths ------------------------------------------------------------
 
 
 def wy_step_length(u: float) -> float:
     """Squared Wigner-Yanase length of one iterate step: 16 u^2 (1 - u^2)."""
-    _check_u(u)
+    if not 0.0 < u <= 1.0:
+        raise ValueError("transition amplitude modulus must lie in (0, 1]")
     return 16.0 * u * u * (1.0 - u * u)
-
-
-def wy_total_length(u: float) -> float:
-    """Squared Wigner-Yanase distance to the rotated target: 4 (1 - u^2)."""
-    _check_u(u)
-    return 4.0 * (1.0 - u * u)
-
-
-def steps_estimate(u: float) -> float:
-    """Equal-length step count sqrt(total/step) = 1/(2u).
-
-    The closed forms fix the proportionality constant at one half; u = 1 is a
-    zero-length degenerate step and is rejected.
-    """
-    _check_u(u)
-    if u == 1.0:
-        raise ValueError("u = 1 gives zero step length; the count is undefined")
-    return 1.0 / (2.0 * u)
 
 
 def _check_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,17 +426,6 @@ def boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
     shifted = -beta * (energies - energies.min())
     w = np.exp(shifted)
     return w / w.sum()
-
-
-def thermal_fisher(energies, denergies, beta: float) -> float:
-    """Fisher information beta^2 Var(dE/dtheta) of a Boltzmann family whose
-    energies depend on an external parameter."""
-    weights = boltzmann_weights(energies, beta)
-    de = np.asarray(denergies, dtype=np.float64)
-    if de.shape != weights.shape:
-        raise ValueError("one energy derivative per level required")
-    mean = float(np.sum(weights * de))
-    return beta * beta * float(np.sum(weights * (mean - de) ** 2))
 
 
 def thermal_fisher_beta(energies, beta: float) -> float:

@@ -9,13 +9,21 @@ import pytest
 
 from qsearch import analog_search as an
 from qsearch import grover_digital as gd
-from qsearch import msta
 
 
 def eig_propagator(h: np.ndarray, t: float) -> np.ndarray:
     """Independent oracle: exponentiate via eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
+
+
+def ga_fenner_basis_change(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle of the digital/analog agreement: the rotation A aligning the
+    search-plane frame with the (e3, e1) frame of the Hamiltonian picture,
+    and its inverse; det A = +1 and A A^T = I."""
+    alpha, beta = gd.alpha_beta(n)
+    a = np.array([[beta, alpha], [-alpha, beta]])
+    return a, a.T.copy()
 
 
 def unitary_series_exp(generator: np.ndarray, t: float) -> np.ndarray:
@@ -173,7 +181,7 @@ class TestDigitalAnalogAgreement:
         for n in (4, 64, 256):
             theta = gd.theta_for(n)
             alpha, beta = an.alpha_beta(n)
-            a, _ = msta.ga_fenner_basis_change(n)
+            a, _ = ga_fenner_basis_change(n)
             state = gd.init_uniform(n)
             for k in range(2 * gd.optimal_iterations(n) + 1):
                 t_k = 2 * k * theta * math.sqrt(n) / (2 * beta)

@@ -19,6 +19,7 @@ from qsearch import grover_digital as gd
 from qsearch import info_geom as ig
 from qsearch import msta
 from qsearch.ga_core import Rotor
+from test_analog_search import ga_fenner_basis_change
 
 
 def run_cli(argv, tmp_path):
@@ -277,6 +278,20 @@ class TestDampedAndGeodesic:
             run_cli([*argv, "--max-rows", "0"], tmp_path)
         assert exc.value.code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["geodesic", "--N", "8"], ["damped"]], ids=["geodesic", "damped"])
+    def test_max_rows_is_a_maximum(self, tmp_path, argv):
+        # a floor stride wrote 2 m - 1 rows for a grid of 2 m - 1 points
+        m = 5
+        for steps in range(1, 3 * m):
+            out = tmp_path / str(steps)
+            grid = ["--dtheta", "0.25", "--theta-end", str(0.25 * steps), "--max-rows", str(m)]
+            assert run_cli([*argv, *grid], out) == 0
+            (csv,) = out.glob("*.csv")
+            thetas = [float(row[0]) for row in read_csv(csv)[1]]
+            assert 1 <= len(thetas) <= m
+            if steps + 1 == 2 * m - 1:
+                assert thetas == [0.5 * i for i in range(m)]
+
     def test_geodesic_zero_step_domain_error(self, tmp_path):
         assert run_cli(["geodesic", "--N", "8", "--dtheta", "0"], tmp_path) == cli.EXIT_DOMAIN
 
@@ -314,7 +329,7 @@ class TestDampedAndGeodesic:
     @pytest.mark.parametrize(
         "argv, rows",
         [
-            (["geodesic", "--N", "64", "--max-rows", "30"], 31),
+            (["geodesic", "--N", "64", "--max-rows", "30"], 30),
             (["infogeo", "--family", "grover", "--N", "64", "--points", "17"], 17),
             (["infogeo", "--family", "damped-exp", "--points", "9"], 9),
         ],
@@ -354,7 +369,7 @@ class TestDampedAndGeodesic:
     @pytest.mark.parametrize(
         "argv, name, n_rows",
         [
-            (["geodesic", "--N", str(cli._N_CAP)], f"geodesic_N{cli._N_CAP}.csv", 225),
+            (["geodesic", "--N", str(cli._N_CAP)], f"geodesic_N{cli._N_CAP}.csv", 197),
             (["infogeo", "--family", "grover", "--N", str(cli._N_CAP)], f"infogeo_grover_N{cli._N_CAP}.csv", 200),
         ],
         ids=["geodesic", "infogeo"],
@@ -701,8 +716,7 @@ class TestNumericDomain:
             gd.alpha_beta,
             an.fenner_time,
             msta.ga_grover_rotor,
-            msta.ga_grover_multivector,
-            msta.ga_fenner_basis_change,
+            ga_fenner_basis_change,
             ig.grover_family,
             lambda n: gd.plane_coordinates(gd.init_uniform(n), 0),
         ],
@@ -713,7 +727,6 @@ class TestNumericDomain:
             "alpha_beta",
             "fenner_time",
             "ga_grover_rotor",
-            "ga_grover_multivector",
             "ga_fenner_basis_change",
             "grover_family",
             "plane_coordinates",

