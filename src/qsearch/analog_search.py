@@ -109,14 +109,10 @@ def farhi_gutmann_matrix(n: int, energy: float) -> PlaneHamiltonian:
     return PlaneHamiltonian(matrix=h)
 
 
-def fg_scan(n: int, energy: float, t_max: float | None = None, samples: int = 10**4) -> EvolutionResult:
-    """Propagate the uniform state under the two-projector Hamiltonian over a
-    uniform time grid."""
+def fg_scan(n: int, energy: float, t_max: float, samples: int) -> EvolutionResult:
+    """Propagate the uniform state under the two-projector Hamiltonian over
+    `samples` equally spaced times from 0 to t_max."""
     ham = farhi_gutmann_matrix(n, energy)
-    if t_max is None:
-        # run a quarter period past the first peak so the maximum is interior
-        # to the window
-        t_max = 1.5 * fg_peak_time(n, energy)
     if t_max <= 0.0 or samples < 2:
         raise ValueError("scan needs positive horizon and at least two samples")
     return _evolve_uniform(ham.matrix, n, np.linspace(0.0, t_max, samples))

@@ -265,10 +265,9 @@ def cmd_fixed_point(args):
     if args.epsilon is not None:
         u0 = _epsilon_unitary(args.epsilon)
         target = 1
-        source = 0
     elif args.u0 == "wh":
         # the transform keeps no matrix, only states of N amplitudes: at
-        # N = 2^20, depth 5 peaks near 250 MB RSS and takes about 16 s on a
+        # N = 2^20, depth 5 peaks near 180 MB RSS and takes about 16 s on a
         # 2-CPU host, and the cap is digital's
         if n < 2 or n > _N_CAP or n & (n - 1):
             raise ValueError(
@@ -276,7 +275,6 @@ def cmd_fixed_point(args):
             )
         u0 = fp.walsh_hadamard_operator(n.bit_length() - 1)
         target = args.target
-        source = 0
     else:
         if not 1 <= n <= _RANDOM_U0_CAP:
             raise ValueError(f"random U0 needs 1 <= N <= {_RANDOM_U0_CAP}, got N={n}")
@@ -285,8 +283,7 @@ def cmd_fixed_point(args):
         q, r = np.linalg.qr(z)
         u0 = q * (np.diag(r) / np.abs(np.diag(r)))
         target = args.target
-        source = 0
-    states = fp.fixed_point_run(u0, target=target, depth=args.depth, source=source)
+    states = fp.fixed_point_run(u0, target=target, depth=args.depth)
     eps0 = states[0].eps_k
     rows = []
     for rec in states[1:] if args.depth >= 1 else states:
@@ -352,12 +349,12 @@ def cmd_geodesic(args):
     margin = 1e-2
     rows = []
     n_q_cols = min(n, 4)
-    for t, (q_target, q_rest) in zip(sol.thetas.tolist(), sol.q.tolist()):
+    for t, (q_target, q_rest), resid in zip(sol.thetas.tolist(), sol.q.tolist(), sol.residual.tolist()):
         t_eval = min(max(t, margin), math.pi / 2 - margin)
         f, k, ds2 = ig.metric_row(family, t_eval, args.dtheta)
-        rows.append((t, f, k, ds2, q_target, *[q_rest] * (n_q_cols - 1), sol.residual_max))
+        rows.append((t, f, k, ds2, q_target, *[q_rest] * (n_q_cols - 1), resid))
 
-    header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual_max"]
+    header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual"]
     return {}, [(f"geodesic_N{n}.csv", header, rows)], []
 
 
@@ -471,11 +468,16 @@ def parse_sweep_config(path: Path) -> SweepConfig:
             items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
             if not items:
                 raise SweepConfigError(f"{path}:{lineno}: empty grid for '{key}'")
+            # two equal values would name one cell directory twice
+            if len(set(items)) < len(items):
+                raise SweepConfigError(f"{path}:{lineno}: repeated value in the grid for '{key}'")
             grids[key] = items
         else:
             fixed[key] = value
     if subcommand is None:
         raise SweepConfigError("sweep config must name a subcommand")
+    if subcommand == "sweep":
+        raise SweepConfigError("a sweep config cannot name the sweep subcommand")
     return SweepConfig(subcommand=subcommand, grids=grids, fixed=fixed)
 
 

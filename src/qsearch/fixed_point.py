@@ -1,13 +1,14 @@
 """The pi/3 fixed-point recursion and its damped information geometry.
 
 The recursion U_{k+1} = U_k R_s U_k^dag R_t U_k with selective pi/3 phase
-shifts on the source and target states drives the failure probability to
-eps^(3^k), monotonically.  The operator word grows as 3^k, so U_k is never
-materialized as a matrix: its action on a state is computed recursively, and
-a parallel coefficient track c_{k+1} = e^{i pi/3}(e^{i pi/3} + eps_k) c_k,
-eps_{k+1} = eps_k^3 cross-checks the simulation at every depth.  Depth k+1
-reuses the state U_k|s> of depth k, so reaching depth d applies U0 or its
-adjoint 3^d times in total.
+shifts on the source |s> = |0> and the target basis state, each a change of
+one amplitude, drives the failure probability to eps^(3^k), monotonically.
+The operator word grows as 3^k, so U_k is never materialized as a matrix:
+its action on a state is computed recursively, and a parallel coefficient
+track c_{k+1} = e^{i pi/3}(e^{i pi/3} + eps_k) c_k, eps_{k+1} = eps_k^3
+cross-checks the simulation at every depth.  Depth k+1 starts from U_k|s>,
+the one state the run keeps, so reaching depth d applies U0 or its adjoint
+3^d times in total.
 
 U0 itself is an operator, a pair of functions applying U0 and its adjoint:
 either a validated dense matrix with its adjoint formed once, or the
@@ -30,35 +31,28 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import CrossCheckError, bessel
-from .info_geom import GeodesicSolution, ParametricFamily, _check_unitary, geodesic_residual
+from .info_geom import ParametricFamily, _check_unitary, geodesic_residual
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
 MAX_DEPTH = 5
 TOL_TRACKS = 1e-10
 
 
-def selective_phase(state: np.ndarray, anchor_state: np.ndarray, phi: float) -> np.ndarray:
-    """Apply R = I - (1 - e^{i phi}) |a><a| to a state; phi = pi recovers the
-    plain reflection I - 2|a><a|."""
-    state = np.asarray(state, dtype=np.complex128)
-    anchor = np.asarray(anchor_state, dtype=np.complex128)
-    if anchor.shape != state.shape:
-        raise ValueError("anchor and state dimensions differ")
-    nrm = np.linalg.norm(anchor)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError("anchor state must be normalized")
-    overlap = np.vdot(anchor, state)
-    return state - (1.0 - cmath.exp(1j * phi)) * overlap * anchor
+def selective_phase(state: np.ndarray, index: int, phi: float) -> np.ndarray:
+    """Apply R = I - (1 - e^{i phi}) |index><index| to a complex state in
+    place and return it: amplitude s becomes s - (1 - e^{i phi}) s.  phi = pi
+    recovers the plain reflection I - 2|index><index|."""
+    s = state[index]
+    state[index] = s - (1.0 - cmath.exp(1j * phi)) * s
+    return state
 
 
 class RecursionState(NamedTuple):
-    """One depth of the recursion: overlap, failure probability, and the
-    exactly simulated state."""
+    """One depth of the recursion: overlap and failure probability."""
 
     k: int
     c_k: complex
     eps_k: float
-    state: np.ndarray
 
 
 class UnitaryOperator(NamedTuple):
@@ -111,36 +105,30 @@ def walsh_hadamard_operator(n_qubits: int) -> UnitaryOperator:
     return UnitaryOperator(1 << n_qubits, walsh_hadamard_transform, walsh_hadamard_transform)
 
 
-def _basis_state(n: int, index: int) -> np.ndarray:
-    if not 0 <= index < n:
-        raise ValueError(f"index {index} out of range for N={n}")
-    v = np.zeros(n, dtype=np.complex128)
-    v[index] = 1.0
-    return v
-
-
-def _apply_uk(k: int, v: np.ndarray, u0: UnitaryOperator, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+def _apply_uk(k: int, v: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.ndarray:
     if k == 0:
         return u0.apply(v)
-    return _raise_depth(k - 1, _apply_uk(k - 1, v, u0, src, tgt), u0, src, tgt)
+    return _raise_depth(k - 1, _apply_uk(k - 1, v, u0, tgt), u0, tgt)
 
 
-def _raise_depth(k: int, w: np.ndarray, u0: UnitaryOperator, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """U_k R_s U_k^dag R_t w: the map taking U_k v to U_{k+1} v."""
+def _raise_depth(k: int, w: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.ndarray:
+    """U_k R_s U_k^dag R_t w: the map taking U_k v to U_{k+1} v.  Each state
+    here is read once, by the step after it, so the phases change it in
+    place."""
     w = selective_phase(w, tgt, math.pi / 3.0)
-    w = _apply_uk_dag(k, w, u0, src, tgt)
-    w = selective_phase(w, src, math.pi / 3.0)
-    return _apply_uk(k, w, u0, src, tgt)
+    w = _apply_uk_dag(k, w, u0, tgt)
+    w = selective_phase(w, 0, math.pi / 3.0)
+    return _apply_uk(k, w, u0, tgt)
 
 
-def _apply_uk_dag(k: int, v: np.ndarray, u0: UnitaryOperator, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+def _apply_uk_dag(k: int, v: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.ndarray:
     if k == 0:
         return u0.apply_dag(v)
-    w = _apply_uk_dag(k - 1, v, u0, src, tgt)
-    w = selective_phase(w, src, -math.pi / 3.0)
-    w = _apply_uk(k - 1, w, u0, src, tgt)
+    w = _apply_uk_dag(k - 1, v, u0, tgt)
+    w = selective_phase(w, 0, -math.pi / 3.0)
+    w = _apply_uk(k - 1, w, u0, tgt)
     w = selective_phase(w, tgt, -math.pi / 3.0)
-    return _apply_uk_dag(k - 1, w, u0, src, tgt)
+    return _apply_uk_dag(k - 1, w, u0, tgt)
 
 
 def closed_form_failure(eps: float, k: int) -> float:
@@ -160,40 +148,35 @@ def coefficient_track(c0: complex, depth: int) -> list[tuple[complex, float]]:
     return out
 
 
-def fixed_point_run(
-    u0: UnitaryOperator | np.ndarray,
-    target: int,
-    depth: int,
-    source: int | np.ndarray = 0,
-) -> list[RecursionState]:
-    """Run the recursion to the given depth, returning both tracks per depth.
+def fixed_point_run(u0: UnitaryOperator | np.ndarray, target: int, depth: int) -> list[RecursionState]:
+    """Run the recursion from the all-zeros register state |0> to the given
+    depth, returning both tracks per depth.
 
     U0 is an operator, or a dense unitary matrix that is wrapped as one.  The
-    source defaults to the all-zeros register state; any basis index or
-    explicit normalized state vector may be supplied instead.  The simulated
-    and coefficient tracks must agree to TOL_TRACKS at every depth.
+    simulated and coefficient tracks must agree to TOL_TRACKS at every depth.
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_DEPTH} (operator word grows as 3^k)")
     if not isinstance(u0, UnitaryOperator):
         u0 = dense_operator(u0)
     n = u0.n
-    tgt = _basis_state(n, target)
-    if isinstance(source, (int, np.integer)):
-        src = _basis_state(n, int(source))
-    else:
-        src = np.asarray(source, dtype=np.complex128)
-        if src.shape != (n,) or abs(np.linalg.norm(src) - 1.0) > 1e-10:
-            raise ValueError("source must be a normalized length-N state")
+    # a negative index would wrap silently
+    if not 0 <= target < n:
+        raise ValueError(f"index {target} out of range for N={n}")
+    source = np.zeros(n, dtype=np.complex128)
+    source[0] = 1.0
+    psi = u0.apply(source)
     states = []
     for k in range(depth + 1):
-        psi = u0.apply(src) if k == 0 else _raise_depth(k - 1, states[-1].state, u0, src, tgt)
-        c = complex(np.vdot(tgt, psi))
+        if k:
+            psi = _raise_depth(k - 1, psi, u0, target)
+        c = complex(psi[target])
         # the failure probability is summed over the non-target amplitudes:
         # 1 - |c|^2 loses all relative precision once eps^(3^k) is tiny
-        residual = psi - c * tgt
-        eps = float(np.real(np.vdot(residual, residual)))
-        states.append(RecursionState(k=k, c_k=c, eps_k=eps, state=psi))
+        rest = psi.copy()
+        rest[target] = 0.0
+        eps = float(np.real(np.vdot(rest, rest)))
+        states.append(RecursionState(k=k, c_k=c, eps_k=eps))
     track = coefficient_track(states[0].c_k, depth)
     for rec, (c_rec, eps_rec) in zip(states, track):
         if abs(rec.c_k - c_rec) > TOL_TRACKS or abs(rec.eps_k - eps_rec) > TOL_TRACKS:
@@ -222,11 +205,19 @@ class DampedFamily(NamedTuple):
             raise ValueError("p_1 must lie strictly inside (0, 1)")
         return np.array([1.0 - p1, p1])
 
-    def as_parametric_family(self, domain=(0.0, 40.0)) -> ParametricFamily:
-        return ParametricFamily(n=2, p=self.probabilities, domain=domain)
+    def as_parametric_family(self) -> ParametricFamily:
+        return ParametricFamily(n=2, p=self.probabilities, domain=(0.0, 40.0))
 
 
 # -- damped geodesic ---------------------------------------------------------
+
+
+class DampedPath(NamedTuple):
+    """The damped geodesic at the RK4 grid points: ``q`` holds one row per
+    point and one column."""
+
+    thetas: np.ndarray
+    q: np.ndarray
 
 
 def damped_geodesic_solve(
@@ -236,11 +227,11 @@ def damped_geodesic_solve(
     qdot0: float,
     theta_end: float,
     dtheta: float = 1e-3,
-) -> GeodesicSolution:
+) -> DampedPath:
     """RK4 integration of q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0.
 
     Classic fixed-step RK4 on the pair (q, q') held as two floats; the final
-    step is shortened to land on theta_end.  The path is kept in C double
+    step is shortened to land on theta_end.  The path q is kept in C double
     arrays, 8 bytes a value, and becomes ndarrays once at the end."""
     if l0 < 0.0 or gamma < 0.0:
         raise ValueError("L0 and gamma must be nonnegative")
@@ -252,7 +243,7 @@ def damped_geodesic_solve(
 
     steps = max(1, int(math.ceil(theta_end / dtheta - 1e-12)))
     t, q, qd = 0.0, float(q0), float(qdot0)
-    ts, qs, qds = array("d", [t]), array("d", [q]), array("d", [qd])
+    ts, qs = array("d", [t]), array("d", [q])
     for _ in range(steps):
         h = min(dtheta, theta_end - t)
         half = h / 2
@@ -268,18 +259,7 @@ def damped_geodesic_solve(
         t = t + h
         ts.append(t)
         qs.append(q)
-        qds.append(qd)
-    resid = 0.0
-    for i in range(1, len(ts) - 1):
-        h = ts[i + 1] - ts[i]
-        if abs((ts[i] - ts[i - 1]) - h) > 1e-12 * max(1.0, h):
-            continue
-        d2q = (qs[i + 1] - 2.0 * qs[i] + qs[i - 1]) / (h * h)
-        dq = (qs[i + 1] - qs[i - 1]) / (2.0 * h)
-        resid = max(resid, abs(d2q + gamma * dq + 0.5 * l0 * math.exp(-gamma * ts[i]) * qs[i]))
-    return GeodesicSolution(
-        thetas=np.frombuffer(ts), q=np.frombuffer(qs)[:, None], qdot=np.frombuffer(qds)[:, None], residual_max=resid
-    )
+    return DampedPath(thetas=np.frombuffer(ts), q=np.frombuffer(qs)[:, None])
 
 
 def bessel_argument(theta: float, l0: float, gamma: float) -> float:

@@ -1,23 +1,23 @@
 """Metrics on parametric families, geodesics, step lengths, thermal Fisher.
 
-A parametric family bundles component probabilities p_l(theta) and optional
-phases phi_l(theta) with analytic derivatives when available; central finite
-differences (relative step 1e-5) fill in otherwise.  A component may stand
-for a class of m_l basis states that share one probability and one phase:
-every sum over basis states is then the weighted sum over components,
-sum_l m_l x_l, computed in one place (:meth:`ParametricFamily.weighted_sum`).
-Multiplicities default to one per component.  The Grover search family is two
-classes, the target and the N - 1 non-target states, so its metrics cost the
-same at every N.
+A parametric family bundles component probabilities p_l(theta) with their
+analytic derivative when available; central finite differences (relative
+step 1e-5) fill in otherwise.  Its states are the real amplitudes sqrt(p_l):
+every family here, the search family sin(theta)|w> + cos(theta)|r> included,
+has no relative phases, so the Wigner-Yanase line element is F dtheta^2.
+A component may stand for a class of m_l basis states that share one
+probability: every sum over basis states is then the weighted sum over
+components, sum_l m_l x_l, computed in one place
+(:meth:`ParametricFamily.weighted_sum`).  Multiplicities default to one per
+component.  The Grover search family is two classes, the target and the
+N - 1 non-target states, so its metrics cost the same at every N.
 
 The Fisher information is computed through the square-root form
 4 sum m (d sqrt(p))^2, which stays finite where components vanish; the
 p'^2/p form is used only where p is safely positive.  At a zero of p_l,
 where sqrt(p_l) has a kink, (d sqrt(p_l))^2 comes from the second difference
 of p_l, for the Fisher information and the kinetic energy alike, so the
-search family reads F = 4 and K = 1 at theta = 0 and pi/2 too.  A family
-without phases has the real amplitudes sqrt(p), so no complex arithmetic
-runs for it.
+search family reads F = 4 and K = 1 at theta = 0 and pi/2 too.
 :func:`metric_row` evaluates the Fisher-Rao metric, the kinetic energy and
 the Wigner-Yanase line element at one theta in one pass, computing the
 Fisher-Rao metric once for both.
@@ -25,10 +25,11 @@ Fisher-Rao metric once for both.
 Geodesics in amplitude coordinates q_l = sqrt(p_l) obey q'' + q = 0 once the
 Fisher information is constant at 4 and the normalization multiplier is fixed
 at one; they are evaluated in closed form, q0 cos(theta) + qdot0 sin(theta),
-one amplitude per class.  :func:`geodesic_residual` is the one residual of
-the geodesic equation q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0 for
-the Lagrangian L0 e^{-gamma theta}: the flat case here (L0 = 2, gamma = 0)
-and the damped closed form of :mod:`qsearch.fixed_point` both call it.
+one amplitude per class, with the residual at each evaluated point.
+:func:`geodesic_residual` is the one residual of the geodesic equation
+q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0 for the Lagrangian
+L0 e^{-gamma theta}: the flat case here (L0 = 2, gamma = 0) and the damped
+closed form of :mod:`qsearch.fixed_point` both call it.
 
 Step lengths follow the general iterate G = -I_i U^{-1} I_f U built from two
 selective inversions around arbitrary unitaries: the squared Wigner-Yanase
@@ -60,20 +61,17 @@ class _ParametricFamilyFields(NamedTuple):
     n: int
     p: Callable[[float], np.ndarray]
     dp: Callable[[float], np.ndarray] | None
-    phi: Callable[[float], np.ndarray] | None
-    dphi: Callable[[float], np.ndarray] | None
     domain: tuple[float, float]
     multiplicity: np.ndarray
 
 
 class ParametricFamily(_ParametricFamilyFields):
-    """Discrete probability/phase family over one real parameter.
+    """Discrete probability family over one real parameter.
 
     ``p(theta)`` returns the n component probabilities; ``dp`` its analytic
-    derivative when available.  ``phi``/``dphi`` are the component phases,
-    treated as identically zero when omitted.  ``multiplicity[l]`` is the
-    number of basis states that component l stands for, each with
-    probability p_l and phase phi_l; it defaults to all ones.
+    derivative when available.  ``multiplicity[l]`` is the number of basis
+    states that component l stands for, each with probability p_l; it
+    defaults to all ones.
     """
 
     __slots__ = ()
@@ -83,8 +81,6 @@ class ParametricFamily(_ParametricFamilyFields):
         n: int,
         p: Callable[[float], np.ndarray],
         dp: Callable[[float], np.ndarray] | None = None,
-        phi: Callable[[float], np.ndarray] | None = None,
-        dphi: Callable[[float], np.ndarray] | None = None,
         domain: tuple[float, float] = (0.0, math.pi / 2),
         multiplicity=None,
     ) -> "ParametricFamily":
@@ -92,7 +88,7 @@ class ParametricFamily(_ParametricFamilyFields):
         if m.shape != (n,) or not np.all(m >= 1.0):
             raise ValueError("one multiplicity of at least 1 per component required")
         m.setflags(write=False)
-        return super().__new__(cls, n, p, dp, phi, dphi, domain, m)
+        return super().__new__(cls, n, p, dp, domain, m)
 
     @classmethod
     def _make(cls, iterable):
@@ -114,37 +110,22 @@ class ParametricFamily(_ParametricFamilyFields):
         return np.asarray(self.p(theta), dtype=np.float64)
 
     def dprobabilities(self, theta: float) -> np.ndarray:
-        if self.dp is not None:
-            return np.asarray(self.dp(theta), dtype=np.float64)
-        return _central_diff(self.p, theta)
-
-    def phases(self, theta: float) -> np.ndarray:
-        if self.phi is None:
-            return np.zeros(self.n)
-        return np.asarray(self.phi(theta), dtype=np.float64)
-
-    def dphases(self, theta: float) -> np.ndarray:
-        if self.phi is None:
-            return np.zeros(self.n)
-        if self.dphi is not None:
-            return np.asarray(self.dphi(theta), dtype=np.float64)
-        return _central_diff(self.phi, theta)
+        """The analytic derivative dp; only a family that has one is asked."""
+        return np.asarray(self.dp(theta), dtype=np.float64)
 
     def amplitudes(self, theta: float) -> np.ndarray:
-        """sqrt(p) exp(i phi); the real sqrt(p) when the family has no phases."""
-        if self.phi is None:
-            return np.sqrt(self.probabilities(theta))
-        return np.sqrt(self.probabilities(theta)) * np.exp(1j * self.phases(theta))
+        """The real amplitudes sqrt(p)."""
+        return np.sqrt(self.probabilities(theta))
 
 
 class GeodesicSolution(NamedTuple):
-    """A geodesic at the requested parameter values: ``q`` and ``qdot`` hold
-    one row per value and one column per amplitude class."""
+    """A geodesic at the requested parameter values: ``q`` holds one row per
+    value and one column per amplitude class, and ``residual`` one
+    :func:`geodesic_residual` per value, the largest over the classes."""
 
     thetas: np.ndarray
     q: np.ndarray
-    qdot: np.ndarray
-    residual_max: float
+    residual: np.ndarray
 
 
 def grover_family(n: int) -> ParametricFamily:
@@ -169,8 +150,7 @@ def _sqrt_p_rate_squared(family: ParametricFamily, theta: float, p: np.ndarray) 
     (p(theta + h) + p(theta - h) - 2 p(theta)) / (2 h^2), clipped at 0.
 
     At a double zero of p_l this is the exact limit, where sqrt(p_l) has a
-    kink (|sin theta| at 0) and its central difference reads 0; the phase
-    term p_l phi_l'^2 vanishes there too."""
+    kink (|sin theta| at 0) and its central difference reads 0."""
     h = _fd_step(theta)
     second = family.probabilities(theta + h) + family.probabilities(theta - h) - 2.0 * p
     return np.maximum(second / (2.0 * h * h), 0.0)
@@ -203,20 +183,10 @@ def fisher_rao(family: ParametricFamily, theta: float) -> float:
     return float(4.0 * family.weighted_sum(ds * ds))
 
 
-def _phase_term(family: ParametricFamily, theta: float) -> float:
-    """4 [sum m p phi'^2 - (sum m p phi')^2], the phase part of the line
-    element; exactly 0.0 for a family without phases."""
-    if family.phi is None:
-        return 0.0
-    p = family.probabilities(theta)
-    dphi = family.dphases(theta)
-    mean_current = float(family.weighted_sum(p * dphi))
-    return 4.0 * (float(family.weighted_sum(p * dphi * dphi)) - mean_current**2)
-
-
 def wigner_yanase_line_element(family: ParametricFamily, theta: float, dtheta: float) -> float:
-    """ds^2 = {F + 4 [sum m p phi'^2 - (sum m p phi')^2]} dtheta^2."""
-    return (fisher_rao(family, theta) + _phase_term(family, theta)) * dtheta * dtheta
+    """ds^2 = F dtheta^2: the phase term 4 [sum m p phi'^2 - (sum m p phi')^2]
+    of the general line element vanishes on real amplitudes."""
+    return fisher_rao(family, theta) * dtheta * dtheta
 
 
 def metric_row(family: ParametricFamily, theta: float, dtheta: float) -> tuple[float, float, float]:
@@ -226,22 +196,20 @@ def metric_row(family: ParametricFamily, theta: float, dtheta: float) -> tuple[f
     (fisher_rao, kinetic_energy, wigner_yanase_line_element)."""
     f = fisher_rao(family, theta)
     k = kinetic_energy(family, theta)
-    return f, k, (f + _phase_term(family, theta)) * dtheta * dtheta
+    return f, k, f * dtheta * dtheta
 
 
 def kinetic_energy(family: ParametricFamily, theta: float) -> float:
-    """<d psi | d psi> = sum m |d psi|^2 by direct finite differencing of the
-    amplitudes.
+    """<d psi | d psi> = sum m (d psi)^2 by direct finite differencing of the
+    amplitudes, scaled by 1/(2h).
 
-    The difference is scaled by 1/(2h), which is also what numpy's complex
-    division by the real step 2h computes, so real and complex amplitudes
-    of one state give the same bits.  A component with p_l <= _P_FLOOR
-    contributes :func:`_sqrt_p_rate_squared` instead, since the central
-    difference of |amplitude| reads 0 at its zero."""
+    A component with p_l <= _P_FLOOR contributes :func:`_sqrt_p_rate_squared`
+    instead, since the central difference of |amplitude| reads 0 at its
+    zero."""
     family.check_theta(theta)
     h = _fd_step(theta)
     dpsi = (family.amplitudes(theta + h) - family.amplitudes(theta - h)) * (1.0 / (2.0 * h))
-    rate = np.abs(dpsi) ** 2
+    rate = dpsi * dpsi
     p = family.probabilities(theta)
     low = p <= _P_FLOOR
     if low.any():
@@ -294,9 +262,10 @@ def solve_geodesic(
     and sum m q0^2 must be 1.  Without ``multiplicity`` every state is its
     own class and q0 has N entries.
 
-    ``residual_max`` checks the path against the equation: the largest
-    :func:`geodesic_residual` of the closed form over those values, by
-    central differences of step 1e-3 (its h^2/12 truncation term dominates).
+    ``residual`` checks the path against the equation at each value: the
+    largest :func:`geodesic_residual` of the closed form over the classes,
+    by central differences of step 1e-3 (its h^2/12 truncation term
+    dominates).
     """
     q0 = np.asarray(q0, dtype=np.float64)
     qdot0 = np.asarray(qdot0, dtype=np.float64)
@@ -310,13 +279,12 @@ def solve_geodesic(
     thetas = np.asarray(thetas, dtype=np.float64)
     cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
     q = cos * q0 + sin * qdot0
-    qdot = cos * qdot0 - sin * q0
 
     def path(theta: float) -> np.ndarray:
         return math.cos(theta) * q0 + math.sin(theta) * qdot0
 
-    resid = max((float(np.max(np.abs(geodesic_residual(path, t)))) for t in thetas.tolist()), default=0.0)
-    return GeodesicSolution(thetas=thetas, q=q, qdot=qdot, residual_max=resid)
+    resid = np.array([np.max(np.abs(geodesic_residual(path, t))) for t in thetas.tolist()], dtype=np.float64)
+    return GeodesicSolution(thetas=thetas, q=q, residual=resid)
 
 
 # -- step lengths ------------------------------------------------------------

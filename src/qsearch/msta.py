@@ -69,12 +69,12 @@ def _qubit_from_components(a0: float, a1: float, a2: float, a3: float) -> GaQubi
     return _GaQubitFields.__new__(GaQubit, Multivector(CL3, coeffs))
 
 
-def qubit_to_mv(alpha: complex, beta: complex, normalized: bool = True) -> GaQubit:
-    """Translate the column (alpha, beta) into its even-multivector form."""
-    if normalized:
-        norm = abs(alpha) ** 2 + abs(beta) ** 2
-        if abs(norm - 1.0) > TOL_STATE:
-            raise ValueError(f"qubit norm {norm} differs from 1; pass normalized=False")
+def qubit_to_mv(alpha: complex, beta: complex) -> GaQubit:
+    """Translate the normalized column (alpha, beta) into its
+    even-multivector form."""
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm - 1.0) > TOL_STATE:
+        raise ValueError(f"qubit norm {norm} differs from 1")
     alpha = complex(alpha)
     beta = complex(beta)
     return _qubit_from_components(alpha.real, beta.imag, -beta.real, alpha.imag)

@@ -252,7 +252,7 @@ class TestFarhiGutmann:
 
     def test_scan_against_eig_oracle(self):
         n, energy = 32, 1.0
-        traj = an.fg_scan(n, energy, samples=400)
+        traj = an.fg_scan(n, energy, 1.5 * an.fg_peak_time(n, energy), 400)
         h = an.farhi_gutmann_matrix(n, energy).matrix
         alpha, beta = an.alpha_beta(n)
         psi0 = np.array([alpha, beta], dtype=np.complex128)

@@ -390,7 +390,7 @@ class TestDampedAndGeodesic:
         assert peak < 4 << 20
 
     def test_geodesic_matches_one_component_per_state(self, tmp_path):
-        # q_j and residual_max against the N-component solve, to the bit
+        # q_j and the per-row residual against the N-component solve, to the bit
         n = 64
         assert run_cli(["geodesic", "--N", str(n)], tmp_path) == 0
         header, rows = read_csv(tmp_path / f"geodesic_N{n}.csv")
@@ -400,10 +400,10 @@ class TestDampedAndGeodesic:
         qdot0[0] = 1.0
         thetas = [float(row[0]) for row in rows]
         sol = ig.solve_geodesic(n, q0, qdot0, thetas)
-        assert header[4:] == ["q_0", "q_1", "q_2", "q_3", "residual_max"]
-        for row, q in zip(rows, sol.q):
+        assert header[4:] == ["q_0", "q_1", "q_2", "q_3", "residual"]
+        for row, q, resid in zip(rows, sol.q, sol.residual):
             assert row[4:8] == [cli._fmt(x) for x in q[:4]]
-            assert row[8] == cli._fmt(sol.residual_max)
+            assert row[8] == cli._fmt(resid)
 
     @pytest.mark.parametrize("n", ["100000", "149130"])
     def test_geodesic_default_grid_admitted(self, tmp_path, monkeypatch, n):
@@ -513,10 +513,16 @@ target = 0
         [
             ("subcommand = digital\nN [4, 8]\n", "bad.cfg:2: expected key = value"),
             ("N = [4, 8]\n", "sweep config must name a subcommand"),
+            # a config naming itself would recurse without end
+            ("subcommand = sweep\nconfig = bad.cfg\n", "a sweep config cannot name the sweep subcommand"),
+            # both cells would write one directory
+            ("subcommand = digital\nN = [4, 8, 4]\n", "bad.cfg:2: repeated value in the grid for 'N'"),
         ],
-        ids=["no-equals", "no-subcommand"],
+        ids=["no-equals", "no-subcommand", "sweep-of-sweeps", "repeated-value"],
     )
-    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, what):
+    def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, text, what):
+        # run beside the config, so that `config = bad.cfg` names itself
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"

@@ -1,5 +1,5 @@
 """Information-geometry checks: constant Fisher information along the search
-family, two-route kinetic energy, geodesic closed form vs RK4, step-length
+family, kinetic energy against F/4, geodesic closed form vs RK4, step-length
 closed form vs direct simulation, thermal Fisher against brute force."""
 import math
 
@@ -12,20 +12,18 @@ from qsearch import info_geom as ig
 THETA_GRID = np.linspace(0.01, math.pi / 2 - 0.01, 250)
 
 
-def kinetic_energy_via_current(family, theta):
-    """Oracle of the two-route kinetic energy check: F/4 + sum m J^2 p with
-    the current J = phi', against the direct finite difference of
+def kinetic_energy_via_fisher(family, theta):
+    """Oracle of the two-route kinetic energy check: on real amplitudes
+    <d psi|d psi> = F/4, against the direct finite difference of
     :func:`qsearch.info_geom.kinetic_energy`."""
-    p = family.probabilities(theta)
-    j = family.dphases(theta)
-    return ig.fisher_rao(family, theta) / 4.0 + float(family.weighted_sum(j * j * p))
+    return ig.fisher_rao(family, theta) / 4.0
 
 
 def state_overlap(family, theta_a, theta_b):
-    """<psi(theta_a) | psi(theta_b)> = sum m conj(a) b."""
+    """<psi(theta_a) | psi(theta_b)> = sum m a b on real amplitudes."""
     a = family.amplitudes(theta_a)
     b = family.amplitudes(theta_b)
-    return complex(family.weighted_sum(np.conj(a) * b))
+    return float(family.weighted_sum(a * b))
 
 
 def haar_unitary(n, rng):
@@ -42,14 +40,12 @@ def walsh_hadamard(n_qubits):
     return out.astype(np.complex128)
 
 
-def trig_family(rng, n=5, with_phases=True):
+def trig_family(rng, n=5):
     """Smooth random family with analytic derivatives: softmax of trig
-    polynomials for p, trig polynomials for phi."""
+    polynomials for p."""
     a = rng.normal(size=n)
     b = rng.normal(size=n)
     c = rng.normal(size=n)
-    d = 0.4 * rng.normal(size=n) if with_phases else np.zeros(n)
-    e = 0.4 * rng.normal(size=n) if with_phases else np.zeros(n)
 
     def logits(t):
         return a * np.sin(t) + b * np.cos(2 * t) + c
@@ -66,13 +62,7 @@ def trig_family(rng, n=5, with_phases=True):
         dl = dlogits(t)
         return w * (dl - np.sum(w * dl))
 
-    def phi(t):
-        return d * np.sin(t) + e * t
-
-    def dphi(t):
-        return d * np.cos(t) + e
-
-    return ig.ParametricFamily(n=n, p=p, dp=dp, phi=phi, dphi=dphi, domain=(0.0, 10.0))
+    return ig.ParametricFamily(n=n, p=p, dp=dp, domain=(0.0, 10.0))
 
 
 def grover_oracle(n):
@@ -143,7 +133,7 @@ class TestTwoLevelGrover:
         for theta in self.THETAS:
             for got, want in zip(ig.metric_row(fam, theta, 1e-3), ig.metric_row(oracle, theta, 1e-3)):
                 self.assert_close(got, want)
-            self.assert_close(kinetic_energy_via_current(fam, theta), kinetic_energy_via_current(oracle, theta))
+            self.assert_close(kinetic_energy_via_fisher(fam, theta), kinetic_energy_via_fisher(oracle, theta))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_overlap_matches_oracle(self, n):
@@ -152,9 +142,9 @@ class TestTwoLevelGrover:
             got, want = state_overlap(fam, a, b), state_overlap(oracle, a, b)
             assert abs(got - want) <= 1e-14 * abs(want)
 
-    def test_phased_classes_match_expansion(self):
-        # every weighted sum, the phase term's included, against the same
-        # family with each class written out as m equal components
+    def test_classes_match_expansion(self):
+        # every weighted sum against the same family with each class written
+        # out as m equal components
         rng = np.random.default_rng(51)
         m = np.array([1.0, 3.0, 2.0, 5.0])
         reps = m.astype(int)
@@ -164,8 +154,6 @@ class TestTwoLevelGrover:
                 n=4,
                 p=lambda t, f=base: f.p(t) / m,
                 dp=lambda t, f=base: f.dp(t) / m,
-                phi=base.phi,
-                dphi=base.dphi,
                 domain=base.domain,
                 multiplicity=m,
             )
@@ -173,13 +161,11 @@ class TestTwoLevelGrover:
                 n=int(reps.sum()),
                 p=lambda t, f=classed: np.repeat(f.p(t), reps),
                 dp=lambda t, f=classed: np.repeat(f.dp(t), reps),
-                phi=lambda t, f=classed: np.repeat(f.phi(t), reps),
-                dphi=lambda t, f=classed: np.repeat(f.dphi(t), reps),
                 domain=base.domain,
             )
             theta = rng.uniform(0.3, 3.0)
-            got = [*ig.metric_row(classed, theta, 1e-2), kinetic_energy_via_current(classed, theta)]
-            want = [*ig.metric_row(expanded, theta, 1e-2), kinetic_energy_via_current(expanded, theta)]
+            got = [*ig.metric_row(classed, theta, 1e-2), kinetic_energy_via_fisher(classed, theta)]
+            want = [*ig.metric_row(expanded, theta, 1e-2), kinetic_energy_via_fisher(expanded, theta)]
             got.append(state_overlap(classed, theta, theta + 0.1))
             want.append(state_overlap(expanded, theta, theta + 0.1))
             for g, w in zip(got, want):
@@ -261,7 +247,7 @@ class TestZerosOfP:
 class TestFisherInformation:
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(41)
-        fam = trig_family(rng, n=6, with_phases=False)
+        fam = trig_family(rng, n=6)
         perm = rng.permutation(6)
         shuffled = ig.ParametricFamily(
             n=6,
@@ -290,7 +276,7 @@ class TestFisherInformation:
 
     def test_matches_second_log_derivative_form(self):
         rng = np.random.default_rng(42)
-        fam = trig_family(rng, n=5, with_phases=False)
+        fam = trig_family(rng, n=5)
         h = 1e-4
         for theta in (0.4, 1.1, 2.2):
             p = fam.probabilities(theta)
@@ -305,23 +291,6 @@ class TestWignerYanase:
         fam = ig.grover_family(16)
         for theta in (0.3, 1.0):
             assert abs(ig.wigner_yanase_line_element(fam, theta, 1e-3) - 4e-6) < 1e-14
-
-    def test_global_phase_is_gauge(self):
-        rng = np.random.default_rng(43)
-        base = trig_family(rng, n=4, with_phases=False)
-        omega = 1.7
-        phased = ig.ParametricFamily(
-            n=4,
-            p=base.p,
-            dp=base.dp,
-            phi=lambda t: np.full(4, omega * t * t),
-            dphi=lambda t: np.full(4, 2 * omega * t),
-            domain=base.domain,
-        )
-        for theta in (0.5, 1.2):
-            lhs = ig.wigner_yanase_line_element(phased, theta, 1e-3)
-            rhs = ig.wigner_yanase_line_element(base, theta, 1e-3)
-            assert abs(lhs - rhs) < 1e-13
 
     def test_overlap_oracle(self):
         rng = np.random.default_rng(44)
@@ -367,7 +336,7 @@ class TestMetricRow:
         # no analytic dp: sqrt(p) by finite differences
         self.assert_row_matches(damped_families()[index], np.linspace(0.0, 10.0, 25).tolist())
 
-    def test_phased_bitwise(self):
+    def test_trig_family_bitwise(self):
         rng = np.random.default_rng(47)
         for _ in range(5):
             self.assert_row_matches(trig_family(rng), rng.uniform(0.2, 3.0, size=4).tolist(), dtheta=1e-2)
@@ -397,44 +366,19 @@ class TestCurrentAndKinetic:
         assert amps.dtype == np.float64
         assert np.array_equal(amps, np.sqrt(fam.probabilities(0.4)))
 
-    def test_phaseless_kinetic_bitwise_equals_zero_phases(self):
-        rng = np.random.default_rng(48)
-        base = trig_family(rng, n=6, with_phases=False)
-        for fam in [ig.grover_family(20000), base, *damped_families()]:
-            n = fam.n
-            zero_phased = ig.ParametricFamily(
-                n=n,
-                p=fam.p,
-                dp=fam.dp,
-                phi=lambda t, n=n: np.zeros(n),
-                domain=fam.domain,
-                multiplicity=fam.multiplicity,
-            )
-            for theta in (0.05, 0.6, 1.3):
-                assert ig.kinetic_energy(fam, theta) == ig.kinetic_energy(zero_phased, theta)
-
-    def test_kinetic_bitwise_equals_complex_division(self):
-        # scaling by 1/(2h) is what numpy's complex division by 2h computes
-        rng = np.random.default_rng(49)
-        for _ in range(5):
-            fam = trig_family(rng)
-            theta = rng.uniform(0.3, 3.0)
-            dpsi = ig._central_diff(fam.amplitudes, theta)
-            assert ig.kinetic_energy(fam, theta) == float(np.sum(np.abs(dpsi) ** 2))
-
     def test_grover_current_zero_kinetic_one(self):
+        # real amplitudes carry no current: K = F/4 = 1
         fam = ig.grover_family(32)
         for theta in (0.1, 0.8, 1.5):
-            assert not fam.dphases(theta).any()
             assert abs(ig.kinetic_energy(fam, theta) - 1.0) < 1e-8
-            assert abs(kinetic_energy_via_current(fam, theta) - 1.0) < 1e-12
+            assert abs(kinetic_energy_via_fisher(fam, theta) - 1.0) < 1e-12
 
     def test_two_route_kinetic_identity(self):
         rng = np.random.default_rng(46)
         for _ in range(25):
             fam = trig_family(rng)
             theta = rng.uniform(0.3, 3.0)
-            assert abs(ig.kinetic_energy(fam, theta) - kinetic_energy_via_current(fam, theta)) < 1e-8
+            assert abs(ig.kinetic_energy(fam, theta) - kinetic_energy_via_fisher(fam, theta)) < 1e-8
 
 
 class TestGeodesicResidual:
@@ -478,7 +422,7 @@ class TestGeodesicResidual:
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
         sol = ig.solve_geodesic(n, q0, qdot0, np.linspace(0.0, math.pi / 2, 101))
-        assert sol.residual_max < 1e-6
+        assert sol.residual.shape == (101,) and np.max(sol.residual) < 1e-6
 
 
 class TestSolveGeodesic:
@@ -499,7 +443,8 @@ class TestSolveGeodesic:
         q0 = np.array([0.0, 0.6, 0.8])
         qdot0 = np.array([1.0, 0.0, 0.0])
         fwd = ig.solve_geodesic(n, q0, qdot0, [0.0, 1.0])
-        back = ig.solve_geodesic(n, fwd.q[-1] / np.linalg.norm(fwd.q[-1]), -fwd.qdot[-1], [0.0, 1.0])
+        qdot_end = math.cos(1.0) * qdot0 - math.sin(1.0) * q0
+        back = ig.solve_geodesic(n, fwd.q[-1] / np.linalg.norm(fwd.q[-1]), -qdot_end, [0.0, 1.0])
         assert np.max(np.abs(back.q[-1] - q0)) < 1e-6
 
     def test_norm_drift(self):
@@ -508,11 +453,13 @@ class TestSolveGeodesic:
         q0[1:] = 0.5
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        sol = ig.solve_geodesic(n, q0, qdot0, np.linspace(0.0, math.pi / 2, 101))
+        thetas = np.linspace(0.0, math.pi / 2, 101)
+        sol = ig.solve_geodesic(n, q0, qdot0, thetas)
+        qdot = np.cos(thetas)[:, None] * qdot0 - np.sin(thetas)[:, None] * q0
         norms = np.sum(sol.q**2, axis=1) + 0.0
         # q'' = -q conserves q.q + qdot.qdot; with |qdot0| = 1 the amplitude
         # norm oscillates but the invariant stays put
-        invariant = np.sum(sol.q**2, axis=1) + np.sum(sol.qdot**2, axis=1)
+        invariant = np.sum(sol.q**2, axis=1) + np.sum(qdot**2, axis=1)
         assert np.max(np.abs(invariant - invariant[0])) < 1e-8
         assert norms[0] == pytest.approx(1.0)
 
@@ -526,7 +473,6 @@ class TestSolveGeodesic:
             rk4 = fp.damped_geodesic_solve(2.0, 0.0, q0[j], qdot0[j], math.pi / 2, 1e-3)
             sol = ig.solve_geodesic(n, q0, qdot0, rk4.thetas)
             worst = max(worst, float(np.max(np.abs(sol.q[:, j] - rk4.q[:, 0]))))
-            worst = max(worst, float(np.max(np.abs(sol.qdot[:, j] - rk4.qdot[:, 0]))))
         assert worst < 1e-9
 
     def test_unnormalized_rejected(self):

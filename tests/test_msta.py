@@ -42,12 +42,10 @@ def ga_inner(psi, phi):
     return complex(prod.scalar_part(), -geometric_product(prod, IE3).scalar_part())
 
 
-def random_qubit_column(rng, normalized=True):
+def random_qubit_column(rng):
     v = rng.normal(size=4)
     col = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
-    if normalized:
-        col /= np.linalg.norm(col)
-    return col
+    return col / np.linalg.norm(col)
 
 
 class TestQubitTranslation:
@@ -56,9 +54,11 @@ class TestQubitTranslation:
         assert allclose(q.mv, Multivector.scalar(CL3, 1.0))
 
     def test_worked_unnormalized_example(self):
-        # column (1, -1) becomes 1 + ie2, and i e2 = -e1e3
-        q = msta.qubit_to_mv(1.0, -1.0, normalized=False)
-        expected = Multivector.scalar(CL3, 1.0) + Multivector.blade(CL3, 0b101, -1.0)
+        # column (1, -1) becomes 1 + ie2, and i e2 = -e1e3; the translation
+        # takes it scaled to unit norm
+        r = 1.0 / math.sqrt(2.0)
+        q = msta.qubit_to_mv(r, -r)
+        expected = Multivector.scalar(CL3, r) + Multivector.blade(CL3, 0b101, -r)
         assert allclose(q.mv, expected)
 
     def test_round_trip_many(self):
@@ -140,19 +140,22 @@ class TestComplexUnitAction:
 
 class TestGaInner:
     def test_worked_example(self):
-        psi = msta.qubit_to_mv(1.0, 1j, normalized=False)
-        phi = msta.qubit_to_mv(1.0, 1.0, normalized=False)
+        # (1, i)/sqrt(2) against (1, 1)/sqrt(2): (1 - i)/2
+        r = 1.0 / math.sqrt(2.0)
+        psi = msta.qubit_to_mv(r, 1j * r)
+        phi = msta.qubit_to_mv(r, r)
         got = ga_inner(psi, phi)
-        assert abs(got - (1.0 - 1.0j)) < 1e-14
+        assert abs(got - (0.5 - 0.5j)) < 1e-14
 
     def test_self_inner_is_real_norm(self):
         rng = np.random.default_rng(25)
         for _ in range(200):
-            col = random_qubit_column(rng, normalized=False)
-            q = msta.qubit_to_mv(col[0], col[1], normalized=False)
+            col = random_qubit_column(rng)
+            q = msta.qubit_to_mv(col[0], col[1])
             got = ga_inner(q, q)
             assert abs(got.imag) < 1e-12
             assert abs(got.real - sum(a * a for a in q.components())) < 1e-12
+            assert abs(got.real - 1.0) < 1e-12
 
     def test_matrix_agreement_random(self):
         rng = np.random.default_rng(26)
