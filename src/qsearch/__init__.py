@@ -2,7 +2,7 @@
 
 Modules:
 
-- ``ga_core``: signature-generic real Clifford algebra kernel
+- ``ga_core``: the algebra of physical space, Cl(3)
 - ``msta``: translation between complex qubits and even multivectors, and
   the rotor form of the search iterate
 - ``grover_digital``: exact state-vector simulator of the digital search, on

@@ -30,13 +30,6 @@ from .grover_digital import alpha_beta
 TOL_ALG = 1e-12
 
 
-class PlaneHamiltonian(NamedTuple):
-    """2x2 Hermitian generator on the search plane; :func:`plane_propagator`
-    checks it."""
-
-    matrix: np.ndarray
-
-
 class EvolutionResult(NamedTuple):
     """State coordinates on (target, bad) at time ts and the target
     probability; with an array of times, one state and one probability per
@@ -54,19 +47,19 @@ def _evolve_uniform(h: np.ndarray, n: int, ts) -> EvolutionResult:
     return EvolutionResult(ts=ts, state=state, p_target=np.abs(state[..., 0]) ** 2)
 
 
-def fenner_matrix(n: int) -> PlaneHamiltonian:
-    """Commutator-built search Hamiltonian on the (target, bad) plane."""
+def fenner_matrix(n: int) -> np.ndarray:
+    """Commutator-built search Hamiltonian on the (target, bad) plane, a 2x2
+    Hermitian matrix."""
     _, beta = alpha_beta(n)
     pref = 2.0 * beta / math.sqrt(n)
-    h = pref * np.array([[0.0, 1j], [-1j, 0.0]])
-    return PlaneHamiltonian(matrix=h)
+    return pref * np.array([[0.0, 1j], [-1j, 0.0]])
 
 
 def fenner_state(t, n: int) -> EvolutionResult:
     """Uniform state evolved under the commutator-built Hamiltonian to one
     time or to each of an array of times; the target probability is
     [alpha cos(x) + beta sin(x)]^2."""
-    return _evolve_uniform(fenner_matrix(n).matrix, n, t)
+    return _evolve_uniform(fenner_matrix(n), n, t)
 
 
 def fenner_time(n: int) -> float:
@@ -96,26 +89,25 @@ def plane_propagator(h: np.ndarray, ts) -> np.ndarray:
     return np.exp(-1j * h0 * ts) * (np.cos(r * ts) * np.eye(2) - 1j * ts * np.sinc(r * ts / math.pi) * k)
 
 
-def farhi_gutmann_matrix(n: int, energy: float) -> PlaneHamiltonian:
+def farhi_gutmann_matrix(n: int, energy: float) -> np.ndarray:
     """Two-projector Hamiltonian E(P_target + P_uniform) on the orthonormal
-    (target, bad) basis."""
+    (target, bad) basis, a 2x2 Hermitian matrix."""
     if energy <= 0.0:
         raise ValueError("energy scale must be positive")
     alpha, beta = alpha_beta(n)
-    h = energy * np.array(
+    return energy * np.array(
         [[1.0 + alpha * alpha, alpha * beta], [alpha * beta, beta * beta]],
         dtype=np.complex128,
     )
-    return PlaneHamiltonian(matrix=h)
 
 
 def fg_scan(n: int, energy: float, t_max: float, samples: int) -> EvolutionResult:
     """Propagate the uniform state under the two-projector Hamiltonian over
     `samples` equally spaced times from 0 to t_max."""
-    ham = farhi_gutmann_matrix(n, energy)
+    h = farhi_gutmann_matrix(n, energy)
     if t_max <= 0.0 or samples < 2:
         raise ValueError("scan needs positive horizon and at least two samples")
-    return _evolve_uniform(ham.matrix, n, np.linspace(0.0, t_max, samples))
+    return _evolve_uniform(h, n, np.linspace(0.0, t_max, samples))
 
 
 def fg_peak_time(n: int, energy: float) -> float:
@@ -129,6 +121,6 @@ def fg_peak_time(n: int, energy: float) -> float:
 def fg_first_peak(n: int, energy: float) -> tuple[float, float]:
     """Time of the first maximum of the target probability, and the
     probability there from the plane propagator (one up to roundoff)."""
-    ham = farhi_gutmann_matrix(n, energy)
+    h = farhi_gutmann_matrix(n, energy)
     t_peak = fg_peak_time(n, energy)
-    return t_peak, float(_evolve_uniform(ham.matrix, n, t_peak).p_target)
+    return t_peak, float(_evolve_uniform(h, n, t_peak).p_target)

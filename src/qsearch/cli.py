@@ -17,8 +17,9 @@ seed is recorded in the manifest.
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric-domain
 error (a rejected value, an overflow or division by zero, or a non-finite
 number in a table, which `write_csv` refuses to write), 4 failed internal
-cross-check (the fixed-point simulation and its coefficient track disagreed
-beyond their tolerance; nothing is written).
+cross-check (the fixed-point simulation and its coefficient track, or
+`ga-verify`'s rotor and state-vector plane coordinates or its qubit round
+trip, disagreed beyond their tolerance; nothing is written).
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
@@ -415,6 +416,11 @@ def cmd_ga_verify(args):
             )
             worst = max(worst, dev)
             rows.append(("plane_coords", n, k, rotor.a_target, digital.a_target, dev))
+        if not worst <= msta.TOL_PLANE:
+            raise CrossCheckError(
+                f"rotor and state-vector plane coordinates differ by {worst:.3g} at N={n} "
+                f"(tolerance {msta.TOL_PLANE:g})"
+            )
         rows.append(("plane_coords_max", n, k_max, worst, 0.0, worst))
     # one draw of every sample's four normals reads the PCG64 stream in the
     # order that one draw per sample would
@@ -426,6 +432,8 @@ def cmd_ga_verify(args):
     for alpha, beta in zip(alphas, betas):
         back = msta.mv_to_qubit(msta.qubit_to_mv(alpha, beta))
         worst_rt = max(worst_rt, abs(back[0] - alpha), abs(back[1] - beta))
+    if not worst_rt <= msta.TOL_STATE:
+        raise CrossCheckError(f"qubit round trip deviates by {worst_rt:.3g} (tolerance {msta.TOL_STATE:g})")
     rows.append(("qubit_roundtrip", args.samples, 0, worst_rt, 0.0, worst_rt))
 
     return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], rows)], []
@@ -449,6 +457,7 @@ def parse_sweep_config(path: Path) -> SweepConfig:
     subcommand = None
     grids: dict = {}
     fixed: dict = {}
+    first_line: dict = {}
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -462,6 +471,12 @@ def parse_sweep_config(path: Path) -> SweepConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        # a second value for one option, under either spelling, would replace
+        # the first without a word
+        option = key.replace("_", "-")
+        if option in first_line:
+            raise SweepConfigError(f"{path}:{lineno}: key '{key}' given twice (first on line {first_line[option]})")
+        first_line[option] = lineno
         if key == "subcommand":
             subcommand = value
         elif value.startswith("[") and value.endswith("]"):

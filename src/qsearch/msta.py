@@ -20,17 +20,20 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import grover_digital as gd
-from .ga_core import CL3, Multivector, Rotor, geometric_product, require_even
+from .ga_core import Multivector, Rotor, geometric_product, require_even
 
 TOL_STATE = 1e-10
+# the largest deviation between the rotor orbit's plane coordinates and the
+# state vector's that `ga-verify` accepts: acceptance criterion C3's bound
+TOL_PLANE = 1e-10
 
 # Blade masks in Cl(3): i e1 = e2e3, i e2 = -e1e3, i e3 = e1e2.
 _MASK_E23 = 0b110
 _MASK_E13 = 0b101
 _MASK_E12 = 0b011
 
-E_TARGET = Multivector.basis_vector(CL3, 3)
-E_BAD = Multivector.basis_vector(CL3, 1)
+E_TARGET = Multivector.basis_vector(3)
+E_BAD = Multivector.basis_vector(1)
 
 
 class _GaQubitFields(NamedTuple):
@@ -43,8 +46,6 @@ class GaQubit(_GaQubitFields):
     __slots__ = ()
 
     def __new__(cls, mv: Multivector) -> "GaQubit":
-        if mv.sig != CL3:
-            raise ValueError("GaQubit lives in the algebra of physical space")
         require_even(mv, TOL_STATE, "GaQubit")
         return super().__new__(cls, mv)
 
@@ -66,7 +67,7 @@ def _qubit_from_components(a0: float, a1: float, a2: float, a3: float) -> GaQubi
     coeffs[_MASK_E23] = a1
     coeffs[_MASK_E13] = -a2
     coeffs[_MASK_E12] = a3
-    return _GaQubitFields.__new__(GaQubit, Multivector(CL3, coeffs))
+    return _GaQubitFields.__new__(GaQubit, Multivector(coeffs))
 
 
 def qubit_to_mv(alpha: complex, beta: complex) -> GaQubit:
@@ -98,7 +99,7 @@ def ga_grover_rotor(n: int) -> Rotor:
     sin(theta) = 1/sqrt(N); sandwiching with it advances one full iteration."""
     theta = gd.theta_for(n)
     plane = geometric_product(E_TARGET, E_BAD)
-    mv = Multivector.scalar(CL3, math.cos(theta)) + math.sin(theta) * plane
+    mv = Multivector.scalar(math.cos(theta)) + math.sin(theta) * plane
     return Rotor(mv)
 
 

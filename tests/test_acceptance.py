@@ -14,13 +14,7 @@ from qsearch import fixed_point as fp
 from qsearch import grover_digital as gd
 from qsearch import info_geom as ig
 from qsearch import msta
-from qsearch.ga_core import (
-    CL3,
-    Multivector,
-    mirror,
-    orientation_sign,
-    rotate,
-)
+from qsearch.ga_core import Multivector, mirror, orientation_sign, rotate
 from test_analog_search import unitary_series_exp
 
 
@@ -105,19 +99,19 @@ def test_c03_ga_matrix_equivalence():
 
 def test_c04_ga_structure():
     rng = np.random.default_rng(2024)
-    e12 = Multivector.blade(CL3, 0b011)
+    e12 = Multivector.blade(0b011)
     ok = True
     for _ in range(1000):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        axis = Multivector.vector(CL3, v)
+        axis = Multivector.vector(v)
         ok &= orientation_sign(lambda x, a=axis: mirror(x, a)) == -1
     for _ in range(1000):
         b = rng.normal(size=3)
         b /= np.linalg.norm(b)
         plane_coeffs = np.zeros(8)
         plane_coeffs[0b011], plane_coeffs[0b101], plane_coeffs[0b110] = b
-        plane = Multivector(CL3, plane_coeffs)
+        plane = Multivector(plane_coeffs)
         theta = rng.uniform(0, 2 * math.pi)
         ok &= orientation_sign(lambda x, p=plane, t=theta: rotate(x, p, t)) == 1
     worst = 0.0
@@ -133,7 +127,7 @@ def test_c05_analog_search():
     start = time.perf_counter()
     rng = np.random.default_rng(4096)
     n = 16
-    h = an.fenner_matrix(n).matrix
+    h = an.fenner_matrix(n)
     sz_sx = np.array([[0.0, 1.0], [-1.0, 0.0]])
     worst_closed = worst_series = 0.0
     for _ in range(1000):

@@ -61,24 +61,24 @@ def fenner_closed_form(t: float, n: int) -> np.ndarray:
 
 
 def fenner_propagator(t, n: int) -> np.ndarray:
-    return an.plane_propagator(an.fenner_matrix(n).matrix, t)
+    return an.plane_propagator(an.fenner_matrix(n), t)
 
 
 class TestFennerMatrix:
     def test_prefactor_n2(self):
         h = an.fenner_matrix(2)
         # 2 beta / sqrt(N) = 1 at N=2
-        assert abs(abs(h.matrix[0, 1]) - 1.0) < 1e-15
+        assert abs(abs(h[0, 1]) - 1.0) < 1e-15
 
     def test_hermitian_for_all_n(self):
         for n in range(2, 1025):
-            h = an.fenner_matrix(n).matrix
+            h = an.fenner_matrix(n)
             assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
     def test_eigenvalues(self):
         for n in (2, 16, 100):
             _, beta = an.alpha_beta(n)
-            w = np.linalg.eigvalsh(an.fenner_matrix(n).matrix)
+            w = np.linalg.eigvalsh(an.fenner_matrix(n))
             assert np.allclose(sorted(w), [-2 * beta / math.sqrt(n), 2 * beta / math.sqrt(n)])
 
 
@@ -110,7 +110,7 @@ class TestFennerEvolve:
         # against both references: the written-out closed form and the series
         rng = np.random.default_rng(32)
         n = 16
-        h = an.fenner_matrix(n).matrix
+        h = an.fenner_matrix(n)
         gen = -1j * h
         worst_closed = worst_series = 0.0
         for _ in range(1000):
@@ -247,13 +247,13 @@ class TestFarhiGutmann:
             an.farhi_gutmann_matrix(16, 0.0)
 
     def test_hermitian(self):
-        h = an.farhi_gutmann_matrix(64, 2.0).matrix
+        h = an.farhi_gutmann_matrix(64, 2.0)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     def test_scan_against_eig_oracle(self):
         n, energy = 32, 1.0
         traj = an.fg_scan(n, energy, 1.5 * an.fg_peak_time(n, energy), 400)
-        h = an.farhi_gutmann_matrix(n, energy).matrix
+        h = an.farhi_gutmann_matrix(n, energy)
         alpha, beta = an.alpha_beta(n)
         psi0 = np.array([alpha, beta], dtype=np.complex128)
         for i in range(0, 400, 37):

@@ -1,11 +1,28 @@
-"""Direct checks of the in-repo Bessel functions; the deeper validation is
-the ODE-residual loop in the damped-geodesic tests."""
+"""Direct checks of the in-repo Bessel functions, including the accuracy
+the module docstring states, against scipy.special; the ODE-residual loop in
+the damped-geodesic tests checks them too."""
 import math
 
 import numpy as np
 import pytest
 
 from qsearch import bessel
+
+# dense across the z = 12 series cutoff, then geometric out to 1e6
+ACCURACY_GRID = np.concatenate([np.linspace(1e-6, 50.0, 20001), np.geomspace(50.0, 1e6, 1001)[1:]])
+
+
+def test_accuracy_against_scipy():
+    special = pytest.importorskip("scipy.special")
+    zs = ACCURACY_GRID
+    j1 = np.array([bessel.j1(z) for z in zs.tolist()])
+    y1 = np.array([bessel.y1(z) for z in zs.tolist()])
+    assert np.max(np.abs(j1 - special.j1(zs))) <= 1.5e-12
+    want = special.y1(zs)
+    assert np.max(np.abs(y1 - want) / np.maximum(1.0, np.abs(want))) <= 3e-12
+    far = zs > 50.0
+    assert np.max(np.abs(j1 - special.j1(zs))[far]) <= 1e-16
+    assert np.max(np.abs(y1 - want)[far]) <= 1e-16
 
 
 class TestJ1:

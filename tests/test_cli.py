@@ -18,7 +18,7 @@ from qsearch import cli
 from qsearch import grover_digital as gd
 from qsearch import info_geom as ig
 from qsearch import msta
-from qsearch.ga_core import Rotor
+from qsearch.ga_core import Multivector, Rotor
 from test_analog_search import ga_fenner_basis_change
 
 
@@ -436,6 +436,26 @@ class TestGaVerify:
         assert tail[0] == "qubit_roundtrip"
         assert float(tail[5]) < 1e-14
 
+    def test_plane_deviation_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a rotor orbit that drifts off the state vector just past C3's bound
+        orbit = msta._rotor_orbit
+        drift = Multivector.blade(0b100, 2 * msta.TOL_PLANE)
+        monkeypatch.setattr(msta, "_rotor_orbit", lambda n: (v + drift for v in orbit(n)))
+        assert run_cli(["ga-verify", "--N-list", "4,16", "--samples", "10"], tmp_path) == cli.EXIT_CROSSCHECK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "internal cross-check failed" in err and "plane coordinates" in err and "N=4" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_qubit_roundtrip_deviation_exits_4(self, tmp_path, capsys, monkeypatch):
+        to_qubit = msta.mv_to_qubit
+        monkeypatch.setattr(msta, "mv_to_qubit", lambda q: (to_qubit(q)[0] + 2 * msta.TOL_STATE, to_qubit(q)[1]))
+        assert run_cli(["ga-verify", "--N-list", "4", "--samples", "10"], tmp_path) == cli.EXIT_CROSSCHECK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "internal cross-check failed" in err and "qubit round trip" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_k_max_is_usage_error(self, tmp_path):
         assert usage_exit_code(["ga-verify", "--N-list", "4", "--k-max", "-1"], tmp_path) == cli.EXIT_USAGE
         assert not (tmp_path / "ga_verify.csv").exists()
@@ -517,8 +537,28 @@ target = 0
             ("subcommand = sweep\nconfig = bad.cfg\n", "a sweep config cannot name the sweep subcommand"),
             # both cells would write one directory
             ("subcommand = digital\nN = [4, 8, 4]\n", "bad.cfg:2: repeated value in the grid for 'N'"),
+            # each would keep one value and drop the other without a word
+            (
+                "subcommand = digital\nN = [4, 8]\nN = 16\nk = 1\nk = 2\n",
+                "bad.cfg:3: key 'N' given twice (first on line 2)",
+            ),
+            ("subcommand = digital\nN = 16\nN = [4, 8]\n", "bad.cfg:3: key 'N' given twice (first on line 2)"),
+            (
+                "subcommand = analog\nmodel = fenner\nN = 4\nt_max = 1\nt-max = [2, 3]\n",
+                "bad.cfg:5: key 't-max' given twice (first on line 4)",
+            ),
+            ("subcommand = digital\nsubcommand = analog\nN = 4\n", "bad.cfg:2: key 'subcommand' given twice"),
         ],
-        ids=["no-equals", "no-subcommand", "sweep-of-sweeps", "repeated-value"],
+        ids=[
+            "no-equals",
+            "no-subcommand",
+            "sweep-of-sweeps",
+            "repeated-value",
+            "repeated-key",
+            "fixed-and-swept",
+            "one-option-two-spellings",
+            "repeated-subcommand",
+        ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, text, what):
         # run beside the config, so that `config = bad.cfg` names itself

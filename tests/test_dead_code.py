@@ -1,9 +1,9 @@
 """Guard against uncalled library surface.
 
-Every module-level public function or class in ``src/qsearch`` must be
-referenced somewhere outside its own definition: by other library code (a
-subcommand's call chain) or by the acceptance gate, which checks the paper's
-claims.  A unit test alone does not keep a name alive; an oracle that only
+Every module-level public function, class or constant in ``src/qsearch``
+must be referenced somewhere outside its own definition: by other library
+code (a subcommand's call chain) or by the acceptance gate, which checks the
+paper's claims.  A unit test alone does not keep a name alive; an oracle that only
 tests use belongs in ``tests/``.  The keep-list names the exceptions, each
 with its reason.
 """
@@ -40,19 +40,36 @@ def read_names(tree, skip=frozenset()):
     return names
 
 
+def defined_names(node):
+    """Names a module-level statement defines: a def or class, or the bare
+    names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [
+            n.id
+            for target in targets
+            for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        ]
+    return []
+
+
 def unreferenced():
-    """`module.name` of each module-level public def or class that no
-    referrer reads outside the definition itself."""
+    """`module.name` of each module-level public def, class or assigned name
+    that no referrer reads outside the definition itself."""
     read = {path: read_names(tree) for path, tree in TREES.items()}
     dead = []
     for path in SOURCES:
         for node in TREES[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
             own = {id(n) for n in ast.walk(node)}
-            elsewhere = any(node.name in names for other, names in read.items() if other != path)
-            if not elsewhere and node.name not in read_names(TREES[path], own):
-                dead.append(f"{path.stem}.{node.name}")
+            for name in defined_names(node):
+                if name.startswith("_"):
+                    continue
+                elsewhere = any(name in names for other, names in read.items() if other != path)
+                if not elsewhere and name not in read_names(TREES[path], own):
+                    dead.append(f"{path.stem}.{name}")
     return dead
 
 
@@ -66,3 +83,8 @@ def test_keep_list_entries_are_needed_and_explained():
     for name, reason in KEEP.items():
         assert name in dead, f"{name} is referenced now; drop it from the keep-list"
         assert reason.strip(), f"{name} needs a reason"
+
+
+def test_assignments_define_names():
+    tree = ast.parse("A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\nF = G = 6\nx.y = 7\ndef f(): pass\n")
+    assert [name for node in tree.body for name in defined_names(node)] == list("ABCDEFG") + ["f"]

@@ -1,21 +1,16 @@
-"""Algebra kernel checks: hand tables for Cl(3) and Cl(1,3), the table-driven
-products against a pairwise swap-counting oracle, algebraic identities on
-random multivectors, mirror/rotation geometry."""
+"""Algebra kernel checks: the table-driven Cl(3) products against a pairwise
+swap-counting oracle, algebraic identities on random multivectors,
+mirror/rotation geometry."""
 import math
 
 import numpy as np
 import pytest
 
-from qsearch import msta
+from qsearch import ga_core
 from qsearch.ga_core import (
-    CL3,
-    CL13,
     Multivector,
     Rotor,
-    Signature,
     TOL_ALG,
-    _grades,
-    _product_tables,
     bivector_exp,
     geometric_product,
     mirror,
@@ -26,129 +21,98 @@ from qsearch.ga_core import (
     scalar_product,
 )
 
-E1 = Multivector.basis_vector(CL3, 1)
-E2 = Multivector.basis_vector(CL3, 2)
-E3 = Multivector.basis_vector(CL3, 3)
-E12 = Multivector.blade(CL3, 0b011)
-I3 = Multivector.blade(CL3, 0b111)
+E1 = Multivector.basis_vector(1)
+E2 = Multivector.basis_vector(2)
+E3 = Multivector.basis_vector(3)
+E12 = Multivector.blade(0b011)
+I3 = Multivector.blade(0b111)
+GRADES = np.array([bin(mask).count("1") for mask in range(8)])
 
 
 def allclose(a, b, tol=TOL_ALG):
-    """Same signature, and every coefficient within tol."""
-    return a.sig == b.sig and bool(np.all(np.abs(a.coeffs - b.coeffs) <= tol))
+    """Every coefficient within tol."""
+    return bool(np.all(np.abs(a.coeffs - b.coeffs) <= tol))
 
 
 def grade_part(a, g):
     """The grade-g part of a."""
-    return Multivector(a.sig, np.where(_grades(a.sig) == g, a.coeffs, 0.0))
+    return Multivector(np.where(GRADES == g, a.coeffs, 0.0))
 
 
 def vector_norm(v):
     return math.sqrt(abs(scalar_product(v, v)))
 
 
-def random_mv(rng, sig=CL3):
-    return Multivector(sig, rng.uniform(-1.0, 1.0, sig.size))
+def random_mv(rng):
+    return Multivector(rng.uniform(-1.0, 1.0, 8))
 
 
-def random_unit_vector(rng, sig=CL3):
-    v = rng.uniform(-1.0, 1.0, sig.dim)
+def random_unit_vector(rng):
+    v = rng.uniform(-1.0, 1.0, 3)
     v /= np.linalg.norm(v)
-    return Multivector.vector(sig, v)
+    return Multivector.vector(v)
 
 
-def oracle_blade_sign(a, b, metric):
+def oracle_blade_sign(a, b):
     """Sign of blade a times blade b: the parity of the swaps that merge b
-    into a, times the square of every basis vector the two share."""
+    into a (every basis vector squares to +1)."""
     total = 0
     shifted = a >> 1
     while shifted:
         total += bin(shifted & b).count("1")
         shifted >>= 1
-    sign = -1 if total & 1 else 1
-    for i, square in enumerate(metric):
-        if (a & b) >> i & 1:
-            sign *= square
-    return sign
+    return -1 if total & 1 else 1
 
 
 def oracle_products(a, b):
     """Geometric and outer products one blade pair at a time, and the
     coefficient scale: the largest sum of |a_i b_j| landing on one blade."""
-    sig = a.sig
-    metric = (1,) * sig.p + (-1,) * sig.q
-    grade = [bin(mask).count("1") for mask in range(sig.size)]
-    geo, outer, scale = (np.zeros(sig.size) for _ in range(3))
+    geo, outer, scale = (np.zeros(8) for _ in range(3))
     for i in np.nonzero(a.coeffs)[0].tolist():
         for j in np.nonzero(b.coeffs)[0].tolist():
             term = a.coeffs[i] * b.coeffs[j]
             k = i ^ j
-            signed = oracle_blade_sign(i, j, metric) * term
+            signed = oracle_blade_sign(i, j) * term
             geo[k] += signed
-            if grade[k] == grade[i] + grade[j]:
+            if GRADES[k] == GRADES[i] + GRADES[j]:
                 outer[k] += signed
             scale[k] += abs(term)
     return geo, outer, float(scale.max())
 
 
-class TestSignature:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Signature(-1, 0)
-        with pytest.raises(ValueError):
-            Signature(9, 8)
-        assert Signature(3, 0).size == 8
-        assert Signature(1, 3).dim == 4
-
-    def test_dimension_capped_at_eight(self):
-        assert Signature(4, 4).size == 256
-        with pytest.raises(ValueError):
-            Signature(5, 4)
-
-    def test_replace_validates(self):
-        # the checked named tuples check a `_replace` as they check a call
-        qubit = msta.qubit_to_mv(1.0, 0.0)
-        assert Signature(3, 0)._replace(q=1) == Signature(3, 1)
-        cases = [
-            lambda: Signature(3, 0)._replace(p=9),
-            lambda: qubit._replace(mv=Multivector.basis_vector(CL3, 1)),
-        ]
-        for case in cases:
-            with pytest.raises(ValueError):
-                case()
-
-
 class TestProductTables:
-    @pytest.mark.parametrize(
-        "p, q, samples", [(3, 0, 20), (1, 3, 20), (2, 3, 10), (0, 4, 10), (4, 4, 1)]
-    )
-    def test_products_match_pairwise_oracle(self, p, q, samples):
-        sig = Signature(p, q)
-        rng = np.random.default_rng(100 + 10 * p + q)
-        for _ in range(samples):
-            a, b = random_mv(rng, sig), random_mv(rng, sig)
+    def test_products_match_pairwise_oracle(self):
+        rng = np.random.default_rng(130)
+        for _ in range(20):
+            a, b = random_mv(rng), random_mv(rng)
             geo, outer, scale = oracle_products(a, b)
             tol = 1e-13 * scale
             assert np.max(np.abs(geometric_product(a, b).coeffs - geo)) <= tol
             assert np.max(np.abs(outer_product(a, b).coeffs - outer)) <= tol
 
     def test_basis_blade_products_are_exact(self):
-        # one pair of blades lands on one blade with coefficient exactly +-1
-        sig = Signature(2, 3)
-        for i in range(sig.size):
-            for j in range(sig.size):
-                a, b = Multivector.blade(sig, i), Multivector.blade(sig, j)
+        # one pair of blades lands on one blade with coefficient exactly +-1,
+        # which pins every entry of the sign and outer tables
+        for i in range(8):
+            for j in range(8):
+                a, b = Multivector.blade(i), Multivector.blade(j)
                 geo, outer, _ = oracle_products(a, b)
                 assert np.array_equal(geometric_product(a, b).coeffs, geo)
                 assert np.array_equal(outer_product(a, b).coeffs, outer)
 
-    def test_tables_cached_and_read_only(self):
-        tables = _product_tables(CL13)
-        assert _product_tables(Signature(1, 3)) is tables
+    def test_tables_read_only(self):
+        tables = [
+            ga_core._GRADES,
+            ga_core._INDEX,
+            ga_core._GEOMETRIC,
+            ga_core._OUTER,
+            ga_core._ODD_BLADES,
+            ga_core._REVERSE_SIGNS,
+        ]
         for table in tables:
             assert not table.flags.writeable
         with pytest.raises(ValueError):
-            tables.geometric[0, 0] = -1.0
+            ga_core._GEOMETRIC[0, 0] = -1.0
 
 
 class TestGeometricProduct:
@@ -157,31 +121,18 @@ class TestGeometricProduct:
         assert allclose(geometric_product(E2, E1), -E12)
 
     def test_basis_squares_to_one(self):
-        assert allclose(geometric_product(E1, E1), Multivector.scalar(CL3, 1.0))
+        assert allclose(geometric_product(E1, E1), Multivector.scalar(1.0))
 
     def test_pseudoscalar_squares_to_minus_one(self):
-        assert allclose(geometric_product(I3, I3), Multivector.scalar(CL3, -1.0))
-
-    def test_spacetime_squares(self):
-        g0 = Multivector.basis_vector(CL13, 1)
-        g1 = Multivector.basis_vector(CL13, 2)
-        assert geometric_product(g0, g0).scalar_part() == 1.0
-        assert geometric_product(g1, g1).scalar_part() == -1.0
-        # gamma_0 . gamma_i = 0
-        assert scalar_product(g0, g1) == 0.0
-
-    def test_signature_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_product(E1, Multivector.basis_vector(CL13, 1))
+        assert allclose(geometric_product(I3, I3), Multivector.scalar(-1.0))
 
     def test_associativity_random(self):
         rng = np.random.default_rng(7)
-        for sig in (CL3, CL13):
-            for _ in range(50):
-                a, b, c = (random_mv(rng, sig) for _ in range(3))
-                lhs = geometric_product(geometric_product(a, b), c)
-                rhs = geometric_product(a, geometric_product(b, c))
-                assert allclose(lhs, rhs, tol=TOL_ALG * 100)
+        for _ in range(50):
+            a, b, c = (random_mv(rng) for _ in range(3))
+            lhs = geometric_product(geometric_product(a, b), c)
+            rhs = geometric_product(a, geometric_product(b, c))
+            assert allclose(lhs, rhs, tol=TOL_ALG * 100)
 
     def test_grade_support(self):
         # product of grade-r and grade-s lives on |r-s|, |r-s|+2, ..., r+s
@@ -192,7 +143,7 @@ class TestGeometricProduct:
             a = grade_part(random_mv(rng), r)
             b = grade_part(random_mv(rng), s)
             product = geometric_product(a, b)
-            got = set(_grades(CL3)[product.coeffs != 0.0].tolist())
+            got = set(GRADES[product.coeffs != 0.0].tolist())
             wanted = set(range(abs(r - s), min(r + s, 3) + 1, 2))
             assert got <= wanted
 
@@ -210,11 +161,11 @@ class TestGradeProject:
 
 class TestReverse:
     def test_bivector_flips(self):
-        e23 = Multivector.blade(CL3, 0b110)
+        e23 = Multivector.blade(0b110)
         assert allclose(reverse(e23), -e23)
 
     def test_low_grades_fixed(self):
-        m = Multivector.scalar(CL3, 0.5) + E2
+        m = Multivector.scalar(0.5) + E2
         assert allclose(reverse(m), m)
 
     def test_involution(self):
@@ -242,7 +193,7 @@ class TestInnerOuter:
         for _ in range(30):
             a = random_unit_vector(rng)
             b = random_unit_vector(rng)
-            recombined = Multivector.scalar(CL3, scalar_product(a, b)) + outer_product(a, b)
+            recombined = Multivector.scalar(scalar_product(a, b)) + outer_product(a, b)
             assert allclose(recombined, geometric_product(a, b), tol=1e-12)
 
 
@@ -259,7 +210,7 @@ class TestRotate:
         rng = np.random.default_rng(13)
         for _ in range(20):
             theta = rng.uniform(0, math.pi)
-            v = Multivector.vector(CL3, rng.uniform(-1, 1, 3))
+            v = Multivector.vector(rng.uniform(-1, 1, 3))
             a = E1
             b = math.cos(theta / 2) * E1 + math.sin(theta / 2) * E2
             doubled = mirror(mirror(v, a), b)
@@ -269,14 +220,14 @@ class TestRotate:
         # exp[e2e1 theta] e1 equals the half-angle sandwich for in-plane vectors
         for theta in (0.0, 0.4, 1.3, 3.0):
             one_sided = geometric_product(
-                bivector_exp(Multivector.blade(CL3, 0b011, -1.0), theta), E1
+                bivector_exp(Multivector.blade(0b011, -1.0), theta), E1
             )
             assert allclose(one_sided, rotate(E1, E12, theta), tol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
-            v = Multivector.vector(CL3, rng.uniform(-2, 2, 3))
+            v = Multivector.vector(rng.uniform(-2, 2, 3))
             theta = rng.uniform(-6, 6)
             assert abs(vector_norm(rotate(v, E12, theta)) - vector_norm(v)) < 1e-12
 
@@ -297,7 +248,7 @@ class TestRotor:
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
-            Rotor(Multivector.scalar(CL3, 2.0))
+            Rotor(Multivector.scalar(2.0))
 
 
 class TestPseudoscalar:
@@ -327,7 +278,7 @@ class TestOrientationSign:
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            orientation_sign(lambda v: Multivector.vector(CL3, [0.0, 0.0, 0.0]))
+            orientation_sign(lambda v: Multivector.vector([0.0, 0.0, 0.0]))
 
 
 class TestScalarHelpers:
@@ -335,5 +286,5 @@ class TestScalarHelpers:
         assert scalar_product(E1, E1) == 1.0
 
     def test_vector_norm(self):
-        v = Multivector.vector(CL3, [3.0, 4.0, 0.0])
+        v = Multivector.vector([3.0, 4.0, 0.0])
         assert abs(vector_norm(v) - 5.0) < TOL_ALG

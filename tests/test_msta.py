@@ -10,7 +10,7 @@ import pytest
 
 from qsearch import grover_digital as gd
 from qsearch import msta
-from qsearch.ga_core import CL3, Multivector, geometric_product, reverse
+from qsearch.ga_core import Multivector, geometric_product, reverse
 from test_analog_search import ga_fenner_basis_change
 from test_ga_core import allclose
 
@@ -20,14 +20,14 @@ SIGMA = {
     3: np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-E3 = Multivector.basis_vector(CL3, 3)
+E3 = Multivector.basis_vector(3)
 # i e3 = e1e2: right multiplication by it is the complex unit
-IE3 = Multivector.blade(CL3, 0b011)
+IE3 = Multivector.blade(0b011)
 
 
 def pauli_action(k, q):
     """sigma_k on a qubit in its even form: psi -> e_k psi e3."""
-    ek = Multivector.basis_vector(CL3, k)
+    ek = Multivector.basis_vector(k)
     return msta.GaQubit(geometric_product(geometric_product(ek, q.mv), E3))
 
 
@@ -51,14 +51,14 @@ def random_qubit_column(rng):
 class TestQubitTranslation:
     def test_basis_zero_maps_to_one(self):
         q = msta.qubit_to_mv(1.0, 0.0)
-        assert allclose(q.mv, Multivector.scalar(CL3, 1.0))
+        assert allclose(q.mv, Multivector.scalar(1.0))
 
     def test_worked_unnormalized_example(self):
         # column (1, -1) becomes 1 + ie2, and i e2 = -e1e3; the translation
         # takes it scaled to unit norm
         r = 1.0 / math.sqrt(2.0)
         q = msta.qubit_to_mv(r, -r)
-        expected = Multivector.scalar(CL3, r) + Multivector.blade(CL3, 0b101, -r)
+        expected = Multivector.scalar(r) + Multivector.blade(0b101, -r)
         assert allclose(q.mv, expected)
 
     def test_round_trip_many(self):
@@ -86,9 +86,12 @@ class TestQubitTranslation:
             assert not q.mv.coeffs[[0b001, 0b010, 0b100, 0b111]].any()
 
     def test_public_constructor_still_checks(self):
-        # `_replace` checks too: see test_ga_core's test_replace_validates
-        with pytest.raises(ValueError, match="even grades"):
-            msta.GaQubit(Multivector.basis_vector(CL3, 1))
+        # `_replace` builds through `_make`, which checks as a call does
+        odd = Multivector.basis_vector(1)
+        cases = [lambda: msta.GaQubit(odd), lambda: msta.qubit_to_mv(1.0, 0.0)._replace(mv=odd)]
+        for case in cases:
+            with pytest.raises(ValueError, match="even grades"):
+                case()
 
 
 class TestPauliAction:
@@ -171,7 +174,7 @@ class TestGroverRotor:
     def test_n4_values(self):
         g = msta.ga_grover_rotor(4)
         plane = geometric_product(msta.E_TARGET, msta.E_BAD)
-        expected = Multivector.scalar(CL3, math.sqrt(3) / 2) + 0.5 * plane
+        expected = Multivector.scalar(math.sqrt(3) / 2) + 0.5 * plane
         assert allclose(g.mv, expected, tol=1e-15)
 
     def test_large_n_limit(self):
@@ -187,7 +190,7 @@ class TestGroverRotor:
     def test_full_iterate_multivector(self):
         plane = geometric_product(msta.E_TARGET, msta.E_BAD)
         g = msta.ga_grover_rotor(4)
-        expected = Multivector.scalar(CL3, 0.5) + (math.sqrt(3) / 2) * plane
+        expected = Multivector.scalar(0.5) + (math.sqrt(3) / 2) * plane
         assert allclose(geometric_product(g.mv, g.mv), expected, tol=1e-15)
 
     def test_full_iterate_is_rotor_squared(self):
@@ -196,7 +199,7 @@ class TestGroverRotor:
         for n in (2, 4, 37, 4096):
             g = msta.ga_grover_rotor(n)
             gg = geometric_product(g.mv, g.mv)
-            full = Multivector.scalar(CL3, (n - 2) / n) + (2.0 * math.sqrt(n - 1) / n) * plane
+            full = Multivector.scalar((n - 2) / n) + (2.0 * math.sqrt(n - 1) / n) * plane
             assert allclose(gg, full, tol=1e-14)
 
     def test_scalar_part_matches_cos_2theta(self):
