@@ -13,6 +13,10 @@ any 2x2 Hermitian matrix and the only propagator here:
 - the two-projector driving Hamiltonian E(|target><target| + |psi><psi|);
   its first target-probability peak is known exactly.
 
+Both models are tabulated alike: :func:`fenner_state` and :func:`fg_scan`
+take one time or an array of times, and one propagator call serves a whole
+grid.
+
 The printed closed form for the optimal search time carries an arcsine whose
 argument exceeds one; we evaluate asin(sqrt((N-1)/N)) instead, which restores
 the intended (pi/4) sqrt(N) asymptote and drives the target probability to
@@ -101,13 +105,10 @@ def farhi_gutmann_matrix(n: int, energy: float) -> np.ndarray:
     )
 
 
-def fg_scan(n: int, energy: float, t_max: float, samples: int) -> EvolutionResult:
-    """Propagate the uniform state under the two-projector Hamiltonian over
-    `samples` equally spaced times from 0 to t_max."""
-    h = farhi_gutmann_matrix(n, energy)
-    if t_max <= 0.0 or samples < 2:
-        raise ValueError("scan needs positive horizon and at least two samples")
-    return _evolve_uniform(h, n, np.linspace(0.0, t_max, samples))
+def fg_scan(ts, n: int, energy: float) -> EvolutionResult:
+    """Uniform state evolved under the two-projector Hamiltonian to one time
+    or to each of an array of times."""
+    return _evolve_uniform(farhi_gutmann_matrix(n, energy), n, ts)
 
 
 def fg_peak_time(n: int, energy: float) -> float:

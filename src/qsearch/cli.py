@@ -219,24 +219,22 @@ def cmd_analog(args):
     if not 2 <= n <= _N_CAP:
         raise ValueError(f"analog needs 2 <= N <= {_N_CAP}, got N={n}")
     energy = args.E
+    # both models sample t_i = i dt for i = 0..floor(t_max / dt + 1e-9), by
+    # default 1001 times up to their own horizon
     if args.model == "fenner":
         t_max = args.t_max if args.t_max is not None else 2.0 * an.fenner_time(n)
-        dt = args.dt if args.dt is not None else t_max / 1000.0
-        if dt <= 0 or t_max <= 0:
-            raise ValueError("time grid must be positive")
-        ts = np.arange(_grid_steps(t_max, dt) + 1) * dt
-        p_target = an.fenner_state(ts, n).p_target
     else:
         if energy <= 0:
             raise ValueError("energy scale must be positive")
         t_max = args.t_max if args.t_max is not None else 3.0 * (math.pi / 4.0) * math.sqrt(n) / energy
-        if args.dt is not None and args.dt <= 0:
-            raise ValueError("time grid must be positive")
-        samples = 1001 if args.dt is None else _grid_steps(t_max, args.dt) + 1
-        if samples < 2:
-            raise ValueError("time grid must contain at least two samples")
-        traj = an.fg_scan(n, energy, t_max=t_max, samples=samples)
-        ts, p_target = traj.ts, traj.p_target
+    dt = args.dt if args.dt is not None else t_max / 1000.0
+    if dt <= 0 or t_max <= 0:
+        raise ValueError("time grid must be positive")
+    ts = np.arange(_grid_steps(t_max, dt) + 1) * dt
+    if args.model == "fenner":
+        p_target = an.fenner_state(ts, n).p_target
+    else:
+        p_target = an.fg_scan(ts, n, energy).p_target
     rows = [(args.model, n, energy, t, p) for t, p in zip(ts.tolist(), p_target.tolist())]
     return {}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], rows)], []
 
@@ -267,9 +265,9 @@ def cmd_fixed_point(args):
         u0 = _epsilon_unitary(args.epsilon)
         target = 1
     elif args.u0 == "wh":
-        # the transform keeps no matrix, only states of N amplitudes: at
-        # N = 2^20, depth 5 peaks near 180 MB RSS and takes about 16 s on a
-        # 2-CPU host, and the cap is digital's
+        # the transform keeps no matrix, only the run's state and one scratch
+        # buffer of N amplitudes: at N = 2^20, depth 5 peaks near 81 MB RSS
+        # and takes about 12.5 s on a 2-CPU host, and the cap is digital's
         if n < 2 or n > _N_CAP or n & (n - 1):
             raise ValueError(
                 f"Walsh-Hadamard initialization needs N = 2^n with 2 <= N <= {_N_CAP}, got N={n}"
@@ -477,6 +475,9 @@ def parse_sweep_config(path: Path) -> SweepConfig:
         if option in first_line:
             raise SweepConfigError(f"{path}:{lineno}: key '{key}' given twice (first on line {first_line[option]})")
         first_line[option] = lineno
+        if option == "out":
+            # every cell writes into its own directory under the sweep's --out
+            raise SweepConfigError(f"{path}:{lineno}: key '{key}' is not allowed: cells write under the sweep's --out")
         if key == "subcommand":
             subcommand = value
         elif value.startswith("[") and value.endswith("]"):
@@ -539,7 +540,8 @@ def cmd_sweep(args):
     index_rows = []
     for cell in cells:
         name = _cell_name(cfg.subcommand, cell, cfg.grids.keys())
-        argv = [cfg.subcommand]
+        # a cell inherits the sweep's --seed unless the config sets one
+        argv = [cfg.subcommand, "--seed", str(args.seed)]
         for key, value in cell.items():
             argv.extend([f"--{key.replace('_', '-')}", str(value)])
         argv.extend(["--out", str(_out_dir(args) / name)])

@@ -10,10 +10,12 @@ cross-checks the simulation at every depth.  Depth k+1 starts from U_k|s>,
 the one state the run keeps, so reaching depth d applies U0 or its adjoint
 3^d times in total.
 
-U0 itself is an operator, a pair of functions applying U0 and its adjoint:
-either a validated dense matrix with its adjoint formed once, or the
-Walsh-Hadamard transform H^{(x)n} applied as an O(N log N) butterfly that is
-never materialized as a Kronecker matrix.
+U0 itself is an operator, a pair of functions applying U0 and its adjoint
+to a state in place: either a validated dense matrix with its adjoint formed
+once, or the Walsh-Hadamard transform H^{(x)n} applied as an O(N log N)
+butterfly that is never materialized as a Kronecker matrix.  The selective
+phases change one amplitude in place too, so the recursion steps one state
+buffer from |0> to U_d|0>.
 
 The damped two-component family p_1 = xi(theta) exp(-theta) gives a Fisher
 information that decays instead of staying constant, and the geodesic
@@ -56,8 +58,9 @@ class RecursionState(NamedTuple):
 
 
 class UnitaryOperator(NamedTuple):
-    """A unitary on C^n given by its action on states: apply(v) = U v and
-    apply_dag(v) = U^dag v."""
+    """A unitary on C^n given by its action on states: apply(v) overwrites
+    the complex128 state v with U v and returns it, and apply_dag(v) with
+    U^dag v."""
 
     n: int
     apply: Callable[[np.ndarray], np.ndarray]
@@ -66,35 +69,40 @@ class UnitaryOperator(NamedTuple):
 
 def dense_operator(u: np.ndarray) -> UnitaryOperator:
     """Operator of a dense unitary matrix, validated, with its adjoint
-    formed once."""
+    formed once; each product is written back into its state."""
     u, u_dag = _check_unitary(u)
-    return UnitaryOperator(u.shape[0], u.__matmul__, u_dag.__matmul__)
+    return UnitaryOperator(u.shape[0], lambda v: np.matmul(u, v, out=v), lambda v: np.matmul(u_dag, v, out=v))
 
 
 def walsh_hadamard_transform(v: np.ndarray) -> np.ndarray:
-    """H^{(x)n} v for a state of length N = 2^n in O(N log N); returns a new
-    array.
+    """H^{(x)n} v for a complex128 state of length N = 2^n in O(N log N),
+    written into v, which is returned.
 
     Radix-2 butterflies in constant geometry: each of the n passes combines
-    the pairs (x[2i], x[2i+1]) into the two halves of a second buffer, which
-    transforms the lowest index bit and rotates it to the top, so after n
-    passes every bit is transformed and back in place.  On a basis state
-    the butterflies are exact integer sums, so the amplitudes carry only the
-    rounding of the one final scaling by 1/sqrt(N).
+    the pairs (x[2i], x[2i+1]) into the two halves of the other of two
+    buffers, v and one scratch state, which transforms the lowest index bit
+    and rotates it to the top, so after n passes every bit is transformed
+    and back in place; after an odd number of passes the result is copied
+    back into v once.  On a basis state the butterflies are exact integer
+    sums, so the amplitudes carry only the rounding of the one final
+    scaling by 1/sqrt(N).
     """
-    x = np.array(v, dtype=np.complex128)
-    size = x.shape[0]
-    if x.shape != (size,) or size < 2 or size & (size - 1):
+    size = v.shape[0] if isinstance(v, np.ndarray) and v.ndim == 1 else 0
+    if size < 2 or size & (size - 1):
         raise ValueError("the Walsh-Hadamard transform needs a vector of length 2^n, n >= 1")
-    y = np.empty_like(x)
+    if v.dtype != np.complex128:
+        raise ValueError(f"the Walsh-Hadamard transform works in place on complex128, got {v.dtype}")
+    x, y = v, np.empty_like(v)
     half = size // 2
     for _ in range(size.bit_length() - 1):
         even, odd = x[0::2], x[1::2]
         np.add(even, odd, out=y[:half])
         np.subtract(even, odd, out=y[half:])
         x, y = y, x
-    x *= 1.0 / math.sqrt(size)
-    return x
+    if x is not v:
+        v[:] = x
+    v *= 1.0 / math.sqrt(size)
+    return v
 
 
 def walsh_hadamard_operator(n_qubits: int) -> UnitaryOperator:
@@ -113,8 +121,8 @@ def _apply_uk(k: int, v: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.ndarra
 
 def _raise_depth(k: int, w: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.ndarray:
     """U_k R_s U_k^dag R_t w: the map taking U_k v to U_{k+1} v.  Each state
-    here is read once, by the step after it, so the phases change it in
-    place."""
+    here is read once, by the step after it, so the phases and U0 change it
+    in place and the whole recursion works on one buffer."""
     w = selective_phase(w, tgt, math.pi / 3.0)
     w = _apply_uk_dag(k, w, u0, tgt)
     w = selective_phase(w, 0, math.pi / 3.0)

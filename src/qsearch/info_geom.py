@@ -12,15 +12,17 @@ components, sum_l m_l x_l, computed in one place
 component.  The Grover search family is two classes, the target and the
 N - 1 non-target states, so its metrics cost the same at every N.
 
-The Fisher information is computed through the square-root form
-4 sum m (d sqrt(p))^2, which stays finite where components vanish; the
-p'^2/p form is used only where p is safely positive.  At a zero of p_l,
-where sqrt(p_l) has a kink, (d sqrt(p_l))^2 comes from the second difference
-of p_l, for the Fisher information and the kinetic energy alike, so the
-search family reads F = 4 and K = 1 at theta = 0 and pi/2 too.
-:func:`metric_row` evaluates the Fisher-Rao metric, the kinetic energy and
-the Wigner-Yanase line element at one theta in one pass, computing the
-Fisher-Rao metric once for both.
+The metric is evaluated in one place, :func:`metric_row`, which reads the
+family three times per theta (p at theta and theta +- h) plus dp where the
+family has one, and returns the Fisher-Rao metric, the kinetic energy and
+the Wigner-Yanase line element together; :func:`fisher_rao`,
+:func:`kinetic_energy` and :func:`wigner_yanase_line_element` each read one
+of them.  The Fisher information is 4 sum m (d sqrt(p))^2, which stays
+finite where components vanish; dp / (2 sqrt(p)) is used only where p is
+safely positive.  At a zero of p_l, where sqrt(p_l) has a kink,
+(d sqrt(p_l))^2 comes from the second difference of p_l, for the Fisher
+information and the kinetic energy alike, so the search family reads F = 4
+and K = 1 at theta = 0 and pi/2 too.
 
 Geodesics in amplitude coordinates q_l = sqrt(p_l) obey q'' + q = 0 once the
 Fisher information is constant at 4 and the normalization multiplier is fixed
@@ -46,15 +48,6 @@ from . import grover_digital as gd
 
 FD_REL_STEP = 1e-5
 _P_FLOOR = 1e-12
-
-
-def _fd_step(theta: float) -> float:
-    return FD_REL_STEP * max(1.0, abs(theta))
-
-
-def _central_diff(f: Callable[[float], np.ndarray], theta: float) -> np.ndarray:
-    h = _fd_step(theta)
-    return (np.asarray(f(theta + h)) - np.asarray(f(theta - h))) / (2.0 * h)
 
 
 class _ParametricFamilyFields(NamedTuple):
@@ -109,14 +102,6 @@ class ParametricFamily(_ParametricFamilyFields):
     def probabilities(self, theta: float) -> np.ndarray:
         return np.asarray(self.p(theta), dtype=np.float64)
 
-    def dprobabilities(self, theta: float) -> np.ndarray:
-        """The analytic derivative dp; only a family that has one is asked."""
-        return np.asarray(self.dp(theta), dtype=np.float64)
-
-    def amplitudes(self, theta: float) -> np.ndarray:
-        """The real amplitudes sqrt(p)."""
-        return np.sqrt(self.probabilities(theta))
-
 
 class GeodesicSolution(NamedTuple):
     """A geodesic at the requested parameter values: ``q`` holds one row per
@@ -145,76 +130,57 @@ def grover_family(n: int) -> ParametricFamily:
     return ParametricFamily(n=2, p=p, dp=dp, multiplicity=(1.0, float(rest)))
 
 
-def _sqrt_p_rate_squared(family: ParametricFamily, theta: float, p: np.ndarray) -> np.ndarray:
-    """(d sqrt(p_l))^2 from the second difference of p,
-    (p(theta + h) + p(theta - h) - 2 p(theta)) / (2 h^2), clipped at 0.
+def metric_row(family: ParametricFamily, theta: float, dtheta: float) -> tuple[float, float, float]:
+    """(F, K, ds^2) at one theta: the Fisher-Rao metric 4 sum m (d sqrt(p))^2,
+    the kinetic energy <d psi | d psi> = sum m (d sqrt(p))^2 and the
+    Wigner-Yanase line element F dtheta^2, from one stencil: p at theta and
+    theta +- h, with h = FD_REL_STEP max(1, |theta|), and dp at theta where
+    the family has it.
 
-    At a double zero of p_l this is the exact limit, where sqrt(p_l) has a
-    kink (|sin theta| at 0) and its central difference reads 0."""
-    h = _fd_step(theta)
-    second = family.probabilities(theta + h) + family.probabilities(theta - h) - 2.0 * p
-    return np.maximum(second / (2.0 * h * h), 0.0)
-
-
-def _sqrt_p_derivatives(family: ParametricFamily, theta: float) -> np.ndarray:
-    """d sqrt(p_l)/d theta: analytic where p_l is safely positive, a finite
-    difference on sqrt(p) where no dp is given, and for p_l <= _P_FLOOR the
-    magnitude from :func:`_sqrt_p_rate_squared`, since the one-sided slopes
-    of sqrt(p_l) differ in sign at its zero."""
-    def sqrt_p(t: float) -> np.ndarray:
-        return np.sqrt(family.probabilities(t))
-
+    F takes d sqrt(p) as dp / (2 sqrt(p)), or as the central difference of
+    sqrt(p) without dp; K takes the central difference, scaled by 1/(2h).  A
+    component with p_l <= _P_FLOOR contributes the second difference
+    (p(theta + h) + p(theta - h) - 2 p(theta)) / (2 h^2), clipped at 0, to
+    both: at a double zero of p_l that is the exact limit, where sqrt(p_l)
+    has a kink (|sin theta| at 0) and its central difference reads 0."""
+    family.check_theta(theta)
+    h = FD_REL_STEP * max(1.0, abs(theta))
     p = family.probabilities(theta)
+    p_plus = family.probabilities(theta + h)
+    p_minus = family.probabilities(theta - h)
     low = p <= _P_FLOOR
+    diff = np.sqrt(p_plus) - np.sqrt(p_minus)
     if family.dp is None:
-        out = _central_diff(sqrt_p, theta)
+        ds = diff / (2.0 * h)
     else:
-        out = np.divide(family.dprobabilities(theta), 2.0 * np.sqrt(p), out=np.zeros_like(p), where=~low)
+        dp = np.asarray(family.dp(theta), dtype=np.float64)
+        ds = np.divide(dp, 2.0 * np.sqrt(p), out=np.zeros_like(p), where=~low)
+    dpsi = diff * (1.0 / (2.0 * h))
+    rate = dpsi * dpsi
     if low.any():
-        out[low] = np.sqrt(_sqrt_p_rate_squared(family, theta, p)[low])
-    return out
+        second = np.maximum((p_plus + p_minus - 2.0 * p) / (2.0 * h * h), 0.0)[low]
+        ds[low] = np.sqrt(second)
+        rate[low] = second
+    f = float(4.0 * family.weighted_sum(ds * ds))
+    return f, float(family.weighted_sum(rate)), f * dtheta * dtheta
 
 
 def fisher_rao(family: ParametricFamily, theta: float) -> float:
-    """Fisher-Rao metric component 4 sum m (d sqrt(p))^2, which is also the
-    Fisher information of a one-parameter family."""
-    family.check_theta(theta)
-    ds = _sqrt_p_derivatives(family, theta)
-    return float(4.0 * family.weighted_sum(ds * ds))
+    """Fisher-Rao metric component, which is also the Fisher information of
+    a one-parameter family: the F of :func:`metric_row`."""
+    return metric_row(family, theta, 0.0)[0]
+
+
+def kinetic_energy(family: ParametricFamily, theta: float) -> float:
+    """<d psi | d psi> on the real amplitudes sqrt(p): the K of
+    :func:`metric_row`."""
+    return metric_row(family, theta, 0.0)[1]
 
 
 def wigner_yanase_line_element(family: ParametricFamily, theta: float, dtheta: float) -> float:
     """ds^2 = F dtheta^2: the phase term 4 [sum m p phi'^2 - (sum m p phi')^2]
     of the general line element vanishes on real amplitudes."""
-    return fisher_rao(family, theta) * dtheta * dtheta
-
-
-def metric_row(family: ParametricFamily, theta: float, dtheta: float) -> tuple[float, float, float]:
-    """(F, K, ds^2) at one theta: the Fisher-Rao metric, the kinetic energy
-    and the Wigner-Yanase line element over the step dtheta, with F computed
-    once and shared by the line element.  Bitwise equal to
-    (fisher_rao, kinetic_energy, wigner_yanase_line_element)."""
-    f = fisher_rao(family, theta)
-    k = kinetic_energy(family, theta)
-    return f, k, f * dtheta * dtheta
-
-
-def kinetic_energy(family: ParametricFamily, theta: float) -> float:
-    """<d psi | d psi> = sum m (d psi)^2 by direct finite differencing of the
-    amplitudes, scaled by 1/(2h).
-
-    A component with p_l <= _P_FLOOR contributes :func:`_sqrt_p_rate_squared`
-    instead, since the central difference of |amplitude| reads 0 at its
-    zero."""
-    family.check_theta(theta)
-    h = _fd_step(theta)
-    dpsi = (family.amplitudes(theta + h) - family.amplitudes(theta - h)) * (1.0 / (2.0 * h))
-    rate = dpsi * dpsi
-    p = family.probabilities(theta)
-    low = p <= _P_FLOOR
-    if low.any():
-        rate[low] = _sqrt_p_rate_squared(family, theta, p)[low]
-    return float(family.weighted_sum(rate))
+    return metric_row(family, theta, dtheta)[2]
 
 
 # -- geodesics ---------------------------------------------------------------

@@ -252,7 +252,9 @@ class TestFarhiGutmann:
 
     def test_scan_against_eig_oracle(self):
         n, energy = 32, 1.0
-        traj = an.fg_scan(n, energy, 1.5 * an.fg_peak_time(n, energy), 400)
+        ts = np.linspace(0.0, 1.5 * an.fg_peak_time(n, energy), 400)
+        traj = an.fg_scan(ts, n, energy)
+        assert traj.ts is ts
         h = an.farhi_gutmann_matrix(n, energy)
         alpha, beta = an.alpha_beta(n)
         psi0 = np.array([alpha, beta], dtype=np.complex128)

@@ -168,14 +168,37 @@ class TestAnalog:
         [
             (["--model", "fenner", "--t-max", "-1"], "time grid must be positive"),
             (["--model", "farhi-gutmann", "--E", "0"], "energy scale must be positive"),
-            (["--model", "farhi-gutmann", "--t-max", "1e-9", "--dt", "1"], "at least two samples"),
+            (["--model", "farhi-gutmann", "--t-max", "-1"], "time grid must be positive"),
         ],
-        ids=["fenner-negative-horizon", "farhi-gutmann-zero-energy", "farhi-gutmann-one-sample"],
+        ids=["fenner-negative-horizon", "farhi-gutmann-zero-energy", "farhi-gutmann-negative-horizon"],
     )
     def test_bad_grid_or_energy_is_domain_error(self, tmp_path, capsys, argv, what):
         assert run_cli(["analog", "--N", "16", *argv], tmp_path) == cli.EXIT_DOMAIN
         assert what in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("model", ["fenner", "farhi-gutmann"])
+    def test_one_sample_grid_is_the_t0_row(self, tmp_path, model):
+        argv = ["analog", "--model", model, "--N", "16", "--t-max", "1e-9", "--dt", "1"]
+        assert run_cli(argv, tmp_path) == 0
+        _, rows = read_csv(tmp_path / f"analog_{model}_N16.csv")
+        assert [row[3] for row in rows] == ["0"]
+        assert float(rows[0][4]) == pytest.approx(1.0 / 16.0, abs=1e-15)
+
+    def test_farhi_gutmann_dt_is_the_step(self, tmp_path):
+        argv = ["analog", "--model", "farhi-gutmann", "--N", "16", "--t-max", "1", "--dt", "0.3"]
+        assert run_cli(argv, tmp_path) == 0
+        _, rows = read_csv(tmp_path / "analog_farhi-gutmann_N16.csv")
+        assert [row[3] for row in rows] == [cli._fmt(i * 0.3) for i in range(4)]
+
+    def test_default_grids_are_equal(self, tmp_path):
+        t_max = "7.25"
+        for model in ("fenner", "farhi-gutmann"):
+            assert run_cli(["analog", "--model", model, "--N", "16", "--t-max", t_max], tmp_path / model) == 0
+        _, fenner = read_csv(tmp_path / "fenner" / "analog_fenner_N16.csv")
+        _, fg = read_csv(tmp_path / "farhi-gutmann" / "analog_farhi-gutmann_N16.csv")
+        assert len(fenner) == 1001
+        assert [row[3] for row in fenner] == [row[3] for row in fg]
 
 
 class TestFixedPoint:
@@ -335,9 +358,11 @@ class TestDampedAndGeodesic:
         ],
     )
     def test_one_fisher_rao_per_row(self, tmp_path, monkeypatch, argv, rows):
+        # F, K and ds2 of a row come from one metric_row call, so F is
+        # computed once per row
         calls = []
-        fisher_rao = cli.ig.fisher_rao
-        monkeypatch.setattr(cli.ig, "fisher_rao", lambda *a: calls.append(1) or fisher_rao(*a))
+        metric_row = cli.ig.metric_row
+        monkeypatch.setattr(cli.ig, "metric_row", lambda *a: calls.append(1) or metric_row(*a))
         assert run_cli(argv, tmp_path) == 0
         (csv,) = tmp_path.glob("*.csv")
         assert len(read_csv(csv)[1]) == rows
@@ -548,6 +573,8 @@ target = 0
                 "bad.cfg:5: key 't-max' given twice (first on line 4)",
             ),
             ("subcommand = digital\nsubcommand = analog\nN = 4\n", "bad.cfg:2: key 'subcommand' given twice"),
+            # the cells would still write under the sweep's --out
+            ("subcommand = digital\nN = 4\nout = elsewhere\n", "bad.cfg:3: key 'out' is not allowed"),
         ],
         ids=[
             "no-equals",
@@ -558,6 +585,7 @@ target = 0
             "fixed-and-swept",
             "one-option-two-spellings",
             "repeated-subcommand",
+            "out-key",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, monkeypatch, capsys, text, what):
@@ -569,6 +597,38 @@ target = 0
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
         assert what in capsys.readouterr().err
         assert not out.exists()
+        assert not (tmp_path / "elsewhere").exists()
+
+    @staticmethod
+    def seeded_sweep(tmp_path, name, config, seed):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config)
+        out = tmp_path / name
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 0
+        return out
+
+    def test_cells_inherit_the_sweep_seed(self, tmp_path):
+        config = "subcommand = fixed-point\nu0 = random\nN = [4, 8]\ndepth = 2\n"
+        runs = {seed: self.seeded_sweep(tmp_path, f"seed{seed}", config, seed) for seed in ("0", "7")}
+        for cell in ("fixed-point_N-4", "fixed-point_N-8"):
+            manifest = json.loads((runs["7"] / cell / "fixed-point_manifest.json").read_text())
+            assert manifest["params"]["seed"] == 7
+            csvs = [(runs[seed] / cell / "fixed_point_depth2.csv").read_bytes() for seed in ("0", "7")]
+            assert csvs[0] != csvs[1]
+            alone = tmp_path / "alone" / cell
+            argv = ["fixed-point", "--u0", "random", "--N", cell[-1], "--depth", "2", "--seed", "7"]
+            assert run_cli(argv, alone) == 0
+            assert (alone / "fixed_point_depth2.csv").read_bytes() == csvs[1]
+        # the index lists the config's keys only, whatever the seed
+        index = [(runs[seed] / "sweep_index.csv").read_bytes() for seed in ("0", "7")]
+        assert index[0] == index[1]
+
+    def test_config_seed_wins(self, tmp_path):
+        config = "subcommand = fixed-point\nu0 = random\nN = 4\ndepth = 1\nseed = [3, 5]\n"
+        out = self.seeded_sweep(tmp_path, "out", config, "7")
+        for seed in (3, 5):
+            manifest = json.loads((out / f"fixed-point_seed-{seed}" / "fixed-point_manifest.json").read_text())
+            assert manifest["params"]["seed"] == seed
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)

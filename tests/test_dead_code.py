@@ -16,7 +16,7 @@ REFERRERS = [*SOURCES, ROOT / "tests" / "test_acceptance.py"]
 
 KEEP = {
     "info_geom.wigner_yanase_line_element": (
-        "traced by name in bench/tracer.py; the definition that metric_row's ds2 is checked against"
+        "a name that bench/tracer.py wraps, so the benchmark's tracer needs it to resolve"
     ),
 }
 

@@ -13,13 +13,20 @@ from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 
 
+def central_diff(f, theta):
+    """(f(theta + h) - f(theta - h)) / (2h) with info_geom's relative step
+    h = FD_REL_STEP max(1, |theta|)."""
+    h = ig.FD_REL_STEP * max(1.0, abs(theta))
+    return (f(theta + h) - f(theta - h)) / (2.0 * h)
+
+
 def damped_fisher(xi, theta, dxi=None):
     """Oracle of the damped families' Fisher information: the closed form
     [(xi' - xi)^2 / (xi (1 - xi e^{-theta}))] e^{-theta} of
     p_1 = xi e^{-theta}, with xi' by central difference when no dxi is
     given."""
     x = fp.DampedFamily(xi=xi).xi_at(theta)
-    dx = dxi(theta) if dxi is not None else ig._central_diff(lambda t: np.array([xi(t)]), theta)[0]
+    dx = dxi(theta) if dxi is not None else central_diff(xi, theta)
     return (dx - x) ** 2 / (x * (1.0 - x * math.exp(-theta))) * math.exp(-theta)
 
 
@@ -164,19 +171,37 @@ class TestWalshHadamardOperator:
             dense = walsh_hadamard(n_qubits)
             for _ in range(3):
                 v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-                got = fp.walsh_hadamard_transform(v)
+                got = fp.walsh_hadamard_transform(v.copy())
                 assert np.max(np.abs(got - dense @ v)) < 1e-13
-                assert np.max(np.abs(fp.walsh_hadamard_transform(got) - v)) < 1e-13
+                assert np.max(np.abs(fp.walsh_hadamard_transform(got.copy()) - v)) < 1e-13
 
-    def test_transform_leaves_input_untouched(self):
-        v = np.arange(8, dtype=np.complex128)
-        fp.walsh_hadamard_transform(v)
-        assert np.array_equal(v, np.arange(8))
+    def test_transform_works_in_place(self):
+        # an odd number of passes ends in the scratch buffer and is copied back
+        for n_qubits in (1, 2, 3):
+            v = np.arange(1 << n_qubits, dtype=np.complex128)
+            want = walsh_hadamard(n_qubits) @ v
+            assert fp.walsh_hadamard_transform(v) is v
+            assert np.max(np.abs(v - want)) < 1e-13
 
     @pytest.mark.parametrize("length", [0, 1, 3, 12])
     def test_transform_rejects_other_lengths(self, length):
         with pytest.raises(ValueError):
-            fp.walsh_hadamard_transform(np.ones(length))
+            fp.walsh_hadamard_transform(np.ones(length, dtype=np.complex128))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    def test_transform_rejects_other_dtypes(self, dtype):
+        with pytest.raises(ValueError, match="complex128"):
+            fp.walsh_hadamard_transform(np.ones(8, dtype=dtype))
+
+    def test_dense_operator_works_in_place(self):
+        rng = np.random.default_rng(56)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        op = fp.dense_operator(u)
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        for apply, mat in ((op.apply, u), (op.apply_dag, u.conj().T)):
+            w = v.copy()
+            assert apply(w) is w
+            assert np.array_equal(w, mat @ v)
 
     def test_operator_needs_a_qubit(self):
         with pytest.raises(ValueError):
@@ -207,8 +232,9 @@ class TestWalshHadamardOperator:
         assert len(phases) == 242
 
     def test_peak_memory_is_a_few_states(self):
-        # the run keeps one state, not one per depth; the recursion holds a
-        # state per level of the operator word it is inside
+        # the run keeps one state, not one per depth, and the recursion steps
+        # it in place: the state, the transform's scratch buffer and the
+        # failure sum's copy
         n = 1 << 16
         state_bytes = 16 * n
         tracemalloc.start()
@@ -217,7 +243,7 @@ class TestWalshHadamardOperator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * state_bytes
+        assert peak <= 4 * state_bytes
 
 
 class TestCoefficientIdentity:

@@ -19,10 +19,20 @@ def kinetic_energy_via_fisher(family, theta):
     return ig.fisher_rao(family, theta) / 4.0
 
 
+def amplitudes(family, theta):
+    """The real amplitudes sqrt(p) of a family's state."""
+    return np.sqrt(family.probabilities(theta))
+
+
+def fd_step(theta):
+    """The central-difference step of :func:`qsearch.info_geom.metric_row`."""
+    return ig.FD_REL_STEP * max(1.0, abs(theta))
+
+
 def state_overlap(family, theta_a, theta_b):
     """<psi(theta_a) | psi(theta_b)> = sum m a b on real amplitudes."""
-    a = family.amplitudes(theta_a)
-    b = family.amplitudes(theta_b)
+    a = amplitudes(family, theta_a)
+    b = amplitudes(family, theta_b)
     return float(family.weighted_sum(a * b))
 
 
@@ -220,12 +230,20 @@ class TestZerosOfP:
         assert abs(f - 4.0) < 1e-8 and abs(k - 1.0) < 1e-8
 
     def test_magnitude_only_at_the_zero(self):
-        # the slope of sqrt(p_1) = cos(theta)/sqrt(N - 1) keeps its sign; that
-        # of |sin theta| at 0 is reported as its magnitude
-        fam = ig.grover_family(5)
-        ds = ig._sqrt_p_derivatives(fam, 0.0)
-        assert ds[0] == pytest.approx(1.0, abs=1e-10) and ds[1] == 0.0
-        assert ig._sqrt_p_derivatives(fam, 0.7)[1] < 0.0
+        # only |sin theta|, whose slope at 0 is read as its magnitude 1, takes
+        # the second difference; p_1 = 1/2 + sin(theta)/4 keeps its first
+        # derivative, (d sqrt(p_1))^2 = (1/4)^2 / (4 p_1) = 1/32 at 0, where
+        # its second difference would read about 0
+        fam = ig.ParametricFamily(
+            n=2,
+            p=lambda t: np.array([math.sin(t) ** 2, 0.5 + 0.25 * math.sin(t)]),
+            dp=lambda t: np.array([math.sin(2.0 * t), 0.25 * math.cos(t)]),
+            domain=(-1.0, 1.0),
+        )
+        for family in (fam, self.without_dp(fam)):
+            f, k, _ = ig.metric_row(family, 0.0, 1e-3)
+            assert abs(f - 4.0 * (1.0 + 1.0 / 32.0)) < 1e-8
+            assert abs(k - (1.0 + 1.0 / 32.0)) < 1e-8
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["dp", "no-dp"])
     def test_interior_bits_unchanged(self, analytic):
@@ -233,14 +251,14 @@ class TestZerosOfP:
         fam = ig.grover_family(64) if analytic else self.without_dp(ig.grover_family(64))
         for theta in np.linspace(0.01, math.pi / 2 - 0.01, 40).tolist():
             assert (fam.probabilities(theta) > ig._P_FLOOR).all()
+            h = fd_step(theta)
+            diff = amplitudes(fam, theta + h) - amplitudes(fam, theta - h)
             if analytic:
-                p = fam.probabilities(theta)
-                ds = fam.dprobabilities(theta) / (2.0 * np.sqrt(p))
+                ds = fam.dp(theta) / (2.0 * np.sqrt(fam.probabilities(theta)))
             else:
-                ds = ig._central_diff(lambda t: np.sqrt(fam.probabilities(t)), theta)
+                ds = diff / (2.0 * h)
             assert ig.fisher_rao(fam, theta) == float(4.0 * fam.weighted_sum(ds * ds))
-            h = ig._fd_step(theta)
-            dpsi = (fam.amplitudes(theta + h) - fam.amplitudes(theta - h)) * (1.0 / (2.0 * h))
+            dpsi = diff * (1.0 / (2.0 * h))
             assert ig.kinetic_energy(fam, theta) == float(fam.weighted_sum(np.abs(dpsi) ** 2))
 
 
@@ -342,29 +360,55 @@ class TestMetricRow:
             self.assert_row_matches(trig_family(rng), rng.uniform(0.2, 3.0, size=4).tolist(), dtheta=1e-2)
 
     def test_one_fisher_rao_call(self, monkeypatch):
+        # each named metric is one metric_row call
         calls = []
-        fisher_rao = ig.fisher_rao
-        monkeypatch.setattr(ig, "fisher_rao", lambda *a: calls.append(1) or fisher_rao(*a))
-        ig.metric_row(ig.grover_family(16), 0.3, 1e-3)
-        assert len(calls) == 1
+        metric_row = ig.metric_row
+        monkeypatch.setattr(ig, "metric_row", lambda *a: calls.append(1) or metric_row(*a))
+        fam = ig.grover_family(16)
+        ig.fisher_rao(fam, 0.3)
+        ig.kinetic_energy(fam, 0.3)
+        ig.wigner_yanase_line_element(fam, 0.3, 1e-3)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "base, theta",
+        [(ig.grover_family(16), 0.3), (ig.grover_family(16), 0.0), (damped_families()[0], 2.0)],
+        ids=["grover", "grover-at-zero", "damped"],
+    )
+    def test_three_evaluations_of_p(self, base, theta):
+        # p at theta and theta +- h, and dp at theta where the family has it
+        p_calls, dp_calls = [], []
+        fam = base._replace(
+            p=lambda t: p_calls.append(t) or base.p(t),
+            dp=base.dp and (lambda t: dp_calls.append(t) or base.dp(t)),
+        )
+        assert ig.metric_row(fam, theta, 1e-3) == ig.metric_row(base, theta, 1e-3)
+        assert len(p_calls) == 3
+        assert dp_calls == ([] if base.dp is None else [theta])
 
     def test_unmasked_path_matches_masked(self):
+        # off the zeros, the masked division dp / (2 sqrt(p)) reads every
+        # component, bit for bit as the plain one
         fam = ig.grover_family(20000)
         for theta in (0.01, 0.7, 1.5):
-            p, dp = fam.probabilities(theta), fam.dprobabilities(theta)
+            p, dp = fam.probabilities(theta), fam.dp(theta)
             safe = p > ig._P_FLOOR
             assert safe.all()
             masked = np.empty_like(p)
             masked[safe] = dp[safe] / (2.0 * np.sqrt(p[safe]))
-            assert ig._sqrt_p_derivatives(fam, theta).tobytes() == masked.tobytes()
+            assert ig.fisher_rao(fam, theta) == float(4.0 * fam.weighted_sum(masked * masked))
 
 
 class TestCurrentAndKinetic:
     def test_phaseless_amplitudes_are_real(self):
+        # a family carries no phases: its state is the real sqrt(p), whose
+        # central difference is the kinetic energy
+        assert "phi" not in ig.ParametricFamily._fields
         fam = ig.grover_family(8)
-        amps = fam.amplitudes(0.4)
-        assert amps.dtype == np.float64
-        assert np.array_equal(amps, np.sqrt(fam.probabilities(0.4)))
+        assert fam.probabilities(0.4).dtype == np.float64
+        h = fd_step(0.4)
+        dpsi = (amplitudes(fam, 0.4 + h) - amplitudes(fam, 0.4 - h)) * (1.0 / (2.0 * h))
+        assert ig.kinetic_energy(fam, 0.4) == float(fam.weighted_sum(dpsi * dpsi))
 
     def test_grover_current_zero_kinetic_one(self):
         # real amplitudes carry no current: K = F/4 = 1
