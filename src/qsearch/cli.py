@@ -226,7 +226,7 @@ def cmd_analog(args):
     else:
         if energy <= 0:
             raise ValueError("energy scale must be positive")
-        t_max = args.t_max if args.t_max is not None else 3.0 * (math.pi / 4.0) * math.sqrt(n) / energy
+        t_max = args.t_max if args.t_max is not None else 1.5 * an.fg_peak_time(n, energy)
     dt = args.dt if args.dt is not None else t_max / 1000.0
     if dt <= 0 or t_max <= 0:
         raise ValueError("time grid must be positive")
@@ -345,13 +345,15 @@ def cmd_geodesic(args):
     index = np.arange(0, steps + 1, stride)
     thetas = np.where(index < steps, index * args.dtheta, args.theta_end)
     sol = ig.solve_geodesic(n, q0, qdot0, thetas, family.multiplicity)
-    margin = 1e-2
-    rows = []
+    # past pi/2 the metric columns read the family at its domain's end
+    columns = ig.metric_columns(family, np.clip(sol.thetas, *family.domain), args.dtheta)
     n_q_cols = min(n, 4)
-    for t, (q_target, q_rest), resid in zip(sol.thetas.tolist(), sol.q.tolist(), sol.residual.tolist()):
-        t_eval = min(max(t, margin), math.pi / 2 - margin)
-        f, k, ds2 = ig.metric_row(family, t_eval, args.dtheta)
-        rows.append((t, f, k, ds2, q_target, *[q_rest] * (n_q_cols - 1), resid))
+    rows = [
+        (t, f, k, ds2, q_target, *[q_rest] * (n_q_cols - 1), resid)
+        for t, f, k, ds2, (q_target, q_rest), resid in zip(
+            sol.thetas.tolist(), *(c.tolist() for c in columns), sol.q.tolist(), sol.residual.tolist()
+        )
+    ]
 
     header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual"]
     return {}, [(f"geodesic_N{n}.csv", header, rows)], []
@@ -365,13 +367,11 @@ def _infogeo_family(args):
         lo, hi = 1e-2, math.pi / 2 - 1e-2
         label = f"grover_N{args.N}"
     elif args.family == "damped-const":
-        damped = fp.DampedFamily(xi=lambda t, c=args.xi_const: c)
-        fam = damped.as_parametric_family()
+        fam = fp.damped_family(args.xi_const, 1.0)
         lo, hi = 0.0, 10.0
         label = f"damped_const{args.xi_const}"
     else:
-        damped = fp.DampedFamily(xi=lambda t, a=args.A: a * math.exp(-t))
-        fam = damped.as_parametric_family()
+        fam = fp.damped_family(args.A, 2.0)
         lo, hi = 0.0, 10.0
         label = f"damped_exp{args.A}"
     return fam, lo, hi, label
@@ -380,9 +380,9 @@ def _infogeo_family(args):
 def cmd_infogeo(args):
     _check_rows(args.points, "point count")
     fam, lo, hi, label = _infogeo_family(args)
-    rows = []
-    for t in np.linspace(lo, hi, args.points).tolist():
-        rows.append((args.family, t, *ig.metric_row(fam, t, 1e-3)))
+    thetas = np.linspace(lo, hi, args.points)
+    columns = ig.metric_columns(fam, thetas, 1e-3)
+    rows = [(args.family, *row) for row in zip(thetas.tolist(), *(c.tolist() for c in columns))]
 
     return {}, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], rows)], []
 

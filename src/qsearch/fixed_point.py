@@ -17,8 +17,9 @@ butterfly that is never materialized as a Kronecker matrix.  The selective
 phases change one amplitude in place too, so the recursion steps one state
 buffer from |0> to U_d|0>.
 
-The damped two-component family p_1 = xi(theta) exp(-theta) gives a Fisher
-information that decays instead of staying constant, and the geodesic
+The damped two-component family p_1 = c exp(-r theta), with amplitudes
+and their derivatives in closed form, gives a Fisher information
+r^2 p_1 / (1 - p_1) that decays instead of staying constant, and the geodesic
 equation with exponentially decaying Lagrangian becomes
 q'' + gamma q' + (L0/2) exp(-gamma theta) q = 0, solved in closed form by
 first-order Bessel functions of a shrinking argument.
@@ -195,26 +196,32 @@ def fixed_point_run(u0: UnitaryOperator | np.ndarray, target: int, depth: int) -
 # -- damped family -----------------------------------------------------------
 
 
-class DampedFamily(NamedTuple):
-    """Two-component family p_0 = 1 - xi e^{-theta}, p_1 = xi e^{-theta} with
-    differentiable xi taking values in (0, 1]."""
+def damped_family(c: float, rate: float) -> ParametricFamily:
+    """Two-component family p_1 = c e^{-rate theta}, p_0 = 1 - p_1, for
+    c in (0, 1], on theta in [0, 40]: q_1 = sqrt(c) e^{-rate theta/2} with
+    q_1' = -(rate/2) q_1, and q_0 = sqrt(1 - p_1) with
+    q_0' = rate p_1 / (2 q_0).  Each evaluation checks 0 < p_1 < 1 over its
+    theta array, which fails only for c = 1 where e^{-rate theta} rounds to
+    1, theta = 0 included, or for a subnormal c where p_1 underflows to 0."""
+    if not 0.0 < c <= 1.0:
+        raise ValueError(f"the damped family needs c in (0, 1], got {c}")
+    root_c = math.sqrt(c)
 
-    xi: Callable[[float], float]
-
-    def xi_at(self, theta: float) -> float:
-        x = float(self.xi(theta))
-        if not 0.0 < x <= 1.0:
-            raise ValueError(f"xi({theta}) = {x} outside (0, 1]")
-        return x
-
-    def probabilities(self, theta: float) -> np.ndarray:
-        p1 = self.xi_at(theta) * math.exp(-theta)
-        if not 0.0 < p1 < 1.0:
+    def p1_q1(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p1 = c * np.exp(-rate * thetas)
+        if not np.all((0.0 < p1) & (p1 < 1.0)):
             raise ValueError("p_1 must lie strictly inside (0, 1)")
-        return np.array([1.0 - p1, p1])
+        return p1, root_c * np.exp(-0.5 * rate * thetas)
 
-    def as_parametric_family(self) -> ParametricFamily:
-        return ParametricFamily(n=2, p=self.probabilities, domain=(0.0, 40.0))
+    def q(thetas: np.ndarray) -> np.ndarray:
+        p1, q1 = p1_q1(thetas)
+        return np.stack([np.sqrt(1.0 - p1), q1], axis=-1)
+
+    def dq(thetas: np.ndarray) -> np.ndarray:
+        p1, q1 = p1_q1(thetas)
+        return np.stack([0.5 * rate * p1 / np.sqrt(1.0 - p1), -0.5 * rate * q1], axis=-1)
+
+    return ParametricFamily(q, dq, np.ones(2), domain=(0.0, 40.0))
 
 
 # -- damped geodesic ---------------------------------------------------------

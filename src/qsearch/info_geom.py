@@ -1,32 +1,28 @@
 """Metrics on parametric families, geodesics, step lengths, thermal Fisher.
 
-A parametric family bundles component probabilities p_l(theta) with their
-analytic derivative when available; central finite differences (relative
-step 1e-5) fill in otherwise.  Its states are the real amplitudes sqrt(p_l):
-every family here, the search family sin(theta)|w> + cos(theta)|r> included,
-has no relative phases, so the Wigner-Yanase line element is F dtheta^2.
-A component may stand for a class of m_l basis states that share one
-probability: every sum over basis states is then the weighted sum over
-components, sum_l m_l x_l, computed in one place
-(:meth:`ParametricFamily.weighted_sum`).  Multiplicities default to one per
-component.  The Grover search family is two classes, the target and the
-N - 1 non-target states, so its metrics cost the same at every N.
+A parametric family is a path of real amplitudes q_l(theta) = +-sqrt(p_l)
+with their derivatives q_l'(theta) in closed form, both evaluated on a whole
+array of theta values.  Every family here, the search family
+sin(theta)|w> + cos(theta)|r> included, has no relative phases, so the
+Wigner-Yanase line element is F dtheta^2.  A component may stand for a class
+of m_l basis states that share one amplitude: every sum over basis states is
+then the weighted sum over components, sum_l m_l x_l.  The Grover search
+family is two classes, the target and the N - 1 non-target states, so its
+metrics cost the same at every N.
 
-The metric is evaluated in one place, :func:`metric_row`, which reads the
-family three times per theta (p at theta and theta +- h) plus dp where the
-family has one, and returns the Fisher-Rao metric, the kinetic energy and
-the Wigner-Yanase line element together; :func:`fisher_rao`,
+The metric is evaluated in one place, :func:`metric_columns`, which reads
+q' once for a whole theta array and returns the kinetic energy
+K = <d psi | d psi> = sum m q'^2, the Fisher-Rao metric F = 4 K and the
+Wigner-Yanase line element F dtheta^2 as columns; :func:`fisher_rao`,
 :func:`kinetic_energy` and :func:`wigner_yanase_line_element` each read one
-of them.  The Fisher information is 4 sum m (d sqrt(p))^2, which stays
-finite where components vanish; dp / (2 sqrt(p)) is used only where p is
-safely positive.  At a zero of p_l, where sqrt(p_l) has a kink,
-(d sqrt(p_l))^2 comes from the second difference of p_l, for the Fisher
-information and the kinetic energy alike, so the search family reads F = 4
-and K = 1 at theta = 0 and pi/2 too.
+of them.  On real amplitudes F = 4 sum m (d sqrt(p))^2 = 4 K holds exactly,
+and a signed amplitude has no kink where its p_l vanishes (q_0 = sin theta
+at theta = 0), so the search family reads F = 4 and K = 1 on all of
+[0, pi/2] with no special case.
 
-Geodesics in amplitude coordinates q_l = sqrt(p_l) obey q'' + q = 0 once the
-Fisher information is constant at 4 and the normalization multiplier is fixed
-at one; they are evaluated in closed form, q0 cos(theta) + qdot0 sin(theta),
+Geodesics in amplitude coordinates obey q'' + q = 0 once the Fisher
+information is constant at 4 and the normalization multiplier is fixed at
+one; they are evaluated in closed form, q0 cos(theta) + qdot0 sin(theta),
 one amplitude per class, with the residual at each evaluated point.
 :func:`geodesic_residual` is the one residual of the geodesic equation
 q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0 for the Lagrangian
@@ -46,61 +42,21 @@ import numpy as np
 
 from . import grover_digital as gd
 
-FD_REL_STEP = 1e-5
-_P_FLOOR = 1e-12
 
+class ParametricFamily(NamedTuple):
+    """Real amplitudes over one parameter.
 
-class _ParametricFamilyFields(NamedTuple):
-    n: int
-    p: Callable[[float], np.ndarray]
-    dp: Callable[[float], np.ndarray] | None
-    domain: tuple[float, float]
-    multiplicity: np.ndarray
-
-
-class ParametricFamily(_ParametricFamilyFields):
-    """Discrete probability family over one real parameter.
-
-    ``p(theta)`` returns the n component probabilities; ``dp`` its analytic
-    derivative when available.  ``multiplicity[l]`` is the number of basis
-    states that component l stands for, each with probability p_l; it
-    defaults to all ones.
+    ``q(thetas)`` and ``dq(thetas)`` take an array of parameter values and
+    return the amplitudes and their derivatives, with one trailing axis of
+    one entry per component: shape (len(thetas), n) for a 1-d array.
+    ``multiplicity[l]`` is the number of basis states that component l
+    stands for, each with amplitude q_l.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        n: int,
-        p: Callable[[float], np.ndarray],
-        dp: Callable[[float], np.ndarray] | None = None,
-        domain: tuple[float, float] = (0.0, math.pi / 2),
-        multiplicity=None,
-    ) -> "ParametricFamily":
-        m = np.ones(n) if multiplicity is None else np.array(multiplicity, dtype=np.float64)
-        if m.shape != (n,) or not np.all(m >= 1.0):
-            raise ValueError("one multiplicity of at least 1 per component required")
-        m.setflags(write=False)
-        return super().__new__(cls, n, p, dp, domain, m)
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds its result through `_make`, past `__new__`'s checks
-        return cls(*iterable)
-
-    def weighted_sum(self, x: np.ndarray):
-        """sum_l m_l x_l: the sum over basis states of a per-component
-        quantity.  With every m_l one it is np.sum(x), bit for bit, for
-        real x."""
-        return np.sum(self.multiplicity * x)
-
-    def check_theta(self, theta: float) -> None:
-        lo, hi = self.domain
-        if not lo <= theta <= hi:
-            raise ValueError(f"theta {theta} outside family domain [{lo}, {hi}]")
-
-    def probabilities(self, theta: float) -> np.ndarray:
-        return np.asarray(self.p(theta), dtype=np.float64)
+    q: Callable[[np.ndarray], np.ndarray]
+    dq: Callable[[np.ndarray], np.ndarray]
+    multiplicity: np.ndarray
+    domain: tuple[float, float] = (0.0, math.pi / 2)
 
 
 class GeodesicSolution(NamedTuple):
@@ -115,101 +71,82 @@ class GeodesicSolution(NamedTuple):
 
 def grover_family(n: int) -> ParametricFamily:
     """Search family over N basis states as two classes: the target with
-    p_0 = sin^2(theta), and the N - 1 non-target states, each with
-    p_1 = cos^2(theta)/(N-1)."""
+    q_0 = sin(theta), and the N - 1 non-target states, each with
+    q_1 = cos(theta)/sqrt(N-1)."""
     gd.check_plane_size(n)
-    rest = n - 1
+    root = math.sqrt(n - 1)
 
-    def p(theta: float) -> np.ndarray:
-        return np.array([math.sin(theta) ** 2, math.cos(theta) ** 2 / rest])
+    def q(thetas: np.ndarray) -> np.ndarray:
+        return np.stack([np.sin(thetas), np.cos(thetas) / root], axis=-1)
 
-    def dp(theta: float) -> np.ndarray:
-        s2 = math.sin(2.0 * theta)
-        return np.array([s2, -s2 / rest])
+    def dq(thetas: np.ndarray) -> np.ndarray:
+        return np.stack([np.cos(thetas), -np.sin(thetas) / root], axis=-1)
 
-    return ParametricFamily(n=2, p=p, dp=dp, multiplicity=(1.0, float(rest)))
-
-
-def metric_row(family: ParametricFamily, theta: float, dtheta: float) -> tuple[float, float, float]:
-    """(F, K, ds^2) at one theta: the Fisher-Rao metric 4 sum m (d sqrt(p))^2,
-    the kinetic energy <d psi | d psi> = sum m (d sqrt(p))^2 and the
-    Wigner-Yanase line element F dtheta^2, from one stencil: p at theta and
-    theta +- h, with h = FD_REL_STEP max(1, |theta|), and dp at theta where
-    the family has it.
-
-    F takes d sqrt(p) as dp / (2 sqrt(p)), or as the central difference of
-    sqrt(p) without dp; K takes the central difference, scaled by 1/(2h).  A
-    component with p_l <= _P_FLOOR contributes the second difference
-    (p(theta + h) + p(theta - h) - 2 p(theta)) / (2 h^2), clipped at 0, to
-    both: at a double zero of p_l that is the exact limit, where sqrt(p_l)
-    has a kink (|sin theta| at 0) and its central difference reads 0."""
-    family.check_theta(theta)
-    h = FD_REL_STEP * max(1.0, abs(theta))
-    p = family.probabilities(theta)
-    p_plus = family.probabilities(theta + h)
-    p_minus = family.probabilities(theta - h)
-    low = p <= _P_FLOOR
-    diff = np.sqrt(p_plus) - np.sqrt(p_minus)
-    if family.dp is None:
-        ds = diff / (2.0 * h)
-    else:
-        dp = np.asarray(family.dp(theta), dtype=np.float64)
-        ds = np.divide(dp, 2.0 * np.sqrt(p), out=np.zeros_like(p), where=~low)
-    dpsi = diff * (1.0 / (2.0 * h))
-    rate = dpsi * dpsi
-    if low.any():
-        second = np.maximum((p_plus + p_minus - 2.0 * p) / (2.0 * h * h), 0.0)[low]
-        ds[low] = np.sqrt(second)
-        rate[low] = second
-    f = float(4.0 * family.weighted_sum(ds * ds))
-    return f, float(family.weighted_sum(rate)), f * dtheta * dtheta
+    return ParametricFamily(q, dq, np.array([1.0, n - 1.0]))
 
 
-def fisher_rao(family: ParametricFamily, theta: float) -> float:
+def metric_columns(family: ParametricFamily, thetas, dtheta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, K, ds^2) at each theta: the kinetic energy
+    K = <d psi | d psi> = sum m q'^2, the Fisher-Rao metric F = 4 K and the
+    Wigner-Yanase line element F dtheta^2, from one evaluation of the
+    family's q' over the whole array.  A scalar theta gives scalars."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    lo, hi = family.domain
+    outside = ~((lo <= thetas) & (thetas <= hi))
+    if outside.any():
+        raise ValueError(f"theta {thetas[outside][0]} outside family domain [{lo}, {hi}]")
+    dq = family.dq(thetas)
+    m = family.multiplicity
+    if m.shape != dq.shape[-1:] or not np.all(m >= 1.0):
+        raise ValueError("one multiplicity of at least 1 per component required")
+    k = np.sum(dq * dq * m, axis=-1)
+    f = 4.0 * k
+    return f, k, f * dtheta * dtheta
+
+
+def fisher_rao(family: ParametricFamily, theta) -> float:
     """Fisher-Rao metric component, which is also the Fisher information of
-    a one-parameter family: the F of :func:`metric_row`."""
-    return metric_row(family, theta, 0.0)[0]
+    a one-parameter family: the F of :func:`metric_columns`."""
+    return metric_columns(family, theta, 0.0)[0]
 
 
-def kinetic_energy(family: ParametricFamily, theta: float) -> float:
-    """<d psi | d psi> on the real amplitudes sqrt(p): the K of
-    :func:`metric_row`."""
-    return metric_row(family, theta, 0.0)[1]
+def kinetic_energy(family: ParametricFamily, theta) -> float:
+    """<d psi | d psi> on the real amplitudes q: the K of
+    :func:`metric_columns`."""
+    return metric_columns(family, theta, 0.0)[1]
 
 
-def wigner_yanase_line_element(family: ParametricFamily, theta: float, dtheta: float) -> float:
+def wigner_yanase_line_element(family: ParametricFamily, theta, dtheta: float) -> float:
     """ds^2 = F dtheta^2: the phase term 4 [sum m p phi'^2 - (sum m p phi')^2]
     of the general line element vanishes on real amplitudes."""
-    return metric_row(family, theta, dtheta)[2]
+    return metric_columns(family, theta, dtheta)[2]
 
 
 # -- geodesics ---------------------------------------------------------------
 
 
-def geodesic_residual(q_path, theta: float, l0: float = 2.0, gamma: float = 0.0) -> np.ndarray:
+def geodesic_residual(q_path, theta, l0: float = 2.0, gamma: float = 0.0):
     """Residual q'' + gamma q' + (L0/2) e^{-gamma theta} q of the geodesic
     equation for the Lagrangian L0 e^{-gamma theta}, whose L'/L is exactly
     -gamma; the defaults give the flat geodesic q'' + q = 0.
 
-    ``q_path`` is either a (q, dq, d2q) triple of callables for analytic
-    derivatives, or a callable theta -> q, evaluated at theta and theta +- h
-    with h = 1e-3 for central differences.  That step is wider than the
-    first-derivative default: a second difference amplifies roundoff in q by
-    1/h^2, and h = 1e-3 balances that against the h^2/12 truncation term.
+    ``theta`` is one value or an array, and the path's values broadcast
+    against it.  ``q_path`` is either a (q, dq, d2q) triple of callables for
+    analytic derivatives, or a callable theta -> q, evaluated at theta and
+    theta +- h with h = 1e-3 for central differences.  That step is wider
+    than a first-derivative step: a second difference amplifies roundoff in
+    q by 1/h^2, and h = 1e-3 balances that against the h^2/12 truncation
+    term.
     """
     if isinstance(q_path, tuple):
         qf, dqf, d2qf = q_path
-        q = np.asarray(qf(theta), dtype=np.float64)
-        dq = np.asarray(dqf(theta), dtype=np.float64)
-        d2q = np.asarray(d2qf(theta), dtype=np.float64)
+        q, dq, d2q = qf(theta), dqf(theta), d2qf(theta)
     else:
         h = 1e-3
-        q_minus = np.asarray(q_path(theta - h), dtype=np.float64)
-        q = np.asarray(q_path(theta), dtype=np.float64)
-        q_plus = np.asarray(q_path(theta + h), dtype=np.float64)
+        q_minus, q, q_plus = q_path(theta - h), q_path(theta), q_path(theta + h)
         d2q = (q_plus - 2.0 * q + q_minus) / (h * h)
         dq = (q_plus - q_minus) / (2.0 * h)
-    return d2q + gamma * dq + 0.5 * l0 * math.exp(-gamma * theta) * q
+    return d2q + gamma * dq + 0.5 * l0 * np.exp(-gamma * theta) * q
 
 
 def solve_geodesic(
@@ -231,7 +168,7 @@ def solve_geodesic(
     ``residual`` checks the path against the equation at each value: the
     largest :func:`geodesic_residual` of the closed form over the classes,
     by central differences of step 1e-3 (its h^2/12 truncation term
-    dominates).
+    dominates), from one call over all the values.
     """
     q0 = np.asarray(q0, dtype=np.float64)
     qdot0 = np.asarray(qdot0, dtype=np.float64)
@@ -243,14 +180,14 @@ def solve_geodesic(
     if abs(np.sum(m * q0 * q0) - 1.0) > 1e-8:
         raise ValueError("initial amplitudes must be normalized")
     thetas = np.asarray(thetas, dtype=np.float64)
-    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
-    q = cos * q0 + sin * qdot0
+    # one row per value, one column per class
+    column = thetas[:, None]
 
-    def path(theta: float) -> np.ndarray:
-        return math.cos(theta) * q0 + math.sin(theta) * qdot0
+    def path(theta: np.ndarray) -> np.ndarray:
+        return np.cos(theta) * q0 + np.sin(theta) * qdot0
 
-    resid = np.array([np.max(np.abs(geodesic_residual(path, t))) for t in thetas.tolist()], dtype=np.float64)
-    return GeodesicSolution(thetas=thetas, q=q, residual=resid)
+    resid = np.max(np.abs(geodesic_residual(path, column)), axis=1)
+    return GeodesicSolution(thetas=thetas, q=path(column), residual=resid)
 
 
 # -- step lengths ------------------------------------------------------------

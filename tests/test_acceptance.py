@@ -16,6 +16,7 @@ from qsearch import info_geom as ig
 from qsearch import msta
 from qsearch.ga_core import Multivector, mirror, orientation_sign, rotate
 from test_analog_search import unitary_series_exp
+from test_info_geom import fd_metric, grover_p
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -162,14 +163,19 @@ def test_c05_analog_search():
 def test_c06_information_geometry():
     start = time.perf_counter()
     grid = np.linspace(0.01, math.pi / 2 - 0.01, 1000)
-    worst_f = worst_k = 0.0
+    worst_f = worst_k = oracle_f = oracle_k = 0.0
     for n in (4, 16, 64, 256, 1024, 4096):
         fam = ig.grover_family(n)
         for theta in grid:
             worst_f = max(worst_f, abs(ig.fisher_rao(fam, float(theta)) - 4.0))
         for theta in grid[:: len(grid) // 250]:
             worst_k = max(worst_k, abs(ig.kinetic_energy(fam, float(theta)) - 1.0))
-    ok = worst_f < 1e-9 and worst_k < 1e-8
+        # the closed form against the finite-difference stencil on p
+        f, k, _ = ig.metric_columns(fam, grid, 0.0)
+        stencil = np.array([fd_metric(grover_p(n), fam.multiplicity, t) for t in grid.tolist()])
+        oracle_f = max(oracle_f, float(np.max(np.abs(f - stencil[:, 0]))))
+        oracle_k = max(oracle_k, float(np.max(np.abs(k - stencil[:, 1]))))
+    ok = worst_f < 1e-9 and worst_k < 1e-8 and oracle_f < 1e-9 and oracle_k < 1e-8
 
     n = 12
     root = math.sqrt(n - 1)
@@ -202,7 +208,8 @@ def test_c06_information_geometry():
     report(
         "C6 information geometry",
         ok,
-        f"|F-4| {worst_f:.2e}, |K-1| {worst_k:.2e}, residual {worst_resid:.2e}, "
+        f"|F-4| {worst_f:.2e}, |K-1| {worst_k:.2e}, stencil dev F {oracle_f:.2e} K {oracle_k:.2e}, "
+        f"residual {worst_resid:.2e}, "
         f"endpoint {endpoint_err:.2e}, {elapsed:.2f}s",
     )
 

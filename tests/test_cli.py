@@ -358,15 +358,51 @@ class TestDampedAndGeodesic:
         ],
     )
     def test_one_fisher_rao_per_row(self, tmp_path, monkeypatch, argv, rows):
-        # F, K and ds2 of a row come from one metric_row call, so F is
-        # computed once per row
+        # one metric call per table: the F, K and ds2 columns come from one
+        # metric_columns call over the table's theta array, so F is computed
+        # once per row
         calls = []
-        metric_row = cli.ig.metric_row
-        monkeypatch.setattr(cli.ig, "metric_row", lambda *a: calls.append(1) or metric_row(*a))
+        metric_columns = cli.ig.metric_columns
+        monkeypatch.setattr(cli.ig, "metric_columns", lambda fam, t, d: calls.append(len(t)) or metric_columns(fam, t, d))
         assert run_cli(argv, tmp_path) == 0
         (csv,) = tmp_path.glob("*.csv")
         assert len(read_csv(csv)[1]) == rows
-        assert len(calls) == rows
+        assert calls == [rows]
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--family", "damped-const", "--xi-const", "0.999995"], "infogeo_damped_const0.999995.csv"),
+            (["--family", "damped-exp", "--A", "0.999995"], "infogeo_damped_exp0.999995.csv"),
+        ],
+        ids=["damped-const", "damped-exp"],
+    )
+    def test_infogeo_damped_near_one(self, tmp_path, argv, name):
+        # p_1 = 0.999995 at theta = 0 is inside (0, 1); a stencil stepping to
+        # theta = -1e-5 left the family's domain there
+        assert run_cli(["infogeo", *argv], tmp_path) == 0
+        header, rows = read_csv(tmp_path / name)
+        assert len(rows) == 200
+        for row in rows:
+            assert all(math.isfinite(float(row[header.index(col)])) for col in ("F", "K", "ds2_wy"))
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["--family", "damped-const", "--xi-const", "1"], "p_1 must lie strictly inside"),
+            (["--family", "damped-const", "--xi-const", "0"], "needs c in (0, 1]"),
+            (["--family", "damped-const", "--xi-const", "-0.5"], "needs c in (0, 1]"),
+            (["--family", "damped-exp", "--A", "1.5"], "needs c in (0, 1]"),
+            (["--family", "damped-exp", "--A", "1"], "p_1 must lie strictly inside"),
+            # p_1 = c e^{-10} underflows to 0 at the last row
+            (["--family", "damped-const", "--xi-const", "1e-320"], "p_1 must lie strictly inside"),
+        ],
+        ids=["const-1", "const-0", "const-negative", "exp-1.5", "exp-1", "const-subnormal"],
+    )
+    def test_infogeo_damped_out_of_range_is_domain_error(self, tmp_path, capsys, argv, what):
+        assert run_cli(["infogeo", *argv], tmp_path) == cli.EXIT_DOMAIN
+        assert what in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_infogeo_zero_points_is_usage_error(self, tmp_path):
         assert usage_exit_code(["infogeo", "--points", "0"], tmp_path) == cli.EXIT_USAGE

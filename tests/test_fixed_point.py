@@ -13,21 +13,12 @@ from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 
 
-def central_diff(f, theta):
-    """(f(theta + h) - f(theta - h)) / (2h) with info_geom's relative step
-    h = FD_REL_STEP max(1, |theta|)."""
-    h = ig.FD_REL_STEP * max(1.0, abs(theta))
-    return (f(theta + h) - f(theta - h)) / (2.0 * h)
-
-
-def damped_fisher(xi, theta, dxi=None):
-    """Oracle of the damped families' Fisher information: the closed form
-    [(xi' - xi)^2 / (xi (1 - xi e^{-theta}))] e^{-theta} of
-    p_1 = xi e^{-theta}, with xi' by central difference when no dxi is
-    given."""
-    x = fp.DampedFamily(xi=xi).xi_at(theta)
-    dx = dxi(theta) if dxi is not None else central_diff(xi, theta)
-    return (dx - x) ** 2 / (x * (1.0 - x * math.exp(-theta))) * math.exp(-theta)
+def damped_fisher(c, rate, theta):
+    """Oracle of the damped family's Fisher information: for
+    p_1 = c e^{-rate theta}, F = p_1'^2 / (p_1 (1 - p_1)) =
+    rate^2 p_1 / (1 - p_1)."""
+    p1 = c * math.exp(-rate * theta)
+    return rate * rate * p1 / (1.0 - p1)
 
 
 def identity_holds(eps, tol=1e-14):
@@ -265,27 +256,37 @@ class TestCoefficientIdentity:
 class TestDampedFisher:
     def test_constant_xi(self):
         c = 0.6
+        fam = fp.damped_family(c, 1.0)
         for theta in (0.5, 2.0, 5.0):
             want = c * math.exp(-theta) / (1.0 - c * math.exp(-theta))
-            got = damped_fisher(lambda t: c, theta, dxi=lambda t: 0.0)
-            assert abs(got - want) < 1e-12
+            assert abs(ig.fisher_rao(fam, theta) - want) < 1e-12
 
     def test_decays_at_large_theta(self):
-        values = [damped_fisher(lambda t: 0.8, t, dxi=lambda t: 0.0) for t in (1.0, 5.0, 10.0, 20.0)]
+        values = ig.fisher_rao(fp.damped_family(0.8, 1.0), np.array([1.0, 5.0, 10.0, 20.0])).tolist()
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-7
 
     def test_cross_module_fisher_agreement(self):
-        fam = fp.DampedFamily(xi=lambda t: 0.5 + 0.3 * math.exp(-t))
-        parametric = fam.as_parametric_family()
-        for theta in (0.5, 1.5, 4.0):
-            assert abs(damped_fisher(fam.xi, theta) - ig.fisher_rao(parametric, theta)) < 1e-8
+        # c = 0.999995 puts p_1 within 5e-6 of 1 at theta = 0, the CLI's
+        # first row; the largest deviation measured was 5.8e-16
+        thetas = np.linspace(0.0, 10.0, 201)
+        for c in (1e-3, 0.5, 0.999995):
+            for rate in (1.0, 2.0):
+                want = np.array([damped_fisher(c, rate, t) for t in thetas.tolist()])
+                got = ig.fisher_rao(fp.damped_family(c, rate), thetas)
+                assert np.max(np.abs(got - want) / want) < 2e-15
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            fp.DampedFamily(xi=lambda t: 1.5).probabilities(1.0)
-        with pytest.raises(ValueError):
-            fp.DampedFamily(xi=lambda t: 0.5).probabilities(-20.0)
+        for c in (1.5, 0.0, -0.5):
+            with pytest.raises(ValueError, match="needs c in"):
+                fp.damped_family(c, 1.0)
+        with pytest.raises(ValueError, match="outside family domain"):
+            ig.fisher_rao(fp.damped_family(0.5, 1.0), -20.0)
+        # c = 1 is admitted, but p_1 = 1 at theta = 0 is not
+        fam = fp.damped_family(1.0, 2.0)
+        assert ig.fisher_rao(fam, 0.5) > 0.0
+        with pytest.raises(ValueError, match="p_1 must lie strictly inside"):
+            ig.fisher_rao(fam, np.array([0.5, 0.0]))
 
 
 def rk4_oracle(deriv, y0, t0, t1, dt):

@@ -1,6 +1,8 @@
-"""Information-geometry checks: constant Fisher information along the search
-family, kinetic energy against F/4, geodesic closed form vs RK4, step-length
-closed form vs direct simulation, thermal Fisher against brute force."""
+"""Information-geometry checks: the closed-form metrics against the
+finite-difference stencil oracle, constant Fisher information along the
+search family, kinetic energy against F/4, geodesic closed form vs RK4,
+step-length closed form vs direct simulation, thermal Fisher against brute
+force."""
 import math
 
 import numpy as np
@@ -10,30 +12,63 @@ from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 
 THETA_GRID = np.linspace(0.01, math.pi / 2 - 0.01, 250)
+P_FLOOR = 1e-12
+
+
+def fd_step(theta):
+    """The stencil oracle's central-difference step h = 1e-5 max(1, |theta|)."""
+    return 1e-5 * max(1.0, abs(theta))
+
+
+def fd_metric(p, multiplicity, theta):
+    """Oracle of the closed-form metrics: (F, K) at one theta from a
+    finite-difference stencil on the probabilities, p at theta and
+    theta +- h.  (d sqrt(p_l))^2 is the squared central difference of
+    sqrt(p_l) or, at a zero of p_l (p_l <= 1e-12), where sqrt(p_l) has a kink
+    and its central difference reads 0, the second difference
+    (p_l(theta + h) + p_l(theta - h) - 2 p_l(theta)) / (2 h^2), clipped at 0:
+    at a double zero that is the exact limit.  K = sum m (d sqrt(p))^2 and
+    F = 4 K."""
+    h = fd_step(theta)
+    p0, p_plus, p_minus = p(theta), p(theta + h), p(theta - h)
+    rate = ((np.sqrt(p_plus) - np.sqrt(p_minus)) / (2.0 * h)) ** 2
+    low = p0 <= P_FLOOR
+    rate[low] = np.maximum((p_plus + p_minus - 2.0 * p0) / (2.0 * h * h), 0.0)[low]
+    k = float(np.sum(multiplicity * rate))
+    return 4.0 * k, k
+
+
+def grover_p(n):
+    """The search family's class probabilities at one theta, written
+    independently of qsearch: p_0 = sin^2(theta), p_1 = cos^2(theta)/(N-1)."""
+    return lambda t: np.array([math.sin(t) ** 2, math.cos(t) ** 2 / (n - 1)])
+
+
+def damped_p(c, rate):
+    """The damped family's probabilities at one theta:
+    p_1 = c e^{-rate theta} and p_0 = 1 - p_1."""
+
+    def p(t):
+        p1 = c * math.exp(-rate * t)
+        return np.array([1.0 - p1, p1])
+
+    return p
+
+
+def family_p(family):
+    """p = q^2 of a family at one theta."""
+    return lambda t: family.q(t) ** 2
 
 
 def kinetic_energy_via_fisher(family, theta):
     """Oracle of the two-route kinetic energy check: on real amplitudes
-    <d psi|d psi> = F/4, against the direct finite difference of
-    :func:`qsearch.info_geom.kinetic_energy`."""
+    <d psi|d psi> = F/4, against :func:`qsearch.info_geom.kinetic_energy`."""
     return ig.fisher_rao(family, theta) / 4.0
-
-
-def amplitudes(family, theta):
-    """The real amplitudes sqrt(p) of a family's state."""
-    return np.sqrt(family.probabilities(theta))
-
-
-def fd_step(theta):
-    """The central-difference step of :func:`qsearch.info_geom.metric_row`."""
-    return ig.FD_REL_STEP * max(1.0, abs(theta))
 
 
 def state_overlap(family, theta_a, theta_b):
     """<psi(theta_a) | psi(theta_b)> = sum m a b on real amplitudes."""
-    a = amplitudes(family, theta_a)
-    b = amplitudes(family, theta_b)
-    return float(family.weighted_sum(a * b))
+    return float(np.sum(family.multiplicity * family.q(theta_a) * family.q(theta_b)))
 
 
 def haar_unitary(n, rng):
@@ -51,98 +86,101 @@ def walsh_hadamard(n_qubits):
 
 
 def trig_family(rng, n=5):
-    """Smooth random family with analytic derivatives: softmax of trig
-    polynomials for p."""
+    """Smooth random family in closed form: p the softmax of trig polynomials
+    l(t), q = sqrt(p) and q' = q (l' - sum p l') / 2."""
     a = rng.normal(size=n)
     b = rng.normal(size=n)
     c = rng.normal(size=n)
 
-    def logits(t):
-        return a * np.sin(t) + b * np.cos(2 * t) + c
-
-    def dlogits(t):
-        return a * np.cos(t) - 2 * b * np.sin(2 * t)
-
     def p(t):
-        w = np.exp(logits(t))
-        return w / w.sum()
+        t = np.asarray(t)[..., None]
+        w = np.exp(a * np.sin(t) + b * np.cos(2 * t) + c)
+        return w / w.sum(axis=-1, keepdims=True)
 
-    def dp(t):
+    def dq(t):
         w = p(t)
-        dl = dlogits(t)
-        return w * (dl - np.sum(w * dl))
+        t = np.asarray(t)[..., None]
+        dl = a * np.cos(t) - 2 * b * np.sin(2 * t)
+        return 0.5 * np.sqrt(w) * (dl - np.sum(w * dl, axis=-1, keepdims=True))
 
-    return ig.ParametricFamily(n=n, p=p, dp=dp, domain=(0.0, 10.0))
+    return ig.ParametricFamily(lambda t: np.sqrt(p(t)), dq, np.ones(n), domain=(0.0, 10.0))
 
 
 def grover_oracle(n):
-    """The search family with one component per basis state: p_0 =
-    sin^2(theta) and N - 1 equal components cos^2(theta)/(N-1)."""
+    """The search family with one component per basis state: q_0 =
+    sin(theta) and N - 1 equal components cos(theta)/sqrt(N-1)."""
+    root = math.sqrt(n - 1)
+    target = np.arange(n) == 0
 
-    def p(t):
-        out = np.full(n, math.cos(t) ** 2 / (n - 1))
-        out[0] = math.sin(t) ** 2
-        return out
+    def q(t):
+        t = np.asarray(t)[..., None]
+        return np.where(target, np.sin(t), np.cos(t) / root)
 
-    def dp(t):
-        out = np.full(n, -math.sin(2.0 * t) / (n - 1))
-        out[0] = math.sin(2.0 * t)
-        return out
+    def dq(t):
+        t = np.asarray(t)[..., None]
+        return np.where(target, np.cos(t), -np.sin(t) / root)
 
-    return ig.ParametricFamily(n=n, p=p, dp=dp)
+    return ig.ParametricFamily(q, dq, np.ones(n))
+
+
+def damped_families():
+    return [fp.damped_family(0.5, 1.0), fp.damped_family(0.5, 2.0)]
 
 
 class TestGroverFamily:
     def test_endpoints(self):
         fam = ig.grover_family(8)
-        p0 = fam.probabilities(0.0)
+        p0 = fam.q(0.0) ** 2
         assert p0[0] == 0.0
         assert np.allclose(p0[1:], 1.0 / 7.0)
-        assert abs(fam.probabilities(math.pi / 2)[0] - 1.0) < 1e-15
+        assert abs(fam.q(math.pi / 2)[0] ** 2 - 1.0) < 1e-15
 
     def test_normalization_on_grid(self):
         fam = ig.grover_family(64)
-        for theta in np.linspace(0.0, math.pi / 2, 1000):
-            assert abs(fam.weighted_sum(fam.probabilities(theta)) - 1.0) < 1e-10
+        q = fam.q(np.linspace(0.0, math.pi / 2, 1000))
+        assert np.max(np.abs(np.sum(fam.multiplicity * q * q, axis=-1) - 1.0)) < 1e-10
 
     def test_two_classes(self):
         for n in (2, 3, 4194304):
             fam = ig.grover_family(n)
-            assert fam.n == 2
+            assert fam.q(0.3).shape == fam.dq(0.3).shape == (2,)
+            assert fam.q(THETA_GRID).shape == fam.dq(THETA_GRID).shape == (len(THETA_GRID), 2)
             assert fam.multiplicity.tolist() == [1.0, n - 1.0]
 
     def test_default_multiplicity_is_ones(self):
-        fam = ig.ParametricFamily(n=3, p=lambda t: np.array([0.2, 0.3, 0.5]))
-        assert fam.multiplicity.tolist() == [1.0, 1.0, 1.0]
-        x = np.array([0.1, 0.7, 1e-17])
-        assert fam.weighted_sum(x) == np.sum(x)
+        # the damped family's components are single basis states: with every
+        # m_l one, K is the plain sum of q'^2, bit for bit
+        fam = fp.damped_family(0.5, 1.0)
+        assert fam.multiplicity.tolist() == [1.0, 1.0]
+        for theta in (0.0, 0.7, 9.0):
+            assert ig.kinetic_energy(fam, theta) == np.sum(fam.dq(theta) ** 2)
 
     @pytest.mark.parametrize("multiplicity", [(1.0,), (1.0, 0.0)], ids=["length", "zero"])
     def test_bad_multiplicity_rejected(self, multiplicity):
-        fam = ig.ParametricFamily(n=2, p=lambda t: np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            ig.ParametricFamily(n=2, p=fam.p, multiplicity=multiplicity)
-        with pytest.raises(ValueError):
-            fam._replace(multiplicity=multiplicity)
+        fam = ig.grover_family(4)
+        with pytest.raises(ValueError, match="multiplicity"):
+            ig.metric_columns(ig.ParametricFamily(fam.q, fam.dq, np.array(multiplicity)), THETA_GRID, 1e-3)
+        with pytest.raises(ValueError, match="multiplicity"):
+            ig.fisher_rao(fam._replace(multiplicity=np.array(multiplicity)), 0.3)
 
 
 class TestTwoLevelGrover:
     """The two-class family against the one-component-per-state oracle."""
 
     SIZES = (2, 3, 64, 20000)
-    # 0 and pi/2 put a component under the floor: the finite-difference path
+    # 0 and pi/2 are zeros of a class's amplitude
     THETAS = (0.0, 0.01, 0.3, math.pi / 4, 1.2, math.pi / 2 - 0.01, math.pi / 2)
 
     @staticmethod
     def assert_close(got, want):
-        assert abs(got - want) <= 1e-14 * abs(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_metrics_match_oracle(self, n):
         fam, oracle = ig.grover_family(n), grover_oracle(n)
+        for got, want in zip(ig.metric_columns(fam, self.THETAS, 1e-3), ig.metric_columns(oracle, self.THETAS, 1e-3)):
+            self.assert_close(got, want)
         for theta in self.THETAS:
-            for got, want in zip(ig.metric_row(fam, theta, 1e-3), ig.metric_row(oracle, theta, 1e-3)):
-                self.assert_close(got, want)
             self.assert_close(kinetic_energy_via_fisher(fam, theta), kinetic_energy_via_fisher(oracle, theta))
 
     @pytest.mark.parametrize("n", SIZES)
@@ -161,43 +199,81 @@ class TestTwoLevelGrover:
         for _ in range(5):
             base = trig_family(rng, n=4)
             classed = ig.ParametricFamily(
-                n=4,
-                p=lambda t, f=base: f.p(t) / m,
-                dp=lambda t, f=base: f.dp(t) / m,
+                lambda t, f=base: f.q(t) / np.sqrt(m),
+                lambda t, f=base: f.dq(t) / np.sqrt(m),
+                m,
                 domain=base.domain,
-                multiplicity=m,
             )
             expanded = ig.ParametricFamily(
-                n=int(reps.sum()),
-                p=lambda t, f=classed: np.repeat(f.p(t), reps),
-                dp=lambda t, f=classed: np.repeat(f.dp(t), reps),
+                lambda t, f=classed: np.repeat(f.q(t), reps, axis=-1),
+                lambda t, f=classed: np.repeat(f.dq(t), reps, axis=-1),
+                np.ones(int(reps.sum())),
                 domain=base.domain,
             )
             theta = rng.uniform(0.3, 3.0)
-            got = [*ig.metric_row(classed, theta, 1e-2), kinetic_energy_via_fisher(classed, theta)]
-            want = [*ig.metric_row(expanded, theta, 1e-2), kinetic_energy_via_fisher(expanded, theta)]
+            got = [*ig.metric_columns(classed, theta, 1e-2), kinetic_energy_via_fisher(classed, theta)]
+            want = [*ig.metric_columns(expanded, theta, 1e-2), kinetic_energy_via_fisher(expanded, theta)]
             got.append(state_overlap(classed, theta, theta + 0.1))
             want.append(state_overlap(expanded, theta, theta + 0.1))
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * abs(w)
 
 
+class TestClosedFormAgainstStencil:
+    """Each closed-form family against the finite-difference oracle on its
+    probabilities.  The bounds sit just above the stencil's own error,
+    measured on these grids: |F - F_fd| up to 3.75e-10 for the search family
+    (K a quarter of that), relative 8.4e-10 and 3.34e-9 for the damped
+    families at rates 1 and 2, and 1.8e-9 of max(F, 1) for the random
+    trigonometric families."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 20000])
+    def test_grover(self, n):
+        fam = ig.grover_family(n)
+        thetas = np.linspace(0.0, math.pi / 2, 1001)
+        f, k, _ = ig.metric_columns(fam, thetas, 0.0)
+        oracle = np.array([fd_metric(grover_p(n), fam.multiplicity, t) for t in thetas.tolist()])
+        assert np.max(np.abs(f - oracle[:, 0])) < 5e-10
+        assert np.max(np.abs(k - oracle[:, 1])) < 1.25e-10
+
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 0.7])
+    @pytest.mark.parametrize("rate", [1.0, 2.0], ids=["const", "exp"])
+    def test_damped(self, c, rate):
+        fam = fp.damped_family(c, rate)
+        thetas = np.linspace(0.0, 10.0, 1001)
+        f, k, _ = ig.metric_columns(fam, thetas, 0.0)
+        oracle = np.array([fd_metric(damped_p(c, rate), fam.multiplicity, t) for t in thetas.tolist()])
+        assert np.max(np.abs(f - oracle[:, 0]) / f) < 4e-9
+        assert np.max(np.abs(k - oracle[:, 1]) / k) < 4e-9
+
+    def test_trig_families(self):
+        rng = np.random.default_rng(52)
+        for _ in range(10):
+            fam = trig_family(rng)
+            for theta in rng.uniform(0.2, 3.0, size=5).tolist():
+                f, k = fd_metric(family_p(fam), fam.multiplicity, theta)
+                assert abs(ig.fisher_rao(fam, theta) - f) < 4e-9 * max(f, 1.0)
+                assert abs(ig.kinetic_energy(fam, theta) - k) < 4e-9 * max(k, 1.0)
+
+
 class TestFisherRao:
     def test_grover_family_is_constant_four(self):
         for n in (4, 16, 64, 256, 1024, 4096):
             fam = ig.grover_family(n)
-            worst = max(abs(ig.fisher_rao(fam, t) - 4.0) for t in THETA_GRID)
-            assert worst < 1e-9
+            assert np.max(np.abs(ig.fisher_rao(fam, THETA_GRID) - 4.0)) < 1e-9
 
     def test_constant_family_is_zero(self):
-        fam = ig.ParametricFamily(n=3, p=lambda t: np.array([0.2, 0.3, 0.5]))
+        amps = np.sqrt([0.2, 0.3, 0.5])
+        fam = ig.ParametricFamily(
+            lambda t: np.broadcast_to(amps, np.shape(t) + (3,)), lambda t: np.zeros(np.shape(t) + (3,)), np.ones(3)
+        )
         assert abs(ig.fisher_rao(fam, 0.7)) < 1e-12
 
     def test_two_point_family(self):
         fam = ig.ParametricFamily(
-            n=2,
-            p=lambda t: np.array([math.sin(t) ** 2, math.cos(t) ** 2]),
-            dp=lambda t: np.array([math.sin(2 * t), -math.sin(2 * t)]),
+            lambda t: np.stack([np.sin(t), np.cos(t)], axis=-1),
+            lambda t: np.stack([np.cos(t), -np.sin(t)], axis=-1),
+            np.ones(2),
         )
         for theta in (0.2, 0.8, 1.4):
             assert abs(ig.fisher_rao(fam, theta) - 4.0) < 1e-12
@@ -205,61 +281,56 @@ class TestFisherRao:
     def test_domain_enforced(self):
         with pytest.raises(ValueError):
             ig.fisher_rao(ig.grover_family(4), 3.0)
+        # one value outside the domain rejects the whole array, and is named
+        with pytest.raises(ValueError, match="theta -0.5 outside"):
+            ig.metric_columns(ig.grover_family(4), np.array([0.1, -0.5, 0.2]), 1e-3)
 
     def test_samples_along_a_grid(self):
         fam = ig.grover_family(8)
-        assert all(abs(ig.fisher_rao(fam, theta) - 4.0) < 1e-12 for theta in (0.2, 0.9))
+        assert np.all(np.abs(ig.fisher_rao(fam, np.array([0.2, 0.9])) - 4.0) < 1e-12)
 
 
 class TestZerosOfP:
-    """At theta = 0 and pi/2 one class of the search family has p = 0, where
-    sqrt(p) has a kink and its central difference reads 0."""
+    """At theta = 0 and pi/2 one class of the search family has p = 0.  Its
+    signed amplitude has no kink there, so the closed form needs no special
+    case; the finite-difference oracle differences sqrt(p) = |q|, whose
+    central difference reads 0 at the kink, and takes the second difference
+    of p instead."""
 
     @staticmethod
-    def without_dp(fam):
-        return ig.ParametricFamily(n=fam.n, p=fam.p, multiplicity=fam.multiplicity)
+    def metrics(fam, p, theta, analytic):
+        if analytic:
+            return ig.fisher_rao(fam, theta), ig.kinetic_energy(fam, theta)
+        return fd_metric(p, fam.multiplicity, theta)
 
     @pytest.mark.parametrize("n", [2, 3, 64, 20000])
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2], ids=["zero", "half-pi"])
     @pytest.mark.parametrize("analytic", [True, False], ids=["dp", "no-dp"])
     def test_fisher_four_kinetic_one(self, n, theta, analytic):
-        fam = ig.grover_family(n) if analytic else self.without_dp(ig.grover_family(n))
-        assert abs(ig.fisher_rao(fam, theta) - 4.0) < 1e-8
-        assert abs(ig.kinetic_energy(fam, theta) - 1.0) < 1e-8
-        f, k, _ = ig.metric_row(fam, theta, 1e-3)
-        assert abs(f - 4.0) < 1e-8 and abs(k - 1.0) < 1e-8
+        fam = ig.grover_family(n)
+        f, k = self.metrics(fam, grover_p(n), theta, analytic)
+        tol = 1e-14 if analytic else 1e-8
+        assert abs(f - 4.0) < tol and abs(k - 1.0) < tol
+        if analytic:
+            f, k, _ = ig.metric_columns(fam, theta, 1e-3)
+            assert abs(f - 4.0) < tol and abs(k - 1.0) < tol
 
     def test_magnitude_only_at_the_zero(self):
-        # only |sin theta|, whose slope at 0 is read as its magnitude 1, takes
-        # the second difference; p_1 = 1/2 + sin(theta)/4 keeps its first
-        # derivative, (d sqrt(p_1))^2 = (1/4)^2 / (4 p_1) = 1/32 at 0, where
-        # its second difference would read about 0
-        fam = ig.ParametricFamily(
-            n=2,
-            p=lambda t: np.array([math.sin(t) ** 2, 0.5 + 0.25 * math.sin(t)]),
-            dp=lambda t: np.array([math.sin(2.0 * t), 0.25 * math.cos(t)]),
-            domain=(-1.0, 1.0),
-        )
-        for family in (fam, self.without_dp(fam)):
-            f, k, _ = ig.metric_row(family, 0.0, 1e-3)
+        # only |sin theta|, whose slope at 0 the oracle reads as its
+        # magnitude 1, takes the second difference; p_1 = 1/2 + sin(theta)/4
+        # keeps its first derivative, (d sqrt(p_1))^2 = (1/4)^2 / (4 p_1) =
+        # 1/32 at 0, where its second difference would read about 0
+        def q(t):
+            return np.stack([np.sin(t), np.sqrt(0.5 + 0.25 * np.sin(t))], axis=-1)
+
+        def dq(t):
+            return np.stack([np.cos(t), 0.25 * np.cos(t) / (2.0 * np.sqrt(0.5 + 0.25 * np.sin(t)))], axis=-1)
+
+        fam = ig.ParametricFamily(q, dq, np.ones(2), domain=(-1.0, 1.0))
+        for analytic in (True, False):
+            f, k = self.metrics(fam, family_p(fam), 0.0, analytic)
             assert abs(f - 4.0 * (1.0 + 1.0 / 32.0)) < 1e-8
             assert abs(k - (1.0 + 1.0 / 32.0)) < 1e-8
-
-    @pytest.mark.parametrize("analytic", [True, False], ids=["dp", "no-dp"])
-    def test_interior_bits_unchanged(self, analytic):
-        # off the zeros no component is under the floor: the plain formulas
-        fam = ig.grover_family(64) if analytic else self.without_dp(ig.grover_family(64))
-        for theta in np.linspace(0.01, math.pi / 2 - 0.01, 40).tolist():
-            assert (fam.probabilities(theta) > ig._P_FLOOR).all()
-            h = fd_step(theta)
-            diff = amplitudes(fam, theta + h) - amplitudes(fam, theta - h)
-            if analytic:
-                ds = fam.dp(theta) / (2.0 * np.sqrt(fam.probabilities(theta)))
-            else:
-                ds = diff / (2.0 * h)
-            assert ig.fisher_rao(fam, theta) == float(4.0 * fam.weighted_sum(ds * ds))
-            dpsi = diff * (1.0 / (2.0 * h))
-            assert ig.kinetic_energy(fam, theta) == float(fam.weighted_sum(np.abs(dpsi) ** 2))
 
 
 class TestFisherInformation:
@@ -268,9 +339,9 @@ class TestFisherInformation:
         fam = trig_family(rng, n=6)
         perm = rng.permutation(6)
         shuffled = ig.ParametricFamily(
-            n=6,
-            p=lambda t: fam.p(t)[perm],
-            dp=lambda t: fam.dp(t)[perm],
+            lambda t: fam.q(t)[..., perm],
+            lambda t: fam.dq(t)[..., perm],
+            np.ones(6),
             domain=fam.domain,
         )
         for theta in (0.5, 1.5, 3.0):
@@ -282,23 +353,25 @@ class TestFisherInformation:
         rng = np.random.default_rng(40)
         base = ig.grover_family(6)
         q_mat, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        reps = base.multiplicity.astype(int)
 
-        def p(t):
+        def rotate(amps):
             # the six basis-state amplitudes: each class repeated m times
-            amps = q_mat @ np.repeat(np.sqrt(base.probabilities(t)), base.multiplicity.astype(int))
-            return amps * amps
+            return np.repeat(amps, reps, axis=-1) @ q_mat.T
 
-        rotated = ig.ParametricFamily(n=6, p=p, domain=base.domain)
+        rotated = ig.ParametricFamily(
+            lambda t: rotate(base.q(t)), lambda t: rotate(base.dq(t)), np.ones(6), domain=base.domain
+        )
         for theta in (0.3, 0.7, 1.2):
-            assert abs(ig.fisher_rao(rotated, theta) - 4.0) < 1e-7
+            assert abs(ig.fisher_rao(rotated, theta) - 4.0) < 1e-12
 
     def test_matches_second_log_derivative_form(self):
         rng = np.random.default_rng(42)
         fam = trig_family(rng, n=5)
         h = 1e-4
         for theta in (0.4, 1.1, 2.2):
-            p = fam.probabilities(theta)
-            lp = lambda t: np.log(fam.probabilities(t))
+            p = fam.q(theta) ** 2
+            lp = lambda t: np.log(fam.q(t) ** 2)
             d2 = (lp(theta + h) - 2 * lp(theta) + lp(theta - h)) / (h * h)
             oracle = float(np.sum(p * (-d2)))
             assert abs(ig.fisher_rao(fam, theta) - oracle) < 1e-6
@@ -328,30 +401,25 @@ class TestWignerYanase:
             assert ig.wigner_yanase_line_element(fam, rng.uniform(0.2, 3.0), 1e-2) >= 0.0
 
 
-def damped_families():
-    return [
-        fp.DampedFamily(xi=lambda t: 0.5).as_parametric_family(),
-        fp.DampedFamily(xi=lambda t: 0.5 * math.exp(-t)).as_parametric_family(),
-    ]
-
-
 class TestMetricRow:
+    """One metric call gives the F, K and ds^2 columns of a theta array; each
+    entry is bit for bit the named metric at that one theta."""
+
     def assert_row_matches(self, fam, thetas, dtheta=1e-3):
-        for theta in thetas:
+        columns = ig.metric_columns(fam, thetas, dtheta)
+        for i, theta in enumerate(thetas):
             separate = (
                 ig.fisher_rao(fam, theta),
                 ig.kinetic_energy(fam, theta),
                 ig.wigner_yanase_line_element(fam, theta, dtheta),
             )
-            assert ig.metric_row(fam, theta, dtheta) == separate
+            assert tuple(c[i] for c in columns) == separate
 
     def test_grover_bitwise(self):
-        # 0 and pi/2 put components under the floor: the masked path
         self.assert_row_matches(ig.grover_family(20000), [0.0, 0.01, 0.4, 1.2, math.pi / 2 - 0.01, math.pi / 2])
 
     @pytest.mark.parametrize("index", [0, 1], ids=["const", "exp"])
     def test_damped_bitwise(self, index):
-        # no analytic dp: sqrt(p) by finite differences
         self.assert_row_matches(damped_families()[index], np.linspace(0.0, 10.0, 25).tolist())
 
     def test_trig_family_bitwise(self):
@@ -360,10 +428,10 @@ class TestMetricRow:
             self.assert_row_matches(trig_family(rng), rng.uniform(0.2, 3.0, size=4).tolist(), dtheta=1e-2)
 
     def test_one_fisher_rao_call(self, monkeypatch):
-        # each named metric is one metric_row call
+        # each named metric is one metric_columns call
         calls = []
-        metric_row = ig.metric_row
-        monkeypatch.setattr(ig, "metric_row", lambda *a: calls.append(1) or metric_row(*a))
+        metric_columns = ig.metric_columns
+        monkeypatch.setattr(ig, "metric_columns", lambda *a: calls.append(1) or metric_columns(*a))
         fam = ig.grover_family(16)
         ig.fisher_rao(fam, 0.3)
         ig.kinetic_energy(fam, 0.3)
@@ -371,44 +439,35 @@ class TestMetricRow:
         assert len(calls) == 3
 
     @pytest.mark.parametrize(
-        "base, theta",
-        [(ig.grover_family(16), 0.3), (ig.grover_family(16), 0.0), (damped_families()[0], 2.0)],
+        "base, thetas",
+        [
+            (ig.grover_family(16), np.linspace(0.3, 1.2, 7)),
+            (ig.grover_family(16), np.linspace(0.0, math.pi / 2, 7)),
+            (damped_families()[0], np.linspace(0.0, 10.0, 7)),
+        ],
         ids=["grover", "grover-at-zero", "damped"],
     )
-    def test_three_evaluations_of_p(self, base, theta):
-        # p at theta and theta +- h, and dp at theta where the family has it
-        p_calls, dp_calls = [], []
+    def test_one_evaluation_of_dq(self, base, thetas):
+        # q' once, for the whole array, and q not at all
+        q_calls, dq_calls = [], []
         fam = base._replace(
-            p=lambda t: p_calls.append(t) or base.p(t),
-            dp=base.dp and (lambda t: dp_calls.append(t) or base.dp(t)),
+            q=lambda t: q_calls.append(t) or base.q(t),
+            dq=lambda t: dq_calls.append(t) or base.dq(t),
         )
-        assert ig.metric_row(fam, theta, 1e-3) == ig.metric_row(base, theta, 1e-3)
-        assert len(p_calls) == 3
-        assert dp_calls == ([] if base.dp is None else [theta])
-
-    def test_unmasked_path_matches_masked(self):
-        # off the zeros, the masked division dp / (2 sqrt(p)) reads every
-        # component, bit for bit as the plain one
-        fam = ig.grover_family(20000)
-        for theta in (0.01, 0.7, 1.5):
-            p, dp = fam.probabilities(theta), fam.dp(theta)
-            safe = p > ig._P_FLOOR
-            assert safe.all()
-            masked = np.empty_like(p)
-            masked[safe] = dp[safe] / (2.0 * np.sqrt(p[safe]))
-            assert ig.fisher_rao(fam, theta) == float(4.0 * fam.weighted_sum(masked * masked))
+        for got, want in zip(ig.metric_columns(fam, thetas, 1e-3), ig.metric_columns(base, thetas, 1e-3)):
+            assert np.array_equal(got, want)
+        assert q_calls == [] and len(dq_calls) == 1
+        assert np.array_equal(dq_calls[0], thetas)
 
 
 class TestCurrentAndKinetic:
     def test_phaseless_amplitudes_are_real(self):
-        # a family carries no phases: its state is the real sqrt(p), whose
-        # central difference is the kinetic energy
+        # a family carries no phases: its state is the real q, whose
+        # derivative gives the kinetic energy
         assert "phi" not in ig.ParametricFamily._fields
         fam = ig.grover_family(8)
-        assert fam.probabilities(0.4).dtype == np.float64
-        h = fd_step(0.4)
-        dpsi = (amplitudes(fam, 0.4 + h) - amplitudes(fam, 0.4 - h)) * (1.0 / (2.0 * h))
-        assert ig.kinetic_energy(fam, 0.4) == float(fam.weighted_sum(dpsi * dpsi))
+        assert fam.q(0.4).dtype == fam.dq(0.4).dtype == np.float64
+        assert ig.kinetic_energy(fam, 0.4) == np.sum(fam.dq(0.4) ** 2 * fam.multiplicity)
 
     def test_grover_current_zero_kinetic_one(self):
         # real amplitudes carry no current: K = F/4 = 1
@@ -418,11 +477,12 @@ class TestCurrentAndKinetic:
             assert abs(kinetic_energy_via_fisher(fam, theta) - 1.0) < 1e-12
 
     def test_two_route_kinetic_identity(self):
+        # F = 4 K exactly: the factor 4 is a power of two
         rng = np.random.default_rng(46)
         for _ in range(25):
             fam = trig_family(rng)
             theta = rng.uniform(0.3, 3.0)
-            assert abs(ig.kinetic_energy(fam, theta) - kinetic_energy_via_fisher(fam, theta)) < 1e-8
+            assert ig.kinetic_energy(fam, theta) == kinetic_energy_via_fisher(fam, theta)
 
 
 class TestGeodesicResidual:
