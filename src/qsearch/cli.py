@@ -1,15 +1,15 @@
 """Batch command-line front end.
 
-Each subcommand `cmd_<name>(args)` checks its arguments, computes its rows
-and returns `(computed, tables, written)`: the values it derived that the
-manifest records beside the options (only `fixed-point`'s `eps0_computed`), a
-list of `(file name, header, rows)` tables, and the CSVs it wrote itself
-(only `sweep`'s cells write their own).  The runner `_dispatch` alone writes
-the outputs: it makes the output directory once the command returns, writes
-each table as a CSV, and writes a JSON run manifest recording the command,
-every option of the subcommand but `--out`, the computed values, timestamps,
-tool version, and the SHA-256 of each CSV.  All numeric output uses
-17-significant-digit formatting, so reruns on the same platform produce
+Each subcommand `cmd_<name>(args)` checks its arguments, computes its
+columns and returns `(computed, tables, written)`: the values it derived that
+the manifest records beside the options (only `fixed-point`'s
+`eps0_computed`), a list of `(file name, header, columns)` tables, and the
+CSVs it wrote itself (only `sweep`'s cells write their own).  The runner
+`_dispatch` alone writes the outputs: it makes the output directory once the
+command returns, writes each table as a CSV, and writes a JSON run manifest
+recording the command, every option but `--out`, the computed values,
+timestamps, tool version, and the SHA-256 of each CSV.  All numeric output
+uses 17-significant-digit formatting, so reruns on the same platform produce
 byte-identical CSVs (manifests differ only in their timestamps).
 Randomized paths draw from numpy's PCG64 generator seeded by --seed, and the
 seed is recorded in the manifest.
@@ -61,28 +61,37 @@ EXIT_DOMAIN = 3
 EXIT_CROSSCHECK = 4
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot write the non-finite value {float(value)} to a CSV")
-        return f"{float(value):.17g}"
-    return str(value)
+# rows per `%` pass: a pass boxes its cells, so the chunk sets the added peak
+_CHUNK_ROWS = 4096
 
 
-def write_csv(path: Path, header, rows) -> Path:
-    """Stream the header and the formatted rows into `path`.  The rows go to
-    a sibling `.part` file that replaces `path` only once every row is
-    written, so a row that fails to format, a non-finite number included,
-    leaves no partial CSV."""
+def write_csv(path: Path, header, columns) -> Path:
+    """Write a table of columns, each a 1-d array or a scalar every row
+    repeats, through one printf line, one conversion per column dtype.
+    Unequal lengths or a non-finite float raise ValueError before a row is
+    written; rows go to a `.part` file that replaces `path` once all are."""
+    cells, arrays = [], []
+    for name, column in zip(header, columns, strict=True):
+        column = np.asarray(column)
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            bad = float(column[~np.isfinite(column)].flat[0])
+            raise ValueError(f"cannot write the non-finite value {bad} to a CSV (column {name})")
+        conversion = {"f": "%.17g", "i": "%d", "U": "%s"}[column.dtype.kind]
+        # a scalar is formatted once, into the line itself
+        cells.append(conversion if column.ndim else (conversion % column.item()).replace("%", "%%"))
+        if column.ndim:
+            arrays.append(column)
+    lengths = {len(column) for column in arrays}
+    if len(lengths) != 1:
+        raise ValueError(f"the array columns of {path.name} must share one length, got {sorted(lengths)}")
+    line = ",".join(cells) + "\n"
     part = path.with_name(path.name + ".part")
     try:
         with part.open("w", encoding="ascii", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(_fmt(cell) for cell in row) + "\n" for row in rows)
+            for start in range(0, lengths.pop(), _CHUNK_ROWS):
+                chunk = zip(*(column[start : start + _CHUNK_ROWS].tolist() for column in arrays))
+                fh.writelines(line % row for row in chunk)
         part.replace(path)
     except BaseException:
         part.unlink(missing_ok=True)
@@ -137,7 +146,7 @@ def _dispatch(args) -> list[Path]:
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        outputs = written + [write_csv(out_dir / name, header, rows) for name, header, rows in tables]
+        outputs = written + [write_csv(out_dir / name, header, columns) for name, header, columns in tables]
     except BaseException:
         # deepest first; a directory that holds anything stops the removal
         with contextlib.suppress(OSError):
@@ -161,12 +170,10 @@ _N_CAP = 1 << 22
 
 # largest step count of a time or angle grid, of `digital --k`, of
 # `ga-verify --k-max` and `--samples`, and of `infogeo --points`: about ten
-# times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  The
-# rows built at the cap peak near 470 MB RSS (`ga-verify --k-max`, about 45 s
-# on a 2-CPU host), 330 MB for `digital --k` and `infogeo --points`, and
-# 270 MB for an `analog` grid of either model (about 9 s); `ga-verify
-# --samples` at the cap, which draws every sample at once, peaks near 180 MB
-# (about 16 s)
+# times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  At the
+# cap (2-CPU host) `analog` peaks near 235 MB RSS in 2 s, `infogeo` 135 MB in
+# 3 s, `digital --N 4` 140 MB in 8 s, `ga-verify --samples` 180 MB in 6 s and
+# `ga-verify --N-list 4 --k-max` 285 MB in 30 s
 _ROW_CAP = 1 << 20
 
 
@@ -199,14 +206,15 @@ def cmd_digital(args):
         _check_rows(k_final, "iteration count")
     # one row per iteration k = 1..k_final, or the uniform state's row alone
     first = min(1, k_final)
-    rows = []
-    for k, state in enumerate(islice(gd.grover_orbit(n, target), first, k_final + 1), first):
-        closed = gd.success_probability(k, n)
-        sim = float(abs(state[target]) ** 2)
-        rows.append((n, k, theta, closed, sim, abs(closed - sim)))
+    amplitudes = np.fromiter((s[target] for s in islice(gd.grover_orbit(n, target), first, k_final + 1)), float)
+    ks = np.arange(first, k_final + 1)
+    closed = gd.success_probability(ks, n)
+    # squared through C's pow, as `success_probability` squares
+    sim = np.float_power(np.abs(amplitudes), 2)
 
     header = ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"]
-    return {}, [(f"digital_N{n}_k{args.k}.csv", header, rows)], []
+    columns = [n, ks, theta, closed, sim, np.abs(closed - sim)]
+    return {}, [(f"digital_N{n}_k{args.k}.csv", header, columns)], []
 
 
 # -- analog -------------------------------------------------------------------
@@ -235,8 +243,8 @@ def cmd_analog(args):
         p_target = an.fenner_state(ts, n).p_target
     else:
         p_target = an.fg_scan(ts, n, energy).p_target
-    rows = [(args.model, n, energy, t, p) for t, p in zip(ts.tolist(), p_target.tolist())]
-    return {}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], rows)], []
+    columns = [args.model, n, energy, ts, p_target]
+    return {}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], columns)], []
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -284,14 +292,14 @@ def cmd_fixed_point(args):
         target = args.target
     states = fp.fixed_point_run(u0, target=target, depth=args.depth)
     eps0 = states[0].eps_k
-    rows = []
-    for rec in states[1:] if args.depth >= 1 else states:
-        closed = fp.closed_form_failure(eps0, rec.k)
-        rel = abs(rec.eps_k - closed) / max(closed, 1e-300)
-        rows.append((rec.k, closed, rec.eps_k, rel))
+    # one row per depth k = 1..depth, or depth 0's row alone
+    ks = np.arange(min(1, args.depth), args.depth + 1)
+    closed = fp.closed_form_failure(eps0, ks)
+    sim = np.array([states[k].eps_k for k in ks])
 
     header = ["k", "eps_k_closed", "eps_k_simulated", "rel_error"]
-    return {"eps0_computed": eps0}, [(f"fixed_point_depth{args.depth}.csv", header, rows)], []
+    columns = [ks, closed, sim, np.abs(sim - closed) / np.maximum(closed, 1e-300)]
+    return {"eps0_computed": eps0}, [(f"fixed_point_depth{args.depth}.csv", header, columns)], []
 
 
 # -- damped geodesic ------------------------------------------------------------
@@ -312,15 +320,13 @@ def cmd_damped(args):
     q0 = fp.bessel_solution(0.0, a, b, l0, gamma)
     qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2.0 * h)
     sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, args.theta_end, args.dtheta)
-    rows = []
-    for i in range(0, len(sol.thetas), _stride(len(sol.thetas), args.max_rows)):
-        t = float(sol.thetas[i])
-        q = float(sol.q[i, 0])
-        resid = fp.bessel_ode_residual(t, a, b, l0, gamma)
-        p1 = min(1.0, q * q)
-        rows.append((t, q, resid, 1.0 - p1, p1))
-
-    return {}, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], rows)], []
+    stride = _stride(len(sol.thetas), args.max_rows)
+    thetas = sol.thetas[::stride]
+    q = sol.q[::stride, 0]
+    # the closed form is scalar: one Bessel residual per written row
+    resid = [fp.bessel_ode_residual(t, a, b, l0, gamma) for t in thetas.tolist()]
+    p1 = np.minimum(1.0, q * q)
+    return {}, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], [thetas, q, resid, 1.0 - p1, p1])], []
 
 
 # -- geodesic / infogeo ----------------------------------------------------------
@@ -346,17 +352,13 @@ def cmd_geodesic(args):
     thetas = np.where(index < steps, index * args.dtheta, args.theta_end)
     sol = ig.solve_geodesic(n, q0, qdot0, thetas, family.multiplicity)
     # past pi/2 the metric columns read the family at its domain's end
-    columns = ig.metric_columns(family, np.clip(sol.thetas, *family.domain), args.dtheta)
+    metric = ig.metric_columns(family, np.clip(sol.thetas, *family.domain), args.dtheta)
     n_q_cols = min(n, 4)
-    rows = [
-        (t, f, k, ds2, q_target, *[q_rest] * (n_q_cols - 1), resid)
-        for t, f, k, ds2, (q_target, q_rest), resid in zip(
-            sol.thetas.tolist(), *(c.tolist() for c in columns), sol.q.tolist(), sol.residual.tolist()
-        )
-    ]
+    q_target, q_rest = sol.q.T
+    columns = [sol.thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), sol.residual]
 
     header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual"]
-    return {}, [(f"geodesic_N{n}.csv", header, rows)], []
+    return {}, [(f"geodesic_N{n}.csv", header, columns)], []
 
 
 def _infogeo_family(args):
@@ -381,10 +383,8 @@ def cmd_infogeo(args):
     _check_rows(args.points, "point count")
     fam, lo, hi, label = _infogeo_family(args)
     thetas = np.linspace(lo, hi, args.points)
-    columns = ig.metric_columns(fam, thetas, 1e-3)
-    rows = [(args.family, *row) for row in zip(thetas.tolist(), *(c.tolist() for c in columns))]
-
-    return {}, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], rows)], []
+    columns = [args.family, thetas, *ig.metric_columns(fam, thetas, 1e-3)]
+    return {}, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], columns)], []
 
 
 # -- ga-verify --------------------------------------------------------------------
@@ -401,25 +401,23 @@ def cmd_ga_verify(args):
         # the state-vector side holds a state of N amplitudes, as digital does
         if not 2 <= n <= _N_CAP:
             raise ValueError(f"ga-verify needs 2 <= N <= {_N_CAP}, got N={n}")
-    rows = []
+    blocks = []
     for n in n_list:
         k_max = args.k_max if args.k_max is not None else 2 * gd.optimal_iterations(n)
-        worst = 0.0
-        # the range ends the zip before an iterate past k_max is made; a flat
-        # zip reuses its tuple, where enumerate(zip(...)) pins the first state
-        for k, rotor, state in zip(range(k_max + 1), msta.ga_grover_orbit(n, k_max), gd.grover_orbit(n, 0)):
-            digital = gd.plane_coordinates(state, target=0)
-            dev = max(
-                abs(rotor.a_target - digital.a_target), abs(rotor.a_bad - digital.a_bad)
-            )
-            worst = max(worst, dev)
-            rows.append(("plane_coords", n, k, rotor.a_target, digital.a_target, dev))
+        rotor = np.array(msta.ga_grover_orbit(n, k_max))
+        # the slice ends the orbit before an iterate past k_max is made
+        orbit = islice(gd.grover_orbit(n, 0), k_max + 1)
+        digital = np.fromiter((gd.plane_coordinates(state, target=0) for state in orbit), (float, 2), k_max + 1)
+        dev = np.abs(rotor - digital).max(axis=1)
+        worst = dev.max()
         if not worst <= msta.TOL_PLANE:
             raise CrossCheckError(
                 f"rotor and state-vector plane coordinates differ by {worst:.3g} at N={n} "
                 f"(tolerance {msta.TOL_PLANE:g})"
             )
-        rows.append(("plane_coords_max", n, k_max, worst, 0.0, worst))
+        ks = range(k_max + 1)
+        blocks.append((["plane_coords"] * len(ks), [n] * len(ks), ks, rotor[:, 0], digital[:, 0], dev))
+        blocks.append((["plane_coords_max"], [n], [k_max], [worst], [0.0], [worst]))
     # one draw of every sample's four normals reads the PCG64 stream in the
     # order that one draw per sample would
     v = np.random.default_rng(np.random.PCG64(args.seed)).normal(size=(args.samples, 4))
@@ -432,9 +430,10 @@ def cmd_ga_verify(args):
         worst_rt = max(worst_rt, abs(back[0] - alpha), abs(back[1] - beta))
     if not worst_rt <= msta.TOL_STATE:
         raise CrossCheckError(f"qubit round trip deviates by {worst_rt:.3g} (tolerance {msta.TOL_STATE:g})")
-    rows.append(("qubit_roundtrip", args.samples, 0, worst_rt, 0.0, worst_rt))
+    blocks.append((["qubit_roundtrip"], [args.samples], [0], [worst_rt], [0.0], [worst_rt]))
 
-    return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], rows)], []
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], columns)], []
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -560,7 +559,7 @@ def cmd_sweep(args):
     else:
         results = [_run_cell(a) for a in cell_args]
     written = [path for cell_outputs in results for path in cell_outputs]
-    return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], index_rows)], written
+    return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], list(zip(*index_rows)))], written
 
 
 # -- parser ----------------------------------------------------------------------

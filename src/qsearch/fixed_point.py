@@ -140,11 +140,11 @@ def _apply_uk_dag(k: int, v: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.nd
     return _apply_uk_dag(k - 1, w, u0, tgt)
 
 
-def closed_form_failure(eps: float, k: int) -> float:
-    """Failure probability eps^(3^k) after k recursive steps."""
+def closed_form_failure(eps: float, k):
+    """Failure probability eps^(3^k) after k (one or an array of) recursive steps, by C's pow as `eps ** 3**k`."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("failure probability must lie in [0, 1]")
-    return eps ** (3**k)
+    return np.float_power(eps, 3**k)
 
 
 def coefficient_track(c0: complex, depth: int) -> list[tuple[complex, float]]:

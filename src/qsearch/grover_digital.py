@@ -129,12 +129,12 @@ def plane_coordinates(state: np.ndarray, target: int) -> SearchPlaneState:
     return SearchPlaneState(a_target=float(np.real(a_t)), a_bad=float(np.real(a_b)))
 
 
-def success_probability(k: int, n: int) -> float:
-    """Closed-form target probability sin^2((2k+1) theta) after k iterations."""
-    if k < 0:
+def success_probability(k, n: int):
+    """Closed-form target probability sin^2((2k+1) theta) after k iterations,
+    one count or an array; C's pow squares, as in `math.sin(x) ** 2`."""
+    if np.any(k < 0):
         raise ValueError("iteration count must be nonnegative")
-    theta = theta_for(n)
-    return math.sin((2 * k + 1) * theta) ** 2
+    return np.float_power(np.sin((2 * k + 1) * theta_for(n)), 2)
 
 
 def optimal_iterations(n: int) -> int:

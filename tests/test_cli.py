@@ -6,12 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch import analog_search as an
 from qsearch import cli
@@ -42,6 +46,16 @@ def run_cli_traced(argv, tmp_path):
         tracemalloc.stop()
 
 
+def fmt(value) -> str:
+    """The reference formatter: one cell as `write_csv` must print it, by
+    the cell's own type."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -58,6 +72,18 @@ class TestDigital:
         assert rows[0][1] == "1"
         assert float(rows[0][3]) == 1.0
         assert float(rows[0][4]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_columns_are_the_scalar_formulas_to_the_bit(self, tmp_path):
+        # against one scalar formula per row; at N = 7 an array's `** 2`
+        # (x * x) would move the last bit of 2 closed and 4 simulated cells
+        n, k_final = 7, 2000
+        assert run_cli(["digital", "--N", str(n), "--k", str(k_final)], tmp_path) == 0
+        _, rows = read_csv(tmp_path / f"digital_N{n}_k{k_final}.csv")
+        theta = gd.theta_for(n)
+        states = islice(gd.grover_orbit(n), 1, k_final + 1)
+        for k, (row, state) in enumerate(zip(rows, states, strict=True), 1):
+            closed, sim = math.sin((2 * k + 1) * theta) ** 2, abs(state[0]) ** 2
+            assert row[1:] == [fmt(k), fmt(theta), fmt(closed), fmt(sim), fmt(abs(closed - sim))]
 
     def test_million_auto_ends_at_785(self, tmp_path):
         assert run_cli(["digital", "--N", "1000000", "--k", "auto"], tmp_path) == 0
@@ -152,7 +178,7 @@ class TestAnalog:
         _, rows = read_csv(tmp_path / "analog_fenner_N16.csv")
         assert len(calls) == 1
         # the time column is i * dt, as the rows were once made one by one
-        assert [row[3] for row in rows] == [cli._fmt(i * 0.01) for i in range(len(rows))]
+        assert [row[3] for row in rows] == [fmt(i * 0.01) for i in range(len(rows))]
 
     @pytest.mark.parametrize("model", ["fenner", "farhi-gutmann"])
     @pytest.mark.parametrize("n", ["1", "1" + "0" * 400, str(cli._N_CAP + 1)], ids=["1", "huge", "over-cap"])
@@ -189,7 +215,7 @@ class TestAnalog:
         argv = ["analog", "--model", "farhi-gutmann", "--N", "16", "--t-max", "1", "--dt", "0.3"]
         assert run_cli(argv, tmp_path) == 0
         _, rows = read_csv(tmp_path / "analog_farhi-gutmann_N16.csv")
-        assert [row[3] for row in rows] == [cli._fmt(i * 0.3) for i in range(4)]
+        assert [row[3] for row in rows] == [fmt(i * 0.3) for i in range(4)]
 
     def test_default_grids_are_equal(self, tmp_path):
         t_max = "7.25"
@@ -357,10 +383,9 @@ class TestDampedAndGeodesic:
             (["infogeo", "--family", "damped-exp", "--points", "9"], 9),
         ],
     )
-    def test_one_fisher_rao_per_row(self, tmp_path, monkeypatch, argv, rows):
-        # one metric call per table: the F, K and ds2 columns come from one
-        # metric_columns call over the table's theta array, so F is computed
-        # once per row
+    def test_one_metric_call_per_table(self, tmp_path, monkeypatch, argv, rows):
+        # the F, K and ds2 columns come from one metric_columns call over the
+        # table's theta array
         calls = []
         metric_columns = cli.ig.metric_columns
         monkeypatch.setattr(cli.ig, "metric_columns", lambda fam, t, d: calls.append(len(t)) or metric_columns(fam, t, d))
@@ -368,6 +393,21 @@ class TestDampedAndGeodesic:
         (csv,) = tmp_path.glob("*.csv")
         assert len(read_csv(csv)[1]) == rows
         assert calls == [rows]
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["infogeo", "--family", "grover", "--N", "64", "--points", "131072"], 20 << 20),
+            (["geodesic", "--N", "64", "--dtheta", "1e-5", "--max-rows", "131072"], 24 << 20),
+        ],
+        ids=["infogeo", "geodesic"],
+    )
+    def test_large_table_peak_is_its_columns(self, tmp_path, argv, bound):
+        # 2^17 rows: the columns and one chunk of formatted rows peak near 12.6
+        # and 16.6 MiB; a tuple of boxed floats per row took 31.6 and 35.4
+        code, peak = run_cli_traced(argv, tmp_path)
+        assert code == 0
+        assert peak < bound
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -463,8 +503,8 @@ class TestDampedAndGeodesic:
         sol = ig.solve_geodesic(n, q0, qdot0, thetas)
         assert header[4:] == ["q_0", "q_1", "q_2", "q_3", "residual"]
         for row, q, resid in zip(rows, sol.q, sol.residual):
-            assert row[4:8] == [cli._fmt(x) for x in q[:4]]
-            assert row[8] == cli._fmt(resid)
+            assert row[4:8] == [fmt(x) for x in q[:4]]
+            assert row[8] == fmt(resid)
 
     @pytest.mark.parametrize("n", ["100000", "149130"])
     def test_geodesic_default_grid_admitted(self, tmp_path, monkeypatch, n):
@@ -923,33 +963,92 @@ class TestRowCap:
         assert cli._grid_steps(t_max, 1e-3) < cli._ROW_CAP
 
 
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, -1e-308, 1e308, -1e308]),
+)
+int64s = st.integers(-(2**63), 2**63 - 1)
+# printable ASCII, '%' and ',' included
+labels = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+
+
+@st.composite
+def tables(draw):
+    """Columns of one table: float64, int64 and label arrays of one length,
+    and scalars of each kind; the first column is an array."""
+    n_rows = draw(st.integers(1, 30))
+    columns = []
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(["f", "i", "U"]), min_size=1, max_size=5))):
+        values = {"f": finite_floats, "i": int64s, "U": labels}[kind]
+        if j and draw(st.booleans()):
+            columns.append(draw(values))
+        else:
+            cells = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(cells, dtype={"f": np.float64, "i": np.int64, "U": str}[kind]))
+    return n_rows, columns
+
+
 class TestWriteCsv:
     def test_streams_the_same_bytes(self, tmp_path):
-        # against the whole table joined into one string
-        header = ["n", "x", "flag", "s"]
-        rows = [(1, 0.1, True, "a"), (2, np.float64(1e-300), np.False_, "b"), (np.int64(3), -0.0, 1, "")]
-        lines = [",".join(header)] + [",".join(cli._fmt(cell) for cell in row) for row in rows]
-        path = cli.write_csv(tmp_path / "t.csv", header, rows)
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
-        assert path.read_bytes() == b"n,x,flag,s\n1,0.10000000000000001,1,a\n2,1e-300,0,b\n3,-0,1,\n"
+        header = ["n", "x", "s", "model", "E"]
+        columns = [np.array([1, 2, 3]), np.array([0.1, 1e-300, -0.0]), np.array(["a", "b", ""]), "100%", 2.5]
+        path = cli.write_csv(tmp_path / "t.csv", header, columns)
+        assert path.read_bytes() == (
+            b"n,x,s,model,E\n1,0.10000000000000001,a,100%,2.5\n2,1e-300,b,100%,2.5\n3,-0,,100%,2.5\n"
+        )
+        # every chunk of rows, the last one short
+        n_rows = 2 * cli._CHUNK_ROWS + 3
+        path = cli.write_csv(tmp_path / "long.csv", ["i"], [np.arange(n_rows)])
+        assert path.read_text() == "i\n" + "".join(f"{i}\n" for i in range(n_rows))
+
+    @settings(max_examples=60, deadline=2000, database=None)
+    @given(tables())
+    def test_matches_the_reference_formatter(self, table):
+        # against the reference formatter's cells joined row by row
+        n_rows, columns = table
+        header = [f"c{j}" for j in range(len(columns))]
+        cells = [column.tolist() if np.ndim(column) else [column] * n_rows for column in columns]
+        lines = [",".join(header)] + [",".join(fmt(cell) for cell in row) for row in zip(*cells)]
+        with tempfile.TemporaryDirectory() as out:
+            path = cli.write_csv(Path(out) / "t.csv", header, columns)
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_failed_row_leaves_no_partial_csv(self, tmp_path):
-        class Unprintable:
-            def __str__(self):
-                raise ValueError("cannot format")
-
+        # a cell ASCII cannot encode fails the write in the second chunk of rows
         path = tmp_path / "t.csv"
-        rows = [(1, 2.0)] * 5000 + [(3, Unprintable())]
-        with pytest.raises(ValueError):
-            cli.write_csv(path, ["a", "b"], rows)
+        n_rows = 2 * cli._CHUNK_ROWS
+        columns = [np.arange(n_rows), np.array(["x"] * (n_rows - 1) + ["\u00e9"])]
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_csv(path, ["a", "b"], columns)
         assert list(tmp_path.iterdir()) == []
         # an earlier table of the same name stays whole
-        cli.write_csv(path, ["a", "b"], [(1, 2.0)])
-        with pytest.raises(ValueError):
-            cli.write_csv(path, ["a", "b"], rows)
+        cli.write_csv(path, ["a", "b"], [np.array([1]), 2.0])
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_csv(path, ["a", "b"], columns)
         assert path.read_text() == "a,b\n1,2\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "header, columns, what",
+        [
+            (["a", "b"], [np.arange(3), np.arange(4.0)], "share one length"),
+            (["a", "b"], [1, 2.0], "share one length"),
+            (["a", "b", "c"], [np.arange(3), np.arange(3.0)], "shorter"),
+        ],
+        ids=["unequal-lengths", "no-array-column", "header-longer"],
+    )
+    def test_columns_must_make_a_table(self, tmp_path, header, columns, what):
+        # zip would otherwise drop the rows or the column beyond the shortest
+        with pytest.raises(ValueError, match=what):
+            cli.write_csv(tmp_path / "t.csv", header, columns)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unequal_columns_are_a_domain_error(self, tmp_path, monkeypatch, capsys):
+        metric_columns = cli.ig.metric_columns
+        monkeypatch.setattr(cli.ig, "metric_columns", lambda *a: [c[:-1] for c in metric_columns(*a)])
+        assert run_cli(["infogeo", "--points", "5"], tmp_path) == cli.EXIT_DOMAIN
+        assert "got [4, 5]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "value",
@@ -957,11 +1056,11 @@ class TestWriteCsv:
         ids=["nan", "inf", "-inf", "numpy-nan", "numpy-float32-inf"],
     )
     def test_non_finite_float_is_refused(self, tmp_path, value):
-        with pytest.raises(ValueError, match="non-finite value"):
-            cli._fmt(value)
-        with pytest.raises(ValueError, match="non-finite value"):
-            cli.write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2.0), (3, value)])
-        assert list(tmp_path.iterdir()) == []
+        # in an array column of the value's own dtype, and as a scalar column
+        for column in (np.array([2.0, value], dtype=np.result_type(value)), value):
+            with pytest.raises(ValueError, match=r"non-finite value .* \(column b\)"):
+                cli.write_csv(tmp_path / "t.csv", ["a", "b"], [np.array([1, 3]), column])
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestRunner:
@@ -1097,4 +1196,4 @@ class TestEntryPoint:
         for row in rows:
             # round-trip safety: parsing and reformatting reproduces the text
             for cell in row[2:]:
-                assert cli._fmt(float(cell)) == cell
+                assert fmt(float(cell)) == cell

@@ -154,6 +154,11 @@ class TestFailureLaw:
         assert abs(fp.closed_form_failure(0.1, 1) - 1e-3) < 1e-18
         assert abs(fp.closed_form_failure(0.1, 2) - 1e-9) < 1e-22
 
+    def test_closed_form_over_depths_is_the_scalar_power(self):
+        # to the bit: numpy's own power of an array moves about 1 value in 20
+        for eps in np.random.default_rng(8).random(200).tolist():
+            assert fp.closed_form_failure(eps, np.arange(6)).tolist() == [eps ** 3**k for k in range(6)]
+
 
 class TestWalshHadamardOperator:
     def test_transform_matches_kron_matrix(self):

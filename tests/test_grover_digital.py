@@ -181,6 +181,15 @@ class TestSuccessProbability:
                 assert abs(sim - gd.success_probability(k, n)) < 1e-12
                 state = gd.grover_iterate(state, 0)
 
+    def test_array_of_counts_is_the_scalar_formula(self):
+        # to the bit: an array's x * x would move 2 of these values at N = 5
+        for n in (5, 7, 12345):
+            theta = gd.theta_for(n)
+            want = [math.sin((2 * k + 1) * theta) ** 2 for k in range(2001)]
+            assert gd.success_probability(np.arange(2001), n).tolist() == want
+        with pytest.raises(ValueError, match="nonnegative"):
+            gd.success_probability(np.array([0, -1]), 4)
+
     def test_periodicity_of_closed_form(self):
         # theta = pi/6 at N=4 gives an integer-compatible period T = 3
         for k in range(10):
