@@ -14,7 +14,8 @@ byte-identical CSVs (manifests differ only in their timestamps).
 Randomized paths draw from numpy's PCG64 generator seeded by --seed, and the
 seed is recorded in the manifest.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numeric-domain
+Exit codes: 0 success, 2 usage or configuration error (an output directory
+or file that cannot be made or written among them), 3 numeric-domain
 error (a rejected value, an overflow or division by zero, or a non-finite
 number in a table, which `write_csv` refuses to write), 4 failed internal
 cross-check (the fixed-point simulation and its coefficient track, or
@@ -134,8 +135,9 @@ def _out_dir(args) -> Path:
 def _dispatch(args) -> list[Path]:
     """Run the parsed subcommand, then write its tables and its manifest,
     which records the CSVs the command wrote itself and then the tables.  The
-    output directory is made only once the command returns, and removed
-    again if a table is refused.  Returns the recorded CSVs."""
+    output directory is made only once the command returns, and each
+    directory the run made is removed again if making the directory or
+    writing a table fails.  Returns the recorded CSVs."""
     started = _utc_now()
     # `write_csv` refuses a NaN or infinity, so numpy's warnings about one
     # would only precede the one-line error
@@ -144,8 +146,8 @@ def _dispatch(args) -> list[Path]:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
     out_dir = _out_dir(args)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         outputs = written + [write_csv(out_dir / name, header, columns) for name, header, columns in tables]
     except BaseException:
         # deepest first; a directory that holds anything stops the removal
@@ -173,7 +175,10 @@ _N_CAP = 1 << 22
 # times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  At the
 # cap (2-CPU host) `analog` peaks near 235 MB RSS in 2 s, `infogeo` 135 MB in
 # 3 s, `digital --N 4` 140 MB in 8 s, `ga-verify --samples` 180 MB in 6 s and
-# `ga-verify --N-list 4 --k-max` 285 MB in 30 s
+# `ga-verify --N-list 4 --k-max` 285 MB in 30 s.  A rotor orbit drifts from
+# the state vector about linearly in k (at N = 64: 2.1e-14 by k = 2^8, 1.6e-12
+# by 2^14, 2.5e-11 by 2^18), so near the `--k-max` cap it reaches
+# `msta.TOL_PLANE`: the default N list exits 4 at N = 64
 _ROW_CAP = 1 << 20
 
 
@@ -270,7 +275,7 @@ def cmd_fixed_point(args):
         raise ValueError(f"depth must be between 0 and {fp.MAX_DEPTH}")
     n = args.N
     if args.epsilon is not None:
-        u0 = _epsilon_unitary(args.epsilon)
+        u0 = fp.dense_operator(_epsilon_unitary(args.epsilon))
         target = 1
     elif args.u0 == "wh":
         # the transform keeps no matrix, only the run's state and one scratch
@@ -288,7 +293,7 @@ def cmd_fixed_point(args):
         rng = np.random.default_rng(np.random.PCG64(args.seed))
         z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2.0)
         q, r = np.linalg.qr(z)
-        u0 = q * (np.diag(r) / np.abs(np.diag(r)))
+        u0 = fp.dense_operator(q * (np.diag(r) / np.abs(np.diag(r))))
         target = args.target
     states = fp.fixed_point_run(u0, target=target, depth=args.depth)
     eps0 = states[0].eps_k
@@ -322,7 +327,7 @@ def cmd_damped(args):
     sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, args.theta_end, args.dtheta)
     stride = _stride(len(sol.thetas), args.max_rows)
     thetas = sol.thetas[::stride]
-    q = sol.q[::stride, 0]
+    q = sol.q[::stride]
     # the closed form is scalar: one Bessel residual per written row
     resid = [fp.bessel_ode_residual(t, a, b, l0, gamma) for t in thetas.tolist()]
     p1 = np.minimum(1.0, q * q)
@@ -412,8 +417,8 @@ def cmd_ga_verify(args):
         worst = dev.max()
         if not worst <= msta.TOL_PLANE:
             raise CrossCheckError(
-                f"rotor and state-vector plane coordinates differ by {worst:.3g} at N={n} "
-                f"(tolerance {msta.TOL_PLANE:g})"
+                f"rotor and state-vector plane coordinates differ by {float(worst)!r} at N={n} "
+                f"(tolerance {msta.TOL_PLANE!r})"
             )
         ks = range(k_max + 1)
         blocks.append((["plane_coords"] * len(ks), [n] * len(ks), ks, rotor[:, 0], digital[:, 0], dev))
@@ -429,7 +434,7 @@ def cmd_ga_verify(args):
         back = msta.mv_to_qubit(msta.qubit_to_mv(alpha, beta))
         worst_rt = max(worst_rt, abs(back[0] - alpha), abs(back[1] - beta))
     if not worst_rt <= msta.TOL_STATE:
-        raise CrossCheckError(f"qubit round trip deviates by {worst_rt:.3g} (tolerance {msta.TOL_STATE:g})")
+        raise CrossCheckError(f"qubit round trip deviates by {worst_rt!r} (tolerance {msta.TOL_STATE!r})")
     blocks.append((["qubit_roundtrip"], [args.samples], [0], [worst_rt], [0.0], [worst_rt]))
 
     columns = [np.concatenate(column) for column in zip(*blocks)]
@@ -693,6 +698,9 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"qsearch: error: internal cross-check failed: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
+    except OSError as exc:
+        print(f"qsearch: error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return 0
 
 

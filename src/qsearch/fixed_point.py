@@ -10,12 +10,12 @@ cross-checks the simulation at every depth.  Depth k+1 starts from U_k|s>,
 the one state the run keeps, so reaching depth d applies U0 or its adjoint
 3^d times in total.
 
-U0 itself is an operator, a pair of functions applying U0 and its adjoint
-to a state in place: either a validated dense matrix with its adjoint formed
-once, or the Walsh-Hadamard transform H^{(x)n} applied as an O(N log N)
-butterfly that is never materialized as a Kronecker matrix.  The selective
-phases change one amplitude in place too, so the recursion steps one state
-buffer from |0> to U_d|0>.
+U0 is a :class:`UnitaryOperator`, a pair of functions applying U0 and its
+adjoint in place: a dense matrix validated by :func:`dense_operator`, or the
+Walsh-Hadamard transform H^{(x)n} as an O(N log N) butterfly, never a
+Kronecker matrix.  One recursion applies U_k and U_k^dag, whose word is U_k's
+reversed with each letter replaced by its adjoint.  The selective phases
+change one amplitude in place, so the recursion steps one state buffer.
 
 The damped two-component family p_1 = c exp(-r theta), with amplitudes
 and their derivatives in closed form, gives a Fisher information
@@ -114,30 +114,24 @@ def walsh_hadamard_operator(n_qubits: int) -> UnitaryOperator:
     return UnitaryOperator(1 << n_qubits, walsh_hadamard_transform, walsh_hadamard_transform)
 
 
-def _apply_uk(k: int, v: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.ndarray:
+def _apply_uk(k: int, v: np.ndarray, u0: UnitaryOperator, tgt: int, dag: bool = False) -> np.ndarray:
+    """U_k v, or U_k^dag v with ``dag``."""
     if k == 0:
-        return u0.apply(v)
-    return _raise_depth(k - 1, _apply_uk(k - 1, v, u0, tgt), u0, tgt)
+        return u0.apply_dag(v) if dag else u0.apply(v)
+    return _raise_depth(k - 1, _apply_uk(k - 1, v, u0, tgt, dag), u0, tgt, dag)
 
 
-def _raise_depth(k: int, w: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.ndarray:
-    """U_k R_s U_k^dag R_t w: the map taking U_k v to U_{k+1} v.  Each state
-    here is read once, by the step after it, so the phases and U0 change it
-    in place and the whole recursion works on one buffer."""
-    w = selective_phase(w, tgt, math.pi / 3.0)
-    w = _apply_uk_dag(k, w, u0, tgt)
-    w = selective_phase(w, 0, math.pi / 3.0)
-    return _apply_uk(k, w, u0, tgt)
-
-
-def _apply_uk_dag(k: int, v: np.ndarray, u0: UnitaryOperator, tgt: int) -> np.ndarray:
-    if k == 0:
-        return u0.apply_dag(v)
-    w = _apply_uk_dag(k - 1, v, u0, tgt)
-    w = selective_phase(w, 0, -math.pi / 3.0)
-    w = _apply_uk(k - 1, w, u0, tgt)
-    w = selective_phase(w, tgt, -math.pi / 3.0)
-    return _apply_uk_dag(k - 1, w, u0, tgt)
+def _raise_depth(k: int, w: np.ndarray, u0: UnitaryOperator, tgt: int, dag: bool = False) -> np.ndarray:
+    """U_k R_s U_k^dag R_t w, the map taking U_k v to U_{k+1} v, or with
+    ``dag`` the adjoint word U_k^dag R_t^dag U_k R_s^dag w: R_s first, phases
+    -pi/3.  Each state here is read once, by the step after it, so the phases
+    and U0 change it in place and the whole recursion works on one buffer."""
+    first, second = (0, tgt) if dag else (tgt, 0)
+    phi = -math.pi / 3.0 if dag else math.pi / 3.0
+    w = selective_phase(w, first, phi)
+    w = _apply_uk(k, w, u0, tgt, not dag)
+    w = selective_phase(w, second, phi)
+    return _apply_uk(k, w, u0, tgt, dag)
 
 
 def closed_form_failure(eps: float, k):
@@ -157,17 +151,15 @@ def coefficient_track(c0: complex, depth: int) -> list[tuple[complex, float]]:
     return out
 
 
-def fixed_point_run(u0: UnitaryOperator | np.ndarray, target: int, depth: int) -> list[RecursionState]:
+def fixed_point_run(u0: UnitaryOperator, target: int, depth: int) -> list[RecursionState]:
     """Run the recursion from the all-zeros register state |0> to the given
     depth, returning both tracks per depth.
 
-    U0 is an operator, or a dense unitary matrix that is wrapped as one.  The
-    simulated and coefficient tracks must agree to TOL_TRACKS at every depth.
+    The simulated and coefficient tracks must agree to TOL_TRACKS at every
+    depth.
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_DEPTH} (operator word grows as 3^k)")
-    if not isinstance(u0, UnitaryOperator):
-        u0 = dense_operator(u0)
     n = u0.n
     # a negative index would wrap silently
     if not 0 <= target < n:
@@ -188,8 +180,12 @@ def fixed_point_run(u0: UnitaryOperator | np.ndarray, target: int, depth: int) -
         states.append(RecursionState(k=k, c_k=c, eps_k=eps))
     track = coefficient_track(states[0].c_k, depth)
     for rec, (c_rec, eps_rec) in zip(states, track):
-        if abs(rec.c_k - c_rec) > TOL_TRACKS or abs(rec.eps_k - eps_rec) > TOL_TRACKS:
-            raise CrossCheckError(f"simulation and coefficient tracks disagree at depth {rec.k}")
+        dev_c, dev_eps = abs(rec.c_k - c_rec), abs(rec.eps_k - eps_rec)
+        if dev_c > TOL_TRACKS or dev_eps > TOL_TRACKS:
+            raise CrossCheckError(
+                f"simulation and coefficient tracks disagree at depth {rec.k}: overlap by {dev_c!r}, "
+                f"failure probability by {dev_eps!r} (tolerance {TOL_TRACKS!r})"
+            )
     return states
 
 
@@ -228,8 +224,7 @@ def damped_family(c: float, rate: float) -> ParametricFamily:
 
 
 class DampedPath(NamedTuple):
-    """The damped geodesic at the RK4 grid points: ``q`` holds one row per
-    point and one column."""
+    """The damped geodesic q at the RK4 grid points ``thetas``."""
 
     thetas: np.ndarray
     q: np.ndarray
@@ -274,7 +269,7 @@ def damped_geodesic_solve(
         t = t + h
         ts.append(t)
         qs.append(q)
-    return DampedPath(thetas=np.frombuffer(ts), q=np.frombuffer(qs)[:, None])
+    return DampedPath(thetas=np.frombuffer(ts), q=np.frombuffer(qs))
 
 
 def bessel_argument(theta: float, l0: float, gamma: float) -> float:

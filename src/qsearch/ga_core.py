@@ -129,16 +129,8 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         return Multivector(self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector(self.coeffs - other.coeffs)
-
     def __neg__(self) -> "Multivector":
         return Multivector(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return geometric_product(self, other)
-        return Multivector(self.coeffs * float(other))
 
     def __rmul__(self, other):
         return Multivector(self.coeffs * float(other))

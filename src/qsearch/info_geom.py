@@ -26,8 +26,9 @@ one; they are evaluated in closed form, q0 cos(theta) + qdot0 sin(theta),
 one amplitude per class, with the residual at each evaluated point.
 :func:`geodesic_residual` is the one residual of the geodesic equation
 q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0 for the Lagrangian
-L0 e^{-gamma theta}: the flat case here (L0 = 2, gamma = 0) and the damped
-closed form of :mod:`qsearch.fixed_point` both call it.
+L0 e^{-gamma theta}, in one form: central differences of a path callable.
+The flat case here (L0 = 2, gamma = 0) and the damped closed form of
+:mod:`qsearch.fixed_point` both call it.
 
 Step lengths follow the general iterate G = -I_i U^{-1} I_f U built from two
 selective inversions around arbitrary unitaries: the squared Wigner-Yanase
@@ -131,21 +132,17 @@ def geodesic_residual(q_path, theta, l0: float = 2.0, gamma: float = 0.0):
     -gamma; the defaults give the flat geodesic q'' + q = 0.
 
     ``theta`` is one value or an array, and the path's values broadcast
-    against it.  ``q_path`` is either a (q, dq, d2q) triple of callables for
-    analytic derivatives, or a callable theta -> q, evaluated at theta and
+    against it.  ``q_path`` is a callable theta -> q, evaluated at theta and
     theta +- h with h = 1e-3 for central differences.  That step is wider
     than a first-derivative step: a second difference amplifies roundoff in
     q by 1/h^2, and h = 1e-3 balances that against the h^2/12 truncation
-    term.
+    term.  A residual from analytic derivatives would read the equation the
+    path was built from, and so could not fail.
     """
-    if isinstance(q_path, tuple):
-        qf, dqf, d2qf = q_path
-        q, dq, d2q = qf(theta), dqf(theta), d2qf(theta)
-    else:
-        h = 1e-3
-        q_minus, q, q_plus = q_path(theta - h), q_path(theta), q_path(theta + h)
-        d2q = (q_plus - 2.0 * q + q_minus) / (h * h)
-        dq = (q_plus - q_minus) / (2.0 * h)
+    h = 1e-3
+    q_minus, q, q_plus = q_path(theta - h), q_path(theta), q_path(theta + h)
+    d2q = (q_plus - 2.0 * q + q_minus) / (h * h)
+    dq = (q_plus - q_minus) / (2.0 * h)
     return d2q + gamma * dq + 0.5 * l0 * np.exp(-gamma * theta) * q
 
 

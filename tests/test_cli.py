@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -252,6 +253,19 @@ class TestFixedPoint:
         assert err.count("\n") == 1
         assert "internal cross-check failed" in err and "at depth 0" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_track_message_shows_the_excess(self, tmp_path, capsys, monkeypatch):
+        # the tolerance set just below the measured deviation: the printed
+        # deviation must still read above the printed tolerance
+        fp = cli.fp
+        states = fp.fixed_point_run(fp.walsh_hadamard_operator(4), target=0, depth=2)
+        track = fp.coefficient_track(states[0].c_k, 2)
+        measured = max(max(abs(s.c_k - c), abs(s.eps_k - e)) for s, (c, e) in zip(states, track))
+        monkeypatch.setattr(fp, "TOL_TRACKS", float(np.nextafter(measured, -1.0)))
+        assert run_cli(["fixed-point", "--N", "16", "--depth", "2"], tmp_path) == cli.EXIT_CROSSCHECK
+        err = capsys.readouterr().err
+        found = re.search(r"overlap by (\S+), failure probability by (\S+) \(tolerance (\S+)\)", err)
+        assert max(float(found[1]), float(found[2])) == measured > float(found[3])
 
     def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
         def recurse(*args, **kwargs):
@@ -549,13 +563,32 @@ class TestGaVerify:
         assert list(tmp_path.iterdir()) == []
 
     def test_qubit_roundtrip_deviation_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the round trip is exact and TOL_STATE also bounds the input norm,
+        # so the translation drifts just past the tolerance: the printed
+        # deviation must read above the printed tolerance
         to_qubit = msta.mv_to_qubit
-        monkeypatch.setattr(msta, "mv_to_qubit", lambda q: (to_qubit(q)[0] + 2 * msta.TOL_STATE, to_qubit(q)[1]))
+        drift = msta.TOL_STATE + 1e-15
+        monkeypatch.setattr(msta, "mv_to_qubit", lambda q: (to_qubit(q)[0] + drift, to_qubit(q)[1]))
         assert run_cli(["ga-verify", "--N-list", "4", "--samples", "10"], tmp_path) == cli.EXIT_CROSSCHECK
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "internal cross-check failed" in err and "qubit round trip" in err
+        deviation, tolerance = re.search(r"deviates by (\S+) \(tolerance (\S+)\)", err).groups()
+        assert float(deviation) > float(tolerance) == msta.TOL_STATE
         assert list(tmp_path.iterdir()) == []
+
+    def test_plane_message_shows_the_excess(self, tmp_path, capsys, monkeypatch):
+        # the tolerance set just below the measured deviation: the printed
+        # deviation must still read above the printed tolerance
+        argv = ["ga-verify", "--N-list", "64", "--samples", "5"]
+        assert run_cli(argv, tmp_path / "measured") == 0
+        _, rows = read_csv(tmp_path / "measured" / "ga_verify.csv")
+        measured = float(next(r for r in rows if r[0] == "plane_coords_max")[5])
+        monkeypatch.setattr(msta, "TOL_PLANE", float(np.nextafter(measured, -1.0)))
+        assert run_cli(argv, tmp_path / "failed") == cli.EXIT_CROSSCHECK
+        err = capsys.readouterr().err
+        deviation, tolerance = re.search(r"differ by (\S+) at N=64 \(tolerance (\S+)\)", err).groups()
+        assert float(deviation) == measured > float(tolerance)
 
     def test_negative_k_max_is_usage_error(self, tmp_path):
         assert usage_exit_code(["ga-verify", "--N-list", "4", "--k-max", "-1"], tmp_path) == cli.EXIT_USAGE
@@ -1130,6 +1163,65 @@ class TestRunner:
         code = "import sys, qsearch.cli; print('dataclasses' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
+
+
+class TestUnwritableOut:
+    """An output directory or file that cannot be made or written is a
+    configuration error: one line, exit 2, no traceback, and no directory
+    that the run made is left behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digital", "--N", "8", "--k", "2"],
+            ["analog", "--model", "fenner", "--N", "8"],
+            ["fixed-point", "--epsilon", "0.2", "--depth", "2"],
+            ["damped", "--theta-end", "1"],
+            ["geodesic", "--N", "8"],
+            ["infogeo", "--points", "5"],
+            ["ga-verify", "--N-list", "4", "--samples", "3"],
+            ["sweep", "--config", "sweep.cfg"],
+            ["sweep", "--config", "sweep.cfg", "--workers", "2"],
+        ],
+        ids=["digital", "analog", "fixed-point", "damped", "geodesic", "infogeo", "ga-verify", "sweep", "sweep-pool"],
+    )
+    def test_regular_file_as_parent_of_out(self, tmp_path, monkeypatch, capsys, argv):
+        (tmp_path / "sweep.cfg").write_text("subcommand = digital\nN = [8, 4]\n")
+        monkeypatch.chdir(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        assert cli.main([*argv, "--out", str(blocker / "out")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("qsearch: error: cannot write outputs: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sweep.cfg"]
+        assert blocker.read_text() == "x"
+
+    def test_sweep_cell_directory_that_cannot_be_made(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("subcommand = digital\nN = [4]\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "digital_N-4").write_text("x")
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("qsearch: error: cannot write outputs: ") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["digital_N-4"]
+
+    def test_table_that_cannot_be_written(self, tmp_path, capsys):
+        # a directory in the CSV's place: the rename fails, the `.part` goes
+        (tmp_path / "digital_N4_k1.csv").mkdir()
+        assert run_cli(["digital", "--N", "4", "--k", "1"], tmp_path) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("qsearch: error: cannot write outputs: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["digital_N4_k1.csv"]
+
+    def test_directories_made_for_a_failed_write_go(self, tmp_path, monkeypatch, capsys):
+        def full_disk(path, header, columns):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", full_disk)
+        assert run_cli(["digital", "--N", "4", "--k", "1"], tmp_path / "fresh" / "out") == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "qsearch: error: cannot write outputs: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifestStamps:

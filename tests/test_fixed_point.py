@@ -95,7 +95,7 @@ class TestSelectivePhase:
 
 class TestFailureLaw:
     def test_walsh_hadamard_n4(self):
-        states = fp.fixed_point_run(walsh_hadamard(2), target=2, depth=3)
+        states = fp.fixed_point_run(fp.dense_operator(walsh_hadamard(2)), target=2, depth=3)
         eps = states[0].eps_k
         assert abs(eps - 0.75) < 1e-14
         for rec in states:
@@ -108,33 +108,33 @@ class TestFailureLaw:
             n = int(rng.choice([4, 8, 16]))
             u0 = haar_unitary(n, rng)
             target = int(rng.integers(0, n))
-            states = fp.fixed_point_run(u0, target=target, depth=3)
+            states = fp.fixed_point_run(fp.dense_operator(u0), target=target, depth=3)
             eps = states[0].eps_k
             for rec in states:
                 want = fp.closed_form_failure(eps, rec.k)
                 assert abs(rec.eps_k - want) <= 1e-10 * max(want, 1e-12)
 
     def test_monotone_decrease(self):
-        states = fp.fixed_point_run(walsh_hadamard(3), target=1, depth=3)
+        states = fp.fixed_point_run(fp.dense_operator(walsh_hadamard(3)), target=1, depth=3)
         fails = [rec.eps_k for rec in states]
         assert all(a > b for a, b in zip(fails, fails[1:]))
 
     def test_exact_start_stays_exact(self):
         # U0 mapping source directly onto the target: eps = 0 at every depth
         u0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        states = fp.fixed_point_run(u0, target=1, depth=3)
+        states = fp.fixed_point_run(fp.dense_operator(u0), target=1, depth=3)
         for rec in states:
             assert rec.eps_k < 1e-12
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
-            fp.fixed_point_run(walsh_hadamard(2), target=0, depth=6)
+            fp.fixed_point_run(fp.walsh_hadamard_operator(2), target=0, depth=6)
 
     @pytest.mark.parametrize("target", [-1, 4])
     def test_target_out_of_range_rejected(self, target):
         # a negative index would otherwise wrap to the last amplitude
         with pytest.raises(ValueError, match=f"index {target} out of range for N=4"):
-            fp.fixed_point_run(walsh_hadamard(2), target=target, depth=2)
+            fp.fixed_point_run(fp.walsh_hadamard_operator(2), target=target, depth=2)
 
     @pytest.mark.parametrize(
         "u, message",
@@ -143,7 +143,7 @@ class TestFailureLaw:
     )
     @pytest.mark.parametrize(
         "run",
-        [lambda u: fp.fixed_point_run(u, target=1, depth=1), lambda u: ig.general_iterate(u, 0, 1)],
+        [lambda u: fp.fixed_point_run(fp.dense_operator(u), target=1, depth=1), lambda u: ig.general_iterate(u, 0, 1)],
         ids=["fixed_point_run", "general_iterate"],
     )
     def test_matrix_that_is_not_unitary_rejected(self, run, u, message):
@@ -206,7 +206,7 @@ class TestWalshHadamardOperator:
     def test_run_matches_dense_matrix(self):
         for n_qubits, target in [(1, 1), (2, 2), (3, 5), (5, 0), (6, 41), (8, 200)]:
             fast = fp.fixed_point_run(fp.walsh_hadamard_operator(n_qubits), target=target, depth=4)
-            dense = fp.fixed_point_run(walsh_hadamard(n_qubits), target=target, depth=4)
+            dense = fp.fixed_point_run(fp.dense_operator(walsh_hadamard(n_qubits)), target=target, depth=4)
             for a, b in zip(fast, dense):
                 assert abs(a.eps_k - b.eps_k) < 1e-12
 
@@ -240,6 +240,23 @@ class TestWalshHadamardOperator:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * state_bytes
+
+
+class TestAdjointRecursion:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("u0_kind, n", [("random", 4), ("random", 8), ("wh", 8)])
+    def test_dag_is_the_adjoint_of_u_k(self, u0_kind, n, k):
+        # U_k built column by column from basis states, against the
+        # recursion run with dag on the same basis states
+        if u0_kind == "wh":
+            u0 = fp.walsh_hadamard_operator(3)
+        else:
+            u0 = fp.dense_operator(haar_unitary(n, np.random.default_rng(57 + n)))
+        tgt = n - 2
+        u_k = np.column_stack([fp._apply_uk(k, basis_state(n, j), u0, tgt) for j in range(n)])
+        u_k_dag = np.column_stack([fp._apply_uk(k, basis_state(n, j), u0, tgt, dag=True) for j in range(n)])
+        assert np.max(np.abs(u_k_dag - u_k.conj().T)) < 1e-12
+        assert np.max(np.abs(u_k_dag @ u_k - np.eye(n))) < 1e-12
 
 
 class TestCoefficientIdentity:
@@ -315,15 +332,14 @@ def rk4_oracle(deriv, y0, t0, t1, dt):
 
 
 def damped_oracle(l0, gamma, q0, qdot0, theta_end, dtheta):
-    """The damped geodesic through the ndarray RK4: the grid and the q
-    column."""
+    """The damped geodesic through the ndarray RK4: the grid and q."""
 
     def deriv(t, y):
         q, qd = y
         return np.array([qd, -gamma * qd - 0.5 * l0 * math.exp(-gamma * t) * q])
 
     ts, ys = rk4_oracle(deriv, np.array([q0, qdot0], dtype=np.float64), 0.0, theta_end, dtheta)
-    return ts, ys[:, :1]
+    return ts, ys[:, 0]
 
 
 class TestDampedGeodesic:
@@ -352,7 +368,7 @@ class TestDampedGeodesic:
         qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2 * h)
         sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, 8.0, 1e-3)
         worst = 0.0
-        for t, q in zip(sol.thetas[:: len(sol.thetas) // 50], sol.q[:: len(sol.thetas) // 50, 0]):
+        for t, q in zip(sol.thetas[:: len(sol.thetas) // 50], sol.q[:: len(sol.thetas) // 50]):
             worst = max(worst, abs(q - fp.bessel_solution(t, a, b, l0, gamma)))
         assert worst < 1e-6
 
@@ -360,13 +376,13 @@ class TestDampedGeodesic:
         gamma, q0, qdot0 = 1.3, 0.4, 0.9
         sol = fp.damped_geodesic_solve(0.0, gamma, q0, qdot0, 5.0, 1e-3)
         want = q0 + qdot0 * (1.0 - math.exp(-gamma * 5.0)) / gamma
-        assert abs(sol.q[-1, 0] - want) < 1e-8
+        assert abs(sol.q[-1] - want) < 1e-8
 
     def test_small_gamma_approaches_oscillator(self):
         # gamma -> 0 with L0 = 8 behaves like q'' + 4 q = 0 over short spans
         q0, qdot0 = 1.0, 0.0
         sol = fp.damped_geodesic_solve(8.0, 1e-6, q0, qdot0, 0.5, 1e-4)
-        assert abs(sol.q[-1, 0] - math.cos(2.0 * 0.5)) < 1e-4
+        assert abs(sol.q[-1] - math.cos(2.0 * 0.5)) < 1e-4
 
 
 class TestBesselSolution:

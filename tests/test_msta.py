@@ -23,22 +23,31 @@ SIGMA = {
 E3 = Multivector.basis_vector(3)
 # i e3 = e1e2: right multiplication by it is the complex unit
 IE3 = Multivector.blade(0b011)
+# the blades of odd grade: e1, e2, e3 and e123
+ODD_SLOTS = [0b001, 0b010, 0b100, 0b111]
+
+
+def even(mv):
+    """mv, after asserting that every odd-grade slot is exactly zero."""
+    assert not mv.coeffs[ODD_SLOTS].any(), mv
+    return mv
 
 
 def pauli_action(k, q):
-    """sigma_k on a qubit in its even form: psi -> e_k psi e3."""
+    """sigma_k on a qubit in its even form: psi -> e_k psi e3, which stays
+    even."""
     ek = Multivector.basis_vector(k)
-    return msta.GaQubit(geometric_product(geometric_product(ek, q.mv), E3))
+    return even(geometric_product(geometric_product(ek, even(q)), E3))
 
 
 def complex_unit_action(q):
-    """Multiplication by the complex unit: psi -> psi ie3."""
-    return msta.GaQubit(geometric_product(q.mv, IE3))
+    """Multiplication by the complex unit: psi -> psi ie3, which stays even."""
+    return even(geometric_product(even(q), IE3))
 
 
 def ga_inner(psi, phi):
     """<psi|phi> as <psi~ phi>_0 - <psi~ phi ie3>_0 i."""
-    prod = geometric_product(reverse(psi.mv), phi.mv)
+    prod = geometric_product(reverse(psi), phi)
     return complex(prod.scalar_part(), -geometric_product(prod, IE3).scalar_part())
 
 
@@ -51,7 +60,7 @@ def random_qubit_column(rng):
 class TestQubitTranslation:
     def test_basis_zero_maps_to_one(self):
         q = msta.qubit_to_mv(1.0, 0.0)
-        assert allclose(q.mv, Multivector.scalar(1.0))
+        assert allclose(q, Multivector.scalar(1.0))
 
     def test_worked_unnormalized_example(self):
         # column (1, -1) becomes 1 + ie2, and i e2 = -e1e3; the translation
@@ -59,7 +68,7 @@ class TestQubitTranslation:
         r = 1.0 / math.sqrt(2.0)
         q = msta.qubit_to_mv(r, -r)
         expected = Multivector.scalar(r) + Multivector.blade(0b101, -r)
-        assert allclose(q.mv, expected)
+        assert allclose(q, expected)
 
     def test_round_trip_many(self):
         rng = np.random.default_rng(21)
@@ -74,24 +83,16 @@ class TestQubitTranslation:
         with pytest.raises(ValueError):
             msta.qubit_to_mv(1.0, 1.0)
 
-    def test_built_qubit_equals_checked_qubit(self):
-        # the translation builds its qubit past the even-grade check; the
-        # checked constructor accepts the same multivector unchanged
+    def test_qubit_is_a_plain_even_multivector(self):
+        # a qubit is the multivector itself: its four even slots hold the
+        # column's parts, bit for bit, and its odd slots are zero
         rng = np.random.default_rng(31)
         for _ in range(100):
             col = random_qubit_column(rng)
-            q = msta.qubit_to_mv(col[0], col[1])
-            assert type(q) is msta.GaQubit
-            assert msta.GaQubit(q.mv) == q
-            assert not q.mv.coeffs[[0b001, 0b010, 0b100, 0b111]].any()
-
-    def test_public_constructor_still_checks(self):
-        # `_replace` builds through `_make`, which checks as a call does
-        odd = Multivector.basis_vector(1)
-        cases = [lambda: msta.GaQubit(odd), lambda: msta.qubit_to_mv(1.0, 0.0)._replace(mv=odd)]
-        for case in cases:
-            with pytest.raises(ValueError, match="even grades"):
-                case()
+            q = even(msta.qubit_to_mv(col[0], col[1]))
+            assert type(q) is Multivector
+            a, b = complex(col[0]), complex(col[1])
+            assert q.coeffs[[0b000, 0b011, 0b101, 0b110]].tolist() == [a.real, a.imag, b.real, b.imag]
 
 
 class TestPauliAction:
@@ -130,7 +131,7 @@ class TestComplexUnitAction:
         col = random_qubit_column(rng)
         q = msta.qubit_to_mv(col[0], col[1])
         twice = complex_unit_action(complex_unit_action(q))
-        assert allclose(twice.mv, -q.mv, tol=1e-12)
+        assert allclose(twice, -q, tol=1e-12)
 
     def test_matrix_agreement_random(self):
         rng = np.random.default_rng(24)
@@ -157,7 +158,7 @@ class TestGaInner:
             q = msta.qubit_to_mv(col[0], col[1])
             got = ga_inner(q, q)
             assert abs(got.imag) < 1e-12
-            assert abs(got.real - sum(a * a for a in q.components())) < 1e-12
+            assert abs(got.real - float(np.sum(q.coeffs**2))) < 1e-12
             assert abs(got.real - 1.0) < 1e-12
 
     def test_matrix_agreement_random(self):
