@@ -14,8 +14,9 @@ any 2x2 Hermitian matrix and the only propagator here:
   its first target-probability peak is known exactly.
 
 Both models are tabulated alike: :func:`fenner_state` and :func:`fg_scan`
-take one time or an array of times, and one propagator call serves a whole
-grid.
+take one time or an array of times, and one propagator call serves each
+chunk of 4096 times, so no (T, 2, 2) propagator array of a whole grid is
+built.
 
 The printed closed form for the optimal search time carries an arcsine whose
 argument exceeds one; we evaluate asin(sqrt((N-1)/N)) instead, which restores
@@ -33,6 +34,10 @@ from .grover_digital import alpha_beta
 
 TOL_ALG = 1e-12
 
+# times per propagator call: each call builds a few (chunk, 2, 2) complex
+# temporaries, so the chunk, not the grid, sets their size
+_CHUNK_TIMES = 4096
+
 
 class EvolutionResult(NamedTuple):
     """State coordinates on (target, bad) at time ts and the target
@@ -46,8 +51,15 @@ class EvolutionResult(NamedTuple):
 
 def _evolve_uniform(h: np.ndarray, n: int, ts) -> EvolutionResult:
     """The uniform state of N basis states evolved under the plane
-    Hamiltonian h to time ts, or to each of an array of times."""
-    state = plane_propagator(h, ts) @ np.array(alpha_beta(n))
+    Hamiltonian h to time ts, or to each of an array of times, one chunk of
+    times at a time into one preallocated state."""
+    start_state = np.array(alpha_beta(n))
+    times = np.asarray(ts, dtype=np.float64)
+    state = np.empty(times.shape + (2,), dtype=np.complex128)
+    flat_times, flat_state = times.reshape(-1), state.reshape(-1, 2)
+    for start in range(0, len(flat_times), _CHUNK_TIMES):
+        chunk = slice(start, start + _CHUNK_TIMES)
+        flat_state[chunk] = plane_propagator(h, flat_times[chunk]) @ start_state
     return EvolutionResult(ts=ts, state=state, p_target=np.abs(state[..., 0]) ** 2)
 
 

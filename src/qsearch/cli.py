@@ -4,20 +4,22 @@ Each subcommand `cmd_<name>(args)` checks its arguments, computes its
 columns and returns `(computed, tables, written)`: the values it derived that
 the manifest records beside the options (only `fixed-point`'s
 `eps0_computed`), a list of `(file name, header, columns)` tables, and the
-CSVs it wrote itself (only `sweep`'s cells write their own).  The runner
-`_dispatch` alone writes the outputs: it makes the output directory once the
-command returns, writes each table as a CSV, and writes a JSON run manifest
-recording the command, every option but `--out`, the computed values,
-timestamps, tool version, and the SHA-256 of each CSV.  All numeric output
-uses 17-significant-digit formatting, so reruns on the same platform produce
-byte-identical CSVs (manifests differ only in their timestamps).
+CSVs it wrote itself as (path, SHA-256) pairs (only `sweep`'s cells write
+their own).  The runner `_dispatch` alone writes the outputs: it makes the
+output directory once the command returns, writes each table as a CSV, and
+writes a JSON run manifest recording the command, every option but `--out`,
+the computed values, timestamps, tool version, and the SHA-256 of each CSV,
+hashed from its bytes as they are written, so no table is read back.  All
+numeric output uses 17-significant-digit formatting, so reruns on the same
+platform produce byte-identical CSVs (manifests differ only in their timestamps).
 Randomized paths draw from numpy's PCG64 generator seeded by --seed, and the
 seed is recorded in the manifest.
 
 Exit codes: 0 success, 2 usage or configuration error (an output directory
 or file that cannot be made or written among them), 3 numeric-domain
-error (a rejected value, an overflow or division by zero, or a non-finite
-number in a table, which `write_csv` refuses to write), 4 failed internal
+error (a rejected value, an overflow or division by zero, a non-finite
+number in a table, which `write_csv` refuses to write, or an allocation that
+runs out of memory), 4 failed internal
 cross-check (the fixed-point simulation and its coefficient track, or
 `ga-verify`'s rotor and state-vector plane coordinates or its qubit round
 trip, disagreed beyond their tolerance; nothing is written).
@@ -31,7 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import hashlib
+import importlib
 import json
 import math
 import os
@@ -62,15 +64,30 @@ EXIT_DOMAIN = 3
 EXIT_CROSSCHECK = 4
 
 
+def _sha256_constructor():
+    """CPython's built-in SHA-256 (`_sha2` from 3.12, `_sha256` before), or
+    `hashlib`'s where a build ships without it: importing `hashlib` maps
+    OpenSSL's libcrypto, 3.4 MB of a 33.5 MB `geodesic` run, for one hash
+    per table."""
+    for name in ("_sha2", "_sha256"):
+        with contextlib.suppress(ImportError):
+            return importlib.import_module(name).sha256
+    return importlib.import_module("hashlib").sha256
+
+
+_new_sha256 = _sha256_constructor()
+
 # rows per `%` pass: a pass boxes its cells, so the chunk sets the added peak
 _CHUNK_ROWS = 4096
 
 
-def write_csv(path: Path, header, columns) -> Path:
+def write_csv(path: Path, header, columns, sha) -> Path:
     """Write a table of columns, each a 1-d array or a scalar every row
     repeats, through one printf line, one conversion per column dtype.
     Unequal lengths or a non-finite float raise ValueError before a row is
-    written; rows go to a `.part` file that replaces `path` once all are."""
+    written; rows go to a `.part` file that replaces `path` once all are.
+    Each chunk of rows is encoded once and passed to the hash object `sha`
+    as it is written, so the file's digest needs no second read."""
     cells, arrays = [], []
     for name, column in zip(header, columns, strict=True):
         column = np.asarray(column)
@@ -86,22 +103,25 @@ def write_csv(path: Path, header, columns) -> Path:
     if len(lengths) != 1:
         raise ValueError(f"the array columns of {path.name} must share one length, got {sorted(lengths)}")
     line = ",".join(cells) + "\n"
+
+    def texts():
+        yield ",".join(header) + "\n"
+        for start in range(0, lengths.pop(), _CHUNK_ROWS):
+            chunk = zip(*(column[start : start + _CHUNK_ROWS].tolist() for column in arrays))
+            yield "".join(line % row for row in chunk)
+
     part = path.with_name(path.name + ".part")
     try:
-        with part.open("w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, lengths.pop(), _CHUNK_ROWS):
-                chunk = zip(*(column[start : start + _CHUNK_ROWS].tolist() for column in arrays))
-                fh.writelines(line % row for row in chunk)
+        with part.open("wb") as fh:
+            for text in texts():
+                data = text.encode("ascii")
+                sha.update(data)
+                fh.write(data)
         part.replace(path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
     return path
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class RunManifest(NamedTuple):
@@ -115,8 +135,8 @@ class RunManifest(NamedTuple):
     outputs: list
     tool_version: str = __version__
 
-    def record(self, path: Path) -> None:
-        self.outputs.append({"path": str(path), "sha256": _sha256(path)})
+    def record(self, path: Path, sha256: str) -> None:
+        self.outputs.append({"path": str(path), "sha256": sha256})
 
     def write(self, out_dir: Path) -> Path:
         target = out_dir / f"{self.command}_manifest.json"
@@ -132,12 +152,13 @@ def _out_dir(args) -> Path:
     return Path(args.out or os.environ.get("QSEARCH_OUT") or "qsearch-out")
 
 
-def _dispatch(args) -> list[Path]:
+def _dispatch(args) -> list[tuple[Path, str]]:
     """Run the parsed subcommand, then write its tables and its manifest,
     which records the CSVs the command wrote itself and then the tables.  The
     output directory is made only once the command returns, and each
     directory the run made is removed again if making the directory or
-    writing a table fails.  Returns the recorded CSVs."""
+    writing a table fails.  Returns the recorded CSVs as (path, SHA-256)
+    pairs."""
     started = _utc_now()
     # `write_csv` refuses a NaN or infinity, so numpy's warnings about one
     # would only precede the one-line error
@@ -146,9 +167,12 @@ def _dispatch(args) -> list[Path]:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
     out_dir = _out_dir(args)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    outputs = list(written)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = written + [write_csv(out_dir / name, header, columns) for name, header, columns in tables]
+        for name, header, columns in tables:
+            sha = _new_sha256()
+            outputs.append((write_csv(out_dir / name, header, columns, sha), sha.hexdigest()))
     except BaseException:
         # deepest first; a directory that holds anything stops the removal
         with contextlib.suppress(OSError):
@@ -156,8 +180,8 @@ def _dispatch(args) -> list[Path]:
                 d.rmdir()
         raise
     manifest = RunManifest(args.subcommand, params, started, _utc_now(), outputs=[])
-    for path in outputs:
-        manifest.record(path)
+    for path, sha256 in outputs:
+        manifest.record(path, sha256)
     manifest.write(out_dir)
     return outputs
 
@@ -173,9 +197,10 @@ _N_CAP = 1 << 22
 # largest step count of a time or angle grid, of `digital --k`, of
 # `ga-verify --k-max` and `--samples`, and of `infogeo --points`: about ten
 # times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  At the
-# cap (2-CPU host) `analog` peaks near 235 MB RSS in 2 s, `infogeo` 135 MB in
-# 3 s, `digital --N 4` 140 MB in 8 s, `ga-verify --samples` 180 MB in 6 s and
-# `ga-verify --N-list 4 --k-max` 285 MB in 30 s.  A rotor orbit drifts from
+# cap (2-CPU host) `analog` peaks near 80 MB RSS in 2-2.5 s, `infogeo` 87 MB
+# in 3 s, `digital --N 4` 80 MB in 8 s, `ga-verify --samples` 180 MB in 4 s
+# and `ga-verify --N-list 4 --k-max` 280 MB in 25 s; hashing a 50-70 MB table
+# with the built-in SHA-256 takes about 0.3 s of that.  A rotor orbit drifts from
 # the state vector about linearly in k (at N = 64: 2.1e-14 by k = 2^8, 1.6e-12
 # by 2^14, 2.5e-11 by 2^18), so near the `--k-max` cap it reaches
 # `msta.TOL_PLANE`: the default N list exits 4 at N = 64
@@ -528,7 +553,7 @@ class _CellParser(argparse.ArgumentParser):
         raise SweepConfigError(message)
 
 
-def _run_cell(args) -> list[Path]:
+def _run_cell(args) -> list[tuple[Path, str]]:
     """Run one parsed sweep cell, in a worker process when the sweep runs
     more than one at a time; it writes into its own directory."""
     return _dispatch(args)
@@ -563,7 +588,7 @@ def cmd_sweep(args):
             results = list(pool.map(_run_cell, cell_args))
     else:
         results = [_run_cell(a) for a in cell_args]
-    written = [path for cell_outputs in results for path in cell_outputs]
+    written = [output for cell_outputs in results for output in cell_outputs]
     return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], list(zip(*index_rows)))], written
 
 
@@ -694,6 +719,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"qsearch: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"qsearch: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except CrossCheckError as exc:
         print(f"qsearch: error: internal cross-check failed: {exc}", file=sys.stderr)

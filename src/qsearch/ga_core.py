@@ -10,8 +10,9 @@ Products read 8 x 8 tables built once at import: a gather index and a
 blade-sign table, plus a grade-masked copy of the signs for the outer product.
 
 Everything here is a pure function over immutable values: coefficient arrays
-are frozen after construction, so multivectors are safe to share across
-worker processes or threads.
+are frozen after construction (the public constructor freezes a copy, a
+product freezes the array it has just built), so multivectors are safe to
+share across worker processes or threads.
 """
 from __future__ import annotations
 
@@ -79,6 +80,17 @@ class Multivector:
             raise ValueError(f"expected {_SIZE} coefficients, got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "Multivector":
+        """Wrap a fresh float64 array of 8 coefficients that no one else
+        holds, freezing it in place: the products build such an array, and
+        the public constructor's copy and shape check were a third of a
+        product's time."""
+        coeffs.setflags(write=False)
+        mv = object.__new__(cls)
+        object.__setattr__(mv, "coeffs", coeffs)
+        return mv
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -155,17 +167,17 @@ class Multivector:
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Associative bilinear product; blade signs from swap counting."""
-    return Multivector((_GEOMETRIC * a.coeffs[_INDEX]) @ b.coeffs)
+    return Multivector._adopt((_GEOMETRIC * a.coeffs[_INDEX]) @ b.coeffs)
 
 
 def reverse(a: Multivector) -> Multivector:
     """Reversion: grade-g blades pick up (-1)**(g(g-1)/2)."""
-    return Multivector(a.coeffs * _REVERSE_SIGNS)
+    return Multivector._adopt(a.coeffs * _REVERSE_SIGNS)
 
 
 def outer_product(a: Multivector, b: Multivector) -> Multivector:
     """Grade-raising part: <a_r b_s>_{r+s}, extended bilinearly."""
-    return Multivector((_OUTER * a.coeffs[_INDEX]) @ b.coeffs)
+    return Multivector._adopt((_OUTER * a.coeffs[_INDEX]) @ b.coeffs)
 
 
 def scalar_product(a: Multivector, b: Multivector) -> float:

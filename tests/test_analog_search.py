@@ -3,6 +3,7 @@ written-out fenner propagator and the series exponential and
 eigendecomposition oracles, the corrected optimal time, the two-projector
 scan and first peak, and digital/analog agreement."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,34 @@ class TestFennerState:
             want = fenner_closed_form(t, n) @ np.array([alpha, beta])
             assert np.max(np.abs(state - want)) < 1e-12
             assert abs(p - want[0] ** 2) < 1e-12
+
+
+    @pytest.mark.parametrize("model", ["fenner", "farhi-gutmann"])
+    def test_grid_evolves_chunk_by_chunk_to_the_bit(self, model):
+        # across the chunk seams and a short last chunk, each state is the
+        # whole grid's propagator applied at once, bit for bit
+        n = 64
+        ts = np.arange(2 * an._CHUNK_TIMES + 5) * 0.003
+        if model == "fenner":
+            h, res = an.fenner_matrix(n), an.fenner_state(ts, n)
+        else:
+            h, res = an.farhi_gutmann_matrix(n, 1.3), an.fg_scan(ts, n, 1.3)
+        whole = an.plane_propagator(h, ts) @ np.array(an.alpha_beta(n))
+        assert res.state.shape == whole.shape
+        assert np.array_equal(res.state, whole)
+        assert np.array_equal(res.p_target, np.abs(whole[:, 0]) ** 2)
+
+    def test_grid_builds_no_whole_propagator(self):
+        # a (T, 2, 2) complex propagator alone would be 64 bytes per time;
+        # the state and probability columns take 24
+        ts = np.arange(1 << 17) * 1e-3
+        tracemalloc.start()
+        try:
+            res = an.fenner_state(ts, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < res.state.nbytes + res.p_target.nbytes + (2 << 20)
 
 
 class TestFennerTime:

@@ -1,6 +1,7 @@
 """CLI checks: CSV shapes and values for each subcommand, manifests, exit
 codes, and byte-identical determinism of sweep reruns."""
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -25,6 +26,10 @@ from qsearch import info_geom as ig
 from qsearch import msta
 from qsearch.ga_core import Multivector, Rotor
 from test_analog_search import ga_fenner_basis_change
+
+
+# CPython's SHA-256 module, `_sha2` from 3.12 and `_sha256` before
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
 def run_cli(argv, tmp_path):
@@ -754,12 +759,16 @@ target = 0
             assert outs[0][name] == outs[1][name], name
 
     def test_manifests_differ_only_in_timestamps(self, tmp_path):
+        # on two workers, whose cells hand the hashes of the bytes they wrote
+        # back to the sweep's manifest
         cfg = self.write_config(tmp_path)
         manifests = []
         for run in ("m1", "m2"):
             out = tmp_path / run
-            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 0
             data = json.loads((out / "sweep_manifest.json").read_text())
+            for o in data["outputs"]:
+                assert o["sha256"] == hashlib.sha256(Path(o["path"]).read_bytes()).hexdigest()
             data.pop("started")
             data.pop("finished")
             # output paths embed the run directory; compare names and hashes
@@ -956,6 +965,25 @@ class TestNumericDomain:
             with pytest.raises(ValueError, match="N must be at least 2"):
                 entry(1)
 
+    @pytest.mark.parametrize("where", ["command", "table"])
+    def test_out_of_memory_is_one_line(self, tmp_path, monkeypatch, capsys, where):
+        # raised by the command, before any directory is made, or by a table
+        # write, after `_dispatch` has made the fresh --out
+        message = "Unable to allocate 8.00 TiB for an array with shape (1099511627776,)"
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        if where == "command":
+            monkeypatch.setattr(cli, "cmd_digital", exhausted)
+        else:
+            monkeypatch.setattr(cli, "write_csv", exhausted)
+        out = tmp_path / "fresh" / "out"
+        assert run_cli(["digital", "--N", "4", "--k", "1"], out) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err == f"qsearch: error: out of memory: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRowCap:
     @pytest.mark.parametrize(
@@ -1025,26 +1053,30 @@ class TestWriteCsv:
     def test_streams_the_same_bytes(self, tmp_path):
         header = ["n", "x", "s", "model", "E"]
         columns = [np.array([1, 2, 3]), np.array([0.1, 1e-300, -0.0]), np.array(["a", "b", ""]), "100%", 2.5]
-        path = cli.write_csv(tmp_path / "t.csv", header, columns)
+        path = cli.write_csv(tmp_path / "t.csv", header, columns, hashlib.sha256())
         assert path.read_bytes() == (
             b"n,x,s,model,E\n1,0.10000000000000001,a,100%,2.5\n2,1e-300,b,100%,2.5\n3,-0,,100%,2.5\n"
         )
         # every chunk of rows, the last one short
         n_rows = 2 * cli._CHUNK_ROWS + 3
-        path = cli.write_csv(tmp_path / "long.csv", ["i"], [np.arange(n_rows)])
+        path = cli.write_csv(tmp_path / "long.csv", ["i"], [np.arange(n_rows)], hashlib.sha256())
         assert path.read_text() == "i\n" + "".join(f"{i}\n" for i in range(n_rows))
 
     @settings(max_examples=60, deadline=2000, database=None)
     @given(tables())
     def test_matches_the_reference_formatter(self, table):
-        # against the reference formatter's cells joined row by row
+        # against the reference formatter's cells joined row by row; the
+        # CLI's own hash of the bytes written is hashlib's of the file
         n_rows, columns = table
         header = [f"c{j}" for j in range(len(columns))]
         cells = [column.tolist() if np.ndim(column) else [column] * n_rows for column in columns]
         lines = [",".join(header)] + [",".join(fmt(cell) for cell in row) for row in zip(*cells)]
+        sha = cli._new_sha256()
         with tempfile.TemporaryDirectory() as out:
-            path = cli.write_csv(Path(out) / "t.csv", header, columns)
-            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+            path = cli.write_csv(Path(out) / "t.csv", header, columns, sha)
+            blob = path.read_bytes()
+        assert blob == ("\n".join(lines) + "\n").encode("ascii")
+        assert sha.hexdigest() == hashlib.sha256(blob).hexdigest()
 
     def test_failed_row_leaves_no_partial_csv(self, tmp_path):
         # a cell ASCII cannot encode fails the write in the second chunk of rows
@@ -1052,12 +1084,12 @@ class TestWriteCsv:
         n_rows = 2 * cli._CHUNK_ROWS
         columns = [np.arange(n_rows), np.array(["x"] * (n_rows - 1) + ["\u00e9"])]
         with pytest.raises(UnicodeEncodeError):
-            cli.write_csv(path, ["a", "b"], columns)
+            cli.write_csv(path, ["a", "b"], columns, hashlib.sha256())
         assert list(tmp_path.iterdir()) == []
         # an earlier table of the same name stays whole
-        cli.write_csv(path, ["a", "b"], [np.array([1]), 2.0])
+        cli.write_csv(path, ["a", "b"], [np.array([1]), 2.0], hashlib.sha256())
         with pytest.raises(UnicodeEncodeError):
-            cli.write_csv(path, ["a", "b"], columns)
+            cli.write_csv(path, ["a", "b"], columns, hashlib.sha256())
         assert path.read_text() == "a,b\n1,2\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -1073,7 +1105,7 @@ class TestWriteCsv:
     def test_columns_must_make_a_table(self, tmp_path, header, columns, what):
         # zip would otherwise drop the rows or the column beyond the shortest
         with pytest.raises(ValueError, match=what):
-            cli.write_csv(tmp_path / "t.csv", header, columns)
+            cli.write_csv(tmp_path / "t.csv", header, columns, hashlib.sha256())
         assert list(tmp_path.iterdir()) == []
 
     def test_unequal_columns_are_a_domain_error(self, tmp_path, monkeypatch, capsys):
@@ -1092,7 +1124,7 @@ class TestWriteCsv:
         # in an array column of the value's own dtype, and as a scalar column
         for column in (np.array([2.0, value], dtype=np.result_type(value)), value):
             with pytest.raises(ValueError, match=r"non-finite value .* \(column b\)"):
-                cli.write_csv(tmp_path / "t.csv", ["a", "b"], [np.array([1, 3]), column])
+                cli.write_csv(tmp_path / "t.csv", ["a", "b"], [np.array([1, 3]), column], hashlib.sha256())
             assert list(tmp_path.iterdir()) == []
 
 
@@ -1215,7 +1247,7 @@ class TestUnwritableOut:
         assert [p.name for p in tmp_path.iterdir()] == ["digital_N4_k1.csv"]
 
     def test_directories_made_for_a_failed_write_go(self, tmp_path, monkeypatch, capsys):
-        def full_disk(path, header, columns):
+        def full_disk(path, header, columns, sha):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cli, "write_csv", full_disk)
@@ -1266,6 +1298,19 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         value, count = proc.stdout.split()
         return value, None if count == "None" else int(count)
+
+    @pytest.mark.skipif(not BUILTIN_SHA256, reason="this build has no built-in SHA-256 module")
+    def test_import_loads_no_openssl(self):
+        # `hashlib` would map OpenSSL's libcrypto through `_hashlib` for the
+        # manifest's hashes, which CPython's built-in SHA-256 serves
+        code = "import qsearch.cli, sys; assert '_hashlib' not in sys.modules, 'OpenSSL loaded'"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_hash_falls_back_to_hashlib_without_builtin_sha256(self, monkeypatch):
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+        assert cli._sha256_constructor() is hashlib.sha256
 
     def test_one_blas_thread_by_default(self):
         assert self.blas_after_import()[0] == "1"

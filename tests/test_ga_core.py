@@ -115,6 +115,31 @@ class TestProductTables:
             ga_core._GEOMETRIC[0, 0] = -1.0
 
 
+class TestImmutability:
+    def test_public_constructor_copies_and_checks_shape(self):
+        values = np.arange(8.0)
+        mv = Multivector(values)
+        values[0] = 5.0
+        assert mv.coeffs[0] == 0.0 and not mv.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="expected 8 coefficients"):
+            Multivector(np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "op", [geometric_product, outer_product, lambda a, b: reverse(a)], ids=["geometric", "outer", "reverse"]
+    )
+    def test_products_freeze_a_fresh_array(self, op):
+        # the result adopts its array uncopied: frozen, and shared with neither operand
+        a, b = Multivector(np.arange(8.0)), Multivector(np.arange(8.0)[::-1])
+        result = op(a, b)
+        assert type(result) is Multivector and result.coeffs.shape == (8,)
+        assert not result.coeffs.flags.writeable
+        assert not np.shares_memory(result.coeffs, a.coeffs) and not np.shares_memory(result.coeffs, b.coeffs)
+        with pytest.raises(ValueError):
+            result.coeffs[0] = 1.0
+        with pytest.raises(AttributeError):
+            result.coeffs = np.zeros(8)
+
+
 class TestGeometricProduct:
     def test_orthonormal_basis_anticommutes(self):
         assert allclose(geometric_product(E1, E2), E12)
