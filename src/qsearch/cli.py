@@ -12,8 +12,9 @@ the computed values, timestamps, tool version, and the SHA-256 of each CSV,
 hashed from its bytes as they are written, so no table is read back.  All
 numeric output uses 17-significant-digit formatting, so reruns on the same
 platform produce byte-identical CSVs (manifests differ only in their timestamps).
-Randomized paths draw from numpy's PCG64 generator seeded by --seed, and the
-seed is recorded in the manifest.
+Randomized paths draw complex normals from the standard library's Mersenne
+Twister seeded by --seed (`_complex_normals`), and the seed is recorded in the
+manifest.
 
 Exit codes: 0 success, 2 usage or configuration error (an output directory
 or file that cannot be made or written among them), 3 numeric-domain
@@ -37,6 +38,7 @@ import importlib
 import json
 import math
 import os
+import random
 import sys
 from itertools import islice
 from pathlib import Path
@@ -67,8 +69,8 @@ EXIT_CROSSCHECK = 4
 def _sha256_constructor():
     """CPython's built-in SHA-256 (`_sha2` from 3.12, `_sha256` before), or
     `hashlib`'s where a build ships without it: importing `hashlib` maps
-    OpenSSL's libcrypto, 3.4 MB of a 33.5 MB `geodesic` run, for one hash
-    per table."""
+    OpenSSL's libcrypto, for one hash per table, and a `geodesic --N 20000`
+    run then peaks at 33.6 MB RSS, not 30.0 (2-CPU host)."""
     for name in ("_sha2", "_sha256"):
         with contextlib.suppress(ImportError):
             return importlib.import_module(name).sha256
@@ -198,7 +200,7 @@ _N_CAP = 1 << 22
 # `ga-verify --k-max` and `--samples`, and of `infogeo --points`: about ten
 # times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  At the
 # cap (2-CPU host) `analog` peaks near 80 MB RSS in 2-2.5 s, `infogeo` 87 MB
-# in 3 s, `digital --N 4` 80 MB in 8 s, `ga-verify --samples` 180 MB in 4 s
+# in 3 s, `digital --N 4` 80 MB in 8 s, `ga-verify --samples` 143 MB in 2.3 s
 # and `ga-verify --N-list 4 --k-max` 280 MB in 25 s; hashing a 50-70 MB table
 # with the built-in SHA-256 takes about 0.3 s of that.  A rotor orbit drifts from
 # the state vector about linearly in k (at N = 64: 2.1e-14 by k = 2^8, 1.6e-12
@@ -290,9 +292,44 @@ def _epsilon_unitary(eps: float) -> np.ndarray:
 
 
 # largest accepted N for `--u0 random`, which draws and keeps dense N x N
-# complex matrices: 16 MiB each at the cap, where depth 5 peaks near 145 MB
-# RSS and takes about 1.1 s on one BLAS thread (2-CPU host)
+# complex matrices: 16 MiB each at the cap, where depth 5 peaks near 112 MB
+# RSS and takes about 0.6 s on one BLAS thread (2-CPU host)
 _RANDOM_U0_CAP = 1024
+
+# candidate points per `randbytes` call: the bytes and each float temporary
+# of one pass stay within 128 KiB
+_NORMALS_CHUNK = 1 << 13
+
+
+def _complex_normals(seed: int, count: int) -> np.ndarray:
+    """`count` i.i.d. standard complex normals (E|z|^2 = 1) from the standard
+    library's Mersenne Twister `random.Random(seed)`, which maps no OpenSSL.
+
+    Polar Box-Muller: candidate j is w = x + iy, where x and y are the top 54
+    bits of the stream's little-endian signed 64-bit words 2j and 2j + 1,
+    made odd and scaled by 2^-53, so each is one of 2^53 evenly spaced values
+    in (-1, 1).  A candidate inside the unit circle, where s = |w|^2 is
+    uniform on (0, 1) and w/|w| a uniform phase, gives the normal
+    w sqrt(-ln s / s); one outside is skipped.  The candidates are read a
+    chunk at a time into the result, so the draws of a smaller count are the
+    first draws of a larger one."""
+    rng = random.Random(seed)
+    z = np.empty(count, np.complex128)
+    done = 0
+    while done < count:
+        # pi/4 of the candidates fall inside the circle: a few more than 4/pi
+        # per normal still needed
+        candidates = min(_NORMALS_CHUNK, (count - done) * 4 // 3 + 16)
+        words = np.frombuffer(rng.randbytes(16 * candidates), "<i8")
+        w = (((words >> 10) | 1) * 2.0**-53).view(np.complex128)
+        s = w.real * w.real + w.imag * w.imag
+        inside = s < 1.0
+        w, s = w[inside], s[inside]
+        take = min(s.size, count - done)
+        s = s[:take]
+        np.multiply(w[:take], np.sqrt(np.log(s) / -s), out=z[done : done + take])
+        done += take
+    return z
 
 
 def cmd_fixed_point(args):
@@ -315,10 +352,13 @@ def cmd_fixed_point(args):
     else:
         if not 1 <= n <= _RANDOM_U0_CAP:
             raise ValueError(f"random U0 needs 1 <= N <= {_RANDOM_U0_CAP}, got N={n}")
-        rng = np.random.default_rng(np.random.PCG64(args.seed))
-        z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        u0 = fp.dense_operator(q * (np.diag(r) / np.abs(np.diag(r))))
+        # Haar: the Q of a complex Ginibre matrix, each column turned by the
+        # phase of R's diagonal; the draw and R are freed before the
+        # unitarity check, and Q is turned in place
+        q, r = np.linalg.qr(_complex_normals(args.seed, n * n).reshape(n, n))
+        r = np.diag(r) / np.abs(np.diag(r))
+        q *= r
+        u0 = fp.dense_operator(q)
         target = args.target
     states = fp.fixed_point_run(u0, target=target, depth=args.depth)
     eps0 = states[0].eps_k
@@ -448,10 +488,7 @@ def cmd_ga_verify(args):
         ks = range(k_max + 1)
         blocks.append((["plane_coords"] * len(ks), [n] * len(ks), ks, rotor[:, 0], digital[:, 0], dev))
         blocks.append((["plane_coords_max"], [n], [k_max], [worst], [0.0], [worst]))
-    # one draw of every sample's four normals reads the PCG64 stream in the
-    # order that one draw per sample would
-    v = np.random.default_rng(np.random.PCG64(args.seed)).normal(size=(args.samples, 4))
-    cols = v[:, 0::2] + 1j * v[:, 1::2]
+    cols = _complex_normals(args.seed, 2 * args.samples).reshape(args.samples, 2)
     cols /= np.linalg.norm(cols, axis=1, keepdims=True)
     alphas, betas = cols.T.tolist()
     worst_rt = 0.0
@@ -652,7 +689,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     def subcommand(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None, help="output directory (env QSEARCH_OUT overrides the default)")
-        p.add_argument("--seed", type=int, default=0, help="seed for the named PCG64 generator")
+        p.add_argument("--seed", type=_nonnegative_int, default=0, help="seed of the random draws, if any")
         p.set_defaults(func=func)
         return p
 

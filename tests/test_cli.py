@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -877,6 +878,88 @@ target = 0
         assert (tmp_path / "out" / "digital" / "digital_N4_kauto.csv").exists()
 
 
+def polar_normals(seed, count):
+    """The reference for `cli._complex_normals`: its documented polar recipe,
+    one scalar candidate at a time."""
+    rng = random.Random(seed)
+    normals = []
+    while len(normals) < count:
+        x, y = (((int.from_bytes(rng.randbytes(8), "little", signed=True) >> 10) | 1) * 2.0**-53 for _ in "xy")
+        s = x * x + y * y
+        if s < 1.0:
+            normals.append(complex(x, y) * math.sqrt(math.log(s) / -s))
+    return normals
+
+
+class TestComplexNormals:
+    def test_first_draws_are_pinned(self):
+        # Python promises a stable stream for `random()` alone: a change in
+        # `randbytes` must fail here before it moves a CSV
+        assert cli._complex_normals(0, 4).tolist() == [
+            0.640410194296631 - 0.18245235468365562j,
+            1.610404677286132 - 1.3737521345206491j,
+            0.16844219855188633 - 0.028343289113520097j,
+            -1.4308650338570943 - 0.2707884203423631j,
+        ]
+
+    def test_draws_follow_the_polar_recipe(self):
+        # within an ulp or two: numpy's vector log may round apart from libm's
+        np.testing.assert_allclose(cli._complex_normals(3, 2000), polar_normals(3, 2000), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("count", [0, 1, 7, cli._NORMALS_CHUNK, 3 * cli._NORMALS_CHUNK + 5])
+    def test_count_shape_and_prefix(self, count):
+        # several chunks of candidates: a smaller count reads the same stream
+        z = cli._complex_normals(11, count)
+        assert z.shape == (count,) and z.dtype == np.complex128
+        assert np.array_equal(z, cli._complex_normals(11, 4 * cli._NORMALS_CHUNK)[:count])
+
+    def test_seeds_draw_apart(self):
+        assert not np.array_equal(cli._complex_normals(1, 8), cli._complex_normals(2, 8))
+
+    def test_moments_of_a_standard_complex_normal(self):
+        # each sample mean within 5 standard errors: E z = 0 (E|z|^2 = 1),
+        # E|z|^2 = 1 (|z|^2 is Exp(1), variance 1), E z^2 = 0 (E|z|^4 = 2)
+        n = 100_000
+        z = cli._complex_normals(1, n)
+        power = np.abs(z) ** 2
+        assert abs(z.mean()) < 5 * math.sqrt(1 / n)
+        assert abs(power.mean() - 1.0) < 5 * math.sqrt(1 / n)
+        assert abs((z * z).mean()) < 5 * math.sqrt(2 / n)
+
+
+class TestSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digital", "--N", "4"],
+            ["analog", "--model", "fenner", "--N", "4"],
+            ["fixed-point", "--u0", "random", "--depth", "1"],
+            ["damped"],
+            ["geodesic", "--N", "4"],
+            ["infogeo"],
+            ["ga-verify"],
+            ["sweep", "--config", "sweep.cfg"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        # random.Random(-s) seeds as Random(s) would: -3 and 3 would alias
+        out = tmp_path / "out"
+        assert usage_exit_code([*argv, "--seed", "-3"], out) == cli.EXIT_USAGE
+        assert "argument --seed: must be a nonnegative integer, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_in_a_sweep_cell_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("subcommand = fixed-point\nu0 = random\nN = 4\ndepth = 1\nseed = [-1]\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        cell = "sweep cell fixed-point_seed--1"
+        assert err == [f"qsearch: error: {cell}: argument --seed: must be a nonnegative integer, got -1"]
+        assert not out.exists()
+
+
 class TestNumericDomain:
     """Each input gives finite numbers or exit 3 with a one-line message:
     never rows of NaN with exit 0, and never a traceback."""
@@ -1300,12 +1383,23 @@ class TestEntryPoint:
         return value, None if count == "None" else int(count)
 
     @pytest.mark.skipif(not BUILTIN_SHA256, reason="this build has no built-in SHA-256 module")
-    def test_import_loads_no_openssl(self):
+    def test_import_loads_no_openssl(self, tmp_path):
         # `hashlib` would map OpenSSL's libcrypto through `_hashlib` for the
-        # manifest's hashes, which CPython's built-in SHA-256 serves
-        code = "import qsearch.cli, sys; assert '_hashlib' not in sys.modules, 'OpenSSL loaded'"
+        # manifest's hashes, which CPython's built-in SHA-256 serves, and
+        # `numpy.random` through `secrets`, for draws that the standard
+        # library's Mersenne Twister makes: one process runs both random paths
+        code = (
+            "import sys\n"
+            "from qsearch import cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert cli.main(['ga-verify', '--N-list', '4', '--samples', '10', '--out', out]) == 0\n"
+            "assert cli.main(['fixed-point', '--u0', 'random', '--N', '8', '--depth', '2', '--out', out]) == 0\n"
+            "loaded = [name for name in ('numpy.random', '_hashlib', 'hashlib') if name in sys.modules]\n"
+            "assert not loaded, f'loaded {loaded}'\n"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fixed_point_depth2.csv", "ga_verify.csv"]
 
     def test_hash_falls_back_to_hashlib_without_builtin_sha256(self, monkeypatch):
         for name in ("_sha2", "_sha256"):
