@@ -27,7 +27,12 @@ trip, disagreed beyond their tolerance; nothing is written).
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
-the tool's only parallelism.
+the tool's only parallelism.  For the same reason the `python -m qsearch.cli`
+entry freezes the start-up heap (`gc.freeze()`) before `main()` runs, so
+neither a later collection nor shutdown walks the ~22k objects that importing
+numpy and qsearch leaves tracked.  `main()` itself freezes nothing: tests, the
+benchmark tracer and library callers run it in-process and keep a heap they
+can collect (so does the installed `qsearch` script, which calls `main()`).
 """
 from __future__ import annotations
 
@@ -770,4 +775,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    import gc
+
+    # The start-up heap (modules, numpy, argparse) lives until exit: frozen,
+    # it sits in the permanent generation, which neither a later collection
+    # nor shutdown's full ones walk, while what a run allocates stays
+    # collectable.  `python -m qsearch.cli --version` took 83 ms, not 92
+    # (median of 15, 2-CPU host).
+    gc.freeze()
     sys.exit(main())

@@ -241,32 +241,37 @@ def damped_geodesic_solve(
     """RK4 integration of q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0.
 
     Classic fixed-step RK4 on the pair (q, q') held as two floats; the final
-    step is shortened to land on theta_end.  The path q is kept in C double
-    arrays, 8 bytes a value, and becomes ndarrays once at the end."""
+    step is shortened to land on theta_end.  The acceleration
+    q'' = -gamma q' - (L0/2) e^{-gamma t} q is written out in each stage, and
+    e^{-gamma t} is taken once per abscissa: t + h/2 serves k2 and k3, and
+    t + h serves k4 and the next step's k1.  The products keep the order of
+    the formula, so the path is bitwise the per-stage one.  The path q is
+    kept in C double arrays, 8 bytes a value, and becomes ndarrays once at
+    the end."""
     if l0 < 0.0 or gamma < 0.0:
         raise ValueError("L0 and gamma must be nonnegative")
     if dtheta <= 0.0 or theta_end <= 0.0:
         raise ValueError("step and horizon must be positive")
 
-    def accel(t, q, qd):
-        return -gamma * qd - 0.5 * l0 * math.exp(-gamma * t) * q
-
+    exp, ng, hl0 = math.exp, -gamma, 0.5 * l0
     steps = max(1, int(math.ceil(theta_end / dtheta - 1e-12)))
-    t, q, qd = 0.0, float(q0), float(qdot0)
+    # e0 is e^{-gamma t} at the step's start, 1 at t = 0
+    t, q, qd, e0 = 0.0, float(q0), float(qdot0), 1.0
     ts, qs = array("d", [t]), array("d", [q])
     for _ in range(steps):
         h = min(dtheta, theta_end - t)
         half = h / 2
-        k1q, k1v = qd, accel(t, q, qd)
+        emid, e1 = exp(ng * (t + half)), exp(ng * (t + h))
+        k1q, k1v = qd, ng * qd - hl0 * e0 * q
         k2q = qd + half * k1v
-        k2v = accel(t + half, q + half * k1q, k2q)
+        k2v = ng * k2q - hl0 * emid * (q + half * k1q)
         k3q = qd + half * k2v
-        k3v = accel(t + half, q + half * k2q, k3q)
+        k3v = ng * k3q - hl0 * emid * (q + half * k2q)
         k4q = qd + h * k3v
-        k4v = accel(t + h, q + h * k3q, k4q)
+        k4v = ng * k4q - hl0 * e1 * (q + h * k3q)
         q = q + h / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
         qd = qd + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t = t + h
+        t, e0 = t + h, e1
         ts.append(t)
         qs.append(q)
     return DampedPath(thetas=np.frombuffer(ts), q=np.frombuffer(qs))

@@ -1,5 +1,6 @@
 """CLI checks: CSV shapes and values for each subcommand, manifests, exit
 codes, and byte-identical determinism of sweep reruns."""
+import gc
 import hashlib
 import importlib.util
 import json
@@ -1366,6 +1367,45 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (tmp_path / "digital_N4_kauto.csv").exists()
+
+    def test_module_entry_freezes_start_up_heap(self, tmp_path):
+        # the `__main__` entry moves the start-up heap into the permanent
+        # generation before `main()` runs; the hook reads it at exit
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+            f"sys.argv = ['qsearch', 'digital', '--N', '4', '--out', {str(tmp_path)!r}]\n"
+            "runpy.run_module('qsearch.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) > 0
+        assert (tmp_path / "digital_N4_kauto.csv").exists()
+
+    def test_main_freezes_nothing(self, tmp_path):
+        # in-process callers keep a heap they can collect
+        before = gc.get_freeze_count()
+        assert run_cli(["digital", "--N", "4"], tmp_path) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_forked_pool_after_freeze_matches_serial(self, tmp_path):
+        # the entry's workers fork from a frozen heap; the in-process serial
+        # run is the reference
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("subcommand = analog\nmodel = fenner\nN = [4, 8]\n")
+        serial, forked = tmp_path / "serial", tmp_path / "forked"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(serial), "--workers", "1"]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsearch.cli", "sweep", "--config", str(cfg), "--out", str(forked), "--workers", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs = sorted(path.relative_to(serial) for path in serial.rglob("*.csv"))
+        assert len(csvs) == 3 and Path("sweep_index.csv") in csvs
+        assert csvs == sorted(path.relative_to(forked) for path in forked.rglob("*.csv"))
+        for rel in csvs:
+            assert (forked / rel).read_bytes() == (serial / rel).read_bytes(), rel
 
     @staticmethod
     def blas_after_import(threads=None):

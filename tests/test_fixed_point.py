@@ -342,7 +342,60 @@ def damped_oracle(l0, gamma, q0, qdot0, theta_end, dtheta):
     return ts, ys[:, 0]
 
 
+def damped_stage_oracle(l0, gamma, q0, qdot0, theta_end, dtheta):
+    """The damped geodesic through a scalar RK4 that calls the acceleration
+    once per stage, four exponentials a step: the grid and q."""
+
+    def accel(t, q, qd):
+        return -gamma * qd - 0.5 * l0 * math.exp(-gamma * t) * q
+
+    steps = max(1, int(math.ceil(theta_end / dtheta - 1e-12)))
+    t, q, qd = 0.0, float(q0), float(qdot0)
+    ts, qs = [t], [q]
+    for _ in range(steps):
+        h = min(dtheta, theta_end - t)
+        half = h / 2
+        k1q, k1v = qd, accel(t, q, qd)
+        k2q = qd + half * k1v
+        k2v = accel(t + half, q + half * k1q, k2q)
+        k3q = qd + half * k2v
+        k3v = accel(t + half, q + half * k2q, k3q)
+        k4q = qd + h * k3v
+        k4v = accel(t + h, q + h * k3q, k4q)
+        q = q + h / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        qd = qd + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        t = t + h
+        ts.append(t)
+        qs.append(q)
+    return np.array(ts), np.array(qs)
+
+
+def damped_cli_start(l0, gamma, a, b):
+    """q0 and q'0 as `damped` takes them from the closed form."""
+    h = 1e-6
+    q0 = fp.bessel_solution(0.0, a, b, l0, gamma)
+    qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2.0 * h)
+    return q0, qdot0
+
+
 class TestDampedGeodesic:
+    @pytest.mark.parametrize(
+        "l0, gamma, q0, qdot0, theta_end, dtheta",
+        [
+            # `damped`'s defaults: L0 = 2, gamma = 1, A = 1, B = 0 over [0, 10]
+            (2.0, 1.0, *damped_cli_start(2.0, 1.0, 1.0, 0.0), 10.0, 1e-3),
+            (5.0, 0.5, 1.2, 0.4, 6.0, 2e-3),
+            # 7.771 / 3e-3 is not an integer: the last step is shortened
+            (3.3, 0.7, 0.3, -0.8, 7.771, 3e-3),
+        ],
+        ids=["defaults", "other", "short-last-step"],
+    )
+    def test_bitwise_equal_to_per_stage_rk4(self, l0, gamma, q0, qdot0, theta_end, dtheta):
+        sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, theta_end, dtheta)
+        ts, q = damped_stage_oracle(l0, gamma, q0, qdot0, theta_end, dtheta)
+        assert sol.thetas.tobytes() == ts.tobytes()
+        assert sol.q.tobytes() == q.tobytes()
+
     @pytest.mark.parametrize(
         "l0, gamma, theta_end, dtheta",
         [(2.0, 1.0, 10.0, 1e-3), (2.0, 0.0, 3.0, 1e-3), (3.3, 0.7, 7.77, 3e-3), (3.3, 0.7, 7.771, 3e-3)],
