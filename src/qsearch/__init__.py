@@ -5,10 +5,11 @@ Modules:
 - ``ga_core``: the algebra of physical space, Cl(3)
 - ``msta``: translation between complex qubits and even multivectors, and
   the rotor form of the search iterate
-- ``grover_digital``: exact state-vector simulator of the digital search, on
-  real amplitudes stepped in place
+- ``grover_digital``: the search plane's constants, and the exact
+  state-vector simulator of the digital search, on real amplitudes stepped
+  in place
 - ``analog_search``: continuous-time search Hamiltonians and their evolution
-- ``info_geom``: Fisher/Wigner-Yanase metrics, geodesics, step lengths
+- ``info_geom``: Fisher/Wigner-Yanase metrics and geodesics
 - ``fixed_point``: the pi/3 fixed-point recursion and the damped geodesic
 - ``bessel``: first-order Bessel functions for the damped closed form
 - ``cli``: batch command-line front end writing CSV artifacts and manifests

@@ -130,10 +130,3 @@ def fg_peak_time(n: int, energy: float) -> float:
     PRA 57, 2403, 1998)."""
     return 0.5 * math.pi * math.sqrt(n) / energy
 
-
-def fg_first_peak(n: int, energy: float) -> tuple[float, float]:
-    """Time of the first maximum of the target probability, and the
-    probability there from the plane propagator (one up to roundoff)."""
-    h = farhi_gutmann_matrix(n, energy)
-    t_peak = fg_peak_time(n, energy)
-    return t_peak, float(_evolve_uniform(h, n, t_peak).p_target)

@@ -27,18 +27,20 @@ trip, disagreed beyond their tolerance; nothing is written).
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
-the tool's only parallelism.  For the same reason the `python -m qsearch.cli`
-entry freezes the start-up heap (`gc.freeze()`) before `main()` runs, so
-neither a later collection nor shutdown walks the ~22k objects that importing
-numpy and qsearch leaves tracked.  `main()` itself freezes nothing: tests, the
-benchmark tracer and library callers run it in-process and keep a heap they
-can collect (so does the installed `qsearch` script, which calls `main()`).
+the tool's only parallelism.  For the same reason the process entry,
+`entry()`, which both `python -m qsearch.cli` and the installed `qsearch`
+script call, freezes the start-up heap (`gc.freeze()`) before `main()` runs,
+so neither a later collection nor shutdown walks the ~22k objects that
+importing numpy and qsearch leaves tracked.  `main()` itself freezes nothing:
+tests, the benchmark tracer and library callers run it in-process and keep a
+heap they can collect.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import datetime
+import gc
 import importlib
 import json
 import math
@@ -425,7 +427,7 @@ def cmd_geodesic(args):
     qdot0 = (1.0, 0.0)
     index = np.arange(0, steps + 1, stride)
     thetas = np.where(index < steps, index * args.dtheta, args.theta_end)
-    sol = ig.solve_geodesic(n, q0, qdot0, thetas, family.multiplicity)
+    sol = ig.solve_geodesic(q0, qdot0, thetas, family.multiplicity)
     # past pi/2 the metric columns read the family at its domain's end
     metric = ig.metric_columns(family, np.clip(sol.thetas, *family.domain), args.dtheta)
     n_q_cols = min(n, 4)
@@ -774,13 +776,17 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    import gc
+def entry() -> int:
+    """The process entry: freeze the start-up heap, then run `main()`.
 
-    # The start-up heap (modules, numpy, argparse) lives until exit: frozen,
-    # it sits in the permanent generation, which neither a later collection
-    # nor shutdown's full ones walk, while what a run allocates stays
-    # collectable.  `python -m qsearch.cli --version` took 83 ms, not 92
-    # (median of 15, 2-CPU host).
+    The start-up heap (modules, numpy, argparse) lives until exit: frozen,
+    it sits in the permanent generation, which neither a later collection
+    nor shutdown's full ones walk, while what a run allocates stays
+    collectable.  `python -m qsearch.cli --version` took 83 ms, not 92
+    (median of 15, 2-CPU host)."""
     gc.freeze()
-    sys.exit(main())
+    return main()
+
+
+if __name__ == "__main__":
+    sys.exit(entry())

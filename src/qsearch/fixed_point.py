@@ -304,22 +304,3 @@ def bessel_ode_residual(theta: float, a: float, b: float, l0: float, gamma: floa
     by central differences of step 1e-3."""
     return float(geodesic_residual(lambda t: bessel_solution(t, a, b, l0, gamma), theta, l0, gamma))
 
-
-def fit_p1_decay_exponent(
-    a: float = 1.0,
-    l0: float = 2.0,
-    gamma: float = 1.0,
-    window: tuple[float, float] = (4.0, 10.0),
-    samples: int = 200,
-) -> float:
-    """Least-squares slope of log p_1 vs theta for the first-kind closed form.
-
-    The window sits in the asymptotic regime: closer to the origin the
-    next-order Bessel term still contributes a percent-level correction.
-    """
-    thetas = np.linspace(window[0], window[1], samples)
-    logs = np.array(
-        [2.0 * math.log(abs(bessel_solution(t, a, 0.0, l0, gamma))) for t in thetas]
-    )
-    slope, _intercept = np.polyfit(thetas, logs, 1)
-    return float(slope)

@@ -1,13 +1,13 @@
 """The algebra of physical space, Cl(3): dense multivectors, the geometric
-and outer products, reversion, mirrors, rotations and the rotors that
-sandwich vectors, and the orientation sign of a linear vector map.
+product, reversion, the bivector exponential and the rotors that sandwich
+vectors.
 
 Multivectors are dense real coefficient arrays of length 8, indexed by blade
 bitmask: bit i set means basis vector e_{i+1} is present, and blades are read
 in ascending index order.  Every basis vector squares to +1.
 
-Products read 8 x 8 tables built once at import: a gather index and a
-blade-sign table, plus a grade-masked copy of the signs for the outer product.
+The product reads 8 x 8 tables built once at import: a gather index and a
+blade-sign table.
 
 Everything here is a pure function over immutable values: coefficient arrays
 are frozen after construction (the public constructor freezes a copy, a
@@ -17,7 +17,6 @@ share across worker processes or threads.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +24,6 @@ TOL_ALG = 1e-12
 
 _DIM = 3
 _SIZE = 1 << _DIM
-_PSEUDOSCALAR = _SIZE - 1
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -38,10 +36,9 @@ def _build_tables():
     """Grades, the gather index I[k, j] = k ^ j and the sign S[k, j] with
     which blade I[k, j] of a times blade j of b lands on blade k, so that the
     geometric product is (S * a[I]) @ b.  The sign counts the swaps that
-    merge the two blades into ascending order.  The outer table keeps S where
-    grade(k) is r + s, for factor blades of grades r and s.  The loops are
-    plain Python: the same construction with numpy's integer ufuncs raised
-    the peak RSS of a bare `qsearch --version` by about 0.4 MB."""
+    merge the two blades into ascending order.  The loops are plain Python:
+    the same construction with numpy's integer ufuncs raised the peak RSS of
+    a bare `qsearch --version` by about 0.4 MB."""
     grades = [bin(mask).count("1") for mask in range(_SIZE)]
     blades = range(_SIZE)
 
@@ -51,19 +48,17 @@ def _build_tables():
 
     index = [[k ^ j for j in blades] for k in blades]
     geometric = [[sign(k ^ j, j) for j in blades] for k in blades]
-    outer = [[geometric[k][j] if grades[k] == grades[k ^ j] + grades[j] else 0.0 for j in blades] for k in blades]
     reverse_signs = [1.0 if (g * (g - 1) // 2) % 2 == 0 else -1.0 for g in grades]
     return (
         _frozen(grades, np.int64),
         _frozen(index, np.int64),
         _frozen(geometric, np.float64),
-        _frozen(outer, np.float64),
         _frozen([g % 2 == 1 for g in grades], bool),
         _frozen(reverse_signs, np.float64),
     )
 
 
-_GRADES, _INDEX, _GEOMETRIC, _OUTER, _ODD_BLADES, _REVERSE_SIGNS = _build_tables()
+_GRADES, _INDEX, _GEOMETRIC, _ODD_BLADES, _REVERSE_SIGNS = _build_tables()
 
 
 class Multivector:
@@ -118,16 +113,6 @@ class Multivector:
             raise ValueError("basis index out of range")
         return Multivector.blade(1 << (k - 1))
 
-    @staticmethod
-    def vector(components) -> "Multivector":
-        comp = np.asarray(components, dtype=np.float64)
-        if comp.shape != (_DIM,):
-            raise ValueError("component count must match dimension")
-        c = np.zeros(_SIZE)
-        for i, v in enumerate(comp):
-            c[1 << i] = v
-        return Multivector(c)
-
     # -- structure ----------------------------------------------------------
 
     def scalar_part(self) -> float:
@@ -175,15 +160,6 @@ def reverse(a: Multivector) -> Multivector:
     return Multivector._adopt(a.coeffs * _REVERSE_SIGNS)
 
 
-def outer_product(a: Multivector, b: Multivector) -> Multivector:
-    """Grade-raising part: <a_r b_s>_{r+s}, extended bilinearly."""
-    return Multivector._adopt((_OUTER * a.coeffs[_INDEX]) @ b.coeffs)
-
-
-def scalar_product(a: Multivector, b: Multivector) -> float:
-    return geometric_product(a, b).scalar_part()
-
-
 def _require_grade(v: Multivector, g: int, what: str) -> None:
     stray = v.coeffs[_GRADES != g]
     if np.max(np.abs(stray)) > TOL_ALG * max(1.0, v.max_abs()):
@@ -199,18 +175,7 @@ def require_even(v: Multivector, tol: float, what: str) -> None:
         raise ValueError(f"{what} must have even grades only")
 
 
-# -- mirrors, rotors, orientation -------------------------------------------
-
-
-def mirror(v: Multivector, n: Multivector) -> Multivector:
-    """Mirror image of vector v in the plane with unit normal n: -n v n, the
-    improper orthogonal map with determinant -1."""
-    _require_grade(v, 1, "mirrored element")
-    _require_grade(n, 1, "mirror normal")
-    nn = scalar_product(n, n)
-    if abs(nn - 1.0) > 1e-9:
-        raise ValueError(f"mirror normal must be unit: n.n = {nn}")
-    return -geometric_product(geometric_product(n, v), n)
+# -- rotors ------------------------------------------------------------------
 
 
 def _check_unit_plane(plane: Multivector) -> None:
@@ -227,17 +192,6 @@ def bivector_exp(plane: Multivector, angle: float) -> Multivector:
     """exp(B*angle) = cos(angle) + B sin(angle) for a unit simple bivector B."""
     _check_unit_plane(plane)
     return Multivector.scalar(math.cos(angle)) + math.sin(angle) * plane
-
-
-def rotate(v: Multivector, plane: Multivector, angle: float) -> Multivector:
-    """Rotate vector v by angle in the given unit bivector plane.
-
-    Implemented as the half-angle sandwich exp(-B angle/2) v exp(B angle/2);
-    for the e1e2 plane this sends e1 to cos(angle) e1 + sin(angle) e2.
-    """
-    _require_grade(v, 1, "rotated element")
-    r = bivector_exp(plane, -angle / 2.0)
-    return geometric_product(geometric_product(r, v), reverse(r))
 
 
 class Rotor:
@@ -268,19 +222,3 @@ class Rotor:
     def __repr__(self) -> str:
         return f"Rotor({self.mv!r})"
 
-
-def orientation_sign(transform: Callable[[Multivector], Multivector]) -> int:
-    """Determinant sign of a linear vector map via its action on the
-    pseudoscalar: wedge the images of the basis vectors and read the sign."""
-    images = []
-    for k in range(1, _DIM + 1):
-        w = transform(Multivector.basis_vector(k))
-        _require_grade(w, 1, "transform image")
-        images.append(w)
-    wedge = images[0]
-    for w in images[1:]:
-        wedge = outer_product(wedge, w)
-    coeff = float(wedge.coeffs[_PSEUDOSCALAR])
-    if abs(coeff) <= 1e-9:
-        raise ValueError("degenerate transform: wedge of images vanishes")
-    return 1 if coeff > 0 else -1

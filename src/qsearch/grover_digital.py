@@ -11,13 +11,11 @@ returns a new state unless it is handed an `out` buffer, and
 
 The plane, spanned by the collective non-target state and the target state,
 needs N >= 2; its angle (:func:`theta_for`) and the uniform state's
-coordinates (:func:`alpha_beta`) are defined here only.  Two-by-two matrices
-on it order their rows and columns (bad, target).
+coordinates (:func:`alpha_beta`) are defined here only.
 """
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -108,13 +106,6 @@ def grover_orbit(n: int, target: int = 0) -> Iterator[np.ndarray]:
         grover_iterate(state, target, out=state)
 
 
-def run_grover(n: int, k: int, target: int = 0) -> np.ndarray:
-    """k iterations applied to the uniform state: point k of the orbit."""
-    if k < 0:
-        raise ValueError("iteration count must be nonnegative")
-    return next(islice(grover_orbit(n, target), k, None))
-
-
 def plane_coordinates(state: np.ndarray, target: int) -> SearchPlaneState:
     """Project a state onto the (target, bad) plane.
 
@@ -151,19 +142,3 @@ def continuous_optimal_iterations(n: int) -> float:
     the asymptote (pi/4) sqrt(N) is 1 - 1/(6N) + O(1/N^2)."""
     return math.pi / (4.0 * theta_for(n))
 
-
-def matrix_G(theta: float) -> np.ndarray:
-    """Plane restriction of the iterate: rotation by 2 theta."""
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-def matrix_inversion(theta: float) -> np.ndarray:
-    """Plane restriction of the inversion about the mean: a reflection."""
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    return np.array([[c, s], [s, -c]], dtype=np.complex128)
-
-
-def matrix_oracle() -> np.ndarray:
-    """Plane restriction of the oracle: diag(1, -1)."""
-    return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)

@@ -1,4 +1,4 @@
-"""Metrics on parametric families, geodesics, step lengths, thermal Fisher.
+"""Metrics on parametric families, and geodesics.
 
 A parametric family is a path of real amplitudes q_l(theta) = +-sqrt(p_l)
 with their derivatives q_l'(theta) in closed form, both evaluated on a whole
@@ -30,9 +30,8 @@ L0 e^{-gamma theta}, in one form: central differences of a path callable.
 The flat case here (L0 = 2, gamma = 0) and the damped closed form of
 :mod:`qsearch.fixed_point` both call it.
 
-Step lengths follow the general iterate G = -I_i U^{-1} I_f U built from two
-selective inversions around arbitrary unitaries: the squared Wigner-Yanase
-step length is 16 u^2 (1 - u^2) with u the transition amplitude modulus.
+:func:`_check_unitary` is the one unitarity check of a dense matrix, which
+:mod:`qsearch.fixed_point` applies to U0.
 """
 from __future__ import annotations
 
@@ -147,20 +146,17 @@ def geodesic_residual(q_path, theta, l0: float = 2.0, gamma: float = 0.0):
 
 
 def solve_geodesic(
-    n: int,
     q0: Sequence[float],
     qdot0: Sequence[float],
     thetas: Sequence[float],
-    multiplicity: Sequence[float] | None = None,
+    multiplicity: Sequence[float],
 ) -> GeodesicSolution:
     """Geodesic q = q0 cos(theta) + qdot0 sin(theta), the solution of
     q'' + q = 0 (constant Lagrangian 2, unit multiplier) from normalized
     amplitudes q0, evaluated only at the given parameter values.
 
     q0 and qdot0 hold one amplitude per class of basis states, and
-    ``multiplicity`` counts the states of each class; they must add up to N,
-    and sum m q0^2 must be 1.  Without ``multiplicity`` every state is its
-    own class and q0 has N entries.
+    ``multiplicity`` counts the states of each class; sum m q0^2 must be 1.
 
     ``residual`` checks the path against the equation at each value: the
     largest :func:`geodesic_residual` of the closed form over the classes,
@@ -169,11 +165,9 @@ def solve_geodesic(
     """
     q0 = np.asarray(q0, dtype=np.float64)
     qdot0 = np.asarray(qdot0, dtype=np.float64)
-    m = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=np.float64)
+    m = np.asarray(multiplicity, dtype=np.float64)
     if q0.shape != m.shape or qdot0.shape != m.shape:
         raise ValueError("initial data must have one amplitude per class")
-    if float(np.sum(m)) != n:
-        raise ValueError("class multiplicities must add up to N")
     if abs(np.sum(m * q0 * q0) - 1.0) > 1e-8:
         raise ValueError("initial amplitudes must be normalized")
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -187,14 +181,7 @@ def solve_geodesic(
     return GeodesicSolution(thetas=thetas, q=path(column), residual=resid)
 
 
-# -- step lengths ------------------------------------------------------------
-
-
-def wy_step_length(u: float) -> float:
-    """Squared Wigner-Yanase length of one iterate step: 16 u^2 (1 - u^2)."""
-    if not 0.0 < u <= 1.0:
-        raise ValueError("transition amplitude modulus must lie in (0, 1]")
-    return 16.0 * u * u * (1.0 - u * u)
+# -- unitarity ---------------------------------------------------------------
 
 
 def _check_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,99 +194,3 @@ def _check_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.max(np.abs(u_dag @ u - np.eye(n))) > 1e-10:
         raise ValueError("U must be unitary")
     return u, u_dag
-
-
-def general_iterate(u_mat: np.ndarray, i: int, f: int) -> np.ndarray:
-    """General search iterate G = -I_i U^{-1} I_f U for basis states i, f."""
-    u_mat, u_dag = _check_unitary(u_mat)
-    n = u_mat.shape[0]
-    if not (0 <= i < n and 0 <= f < n):
-        raise ValueError("state indices out of range")
-    ii = np.eye(n, dtype=np.complex128)
-    ii[i, i] = -1.0
-    if_ = np.eye(n, dtype=np.complex128)
-    if_[f, f] = -1.0
-    return -ii @ u_dag @ if_ @ u_mat
-
-
-class StepGeometryReport(NamedTuple):
-    """Per-step Wigner-Yanase lengths, norms, and the plane-restricted
-    determinant of the general iterate."""
-
-    u: float
-    step_lengths: np.ndarray
-    norms: np.ndarray
-    closed_form_step: float
-    restricted_determinant: complex
-    expected_determinant: float
-
-    def max_step_spread(self) -> float:
-        return float(np.max(self.step_lengths) - np.min(self.step_lengths))
-
-    def max_norm_error(self) -> float:
-        return float(np.max(np.abs(self.norms - 1.0)))
-
-
-def verify_step_geometry(u_mat: np.ndarray, i: int, f: int, n_steps: int | None = None) -> StepGeometryReport:
-    """Walk the iterate and report step lengths, norms, and the restricted
-    determinant 1 - u^2."""
-    g = general_iterate(u_mat, i, f)
-    # the complex array general_iterate validated, also for a nested list
-    u_mat = np.asarray(u_mat, dtype=np.complex128)
-    n = g.shape[0]
-    u_fi = complex(u_mat[f, i])
-    u = abs(u_fi)
-    if u == 0.0:
-        raise ValueError("zero transition amplitude: the iterate never moves")
-    if n_steps is None:
-        n_steps = min(200, max(4, int(math.ceil(1.0 / (2.0 * u)))))
-    psi = np.zeros(n, dtype=np.complex128)
-    psi[i] = 1.0
-    lengths = np.empty(n_steps)
-    norms = np.empty(n_steps)
-    for k in range(n_steps):
-        nxt = g @ psi
-        overlap = np.vdot(psi, nxt)
-        lengths[k] = 4.0 * (1.0 - abs(overlap) ** 2)
-        norms[k] = float(np.linalg.norm(nxt))
-        psi = nxt
-    psi_i = np.zeros(n, dtype=np.complex128)
-    psi_i[i] = 1.0
-    psi_f_back = u_mat[f].conj()  # U^{-1} |f>
-    m = np.array(
-        [
-            [np.vdot(psi_i, g @ psi_i), np.vdot(psi_i, g @ psi_f_back)],
-            [np.vdot(psi_f_back, g @ psi_i), np.vdot(psi_f_back, g @ psi_f_back)],
-        ]
-    )
-    return StepGeometryReport(
-        u=u,
-        step_lengths=lengths,
-        norms=norms,
-        closed_form_step=wy_step_length(u),
-        restricted_determinant=complex(np.linalg.det(m)),
-        expected_determinant=1.0 - u * u,
-    )
-
-
-# -- thermal Fisher information ----------------------------------------------
-
-
-def boltzmann_weights(energies: np.ndarray, beta: float) -> np.ndarray:
-    energies = np.asarray(energies, dtype=np.float64)
-    if energies.size == 0:
-        raise ValueError("energy table must be nonempty")
-    if beta <= 0.0:
-        raise ValueError("inverse temperature must be positive")
-    shifted = -beta * (energies - energies.min())
-    w = np.exp(shifted)
-    return w / w.sum()
-
-
-def thermal_fisher_beta(energies, beta: float) -> float:
-    """Fisher information with respect to the inverse temperature itself:
-    the score is <E> - E(x), so the information equals the energy variance."""
-    weights = boltzmann_weights(energies, beta)
-    e = np.asarray(energies, dtype=np.float64)
-    mean = float(np.sum(weights * e))
-    return float(np.sum(weights * (mean - e) ** 2))

@@ -293,21 +293,18 @@ class TestFarhiGutmann:
 
     def test_first_peak_probability_is_one(self):
         for n in (16, 128):
-            _, p = an.fg_first_peak(n, 1.0)
+            p = an.fg_scan(an.fg_peak_time(n, 1.0), n, 1.0).p_target
             assert abs(p - 1.0) < 1e-6
 
     def test_first_peak_scaling_constant(self):
         vals = []
         n = 16
         while n <= 4096:
-            t, _ = an.fg_first_peak(n, 1.0)
-            vals.append(t * 1.0 / math.sqrt(n))
+            vals.append(an.fg_peak_time(n, 1.0) / math.sqrt(n))
             n *= 4
         vals = np.array(vals)
         assert np.std(vals) / np.mean(vals) < 0.02
 
     def test_energy_doubling_halves_peak_time(self):
         n = 64
-        t1, _ = an.fg_first_peak(n, 1.0)
-        t2, _ = an.fg_first_peak(n, 2.0)
-        assert abs(t1 / t2 - 2.0) < 1e-4
+        assert abs(an.fg_peak_time(n, 1.0) / an.fg_peak_time(n, 2.0) - 2.0) < 1e-4

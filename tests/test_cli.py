@@ -521,7 +521,7 @@ class TestDampedAndGeodesic:
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
         thetas = [float(row[0]) for row in rows]
-        sol = ig.solve_geodesic(n, q0, qdot0, thetas)
+        sol = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
         assert header[4:] == ["q_0", "q_1", "q_2", "q_3", "residual"]
         for row, q, resid in zip(rows, sol.q, sol.residual):
             assert row[4:8] == [fmt(x) for x in q[:4]]
@@ -1376,6 +1376,24 @@ class TestEntryPoint:
             "atexit.register(lambda: print(gc.get_freeze_count()))\n"
             f"sys.argv = ['qsearch', 'digital', '--N', '4', '--out', {str(tmp_path)!r}]\n"
             "runpy.run_module('qsearch.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) > 0
+        assert (tmp_path / "digital_N4_kauto.csv").exists()
+
+    def test_installed_script_freezes_start_up_heap(self, tmp_path):
+        # the installed script calls its `[project.scripts]` target as the
+        # generated wrapper does, `sys.exit(target())`; the hook reads the
+        # freeze count at exit
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        module, func = re.search(r'^qsearch = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+            f"from {module} import {func}\n"
+            f"sys.argv = ['qsearch', 'digital', '--N', '4', '--out', {str(tmp_path)!r}]\n"
+            f"sys.exit({func}())\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

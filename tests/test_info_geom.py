@@ -4,6 +4,7 @@ search family, kinetic energy against F/4, geodesic closed form vs RK4,
 step-length closed form vs direct simulation, thermal Fisher against brute
 force."""
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -125,6 +126,103 @@ def grover_oracle(n):
 
 def damped_families():
     return [fp.damped_family(0.5, 1.0), fp.damped_family(0.5, 2.0)]
+
+
+# -- oracles of acceptance criteria C7 (step geometry) and C10 (thermal Fisher)
+
+
+def wy_step_length(u):
+    """Squared Wigner-Yanase length of one iterate step: 16 u^2 (1 - u^2)."""
+    if not 0.0 < u <= 1.0:
+        raise ValueError("transition amplitude modulus must lie in (0, 1]")
+    return 16.0 * u * u * (1.0 - u * u)
+
+
+def general_iterate(u_mat, i, f):
+    """General search iterate G = -I_i U^{-1} I_f U for basis states i, f."""
+    u_mat, u_dag = ig._check_unitary(u_mat)
+    n = u_mat.shape[0]
+    if not (0 <= i < n and 0 <= f < n):
+        raise ValueError("state indices out of range")
+    ii = np.eye(n, dtype=np.complex128)
+    ii[i, i] = -1.0
+    if_ = np.eye(n, dtype=np.complex128)
+    if_[f, f] = -1.0
+    return -ii @ u_dag @ if_ @ u_mat
+
+
+class StepGeometryReport(NamedTuple):
+    """Per-step Wigner-Yanase lengths, norms, and the plane-restricted
+    determinant of the general iterate."""
+
+    u: float
+    step_lengths: np.ndarray
+    norms: np.ndarray
+    closed_form_step: float
+    restricted_determinant: complex
+    expected_determinant: float
+
+    def max_step_spread(self):
+        return float(np.max(self.step_lengths) - np.min(self.step_lengths))
+
+    def max_norm_error(self):
+        return float(np.max(np.abs(self.norms - 1.0)))
+
+
+def verify_step_geometry(u_mat, i, f):
+    """Walk the iterate G = -I_i U^{-1} I_f U from |i> and report its step
+    lengths, norms, and its determinant on the plane of |i> and U^{-1}|f>,
+    which should be 1 - u^2 with u = |U_fi|."""
+    g = general_iterate(u_mat, i, f)
+    # the complex array general_iterate validated, also for a nested list
+    u_mat = np.asarray(u_mat, dtype=np.complex128)
+    n = g.shape[0]
+    u = abs(complex(u_mat[f, i]))
+    if u == 0.0:
+        raise ValueError("zero transition amplitude: the iterate never moves")
+    n_steps = min(200, max(4, int(math.ceil(1.0 / (2.0 * u)))))
+    psi = np.zeros(n, dtype=np.complex128)
+    psi[i] = 1.0
+    lengths = np.empty(n_steps)
+    norms = np.empty(n_steps)
+    for k in range(n_steps):
+        nxt = g @ psi
+        overlap = np.vdot(psi, nxt)
+        lengths[k] = 4.0 * (1.0 - abs(overlap) ** 2)
+        norms[k] = float(np.linalg.norm(nxt))
+        psi = nxt
+    psi_i = np.zeros(n, dtype=np.complex128)
+    psi_i[i] = 1.0
+    psi_f_back = u_mat[f].conj()  # U^{-1} |f>
+    m = np.array(
+        [
+            [np.vdot(psi_i, g @ psi_i), np.vdot(psi_i, g @ psi_f_back)],
+            [np.vdot(psi_f_back, g @ psi_i), np.vdot(psi_f_back, g @ psi_f_back)],
+        ]
+    )
+    return StepGeometryReport(
+        u=u,
+        step_lengths=lengths,
+        norms=norms,
+        closed_form_step=wy_step_length(u),
+        restricted_determinant=complex(np.linalg.det(m)),
+        expected_determinant=1.0 - u * u,
+    )
+
+
+def thermal_fisher_beta(energies, beta):
+    """Fisher information of the Boltzmann weights e^{-beta E} / Z in the
+    inverse temperature itself: the score is <E> - E(x), so the information
+    equals the energy variance."""
+    e = np.asarray(energies, dtype=np.float64)
+    if e.size == 0:
+        raise ValueError("energy table must be nonempty")
+    if beta <= 0.0:
+        raise ValueError("inverse temperature must be positive")
+    weights = np.exp(-beta * (e - e.min()))
+    weights /= weights.sum()
+    mean = float(np.sum(weights * e))
+    return float(np.sum(weights * (mean - e) ** 2))
 
 
 class TestGroverFamily:
@@ -504,7 +602,7 @@ class TestGeodesicResidual:
         q0[1:] = 1.0 / math.sqrt(n - 1)
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        sol = ig.solve_geodesic(n, q0, qdot0, np.linspace(0.0, math.pi / 2, 101))
+        sol = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
         assert sol.residual.shape == (101,) and np.max(sol.residual) < 1e-6
 
 
@@ -516,7 +614,7 @@ class TestSolveGeodesic:
         q0[1:] = 1.0 / root
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        sol = ig.solve_geodesic(n, q0, qdot0, np.linspace(0.0, math.pi / 2, 101))
+        sol = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
         want = np.full(n, math.cos(math.pi / 2) / root)
         want[0] = math.sin(math.pi / 2)
         assert np.max(np.abs(sol.q[-1] - want)) < 1e-6
@@ -525,9 +623,9 @@ class TestSolveGeodesic:
         n = 3
         q0 = np.array([0.0, 0.6, 0.8])
         qdot0 = np.array([1.0, 0.0, 0.0])
-        fwd = ig.solve_geodesic(n, q0, qdot0, [0.0, 1.0])
+        fwd = ig.solve_geodesic(q0, qdot0, [0.0, 1.0], np.ones(n))
         qdot_end = math.cos(1.0) * qdot0 - math.sin(1.0) * q0
-        back = ig.solve_geodesic(n, fwd.q[-1] / np.linalg.norm(fwd.q[-1]), -qdot_end, [0.0, 1.0])
+        back = ig.solve_geodesic(fwd.q[-1] / np.linalg.norm(fwd.q[-1]), -qdot_end, [0.0, 1.0], np.ones(n))
         assert np.max(np.abs(back.q[-1] - q0)) < 1e-6
 
     def test_norm_drift(self):
@@ -537,7 +635,7 @@ class TestSolveGeodesic:
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
         thetas = np.linspace(0.0, math.pi / 2, 101)
-        sol = ig.solve_geodesic(n, q0, qdot0, thetas)
+        sol = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
         qdot = np.cos(thetas)[:, None] * qdot0 - np.sin(thetas)[:, None] * q0
         norms = np.sum(sol.q**2, axis=1) + 0.0
         # q'' = -q conserves q.q + qdot.qdot; with |qdot0| = 1 the amplitude
@@ -554,22 +652,22 @@ class TestSolveGeodesic:
         worst = 0.0
         for j in range(n):
             rk4 = fp.damped_geodesic_solve(2.0, 0.0, q0[j], qdot0[j], math.pi / 2, 1e-3)
-            sol = ig.solve_geodesic(n, q0, qdot0, rk4.thetas)
+            sol = ig.solve_geodesic(q0, qdot0, rk4.thetas, np.ones(n))
             worst = max(worst, float(np.max(np.abs(sol.q[:, j] - rk4.q))))
         assert worst < 1e-9
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            ig.solve_geodesic(2, [1.0, 1.0], [0.0, 0.0], [0.0, 1.0])
+            ig.solve_geodesic([1.0, 1.0], [0.0, 0.0], [0.0, 1.0], np.ones(2))
 
 
 class TestStepClosedForms:
     def test_degenerate_edge(self):
-        assert ig.wy_step_length(1.0) == 0.0
+        assert wy_step_length(1.0) == 0.0
         with pytest.raises(ValueError):
-            ig.wy_step_length(0.0)
+            wy_step_length(0.0)
         with pytest.raises(ValueError):
-            ig.wy_step_length(1.5)
+            wy_step_length(1.5)
 
 
 class TestStepGeometry:
@@ -579,7 +677,7 @@ class TestStepGeometry:
             for _ in range(5):
                 u_mat = haar_unitary(n, rng)
                 i, f = rng.choice(n, size=2, replace=False)
-                rep = ig.verify_step_geometry(u_mat, int(i), int(f))
+                rep = verify_step_geometry(u_mat, int(i), int(f))
                 assert abs(rep.step_lengths[0] - rep.closed_form_step) < 1e-10
 
     def test_iterate_matches_two_term_form(self):
@@ -588,7 +686,7 @@ class TestStepGeometry:
         for n in (8, 32, 64):
             u_mat = haar_unitary(n, rng)
             i, f = (int(x) for x in rng.choice(n, size=2, replace=False))
-            g = ig.general_iterate(u_mat, i, f)
+            g = general_iterate(u_mat, i, f)
             psi_i = np.zeros(n, dtype=np.complex128)
             psi_i[i] = 1.0
             u_fi = u_mat[f, i]
@@ -596,7 +694,7 @@ class TestStepGeometry:
             assert np.max(np.abs(g @ psi_i - two_term)) < 1e-12
 
     def test_walsh_hadamard_n64(self):
-        rep = ig.verify_step_geometry(walsh_hadamard(6), 0, 21)
+        rep = verify_step_geometry(walsh_hadamard(6), 0, 21)
         assert abs(rep.u - 1.0 / 8.0) < 1e-12
         assert rep.max_step_spread() < 1e-10
         assert rep.max_norm_error() < 1e-10
@@ -604,8 +702,8 @@ class TestStepGeometry:
     def test_nested_list_unitary(self):
         # general_iterate accepts a list; the report reads the same matrix
         h = 1.0 / math.sqrt(2.0)
-        listed = ig.verify_step_geometry([[h, h], [h, -h]], 0, 1)
-        arrayed = ig.verify_step_geometry(np.array([[h, h], [h, -h]]), 0, 1)
+        listed = verify_step_geometry([[h, h], [h, -h]], 0, 1)
+        arrayed = verify_step_geometry(np.array([[h, h], [h, -h]]), 0, 1)
         assert listed.u == arrayed.u == h
         assert np.array_equal(listed.step_lengths, arrayed.step_lengths)
         assert listed.restricted_determinant == arrayed.restricted_determinant
@@ -614,14 +712,14 @@ class TestStepGeometry:
     def test_random_unitary_n32_full_report(self):
         rng = np.random.default_rng(48)
         u_mat = haar_unitary(32, rng)
-        rep = ig.verify_step_geometry(u_mat, 3, 17)
+        rep = verify_step_geometry(u_mat, 3, 17)
         assert rep.max_step_spread() < 1e-10
         assert rep.max_norm_error() < 1e-10
         assert abs(rep.restricted_determinant - rep.expected_determinant) < 1e-12
         assert abs(rep.restricted_determinant.imag) < 1e-12
 
     def test_small_overlap_determinant_near_one(self):
-        rep = ig.verify_step_geometry(walsh_hadamard(10), 0, 513)
+        rep = verify_step_geometry(walsh_hadamard(10), 0, 513)
         assert abs(rep.restricted_determinant - 1.0) <= 2.0 * rep.u**2
 
 
@@ -630,14 +728,14 @@ class TestThermalFisher:
         delta, beta = 1.3, 0.7
         p = math.exp(-beta * delta) / (1.0 + math.exp(-beta * delta))
         want = delta * delta * p * (1.0 - p)
-        assert abs(ig.thermal_fisher_beta([0.0, delta], beta) - want) < 1e-12
+        assert abs(thermal_fisher_beta([0.0, delta], beta) - want) < 1e-12
 
     def test_degenerate_spectrum(self):
-        assert ig.thermal_fisher_beta([2.0, 2.0, 2.0], 1.0) < 1e-14
+        assert thermal_fisher_beta([2.0, 2.0, 2.0], 1.0) < 1e-14
 
     def test_high_temperature_limit(self):
         delta = 2.0
-        got = ig.thermal_fisher_beta([0.0, delta], 1e-9)
+        got = thermal_fisher_beta([0.0, delta], 1e-9)
         assert abs(got - delta * delta / 4.0) < 1e-6
 
     def test_brute_force_variance_oracle(self):
@@ -649,9 +747,9 @@ class TestThermalFisher:
             w = np.exp(-beta * e)
             w /= w.sum()
             brute = float(np.sum(w * e * e) - np.sum(w * e) ** 2)
-            got = ig.thermal_fisher_beta(e, beta)
+            got = thermal_fisher_beta(e, beta)
             assert abs(got - brute) <= 1e-10 * max(brute, 1e-30)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            ig.thermal_fisher_beta([], 1.0)
+            thermal_fisher_beta([], 1.0)
