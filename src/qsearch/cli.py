@@ -12,9 +12,9 @@ the computed values, timestamps, tool version, and the SHA-256 of each CSV,
 hashed from its bytes as they are written, so no table is read back.  All
 numeric output uses 17-significant-digit formatting, so reruns on the same
 platform produce byte-identical CSVs (manifests differ only in their timestamps).
-Randomized paths draw complex normals from the standard library's Mersenne
-Twister seeded by --seed (`_complex_normals`), and the seed is recorded in the
-manifest.
+The randomized path, `fixed-point --u0 random`, draws complex normals from
+the standard library's Mersenne Twister seeded by --seed (`_complex_normals`),
+and the seed is recorded in the manifest.
 
 Exit codes: 0 success, 2 usage or configuration error (an output directory
 or file that cannot be made or written among them), 3 numeric-domain
@@ -22,8 +22,8 @@ error (a rejected value, an overflow or division by zero, a non-finite
 number in a table, which `write_csv` refuses to write, or an allocation that
 runs out of memory), 4 failed internal
 cross-check (the fixed-point simulation and its coefficient track, or
-`ga-verify`'s rotor and state-vector plane coordinates or its qubit round
-trip, disagreed beyond their tolerance; nothing is written).
+`ga-verify`'s rotor and state-vector plane coordinates, or iterates on the
+basis spinors, disagreed beyond their tolerance; nothing is written).
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
@@ -64,6 +64,7 @@ import numpy as np
 from . import CrossCheckError, __version__
 from . import analog_search as an
 from . import fixed_point as fp
+from . import ga_core
 from . import grover_digital as gd
 from . import info_geom as ig
 from . import msta
@@ -203,22 +204,21 @@ def _dispatch(args) -> list[tuple[Path, str]]:
 # 66 MB RSS on a 2-CPU host
 _N_CAP = 1 << 22
 
-# largest step count of a time or angle grid, of `digital --k`, of
-# `ga-verify --k-max` and `--samples`, and of `infogeo --points`: about ten
-# times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  At the
-# cap (2-CPU host) `analog` peaks near 80 MB RSS in 2-2.5 s, `infogeo` 87 MB
-# in 3 s, `digital --N 4` 80 MB in 8 s, `ga-verify --samples` 143 MB in 2.3 s
-# and `ga-verify --N-list 4 --k-max` 280 MB in 25 s; hashing a 50-70 MB table
-# with the built-in SHA-256 takes about 0.3 s of that.  A rotor orbit drifts from
-# the state vector about linearly in k (at N = 64: 2.1e-14 by k = 2^8, 1.6e-12
-# by 2^14, 2.5e-11 by 2^18), so near the `--k-max` cap it reaches
-# `msta.TOL_PLANE`: the default N list exits 4 at N = 64
+# largest step count of a time or angle grid, of `digital --k` and of
+# `infogeo --points`: about ten times the finest fenner grid of a sweep over
+# N <= 4096 at dt = 1e-3.  At the cap (2-CPU host) `analog` peaks near 80 MB
+# RSS in 2-2.5 s, `infogeo` 87 MB in 3 s and `digital --N 4` 80 MB in 8 s;
+# hashing a 50-70 MB table with the built-in SHA-256 takes about 0.3 s of that
 _ROW_CAP = 1 << 20
+# largest `ga-verify --k-max`: a rotor orbit drifts from the state vector
+# about linearly in k, over the default N list most at N = 64 (2.5e-11 by
+# k = 2^18, 5.01e-11 by 2^19, past half of `msta.TOL_PLANE`)
+_K_MAX_CAP = 1 << 18
 
 
-def _check_rows(count: float, what: str) -> None:
-    if not count <= _ROW_CAP:  # also false for nan
-        raise ValueError(f"{what} {count} exceeds the cap of {_ROW_CAP}")
+def _check_rows(count: float, what: str, cap: int = _ROW_CAP) -> None:
+    if not count <= cap:  # also false for nan
+        raise ValueError(f"{what} {count} exceeds the cap of {cap}")
 
 
 def _grid_steps(span: float, step: float, round_up: bool = False) -> int:
@@ -467,13 +467,17 @@ def cmd_infogeo(args):
 # -- ga-verify --------------------------------------------------------------------
 
 
+def _require_agreement(what: str, worst: float, n: int, tolerance: float) -> None:
+    if not worst <= tolerance:
+        raise CrossCheckError(f"rotor and state-vector {what} differ by {worst!r} at N={n} (tolerance {tolerance!r})")
+
+
 def cmd_ga_verify(args):
     n_list = [int(x) for x in args.N_list.split(",") if x]
     if not n_list:
         raise ValueError("N list must be nonempty")
     if args.k_max is not None:
-        _check_rows(args.k_max, "iteration count")
-    _check_rows(args.samples, "sample count")
+        _check_rows(args.k_max, "iteration count", _K_MAX_CAP)
     for n in n_list:
         # the state-vector side holds a state of N amplitudes, as digital does
         if not 2 <= n <= _N_CAP:
@@ -481,30 +485,36 @@ def cmd_ga_verify(args):
     blocks = []
     for n in n_list:
         k_max = args.k_max if args.k_max is not None else 2 * gd.optimal_iterations(n)
-        rotor = np.array(msta.ga_grover_orbit(n, k_max))
-        # the slice ends the orbit before an iterate past k_max is made
-        orbit = islice(gd.grover_orbit(n, 0), k_max + 1)
-        digital = np.fromiter((gd.plane_coordinates(state, target=0) for state in orbit), (float, 2), k_max + 1)
+        rotor = msta.ga_grover_orbit(n, k_max)
+        # the slice ends the orbit before an iterate past k_max is made; fromiter
+        # stops at the count, so only an unnamed orbit lets go of its buffer here
+        digital = np.fromiter(
+            (gd.plane_coordinates(s, target=0) for s in islice(gd.grover_orbit(n, 0), k_max + 1)), (float, 2), k_max + 1
+        )
         dev = np.abs(rotor - digital).max(axis=1)
-        worst = dev.max()
-        if not worst <= msta.TOL_PLANE:
-            raise CrossCheckError(
-                f"rotor and state-vector plane coordinates differ by {float(worst)!r} at N={n} "
-                f"(tolerance {msta.TOL_PLANE!r})"
-            )
+        worst = float(dev.max())
+        _require_agreement("plane coordinates", worst, n, msta.TOL_PLANE)
         ks = range(k_max + 1)
         blocks.append((["plane_coords"] * len(ks), [n] * len(ks), ks, rotor[:, 0], digital[:, 0], dev))
         blocks.append((["plane_coords_max"], [n], [k_max], [worst], [0.0], [worst]))
-    cols = _complex_normals(args.seed, 2 * args.samples).reshape(args.samples, 2)
-    cols /= np.linalg.norm(cols, axis=1, keepdims=True)
-    alphas, betas = cols.T.tolist()
-    worst_rt = 0.0
-    for alpha, beta in zip(alphas, betas):
-        back = msta.mv_to_qubit(msta.qubit_to_mv(alpha, beta))
-        worst_rt = max(worst_rt, abs(back[0] - alpha), abs(back[1] - beta))
-    if not worst_rt <= msta.TOL_STATE:
-        raise CrossCheckError(f"qubit round trip deviates by {worst_rt!r} (tolerance {msta.TOL_STATE!r})")
-    blocks.append((["qubit_roundtrip"], [args.samples], [0], [worst_rt], [0.0], [worst_rt]))
+    # once the orbits' buffers are freed: g^2 must act from the left on the
+    # basis spinors 1, ie1, ie2, ie3 as the 2x2 iterate acts on their columns
+    for n in n_list:
+        g = msta.ga_grover_rotor(n).mv
+        g2 = ga_core.geometric_product(g, g)
+        state, iterate = np.empty(n), []
+        for target, bad in ((1.0, 0.0), (0.0, 1.0 / math.sqrt(n - 1))):
+            state.fill(bad)
+            state[0] = target
+            iterate.append(gd.plane_coordinates(gd.grover_iterate(state, 0, out=state), 0))
+        worst = 0.0
+        for col in ((1, 0), (0, 1j), (0, -1), (1j, 0)):
+            product = ga_core.geometric_product(g2, msta.qubit_to_mv(*col))
+            # the odd blades 1, 2, 4 and 7, which mv_to_qubit drops, must stay 0
+            dev = [*np.subtract(msta.mv_to_qubit(product), np.transpose(iterate) @ col), *product.coeffs[[1, 2, 4, 7]]]
+            worst = max(worst, float(np.abs(dev).max()))
+        _require_agreement("iterates on the basis spinors", worst, n, msta.TOL_STATE)
+        blocks.append((["spinor_iterate"], [n], [1], [worst], [0.0], [worst]))
 
     columns = [np.concatenate(column) for column in zip(*blocks)]
     return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], columns)], []
@@ -744,7 +754,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = subcommand("ga-verify", cmd_ga_verify, "rotor vs state-vector cross-verification table")
     p.add_argument("--N-list", dest="N_list", type=_int_list, default="4,16,64,256,1024")
     p.add_argument("--k-max", dest="k_max", type=_nonnegative_int, default=None)
-    p.add_argument("--samples", type=_positive_int, default=1000)
 
     p = subcommand("sweep", cmd_sweep, "cartesian parameter sweep from a config file")
     p.add_argument("--config", required=True)

@@ -132,20 +132,6 @@ class Multivector:
     def __rmul__(self, other):
         return Multivector(self.coeffs * float(other))
 
-    def __repr__(self) -> str:
-        parts = []
-        for mask in range(_SIZE):
-            c = self.coeffs[mask]
-            if c == 0.0:
-                continue
-            if mask == 0:
-                parts.append(f"{c:g}")
-            else:
-                name = "e" + "".join(str(i + 1) for i in range(_DIM) if mask >> i & 1)
-                parts.append(f"{c:g}*{name}")
-        body = " + ".join(parts) if parts else "0"
-        return f"Multivector({body})"
-
 
 # -- core operations --------------------------------------------------------
 
@@ -218,7 +204,3 @@ class Rotor:
 
     def apply(self, v: Multivector) -> Multivector:
         return geometric_product(geometric_product(self.mv, v), self._rev)
-
-    def __repr__(self) -> str:
-        return f"Rotor({self.mv!r})"
-

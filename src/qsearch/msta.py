@@ -12,13 +12,17 @@ The search-plane rotor dynamics run in a single copy of the algebra with the
 identification e_target = e3, e_bad = e1.  The plane's angle and the uniform
 state's coordinates are those of :mod:`qsearch.grover_digital`; the rotor is
 the bivector exponential of the plane e_target e_bad, and its orbit is
-walked in one place, one sandwich per step.
+walked in one place, one sandwich per step, into an array of (target, bad)
+coordinates; its square, one full iterate, acts on a qubit from the left as
+the plane's 2x2 iterate acts on its column.
 """
 from __future__ import annotations
 
 import math
 from itertools import islice
 from typing import Iterator
+
+import numpy as np
 
 from . import grover_digital as gd
 from .ga_core import Multivector, Rotor, bivector_exp, geometric_product
@@ -38,8 +42,6 @@ def qubit_to_mv(alpha: complex, beta: complex) -> Multivector:
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > TOL_STATE:
         raise ValueError(f"qubit norm {norm} differs from 1")
-    alpha = complex(alpha)
-    beta = complex(beta)
     # blade masks 0, 3 (e12 = i e3), 5 (e13 = -i e2) and 6 (e23 = i e1)
     return Multivector([alpha.real, 0.0, 0.0, alpha.imag, 0.0, beta.real, beta.imag, 0.0])
 
@@ -75,17 +77,16 @@ def _rotor_orbit(n: int) -> Iterator[Multivector]:
         v = g.apply(v)
 
 
-def ga_grover_orbit(n: int, k_max: int) -> list[gd.SearchPlaneState]:
-    """Plane coordinates after k = 0..k_max iterations, via actual repeated
-    rotor sandwiching of the initial state vector, one sandwich per step."""
+def ga_grover_orbit(n: int, k_max: int) -> np.ndarray:
+    """Plane coordinates (target, bad) after k = 0..k_max iterations, one row
+    per k, via actual repeated rotor sandwiching of the initial state vector,
+    one sandwich per step."""
     if k_max < 0:
         raise ValueError("iteration count must be nonnegative")
-    return [
-        gd.SearchPlaneState(a_target=float(v.coeffs[0b100]), a_bad=float(v.coeffs[0b001]))
-        for v in islice(_rotor_orbit(n), k_max + 1)
-    ]
+    points = islice(_rotor_orbit(n), k_max + 1)
+    return np.fromiter(((v.coeffs[0b100], v.coeffs[0b001]) for v in points), (float, 2), k_max + 1)
 
 
 def ga_grover_apply(k: int, n: int) -> gd.SearchPlaneState:
     """Plane coordinates after k iterations: the last point of the orbit."""
-    return ga_grover_orbit(n, k)[-1]
+    return gd.SearchPlaneState(*ga_grover_orbit(n, k)[-1].tolist())

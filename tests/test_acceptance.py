@@ -16,7 +16,7 @@ from qsearch import grover_digital as gd
 from qsearch import info_geom as ig
 from qsearch import msta
 from qsearch.ga_core import Multivector
-from test_analog_search import unitary_series_exp
+from test_analog_search import scanned_first_peak, unitary_series_exp
 from test_fixed_point import fit_p1_decay_exponent
 from test_ga_core import mirror, orientation_sign, rotate, vector
 from test_grover_digital import matrix_G, matrix_inversion, matrix_oracle
@@ -145,15 +145,15 @@ def test_c05_analog_search():
     ok = worst_closed < 1e-12 and worst_series < 1e-12
     ratio = an.fenner_time(10**6) / (math.pi / 4 * 1000.0)
     ok &= abs(ratio - 1.0) < 0.01
-    # the two-projector model: the peak time's scaling, and the propagated
-    # target probability at that time, which the closed form puts at one
+    # the two-projector model: the scaling of the first peak that the scan
+    # itself shows, and the propagated target probability at the closed-form
+    # peak time, which the closed form puts at one
     scaled = []
     worst_peak = 0.0
     n = 16
     while n <= 4096:
-        t_peak = an.fg_peak_time(n, 1.0)
-        scaled.append(t_peak / math.sqrt(n))
-        worst_peak = max(worst_peak, abs(float(an.fg_scan(t_peak, n, 1.0).p_target) - 1.0))
+        scaled.append(scanned_first_peak(n, 1.0) / math.sqrt(n))
+        worst_peak = max(worst_peak, abs(float(an.fg_scan(an.fg_peak_time(n, 1.0), n, 1.0).p_target) - 1.0))
         n *= 4
     cv = float(np.std(scaled) / np.mean(scaled))
     ok &= cv < 0.02 and worst_peak <= 1e-12

@@ -26,7 +26,7 @@ from qsearch import cli
 from qsearch import grover_digital as gd
 from qsearch import info_geom as ig
 from qsearch import msta
-from qsearch.ga_core import Multivector, Rotor
+from qsearch.ga_core import Multivector, Rotor, reverse
 from test_analog_search import ga_fenner_basis_change
 
 
@@ -548,46 +548,56 @@ class TestDampedAndGeodesic:
 
 class TestGaVerify:
     def test_deviation_and_roundtrip(self, tmp_path):
-        assert run_cli(["ga-verify", "--N-list", "4,16", "--samples", "200"], tmp_path) == 0
+        assert run_cli(["ga-verify", "--N-list", "4,16"], tmp_path) == 0
         _, rows = read_csv(tmp_path / "ga_verify.csv")
         plane = [r for r in rows if r[0] == "plane_coords"]
         assert all(float(r[5]) < 1e-10 for r in plane)
         hit = [r for r in plane if r[1] == "4" and r[2] == "1"]
         assert float(hit[0][3]) == pytest.approx(1.0, abs=1e-14)
-        tail = rows[-1]
-        assert tail[0] == "qubit_roundtrip"
-        assert float(tail[5]) < 1e-14
+        # one spinor row per N, after every plane block
+        tail = rows[-2:]
+        assert [(r[0], r[1], r[2]) for r in tail] == [("spinor_iterate", "4", "1"), ("spinor_iterate", "16", "1")]
+        assert all(float(r[5]) < 1e-14 for r in tail)
 
     def test_plane_deviation_exits_4(self, tmp_path, capsys, monkeypatch):
         # a rotor orbit that drifts off the state vector just past C3's bound
         orbit = msta._rotor_orbit
         drift = Multivector.blade(0b100, 2 * msta.TOL_PLANE)
         monkeypatch.setattr(msta, "_rotor_orbit", lambda n: (v + drift for v in orbit(n)))
-        assert run_cli(["ga-verify", "--N-list", "4,16", "--samples", "10"], tmp_path) == cli.EXIT_CROSSCHECK
+        assert run_cli(["ga-verify", "--N-list", "4,16"], tmp_path) == cli.EXIT_CROSSCHECK
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "internal cross-check failed" in err and "plane coordinates" in err and "N=4" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_qubit_roundtrip_deviation_exits_4(self, tmp_path, capsys, monkeypatch):
-        # the round trip is exact and TOL_STATE also bounds the input norm,
-        # so the translation drifts just past the tolerance: the printed
-        # deviation must read above the printed tolerance
-        to_qubit = msta.mv_to_qubit
-        drift = msta.TOL_STATE + 1e-15
-        monkeypatch.setattr(msta, "mv_to_qubit", lambda q: (to_qubit(q)[0] + drift, to_qubit(q)[1]))
-        assert run_cli(["ga-verify", "--N-list", "4", "--samples", "10"], tmp_path) == cli.EXIT_CROSSCHECK
+    def test_spinor_iterate_deviation_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the reversed rotor turns the plane the other way, so its square
+        # misses the iterate by 2 sin(2 theta); at --k-max 0 the orbit never
+        # applies the rotor, so only the spinor check can fail
+        rotor = msta.ga_grover_rotor
+        monkeypatch.setattr(msta, "ga_grover_rotor", lambda n: Rotor(reverse(rotor(n).mv)))
+        assert run_cli(["ga-verify", "--N-list", "4,16", "--k-max", "0"], tmp_path) == cli.EXIT_CROSSCHECK
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "internal cross-check failed" in err and "qubit round trip" in err
-        deviation, tolerance = re.search(r"deviates by (\S+) \(tolerance (\S+)\)", err).groups()
-        assert float(deviation) > float(tolerance) == msta.TOL_STATE
+        assert "internal cross-check failed" in err and "iterates on the basis spinors" in err
+        deviation, tolerance = re.search(r"differ by (\S+) at N=4 \(tolerance (\S+)\)", err).groups()
+        assert float(deviation) == pytest.approx(2 * math.sin(2 * gd.theta_for(4)))
+        assert float(tolerance) == msta.TOL_STATE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spinor_iterate_reads_the_odd_blades(self, tmp_path, capsys, monkeypatch):
+        # a stray odd blade that the qubit map does not read still fails
+        product = cli.ga_core.geometric_product
+        stray = Multivector.blade(0b111, 2 * msta.TOL_STATE)
+        monkeypatch.setattr(cli.ga_core, "geometric_product", lambda a, b: product(a, b) + stray)
+        assert run_cli(["ga-verify", "--N-list", "4", "--k-max", "0"], tmp_path) == cli.EXIT_CROSSCHECK
+        assert "iterates on the basis spinors" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_plane_message_shows_the_excess(self, tmp_path, capsys, monkeypatch):
         # the tolerance set just below the measured deviation: the printed
         # deviation must still read above the printed tolerance
-        argv = ["ga-verify", "--N-list", "64", "--samples", "5"]
+        argv = ["ga-verify", "--N-list", "64"]
         assert run_cli(argv, tmp_path / "measured") == 0
         _, rows = read_csv(tmp_path / "measured" / "ga_verify.csv")
         measured = float(next(r for r in rows if r[0] == "plane_coords_max")[5])
@@ -601,9 +611,19 @@ class TestGaVerify:
         assert usage_exit_code(["ga-verify", "--N-list", "4", "--k-max", "-1"], tmp_path) == cli.EXIT_USAGE
         assert not (tmp_path / "ga_verify.csv").exists()
 
-    def test_zero_samples_is_usage_error(self, tmp_path):
-        assert usage_exit_code(["ga-verify", "--N-list", "4", "--samples", "0"], tmp_path) == cli.EXIT_USAGE
-        assert not (tmp_path / "ga_verify.csv").exists()
+    def test_samples_is_usage_error(self, tmp_path, capsys):
+        # the spinor check runs on a basis, so there is no sample count
+        assert usage_exit_code(["ga-verify", "--N-list", "4", "--samples", "10"], tmp_path) == cli.EXIT_USAGE
+        assert "unrecognized arguments: --samples 10" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_samples_sweep_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("subcommand = ga-verify\nN_list = [4]\nsamples = 10\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert "sweep cell ga-verify_N_list-4: unrecognized arguments: --samples 10" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_n_list_is_usage_error(self, tmp_path, capsys):
         assert usage_exit_code(["ga-verify", "--N-list", "4,x"], tmp_path) == cli.EXIT_USAGE
@@ -622,10 +642,17 @@ class TestGaVerify:
         assert f"N={n}" in capsys.readouterr().err
         assert peak < 4 << 20
 
+    def test_one_state_buffer_at_a_time(self, tmp_path):
+        # the spinor leg steps its own buffer of N amplitudes only once the
+        # orbits have freed theirs: two buffers would be 16 MiB here
+        code, peak = run_cli_traced(["ga-verify", "--N-list", f"4,{1 << 20}", "--k-max", "1"], tmp_path)
+        assert code == 0
+        assert 8 << 20 < peak < 12 << 20
+
     def test_one_sandwich_per_step(self, tmp_path, monkeypatch):
         # k_max = 2, 6 and 12: one rotor sandwich per step, not one per
         # step of every prefix (102), and one state-vector iterate per step,
-        # none past k_max (23)
+        # none past k_max (23), then two per N for the spinor check
         calls = []
         apply = Rotor.apply
         monkeypatch.setattr(Rotor, "apply", lambda self, v: calls.append(1) or apply(self, v))
@@ -634,9 +661,9 @@ class TestGaVerify:
         monkeypatch.setattr(
             cli.gd, "grover_iterate", lambda s, t, out=None: iterates.append(1) or iterate(s, t, out=out)
         )
-        assert run_cli(["ga-verify", "--N-list", "4,16,64", "--samples", "10"], tmp_path) == 0
+        assert run_cli(["ga-verify", "--N-list", "4,16,64"], tmp_path) == 0
         assert len(calls) == 20
-        assert len(iterates) == 20
+        assert len(iterates) == 26
 
 
 class TestSweep:
@@ -1078,16 +1105,17 @@ class TestRowCap:
             ["geodesic", "--N", "8", "--theta-end", "1e300", "--dtheta", "1e-300"],
             ["damped", "--theta-end", "1e300", "--dtheta", "1e-300"],
             ["digital", "--N", "4", "--k", str(cli._ROW_CAP + 1)],
-            ["ga-verify", "--N-list", "4", "--k-max", str(cli._ROW_CAP + 1)],
-            ["ga-verify", "--N-list", "4", "--samples", str(cli._ROW_CAP + 1)],
+            ["ga-verify", "--N-list", "4", "--k-max", str(cli._K_MAX_CAP + 1)],
             ["infogeo", "--points", str(cli._ROW_CAP + 1)],
         ],
-        ids=["fenner", "farhi-gutmann", "geodesic", "damped", "digital", "ga-verify", "ga-verify-samples", "infogeo"],
+        ids=["fenner", "farhi-gutmann", "geodesic", "damped", "digital", "ga-verify", "infogeo"],
     )
     def test_over_cap_is_domain_error(self, tmp_path, capsys, argv):
         code, peak = run_cli_traced(argv, tmp_path)
         assert code == cli.EXIT_DOMAIN
-        assert f"exceeds the cap of {cli._ROW_CAP}" in capsys.readouterr().err
+        cap = cli._K_MAX_CAP if argv[0] == "ga-verify" else cli._ROW_CAP
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"exceeds the cap of {cap}" in err
         assert not list(tmp_path.glob("*.csv"))
         assert peak < 4 << 20
 
@@ -1222,7 +1250,7 @@ class TestRunner:
             (["damped", "--theta-end", "1"], ["damped_geodesic.csv"]),
             (["geodesic", "--N", "8"], ["geodesic_N8.csv"]),
             (["infogeo", "--points", "5"], ["infogeo_grover_N16.csv"]),
-            (["ga-verify", "--N-list", "4", "--samples", "3"], ["ga_verify.csv"]),
+            (["ga-verify", "--N-list", "4"], ["ga_verify.csv"]),
             (
                 ["sweep", "--config", "sweep.cfg", "--workers", "2"],
                 ["digital_N-8/digital_N8_kauto.csv", "digital_N-4/digital_N4_kauto.csv", "sweep_index.csv"],
@@ -1295,7 +1323,7 @@ class TestUnwritableOut:
             ["damped", "--theta-end", "1"],
             ["geodesic", "--N", "8"],
             ["infogeo", "--points", "5"],
-            ["ga-verify", "--N-list", "4", "--samples", "3"],
+            ["ga-verify", "--N-list", "4"],
             ["sweep", "--config", "sweep.cfg"],
             ["sweep", "--config", "sweep.cfg", "--workers", "2"],
         ],
@@ -1445,12 +1473,13 @@ class TestEntryPoint:
         # `hashlib` would map OpenSSL's libcrypto through `_hashlib` for the
         # manifest's hashes, which CPython's built-in SHA-256 serves, and
         # `numpy.random` through `secrets`, for draws that the standard
-        # library's Mersenne Twister makes: one process runs both random paths
+        # library's Mersenne Twister makes: `fixed-point --u0 random` runs the
+        # random path
         code = (
             "import sys\n"
             "from qsearch import cli\n"
             f"out = {str(tmp_path)!r}\n"
-            "assert cli.main(['ga-verify', '--N-list', '4', '--samples', '10', '--out', out]) == 0\n"
+            "assert cli.main(['ga-verify', '--N-list', '4', '--out', out]) == 0\n"
             "assert cli.main(['fixed-point', '--u0', 'random', '--N', '8', '--depth', '2', '--out', out]) == 0\n"
             "loaded = [name for name in ('numpy.random', '_hashlib', 'hashlib') if name in sys.modules]\n"
             "assert not loaded, f'loaded {loaded}'\n"

@@ -242,12 +242,13 @@ class TestGroverApply:
             assert len(orbit) == k_max + 1
             # the parent's chain of sandwiches, restarted from zero for each k
             g = msta.ga_grover_rotor(n)
-            for k, point in enumerate(orbit):
-                assert point == msta.ga_grover_apply(k, n)
+            assert orbit.shape == (k_max + 1, 2) and orbit.dtype == np.float64
+            for k, point in enumerate(orbit.tolist()):
+                assert tuple(msta.ga_grover_apply(k, n)) == tuple(point)
                 v = msta._plane_vector(n)
                 for _ in range(k):
                     v = g.apply(v)
-                assert (point.a_target, point.a_bad) == (v.coeffs[0b100], v.coeffs[0b001])
+                assert tuple(point) == (v.coeffs[0b100], v.coeffs[0b001])
 
     def test_orbit_rejects_negative_length(self):
         with pytest.raises(ValueError):
@@ -263,7 +264,7 @@ class TestGroverApply:
         n = 10**6
         _, bound = gd.alpha_beta(n)
         orbit = msta.ga_grover_orbit(n, 800)
-        k = next(k for k, point in enumerate(orbit) if point.a_target >= bound)
+        k = next(k for k, (a_target, _) in enumerate(orbit) if a_target >= bound)
         ratio = k / (math.pi / 4 * math.sqrt(n))
         assert abs(ratio - 1.0) < 0.002
 
