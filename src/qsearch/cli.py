@@ -3,7 +3,8 @@
 Each subcommand `cmd_<name>(args)` checks its arguments, computes its
 columns and returns `(computed, tables, written)`: the values it derived that
 the manifest records beside the options (only `fixed-point`'s
-`eps0_computed`), a list of `(file name, header, columns)` tables, and the
+`eps0_computed`, and under `--epsilon` the N and target that ran, which
+replace the options'), a list of `(file name, header, columns)` tables, and the
 CSVs it wrote itself as (path, SHA-256) pairs (only `sweep`'s cells write
 their own).  The runner `_dispatch` alone writes the outputs: it makes the
 output directory once the command returns, writes each table as a CSV, and
@@ -289,20 +290,6 @@ def cmd_analog(args):
 # -- fixed point ---------------------------------------------------------------
 
 
-def _epsilon_unitary(eps: float) -> np.ndarray:
-    """Two-level unitary whose source-to-target amplitude gives failure eps."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
-    c = math.sqrt(1.0 - eps)
-    s = math.sqrt(eps)
-    return np.array([[-s, c], [c, s]], dtype=np.complex128)
-
-
-# largest accepted N for `--u0 random`, which draws and keeps dense N x N
-# complex matrices: 16 MiB each at the cap, where depth 5 peaks near 112 MB
-# RSS and takes about 0.6 s on one BLAS thread (2-CPU host)
-_RANDOM_U0_CAP = 1024
-
 # candidate points per `randbytes` call: the bytes and each float temporary
 # of one pass stay within 128 KiB
 _NORMALS_CHUNK = 1 << 13
@@ -342,33 +329,39 @@ def _complex_normals(seed: int, count: int) -> np.ndarray:
 def cmd_fixed_point(args):
     if args.depth < 0 or args.depth > fp.MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {fp.MAX_DEPTH}")
-    n = args.N
+    n, target = args.N, args.target
+    # psi0 = U0|0>, the one column of U0 the recursion reads
     if args.epsilon is not None:
-        u0 = fp.dense_operator(_epsilon_unitary(args.epsilon))
-        target = 1
+        if not 0.0 <= args.epsilon < 1.0:
+            raise ValueError("epsilon must lie in [0, 1)")
+        # the first column of the two-level unitary [[-s, c], [c, s]], whose
+        # source-to-target amplitude c gives failure epsilon
+        psi0 = np.array([-math.sqrt(args.epsilon), math.sqrt(1.0 - args.epsilon)], dtype=np.complex128)
+        n, target = 2, 1
     elif args.u0 == "wh":
-        # the transform keeps no matrix, only the run's state and one scratch
-        # buffer of N amplitudes: at N = 2^20, depth 5 peaks near 81 MB RSS
-        # and takes about 12.5 s on a 2-CPU host, and the cap is digital's
+        # H^{(x)n}|0>, the uniform state.  The run holds it and one state of
+        # N amplitudes, and the cap is digital's: depth 5 takes about 0.4 s
+        # and peaks near 61 MB RSS at N = 2^20, 1.3 s and 157 MB at the cap
+        # (2-CPU host)
         if n < 2 or n > _N_CAP or n & (n - 1):
             raise ValueError(
                 f"Walsh-Hadamard initialization needs N = 2^n with 2 <= N <= {_N_CAP}, got N={n}"
             )
-        u0 = fp.walsh_hadamard_operator(n.bit_length() - 1)
-        target = args.target
+        psi0 = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     else:
-        if not 1 <= n <= _RANDOM_U0_CAP:
-            raise ValueError(f"random U0 needs 1 <= N <= {_RANDOM_U0_CAP}, got N={n}")
-        # Haar: the Q of a complex Ginibre matrix, each column turned by the
-        # phase of R's diagonal; the draw and R are freed before the
-        # unitarity check, and Q is turned in place
-        q, r = np.linalg.qr(_complex_normals(args.seed, n * n).reshape(n, n))
-        r = np.diag(r) / np.abs(np.diag(r))
-        q *= r
-        u0 = fp.dense_operator(q)
-        target = args.target
-    states = fp.fixed_point_run(u0, target=target, depth=args.depth)
+        if not 1 <= n <= _N_CAP:
+            raise ValueError(f"random U0 needs 1 <= N <= {_N_CAP}, got N={n}")
+        # a Haar-random state, the first column of a Haar-random U0, under
+        # wh's cap: 0.08 s and 30 MB RSS at N = 1024, 1.5 s and 158 MB at the
+        # cap (depth 5, 2-CPU host)
+        psi0 = _complex_normals(args.seed, n)
+        psi0 /= np.linalg.norm(psi0)
+    states = fp.fixed_point_run(psi0, target=target, depth=args.depth)
     eps0 = states[0].eps_k
+    computed = {"eps0_computed": eps0}
+    if args.epsilon is not None:
+        # the manifest records the N and target that ran, not the options'
+        computed |= {"N": n, "target": target}
     # one row per depth k = 1..depth, or depth 0's row alone
     ks = np.arange(min(1, args.depth), args.depth + 1)
     closed = fp.closed_form_failure(eps0, ks)
@@ -376,7 +369,7 @@ def cmd_fixed_point(args):
 
     header = ["k", "eps_k_closed", "eps_k_simulated", "rel_error"]
     columns = [ks, closed, sim, np.abs(sim - closed) / np.maximum(closed, 1e-300)]
-    return {"eps0_computed": eps0}, [(f"fixed_point_depth{args.depth}.csv", header, columns)], []
+    return computed, [(f"fixed_point_depth{args.depth}.csv", header, columns)], []
 
 
 # -- damped geodesic ------------------------------------------------------------
@@ -723,7 +716,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--dt", type=_finite_float, default=None)
 
     p = subcommand("fixed-point", cmd_fixed_point, "pi/3 recursion failure probabilities")
-    p.add_argument("--epsilon", type=_finite_float, default=None, help="initial failure; builds a two-level unitary")
+    p.add_argument("--epsilon", type=_finite_float, default=None, help="initial failure; runs N = 2 and target 1")
     p.add_argument("--u0", choices=["wh", "random"], default="wh")
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--depth", type=int, required=True)

@@ -1,21 +1,18 @@
 """The pi/3 fixed-point recursion and its damped information geometry.
 
 The recursion U_{k+1} = U_k R_s U_k^dag R_t U_k with selective pi/3 phase
-shifts on the source |s> = |0> and the target basis state, each a change of
-one amplitude, drives the failure probability to eps^(3^k), monotonically.
-The operator word grows as 3^k, so U_k is never materialized as a matrix:
-its action on a state is computed recursively, and a parallel coefficient
-track c_{k+1} = e^{i pi/3}(e^{i pi/3} + eps_k) c_k, eps_{k+1} = eps_k^3
-cross-checks the simulation at every depth.  Depth k+1 starts from U_k|s>,
-the one state the run keeps, so reaching depth d applies U0 or its adjoint
-3^d times in total.
-
-U0 is a :class:`UnitaryOperator`, a pair of functions applying U0 and its
-adjoint in place: a dense matrix validated by :func:`dense_operator`, or the
-Walsh-Hadamard transform H^{(x)n} as an O(N log N) butterfly, never a
-Kronecker matrix.  One recursion applies U_k and U_k^dag, whose word is U_k's
-reversed with each letter replaced by its adjoint.  The selective phases
-change one amplitude in place, so the recursion steps one state buffer.
+shifts on the source |s> = |0> and the target basis state drives the failure
+probability to eps^(3^k), monotonically.  U0 enters only through
+U0 R_s U0^dag = R_psi, the pi/3 reflection about psi0 = U0|s>: U_k = A_k U0
+with A_0 = I and A_{k+1} = A_k R_psi A_k^dag R_t A_k, so the run takes psi0
+alone and never applies U0.  R_t changes one amplitude and R_psi
+subtracts one multiple of psi0, both in place, so the recursion steps one
+state buffer beside psi0.  The word A_k grows as 3^k and is never
+materialized as a matrix: its action on a state is computed recursively, and
+a parallel coefficient track c_{k+1} = e^{i pi/3}(e^{i pi/3} + eps_k) c_k,
+eps_{k+1} = eps_k^3 cross-checks the simulation at every depth.  Depth k+1
+starts from A_k psi0 = U_k|s>, the one state the run keeps, so reaching depth
+d makes (3^d - 1)/2 reflections of each kind.
 
 The damped two-component family p_1 = c exp(-r theta), with amplitudes
 and their derivatives in closed form, gives a Fisher information
@@ -29,16 +26,19 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import CrossCheckError, bessel
-from .info_geom import ParametricFamily, _check_unitary, geodesic_residual
+from .info_geom import ParametricFamily, geodesic_residual
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
 MAX_DEPTH = 5
 TOL_TRACKS = 1e-10
+# psi0's amplitudes per product in a reflection: the product is the only
+# temporary, 128 KiB, so a run holds psi0 and its state and little more
+_CHUNK = 1 << 13
 
 
 def selective_phase(state: np.ndarray, index: int, phi: float) -> np.ndarray:
@@ -50,6 +50,15 @@ def selective_phase(state: np.ndarray, index: int, phi: float) -> np.ndarray:
     return state
 
 
+def _reflect_psi0(state: np.ndarray, psi0: np.ndarray, phi: float) -> np.ndarray:
+    """Apply R = I - (1 - e^{i phi}) |psi0><psi0| to a complex state in place
+    and return it, a chunk of psi0 at a time."""
+    a = (1.0 - cmath.exp(1j * phi)) * np.vdot(psi0, state)
+    for lo in range(0, state.shape[0], _CHUNK):
+        state[lo : lo + _CHUNK] -= a * psi0[lo : lo + _CHUNK]
+    return state
+
+
 class RecursionState(NamedTuple):
     """One depth of the recursion: overlap and failure probability."""
 
@@ -58,80 +67,24 @@ class RecursionState(NamedTuple):
     eps_k: float
 
 
-class UnitaryOperator(NamedTuple):
-    """A unitary on C^n given by its action on states: apply(v) overwrites
-    the complex128 state v with U v and returns it, and apply_dag(v) with
-    U^dag v."""
-
-    n: int
-    apply: Callable[[np.ndarray], np.ndarray]
-    apply_dag: Callable[[np.ndarray], np.ndarray]
-
-
-def dense_operator(u: np.ndarray) -> UnitaryOperator:
-    """Operator of a dense unitary matrix, validated, with its adjoint
-    formed once; each product is written back into its state."""
-    u, u_dag = _check_unitary(u)
-    return UnitaryOperator(u.shape[0], lambda v: np.matmul(u, v, out=v), lambda v: np.matmul(u_dag, v, out=v))
-
-
-def walsh_hadamard_transform(v: np.ndarray) -> np.ndarray:
-    """H^{(x)n} v for a complex128 state of length N = 2^n in O(N log N),
-    written into v, which is returned.
-
-    Radix-2 butterflies in constant geometry: each of the n passes combines
-    the pairs (x[2i], x[2i+1]) into the two halves of the other of two
-    buffers, v and one scratch state, which transforms the lowest index bit
-    and rotates it to the top, so after n passes every bit is transformed
-    and back in place; after an odd number of passes the result is copied
-    back into v once.  On a basis state the butterflies are exact integer
-    sums, so the amplitudes carry only the rounding of the one final
-    scaling by 1/sqrt(N).
-    """
-    size = v.shape[0] if isinstance(v, np.ndarray) and v.ndim == 1 else 0
-    if size < 2 or size & (size - 1):
-        raise ValueError("the Walsh-Hadamard transform needs a vector of length 2^n, n >= 1")
-    if v.dtype != np.complex128:
-        raise ValueError(f"the Walsh-Hadamard transform works in place on complex128, got {v.dtype}")
-    x, y = v, np.empty_like(v)
-    half = size // 2
-    for _ in range(size.bit_length() - 1):
-        even, odd = x[0::2], x[1::2]
-        np.add(even, odd, out=y[:half])
-        np.subtract(even, odd, out=y[half:])
-        x, y = y, x
-    if x is not v:
-        v[:] = x
-    v *= 1.0 / math.sqrt(size)
-    return v
-
-
-def walsh_hadamard_operator(n_qubits: int) -> UnitaryOperator:
-    """H^{(x)n} on N = 2^n amplitudes: self-adjoint, and unitary because
-    its 2x2 factor [[1, 1], [1, -1]]/sqrt(2) is."""
-    if n_qubits < 1:
-        raise ValueError("the Walsh-Hadamard operator needs at least one qubit")
-    return UnitaryOperator(1 << n_qubits, walsh_hadamard_transform, walsh_hadamard_transform)
-
-
-def _apply_uk(k: int, v: np.ndarray, u0: UnitaryOperator, tgt: int, dag: bool = False) -> np.ndarray:
-    """U_k v, or U_k^dag v with ``dag``."""
+def _apply_ak(k: int, v: np.ndarray, psi0: np.ndarray, tgt: int, dag: bool = False) -> np.ndarray:
+    """A_k v, or A_k^dag v with ``dag``."""
     if k == 0:
-        return u0.apply_dag(v) if dag else u0.apply(v)
-    return _raise_depth(k - 1, _apply_uk(k - 1, v, u0, tgt, dag), u0, tgt, dag)
+        return v
+    return _raise_depth(k - 1, _apply_ak(k - 1, v, psi0, tgt, dag), psi0, tgt, dag)
 
 
-def _raise_depth(k: int, w: np.ndarray, u0: UnitaryOperator, tgt: int, dag: bool = False) -> np.ndarray:
-    """U_k R_s U_k^dag R_t w, the map taking U_k v to U_{k+1} v, or with
-    ``dag`` the adjoint word U_k^dag R_t^dag U_k R_s^dag w: R_s first, phases
-    -pi/3.  Each state here is read once, by the step after it, so the phases
-    and U0 change it in place and the whole recursion works on one buffer."""
-    first, second = (0, tgt) if dag else (tgt, 0)
+def _raise_depth(k: int, w: np.ndarray, psi0: np.ndarray, tgt: int, dag: bool = False) -> np.ndarray:
+    """A_k R_psi A_k^dag R_t w, the map taking A_k v to A_{k+1} v, or with
+    ``dag`` the adjoint word A_k^dag R_t^dag A_k R_psi^dag w: R_psi first,
+    phases -pi/3.  Each state here is read once, by the step after it, so the
+    reflections change it in place and the whole recursion works on one
+    buffer."""
     phi = -math.pi / 3.0 if dag else math.pi / 3.0
-    w = selective_phase(w, first, phi)
-    w = _apply_uk(k, w, u0, tgt, not dag)
-    w = selective_phase(w, second, phi)
-    return _apply_uk(k, w, u0, tgt, dag)
+    w = _reflect_psi0(w, psi0, phi) if dag else selective_phase(w, tgt, phi)
+    w = _apply_ak(k, w, psi0, tgt, not dag)
+    w = selective_phase(w, tgt, phi) if dag else _reflect_psi0(w, psi0, phi)
+    return _apply_ak(k, w, psi0, tgt, dag)
 
 
 def closed_form_failure(eps: float, k):
@@ -151,32 +104,42 @@ def coefficient_track(c0: complex, depth: int) -> list[tuple[complex, float]]:
     return out
 
 
-def fixed_point_run(u0: UnitaryOperator, target: int, depth: int) -> list[RecursionState]:
-    """Run the recursion from the all-zeros register state |0> to the given
-    depth, returning both tracks per depth.
+def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> list[RecursionState]:
+    """Run the recursion from psi0 = U0|0>, a complex unit vector, to the
+    given depth, returning both tracks per depth.
 
     The simulated and coefficient tracks must agree to TOL_TRACKS at every
-    depth.
+    depth.  The simulated amplitudes carry rounding errors of up to 5e-15 at
+    N = 2, growing with N through the overlaps with psi0 to 4.3e-14 at
+    N = 4096, and the failure probability eps_k inherits about twice that
+    times sqrt(eps_k).  So eps_k follows eps^(3^k) to 1e-10 relative wherever
+    eps^(3^k) >= 1e-8; below that floor the relative error grows as
+    1/sqrt(eps^(3^k)) (4.2e-10 between 1e-11 and 1e-10, over initial
+    failures 0.100..0.999 at N = 2) until eps_k bottoms out at the squared
+    rounding, about 1e-30.
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_DEPTH} (operator word grows as 3^k)")
-    n = u0.n
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    n = psi0.shape[0]
     # a negative index would wrap silently
     if not 0 <= target < n:
         raise ValueError(f"index {target} out of range for N={n}")
-    source = np.zeros(n, dtype=np.complex128)
-    source[0] = 1.0
-    psi = u0.apply(source)
+    if not abs(np.vdot(psi0, psi0).real - 1.0) <= 1e-10:
+        raise ValueError("psi0 must be a unit vector")
+    psi = psi0.copy()
     states = []
     for k in range(depth + 1):
         if k:
-            psi = _raise_depth(k - 1, psi, u0, target)
+            psi = _raise_depth(k - 1, psi, psi0, target)
         c = complex(psi[target])
         # the failure probability is summed over the non-target amplitudes:
-        # 1 - |c|^2 loses all relative precision once eps^(3^k) is tiny
-        rest = psi.copy()
-        rest[target] = 0.0
-        eps = float(np.real(np.vdot(rest, rest)))
+        # 1 - |c|^2 loses all relative precision once eps^(3^k) is tiny.  The
+        # target amplitude is zeroed for the sum and put back, so no third
+        # state is made
+        psi[target] = 0.0
+        eps = float(np.real(np.vdot(psi, psi)))
+        psi[target] = c
         states.append(RecursionState(k=k, c_k=c, eps_k=eps))
     track = coefficient_track(states[0].c_k, depth)
     for rec, (c_rec, eps_rec) in zip(states, track):

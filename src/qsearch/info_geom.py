@@ -29,9 +29,6 @@ q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0 for the Lagrangian
 L0 e^{-gamma theta}, in one form: central differences of a path callable.
 The flat case here (L0 = 2, gamma = 0) and the damped closed form of
 :mod:`qsearch.fixed_point` both call it.
-
-:func:`_check_unitary` is the one unitarity check of a dense matrix, which
-:mod:`qsearch.fixed_point` applies to U0.
 """
 from __future__ import annotations
 
@@ -180,17 +177,3 @@ def solve_geodesic(
     resid = np.max(np.abs(geodesic_residual(path, column)), axis=1)
     return GeodesicSolution(thetas=thetas, q=path(column), residual=resid)
 
-
-# -- unitarity ---------------------------------------------------------------
-
-
-def _check_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a square unitary matrix; returns it with its adjoint."""
-    u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[0]
-    if u.shape != (n, n):
-        raise ValueError("U must be square")
-    u_dag = u.conj().T
-    if np.max(np.abs(u_dag @ u - np.eye(n))) > 1e-10:
-        raise ValueError("U must be unitary")
-    return u, u_dag

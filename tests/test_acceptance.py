@@ -246,7 +246,7 @@ def test_c08_fixed_point_failure_law():
 
     def check(u0, target):
         nonlocal worst
-        states = fp.fixed_point_run(fp.dense_operator(u0), target=target, depth=3)
+        states = fp.fixed_point_run(u0[:, 0], target=target, depth=3)
         eps0 = states[0].eps_k
         for rec in states:
             want = fp.closed_form_failure(eps0, rec.k)

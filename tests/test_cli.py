@@ -28,6 +28,7 @@ from qsearch import info_geom as ig
 from qsearch import msta
 from qsearch.ga_core import Multivector, Rotor, reverse
 from test_analog_search import ga_fenner_basis_change
+from test_fixed_point import basis_state, dense_operator, walsh_hadamard_operator
 
 
 # CPython's SHA-256 module, `_sha2` from 3.12 and `_sha256` before
@@ -265,7 +266,7 @@ class TestFixedPoint:
         # the tolerance set just below the measured deviation: the printed
         # deviation must still read above the printed tolerance
         fp = cli.fp
-        states = fp.fixed_point_run(fp.walsh_hadamard_operator(4), target=0, depth=2)
+        states = fp.fixed_point_run(np.full(16, 0.25, dtype=np.complex128), target=0, depth=2)
         track = fp.coefficient_track(states[0].c_k, 2)
         measured = max(max(abs(s.c_k - c), abs(s.eps_k - e)) for s, (c, e) in zip(states, track))
         monkeypatch.setattr(fp, "TOL_TRACKS", float(np.nextafter(measured, -1.0)))
@@ -282,10 +283,49 @@ class TestFixedPoint:
         with pytest.raises(RecursionError):
             run_cli(["fixed-point", "--N", "16", "--depth", "2"], tmp_path)
 
+    @staticmethod
+    def run_psi0(tmp_path, monkeypatch, argv):
+        """The psi0 that `fixed-point` hands the recursion."""
+        seen = []
+        run = cli.fp.fixed_point_run
+        monkeypatch.setattr(cli.fp, "fixed_point_run", lambda psi0, **kw: seen.append(psi0.copy()) or run(psi0, **kw))
+        assert run_cli(["fixed-point", *argv, "--depth", "0"], tmp_path) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("n_qubits", range(1, 11))
+    def test_walsh_hadamard_psi0_is_the_butterfly_to_the_bit(self, tmp_path, monkeypatch, n_qubits):
+        # H^(x)n|0> by the butterfly that U0 used to be: depth-0 rows and
+        # eps0_computed keep their bytes
+        n = 1 << n_qubits
+        got = self.run_psi0(tmp_path, monkeypatch, ["--u0", "wh", "--N", str(n)])
+        assert got.tobytes() == walsh_hadamard_operator(n_qubits).apply(basis_state(n, 0)).tobytes()
+
+    @pytest.mark.parametrize("eps", ["0", "0.1", "0.25", "0.5", "0.9", "0.999"])
+    def test_epsilon_psi0_is_the_two_level_column_exactly(self, tmp_path, monkeypatch, eps):
+        # equal values; at epsilon 0 the first amplitude is -0.0 where the
+        # matrix product gave +0.0
+        s, c = math.sqrt(float(eps)), math.sqrt(1.0 - float(eps))
+        want = dense_operator(np.array([[-s, c], [c, s]])).apply(basis_state(2, 0))
+        assert np.array_equal(self.run_psi0(tmp_path, monkeypatch, ["--epsilon", eps]), want)
+
+    def test_random_psi0_is_a_normalized_draw(self, tmp_path, monkeypatch):
+        got = self.run_psi0(tmp_path, monkeypatch, ["--u0", "random", "--N", "64", "--seed", "3"])
+        z = cli._complex_normals(3, 64)
+        assert np.array_equal(got, z / np.linalg.norm(z))
+
+    def test_epsilon_manifest_records_what_ran(self, tmp_path):
+        # --epsilon runs N = 2 and target 1, whatever --N and --target say
+        argv = ["fixed-point", "--epsilon", "0.1", "--N", "64", "--target", "5", "--depth", "2"]
+        assert run_cli(argv, tmp_path) == 0
+        params = json.loads((tmp_path / "fixed-point_manifest.json").read_text())["params"]
+        assert (params["N"], params["target"], params["epsilon"]) == (2, 1, 0.1)
+        assert params["eps0_computed"] == pytest.approx(0.1, rel=1e-15)
+
     def test_walsh_hadamard_auto_epsilon(self, tmp_path):
         run_cli(["fixed-point", "--u0", "wh", "--N", "4", "--depth", "2", "--target", "2"], tmp_path)
         manifest = json.loads((tmp_path / "fixed-point_manifest.json").read_text())
         assert manifest["params"]["eps0_computed"] == pytest.approx(0.75, abs=1e-12)
+        assert (manifest["params"]["N"], manifest["params"]["target"]) == (4, 2)
 
     def test_random_u0_follows_failure_law(self, tmp_path):
         run_cli(["fixed-point", "--u0", "random", "--N", "8", "--depth", "3", "--seed", "5"], tmp_path)
@@ -302,14 +342,12 @@ class TestFixedPoint:
         assert run_cli(["fixed-point", "--u0", "wh", "--N", n, "--depth", "2"], tmp_path) == cli.EXIT_DOMAIN
         assert f"N={n}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "u0, n", [("wh", 2 * cli._N_CAP), ("random", cli._RANDOM_U0_CAP + 1)]
-    )
+    @pytest.mark.parametrize("u0, n", [("wh", 2 * cli._N_CAP), ("random", 2 * cli._N_CAP)])
     def test_size_caps_checked_before_allocating(self, tmp_path, capsys, u0, n):
         code, peak = run_cli_traced(["fixed-point", "--u0", u0, "--N", str(n), "--depth", "1"], tmp_path)
         assert code == cli.EXIT_DOMAIN
         assert f"N={n}" in capsys.readouterr().err
-        # one wh state at twice the cap is 128 MiB, one random matrix 16 MiB
+        # one state at twice the cap is 128 MiB
         assert peak < 4 << 20
 
     def test_walsh_hadamard_large_n(self, tmp_path):
@@ -1284,7 +1322,8 @@ class TestRunner:
             ),
             (
                 ["fixed-point", "--epsilon", "0.25", "--depth", "1", "--seed", "9"],
-                {"epsilon": 0.25, "u0": "wh", "N": 4, "depth": 1, "target": 0, "seed": 9, "eps0_computed": 0.25},
+                # --epsilon runs N = 2 and target 1: the manifest records those
+                {"epsilon": 0.25, "u0": "wh", "N": 2, "depth": 1, "target": 1, "seed": 9, "eps0_computed": 0.25},
             ),
         ],
         ids=["geodesic", "damped", "fixed-point"],

@@ -1,8 +1,8 @@
 """Guard against uncalled library surface.
 
-Every module-level public function, class or constant in ``src/qsearch``
-must be referenced somewhere outside its own definition by library code: it
-is on a subcommand's call chain.  So must every public method of a public
+Every module-level function, class or constant in ``src/qsearch``, private
+names included (dunders are exempt), must be referenced somewhere outside its
+own definition by library code: it is on a subcommand's call chain.  So must every public method of a public
 class there, read as an attribute (dunders are exempt).  A test alone, the
 acceptance gate included, does not keep a name alive; an oracle that only
 tests use belongs in ``tests/``.  The keep-list names the exceptions: each is
@@ -70,8 +70,8 @@ def public_methods(node):
 
 
 def unreferenced(trees=TREES):
-    """`module.name` of each module-level public def, class or assigned name
-    that no tree reads outside the definition itself, and
+    """`module.name` of each module-level def, class or assigned name, dunders
+    aside, that no tree reads outside the definition itself, and
     `module.Class.method` of each public method that no tree reads as an
     attribute outside the method itself."""
     read = {path: read_names(tree) for path, tree in trees.items()}
@@ -80,7 +80,7 @@ def unreferenced(trees=TREES):
         for node in tree.body:
             own = {id(n) for n in ast.walk(node)}
             for name in defined_names(node):
-                if name.startswith("_"):
+                if name.startswith("__") and name.endswith("__"):
                     continue
                 elsewhere = any(name in names | attrs for other, (names, attrs) in read.items() if other != path)
                 if not elsewhere and name not in set().union(*read_names(tree, own)):
@@ -105,7 +105,7 @@ def traced_names():
 
 def test_every_public_name_is_used():
     dead = [name for name in unreferenced() if name not in KEEP]
-    assert dead == [], f"uncalled public names (delete, move to tests/, or keep-list with a reason): {dead}"
+    assert dead == [], f"uncalled names (delete, move to tests/, or keep-list with a reason): {dead}"
 
 
 def test_keep_list_entries_are_needed_and_explained():
@@ -139,3 +139,10 @@ def test_uncalled_method_is_flagged():
     )
     tree = ast.parse(source)
     assert unreferenced({"m.py": tree, "n.py": ast.parse("import m\nm.C\nm.f\nm._P")}) == ["m.C.idle"]
+
+
+def test_uncalled_private_name_is_flagged():
+    # a private def or constant read only by tests is as dead as a public one;
+    # a dunder is read by the interpreter, not by source
+    source = "_CAP = 4\n_USED = 2\n__version__ = '1'\ndef _check(u): return u\ndef f(): return _USED\n"
+    assert unreferenced({"m.py": ast.parse(source), "n.py": ast.parse("import m\nm.f")}) == ["m._CAP", "m._check"]

@@ -1,17 +1,19 @@
 """Fixed-point recursion checks: the selective phase against its
 anchor-vector form, the eps^(3^k) failure law against exact simulation, the
-overlap-coefficient identities, the damped Fisher information, and the
-Bessel closed form of the damped geodesic."""
+reflection about psi0 against the U0-word recursion, the overlap-coefficient
+identities, the damped Fisher information, and the Bessel closed form of the
+damped geodesic."""
 import cmath
 import math
 import tracemalloc
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
-from test_info_geom import general_iterate
+from test_info_geom import check_unitary, general_iterate
 
 
 def damped_fisher(c, rate, theta):
@@ -69,6 +71,97 @@ def haar_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def uniform_state(n):
+    """psi0 = H^{(x)n}|0>, as `fixed-point --u0 wh` builds it."""
+    return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+
+
+# -- oracle: the U0-word recursion U_{k+1} = U_k R_s U_k^dag R_t U_k, which
+# applies U0 or its adjoint 3^k times to reach depth k
+
+
+class UnitaryOperator(NamedTuple):
+    """A unitary on C^n given by its action on states: apply(v) overwrites
+    the complex128 state v with U v and returns it, and apply_dag(v) with
+    U^dag v."""
+
+    n: int
+    apply: Callable[[np.ndarray], np.ndarray]
+    apply_dag: Callable[[np.ndarray], np.ndarray]
+
+
+def dense_operator(u):
+    """Operator of a dense unitary matrix, validated, with its adjoint
+    formed once; each product is written back into its state."""
+    u, u_dag = check_unitary(u)
+    return UnitaryOperator(u.shape[0], lambda v: np.matmul(u, v, out=v), lambda v: np.matmul(u_dag, v, out=v))
+
+
+def walsh_hadamard_transform(v):
+    """H^{(x)n} v for a complex128 state of length N = 2^n in O(N log N),
+    written into v, which is returned: radix-2 butterflies in constant
+    geometry, each pass transforming the lowest index bit and rotating it to
+    the top.  On a basis state the butterflies are exact integer sums, so
+    the amplitudes carry only the rounding of the one final scaling by
+    1/sqrt(N)."""
+    size = v.shape[0] if isinstance(v, np.ndarray) and v.ndim == 1 else 0
+    if size < 2 or size & (size - 1):
+        raise ValueError("the Walsh-Hadamard transform needs a vector of length 2^n, n >= 1")
+    if v.dtype != np.complex128:
+        raise ValueError(f"the Walsh-Hadamard transform works in place on complex128, got {v.dtype}")
+    x, y = v, np.empty_like(v)
+    half = size // 2
+    for _ in range(size.bit_length() - 1):
+        even, odd = x[0::2], x[1::2]
+        np.add(even, odd, out=y[:half])
+        np.subtract(even, odd, out=y[half:])
+        x, y = y, x
+    if x is not v:
+        v[:] = x
+    v *= 1.0 / math.sqrt(size)
+    return v
+
+
+def walsh_hadamard_operator(n_qubits):
+    """H^{(x)n} on N = 2^n amplitudes, self-adjoint."""
+    if n_qubits < 1:
+        raise ValueError("the Walsh-Hadamard operator needs at least one qubit")
+    return UnitaryOperator(1 << n_qubits, walsh_hadamard_transform, walsh_hadamard_transform)
+
+
+def word_apply_uk(k, v, u0, tgt, dag=False):
+    """U_k v, or U_k^dag v with ``dag``, through the U0 word."""
+    if k == 0:
+        return u0.apply_dag(v) if dag else u0.apply(v)
+    return word_raise_depth(k - 1, word_apply_uk(k - 1, v, u0, tgt, dag), u0, tgt, dag)
+
+
+def word_raise_depth(k, w, u0, tgt, dag=False):
+    """U_k R_s U_k^dag R_t w, or with ``dag`` U_k^dag R_t^dag U_k R_s^dag w."""
+    first, second = (0, tgt) if dag else (tgt, 0)
+    phi = -math.pi / 3.0 if dag else math.pi / 3.0
+    w = fp.selective_phase(w, first, phi)
+    w = word_apply_uk(k, w, u0, tgt, not dag)
+    w = fp.selective_phase(w, second, phi)
+    return word_apply_uk(k, w, u0, tgt, dag)
+
+
+def word_states(u0, target, depth):
+    """U_k|0> for k = 0..depth, each depth raised from the one before."""
+    psi = u0.apply(basis_state(u0.n, 0))
+    states = [psi.copy()]
+    for k in range(depth):
+        psi = word_raise_depth(k, psi, u0, target)
+        states.append(psi.copy())
+    return states
+
+
+def overlap_and_failure(psi, target):
+    rest = psi.copy()
+    rest[target] = 0.0
+    return complex(psi[target]), float(np.real(np.vdot(rest, rest)))
+
+
 class TestSelectivePhase:
     def test_pi_reduces_to_reflection(self):
         n = 8
@@ -107,7 +200,7 @@ class TestSelectivePhase:
 
 class TestFailureLaw:
     def test_walsh_hadamard_n4(self):
-        states = fp.fixed_point_run(fp.dense_operator(walsh_hadamard(2)), target=2, depth=3)
+        states = fp.fixed_point_run(walsh_hadamard(2)[:, 0], target=2, depth=3)
         eps = states[0].eps_k
         assert abs(eps - 0.75) < 1e-14
         for rec in states:
@@ -120,33 +213,37 @@ class TestFailureLaw:
             n = int(rng.choice([4, 8, 16]))
             u0 = haar_unitary(n, rng)
             target = int(rng.integers(0, n))
-            states = fp.fixed_point_run(fp.dense_operator(u0), target=target, depth=3)
+            states = fp.fixed_point_run(u0[:, 0], target=target, depth=3)
             eps = states[0].eps_k
             for rec in states:
                 want = fp.closed_form_failure(eps, rec.k)
                 assert abs(rec.eps_k - want) <= 1e-10 * max(want, 1e-12)
 
     def test_monotone_decrease(self):
-        states = fp.fixed_point_run(fp.dense_operator(walsh_hadamard(3)), target=1, depth=3)
+        states = fp.fixed_point_run(walsh_hadamard(3)[:, 0], target=1, depth=3)
         fails = [rec.eps_k for rec in states]
         assert all(a > b for a, b in zip(fails, fails[1:]))
 
     def test_exact_start_stays_exact(self):
         # U0 mapping source directly onto the target: eps = 0 at every depth
-        u0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        states = fp.fixed_point_run(fp.dense_operator(u0), target=1, depth=3)
+        states = fp.fixed_point_run(np.array([0.0, 1.0]), target=1, depth=3)
         for rec in states:
             assert rec.eps_k < 1e-12
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
-            fp.fixed_point_run(fp.walsh_hadamard_operator(2), target=0, depth=6)
+            fp.fixed_point_run(uniform_state(4), target=0, depth=6)
 
     @pytest.mark.parametrize("target", [-1, 4])
     def test_target_out_of_range_rejected(self, target):
         # a negative index would otherwise wrap to the last amplitude
         with pytest.raises(ValueError, match=f"index {target} out of range for N=4"):
-            fp.fixed_point_run(fp.walsh_hadamard_operator(2), target=target, depth=2)
+            fp.fixed_point_run(uniform_state(4), target=target, depth=2)
+
+    @pytest.mark.parametrize("psi0", [np.ones(4), np.full(4, 0.5 + 1e-9), np.zeros(4)], ids=["norm-2", "near", "zero"])
+    def test_psi0_that_is_not_a_unit_vector_rejected(self, psi0):
+        with pytest.raises(ValueError, match="psi0 must be a unit vector"):
+            fp.fixed_point_run(psi0, target=0, depth=1)
 
     @pytest.mark.parametrize(
         "u, message",
@@ -155,8 +252,8 @@ class TestFailureLaw:
     )
     @pytest.mark.parametrize(
         "run",
-        [lambda u: fp.fixed_point_run(fp.dense_operator(u), target=1, depth=1), lambda u: general_iterate(u, 0, 1)],
-        ids=["fixed_point_run", "general_iterate"],
+        [lambda u: word_states(dense_operator(u), target=1, depth=1), lambda u: general_iterate(u, 0, 1)],
+        ids=["dense_operator", "general_iterate"],
     )
     def test_matrix_that_is_not_unitary_rejected(self, run, u, message):
         with pytest.raises(ValueError, match=message):
@@ -171,40 +268,70 @@ class TestFailureLaw:
         for eps in np.random.default_rng(8).random(200).tolist():
             assert fp.closed_form_failure(eps, np.arange(6)).tolist() == [eps ** 3**k for k in range(6)]
 
+    @staticmethod
+    def starts():
+        """(psi0, target) of `fixed-point --u0 wh` at N = 2..4096, target 0
+        and N - 1, and of `--epsilon` at 0.100..0.999 in steps of 0.001."""
+        for n in (1 << j for j in range(1, 13)):
+            for target in (0, n - 1):
+                yield uniform_state(n), target
+        for eps in np.round(np.arange(0.1, 0.9995, 0.001), 3).tolist():
+            yield np.array([-math.sqrt(eps), math.sqrt(1.0 - eps)], dtype=np.complex128), 1
+
+    def test_failure_law_bound_and_floor(self):
+        # the bound: 1e-10 relative wherever eps^(3^k) >= 1e-8.  The floor:
+        # the simulated failure amplitude sqrt(eps_k) stays within 1e-13 of
+        # the closed form's at every depth, so below 1e-8 the relative error
+        # grows as 1/sqrt(eps^(3^k)) (2e-10 at 1e-10) and eps_k bottoms out
+        # near 1e-30 where the closed form is far smaller
+        worst_rel, worst_amp = 0.0, 0.0
+        for psi0, target in self.starts():
+            states = fp.fixed_point_run(psi0, target=target, depth=5)
+            closed = fp.closed_form_failure(states[0].eps_k, np.arange(6))
+            sim = np.array([rec.eps_k for rec in states])
+            rel = np.abs(sim - closed) / np.maximum(closed, 1e-300)
+            worst_rel = max(worst_rel, float(rel[closed >= 1e-8].max()))
+            worst_amp = max(worst_amp, float(np.abs(np.sqrt(sim) - np.sqrt(closed)).max()))
+        assert worst_rel <= 1e-10
+        assert worst_amp <= 1e-13
+
 
 class TestWalshHadamardOperator:
+    """The butterfly H^{(x)n} of the U0-word oracle, and the run from the
+    uniform psi0 that replaces it."""
+
     def test_transform_matches_kron_matrix(self):
         rng = np.random.default_rng(55)
         for n_qubits in range(1, 9):
             dense = walsh_hadamard(n_qubits)
             for _ in range(3):
                 v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-                got = fp.walsh_hadamard_transform(v.copy())
+                got = walsh_hadamard_transform(v.copy())
                 assert np.max(np.abs(got - dense @ v)) < 1e-13
-                assert np.max(np.abs(fp.walsh_hadamard_transform(got.copy()) - v)) < 1e-13
+                assert np.max(np.abs(walsh_hadamard_transform(got.copy()) - v)) < 1e-13
 
     def test_transform_works_in_place(self):
         # an odd number of passes ends in the scratch buffer and is copied back
         for n_qubits in (1, 2, 3):
             v = np.arange(1 << n_qubits, dtype=np.complex128)
             want = walsh_hadamard(n_qubits) @ v
-            assert fp.walsh_hadamard_transform(v) is v
+            assert walsh_hadamard_transform(v) is v
             assert np.max(np.abs(v - want)) < 1e-13
 
     @pytest.mark.parametrize("length", [0, 1, 3, 12])
     def test_transform_rejects_other_lengths(self, length):
         with pytest.raises(ValueError):
-            fp.walsh_hadamard_transform(np.ones(length, dtype=np.complex128))
+            walsh_hadamard_transform(np.ones(length, dtype=np.complex128))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
     def test_transform_rejects_other_dtypes(self, dtype):
         with pytest.raises(ValueError, match="complex128"):
-            fp.walsh_hadamard_transform(np.ones(8, dtype=dtype))
+            walsh_hadamard_transform(np.ones(8, dtype=dtype))
 
     def test_dense_operator_works_in_place(self):
         rng = np.random.default_rng(56)
         u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        op = fp.dense_operator(u)
+        op = dense_operator(u)
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         for apply, mat in ((op.apply, u), (op.apply_dag, u.conj().T)):
             w = v.copy()
@@ -213,62 +340,92 @@ class TestWalshHadamardOperator:
 
     def test_operator_needs_a_qubit(self):
         with pytest.raises(ValueError):
-            fp.walsh_hadamard_operator(0)
+            walsh_hadamard_operator(0)
 
     def test_run_matches_dense_matrix(self):
         for n_qubits, target in [(1, 1), (2, 2), (3, 5), (5, 0), (6, 41), (8, 200)]:
-            fast = fp.fixed_point_run(fp.walsh_hadamard_operator(n_qubits), target=target, depth=4)
-            dense = fp.fixed_point_run(fp.dense_operator(walsh_hadamard(n_qubits)), target=target, depth=4)
-            for a, b in zip(fast, dense):
-                assert abs(a.eps_k - b.eps_k) < 1e-12
+            fast = fp.fixed_point_run(uniform_state(1 << n_qubits), target=target, depth=4)
+            dense = word_states(dense_operator(walsh_hadamard(n_qubits)), target, depth=4)
+            for rec, psi in zip(fast, dense):
+                c, eps = overlap_and_failure(psi, target)
+                assert abs(rec.c_k - c) < 1e-12
+                assert abs(rec.eps_k - eps) < 1e-12
 
     def test_depth_reuse_counts(self, monkeypatch):
-        # depth k + 1 starts from depth k's state: reaching depth 5 applies U0
-        # or its adjoint 3^5 times and the selective phases 242 times
-        applied = []
-        wh = fp.walsh_hadamard_operator(4)
-        counted = fp.UnitaryOperator(
-            wh.n,
-            lambda v: applied.append(1) or wh.apply(v),
-            lambda v: applied.append(1) or wh.apply_dag(v),
-        )
-        phases = []
-        selective_phase = fp.selective_phase
-        monkeypatch.setattr(fp, "selective_phase", lambda *a: phases.append(1) or selective_phase(*a))
-        fp.fixed_point_run(counted, target=3, depth=5)
-        assert len(applied) == 3**5
-        assert len(phases) == 242
+        # depth k + 1 starts from depth k's state: reaching depth 5 reflects
+        # about psi0 and about the target (3^5 - 1)/2 = 121 times each; the
+        # word has no U0 letter left, and the run is given none
+        calls = {"psi0": 0, "target": 0}
+        reflect_psi0, selective_phase = fp._reflect_psi0, fp.selective_phase
+
+        def counted(key, step):
+            def wrapper(*args):
+                calls[key] += 1
+                return step(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(fp, "_reflect_psi0", counted("psi0", reflect_psi0))
+        monkeypatch.setattr(fp, "selective_phase", counted("target", selective_phase))
+        fp.fixed_point_run(uniform_state(16), target=3, depth=5)
+        assert calls == {"psi0": 121, "target": 121}
 
     def test_peak_memory_is_a_few_states(self):
-        # the run keeps one state, not one per depth, and the recursion steps
-        # it in place: the state, the transform's scratch buffer and the
-        # failure sum's copy
+        # the run keeps one state beside psi0, not one per depth, steps it in
+        # place, and sums the failure probability without a copy: its own
+        # allocations are that state and one reflection chunk
         n = 1 << 16
         state_bytes = 16 * n
+        psi0 = uniform_state(n)
         tracemalloc.start()
         try:
-            fp.fixed_point_run(fp.walsh_hadamard_operator(16), target=12345, depth=5)
+            fp.fixed_point_run(psi0, target=12345, depth=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * state_bytes
+        assert peak <= state_bytes + 2 * 16 * fp._CHUNK
 
 
 class TestAdjointRecursion:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("u0_kind, n", [("random", 4), ("random", 8), ("wh", 8)])
     def test_dag_is_the_adjoint_of_u_k(self, u0_kind, n, k):
-        # U_k built column by column from basis states, against the
-        # recursion run with dag on the same basis states
-        if u0_kind == "wh":
-            u0 = fp.walsh_hadamard_operator(3)
-        else:
-            u0 = fp.dense_operator(haar_unitary(n, np.random.default_rng(57 + n)))
-        tgt = n - 2
-        u_k = np.column_stack([fp._apply_uk(k, basis_state(n, j), u0, tgt) for j in range(n)])
-        u_k_dag = np.column_stack([fp._apply_uk(k, basis_state(n, j), u0, tgt, dag=True) for j in range(n)])
-        assert np.max(np.abs(u_k_dag - u_k.conj().T)) < 1e-12
-        assert np.max(np.abs(u_k_dag @ u_k - np.eye(n))) < 1e-12
+        # A_k built column by column from basis states, against the
+        # recursion run with dag on the same basis states; U_k = A_k U0 and
+        # U_k^dag = U0^dag A_k^dag against the U0 word
+        u0 = walsh_hadamard(3) if u0_kind == "wh" else haar_unitary(n, np.random.default_rng(57 + n))
+        psi0, tgt = u0[:, 0].copy(), n - 2
+        a_k = np.column_stack([fp._apply_ak(k, basis_state(n, j), psi0, tgt) for j in range(n)])
+        a_k_dag = np.column_stack([fp._apply_ak(k, basis_state(n, j), psi0, tgt, dag=True) for j in range(n)])
+        assert np.max(np.abs(a_k_dag - a_k.conj().T)) < 1e-12
+        assert np.max(np.abs(a_k_dag @ a_k - np.eye(n))) < 1e-12
+        op = dense_operator(u0)
+        u_k = np.column_stack([word_apply_uk(k, basis_state(n, j), op, tgt) for j in range(n)])
+        u_k_dag = np.column_stack([word_apply_uk(k, basis_state(n, j), op, tgt, dag=True) for j in range(n)])
+        assert np.max(np.abs(a_k @ u0 - u_k)) < 1e-12
+        assert np.max(np.abs(u0.conj().T @ a_k_dag - u_k_dag)) < 1e-12
+
+
+class TestU0Word:
+    @pytest.mark.parametrize(
+        "u0",
+        [walsh_hadamard(n_qubits) for n_qubits in range(1, 9)]
+        + [haar_unitary(n, np.random.default_rng(60 + n)) for n in (2, 3, 5, 16)],
+        ids=[f"kron-{1 << n_qubits}" for n_qubits in range(1, 9)] + [f"haar-{n}" for n in (2, 3, 5, 16)],
+    )
+    def test_states_match_the_u0_word(self, u0):
+        # A_k psi0 against U_k|0> from the word that applies U0 3^k times,
+        # at every depth up to 4 and for the first and last target
+        n = u0.shape[0]
+        psi0 = u0[:, 0].copy()
+        for target in sorted({0, n - 1}):
+            want = word_states(dense_operator(u0), target, depth=4)
+            run = fp.fixed_point_run(psi0, target=target, depth=4)
+            for k, psi in enumerate(want):
+                got = fp._apply_ak(k, psi0.copy(), psi0, target)
+                assert np.max(np.abs(got - psi)) < 1e-12
+                c, eps = overlap_and_failure(psi, target)
+                assert abs(run[k].c_k - c) < 1e-12 and abs(run[k].eps_k - eps) < 1e-12
 
 
 class TestCoefficientIdentity:

@@ -138,9 +138,21 @@ def wy_step_length(u):
     return 16.0 * u * u * (1.0 - u * u)
 
 
+def check_unitary(u):
+    """Validate a square unitary matrix; returns it with its adjoint."""
+    u = np.asarray(u, dtype=np.complex128)
+    n = u.shape[0]
+    if u.shape != (n, n):
+        raise ValueError("U must be square")
+    u_dag = u.conj().T
+    if np.max(np.abs(u_dag @ u - np.eye(n))) > 1e-10:
+        raise ValueError("U must be unitary")
+    return u, u_dag
+
+
 def general_iterate(u_mat, i, f):
     """General search iterate G = -I_i U^{-1} I_f U for basis states i, f."""
-    u_mat, u_dag = ig._check_unitary(u_mat)
+    u_mat, u_dag = check_unitary(u_mat)
     n = u_mat.shape[0]
     if not (0 <= i < n and 0 <= f < n):
         raise ValueError("state indices out of range")
