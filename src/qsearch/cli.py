@@ -3,8 +3,9 @@
 Each subcommand `cmd_<name>(args)` checks its arguments, computes its
 columns and returns `(computed, tables, written)`: the values it derived that
 the manifest records beside the options (only `fixed-point`'s
-`eps0_computed`, and under `--epsilon` the N and target that ran, which
-replace the options'), a list of `(file name, header, columns)` tables, and the
+`eps0_computed`, and what ran in place of its options: under `--epsilon`
+N = 2, target 1 and a null `u0`, and a null `seed` wherever nothing was
+drawn), a list of `(file name, header, columns)` tables, and the
 CSVs it wrote itself as (path, SHA-256) pairs (only `sweep`'s cells write
 their own).  The runner `_dispatch` alone writes the outputs: it makes the
 output directory once the command returns, writes each table as a CSV, and
@@ -15,7 +16,8 @@ numeric output uses 17-significant-digit formatting, so reruns on the same
 platform produce byte-identical CSVs (manifests differ only in their timestamps).
 The randomized path, `fixed-point --u0 random`, draws complex normals from
 the standard library's Mersenne Twister seeded by --seed (`_complex_normals`),
-and the seed is recorded in the manifest.
+and the seed is recorded in the manifest; a run that draws nothing records a
+null seed.
 
 Exit codes: 0 success, 2 usage or configuration error (an output directory
 or file that cannot be made or written among them), 3 numeric-domain
@@ -330,6 +332,9 @@ def cmd_fixed_point(args):
     if args.depth < 0 or args.depth > fp.MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {fp.MAX_DEPTH}")
     n, target = args.N, args.target
+    # what the manifest records in place of the options: what ran, and a
+    # null seed where nothing was drawn
+    ran = {}
     # psi0 = U0|0>, the one column of U0 the recursion reads
     if args.epsilon is not None:
         if not 0.0 <= args.epsilon < 1.0:
@@ -338,6 +343,7 @@ def cmd_fixed_point(args):
         # source-to-target amplitude c gives failure epsilon
         psi0 = np.array([-math.sqrt(args.epsilon), math.sqrt(1.0 - args.epsilon)], dtype=np.complex128)
         n, target = 2, 1
+        ran = {"N": n, "target": target, "u0": None, "seed": None}
     elif args.u0 == "wh":
         # H^{(x)n}|0>, the uniform state.  The run holds it and one state of
         # N amplitudes, and the cap is digital's: depth 5 takes about 0.4 s
@@ -348,6 +354,7 @@ def cmd_fixed_point(args):
                 f"Walsh-Hadamard initialization needs N = 2^n with 2 <= N <= {_N_CAP}, got N={n}"
             )
         psi0 = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        ran = {"seed": None}
     else:
         if not 1 <= n <= _N_CAP:
             raise ValueError(f"random U0 needs 1 <= N <= {_N_CAP}, got N={n}")
@@ -358,10 +365,6 @@ def cmd_fixed_point(args):
         psi0 /= np.linalg.norm(psi0)
     states = fp.fixed_point_run(psi0, target=target, depth=args.depth)
     eps0 = states[0].eps_k
-    computed = {"eps0_computed": eps0}
-    if args.epsilon is not None:
-        # the manifest records the N and target that ran, not the options'
-        computed |= {"N": n, "target": target}
     # one row per depth k = 1..depth, or depth 0's row alone
     ks = np.arange(min(1, args.depth), args.depth + 1)
     closed = fp.closed_form_failure(eps0, ks)
@@ -369,7 +372,7 @@ def cmd_fixed_point(args):
 
     header = ["k", "eps_k_closed", "eps_k_simulated", "rel_error"]
     columns = [ks, closed, sim, np.abs(sim - closed) / np.maximum(closed, 1e-300)]
-    return computed, [(f"fixed_point_depth{args.depth}.csv", header, columns)], []
+    return {"eps0_computed": eps0} | ran, [(f"fixed_point_depth{args.depth}.csv", header, columns)], []
 
 
 # -- damped geodesic ------------------------------------------------------------
@@ -504,7 +507,7 @@ def cmd_ga_verify(args):
         for col in ((1, 0), (0, 1j), (0, -1), (1j, 0)):
             product = ga_core.geometric_product(g2, msta.qubit_to_mv(*col))
             # the odd blades 1, 2, 4 and 7, which mv_to_qubit drops, must stay 0
-            dev = [*np.subtract(msta.mv_to_qubit(product), np.transpose(iterate) @ col), *product.coeffs[[1, 2, 4, 7]]]
+            dev = [*np.subtract(msta.mv_to_qubit(product), np.transpose(iterate) @ col), *product[[1, 2, 4, 7]]]
             worst = max(worst, float(np.abs(dev).max()))
         _require_agreement("iterates on the basis spinors", worst, n, msta.TOL_STATE)
         blocks.append((["spinor_iterate"], [n], [1], [worst], [0.0], [worst]))
@@ -616,8 +619,7 @@ def cmd_sweep(args):
     index_rows = []
     for cell in cells:
         name = _cell_name(cfg.subcommand, cell, cfg.grids.keys())
-        # a cell inherits the sweep's --seed unless the config sets one
-        argv = [cfg.subcommand, "--seed", str(args.seed)]
+        argv = [cfg.subcommand]
         for key, value in cell.items():
             argv.extend([f"--{key.replace('_', '-')}", str(value)])
         argv.extend(["--out", str(_out_dir(args) / name)])
@@ -699,7 +701,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     def subcommand(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None, help="output directory (env QSEARCH_OUT overrides the default)")
-        p.add_argument("--seed", type=_nonnegative_int, default=0, help="seed of the random draws, if any")
         p.set_defaults(func=func)
         return p
 
@@ -721,6 +722,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--target", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="seed of the --u0 random draw")
 
     p = subcommand("damped", cmd_damped, "damped geodesic solution and residuals")
     p.add_argument("--L0", type=_finite_float, default=2.0)
@@ -747,6 +749,9 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = subcommand("ga-verify", cmd_ga_verify, "rotor vs state-vector cross-verification table")
     p.add_argument("--N-list", dest="N_list", type=_int_list, default="4,16,64,256,1024")
     p.add_argument("--k-max", dest="k_max", type=_nonnegative_int, default=None)
+    # no run reads it: the command draws nothing, but the benchmark's
+    # crosscheck workload still passes one
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="accepted and recorded; nothing reads it")
 
     p = subcommand("sweep", cmd_sweep, "cartesian parameter sweep from a config file")
     p.add_argument("--config", required=True)

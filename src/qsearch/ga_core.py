@@ -2,17 +2,18 @@
 product, reversion, the bivector exponential and the rotors that sandwich
 vectors.
 
-Multivectors are dense real coefficient arrays of length 8, indexed by blade
-bitmask: bit i set means basis vector e_{i+1} is present, and blades are read
-in ascending index order.  Every basis vector squares to +1.
+A multivector is its dense real coefficient array: a float64 array of
+length 8, indexed by blade bitmask, where bit i set means basis vector
+e_{i+1} is present and blades are read in ascending index order.  Every
+basis vector squares to +1.
 
 The product reads 8 x 8 tables built once at import: a gather index and a
 blade-sign table.
 
-Everything here is a pure function over immutable values: coefficient arrays
-are frozen after construction (the public constructor freezes a copy, a
-product freezes the array it has just built), so multivectors are safe to
-share across worker processes or threads.
+Everything here is a pure function.  A product returns a fresh array that
+its caller owns; the values shared between callers are read-only: the
+tables, each `basis_vector`, and a rotor's coefficients and their reverse,
+so they are safe to share across worker processes or threads.
 """
 from __future__ import annotations
 
@@ -61,123 +62,64 @@ def _build_tables():
 _GRADES, _INDEX, _GEOMETRIC, _ODD_BLADES, _REVERSE_SIGNS = _build_tables()
 
 
-class Multivector:
-    """Dense real multivector of Cl(3).
-
-    Instances are immutable; arithmetic returns new objects.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        arr = np.array(coeffs, dtype=np.float64)
-        if arr.shape != (_SIZE,):
-            raise ValueError(f"expected {_SIZE} coefficients, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def _adopt(cls, coeffs: np.ndarray) -> "Multivector":
-        """Wrap a fresh float64 array of 8 coefficients that no one else
-        holds, freezing it in place: the products build such an array, and
-        the public constructor's copy and shape check were a third of a
-        product's time."""
-        coeffs.setflags(write=False)
-        mv = object.__new__(cls)
-        object.__setattr__(mv, "coeffs", coeffs)
-        return mv
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def scalar(value: float) -> "Multivector":
-        c = np.zeros(_SIZE)
-        c[0] = value
-        return Multivector(c)
-
-    @staticmethod
-    def blade(mask: int, value: float = 1.0) -> "Multivector":
-        if not 0 <= mask < _SIZE:
-            raise ValueError("blade mask out of range")
-        c = np.zeros(_SIZE)
-        c[mask] = value
-        return Multivector(c)
-
-    @staticmethod
-    def basis_vector(k: int) -> "Multivector":
-        """Basis vector e_k, 1-indexed."""
-        if not 1 <= k <= _DIM:
-            raise ValueError("basis index out of range")
-        return Multivector.blade(1 << (k - 1))
-
-    # -- structure ----------------------------------------------------------
-
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        return Multivector(self.coeffs + other.coeffs)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(-self.coeffs)
-
-    def __rmul__(self, other):
-        return Multivector(self.coeffs * float(other))
+def basis_vector(k: int) -> np.ndarray:
+    """Basis vector e_k, 1-indexed, as a read-only coefficient array."""
+    if not 1 <= k <= _DIM:
+        raise ValueError("basis index out of range")
+    return _frozen([float(mask == 1 << (k - 1)) for mask in range(_SIZE)], np.float64)
 
 
 # -- core operations --------------------------------------------------------
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
+def geometric_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Associative bilinear product; blade signs from swap counting."""
-    return Multivector._adopt((_GEOMETRIC * a.coeffs[_INDEX]) @ b.coeffs)
+    return (_GEOMETRIC * a[_INDEX]) @ b
 
 
-def reverse(a: Multivector) -> Multivector:
+def reverse(a: np.ndarray) -> np.ndarray:
     """Reversion: grade-g blades pick up (-1)**(g(g-1)/2)."""
-    return Multivector._adopt(a.coeffs * _REVERSE_SIGNS)
+    return a * _REVERSE_SIGNS
 
 
-def _require_grade(v: Multivector, g: int, what: str) -> None:
-    stray = v.coeffs[_GRADES != g]
-    if np.max(np.abs(stray)) > TOL_ALG * max(1.0, v.max_abs()):
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v)))
+
+
+def _require_grade(v: np.ndarray, g: int, what: str) -> None:
+    stray = v[_GRADES != g]
+    if np.max(np.abs(stray)) > TOL_ALG * max(1.0, _max_abs(v)):
         raise ValueError(f"{what} must be homogeneous of grade {g}")
 
 
-def require_even(v: Multivector, tol: float, what: str) -> None:
+def require_even(v: np.ndarray, tol: float, what: str) -> None:
     """Raise unless every odd-grade coefficient of v is within tol times
     max(1, max |coefficient|) of zero."""
-    worst = np.max(np.abs(v.coeffs[_ODD_BLADES]))
+    worst = np.max(np.abs(v[_ODD_BLADES]))
     # worst > tol * max(1, max_abs), reading max_abs only past the first test
-    if worst > tol and worst > tol * v.max_abs():
+    if worst > tol and worst > tol * _max_abs(v):
         raise ValueError(f"{what} must have even grades only")
 
 
 # -- rotors ------------------------------------------------------------------
 
 
-def _check_unit_plane(plane: Multivector) -> None:
+def _check_unit_plane(plane: np.ndarray) -> None:
     _require_grade(plane, 2, "rotation plane")
-    sq = geometric_product(plane, plane)
-    rest = sq.coeffs.copy()
+    rest = geometric_product(plane, plane)
+    scalar = float(rest[0])
     rest[0] = 0.0
-    scale = max(1.0, plane.max_abs() ** 2)
-    if np.max(np.abs(rest)) > 1e-9 * scale or abs(sq.scalar_part() + 1.0) > 1e-9:
+    scale = max(1.0, _max_abs(plane) ** 2)
+    if np.max(np.abs(rest)) > 1e-9 * scale or abs(scalar + 1.0) > 1e-9:
         raise ValueError("rotation plane must be a unit simple bivector (B*B = -1)")
 
 
-def bivector_exp(plane: Multivector, angle: float) -> Multivector:
+def bivector_exp(plane: np.ndarray, angle: float) -> np.ndarray:
     """exp(B*angle) = cos(angle) + B sin(angle) for a unit simple bivector B."""
     _check_unit_plane(plane)
-    return Multivector.scalar(math.cos(angle)) + math.sin(angle) * plane
+    exp = math.sin(angle) * plane
+    exp[0] += math.cos(angle)
+    return exp
 
 
 class Rotor:
@@ -186,13 +128,16 @@ class Rotor:
 
     __slots__ = ("mv", "_rev")
 
-    def __init__(self, mv: Multivector) -> None:
+    def __init__(self, mv: np.ndarray) -> None:
+        # a read-only copy: no caller can write the rotor's coefficients
+        mv = _frozen(mv, np.float64)
         require_even(mv, TOL_ALG, "rotor")
         rev = reverse(mv)
-        rr = geometric_product(mv, rev)
-        if abs(rr.scalar_part() - 1.0) > 1e-9:
-            raise ValueError(f"rotor must be unit: <R R~>_0 = {rr.scalar_part()}")
-        rest = rr.coeffs.copy()
+        rev.setflags(write=False)
+        rest = geometric_product(mv, rev)
+        scalar = float(rest[0])
+        if abs(scalar - 1.0) > 1e-9:
+            raise ValueError(f"rotor must be unit: <R R~>_0 = {scalar}")
         rest[0] = 0.0
         if np.max(np.abs(rest)) > 1e-9:
             raise ValueError("R R~ must be scalar")
@@ -202,5 +147,5 @@ class Rotor:
     def __setattr__(self, name, value):
         raise AttributeError("Rotor is immutable")
 
-    def apply(self, v: Multivector) -> Multivector:
+    def apply(self, v: np.ndarray) -> np.ndarray:
         return geometric_product(geometric_product(self.mv, v), self._rev)

@@ -2,9 +2,9 @@
 form of the search iterate.
 
 A qubit is an even multivector of the algebra of physical space, a plain
-:class:`~qsearch.ga_core.Multivector` in the span of {1, ie1, ie2, ie3}: the
-column (a0 + i a3, -a2 + i a1) maps to a0 + a1 ie1 + a2 ie2 + a3 ie3, and
-right multiplication by ie3 plays the role of the complex unit.
+coefficient array of :mod:`qsearch.ga_core` in the span of {1, ie1, ie2,
+ie3}: the column (a0 + i a3, -a2 + i a1) maps to a0 + a1 ie1 + a2 ie2 +
+a3 ie3, and right multiplication by ie3 plays the role of the complex unit.
 :func:`qubit_to_mv` writes the four even slots and leaves the odd ones zero;
 :func:`mv_to_qubit` reads the four even slots back.
 
@@ -25,37 +25,37 @@ from typing import Iterator
 import numpy as np
 
 from . import grover_digital as gd
-from .ga_core import Multivector, Rotor, bivector_exp, geometric_product
+from .ga_core import Rotor, basis_vector, bivector_exp, geometric_product
 
 TOL_STATE = 1e-10
 # the largest deviation between the rotor orbit's plane coordinates and the
 # state vector's that `ga-verify` accepts: acceptance criterion C3's bound
 TOL_PLANE = 1e-10
 
-E_TARGET = Multivector.basis_vector(3)
-E_BAD = Multivector.basis_vector(1)
+E_TARGET = basis_vector(3)
+E_BAD = basis_vector(1)
 
 
-def qubit_to_mv(alpha: complex, beta: complex) -> Multivector:
+def qubit_to_mv(alpha: complex, beta: complex) -> np.ndarray:
     """Translate the normalized column (alpha, beta) into its
     even-multivector form."""
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > TOL_STATE:
         raise ValueError(f"qubit norm {norm} differs from 1")
     # blade masks 0, 3 (e12 = i e3), 5 (e13 = -i e2) and 6 (e23 = i e1)
-    return Multivector([alpha.real, 0.0, 0.0, alpha.imag, 0.0, beta.real, beta.imag, 0.0])
+    return np.array([alpha.real, 0.0, 0.0, alpha.imag, 0.0, beta.real, beta.imag, 0.0])
 
 
-def mv_to_qubit(mv: Multivector) -> tuple[complex, complex]:
+def mv_to_qubit(mv: np.ndarray) -> tuple[complex, complex]:
     """The column (a0 + i a3, -a2 + i a1) of an even multivector."""
-    a0, _, _, a3, _, minus_a2, a1, _ = mv.coeffs.tolist()
+    a0, _, _, a3, _, minus_a2, a1, _ = mv.tolist()
     return complex(a0, a3), complex(minus_a2, a1)
 
 
 # -- rotor form of the search iterate ----------------------------------------
 
 
-def _plane_vector(n: int) -> Multivector:
+def _plane_vector(n: int) -> np.ndarray:
     theta = gd.theta_for(n)
     return math.sin(theta) * E_TARGET + math.cos(theta) * E_BAD
 
@@ -67,7 +67,7 @@ def ga_grover_rotor(n: int) -> Rotor:
     return Rotor(bivector_exp(geometric_product(E_TARGET, E_BAD), gd.theta_for(n)))
 
 
-def _rotor_orbit(n: int) -> Iterator[Multivector]:
+def _rotor_orbit(n: int) -> Iterator[np.ndarray]:
     """The initial plane vector, then its rotor sandwiches without end, one
     sandwich per step taken."""
     g = ga_grover_rotor(n)
@@ -84,7 +84,7 @@ def ga_grover_orbit(n: int, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ValueError("iteration count must be nonnegative")
     points = islice(_rotor_orbit(n), k_max + 1)
-    return np.fromiter(((v.coeffs[0b100], v.coeffs[0b001]) for v in points), (float, 2), k_max + 1)
+    return np.fromiter(((v[0b100], v[0b001]) for v in points), (float, 2), k_max + 1)
 
 
 def ga_grover_apply(k: int, n: int) -> gd.SearchPlaneState:

@@ -26,9 +26,10 @@ from qsearch import cli
 from qsearch import grover_digital as gd
 from qsearch import info_geom as ig
 from qsearch import msta
-from qsearch.ga_core import Multivector, Rotor, reverse
+from qsearch.ga_core import Rotor, reverse
 from test_analog_search import ga_fenner_basis_change
 from test_fixed_point import basis_state, dense_operator, walsh_hadamard_operator
+from test_ga_core import blade
 
 
 # CPython's SHA-256 module, `_sha2` from 3.12 and `_sha256` before
@@ -320,12 +321,15 @@ class TestFixedPoint:
         params = json.loads((tmp_path / "fixed-point_manifest.json").read_text())["params"]
         assert (params["N"], params["target"], params["epsilon"]) == (2, 1, 0.1)
         assert params["eps0_computed"] == pytest.approx(0.1, rel=1e-15)
+        # no U0 ran and nothing was drawn
+        assert (params["u0"], params["seed"]) == (None, None)
 
     def test_walsh_hadamard_auto_epsilon(self, tmp_path):
         run_cli(["fixed-point", "--u0", "wh", "--N", "4", "--depth", "2", "--target", "2"], tmp_path)
         manifest = json.loads((tmp_path / "fixed-point_manifest.json").read_text())
         assert manifest["params"]["eps0_computed"] == pytest.approx(0.75, abs=1e-12)
         assert (manifest["params"]["N"], manifest["params"]["target"]) == (4, 2)
+        assert (manifest["params"]["u0"], manifest["params"]["seed"]) == ("wh", None)
 
     def test_random_u0_follows_failure_law(self, tmp_path):
         run_cli(["fixed-point", "--u0", "random", "--N", "8", "--depth", "3", "--seed", "5"], tmp_path)
@@ -600,7 +604,7 @@ class TestGaVerify:
     def test_plane_deviation_exits_4(self, tmp_path, capsys, monkeypatch):
         # a rotor orbit that drifts off the state vector just past C3's bound
         orbit = msta._rotor_orbit
-        drift = Multivector.blade(0b100, 2 * msta.TOL_PLANE)
+        drift = blade(0b100, 2 * msta.TOL_PLANE)
         monkeypatch.setattr(msta, "_rotor_orbit", lambda n: (v + drift for v in orbit(n)))
         assert run_cli(["ga-verify", "--N-list", "4,16"], tmp_path) == cli.EXIT_CROSSCHECK
         err = capsys.readouterr().err
@@ -626,7 +630,7 @@ class TestGaVerify:
     def test_spinor_iterate_reads_the_odd_blades(self, tmp_path, capsys, monkeypatch):
         # a stray odd blade that the qubit map does not read still fails
         product = cli.ga_core.geometric_product
-        stray = Multivector.blade(0b111, 2 * msta.TOL_STATE)
+        stray = blade(0b111, 2 * msta.TOL_STATE)
         monkeypatch.setattr(cli.ga_core, "geometric_product", lambda a, b: product(a, b) + stray)
         assert run_cli(["ga-verify", "--N-list", "4", "--k-max", "0"], tmp_path) == cli.EXIT_CROSSCHECK
         assert "iterates on the basis spinors" in capsys.readouterr().err
@@ -781,42 +785,40 @@ target = 0
         assert not (tmp_path / "elsewhere").exists()
 
     @staticmethod
-    def seeded_sweep(tmp_path, name, config, seed):
+    def run_sweep(tmp_path, name, config):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(config)
         out = tmp_path / name
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 0
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         return out
 
-    def test_cells_inherit_the_sweep_seed(self, tmp_path):
-        config = "subcommand = fixed-point\nu0 = random\nN = [4, 8]\ndepth = 2\n"
-        runs = {seed: self.seeded_sweep(tmp_path, f"seed{seed}", config, seed) for seed in ("0", "7")}
-        for cell in ("fixed-point_N-4", "fixed-point_N-8"):
-            manifest = json.loads((runs["7"] / cell / "fixed-point_manifest.json").read_text())
-            assert manifest["params"]["seed"] == 7
-            csvs = [(runs[seed] / cell / "fixed_point_depth2.csv").read_bytes() for seed in ("0", "7")]
-            assert csvs[0] != csvs[1]
-            alone = tmp_path / "alone" / cell
-            argv = ["fixed-point", "--u0", "random", "--N", cell[-1], "--depth", "2", "--seed", "7"]
-            assert run_cli(argv, alone) == 0
-            assert (alone / "fixed_point_depth2.csv").read_bytes() == csvs[1]
-        # the index lists the config's keys only, whatever the seed
-        index = [(runs[seed] / "sweep_index.csv").read_bytes() for seed in ("0", "7")]
-        assert index[0] == index[1]
-
     def test_config_seed_wins(self, tmp_path):
-        config = "subcommand = fixed-point\nu0 = random\nN = 4\ndepth = 1\nseed = [3, 5]\n"
-        out = self.seeded_sweep(tmp_path, "out", config, "7")
-        for seed in (3, 5):
-            manifest = json.loads((out / f"fixed-point_seed-{seed}" / "fixed-point_manifest.json").read_text())
-            assert manifest["params"]["seed"] == seed
+        # a seed is an ordinary config key, fixed or swept, and a cell
+        # without one runs with fixed-point's default
+        config = "subcommand = fixed-point\nu0 = random\nN = 4\ndepth = 2\n"
+        runs = {
+            "default": self.run_sweep(tmp_path, "default", config),
+            "fixed": self.run_sweep(tmp_path, "fixed", config + "seed = 7\n"),
+            "swept": self.run_sweep(tmp_path, "swept", config + "seed = [3, 7]\n"),
+        }
+        cells = {"default": "fixed-point", "fixed": "fixed-point", "swept": "fixed-point_seed-7"}
+        csvs = {}
+        for run, cell in cells.items():
+            manifest = json.loads((runs[run] / cell / "fixed-point_manifest.json").read_text())
+            assert manifest["params"]["seed"] == (0 if run == "default" else 7)
+            csvs[run] = (runs[run] / cell / "fixed_point_depth2.csv").read_bytes()
+        alone = tmp_path / "alone"
+        assert run_cli(["fixed-point", "--u0", "random", "--N", "4", "--depth", "2", "--seed", "7"], alone) == 0
+        assert (alone / "fixed_point_depth2.csv").read_bytes() == csvs["fixed"] == csvs["swept"] != csvs["default"]
+        manifest = json.loads((runs["swept"] / "fixed-point_seed-3" / "fixed-point_manifest.json").read_text())
+        assert manifest["params"]["seed"] == 3
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
         outs = []
         for run in ("a", "b"):
             out = tmp_path / run
-            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
             blobs = {}
             for path in sorted(out.rglob("*.csv")):
                 blobs[str(path.relative_to(out))] = path.read_bytes()
@@ -1009,10 +1011,22 @@ class TestSeed:
         ids=lambda argv: argv[0],
     )
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
-        # random.Random(-s) seeds as Random(s) would: -3 and 3 would alias
+        # random.Random(-s) seeds as Random(s) would: -3 and 3 would alias.
+        # Only fixed-point and ga-verify take --seed; elsewhere it is no option
         out = tmp_path / "out"
         assert usage_exit_code([*argv, "--seed", "-3"], out) == cli.EXIT_USAGE
-        assert "argument --seed: must be a nonnegative integer, got -3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if argv[0] in ("fixed-point", "ga-verify"):
+            assert "argument --seed: must be a nonnegative integer, got -3" in err
+        else:
+            assert "unrecognized arguments: --seed -3" in err
+        assert not out.exists()
+
+    def test_seed_is_no_option_of_digital(self, tmp_path, capsys):
+        # digital draws nothing, so even a valid seed is a usage error
+        out = tmp_path / "out"
+        assert usage_exit_code(["digital", "--N", "4", "--seed", "1"], out) == cli.EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_in_a_sweep_cell_is_usage_error(self, tmp_path, capsys):
@@ -1313,17 +1327,17 @@ class TestRunner:
         [
             (
                 ["geodesic", "--N", "64", "--max-rows", "7"],
-                {"N": 64, "dtheta": 1e-3, "theta_end": math.pi / 2, "max_rows": 7, "seed": 0},
+                {"N": 64, "dtheta": 1e-3, "theta_end": math.pi / 2, "max_rows": 7},
             ),
             (
-                ["damped", "--theta-end", "1", "--max-rows", "5", "--seed", "3"],
-                {"L0": 2.0, "gamma": 1.0, "A": 1.0, "B": 0.0, "theta_end": 1.0, "dtheta": 1e-3}
-                | {"max_rows": 5, "seed": 3},
+                ["damped", "--theta-end", "1", "--max-rows", "5"],
+                {"L0": 2.0, "gamma": 1.0, "A": 1.0, "B": 0.0, "theta_end": 1.0, "dtheta": 1e-3, "max_rows": 5},
             ),
             (
                 ["fixed-point", "--epsilon", "0.25", "--depth", "1", "--seed", "9"],
-                # --epsilon runs N = 2 and target 1: the manifest records those
-                {"epsilon": 0.25, "u0": "wh", "N": 2, "depth": 1, "target": 1, "seed": 9, "eps0_computed": 0.25},
+                # --epsilon runs N = 2 and target 1, with no U0 and no draw:
+                # the manifest records what ran
+                {"epsilon": 0.25, "u0": None, "N": 2, "depth": 1, "target": 1, "seed": None, "eps0_computed": 0.25},
             ),
         ],
         ids=["geodesic", "damped", "fixed-point"],

@@ -8,42 +8,54 @@ import pytest
 
 from qsearch import ga_core
 from qsearch.ga_core import (
-    Multivector,
     Rotor,
     TOL_ALG,
     _require_grade,
+    basis_vector,
     bivector_exp,
     geometric_product,
     reverse,
 )
 
-E1 = Multivector.basis_vector(1)
-E2 = Multivector.basis_vector(2)
-E3 = Multivector.basis_vector(3)
-E12 = Multivector.blade(0b011)
-I3 = Multivector.blade(0b111)
+
+def blade(mask, value=1.0):
+    """value times the blade with bitmask `mask`, as a coefficient array."""
+    c = np.zeros(8)
+    c[mask] = value
+    return c
+
+
+def scalar(value):
+    return blade(0b000, value)
+
+
+E1 = basis_vector(1)
+E2 = basis_vector(2)
+E3 = basis_vector(3)
+E12 = blade(0b011)
+I3 = blade(0b111)
 GRADES = np.array([bin(mask).count("1") for mask in range(8)])
 
 
 def allclose(a, b, tol=TOL_ALG):
     """Every coefficient within tol."""
-    return bool(np.all(np.abs(a.coeffs - b.coeffs) <= tol))
+    return bool(np.all(np.abs(a - b) <= tol))
 
 
 def grade_part(a, g):
     """The grade-g part of a."""
-    return Multivector(np.where(GRADES == g, a.coeffs, 0.0))
+    return np.where(GRADES == g, a, 0.0)
 
 
 def vector(components):
     """The vector with the given components on e1, e2, e3."""
     c = np.zeros(8)
     c[[0b001, 0b010, 0b100]] = components
-    return Multivector(c)
+    return c
 
 
 def vector_norm(v):
-    return math.sqrt(abs(geometric_product(v, v).scalar_part()))
+    return math.sqrt(abs(geometric_product(v, v)[0]))
 
 
 def mirror(v, n):
@@ -64,17 +76,17 @@ def orientation_sign(transform):
     """Determinant sign of a linear vector map: the e123 coefficient of the
     product w1 w2 w3 of the basis vectors' images, which for vectors is that
     of the wedge w1 ^ w2 ^ w3."""
-    w1, w2, w3 = (transform(Multivector.basis_vector(k)) for k in (1, 2, 3))
+    w1, w2, w3 = (transform(basis_vector(k)) for k in (1, 2, 3))
     for w in (w1, w2, w3):
         _require_grade(w, 1, "transform image")
-    coeff = float(geometric_product(geometric_product(w1, w2), w3).coeffs[0b111])
+    coeff = float(geometric_product(geometric_product(w1, w2), w3)[0b111])
     if abs(coeff) <= 1e-9:
         raise ValueError("degenerate transform: wedge of images vanishes")
     return 1 if coeff > 0 else -1
 
 
 def random_mv(rng):
-    return Multivector(rng.uniform(-1.0, 1.0, 8))
+    return rng.uniform(-1.0, 1.0, 8)
 
 
 def random_unit_vector(rng):
@@ -98,9 +110,9 @@ def oracle_product(a, b):
     """The geometric product one blade pair at a time, and the coefficient
     scale: the largest sum of |a_i b_j| landing on one blade."""
     geo, scale = np.zeros(8), np.zeros(8)
-    for i in np.nonzero(a.coeffs)[0].tolist():
-        for j in np.nonzero(b.coeffs)[0].tolist():
-            term = a.coeffs[i] * b.coeffs[j]
+    for i in np.nonzero(a)[0].tolist():
+        for j in np.nonzero(b)[0].tolist():
+            term = a[i] * b[j]
             k = i ^ j
             geo[k] += oracle_blade_sign(i, j) * term
             scale[k] += abs(term)
@@ -113,15 +125,15 @@ class TestProductTables:
         for _ in range(20):
             a, b = random_mv(rng), random_mv(rng)
             geo, scale = oracle_product(a, b)
-            assert np.max(np.abs(geometric_product(a, b).coeffs - geo)) <= 1e-13 * scale
+            assert np.max(np.abs(geometric_product(a, b) - geo)) <= 1e-13 * scale
 
     def test_basis_blade_products_are_exact(self):
         # one pair of blades lands on one blade with coefficient exactly +-1,
         # which pins every entry of the sign table
         for i in range(8):
             for j in range(8):
-                a, b = Multivector.blade(i), Multivector.blade(j)
-                assert np.array_equal(geometric_product(a, b).coeffs, oracle_product(a, b)[0])
+                a, b = blade(i), blade(j)
+                assert np.array_equal(geometric_product(a, b), oracle_product(a, b)[0])
 
     def test_tables_read_only(self):
         tables = [ga_core._GRADES, ga_core._INDEX, ga_core._GEOMETRIC, ga_core._ODD_BLADES, ga_core._REVERSE_SIGNS]
@@ -131,27 +143,30 @@ class TestProductTables:
             ga_core._GEOMETRIC[0, 0] = -1.0
 
 
-class TestImmutability:
-    def test_public_constructor_copies_and_checks_shape(self):
-        values = np.arange(8.0)
-        mv = Multivector(values)
-        values[0] = 5.0
-        assert mv.coeffs[0] == 0.0 and not mv.coeffs.flags.writeable
-        with pytest.raises(ValueError, match="expected 8 coefficients"):
-            Multivector(np.zeros(3))
-
+class TestSharing:
     @pytest.mark.parametrize("op", [geometric_product, lambda a, b: reverse(a)], ids=["geometric", "reverse"])
-    def test_products_freeze_a_fresh_array(self, op):
-        # the result adopts its array uncopied: frozen, and shared with neither operand
-        a, b = Multivector(np.arange(8.0)), Multivector(np.arange(8.0)[::-1])
+    def test_products_return_a_fresh_array(self, op):
+        # the caller owns the result: shared with neither operand, and writable
+        a, b = np.arange(8.0), np.arange(8.0)[::-1]
         result = op(a, b)
-        assert type(result) is Multivector and result.coeffs.shape == (8,)
-        assert not result.coeffs.flags.writeable
-        assert not np.shares_memory(result.coeffs, a.coeffs) and not np.shares_memory(result.coeffs, b.coeffs)
+        assert result.shape == (8,) and result.dtype == np.float64 and result.flags.writeable
+        assert not np.shares_memory(result, a) and not np.shares_memory(result, b)
+
+    def test_basis_vectors_read_only(self):
+        for k in (1, 2, 3):
+            e = basis_vector(k)
+            assert e.tolist() == blade(1 << (k - 1)).tolist() and not e.flags.writeable
         with pytest.raises(ValueError):
-            result.coeffs[0] = 1.0
+            basis_vector(4)
+
+    def test_rotor_holds_read_only_copies(self):
+        mv = bivector_exp(E12, 0.7)
+        r = Rotor(mv)
+        mv[0] = 5.0
+        assert r.mv[0] == math.cos(0.7) and not r.mv.flags.writeable and not r._rev.flags.writeable
+        assert np.array_equal(r._rev, reverse(r.mv))
         with pytest.raises(AttributeError):
-            result.coeffs = np.zeros(8)
+            r.mv = E1
 
 
 class TestGeometricProduct:
@@ -160,10 +175,10 @@ class TestGeometricProduct:
         assert allclose(geometric_product(E2, E1), -E12)
 
     def test_basis_squares_to_one(self):
-        assert allclose(geometric_product(E1, E1), Multivector.scalar(1.0))
+        assert allclose(geometric_product(E1, E1), scalar(1.0))
 
     def test_pseudoscalar_squares_to_minus_one(self):
-        assert allclose(geometric_product(I3, I3), Multivector.scalar(-1.0))
+        assert allclose(geometric_product(I3, I3), scalar(-1.0))
 
     def test_associativity_random(self):
         rng = np.random.default_rng(7)
@@ -182,7 +197,7 @@ class TestGeometricProduct:
             a = grade_part(random_mv(rng), r)
             b = grade_part(random_mv(rng), s)
             product = geometric_product(a, b)
-            got = set(GRADES[product.coeffs != 0.0].tolist())
+            got = set(GRADES[product != 0.0].tolist())
             wanted = set(range(abs(r - s), min(r + s, 3) + 1, 2))
             assert got <= wanted
 
@@ -194,17 +209,17 @@ class TestGradeProject:
         for _ in range(20):
             x, y, z = (random_unit_vector(rng) for _ in range(3))
             xyz = geometric_product(geometric_product(x, y), z)
-            det = np.linalg.det([w.coeffs[[0b001, 0b010, 0b100]] for w in (x, y, z)])
-            assert allclose(grade_part(xyz, 3), Multivector.blade(0b111, det), tol=1e-10)
+            det = np.linalg.det([w[[0b001, 0b010, 0b100]] for w in (x, y, z)])
+            assert allclose(grade_part(xyz, 3), blade(0b111, det), tol=1e-10)
 
 
 class TestReverse:
     def test_bivector_flips(self):
-        e23 = Multivector.blade(0b110)
+        e23 = blade(0b110)
         assert allclose(reverse(e23), -e23)
 
     def test_low_grades_fixed(self):
-        m = Multivector.scalar(0.5) + E2
+        m = scalar(0.5) + E2
         assert allclose(reverse(m), m)
 
     def test_involution(self):
@@ -225,7 +240,7 @@ class TestInnerOuter:
             a = random_unit_vector(rng)
             b = random_unit_vector(rng)
             ab, ba = geometric_product(a, b), geometric_product(b, a)
-            recombined = Multivector.scalar(np.dot(a.coeffs, b.coeffs)) + 0.5 * (ab + -ba)
+            recombined = scalar(np.dot(a, b)) + 0.5 * (ab + -ba)
             assert allclose(recombined, ab, tol=1e-12)
 
 
@@ -252,7 +267,7 @@ class TestRotate:
         # exp[e2e1 theta] e1 equals the half-angle sandwich for in-plane vectors
         for theta in (0.0, 0.4, 1.3, 3.0):
             one_sided = geometric_product(
-                bivector_exp(Multivector.blade(0b011, -1.0), theta), E1
+                bivector_exp(blade(0b011, -1.0), theta), E1
             )
             assert allclose(one_sided, rotate(E1, E12, theta), tol=1e-12)
 
@@ -272,7 +287,7 @@ class TestRotor:
     def test_unit_constraint(self):
         r = Rotor(bivector_exp(E12, 0.7))
         rr = geometric_product(r.mv, reverse(r.mv))
-        assert abs(rr.scalar_part() - 1.0) < TOL_ALG
+        assert abs(rr[0] - 1.0) < TOL_ALG
 
     def test_odd_parts_rejected(self):
         with pytest.raises(ValueError):
@@ -280,7 +295,7 @@ class TestRotor:
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
-            Rotor(Multivector.scalar(2.0))
+            Rotor(scalar(2.0))
 
 
 class TestPseudoscalar:

@@ -10,9 +10,9 @@ import pytest
 
 from qsearch import grover_digital as gd
 from qsearch import msta
-from qsearch.ga_core import Multivector, geometric_product, reverse
+from qsearch.ga_core import basis_vector, geometric_product, reverse
 from test_analog_search import ga_fenner_basis_change
-from test_ga_core import allclose
+from test_ga_core import allclose, blade, scalar
 
 SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -20,23 +20,23 @@ SIGMA = {
     3: np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-E3 = Multivector.basis_vector(3)
+E3 = basis_vector(3)
 # i e3 = e1e2: right multiplication by it is the complex unit
-IE3 = Multivector.blade(0b011)
+IE3 = blade(0b011)
 # the blades of odd grade: e1, e2, e3 and e123
 ODD_SLOTS = [0b001, 0b010, 0b100, 0b111]
 
 
 def even(mv):
     """mv, after asserting that every odd-grade slot is exactly zero."""
-    assert not mv.coeffs[ODD_SLOTS].any(), mv
+    assert not mv[ODD_SLOTS].any(), mv
     return mv
 
 
 def pauli_action(k, q):
     """sigma_k on a qubit in its even form: psi -> e_k psi e3, which stays
     even."""
-    ek = Multivector.basis_vector(k)
+    ek = basis_vector(k)
     return even(geometric_product(geometric_product(ek, even(q)), E3))
 
 
@@ -48,7 +48,7 @@ def complex_unit_action(q):
 def ga_inner(psi, phi):
     """<psi|phi> as <psi~ phi>_0 - <psi~ phi ie3>_0 i."""
     prod = geometric_product(reverse(psi), phi)
-    return complex(prod.scalar_part(), -geometric_product(prod, IE3).scalar_part())
+    return complex(prod[0], -geometric_product(prod, IE3)[0])
 
 
 def random_qubit_column(rng):
@@ -60,14 +60,14 @@ def random_qubit_column(rng):
 class TestQubitTranslation:
     def test_basis_zero_maps_to_one(self):
         q = msta.qubit_to_mv(1.0, 0.0)
-        assert allclose(q, Multivector.scalar(1.0))
+        assert allclose(q, scalar(1.0))
 
     def test_worked_unnormalized_example(self):
         # column (1, -1) becomes 1 + ie2, and i e2 = -e1e3; the translation
         # takes it scaled to unit norm
         r = 1.0 / math.sqrt(2.0)
         q = msta.qubit_to_mv(r, -r)
-        expected = Multivector.scalar(r) + Multivector.blade(0b101, -r)
+        expected = scalar(r) + blade(0b101, -r)
         assert allclose(q, expected)
 
     def test_round_trip_many(self):
@@ -90,9 +90,9 @@ class TestQubitTranslation:
         for _ in range(100):
             col = random_qubit_column(rng)
             q = even(msta.qubit_to_mv(col[0], col[1]))
-            assert type(q) is Multivector
+            assert type(q) is np.ndarray and q.shape == (8,) and q.dtype == np.float64
             a, b = complex(col[0]), complex(col[1])
-            assert q.coeffs[[0b000, 0b011, 0b101, 0b110]].tolist() == [a.real, a.imag, b.real, b.imag]
+            assert q[[0b000, 0b011, 0b101, 0b110]].tolist() == [a.real, a.imag, b.real, b.imag]
 
 
 class TestPauliAction:
@@ -158,7 +158,7 @@ class TestGaInner:
             q = msta.qubit_to_mv(col[0], col[1])
             got = ga_inner(q, q)
             assert abs(got.imag) < 1e-12
-            assert abs(got.real - float(np.sum(q.coeffs**2))) < 1e-12
+            assert abs(got.real - float(np.sum(q**2))) < 1e-12
             assert abs(got.real - 1.0) < 1e-12
 
     def test_matrix_agreement_random(self):
@@ -175,23 +175,23 @@ class TestGroverRotor:
     def test_n4_values(self):
         g = msta.ga_grover_rotor(4)
         plane = geometric_product(msta.E_TARGET, msta.E_BAD)
-        expected = Multivector.scalar(math.sqrt(3) / 2) + 0.5 * plane
+        expected = scalar(math.sqrt(3) / 2) + 0.5 * plane
         assert allclose(g.mv, expected, tol=1e-15)
 
     def test_large_n_limit(self):
         g = msta.ga_grover_rotor(10**12)
-        assert abs(g.mv.scalar_part() - 1.0) < 1e-6
+        assert abs(g.mv[0] - 1.0) < 1e-6
 
     def test_unit_for_all_n(self):
         for n in (2, 3, 10, 1000):
             g = msta.ga_grover_rotor(n)
             rr = geometric_product(g.mv, reverse(g.mv))
-            assert abs(rr.scalar_part() - 1.0) < 1e-14
+            assert abs(rr[0] - 1.0) < 1e-14
 
     def test_full_iterate_multivector(self):
         plane = geometric_product(msta.E_TARGET, msta.E_BAD)
         g = msta.ga_grover_rotor(4)
-        expected = Multivector.scalar(0.5) + (math.sqrt(3) / 2) * plane
+        expected = scalar(0.5) + (math.sqrt(3) / 2) * plane
         assert allclose(geometric_product(g.mv, g.mv), expected, tol=1e-15)
 
     def test_full_iterate_is_rotor_squared(self):
@@ -200,14 +200,14 @@ class TestGroverRotor:
         for n in (2, 4, 37, 4096):
             g = msta.ga_grover_rotor(n)
             gg = geometric_product(g.mv, g.mv)
-            full = Multivector.scalar((n - 2) / n) + (2.0 * math.sqrt(n - 1) / n) * plane
+            full = scalar((n - 2) / n) + (2.0 * math.sqrt(n - 1) / n) * plane
             assert allclose(gg, full, tol=1e-14)
 
     def test_scalar_part_matches_cos_2theta(self):
         for n in (4, 9, 100):
             theta = math.asin(1.0 / math.sqrt(n))
             g = msta.ga_grover_rotor(n)
-            got = geometric_product(g.mv, g.mv).scalar_part()
+            got = geometric_product(g.mv, g.mv)[0]
             assert abs(got - math.cos(2 * theta)) < 1e-14
             assert abs(got - (n - 2) / n) < 1e-14
 
@@ -248,7 +248,7 @@ class TestGroverApply:
                 v = msta._plane_vector(n)
                 for _ in range(k):
                     v = g.apply(v)
-                assert tuple(point) == (v.coeffs[0b100], v.coeffs[0b001])
+                assert tuple(point) == (v[0b100], v[0b001])
 
     def test_orbit_rejects_negative_length(self):
         with pytest.raises(ValueError):
