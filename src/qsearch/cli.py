@@ -5,15 +5,17 @@ columns and returns `(computed, tables, written)`: the values it derived that
 the manifest records beside the options (only `fixed-point`'s
 `eps0_computed`, and what ran in place of its options: under `--epsilon`
 N = 2, target 1 and a null `u0`, and a null `seed` wherever nothing was
-drawn), a list of `(file name, header, columns)` tables, and the
-CSVs it wrote itself as (path, SHA-256) pairs (only `sweep`'s cells write
-their own).  The runner `_dispatch` alone writes the outputs: it makes the
-output directory once the command returns, writes each table as a CSV, and
-writes a JSON run manifest recording the command, every option but `--out`,
-the computed values, timestamps, tool version, and the SHA-256 of each CSV,
-hashed from its bytes as they are written, so no table is read back.  All
-numeric output uses 17-significant-digit formatting, so reruns on the same
-platform produce byte-identical CSVs (manifests differ only in their timestamps).
+drawn), a list of `(file name, header, blocks)` tables, each a list of row
+blocks (one block of columns, or for `ga-verify` one per check and N and for
+`sweep` one per index row), and the CSVs it wrote itself as (path, SHA-256)
+pairs (only `sweep`'s cells write their own).  The runner `_dispatch` alone
+writes the outputs: it makes the output directory once the command returns,
+writes each table as a CSV, and writes a JSON run manifest recording the
+command, every option but `--out`, the computed values, timestamps, tool
+version, and the SHA-256 of each CSV, hashed from its bytes as they are
+written, so no table is read back.  All numeric output uses
+17-significant-digit formatting, so reruns on the same platform produce
+byte-identical CSVs (manifests differ only in their timestamps).
 The randomized path, `fixed-point --u0 random`, draws complex normals from
 the standard library's Mersenne Twister seeded by --seed (`_complex_normals`),
 and the seed is recorded in the manifest; a run that draws nothing records a
@@ -94,34 +96,37 @@ _new_sha256 = _sha256_constructor()
 _CHUNK_ROWS = 4096
 
 
-def write_csv(path: Path, header, columns, sha) -> Path:
-    """Write a table of columns, each a 1-d array or a scalar every row
-    repeats, through one printf line, one conversion per column dtype.
-    Unequal lengths or a non-finite float raise ValueError before a row is
-    written; rows go to a `.part` file that replaces `path` once all are.
-    Each chunk of rows is encoded once and passed to the hash object `sha`
-    as it is written, so the file's digest needs no second read."""
-    cells, arrays = [], []
-    for name, column in zip(header, columns, strict=True):
-        column = np.asarray(column)
-        if column.dtype.kind == "f" and not np.isfinite(column).all():
-            bad = float(column[~np.isfinite(column)].flat[0])
-            raise ValueError(f"cannot write the non-finite value {bad} to a CSV (column {name})")
-        conversion = {"f": "%.17g", "i": "%d", "U": "%s"}[column.dtype.kind]
-        # a scalar is formatted once, into the line itself
-        cells.append(conversion if column.ndim else (conversion % column.item()).replace("%", "%%"))
-        if column.ndim:
-            arrays.append(column)
-    lengths = {len(column) for column in arrays}
-    if len(lengths) != 1:
-        raise ValueError(f"the array columns of {path.name} must share one length, got {sorted(lengths)}")
-    line = ",".join(cells) + "\n"
+def write_csv(path: Path, header, blocks, sha) -> Path:
+    """Write a table given as a list of row blocks, in order.  A block has a
+    column per header name, each a 1-d array or a scalar every row of the
+    block repeats (a block of scalars alone is one row), and is written
+    through one printf line, one conversion per column dtype.  Unequal
+    lengths or a non-finite float raise ValueError before the block's first
+    row is written; rows go to a `.part` file that replaces `path` once all
+    are, and is removed if a block fails.  Each encoded chunk of rows goes
+    to the hash object `sha` as it is written, so no second read is needed."""
 
     def texts():
         yield ",".join(header) + "\n"
-        for start in range(0, lengths.pop(), _CHUNK_ROWS):
-            chunk = zip(*(column[start : start + _CHUNK_ROWS].tolist() for column in arrays))
-            yield "".join(line % row for row in chunk)
+        for block in blocks:
+            cells, arrays = [], []
+            for name, column in zip(header, block, strict=True):
+                column = np.asarray(column)
+                if column.dtype.kind == "f" and not np.isfinite(column).all():
+                    bad = float(column[~np.isfinite(column)].flat[0])
+                    raise ValueError(f"cannot write the non-finite value {bad} to a CSV (column {name})")
+                conversion = {"f": "%.17g", "i": "%d", "U": "%s"}[column.dtype.kind]
+                # a scalar is formatted once, into the line itself
+                cells.append(conversion if column.ndim else (conversion % column.item()).replace("%", "%%"))
+                if column.ndim:
+                    arrays.append(column)
+            lengths = {len(column) for column in arrays} or {1}
+            if len(lengths) != 1:
+                raise ValueError(f"the array columns of {path.name} must share one length, got {sorted(lengths)}")
+            line = ",".join(cells) + "\n"
+            for start in range(0, lengths.pop(), _CHUNK_ROWS):
+                chunk = zip(*(column[start : start + _CHUNK_ROWS].tolist() for column in arrays)) if arrays else [()]
+                yield "".join(line % row for row in chunk)
 
     part = path.with_name(path.name + ".part")
     try:
@@ -183,9 +188,9 @@ def _dispatch(args) -> list[tuple[Path, str]]:
     outputs = list(written)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, header, columns in tables:
+        for name, header, blocks in tables:
             sha = _new_sha256()
-            outputs.append((write_csv(out_dir / name, header, columns, sha), sha.hexdigest()))
+            outputs.append((write_csv(out_dir / name, header, blocks, sha), sha.hexdigest()))
     except BaseException:
         # deepest first; a directory that holds anything stops the removal
         with contextlib.suppress(OSError):
@@ -203,15 +208,16 @@ def _dispatch(args) -> list[tuple[Path, str]]:
 
 
 # largest accepted N: a state is 32 MiB of float64 amplitudes here, and
-# `--k auto` at the cap (1608 in-place iterates) takes about 6 s and peaks near
-# 66 MB RSS on a 2-CPU host
+# `digital --N 4194304 --k auto` (1608 in-place iterates) takes about 3.6 s
+# and peaks near 61 MB RSS (median of 3 processes, 2-CPU host)
 _N_CAP = 1 << 22
 
 # largest step count of a time or angle grid, of `digital --k` and of
 # `infogeo --points`: about ten times the finest fenner grid of a sweep over
-# N <= 4096 at dt = 1e-3.  At the cap (2-CPU host) `analog` peaks near 80 MB
-# RSS in 2-2.5 s, `infogeo` 87 MB in 3 s and `digital --N 4` 80 MB in 8 s;
-# hashing a 50-70 MB table with the built-in SHA-256 takes about 0.3 s of that
+# N <= 4096 at dt = 1e-3.  At the cap (medians of 3, 2-CPU host) `analog
+# --model fenner --N 4 --dt 1e-4 --t-max 104.8576` peaks near 78 MB RSS in
+# 1.1 s, `infogeo --points 1048576` 87 MB in 1.6 s and `digital --N 4 --k
+# 1048576` 78 MB in 4.1 s; hashing a 50-70 MB table takes about 0.3 s of that
 _ROW_CAP = 1 << 20
 # largest `ga-verify --k-max`: a rotor orbit drifts from the state vector
 # about linearly in k, over the default N list most at N = 64 (2.5e-11 by
@@ -256,7 +262,7 @@ def cmd_digital(args):
 
     header = ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"]
     columns = [n, ks, theta, closed, sim, np.abs(closed - sim)]
-    return {}, [(f"digital_N{n}_k{args.k}.csv", header, columns)], []
+    return {}, [(f"digital_N{n}_k{args.k}.csv", header, [columns])], []
 
 
 # -- analog -------------------------------------------------------------------
@@ -286,7 +292,7 @@ def cmd_analog(args):
     else:
         p_target = an.fg_scan(ts, n, energy).p_target
     columns = [args.model, n, energy, ts, p_target]
-    return {}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], columns)], []
+    return {}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], [columns])], []
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -372,7 +378,7 @@ def cmd_fixed_point(args):
 
     header = ["k", "eps_k_closed", "eps_k_simulated", "rel_error"]
     columns = [ks, closed, sim, np.abs(sim - closed) / np.maximum(closed, 1e-300)]
-    return {"eps0_computed": eps0} | ran, [(f"fixed_point_depth{args.depth}.csv", header, columns)], []
+    return {"eps0_computed": eps0} | ran, [(f"fixed_point_depth{args.depth}.csv", header, [columns])], []
 
 
 # -- damped geodesic ------------------------------------------------------------
@@ -399,7 +405,7 @@ def cmd_damped(args):
     # the closed form is scalar: one Bessel residual per written row
     resid = [fp.bessel_ode_residual(t, a, b, l0, gamma) for t in thetas.tolist()]
     p1 = np.minimum(1.0, q * q)
-    return {}, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], [thetas, q, resid, 1.0 - p1, p1])], []
+    return {}, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], [[thetas, q, resid, 1.0 - p1, p1]])], []
 
 
 # -- geodesic / infogeo ----------------------------------------------------------
@@ -431,7 +437,7 @@ def cmd_geodesic(args):
     columns = [sol.thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), sol.residual]
 
     header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual"]
-    return {}, [(f"geodesic_N{n}.csv", header, columns)], []
+    return {}, [(f"geodesic_N{n}.csv", header, [columns])], []
 
 
 def _infogeo_family(args):
@@ -457,7 +463,7 @@ def cmd_infogeo(args):
     fam, lo, hi, label = _infogeo_family(args)
     thetas = np.linspace(lo, hi, args.points)
     columns = [args.family, thetas, *ig.metric_columns(fam, thetas, 1e-3)]
-    return {}, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], columns)], []
+    return {}, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], [columns])], []
 
 
 # -- ga-verify --------------------------------------------------------------------
@@ -490,9 +496,8 @@ def cmd_ga_verify(args):
         dev = np.abs(rotor - digital).max(axis=1)
         worst = float(dev.max())
         _require_agreement("plane coordinates", worst, n, msta.TOL_PLANE)
-        ks = range(k_max + 1)
-        blocks.append((["plane_coords"] * len(ks), [n] * len(ks), ks, rotor[:, 0], digital[:, 0], dev))
-        blocks.append((["plane_coords_max"], [n], [k_max], [worst], [0.0], [worst]))
+        blocks.append(("plane_coords", n, np.arange(k_max + 1), rotor[:, 0], digital[:, 0], dev))
+        blocks.append(("plane_coords_max", n, k_max, worst, 0.0, worst))
     # once the orbits' buffers are freed: g^2 must act from the left on the
     # basis spinors 1, ie1, ie2, ie3 as the 2x2 iterate acts on their columns
     for n in n_list:
@@ -510,10 +515,8 @@ def cmd_ga_verify(args):
             dev = [*np.subtract(msta.mv_to_qubit(product), np.transpose(iterate) @ col), *product[[1, 2, 4, 7]]]
             worst = max(worst, float(np.abs(dev).max()))
         _require_agreement("iterates on the basis spinors", worst, n, msta.TOL_STATE)
-        blocks.append((["spinor_iterate"], [n], [1], [worst], [0.0], [worst]))
-
-    columns = [np.concatenate(column) for column in zip(*blocks)]
-    return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], columns)], []
+        blocks.append(("spinor_iterate", n, 1, worst, 0.0, worst))
+    return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], blocks)], []
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -638,7 +641,7 @@ def cmd_sweep(args):
     else:
         results = [_run_cell(a) for a in cell_args]
     written = [output for cell_outputs in results for output in cell_outputs]
-    return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], list(zip(*index_rows)))], written
+    return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], index_rows)], written
 
 
 # -- parser ----------------------------------------------------------------------

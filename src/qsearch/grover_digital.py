@@ -5,7 +5,8 @@ States are plain numpy arrays of length N.  N is arbitrary (not only powers
 of two); the Walsh-Hadamard construction only fixes the uniform initial
 state, which is well defined for any N.  That state is real, and both
 reflections of the iterate keep a state real, so the simulator steps float64
-amplitudes; the reflections also take complex states.  Each operation
+amplitudes; the reflections also take complex states, but
+:func:`plane_coordinates` projects real float states only.  Each operation
 returns a new state unless it is handed an `out` buffer, and
 :func:`grover_orbit` steps one buffer in place, one iterate per step taken.
 
@@ -16,16 +17,9 @@ coordinates (:func:`alpha_beta`) are defined here only.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
-
-
-class SearchPlaneState(NamedTuple):
-    """Real coordinates of a state on the (target, bad) search plane."""
-
-    a_target: float
-    a_bad: float
 
 
 def check_plane_size(n: int) -> None:
@@ -106,18 +100,20 @@ def grover_orbit(n: int, target: int = 0) -> Iterator[np.ndarray]:
         grover_iterate(state, target, out=state)
 
 
-def plane_coordinates(state: np.ndarray, target: int) -> SearchPlaneState:
-    """Project a state onto the (target, bad) plane.
+def plane_coordinates(state: np.ndarray, target: int) -> tuple[float, float]:
+    """Project a real float state onto the (target, bad) plane, as the pair
+    (a_target, a_bad); any other dtype raises ValueError.
 
     The bad coordinate is the overlap with the normalized uniform superposition
     of all non-target basis states.
     """
+    if state.dtype.kind != "f":
+        raise ValueError(f"plane coordinates need a real float state, got dtype {state.dtype}")
     n = state.shape[0]
     _check_target(n, target)
     check_plane_size(n)
-    a_t = state[target]
-    a_b = (state.sum() - a_t) / math.sqrt(n - 1)
-    return SearchPlaneState(a_target=float(np.real(a_t)), a_bad=float(np.real(a_b)))
+    a_t = float(state[target])
+    return a_t, float((state.sum() - a_t) / math.sqrt(n - 1))
 
 
 def success_probability(k, n: int):

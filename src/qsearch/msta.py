@@ -87,6 +87,6 @@ def ga_grover_orbit(n: int, k_max: int) -> np.ndarray:
     return np.fromiter(((v[0b100], v[0b001]) for v in points), (float, 2), k_max + 1)
 
 
-def ga_grover_apply(k: int, n: int) -> gd.SearchPlaneState:
-    """Plane coordinates after k iterations: the last point of the orbit."""
-    return gd.SearchPlaneState(*ga_grover_orbit(n, k)[-1].tolist())
+def ga_grover_apply(k: int, n: int) -> tuple[float, float]:
+    """Plane coordinates (target, bad) after k iterations: the orbit's last point."""
+    return tuple(ga_grover_orbit(n, k)[-1].tolist())

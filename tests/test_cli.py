@@ -707,6 +707,16 @@ class TestGaVerify:
         assert len(calls) == 20
         assert len(iterates) == 26
 
+    def test_table_memory_per_row(self, tmp_path):
+        # a plane block holds its k column, the two orbits' coordinates and
+        # their deviation, 48 B a row, and repeats its label and N as
+        # scalars; a <U16 label column alone would add 64 B a row
+        code, peak = run_cli_traced(["ga-verify", "--N-list", "4,16,64", "--k-max", "65536"], tmp_path)
+        assert code == 0
+        rows = len((tmp_path / "ga_verify.csv").read_bytes().splitlines()) - 1
+        assert rows == 3 * 65537 + 6
+        assert peak < 80 * rows
+
 
 class TestSweep:
     CONFIG = """
@@ -1217,27 +1227,42 @@ class TestWriteCsv:
     def test_streams_the_same_bytes(self, tmp_path):
         header = ["n", "x", "s", "model", "E"]
         columns = [np.array([1, 2, 3]), np.array([0.1, 1e-300, -0.0]), np.array(["a", "b", ""]), "100%", 2.5]
-        path = cli.write_csv(tmp_path / "t.csv", header, columns, hashlib.sha256())
+        path = cli.write_csv(tmp_path / "t.csv", header, [columns], hashlib.sha256())
         assert path.read_bytes() == (
             b"n,x,s,model,E\n1,0.10000000000000001,a,100%,2.5\n2,1e-300,b,100%,2.5\n3,-0,,100%,2.5\n"
         )
         # every chunk of rows, the last one short
         n_rows = 2 * cli._CHUNK_ROWS + 3
-        path = cli.write_csv(tmp_path / "long.csv", ["i"], [np.arange(n_rows)], hashlib.sha256())
+        path = cli.write_csv(tmp_path / "long.csv", ["i"], [[np.arange(n_rows)]], hashlib.sha256())
         assert path.read_text() == "i\n" + "".join(f"{i}\n" for i in range(n_rows))
 
     @settings(max_examples=60, deadline=2000, database=None)
-    @given(tables())
-    def test_matches_the_reference_formatter(self, table):
-        # against the reference formatter's cells joined row by row; the
-        # CLI's own hash of the bytes written is hashlib's of the file
+    @given(tables(), st.data())
+    def test_matches_the_reference_formatter(self, table, data):
+        # the table cut into row blocks at random cuts (empty blocks too):
+        # a block's array column is its slice of rows, or one scalar where
+        # the slice's cells all print alike, and a block keeps its first
+        # column an array unless it is one row.  Against the reference
+        # formatter's cells of the whole table joined row by row; the CLI's
+        # own hash of the bytes written is hashlib's of the file
         n_rows, columns = table
         header = [f"c{j}" for j in range(len(columns))]
         cells = [column.tolist() if np.ndim(column) else [column] * n_rows for column in columns]
         lines = [",".join(header)] + [",".join(fmt(cell) for cell in row) for row in zip(*cells)]
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), max_size=4)))
+        blocks = []
+        for start, stop in zip([0, *cuts], [*cuts, n_rows]):
+            block = []
+            for j, column in enumerate(columns):
+                if np.ndim(column):
+                    alike = len({fmt(cell) for cell in column[start:stop].tolist()}) == 1
+                    scalar = alike and (j or stop - start == 1) and data.draw(st.booleans())
+                    column = column[start] if scalar else column[start:stop]
+                block.append(column)
+            blocks.append(block)
         sha = cli._new_sha256()
         with tempfile.TemporaryDirectory() as out:
-            path = cli.write_csv(Path(out) / "t.csv", header, columns, sha)
+            path = cli.write_csv(Path(out) / "t.csv", header, blocks, sha)
             blob = path.read_bytes()
         assert blob == ("\n".join(lines) + "\n").encode("ascii")
         assert sha.hexdigest() == hashlib.sha256(blob).hexdigest()
@@ -1248,12 +1273,12 @@ class TestWriteCsv:
         n_rows = 2 * cli._CHUNK_ROWS
         columns = [np.arange(n_rows), np.array(["x"] * (n_rows - 1) + ["\u00e9"])]
         with pytest.raises(UnicodeEncodeError):
-            cli.write_csv(path, ["a", "b"], columns, hashlib.sha256())
+            cli.write_csv(path, ["a", "b"], [columns], hashlib.sha256())
         assert list(tmp_path.iterdir()) == []
         # an earlier table of the same name stays whole
-        cli.write_csv(path, ["a", "b"], [np.array([1]), 2.0], hashlib.sha256())
+        cli.write_csv(path, ["a", "b"], [[np.array([1]), 2.0]], hashlib.sha256())
         with pytest.raises(UnicodeEncodeError):
-            cli.write_csv(path, ["a", "b"], columns, hashlib.sha256())
+            cli.write_csv(path, ["a", "b"], [columns], hashlib.sha256())
         assert path.read_text() == "a,b\n1,2\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -1261,15 +1286,39 @@ class TestWriteCsv:
         "header, columns, what",
         [
             (["a", "b"], [np.arange(3), np.arange(4.0)], "share one length"),
-            (["a", "b"], [1, 2.0], "share one length"),
             (["a", "b", "c"], [np.arange(3), np.arange(3.0)], "shorter"),
         ],
-        ids=["unequal-lengths", "no-array-column", "header-longer"],
+        ids=["unequal-lengths", "header-longer"],
     )
     def test_columns_must_make_a_table(self, tmp_path, header, columns, what):
         # zip would otherwise drop the rows or the column beyond the shortest
         with pytest.raises(ValueError, match=what):
-            cli.write_csv(tmp_path / "t.csv", header, columns, hashlib.sha256())
+            cli.write_csv(tmp_path / "t.csv", header, [columns], hashlib.sha256())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_block_of_scalars_is_one_row(self, tmp_path):
+        blocks = [[1, 2.5, "x%"], [np.arange(2), 0.0, "y"], [np.int64(7), np.float64(-0.0), np.str_("z")]]
+        path = cli.write_csv(tmp_path / "t.csv", ["a", "b", "c"], blocks, hashlib.sha256())
+        assert path.read_text() == "a,b,c\n1,2.5,x%\n0,0,y\n1,0,y\n7,-0,z\n"
+
+    @pytest.mark.parametrize(
+        "bad_block, what",
+        [
+            ([np.arange(2), np.array([1.0, math.nan])], "non-finite value nan"),
+            ([np.arange(2), np.arange(3.0)], "got [2, 3]"),
+        ],
+        ids=["non-finite", "unequal-lengths"],
+    )
+    def test_failure_in_a_later_block_writes_nothing(self, tmp_path, monkeypatch, capsys, bad_block, what):
+        # the first block's rows, more than a chunk, are already in the
+        # `.part` file when the last block fails: the run removes it, writes
+        # no CSV and no manifest, and removes each directory it made
+        first = [np.arange(cli._CHUNK_ROWS + 1), 0.5]
+        table = ("t.csv", ["a", "b"], [first, [3, 1.0], bad_block])
+        monkeypatch.setattr(cli, "cmd_digital", lambda args: ({}, [table], []))
+        assert run_cli(["digital", "--N", "4"], tmp_path / "fresh" / "out") == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and what in err
         assert list(tmp_path.iterdir()) == []
 
     def test_unequal_columns_are_a_domain_error(self, tmp_path, monkeypatch, capsys):
@@ -1288,7 +1337,7 @@ class TestWriteCsv:
         # in an array column of the value's own dtype, and as a scalar column
         for column in (np.array([2.0, value], dtype=np.result_type(value)), value):
             with pytest.raises(ValueError, match=r"non-finite value .* \(column b\)"):
-                cli.write_csv(tmp_path / "t.csv", ["a", "b"], [np.array([1, 3]), column], hashlib.sha256())
+                cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[np.array([1, 3]), column]], hashlib.sha256())
             assert list(tmp_path.iterdir()) == []
 
 

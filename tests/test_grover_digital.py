@@ -97,9 +97,25 @@ class TestGroverIterate:
         for n in (4, 16, 100, 1024):
             theta = gd.theta_for(n)
             for k, state in enumerate(itertools.islice(gd.grover_orbit(n, 1), 2 * gd.optimal_iterations(n) + 1)):
-                coords = gd.plane_coordinates(state, target=1)
-                assert abs(coords.a_target - math.sin((2 * k + 1) * theta)) < 1e-10
-                assert abs(coords.a_bad - math.cos((2 * k + 1) * theta)) < 1e-10
+                a_target, a_bad = gd.plane_coordinates(state, target=1)
+                assert abs(a_target - math.sin((2 * k + 1) * theta)) < 1e-10
+                assert abs(a_bad - math.cos((2 * k + 1) * theta)) < 1e-10
+
+    def test_plane_coordinates_are_a_pair_of_floats(self):
+        coords = gd.plane_coordinates(gd.init_uniform(4), 0)
+        assert type(coords) is tuple and [type(c) for c in coords] == [float, float]
+        assert coords == pytest.approx(gd.alpha_beta(4), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "state",
+        [np.array([0.5j, 0.5, 0.5, 0.5]), np.array([1, 0, 0, 0])],
+        ids=["complex", "integer"],
+    )
+    def test_plane_coordinates_refuse_a_state_that_is_not_real_float(self, state):
+        # (i/2, 1/2, 1/2, 1/2) has |a_target| = 1/2, which a real part of 0
+        # would drop without a word
+        with pytest.raises(ValueError, match=f"real float state, got dtype {state.dtype}"):
+            gd.plane_coordinates(state, 0)
 
     def test_orbit_is_the_iterate_chain(self, monkeypatch):
         # point k is k iterates of the uniform state, bit for bit, and taking
