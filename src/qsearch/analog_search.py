@@ -14,9 +14,10 @@ any 2x2 Hermitian matrix and the only propagator here:
   its first target-probability peak is known exactly.
 
 Both models are tabulated alike: :func:`fenner_state` and :func:`fg_scan`
-take one time or an array of times, and one propagator call serves each
-chunk of 4096 times, so no (T, 2, 2) propagator array of a whole grid is
-built.
+take one time or an array of times and return the target probability at
+each, which is what a table reads.  One propagator call serves each chunk of
+4096 times, so neither a (T, 2, 2) propagator array nor a (T, 2) state of a
+whole grid is built.
 
 The printed closed form for the optimal search time carries an arcsine whose
 argument exceeds one; we evaluate asin(sqrt((N-1)/N)) instead, which restores
@@ -40,27 +41,26 @@ _CHUNK_TIMES = 4096
 
 
 class EvolutionResult(NamedTuple):
-    """State coordinates on (target, bad) at time ts and the target
-    probability; with an array of times, one state and one probability per
-    time."""
+    """The target probability at time ts; with an array of times, one
+    probability per time."""
 
     ts: float | np.ndarray
-    state: np.ndarray
     p_target: float | np.ndarray
 
 
 def _evolve_uniform(h: np.ndarray, n: int, ts) -> EvolutionResult:
-    """The uniform state of N basis states evolved under the plane
-    Hamiltonian h to time ts, or to each of an array of times, one chunk of
-    times at a time into one preallocated state."""
+    """The target probability of the uniform state of N basis states evolved
+    under the plane Hamiltonian h to time ts, or to each of an array of
+    times, one chunk of times at a time into one preallocated array."""
     start_state = np.array(alpha_beta(n))
     times = np.asarray(ts, dtype=np.float64)
-    state = np.empty(times.shape + (2,), dtype=np.complex128)
-    flat_times, flat_state = times.reshape(-1), state.reshape(-1, 2)
+    p_target = np.empty(times.shape)
+    flat_times, flat_p = times.reshape(-1), p_target.reshape(-1)
     for start in range(0, len(flat_times), _CHUNK_TIMES):
         chunk = slice(start, start + _CHUNK_TIMES)
-        flat_state[chunk] = plane_propagator(h, flat_times[chunk]) @ start_state
-    return EvolutionResult(ts=ts, state=state, p_target=np.abs(state[..., 0]) ** 2)
+        flat_p[chunk] = np.abs((plane_propagator(h, flat_times[chunk]) @ start_state)[:, 0]) ** 2
+    # [()] makes one time's probability a scalar and leaves an array whole
+    return EvolutionResult(ts=ts, p_target=p_target[()])
 
 
 def fenner_matrix(n: int) -> np.ndarray:
@@ -72,9 +72,9 @@ def fenner_matrix(n: int) -> np.ndarray:
 
 
 def fenner_state(t, n: int) -> EvolutionResult:
-    """Uniform state evolved under the commutator-built Hamiltonian to one
-    time or to each of an array of times; the target probability is
-    [alpha cos(x) + beta sin(x)]^2."""
+    """Target probability of the uniform state evolved under the
+    commutator-built Hamiltonian to one time or to each of an array of
+    times, [alpha cos(x) + beta sin(x)]^2."""
     return _evolve_uniform(fenner_matrix(n), n, t)
 
 
@@ -118,8 +118,8 @@ def farhi_gutmann_matrix(n: int, energy: float) -> np.ndarray:
 
 
 def fg_scan(ts, n: int, energy: float) -> EvolutionResult:
-    """Uniform state evolved under the two-projector Hamiltonian to one time
-    or to each of an array of times."""
+    """Target probability of the uniform state evolved under the
+    two-projector Hamiltonian to one time or to each of an array of times."""
     return _evolve_uniform(farhi_gutmann_matrix(n, energy), n, ts)
 
 

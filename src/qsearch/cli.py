@@ -215,7 +215,7 @@ _N_CAP = 1 << 22
 # largest step count of a time or angle grid, of `digital --k` and of
 # `infogeo --points`: about ten times the finest fenner grid of a sweep over
 # N <= 4096 at dt = 1e-3.  At the cap (medians of 3, 2-CPU host) `analog
-# --model fenner --N 4 --dt 1e-4 --t-max 104.8576` peaks near 78 MB RSS in
+# --model fenner --N 4 --dt 1e-4 --t-max 104.8576` peaks near 48 MB RSS in
 # 1.1 s, `infogeo --points 1048576` 87 MB in 1.6 s and `digital --N 4 --k
 # 1048576` 78 MB in 4.1 s; hashing a 50-70 MB table takes about 0.3 s of that
 _ROW_CAP = 1 << 20
@@ -283,6 +283,8 @@ def cmd_analog(args):
         if energy <= 0:
             raise ValueError("energy scale must be positive")
         t_max = args.t_max if args.t_max is not None else 1.5 * an.fg_peak_time(n, energy)
+        if math.isinf(t_max):
+            raise ValueError(f"time grid is not finite: the default horizon overflows at E={energy}; --t-max sets it")
     dt = args.dt if args.dt is not None else t_max / 1000.0
     if dt <= 0 or t_max <= 0:
         raise ValueError("time grid must be positive")
@@ -431,10 +433,10 @@ def cmd_geodesic(args):
     thetas = np.where(index < steps, index * args.dtheta, args.theta_end)
     sol = ig.solve_geodesic(q0, qdot0, thetas, family.multiplicity)
     # past pi/2 the metric columns read the family at its domain's end
-    metric = ig.metric_columns(family, np.clip(sol.thetas, *family.domain), args.dtheta)
+    metric = ig.metric_columns(family, np.clip(thetas, *family.domain), args.dtheta)
     n_q_cols = min(n, 4)
     q_target, q_rest = sol.q.T
-    columns = [sol.thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), sol.residual]
+    columns = [thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), sol.residual]
 
     header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual"]
     return {}, [(f"geodesic_N{n}.csv", header, [columns])], []
@@ -507,7 +509,7 @@ def cmd_ga_verify(args):
         for target, bad in ((1.0, 0.0), (0.0, 1.0 / math.sqrt(n - 1))):
             state.fill(bad)
             state[0] = target
-            iterate.append(gd.plane_coordinates(gd.grover_iterate(state, 0, out=state), 0))
+            iterate.append(gd.plane_coordinates(gd.grover_iterate(state, 0), 0))
         worst = 0.0
         for col in ((1, 0), (0, 1j), (0, -1), (1j, 0)):
             product = ga_core.geometric_product(g2, msta.qubit_to_mv(*col))

@@ -199,7 +199,7 @@ def damped_geodesic_solve(
     q0: float,
     qdot0: float,
     theta_end: float,
-    dtheta: float = 1e-3,
+    dtheta: float,
 ) -> DampedPath:
     """RK4 integration of q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0.
 

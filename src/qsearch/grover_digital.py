@@ -6,9 +6,10 @@ of two); the Walsh-Hadamard construction only fixes the uniform initial
 state, which is well defined for any N.  That state is real, and both
 reflections of the iterate keep a state real, so the simulator steps float64
 amplitudes; the reflections also take complex states, but
-:func:`plane_coordinates` projects real float states only.  Each operation
-returns a new state unless it is handed an `out` buffer, and
-:func:`grover_orbit` steps one buffer in place, one iterate per step taken.
+:func:`plane_coordinates` projects real float states only.  The two
+reflections, and the iterate they make, act in place on the one register
+they are given and return it; :func:`grover_orbit` steps one buffer so, one
+iterate per step taken.
 
 The plane, spanned by the collective non-target state and the target state,
 needs N >= 2; its angle (:func:`theta_for`) and the uniform state's
@@ -53,40 +54,31 @@ def _check_target(n: int, target: int) -> None:
         raise ValueError(f"target index {target} out of range for N={n}")
 
 
-def oracle_apply(state: np.ndarray, target: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Flip the amplitude of the marked state, into a new array or into
-    `out`, which may be `state` itself."""
+def oracle_apply(state: np.ndarray, target: int) -> np.ndarray:
+    """Flip the amplitude of the marked state, in place; returns `state`."""
     _check_target(state.shape[0], target)
-    if out is None:
-        out = state.copy()
-    elif out is not state:
-        np.copyto(out, state)
-    out[target] = -out[target]
-    return out
+    state[target] = -state[target]
+    return state
 
 
-def inversion_about_mean(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Send every amplitude a_x to 2*mean - a_x, into a new array or into
-    `out`, which may be `state` itself.
+def inversion_about_mean(state: np.ndarray) -> np.ndarray:
+    """Send every amplitude a_x to 2*mean - a_x, in place; returns `state`.
 
     This is the reflection 2|u><u| - I about the uniform state |u>:
     conjugating the zero-state phase flip by the Walsh-Hadamard transform
     gives H (2|0><0| - I) H = 2|u><u| - I, and (2|u><u| - I) a has components
     2 mean(a) - a_x.  It is unitary and an involution.
     """
-    return np.subtract(2.0 * state.mean(), state, out=out)
+    return np.subtract(2.0 * state.mean(), state, out=state)
 
 
-def grover_iterate(state: np.ndarray, target: int, out: np.ndarray | None = None) -> np.ndarray:
-    """One iterate, the oracle then the inversion about the mean, as a new
-    state or into `out` (with out=state, in place).  Both reflections work in
-    the one output array, so the result is the same, bit for bit, however it
-    is called."""
-    flipped = oracle_apply(state, target, out)
-    return inversion_about_mean(flipped, out=flipped)
+def grover_iterate(state: np.ndarray, target: int) -> np.ndarray:
+    """One iterate, the oracle then the inversion about the mean, in place;
+    returns `state`."""
+    return inversion_about_mean(oracle_apply(state, target))
 
 
-def grover_orbit(n: int, target: int = 0) -> Iterator[np.ndarray]:
+def grover_orbit(n: int, target: int) -> Iterator[np.ndarray]:
     """The uniform state, then its iterates k = 1, 2, ... without end; each
     iterate is computed only when the next state is asked for.
 
@@ -97,7 +89,7 @@ def grover_orbit(n: int, target: int = 0) -> Iterator[np.ndarray]:
     state = init_uniform(n)
     while True:
         yield state
-        grover_iterate(state, target, out=state)
+        grover_iterate(state, target)
 
 
 def plane_coordinates(state: np.ndarray, target: int) -> tuple[float, float]:

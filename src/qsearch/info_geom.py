@@ -61,7 +61,6 @@ class GeodesicSolution(NamedTuple):
     value and one column per amplitude class, and ``residual`` one
     :func:`geodesic_residual` per value, the largest over the classes."""
 
-    thetas: np.ndarray
     q: np.ndarray
     residual: np.ndarray
 
@@ -167,13 +166,12 @@ def solve_geodesic(
         raise ValueError("initial data must have one amplitude per class")
     if abs(np.sum(m * q0 * q0) - 1.0) > 1e-8:
         raise ValueError("initial amplitudes must be normalized")
-    thetas = np.asarray(thetas, dtype=np.float64)
     # one row per value, one column per class
-    column = thetas[:, None]
+    column = np.asarray(thetas, dtype=np.float64)[:, None]
 
     def path(theta: np.ndarray) -> np.ndarray:
         return np.cos(theta) * q0 + np.sin(theta) * qdot0
 
     resid = np.max(np.abs(geodesic_residual(path, column)), axis=1)
-    return GeodesicSolution(thetas=thetas, q=path(column), residual=resid)
+    return GeodesicSolution(q=path(column), residual=resid)
 

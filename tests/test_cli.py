@@ -90,7 +90,7 @@ class TestDigital:
         assert run_cli(["digital", "--N", str(n), "--k", str(k_final)], tmp_path) == 0
         _, rows = read_csv(tmp_path / f"digital_N{n}_k{k_final}.csv")
         theta = gd.theta_for(n)
-        states = islice(gd.grover_orbit(n), 1, k_final + 1)
+        states = islice(gd.grover_orbit(n, 0), 1, k_final + 1)
         for k, (row, state) in enumerate(zip(rows, states, strict=True), 1):
             closed, sim = math.sin((2 * k + 1) * theta) ** 2, abs(state[0]) ** 2
             assert row[1:] == [fmt(k), fmt(theta), fmt(closed), fmt(sim), fmt(abs(closed - sim))]
@@ -212,6 +212,29 @@ class TestAnalog:
         assert run_cli(["analog", "--N", "16", *argv], tmp_path) == cli.EXIT_DOMAIN
         assert what in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("model", ["fenner", "farhi-gutmann"])
+    def test_table_memory_per_row(self, tmp_path, model):
+        # 2^18 times: the t and p_target columns take 16 B a row and one
+        # chunk of formatted rows about 1.3 MiB, 21 B a row in all; a stored
+        # (T, 2) complex state alone would add 32 B a row
+        rows = 1 << 18
+        grid = ["--dt", repr(2.0**-10), "--t-max", repr((rows - 1) * 2.0**-10)]
+        code, peak = run_cli_traced(["analog", "--model", model, "--N", "64", *grid], tmp_path)
+        assert code == 0
+        assert len((tmp_path / f"analog_{model}_N64.csv").read_bytes().splitlines()) == rows + 1
+        assert peak < 28 * rows
+
+    def test_overflowing_default_horizon_is_domain_error(self, tmp_path, capsys):
+        # 1.5 (pi/2) sqrt(N)/E overflows to inf at E = 1e-320, and the step
+        # count inf / inf would be nan
+        argv = ["analog", "--model", "farhi-gutmann", "--N", "4", "--E", "1e-320"]
+        assert run_cli(argv, tmp_path) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "time grid is not finite: the default horizon overflows at E=1e-320; --t-max sets it" in err
+        assert not list(tmp_path.iterdir())
+        assert run_cli([*argv, "--t-max", "1"], tmp_path) == 0
 
     @pytest.mark.parametrize("model", ["fenner", "farhi-gutmann"])
     def test_one_sample_grid_is_the_t0_row(self, tmp_path, model):
@@ -700,9 +723,7 @@ class TestGaVerify:
         monkeypatch.setattr(Rotor, "apply", lambda self, v: calls.append(1) or apply(self, v))
         iterates = []
         iterate = cli.gd.grover_iterate
-        monkeypatch.setattr(
-            cli.gd, "grover_iterate", lambda s, t, out=None: iterates.append(1) or iterate(s, t, out=out)
-        )
+        monkeypatch.setattr(cli.gd, "grover_iterate", lambda s, t: iterates.append(1) or iterate(s, t))
         assert run_cli(["ga-verify", "--N-list", "4,16,64"], tmp_path) == 0
         assert len(calls) == 20
         assert len(iterates) == 26

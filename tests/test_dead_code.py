@@ -2,12 +2,14 @@
 
 Every module-level function, class or constant in ``src/qsearch``, private
 names included (dunders are exempt), must be referenced somewhere outside its
-own definition by library code: it is on a subcommand's call chain.  So must every public method of a public
-class there, read as an attribute (dunders are exempt).  A test alone, the
-acceptance gate included, does not keep a name alive; an oracle that only
-tests use belongs in ``tests/``.  The keep-list names the exceptions: each is
-a function that ``bench/tracer.py`` wraps, so the benchmark's tracer needs it
-to resolve.
+own definition by library code: it is on a subcommand's call chain.  So must
+every public method of a public class there, read as an attribute in a
+module that defines the class or names it, by import or as a module
+attribute (dunders are exempt): a `.write` read on a file handle does not
+keep `RunManifest.write` alive.  A test alone, the acceptance gate included,
+does not keep a name alive; an oracle that only tests use belongs in
+``tests/``.  The keep-list names the exceptions: each is a function that
+``bench/tracer.py`` wraps, so the benchmark's tracer needs it to resolve.
 """
 import ast
 from pathlib import Path
@@ -73,7 +75,8 @@ def unreferenced(trees=TREES):
     """`module.name` of each module-level def, class or assigned name, dunders
     aside, that no tree reads outside the definition itself, and
     `module.Class.method` of each public method that no tree reads as an
-    attribute outside the method itself."""
+    attribute outside the method itself, counting another tree's read only
+    where that tree names the class."""
     read = {path: read_names(tree) for path, tree in trees.items()}
     dead = []
     for path, tree in trees.items():
@@ -87,7 +90,11 @@ def unreferenced(trees=TREES):
                     dead.append(f"{Path(path).stem}.{name}")
             for method in public_methods(node):
                 own = {id(n) for n in ast.walk(method)}
-                elsewhere = any(method.name in attrs for other, (_, attrs) in read.items() if other != path)
+                elsewhere = any(
+                    method.name in attrs and node.name in names | attrs
+                    for other, (names, attrs) in read.items()
+                    if other != path
+                )
                 if not elsewhere and method.name not in read_names(tree, own)[1]:
                     dead.append(f"{Path(path).stem}.{node.name}.{method.name}")
     return dead
@@ -139,6 +146,19 @@ def test_uncalled_method_is_flagged():
     )
     tree = ast.parse(source)
     assert unreferenced({"m.py": tree, "n.py": ast.parse("import m\nm.C\nm.f\nm._P")}) == ["m.C.idle"]
+
+
+def test_method_read_counts_only_where_its_class_is_named():
+    # n.py's `.write` is a file handle's; a p.py that imports the class, or
+    # reads it as a module attribute, keeps the method alive
+    trees = {
+        "m.py": ast.parse("class RunManifest:\n    def write(self): pass\n"),
+        "n.py": ast.parse("def save(fh): fh.write(b'')\n"),
+        "o.py": ast.parse("import m, n\nm.RunManifest\nn.save\n"),
+    }
+    assert unreferenced(trees) == ["m.RunManifest.write"]
+    for source in ("from m import RunManifest\nRunManifest().write()\n", "import m\nm.RunManifest().write()\n"):
+        assert unreferenced(trees | {"p.py": ast.parse(source)}) == []
 
 
 def test_uncalled_private_name_is_flagged():
