@@ -21,3 +21,10 @@ __version__ = "0.1.0"
 class CrossCheckError(RuntimeError):
     """Two independent computations of one quantity disagreed beyond their
     pinned tolerance: a fault in the library, not in its input."""
+
+
+def require_agreement(what: str, worst: float, where: str, tolerance: float) -> None:
+    """Raise CrossCheckError unless the two computations named by `what`
+    agree at `where` within `tolerance`: worst <= tolerance, false for NaN."""
+    if not worst <= tolerance:
+        raise CrossCheckError(f"{what} differ by {worst!r} at {where} (tolerance {tolerance!r})")

@@ -25,10 +25,13 @@ Exit codes: 0 success, 2 usage or configuration error (an output directory
 or file that cannot be made or written among them), 3 numeric-domain
 error (a rejected value, an overflow or division by zero, a non-finite
 number in a table, which `write_csv` refuses to write, or an allocation that
-runs out of memory), 4 failed internal
-cross-check (the fixed-point simulation and its coefficient track, or
-`ga-verify`'s rotor and state-vector plane coordinates, or iterates on the
-basis spinors, disagreed beyond their tolerance; nothing is written).
+runs out of memory), 4 failed internal cross-check (the fixed-point
+simulation and its coefficient track, or `ga-verify`'s rotor and
+state-vector plane coordinates, or iterates on the basis spinors, disagreed
+beyond their tolerance; nothing is written).  Each rule has one check: every
+cross-check raises through `qsearch.require_agreement`, naming one
+deviation, every N goes through `_check_n`, every target index through
+`grover_digital.check_target` and every grid through `_grid_steps`.
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
@@ -66,7 +69,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import CrossCheckError, __version__
+from . import CrossCheckError, __version__, require_agreement
 from . import analog_search as an
 from . import fixed_point as fp
 from . import ga_core
@@ -212,12 +215,13 @@ def _dispatch(args) -> list[tuple[Path, str]]:
 # and peaks near 61 MB RSS (median of 3 processes, 2-CPU host)
 _N_CAP = 1 << 22
 
-# largest step count of a time or angle grid, of `digital --k` and of
-# `infogeo --points`: about ten times the finest fenner grid of a sweep over
-# N <= 4096 at dt = 1e-3.  At the cap (medians of 3, 2-CPU host) `analog
-# --model fenner --N 4 --dt 1e-4 --t-max 104.8576` peaks near 48 MB RSS in
-# 1.1 s, `infogeo --points 1048576` 87 MB in 1.6 s and `digital --N 4 --k
-# 1048576` 78 MB in 4.1 s; hashing a 50-70 MB table takes about 0.3 s of that
+# largest step count of a time or angle grid, of `digital --k`, of `infogeo
+# --points` and of a sweep's cells (its index has a row per cell): about ten
+# times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  At the
+# cap (medians of 3, 2-CPU host) `analog --model fenner --N 4 --dt 1e-4
+# --t-max 104.8576` peaks near 48 MB RSS in 1.1 s, `infogeo --points 1048576`
+# 87 MB in 1.6 s and `digital --N 4 --k 1048576` 64 MB in 4.1 s; hashing a
+# 50-70 MB table takes about 0.3 s of that
 _ROW_CAP = 1 << 20
 # largest `ga-verify --k-max`: a rotor orbit drifts from the state vector
 # about linearly in k, over the default N list most at N = 64 (2.5e-11 by
@@ -230,12 +234,19 @@ def _check_rows(count: float, what: str, cap: int = _ROW_CAP) -> None:
         raise ValueError(f"{what} {count} exceeds the cap of {cap}")
 
 
+def _check_n(command: str, n: int, low: int = 2) -> None:
+    """Admit low <= N <= _N_CAP, compared as ints before any float conversion."""
+    if not low <= n <= _N_CAP:
+        raise ValueError(f"{command} needs {low} <= N <= {_N_CAP}, got N={n}")
+
+
 def _grid_steps(span: float, step: float, round_up: bool = False) -> int:
     """Steps of size `step` covering `span`: floor(span / step + 1e-9), or
-    ceil(span / step - 1e-12) with round_up.  Raises ValueError for a step
-    that is not positive or a count that is not finite or exceeds _ROW_CAP."""
-    if step <= 0.0:
-        raise ValueError("grid step must be positive")
+    ceil(span / step - 1e-12) with round_up.  Raises ValueError for a span or
+    step that is not positive or a count that is not finite or exceeds
+    _ROW_CAP."""
+    if not (span > 0.0 and step > 0.0):
+        raise ValueError(f"grid span and step must be positive, got span {span!r} and step {step!r}")
     count = span / step
     _check_rows(count, "grid step count")
     return math.ceil(count - 1e-12) if round_up else math.floor(count + 1e-9)
@@ -243,8 +254,7 @@ def _grid_steps(span: float, step: float, round_up: bool = False) -> int:
 
 def cmd_digital(args):
     n = args.N
-    if n > _N_CAP:
-        raise ValueError(f"N is capped at {_N_CAP} in the CLI")
+    _check_n("digital", n)
     theta = gd.theta_for(n)
     target = args.target
     if args.k == "auto":
@@ -257,11 +267,13 @@ def cmd_digital(args):
     amplitudes = np.fromiter((s[target] for s in islice(gd.grover_orbit(n, target), first, k_final + 1)), float)
     ks = np.arange(first, k_final + 1)
     closed = gd.success_probability(ks, n)
-    # squared through C's pow, as `success_probability` squares
-    sim = np.float_power(np.abs(amplitudes), 2)
+    # squared in place by C's pow, even in its base, as `success_probability` squares
+    sim = np.float_power(amplitudes, 2, out=amplitudes)
+    abs_error = np.subtract(closed, sim)
+    np.abs(abs_error, out=abs_error)
 
     header = ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"]
-    columns = [n, ks, theta, closed, sim, np.abs(closed - sim)]
+    columns = [n, ks, theta, closed, sim, abs_error]
     return {}, [(f"digital_N{n}_k{args.k}.csv", header, [columns])], []
 
 
@@ -270,10 +282,7 @@ def cmd_digital(args):
 
 def cmd_analog(args):
     n = args.N
-    # the cap geodesic uses: a larger N costs nothing more here, but one past
-    # float range would overflow in 1/sqrt(N)
-    if not 2 <= n <= _N_CAP:
-        raise ValueError(f"analog needs 2 <= N <= {_N_CAP}, got N={n}")
+    _check_n("analog", n)
     energy = args.E
     # both models sample t_i = i dt for i = 0..floor(t_max / dt + 1e-9), by
     # default 1001 times up to their own horizon
@@ -286,8 +295,6 @@ def cmd_analog(args):
         if math.isinf(t_max):
             raise ValueError(f"time grid is not finite: the default horizon overflows at E={energy}; --t-max sets it")
     dt = args.dt if args.dt is not None else t_max / 1000.0
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("time grid must be positive")
     ts = np.arange(_grid_steps(t_max, dt) + 1) * dt
     if args.model == "fenner":
         p_target = an.fenner_state(ts, n).p_target
@@ -354,18 +361,15 @@ def cmd_fixed_point(args):
         ran = {"N": n, "target": target, "u0": None, "seed": None}
     elif args.u0 == "wh":
         # H^{(x)n}|0>, the uniform state.  The run holds it and one state of
-        # N amplitudes, and the cap is digital's: depth 5 takes about 0.4 s
-        # and peaks near 61 MB RSS at N = 2^20, 1.3 s and 157 MB at the cap
-        # (2-CPU host)
-        if n < 2 or n > _N_CAP or n & (n - 1):
-            raise ValueError(
-                f"Walsh-Hadamard initialization needs N = 2^n with 2 <= N <= {_N_CAP}, got N={n}"
-            )
-        psi0 = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+        # N amplitudes: depth 5 takes about 0.4 s and peaks near 61 MB RSS at
+        # N = 2^20, 1.3 s and 157 MB at the cap (2-CPU host)
+        _check_n("fixed-point", n)
+        if n & (n - 1):
+            raise ValueError(f"Walsh-Hadamard initialization needs N = 2^n, got N={n}")
+        psi0 = gd.init_uniform(n).astype(np.complex128)
         ran = {"seed": None}
     else:
-        if not 1 <= n <= _N_CAP:
-            raise ValueError(f"random U0 needs 1 <= N <= {_N_CAP}, got N={n}")
+        _check_n("fixed-point", n, low=1)
         # a Haar-random state, the first column of a Haar-random U0, under
         # wh's cap: 0.08 s and 30 MB RSS at N = 1024, 1.5 s and 158 MB at the
         # cap (depth 5, 2-CPU host)
@@ -417,10 +421,7 @@ def cmd_geodesic(args):
     n = args.N
     # two amplitude classes cost the same at every N; the cap still keeps an
     # integer N far from where N - 1 would overflow a float
-    if not 2 <= n <= _N_CAP:
-        raise ValueError(f"geodesic needs 2 <= N <= {_N_CAP}, got N={n}")
-    if args.theta_end <= 0.0:
-        raise ValueError(f"geodesic needs a positive --theta-end, got {args.theta_end}")
+    _check_n("geodesic", n)
     steps = max(1, _grid_steps(args.theta_end, args.dtheta, round_up=True))
     # rows keep every stride-th point of the grid i * dtheta, whose last
     # point is theta_end itself
@@ -444,8 +445,7 @@ def cmd_geodesic(args):
 
 def _infogeo_family(args):
     if args.family == "grover":
-        if args.N > _N_CAP:
-            raise ValueError(f"N is capped at {_N_CAP} in the CLI")
+        _check_n("infogeo", args.N)
         fam = ig.grover_family(args.N)
         lo, hi = 1e-2, math.pi / 2 - 1e-2
         label = f"grover_N{args.N}"
@@ -471,11 +471,6 @@ def cmd_infogeo(args):
 # -- ga-verify --------------------------------------------------------------------
 
 
-def _require_agreement(what: str, worst: float, n: int, tolerance: float) -> None:
-    if not worst <= tolerance:
-        raise CrossCheckError(f"rotor and state-vector {what} differ by {worst!r} at N={n} (tolerance {tolerance!r})")
-
-
 def cmd_ga_verify(args):
     n_list = [int(x) for x in args.N_list.split(",") if x]
     if not n_list:
@@ -484,8 +479,7 @@ def cmd_ga_verify(args):
         _check_rows(args.k_max, "iteration count", _K_MAX_CAP)
     for n in n_list:
         # the state-vector side holds a state of N amplitudes, as digital does
-        if not 2 <= n <= _N_CAP:
-            raise ValueError(f"ga-verify needs 2 <= N <= {_N_CAP}, got N={n}")
+        _check_n("ga-verify", n)
     blocks = []
     for n in n_list:
         k_max = args.k_max if args.k_max is not None else 2 * gd.optimal_iterations(n)
@@ -497,7 +491,7 @@ def cmd_ga_verify(args):
         )
         dev = np.abs(rotor - digital).max(axis=1)
         worst = float(dev.max())
-        _require_agreement("plane coordinates", worst, n, msta.TOL_PLANE)
+        require_agreement("rotor and state-vector plane coordinates", worst, f"N={n}", msta.TOL_PLANE)
         blocks.append(("plane_coords", n, np.arange(k_max + 1), rotor[:, 0], digital[:, 0], dev))
         blocks.append(("plane_coords_max", n, k_max, worst, 0.0, worst))
     # once the orbits' buffers are freed: g^2 must act from the left on the
@@ -516,7 +510,7 @@ def cmd_ga_verify(args):
             # the odd blades 1, 2, 4 and 7, which mv_to_qubit drops, must stay 0
             dev = [*np.subtract(msta.mv_to_qubit(product), np.transpose(iterate) @ col), *product[[1, 2, 4, 7]]]
             worst = max(worst, float(np.abs(dev).max()))
-        _require_agreement("iterates on the basis spinors", worst, n, msta.TOL_STATE)
+        require_agreement("rotor and state-vector iterates on the basis spinors", worst, f"N={n}", msta.TOL_STATE)
         blocks.append(("spinor_iterate", n, 1, worst, 0.0, worst))
     return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], blocks)], []
 
@@ -616,6 +610,8 @@ def _run_cell(args) -> list[tuple[Path, str]]:
 
 def cmd_sweep(args):
     cfg = parse_sweep_config(Path(args.config))
+    # the index has a row per cell, and each cell is planned before any runs
+    _check_rows(math.prod(map(len, cfg.grids.values())), "sweep cell count", _ROW_CAP)
     cells = _sweep_cells(cfg)
     # every cell is parsed before any runs, so a bad key or value stops the
     # sweep before it writes anything

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import CrossCheckError, bessel
+from . import bessel, require_agreement
+from .grover_digital import check_target
 from .info_geom import ParametricFamily, geodesic_residual
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
@@ -121,10 +122,7 @@ def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> list[Recursion
     if depth < 0 or depth > MAX_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_DEPTH} (operator word grows as 3^k)")
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    n = psi0.shape[0]
-    # a negative index would wrap silently
-    if not 0 <= target < n:
-        raise ValueError(f"index {target} out of range for N={n}")
+    check_target(psi0.shape[0], target)
     if not abs(np.vdot(psi0, psi0).real - 1.0) <= 1e-10:
         raise ValueError("psi0 must be a unit vector")
     psi = psi0.copy()
@@ -143,12 +141,8 @@ def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> list[Recursion
         states.append(RecursionState(k=k, c_k=c, eps_k=eps))
     track = coefficient_track(states[0].c_k, depth)
     for rec, (c_rec, eps_rec) in zip(states, track):
-        dev_c, dev_eps = abs(rec.c_k - c_rec), abs(rec.eps_k - eps_rec)
-        if dev_c > TOL_TRACKS or dev_eps > TOL_TRACKS:
-            raise CrossCheckError(
-                f"simulation and coefficient tracks disagree at depth {rec.k}: overlap by {dev_c!r}, "
-                f"failure probability by {dev_eps!r} (tolerance {TOL_TRACKS!r})"
-            )
+        for what, dev in (("overlaps", abs(rec.c_k - c_rec)), ("failure probabilities", abs(rec.eps_k - eps_rec))):
+            require_agreement(f"simulated and coefficient-track {what}", dev, f"depth {rec.k}", TOL_TRACKS)
     return states
 
 

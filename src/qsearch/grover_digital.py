@@ -49,14 +49,15 @@ def init_uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-def _check_target(n: int, target: int) -> None:
+def check_target(n: int, target: int) -> None:
+    """The target indexes one of the N states; a negative one would wrap."""
     if not 0 <= target < n:
         raise ValueError(f"target index {target} out of range for N={n}")
 
 
 def oracle_apply(state: np.ndarray, target: int) -> np.ndarray:
     """Flip the amplitude of the marked state, in place; returns `state`."""
-    _check_target(state.shape[0], target)
+    check_target(state.shape[0], target)
     state[target] = -state[target]
     return state
 
@@ -85,7 +86,7 @@ def grover_orbit(n: int, target: int) -> Iterator[np.ndarray]:
     The orbit steps one real buffer in place: every state it yields is that
     buffer, which the next step overwrites, so a caller who keeps a state
     must copy it.  The target is checked before the buffer is allocated."""
-    _check_target(n, target)
+    check_target(n, target)
     state = init_uniform(n)
     while True:
         yield state
@@ -102,7 +103,7 @@ def plane_coordinates(state: np.ndarray, target: int) -> tuple[float, float]:
     if state.dtype.kind != "f":
         raise ValueError(f"plane coordinates need a real float state, got dtype {state.dtype}")
     n = state.shape[0]
-    _check_target(n, target)
+    check_target(n, target)
     check_plane_size(n)
     a_t = float(state[target])
     return a_t, float((state.sum() - a_t) / math.sqrt(n - 1))

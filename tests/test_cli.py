@@ -95,6 +95,16 @@ class TestDigital:
             closed, sim = math.sin((2 * k + 1) * theta) ** 2, abs(state[0]) ** 2
             assert row[1:] == [fmt(k), fmt(theta), fmt(closed), fmt(sim), fmt(abs(closed - sim))]
 
+    def test_table_memory_per_row(self, tmp_path):
+        # 2^18 iterations: k, the two probabilities and abs_error take 32 B a
+        # row and one chunk of formatted rows about 7 B; squaring into a new
+        # array, or an np.abs temporary, would add 8 B a row
+        rows = 1 << 18
+        code, peak = run_cli_traced(["digital", "--N", "4", "--k", str(rows)], tmp_path)
+        assert code == 0
+        assert len((tmp_path / f"digital_N4_k{rows}.csv").read_bytes().splitlines()) == rows + 1
+        assert peak < 44 * rows
+
     def test_million_auto_ends_at_785(self, tmp_path):
         assert run_cli(["digital", "--N", "1000000", "--k", "auto"], tmp_path) == 0
         _, rows = read_csv(tmp_path / "digital_N1000000_kauto.csv")
@@ -174,7 +184,7 @@ class TestAnalog:
     def test_farhi_gutmann_zero_step_domain_error(self, tmp_path, capsys):
         argv = ["analog", "--model", "farhi-gutmann", "--N", "16", "--dt", "0"]
         assert run_cli(argv, tmp_path) == cli.EXIT_DOMAIN
-        assert "time grid must be positive" in capsys.readouterr().err
+        assert "grid span and step must be positive, got span 9.42477796076938 and step 0.0" in capsys.readouterr().err
 
     def test_infinite_horizon_is_usage_error(self, tmp_path):
         argv = ["analog", "--model", "fenner", "--N", "16", "--t-max", "inf"]
@@ -202,9 +212,9 @@ class TestAnalog:
     @pytest.mark.parametrize(
         "argv, what",
         [
-            (["--model", "fenner", "--t-max", "-1"], "time grid must be positive"),
+            (["--model", "fenner", "--t-max", "-1"], "grid span and step must be positive, got span -1.0"),
             (["--model", "farhi-gutmann", "--E", "0"], "energy scale must be positive"),
-            (["--model", "farhi-gutmann", "--t-max", "-1"], "time grid must be positive"),
+            (["--model", "farhi-gutmann", "--t-max", "-1"], "grid span and step must be positive, got span -1.0"),
         ],
         ids=["fenner-negative-horizon", "farhi-gutmann-zero-energy", "farhi-gutmann-negative-horizon"],
     )
@@ -286,6 +296,22 @@ class TestFixedPoint:
         assert "internal cross-check failed" in err and "at depth 0" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("which", ["overlaps", "failure probabilities"])
+    def test_nan_track_deviation_exits_4(self, tmp_path, capsys, monkeypatch, which):
+        # a NaN deviation compares false against every tolerance
+        track = cli.fp.coefficient_track
+        nan = float("nan")
+        monkeypatch.setattr(
+            cli.fp,
+            "coefficient_track",
+            lambda c0, depth: [(nan, e) if which == "overlaps" else (c, nan) for c, e in track(c0, depth)],
+        )
+        assert run_cli(["fixed-point", "--u0", "wh", "--N", "16", "--depth", "2"], tmp_path) == cli.EXIT_CROSSCHECK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"simulated and coefficient-track {which} differ by nan at depth 0" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_track_message_shows_the_excess(self, tmp_path, capsys, monkeypatch):
         # the tolerance set just below the measured deviation: the printed
         # deviation must still read above the printed tolerance
@@ -296,8 +322,8 @@ class TestFixedPoint:
         monkeypatch.setattr(fp, "TOL_TRACKS", float(np.nextafter(measured, -1.0)))
         assert run_cli(["fixed-point", "--N", "16", "--depth", "2"], tmp_path) == cli.EXIT_CROSSCHECK
         err = capsys.readouterr().err
-        found = re.search(r"overlap by (\S+), failure probability by (\S+) \(tolerance (\S+)\)", err)
-        assert max(float(found[1]), float(found[2])) == measured > float(found[3])
+        deviation, tolerance = re.search(r"differ by (\S+) at depth \d \(tolerance (\S+)\)", err).groups()
+        assert float(deviation) == measured > float(tolerance)
 
     def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
         def recurse(*args, **kwargs):
@@ -537,7 +563,10 @@ class TestDampedAndGeodesic:
     @pytest.mark.parametrize(
         "argv, what",
         [
-            (["infogeo", "--family", "grover", "--N", str(2 * cli._N_CAP)], "capped at"),
+            (
+                ["infogeo", "--family", "grover", "--N", str(2 * cli._N_CAP)],
+                f"infogeo needs 2 <= N <= {cli._N_CAP}, got N={2 * cli._N_CAP}",
+            ),
             (["geodesic", "--N", str(cli._N_CAP + 1), "--max-rows", "1"], f"N={cli._N_CAP + 1}"),
             (
                 ["digital", "--N", str(cli._N_CAP), "--target", str(cli._N_CAP)],
@@ -763,6 +792,28 @@ target = 0
         for cell in cells:
             files = list((out / cell).glob("*.csv"))
             assert len(files) == 1
+
+    def test_cell_count_over_the_cap_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        # the index has a row per cell, so the table cap bounds the grid product
+        monkeypatch.setattr(cli, "_ROW_CAP", 4)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("subcommand = digital\nN = [4, 8, 16]\nk = [0, 1, 2]\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == "qsearch: error: sweep cell count 9 exceeds the cap of 4\n"
+        assert not out.exists()
+
+    def test_cells_over_the_cap_are_never_built(self, tmp_path, capsys, monkeypatch):
+        # 1025 x 1025 cells: planning them all would take about 0.8 GB
+        monkeypatch.setattr(cli, "_sweep_cells", lambda cfg: pytest.fail("built the cells of an over-cap sweep"))
+        values = ", ".join(map(str, range(2, 1027)))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"subcommand = digital\nN = [{values}]\nk = [{values}]\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err == f"qsearch: error: sweep cell count {1025**2} exceeds the cap of {cli._ROW_CAP}\n"
+        assert not out.exists()
 
     def test_empty_grid_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -1084,9 +1135,9 @@ class TestNumericDomain:
             (["geodesic", "--N", "4", "--theta-end", "1e300", "--dtheta", "1e295"], "non-finite value", "."),
             (["damped", "--gamma", "1e308"], "", "."),
             (["damped", "--gamma", "1e-300"], "", "."),
-            (["geodesic", "--N", "4", "--theta-end", "-1"], "positive --theta-end", "."),
-            (["geodesic", "--N", "4", "--theta-end", "0"], "positive --theta-end", "."),
-            (["damped", "--theta-end", "-1"], "must be positive", "."),
+            (["geodesic", "--N", "4", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
+            (["geodesic", "--N", "4", "--theta-end", "0"], "must be positive, got span 0.0 and step 0.001", "."),
+            (["damped", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
             # the directory made for the refused table goes again
             (["damped", "--B", "1e308"], "non-finite value", "fresh/out"),
         ],
@@ -1152,8 +1203,9 @@ class TestNumericDomain:
     )
     def test_search_plane_needs_two_states(self, tmp_path, capsys, entry):
         if isinstance(entry, list):
+            # the CLI checks N's whole range before the plane is built
             assert run_cli(entry, tmp_path) == cli.EXIT_DOMAIN
-            assert capsys.readouterr().err == "qsearch: error: N must be at least 2\n"
+            assert capsys.readouterr().err == f"qsearch: error: {entry[0]} needs 2 <= N <= {cli._N_CAP}, got N=1\n"
             assert list(tmp_path.iterdir()) == []
         else:
             with pytest.raises(ValueError, match="N must be at least 2"):

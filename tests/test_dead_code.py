@@ -10,6 +10,10 @@ keep `RunManifest.write` alive.  A test alone, the acceptance gate included,
 does not keep a name alive; an oracle that only tests use belongs in
 ``tests/``.  The keep-list names the exceptions: each is a function that
 ``bench/tracer.py`` wraps, so the benchmark's tracer needs it to resolve.
+
+Every parameter default must also be overridden, by position or by keyword,
+by some call in library code: a default that no call changes is a constant.
+``KEEP_DEFAULTS`` names the exceptions, each with its reason.
 """
 import ast
 from pathlib import Path
@@ -166,3 +170,61 @@ def test_uncalled_private_name_is_flagged():
     # a dunder is read by the interpreter, not by source
     source = "_CAP = 4\n_USED = 2\n__version__ = '1'\ndef _check(u): return u\ndef f(): return _USED\n"
     assert unreferenced({"m.py": ast.parse(source), "n.py": ast.parse("import m\nm.f")}) == ["m._CAP", "m._check"]
+
+
+def unoverridden_defaults(trees=TREES):
+    """`module.function(parameter)` of each parameter default that no call in
+    any tree overrides, by position or by keyword.  A call matches a def by
+    its name, bare or as an attribute; a method's call passes `self`
+    implicitly, and a call that unpacks `*` or `**` overrides every default."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    flagged = []
+    for path, tree in trees.items():
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            offset = 1 if id(func) in methods else 0
+            positional = func.args.posonlyargs + func.args.args
+            defaulted = [(i, a) for i, a in enumerate(positional) if i >= len(positional) - len(func.args.defaults)]
+            defaulted += [(None, a) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults) if d is not None]
+            for index, arg in defaulted:
+                overridden = any(
+                    any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (None, arg.arg) for k in call.keywords)
+                    or (index is not None and offset + len(call.args) > index)
+                    for call in calls.get(func.name, [])
+                )
+                if not overridden:
+                    flagged.append(f"{Path(path).stem}.{func.name}({arg.arg})")
+    return flagged
+
+
+KEEP_DEFAULTS = {
+    "cli.main(argv)": "entry() calls main() with no arguments; tests and bench/tracer.py pass argv",
+}
+
+
+def test_every_default_is_overridden():
+    flagged = unoverridden_defaults()
+    assert flagged == list(KEEP_DEFAULTS), f"defaults no call overrides (make each a constant): {flagged}"
+
+
+def test_unoverridden_default_is_flagged():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0): pass\n"
+        "class C:\n"
+        "    def m(self, y=1): pass\n"
+        "def run(c, kw):\n"
+        "    f(0, 1)\n"
+        "    f(0, d=5)\n"
+        "    g(*kw)\n"
+        "    c.m(2)\n"
+    )
+    assert unoverridden_defaults({"m.py": ast.parse(source)}) == ["m.f(c)", "m.f(e)"]
