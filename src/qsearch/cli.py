@@ -31,7 +31,10 @@ state-vector plane coordinates, or iterates on the basis spinors, disagreed
 beyond their tolerance; nothing is written).  Each rule has one check: every
 cross-check raises through `qsearch.require_agreement`, naming one
 deviation, every N goes through `_check_n`, every target index through
-`grover_digital.check_target` and every grid through `_grid_steps`.
+`grover_digital.check_target`, every grid through `_grid_steps`, the
+fixed-point depth through `fixed_point.fixed_point_run`, the energy scale
+through `analog_search`'s `_check_energy`, and `geodesic` starts from the
+search family's own q(0) and q'(0).
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
@@ -225,7 +228,9 @@ _N_CAP = 1 << 22
 _ROW_CAP = 1 << 20
 # largest `ga-verify --k-max`: a rotor orbit drifts from the state vector
 # about linearly in k, over the default N list most at N = 64 (2.5e-11 by
-# k = 2^18, 5.01e-11 by 2^19, past half of `msta.TOL_PLANE`)
+# k = 2^18, 5.01e-11 by 2^19, past half of `msta.TOL_PLANE`).  A whole
+# `ga-verify` table may hold 5 (_K_MAX_CAP + 1) = 1310725 plane rows, k_max + 1
+# per N summed over the list, as many as the default five-N list at the cap
 _K_MAX_CAP = 1 << 18
 
 
@@ -289,8 +294,6 @@ def cmd_analog(args):
     if args.model == "fenner":
         t_max = args.t_max if args.t_max is not None else 2.0 * an.fenner_time(n)
     else:
-        if energy <= 0:
-            raise ValueError("energy scale must be positive")
         t_max = args.t_max if args.t_max is not None else 1.5 * an.fg_peak_time(n, energy)
         if math.isinf(t_max):
             raise ValueError(f"time grid is not finite: the default horizon overflows at E={energy}; --t-max sets it")
@@ -344,8 +347,6 @@ def _complex_normals(seed: int, count: int) -> np.ndarray:
 
 
 def cmd_fixed_point(args):
-    if args.depth < 0 or args.depth > fp.MAX_DEPTH:
-        raise ValueError(f"depth must be between 0 and {fp.MAX_DEPTH}")
     n, target = args.N, args.target
     # what the manifest records in place of the options: what ran, and a
     # null seed where nothing was drawn
@@ -427,12 +428,10 @@ def cmd_geodesic(args):
     # point is theta_end itself
     stride = _stride(steps + 1, args.max_rows)
     family = ig.grover_family(n)
-    # one amplitude for the target and one shared by the N - 1 other states
-    q0 = (0.0, 1.0 / math.sqrt(n - 1))
-    qdot0 = (1.0, 0.0)
     index = np.arange(0, steps + 1, stride)
     thetas = np.where(index < steps, index * args.dtheta, args.theta_end)
-    sol = ig.solve_geodesic(q0, qdot0, thetas, family.multiplicity)
+    # the geodesic starts where the family does, at theta = 0
+    sol = ig.solve_geodesic(family.q(0.0), family.dq(0.0), thetas, family.multiplicity)
     # past pi/2 the metric columns read the family at its domain's end
     metric = ig.metric_columns(family, np.clip(thetas, *family.domain), args.dtheta)
     n_q_cols = min(n, 4)
@@ -480,9 +479,11 @@ def cmd_ga_verify(args):
     for n in n_list:
         # the state-vector side holds a state of N amplitudes, as digital does
         _check_n("ga-verify", n)
+    k_maxes = [args.k_max if args.k_max is not None else 2 * gd.optimal_iterations(n) for n in n_list]
+    # the whole table is bounded before any orbit is built
+    _check_rows(sum(k_maxes) + len(k_maxes), "plane row count", 5 * (_K_MAX_CAP + 1))
     blocks = []
-    for n in n_list:
-        k_max = args.k_max if args.k_max is not None else 2 * gd.optimal_iterations(n)
+    for n, k_max in zip(n_list, k_maxes):
         rotor = msta.ga_grover_orbit(n, k_max)
         # the slice ends the orbit before an iterate past k_max is made; fromiter
         # stops at the count, so only an unnamed orbit lets go of its buffer here

@@ -7,12 +7,13 @@ U0 R_s U0^dag = R_psi, the pi/3 reflection about psi0 = U0|s>: U_k = A_k U0
 with A_0 = I and A_{k+1} = A_k R_psi A_k^dag R_t A_k, so the run takes psi0
 alone and never applies U0.  R_t changes one amplitude and R_psi
 subtracts one multiple of psi0, both in place, so the recursion steps one
-state buffer beside psi0.  The word A_k grows as 3^k and is never
-materialized as a matrix: its action on a state is computed recursively, and
-a parallel coefficient track c_{k+1} = e^{i pi/3}(e^{i pi/3} + eps_k) c_k,
-eps_{k+1} = eps_k^3 cross-checks the simulation at every depth.  Depth k+1
-starts from A_k psi0 = U_k|s>, the one state the run keeps, so reaching depth
-d makes (3^d - 1)/2 reflections of each kind.
+state buffer beside psi0.  The word A_k grows as 3^k and is never a matrix:
+:func:`_word` spells its letters once, A_k^dag being them reversed with each
+phase negated, and a parallel coefficient track c_{k+1} = e^{i pi/3}
+(e^{i pi/3} + eps_k) c_k, eps_{k+1} = eps_k^3 cross-checks the simulation at
+every depth.  A_k's word begins A_{k+1}'s, so depth k+1 applies only the
+letters after it to A_k psi0 = U_k|s>, the one state the run keeps, and
+reaching depth d makes (3^d - 1)/2 reflections of each kind.
 
 The damped two-component family p_1 = c exp(-r theta), with amplitudes
 and their derivatives in closed form, gives a Fisher information
@@ -68,24 +69,15 @@ class RecursionState(NamedTuple):
     eps_k: float
 
 
-def _apply_ak(k: int, v: np.ndarray, psi0: np.ndarray, tgt: int, dag: bool = False) -> np.ndarray:
-    """A_k v, or A_k^dag v with ``dag``."""
-    if k == 0:
-        return v
-    return _raise_depth(k - 1, _apply_ak(k - 1, v, psi0, tgt, dag), psi0, tgt, dag)
-
-
-def _raise_depth(k: int, w: np.ndarray, psi0: np.ndarray, tgt: int, dag: bool = False) -> np.ndarray:
-    """A_k R_psi A_k^dag R_t w, the map taking A_k v to A_{k+1} v, or with
-    ``dag`` the adjoint word A_k^dag R_t^dag A_k R_psi^dag w: R_psi first,
-    phases -pi/3.  Each state here is read once, by the step after it, so the
-    reflections change it in place and the whole recursion works on one
-    buffer."""
-    phi = -math.pi / 3.0 if dag else math.pi / 3.0
-    w = _reflect_psi0(w, psi0, phi) if dag else selective_phase(w, tgt, phi)
-    w = _apply_ak(k, w, psi0, tgt, not dag)
-    w = selective_phase(w, tgt, phi) if dag else _reflect_psi0(w, psi0, phi)
-    return _apply_ak(k, w, psi0, tgt, dag)
+def _word(k: int) -> list[tuple[bool, float]]:
+    """A_k's letters in the order they act on a state, each (about psi0?,
+    phase): A_0 = I and A_{k+1} = A_k R_psi A_k^dag R_t A_k, where A_k^dag is
+    A_k's letters reversed with each phase negated."""
+    word = []
+    for _ in range(k):
+        adjoint = [(about_psi0, -phi) for about_psi0, phi in reversed(word)]
+        word = [*word, (False, math.pi / 3.0), *adjoint, (True, math.pi / 3.0), *word]
+    return word
 
 
 def closed_form_failure(eps: float, k):
@@ -128,8 +120,12 @@ def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> list[Recursion
     psi = psi0.copy()
     states = []
     for k in range(depth + 1):
-        if k:
-            psi = _raise_depth(k - 1, psi, psi0, target)
+        # A_{k-1}'s word begins A_k's: each letter after it reflects psi in place
+        for about_psi0, phi in _word(k)[len(_word(k - 1)) :]:
+            if about_psi0:
+                _reflect_psi0(psi, psi0, phi)
+            else:
+                selective_phase(psi, target, phi)
         c = complex(psi[target])
         # the failure probability is summed over the non-target amplitudes:
         # 1 - |c|^2 loses all relative precision once eps^(3^k) is tiny.  The

@@ -12,15 +12,13 @@ The search-plane rotor dynamics run in a single copy of the algebra with the
 identification e_target = e3, e_bad = e1.  The plane's angle and the uniform
 state's coordinates are those of :mod:`qsearch.grover_digital`; the rotor is
 the bivector exponential of the plane e_target e_bad, and its orbit is
-walked in one place, one sandwich per step, into an array of (target, bad)
-coordinates; its square, one full iterate, acts on a qubit from the left as
-the plane's 2x2 iterate acts on its column.
+walked in one loop, :func:`ga_grover_orbit`, one sandwich per step, into an
+array of (target, bad) coordinates; its square, one full iterate, acts on a
+qubit from the left as the plane's 2x2 iterate acts on its column.
 """
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
@@ -67,24 +65,20 @@ def ga_grover_rotor(n: int) -> Rotor:
     return Rotor(bivector_exp(geometric_product(E_TARGET, E_BAD), gd.theta_for(n)))
 
 
-def _rotor_orbit(n: int) -> Iterator[np.ndarray]:
-    """The initial plane vector, then its rotor sandwiches without end, one
-    sandwich per step taken."""
-    g = ga_grover_rotor(n)
-    v = _plane_vector(n)
-    while True:
-        yield v
-        v = g.apply(v)
-
-
 def ga_grover_orbit(n: int, k_max: int) -> np.ndarray:
     """Plane coordinates (target, bad) after k = 0..k_max iterations, one row
-    per k, via actual repeated rotor sandwiching of the initial state vector,
-    one sandwich per step."""
+    per k, via actual repeated rotor sandwiching of the initial state vector:
+    k_max sandwiches, one per step."""
     if k_max < 0:
         raise ValueError("iteration count must be nonnegative")
-    points = islice(_rotor_orbit(n), k_max + 1)
-    return np.fromiter(((v[0b100], v[0b001]) for v in points), (float, 2), k_max + 1)
+    g = ga_grover_rotor(n)
+    v = _plane_vector(n)
+    orbit = np.empty((k_max + 1, 2))
+    orbit[0] = v[0b100], v[0b001]
+    for k in range(1, k_max + 1):
+        v = g.apply(v)
+        orbit[k] = v[0b100], v[0b001]
+    return orbit
 
 
 def ga_grover_apply(k: int, n: int) -> tuple[float, float]:

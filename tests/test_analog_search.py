@@ -285,6 +285,10 @@ class TestPlanePropagator:
         with pytest.raises(ValueError):
             an.plane_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0])
 
+    def test_matrix_that_is_not_2x2_rejected(self):
+        with pytest.raises(ValueError, match="plane Hamiltonian must be 2x2"):
+            an.plane_propagator(np.eye(3), [1.0])
+
     @pytest.mark.parametrize("n", [4, 64, 4096])
     def test_model_matrices_match_forty_digit_expm(self, n):
         """Both model matrices against mpmath's 40-digit exp(-i H t) of the

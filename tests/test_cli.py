@@ -215,8 +215,15 @@ class TestAnalog:
             (["--model", "fenner", "--t-max", "-1"], "grid span and step must be positive, got span -1.0"),
             (["--model", "farhi-gutmann", "--E", "0"], "energy scale must be positive"),
             (["--model", "farhi-gutmann", "--t-max", "-1"], "grid span and step must be positive, got span -1.0"),
+            # with --t-max given no peak time is read, and the grid is checked first
+            (["--model", "farhi-gutmann", "--E", "-1", "--t-max", "-1"], "grid span and step must be positive"),
         ],
-        ids=["fenner-negative-horizon", "farhi-gutmann-zero-energy", "farhi-gutmann-negative-horizon"],
+        ids=[
+            "fenner-negative-horizon",
+            "farhi-gutmann-zero-energy",
+            "farhi-gutmann-negative-horizon",
+            "farhi-gutmann-grid-before-energy",
+        ],
     )
     def test_bad_grid_or_energy_is_domain_error(self, tmp_path, capsys, argv, what):
         assert run_cli(["analog", "--N", "16", *argv], tmp_path) == cli.EXIT_DOMAIN
@@ -287,6 +294,22 @@ class TestFixedPoint:
 
     def test_depth_cap_rejected(self, tmp_path):
         assert run_cli(["fixed-point", "--epsilon", "0.1", "--depth", "6"], tmp_path) == cli.EXIT_DOMAIN
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--epsilon", "0.1", "--depth", "6"], "depth must be between 0 and 5 (operator word grows as 3^k)"),
+            (["--epsilon", "0.1", "--depth", "-1"], "depth must be between 0 and 5 (operator word grows as 3^k)"),
+            # the run checks the depth, so psi0's options are checked first
+            (["--epsilon", "2", "--depth", "6"], "epsilon must lie in [0, 1)"),
+            (["--u0", "wh", "--N", "3", "--depth", "9"], "Walsh-Hadamard initialization needs N = 2^n, got N=3"),
+        ],
+        ids=["over", "negative", "bad-epsilon-first", "bad-wh-first"],
+    )
+    def test_depth_is_checked_by_the_run(self, tmp_path, capsys, argv, message):
+        assert run_cli(["fixed-point", *argv], tmp_path) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == f"qsearch: error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_failed_track_check_exits_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.fp, "TOL_TRACKS", -1.0)
@@ -655,9 +678,8 @@ class TestGaVerify:
 
     def test_plane_deviation_exits_4(self, tmp_path, capsys, monkeypatch):
         # a rotor orbit that drifts off the state vector just past C3's bound
-        orbit = msta._rotor_orbit
-        drift = blade(0b100, 2 * msta.TOL_PLANE)
-        monkeypatch.setattr(msta, "_rotor_orbit", lambda n: (v + drift for v in orbit(n)))
+        orbit = msta.ga_grover_orbit
+        monkeypatch.setattr(msta, "ga_grover_orbit", lambda n, k_max: orbit(n, k_max) + [2 * msta.TOL_PLANE, 0.0])
         assert run_cli(["ga-verify", "--N-list", "4,16"], tmp_path) == cli.EXIT_CROSSCHECK
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -1253,6 +1275,16 @@ class TestRowCap:
         assert err.count("\n") == 1 and f"exceeds the cap of {cap}" in err
         assert not list(tmp_path.glob("*.csv"))
         assert peak < 4 << 20
+
+    def test_ga_verify_table_is_bounded_over_its_whole_list(self, tmp_path, capsys, monkeypatch):
+        # each N is within --k-max's cap, but six of them exceed the plane
+        # rows of five at the cap: 6 * 9 = 54 > 5 * 9 = 45, before any orbit
+        monkeypatch.setattr(cli, "_K_MAX_CAP", 8)
+        orbits = []
+        monkeypatch.setattr(msta, "ga_grover_orbit", lambda n, k_max: orbits.append(n))
+        assert run_cli(["ga-verify", "--N-list", "4,4,4,4,4,4", "--k-max", "8"], tmp_path) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == "qsearch: error: plane row count 54 exceeds the cap of 45\n"
+        assert orbits == [] and not list(tmp_path.iterdir())
 
     def test_damped_zero_step_domain_error(self, tmp_path):
         assert run_cli(["damped", "--dtheta", "0"], tmp_path) == cli.EXIT_DOMAIN

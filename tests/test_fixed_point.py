@@ -146,6 +146,21 @@ def word_raise_depth(k, w, u0, tgt, dag=False):
     return word_apply_uk(k, w, u0, tgt, dag)
 
 
+def apply_letters(word, v, psi0, tgt):
+    """A word of `fp._word`'s letters applied to v in the order they act,
+    each through the anchor-vector oracle: a reflection about psi0 or about
+    the target basis state."""
+    anchor = basis_state(len(v), tgt)
+    for about_psi0, phi in word:
+        v = anchored_phase(v, psi0 if about_psi0 else anchor, phi)
+    return v
+
+
+def adjoint_letters(word):
+    """The adjoint word: the letters reversed, each phase negated."""
+    return [(about_psi0, -phi) for about_psi0, phi in reversed(word)]
+
+
 def word_states(u0, target, depth):
     """U_k|0> for k = 0..depth, each depth raised from the one before."""
     psi = u0.apply(basis_state(u0.n, 0))
@@ -262,6 +277,10 @@ class TestFailureLaw:
     def test_closed_form_examples(self):
         assert abs(fp.closed_form_failure(0.1, 1) - 1e-3) < 1e-18
         assert abs(fp.closed_form_failure(0.1, 2) - 1e-9) < 1e-22
+
+    def test_closed_form_rejects_a_failure_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"failure probability must lie in \[0, 1\]"):
+            fp.closed_form_failure(1.5, 1)
 
     def test_closed_form_over_depths_is_the_scalar_power(self):
         # to the bit: numpy's own power of an array moves about 1 value in 20
@@ -390,13 +409,14 @@ class TestAdjointRecursion:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("u0_kind, n", [("random", 4), ("random", 8), ("wh", 8)])
     def test_dag_is_the_adjoint_of_u_k(self, u0_kind, n, k):
-        # A_k built column by column from basis states, against the
-        # recursion run with dag on the same basis states; U_k = A_k U0 and
-        # U_k^dag = U0^dag A_k^dag against the U0 word
+        # A_k built column by column from basis states through its word,
+        # against the reversed, phase-negated word on the same basis states;
+        # U_k = A_k U0 and U_k^dag = U0^dag A_k^dag against the U0 word
         u0 = walsh_hadamard(3) if u0_kind == "wh" else haar_unitary(n, np.random.default_rng(57 + n))
         psi0, tgt = u0[:, 0].copy(), n - 2
-        a_k = np.column_stack([fp._apply_ak(k, basis_state(n, j), psi0, tgt) for j in range(n)])
-        a_k_dag = np.column_stack([fp._apply_ak(k, basis_state(n, j), psi0, tgt, dag=True) for j in range(n)])
+        word = fp._word(k)
+        a_k = np.column_stack([apply_letters(word, basis_state(n, j), psi0, tgt) for j in range(n)])
+        a_k_dag = np.column_stack([apply_letters(adjoint_letters(word), basis_state(n, j), psi0, tgt) for j in range(n)])
         assert np.max(np.abs(a_k_dag - a_k.conj().T)) < 1e-12
         assert np.max(np.abs(a_k_dag @ a_k - np.eye(n))) < 1e-12
         op = dense_operator(u0)
@@ -422,7 +442,7 @@ class TestU0Word:
             want = word_states(dense_operator(u0), target, depth=4)
             run = fp.fixed_point_run(psi0, target=target, depth=4)
             for k, psi in enumerate(want):
-                got = fp._apply_ak(k, psi0.copy(), psi0, target)
+                got = apply_letters(fp._word(k), psi0, psi0, target)
                 assert np.max(np.abs(got - psi)) < 1e-12
                 c, eps = overlap_and_failure(psi, target)
                 assert abs(run[k].c_k - c) < 1e-12 and abs(run[k].eps_k - eps) < 1e-12
@@ -599,6 +619,18 @@ class TestDampedGeodesic:
         sol = fp.damped_geodesic_solve(0.0, gamma, q0, qdot0, 5.0, 1e-3)
         want = q0 + qdot0 * (1.0 - math.exp(-gamma * 5.0)) / gamma
         assert abs(sol.q[-1] - want) < 1e-8
+
+    @pytest.mark.parametrize(
+        "l0, gamma, dtheta, message",
+        [
+            (2.0, -1.0, 1e-3, "L0 and gamma must be nonnegative"),
+            (2.0, 1.0, 0.0, "step and horizon must be positive"),
+        ],
+        ids=["negative-gamma", "zero-step"],
+    )
+    def test_bad_parameters_rejected(self, l0, gamma, dtheta, message):
+        with pytest.raises(ValueError, match=message):
+            fp.damped_geodesic_solve(l0, gamma, 1.0, 0.0, 1.0, dtheta)
 
     def test_small_gamma_approaches_oscillator(self):
         # gamma -> 0 with L0 = 8 behaves like q'' + 4 q = 0 over short spans

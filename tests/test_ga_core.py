@@ -282,6 +282,11 @@ class TestRotate:
         with pytest.raises(ValueError):
             rotate(E1, 0.5 * E12, 1.0)
 
+    def test_pseudoscalar_plane_rejected(self):
+        # e1e2e3 squares to -1 like a unit bivector: only its grade rejects it
+        with pytest.raises(ValueError, match="rotation plane must be homogeneous of grade 2"):
+            bivector_exp(blade(0b111), 0.3)
+
 
 class TestRotor:
     def test_unit_constraint(self):

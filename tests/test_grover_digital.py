@@ -38,6 +38,10 @@ class TestInitUniform:
     def test_n1_degenerate(self):
         assert np.allclose(gd.init_uniform(1), [1.0])
 
+    def test_no_states_rejected(self):
+        with pytest.raises(ValueError, match="N must be positive"):
+            gd.init_uniform(0)
+
     def test_real_amplitudes(self):
         assert gd.init_uniform(5).dtype == np.float64
 

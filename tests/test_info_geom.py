@@ -355,6 +355,12 @@ class TestClosedFormAgainstStencil:
         oracle = np.array([fd_metric(damped_p(c, rate), fam.multiplicity, t) for t in thetas.tolist()])
         assert np.max(np.abs(f - oracle[:, 0]) / f) < 4e-9
         assert np.max(np.abs(k - oracle[:, 1]) / k) < 4e-9
+        # the amplitudes themselves: nonnegative, and q^2 is p to the last
+        # bits (2.2e-16 measured)
+        q = fam.q(thetas)
+        assert np.all(q >= 0.0)
+        want = np.array([damped_p(c, rate)(t) for t in thetas.tolist()])
+        assert np.max(np.abs(q**2 - want)) <= 4.4e-16
 
     def test_trig_families(self):
         rng = np.random.default_rng(52)
@@ -671,6 +677,10 @@ class TestSolveGeodesic:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             ig.solve_geodesic([1.0, 1.0], [0.0, 0.0], [0.0, 1.0], np.ones(2))
+
+    def test_initial_data_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="initial data must have one amplitude per class"):
+            ig.solve_geodesic([1.0], [0.0, 1.0], [0.0, 1.0], np.ones(1))
 
 
 class TestStepClosedForms:
