@@ -11,7 +11,7 @@ any 2x2 Hermitian matrix and the only propagator here:
   [[0, i], [-i, 0]] in the (target, bad) basis, so its propagator is
   cos(x) I + sin(x) [[0, 1], [-1, 0]] with x = 2 beta t / sqrt(N);
 - the two-projector driving Hamiltonian E(|target><target| + |psi><psi|);
-  its first target-probability peak is known exactly, and `_check_energy`
+  its first target-probability peak is known exactly, and `check_energy`
   is the one check of its energy scale.
 
 Both models are tabulated alike: :func:`fenner_state` and :func:`fg_scan`
@@ -106,7 +106,8 @@ def plane_propagator(h: np.ndarray, ts) -> np.ndarray:
     return np.exp(-1j * h0 * ts) * (np.cos(r * ts) * np.eye(2) - 1j * ts * np.sinc(r * ts / math.pi) * k)
 
 
-def _check_energy(energy: float) -> None:
+def check_energy(energy: float) -> None:
+    """The two-projector model's energy scale E must be positive."""
     if energy <= 0.0:
         raise ValueError("energy scale must be positive")
 
@@ -114,7 +115,7 @@ def _check_energy(energy: float) -> None:
 def farhi_gutmann_matrix(n: int, energy: float) -> np.ndarray:
     """Two-projector Hamiltonian E(P_target + P_uniform) on the orthonormal
     (target, bad) basis, a 2x2 Hermitian matrix."""
-    _check_energy(energy)
+    check_energy(energy)
     alpha, beta = alpha_beta(n)
     return energy * np.array(
         [[1.0 + alpha * alpha, alpha * beta], [alpha * beta, beta * beta]],
@@ -134,6 +135,6 @@ def fg_peak_time(n: int, energy: float) -> float:
     uniform state the target probability is sin^2(E t/sqrt(N)) +
     cos^2(E t/sqrt(N))/N, which first reaches one there (Farhi & Gutmann,
     PRA 57, 2403, 1998)."""
-    _check_energy(energy)
+    check_energy(energy)
     return 0.5 * math.pi * math.sqrt(n) / energy
 

@@ -32,8 +32,8 @@ beyond their tolerance; nothing is written).  Each rule has one check: every
 cross-check raises through `qsearch.require_agreement`, naming one
 deviation, every N goes through `_check_n`, every target index through
 `grover_digital.check_target`, every grid through `_grid_steps`, the
-fixed-point depth through `fixed_point.fixed_point_run`, the energy scale
-through `analog_search`'s `_check_energy`, and `geodesic` starts from the
+fixed-point depth through `fixed_point.check_depth`, the energy scale
+through `analog_search.check_energy`, and `geodesic` starts from the
 search family's own q(0) and q'(0).
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
@@ -221,9 +221,10 @@ _N_CAP = 1 << 22
 # largest step count of a time or angle grid, of `digital --k`, of `infogeo
 # --points` and of a sweep's cells (its index has a row per cell): about ten
 # times the finest fenner grid of a sweep over N <= 4096 at dt = 1e-3.  At the
-# cap (medians of 3, 2-CPU host) `analog --model fenner --N 4 --dt 1e-4
-# --t-max 104.8576` peaks near 48 MB RSS in 1.1 s, `infogeo --points 1048576`
-# 87 MB in 1.6 s and `digital --N 4 --k 1048576` 64 MB in 4.1 s; hashing a
+# cap (medians of 3 fresh processes on a shared 2-CPU host, whose times vary
+# about twofold between days) `analog --model fenner --N 4 --dt 1e-4
+# --t-max 104.8576` peaks near 47 MB RSS in 2.4 s, `infogeo --points 1048576`
+# 87 MB in 3.3 s and `digital --N 4 --k 1048576` 64 MB in 5.4 s; hashing a
 # 50-70 MB table takes about 0.3 s of that
 _ROW_CAP = 1 << 20
 # largest `ga-verify --k-max`: a rotor orbit drifts from the state vector
@@ -298,7 +299,11 @@ def cmd_analog(args):
         if math.isinf(t_max):
             raise ValueError(f"time grid is not finite: the default horizon overflows at E={energy}; --t-max sets it")
     dt = args.dt if args.dt is not None else t_max / 1000.0
-    ts = np.arange(_grid_steps(t_max, dt) + 1) * dt
+    steps = _grid_steps(t_max, dt)
+    if args.model == "farhi-gutmann":
+        # with --t-max given no peak time has read the energy yet
+        an.check_energy(energy)
+    ts = np.arange(steps + 1) * dt
     if args.model == "fenner":
         p_target = an.fenner_state(ts, n).p_target
     else:
@@ -351,29 +356,33 @@ def cmd_fixed_point(args):
     # what the manifest records in place of the options: what ran, and a
     # null seed where nothing was drawn
     ran = {}
-    # psi0 = U0|0>, the one column of U0 the recursion reads
     if args.epsilon is not None:
         if not 0.0 <= args.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        # the first column of the two-level unitary [[-s, c], [c, s]], whose
-        # source-to-target amplitude c gives failure epsilon
-        psi0 = np.array([-math.sqrt(args.epsilon), math.sqrt(1.0 - args.epsilon)], dtype=np.complex128)
         n, target = 2, 1
         ran = {"N": n, "target": target, "u0": None, "seed": None}
     elif args.u0 == "wh":
-        # H^{(x)n}|0>, the uniform state.  The run holds it and one state of
-        # N amplitudes: depth 5 takes about 0.4 s and peaks near 61 MB RSS at
-        # N = 2^20, 1.3 s and 157 MB at the cap (2-CPU host)
         _check_n("fixed-point", n)
         if n & (n - 1):
             raise ValueError(f"Walsh-Hadamard initialization needs N = 2^n, got N={n}")
-        psi0 = gd.init_uniform(n).astype(np.complex128)
         ran = {"seed": None}
     else:
         _check_n("fixed-point", n, low=1)
-        # a Haar-random state, the first column of a Haar-random U0, under
-        # wh's cap: 0.08 s and 30 MB RSS at N = 1024, 1.5 s and 158 MB at the
-        # cap (depth 5, 2-CPU host)
+    fp.check_depth(args.depth)
+    gd.check_target(n, target)
+    # psi0 = U0|0>, the one column of U0 that the recursion reads, is made only
+    # now.  The run holds it and one state of N amplitudes: depth 5 takes
+    # about 0.4 s and 61 MB RSS at N = 2^20 and 1.3-1.5 s and 157-158 MB at
+    # the cap, under either u0 (2-CPU host)
+    if args.epsilon is not None:
+        # the first column of the two-level unitary [[-s, c], [c, s]], whose
+        # source-to-target amplitude c gives failure epsilon
+        psi0 = np.array([-math.sqrt(args.epsilon), math.sqrt(1.0 - args.epsilon)], dtype=np.complex128)
+    elif args.u0 == "wh":
+        # H^{(x)n}|0>, the uniform state
+        psi0 = gd.init_uniform(n).astype(np.complex128)
+    else:
+        # a Haar-random state, the first column of a Haar-random U0
         psi0 = _complex_normals(args.seed, n)
         psi0 /= np.linalg.norm(psi0)
     states = fp.fixed_point_run(psi0, target=target, depth=args.depth)

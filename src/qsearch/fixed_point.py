@@ -80,6 +80,12 @@ def _word(k: int) -> list[tuple[bool, float]]:
     return word
 
 
+def check_depth(depth: int) -> None:
+    """The recursion runs to depth 0..MAX_DEPTH: A_k's word has 3^k letters."""
+    if depth < 0 or depth > MAX_DEPTH:
+        raise ValueError(f"depth must be between 0 and {MAX_DEPTH} (operator word grows as 3^k)")
+
+
 def closed_form_failure(eps: float, k):
     """Failure probability eps^(3^k) after k (one or an array of) recursive steps, by C's pow as `eps ** 3**k`."""
     if not 0.0 <= eps <= 1.0:
@@ -111,8 +117,7 @@ def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> list[Recursion
     failures 0.100..0.999 at N = 2) until eps_k bottoms out at the squared
     rounding, about 1e-30.
     """
-    if depth < 0 or depth > MAX_DEPTH:
-        raise ValueError(f"depth must be between 0 and {MAX_DEPTH} (operator word grows as 3^k)")
+    check_depth(depth)
     psi0 = np.asarray(psi0, dtype=np.complex128)
     check_target(psi0.shape[0], target)
     if not abs(np.vdot(psi0, psi0).real - 1.0) <= 1e-10:

@@ -3,13 +3,11 @@ the search plane that the rotor and Hamiltonian pictures use.
 
 States are plain numpy arrays of length N.  N is arbitrary (not only powers
 of two); the Walsh-Hadamard construction only fixes the uniform initial
-state, which is well defined for any N.  That state is real, and both
-reflections of the iterate keep a state real, so the simulator steps float64
-amplitudes; the reflections also take complex states, but
-:func:`plane_coordinates` projects real float states only.  The two
-reflections, and the iterate they make, act in place on the one register
-they are given and return it; :func:`grover_orbit` steps one buffer so, one
-iterate per step taken.
+state, which is well defined for any N.  :func:`grover_iterate` is the one
+state-vector step, in place on the register it is given.  It keeps a real
+state real, so the simulator steps float64 amplitudes, and :func:`grover_orbit`
+steps one buffer, one iterate per step taken; complex states step too, but
+:func:`plane_coordinates` projects real float states only.
 
 The plane, spanned by the collective non-target state and the target state,
 needs N >= 2; its angle (:func:`theta_for`) and the uniform state's
@@ -55,28 +53,14 @@ def check_target(n: int, target: int) -> None:
         raise ValueError(f"target index {target} out of range for N={n}")
 
 
-def oracle_apply(state: np.ndarray, target: int) -> np.ndarray:
-    """Flip the amplitude of the marked state, in place; returns `state`."""
+def grover_iterate(state: np.ndarray, target: int) -> np.ndarray:
+    """One iterate in place, returning `state`: the oracle flips the marked
+    amplitude, then every a_x goes to 2 mean(a) - a_x, the reflection
+    H (2|0><0| - I) H = 2|u><u| - I about the uniform state |u>.  The mean is
+    the sum over N, bitwise numpy's `mean()` without its Python wrapper."""
     check_target(state.shape[0], target)
     state[target] = -state[target]
-    return state
-
-
-def inversion_about_mean(state: np.ndarray) -> np.ndarray:
-    """Send every amplitude a_x to 2*mean - a_x, in place; returns `state`.
-
-    This is the reflection 2|u><u| - I about the uniform state |u>:
-    conjugating the zero-state phase flip by the Walsh-Hadamard transform
-    gives H (2|0><0| - I) H = 2|u><u| - I, and (2|u><u| - I) a has components
-    2 mean(a) - a_x.  It is unitary and an involution.
-    """
-    return np.subtract(2.0 * state.mean(), state, out=state)
-
-
-def grover_iterate(state: np.ndarray, target: int) -> np.ndarray:
-    """One iterate, the oracle then the inversion about the mean, in place;
-    returns `state`."""
-    return inversion_about_mean(oracle_apply(state, target))
+    return np.subtract(2.0 * (state.sum() / state.shape[0]), state, out=state)
 
 
 def grover_orbit(n: int, target: int) -> Iterator[np.ndarray]:

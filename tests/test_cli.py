@@ -300,7 +300,7 @@ class TestFixedPoint:
         [
             (["--epsilon", "0.1", "--depth", "6"], "depth must be between 0 and 5 (operator word grows as 3^k)"),
             (["--epsilon", "0.1", "--depth", "-1"], "depth must be between 0 and 5 (operator word grows as 3^k)"),
-            # the run checks the depth, so psi0's options are checked first
+            # psi0's options are checked before the depth
             (["--epsilon", "2", "--depth", "6"], "epsilon must lie in [0, 1)"),
             (["--u0", "wh", "--N", "3", "--depth", "9"], "Walsh-Hadamard initialization needs N = 2^n, got N=3"),
         ],
@@ -751,13 +751,6 @@ class TestGaVerify:
         assert "N list must be nonempty" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("n", [1, 2 * cli._N_CAP])
-    def test_size_checked_before_allocating(self, tmp_path, capsys, n):
-        code, peak = run_cli_traced(["ga-verify", "--N-list", f"4,{n}"], tmp_path)
-        assert code == cli.EXIT_DOMAIN
-        assert f"N={n}" in capsys.readouterr().err
-        assert peak < 4 << 20
-
     def test_one_state_buffer_at_a_time(self, tmp_path):
         # the spinor leg steps its own buffer of N amplitudes only once the
         # orbits have freed theirs: two buffers would be 16 MiB here
@@ -1182,6 +1175,46 @@ class TestNumericDomain:
         assert err.startswith("qsearch: error: ") and err.count("\n") == 1
         assert message in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fixed-point", "--u0", "wh", "--N", str(cli._N_CAP), "--depth", "9"], "depth must be between 0 and 5"),
+            (["fixed-point", "--u0", "random", "--N", str(cli._N_CAP), "--depth", "9"], "depth must be between 0 and 5"),
+            (
+                ["fixed-point", "--u0", "wh", "--N", str(cli._N_CAP), "--depth", "2", "--target", str(cli._N_CAP)],
+                f"target index {cli._N_CAP} out of range for N={cli._N_CAP}",
+            ),
+            (
+                ["analog", "--model", "farhi-gutmann", "--N", "4", "--E", "-1", "--t-max", str(cli._ROW_CAP), "--dt", "1"],
+                "energy scale must be positive",
+            ),
+            (["digital", "--N", "1"], f"digital needs 2 <= N <= {cli._N_CAP}, got N=1"),
+            (["geodesic", "--N", str(cli._N_CAP), "--theta-end", "0"], "grid span and step must be positive"),
+            (["ga-verify", "--N-list", "4,1"], f"ga-verify needs 2 <= N <= {cli._N_CAP}, got N=1"),
+            (["ga-verify", "--N-list", f"4,{2 * cli._N_CAP}"], f"got N={2 * cli._N_CAP}"),
+        ],
+        ids=[
+            "fixed-point-wh-depth",
+            "fixed-point-random-depth",
+            "fixed-point-target",
+            "farhi-gutmann-energy",
+            "digital-N",
+            "geodesic-zero-horizon",
+            "ga-verify-N-1",
+            "ga-verify-N-over-cap",
+        ],
+    )
+    def test_refused_before_allocating(self, tmp_path, capsys, argv, message):
+        # at the cap a state would be 32 MiB and a grid of 2^20 times 8 MiB:
+        # each input is refused, in one line, before either is made
+        code, peak = run_cli_traced(argv, tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("qsearch: error: ") and err.count("\n") == 1
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize(
         "argv",

@@ -31,6 +31,22 @@ def matrix_oracle():
     return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
+# The iterate's two reflections written out, in place, as the oracles that
+# `grover_iterate` must match bit for bit; the inversion takes numpy's own
+# mean().
+
+
+def oracle_apply(state, target):
+    """Flip the amplitude of the marked state; returns `state`."""
+    state[target] = -state[target]
+    return state
+
+
+def inversion_about_mean(state):
+    """Send every amplitude a_x to 2 mean(a) - a_x; returns `state`."""
+    return np.subtract(2.0 * state.mean(), state, out=state)
+
+
 class TestInitUniform:
     def test_n4(self):
         assert np.allclose(gd.init_uniform(4), np.full(4, 0.5))
@@ -54,41 +70,42 @@ class TestInitUniform:
 
 class TestOracle:
     def test_uniform_n4(self):
-        got = gd.oracle_apply(gd.init_uniform(4), 0)
+        got = oracle_apply(gd.init_uniform(4), 0)
         assert np.allclose(got, [-0.5, 0.5, 0.5, 0.5])
 
     def test_involution(self):
         rng = np.random.default_rng(1)
         s = rng.normal(size=8) + 1j * rng.normal(size=8)
         s /= np.linalg.norm(s)
-        assert np.allclose(gd.oracle_apply(gd.oracle_apply(s.copy(), 3), 3), s)
+        assert np.allclose(oracle_apply(oracle_apply(s.copy(), 3), 3), s)
 
     def test_norm_preserved(self):
         s = gd.init_uniform(16)
-        assert abs(np.linalg.norm(gd.oracle_apply(s, 5)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(oracle_apply(s, 5)) - 1.0) < 1e-12
 
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            gd.oracle_apply(gd.init_uniform(4), 4)
+        # the iterate checks the target it flips
+        with pytest.raises(ValueError, match="target index 4 out of range for N=4"):
+            gd.grover_iterate(gd.init_uniform(4), 4)
 
 
 class TestInversionAboutMean:
     def test_basis_state_n4(self):
         # mean 1/4: every amplitude goes to 2*mu - a
-        got = gd.inversion_about_mean(np.array([1, 0, 0, 0], dtype=np.complex128))
+        got = inversion_about_mean(np.array([1, 0, 0, 0], dtype=np.complex128))
         assert np.allclose(got, [-0.5, 0.5, 0.5, 0.5])
 
     def test_uniform_fixed(self):
-        assert np.allclose(gd.inversion_about_mean(gd.init_uniform(8)), gd.init_uniform(8))
+        assert np.allclose(inversion_about_mean(gd.init_uniform(8)), gd.init_uniform(8))
 
     def test_completes_first_iteration_exactly(self):
-        got = gd.inversion_about_mean(np.array([-0.5, 0.5, 0.5, 0.5], dtype=np.complex128))
+        got = inversion_about_mean(np.array([-0.5, 0.5, 0.5, 0.5], dtype=np.complex128))
         assert np.allclose(got, [1, 0, 0, 0], atol=1e-15)
 
     def test_involution(self):
         rng = np.random.default_rng(2)
         s = rng.normal(size=6) + 1j * rng.normal(size=6)
-        assert np.allclose(gd.inversion_about_mean(gd.inversion_about_mean(s.copy())), s)
+        assert np.allclose(inversion_about_mean(inversion_about_mean(s.copy())), s)
 
 
 class TestGroverIterate:
@@ -139,14 +156,14 @@ class TestGroverIterate:
 
     @pytest.mark.parametrize("n", [2, 37, 1000, 4096, 100003])
     def test_orbit_is_the_reflection_chain(self, n):
-        # the in-place real orbit against the pure reflections, bit for bit,
-        # at powers of two and between them, for several targets
+        # the in-place real orbit against the reflection oracles, bit for
+        # bit, at powers of two and between them, for several targets
         for target in sorted({0, 1, n // 3, n - 1}):
             want = gd.init_uniform(n)
             for k, got in enumerate(itertools.islice(gd.grover_orbit(n, target), 12)):
                 assert got.dtype == np.float64
                 assert np.array_equal(got, want), (n, target, k)
-                want = gd.inversion_about_mean(gd.oracle_apply(want, target))
+                want = inversion_about_mean(oracle_apply(want, target))
 
     def test_orbit_overwrites_a_state_kept_without_a_copy(self):
         orbit = gd.grover_orbit(16, 3)
@@ -174,20 +191,15 @@ class TestGroverIterate:
             next(gd.grover_orbit(4, 9))
 
     def test_reflections_act_in_place(self):
-        # complex and real states: each reflection and the iterate return the
-        # array they were given, holding the written-out formula's bits
+        # complex and real states of several sizes: the iterate returns the
+        # array it was given, holding the reflection oracles' bits, so its
+        # sum over N is numpy's mean() to the bit
         rng = np.random.default_rng(6)
-        for state in (rng.normal(size=12) + 1j * rng.normal(size=12), rng.normal(size=12)):
-            flipped = state.copy()
-            flipped[4] = -flipped[4]
-            want = 2.0 * flipped.mean() - flipped
-            reflected = state.copy()
-            assert gd.oracle_apply(reflected, 4) is reflected
-            assert np.array_equal(reflected, flipped)
-            assert gd.inversion_about_mean(reflected) is reflected
-            assert np.array_equal(reflected, want)
-            assert gd.grover_iterate(state, 4) is state
-            assert np.array_equal(state, want)
+        for n in (2, 12, 1000, 100003):
+            for state in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n)):
+                want = inversion_about_mean(oracle_apply(state.copy(), 1))
+                assert gd.grover_iterate(state, 1) is state
+                assert np.array_equal(state, want), (n, state.dtype)
 
     def test_plane_closure_bad_amplitudes_stay_equal(self):
         n, target = 32, 7
