@@ -412,14 +412,13 @@ def cmd_damped(args):
     _grid_steps(args.theta_end, args.dtheta, round_up=True)
     h = 1e-6
     # bessel_solution rejects L0 <= 0 or gamma <= 0 before the RK4 loop runs
-    q0 = fp.bessel_solution(0.0, a, b, l0, gamma)
-    qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2.0 * h)
+    q_minus, q0, q_plus = fp.bessel_solution(np.array([-h, 0.0, h]), a, b, l0, gamma).tolist()
+    qdot0 = (q_plus - q_minus) / (2.0 * h)
     sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, args.theta_end, args.dtheta)
     stride = _stride(len(sol.thetas), args.max_rows)
     thetas = sol.thetas[::stride]
     q = sol.q[::stride]
-    # the closed form is scalar: one Bessel residual per written row
-    resid = [fp.bessel_ode_residual(t, a, b, l0, gamma) for t in thetas.tolist()]
+    resid = fp.bessel_ode_residual(thetas, a, b, l0, gamma)
     p1 = np.minimum(1.0, q * q)
     return {}, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], [[thetas, q, resid, 1.0 - p1, p1]])], []
 

@@ -20,7 +20,8 @@ and their derivatives in closed form, gives a Fisher information
 r^2 p_1 / (1 - p_1) that decays instead of staying constant, and the geodesic
 equation with exponentially decaying Lagrangian becomes
 q'' + gamma q' + (L0/2) exp(-gamma theta) q = 0, solved in closed form by
-first-order Bessel functions of a shrinking argument.
+first-order Bessel functions of a shrinking argument; the closed form and its
+residual take one theta or an array, each theta's value the same in any array.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ TOL_TRACKS = 1e-10
 # psi0's amplitudes per product in a reflection: the product is the only
 # temporary, 128 KiB, so a run holds psi0 and its state and little more
 _CHUNK = 1 << 13
+# thetas per Bessel residual call: its series temporaries stay near 128 KiB each
+_CHUNK_THETAS = 1 << 14
 
 
 def selective_phase(state: np.ndarray, index: int, phi: float) -> np.ndarray:
@@ -235,30 +238,35 @@ def damped_geodesic_solve(
     return DampedPath(thetas=np.frombuffer(ts), q=np.frombuffer(qs))
 
 
-def bessel_argument(theta: float, l0: float, gamma: float) -> float:
-    return math.sqrt(2.0 * l0 / (gamma * gamma)) * math.exp(-0.5 * gamma * theta)
-
-
-def bessel_solution(theta: float, a: float, b: float, l0: float, gamma: float) -> float:
+def bessel_solution(theta, a: float, b: float, l0: float, gamma: float):
     """Closed-form damped geodesic
     q = sqrt(L0/(2 gamma^2)) e^{-gamma theta/2} [A J1(z) + B Y1(z)],
-    z = sqrt(2 L0/gamma^2) e^{-gamma theta/2}.
+    z = sqrt(2 L0/gamma^2) e^{-gamma theta/2}, at one theta or each of an
+    array.  e^{-gamma theta/2} is C's exp (math.exp; numpy's differs in the
+    last bit at some arguments), taken once per theta for z and the prefactor.
 
     The second-kind branch diverges as z -> 0 (theta -> infinity); evaluation
     is allowed there and simply reports the divergent value.
     """
     if l0 <= 0.0 or gamma <= 0.0:
         raise ValueError("L0 and gamma must be positive")
-    z = bessel_argument(theta, l0, gamma)
+    theta = np.asarray(theta, dtype=np.float64)
+    decay = np.fromiter(map(math.exp, np.ravel(-0.5 * gamma * theta).tolist()), np.float64).reshape(theta.shape)
+    z = math.sqrt(2.0 * l0 / (gamma * gamma)) * decay
     value = a * bessel.j1(z) if a != 0.0 else 0.0
     if b != 0.0:
         value += b * bessel.y1(z)
-    return math.sqrt(l0 / (2.0 * gamma * gamma)) * math.exp(-0.5 * gamma * theta) * value
+    return (math.sqrt(l0 / (2.0 * gamma * gamma)) * decay * value)[()]
 
 
-def bessel_ode_residual(theta: float, a: float, b: float, l0: float, gamma: float) -> float:
-    """Residual of the closed form under the damped geodesic equation: the
-    :func:`qsearch.info_geom.geodesic_residual` of :func:`bessel_solution`,
-    by central differences of step 1e-3."""
-    return float(geodesic_residual(lambda t: bessel_solution(t, a, b, l0, gamma), theta, l0, gamma))
-
+def bessel_ode_residual(theta, a: float, b: float, l0: float, gamma: float):
+    """Residual of the closed form under the damped geodesic equation at one
+    theta or each of an array: the :func:`qsearch.info_geom.geodesic_residual`
+    of :func:`bessel_solution`, by central differences of step 1e-3, a chunk
+    of theta at a time."""
+    theta = np.asarray(theta, dtype=np.float64)
+    resid = np.empty(theta.shape)
+    for lo in range(0, theta.size, _CHUNK_THETAS):
+        chunk = slice(lo, lo + _CHUNK_THETAS)
+        resid.flat[chunk] = geodesic_residual(lambda t: bessel_solution(t, a, b, l0, gamma), theta.flat[chunk], l0, gamma)
+    return resid[()]

@@ -16,7 +16,7 @@ from qsearch import grover_digital as gd
 from qsearch import info_geom as ig
 from qsearch import msta
 from test_analog_search import scanned_first_peak, unitary_series_exp
-from test_fixed_point import fit_p1_decay_exponent
+from test_fixed_point import damped_cli_start, fit_p1_decay_exponent
 from test_ga_core import mirror, orientation_sign, rotate, vector
 from test_grover_digital import matrix_G, matrix_inversion, matrix_oracle
 from test_info_geom import fd_metric, grover_p, thermal_fisher_beta, verify_step_geometry
@@ -260,21 +260,16 @@ def test_c08_fixed_point_failure_law():
 
 def test_c09_damped_geodesic():
     l0, gamma = 2.0, 1.0
-    worst_resid = 0.0
-    for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        for theta in np.linspace(0.0, 10.0, 1000):
-            worst_resid = max(worst_resid, abs(fp.bessel_ode_residual(float(theta), a, b, l0, gamma)))
+    thetas = np.linspace(0.0, 10.0, 1000)
+    worst_resid = max(
+        float(np.max(np.abs(fp.bessel_ode_residual(thetas, a, b, l0, gamma))))
+        for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+    )
     ok = worst_resid < 1e-6
 
     a, b = 1.0, 0.0
-    h = 1e-6
-    q0 = fp.bessel_solution(0.0, a, b, l0, gamma)
-    qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2 * h)
-    sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, 10.0, 1e-3)
-    worst_rk4 = 0.0
-    for idx in range(0, len(sol.thetas), 97):
-        t = float(sol.thetas[idx])
-        worst_rk4 = max(worst_rk4, abs(sol.q[idx] - fp.bessel_solution(t, a, b, l0, gamma)))
+    sol = fp.damped_geodesic_solve(l0, gamma, *damped_cli_start(l0, gamma, a, b), 10.0, 1e-3)
+    worst_rk4 = float(np.max(np.abs(sol.q[::97] - fp.bessel_solution(sol.thetas[::97], a, b, l0, gamma))))
     ok &= worst_rk4 < 1e-6
 
     slope = fit_p1_decay_exponent()

@@ -447,6 +447,27 @@ class TestDampedAndGeodesic:
             assert abs(float(row[2])) < 1e-5
             assert abs(float(row[3]) + float(row[4]) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("argv", [[], ["--theta-end", "20", "--max-rows", "1048576"]], ids=["200-rows", "20001-rows"])
+    def test_one_residual_call_per_table(self, tmp_path, monkeypatch, argv):
+        # the closed form takes theta arrays: one residual call per table,
+        # not one per written row
+        calls = []
+        residual = cli.fp.bessel_ode_residual
+        monkeypatch.setattr(cli.fp, "bessel_ode_residual", lambda t, *rest: calls.append(1) or residual(t, *rest))
+        assert run_cli(["damped", *argv], tmp_path) == 0
+        assert len(calls) == 1
+
+    def test_damped_table_memory_per_row(self, tmp_path):
+        # 2^16 rows: the RK4 path and the table's columns take about 40 B a
+        # row, and one 2^14-theta chunk of the residual's temporaries about
+        # 2.9 MB in all.  A residual over the whole table at once reached
+        # 163 B a row, and a list of per-row residuals 115
+        code, peak = run_cli_traced(["damped", "--theta-end", "65.536", "--max-rows", "1048576"], tmp_path)
+        assert code == 0
+        rows = len((tmp_path / "damped_geodesic.csv").read_bytes().splitlines()) - 1
+        assert rows == 65537
+        assert peak < 88 * rows
+
     def test_geodesic_columns(self, tmp_path):
         assert run_cli(["geodesic", "--N", "8"], tmp_path) == 0
         header, rows = read_csv(tmp_path / "geodesic_N8.csv")
@@ -1150,6 +1171,8 @@ class TestNumericDomain:
             (["geodesic", "--N", "4", "--theta-end", "1e300", "--dtheta", "1e295"], "non-finite value", "."),
             (["damped", "--gamma", "1e308"], "", "."),
             (["damped", "--gamma", "1e-300"], "", "."),
+            # sqrt(2 L0 / gamma^2) overflows, so z is infinite and J1(z) NaN
+            (["damped", "--L0", "1e308", "--gamma", "1e-5"], "non-finite value nan to a CSV (column q)", "."),
             (["geodesic", "--N", "4", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
             (["geodesic", "--N", "4", "--theta-end", "0"], "must be positive, got span 0.0 and step 0.001", "."),
             (["damped", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
@@ -1163,6 +1186,7 @@ class TestNumericDomain:
             "geodesic-ds2-inf",
             "damped-gamma-overflow",
             "damped-gamma-zero-division",
+            "damped-L0-z-inf",
             "geodesic-negative-horizon",
             "geodesic-zero-horizon",
             "damped-negative-horizon",

@@ -560,11 +560,11 @@ def damped_stage_oracle(l0, gamma, q0, qdot0, theta_end, dtheta):
 
 
 def damped_cli_start(l0, gamma, a, b):
-    """q0 and q'0 as `damped` takes them from the closed form."""
+    """q0 and q'0 as `damped` takes them from the closed form: one call at
+    theta = -h, 0 and h."""
     h = 1e-6
-    q0 = fp.bessel_solution(0.0, a, b, l0, gamma)
-    qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2.0 * h)
-    return q0, qdot0
+    q_minus, q0, q_plus = fp.bessel_solution(np.array([-h, 0.0, h]), a, b, l0, gamma).tolist()
+    return q0, (q_plus - q_minus) / (2.0 * h)
 
 
 class TestDampedGeodesic:
@@ -605,14 +605,17 @@ class TestDampedGeodesic:
     def test_rk4_matches_bessel_closed_form(self):
         l0, gamma = 2.0, 1.0
         a, b = 1.0, 0.0
-        q0 = fp.bessel_solution(0.0, a, b, l0, gamma)
+        sol = fp.damped_geodesic_solve(l0, gamma, *damped_cli_start(l0, gamma, a, b), 8.0, 1e-3)
+        every = len(sol.thetas) // 50
+        assert np.max(np.abs(sol.q[::every] - fp.bessel_solution(sol.thetas[::every], a, b, l0, gamma))) < 1e-6
+
+    def test_initial_data_is_the_three_scalar_calls(self):
+        # one call on [-h, 0, h] is bitwise the three one-theta calls
         h = 1e-6
-        qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2 * h)
-        sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, 8.0, 1e-3)
-        worst = 0.0
-        for t, q in zip(sol.thetas[:: len(sol.thetas) // 50], sol.q[:: len(sol.thetas) // 50]):
-            worst = max(worst, abs(q - fp.bessel_solution(t, a, b, l0, gamma)))
-        assert worst < 1e-6
+        for l0, gamma, a, b in ((2.0, 1.0, 1.0, 0.0), (5.0, 0.3, -0.4, 2.0), (100.0, 0.01, 1.0, 0.3)):
+            q0 = fp.bessel_solution(0.0, a, b, l0, gamma)
+            qdot0 = (fp.bessel_solution(h, a, b, l0, gamma) - fp.bessel_solution(-h, a, b, l0, gamma)) / (2.0 * h)
+            assert damped_cli_start(l0, gamma, a, b) == (q0, qdot0)
 
     def test_pure_damping_limit(self):
         gamma, q0, qdot0 = 1.3, 0.4, 0.9
@@ -649,21 +652,36 @@ class TestBesselSolution:
     def test_ode_residual_three_constant_choices(self):
         l0, gamma = 2.0, 1.0
         for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-            worst = 0.0
-            for theta in np.linspace(0.0, 10.0, 1000):
-                worst = max(worst, abs(fp.bessel_ode_residual(theta, a, b, l0, gamma)))
-            assert worst < 1e-6
+            assert np.max(np.abs(fp.bessel_ode_residual(np.linspace(0.0, 10.0, 1000), a, b, l0, gamma))) < 1e-6
 
     def test_ode_residual_other_parameters(self):
         for l0, gamma in ((5.0, 0.5), (1.0, 2.0)):
-            worst = max(
-                abs(fp.bessel_ode_residual(t, 0.7, -0.2, l0, gamma))
-                for t in np.linspace(0.0, 10.0, 400)
-            )
-            assert worst < 1e-6
+            assert np.max(np.abs(fp.bessel_ode_residual(np.linspace(0.0, 10.0, 400), 0.7, -0.2, l0, gamma))) < 1e-6
+
+    def test_residual_does_not_depend_on_its_chunk(self):
+        # z = sqrt(2 L0)/gamma e^{-gamma theta/2} runs from 2828 down to 1.6,
+        # across the z = 12 cutoff, over two full chunks and a short tail;
+        # the slice starts and ends inside chunks
+        thetas = np.linspace(0.0, 300.0, 2 * fp._CHUNK_THETAS + 123)
+        whole = fp.bessel_ode_residual(thetas, 0.7, -0.2, 1e4, 0.05)
+        part = slice(5000, 5000 + fp._CHUNK_THETAS + 7)
+        assert whole[part].tobytes() == fp.bessel_ode_residual(thetas[part], 0.7, -0.2, 1e4, 0.05).tobytes()
+        for i in (0, 5000, fp._CHUNK_THETAS, len(thetas) - 1):
+            assert whole[i] == fp.bessel_ode_residual(float(thetas[i]), 0.7, -0.2, 1e4, 0.05)
 
     def test_zero_constants_give_zero(self):
         assert fp.bessel_solution(3.0, 0.0, 0.0, 2.0, 1.0) == 0.0
+        # at L0 = 50, J1(z) < 0 on 3.83 < z < 7.02: a skipped A J1 leaves
+        # +0.0 where 0 * J1 would print `-0`
+        thetas = np.linspace(0.0, 3.0, 301)
+        assert np.any(fp.bessel_solution(thetas, 1.0, 0.0, 50.0, 1.0) < 0.0)
+        assert not np.any(np.signbit(fp.bessel_solution(thetas, 0.0, 0.0, 50.0, 1.0)))
+
+    def test_first_kind_alone_skips_y1(self):
+        # z = 2 e^{-1000} underflows to 0, where y1 is refused and j1 is 0
+        assert fp.bessel_solution(np.array([0.0, 2000.0]), 1.0, 0.0, 2.0, 1.0)[1] == 0.0
+        with pytest.raises(ValueError, match="y1 requires a positive argument"):
+            fp.bessel_solution(np.array([0.0, 2000.0]), 1.0, 1.0, 2.0, 1.0)
 
     @pytest.mark.parametrize("l0, gamma", [(-1.0, 1.0), (0.0, 1.0), (2.0, 0.0), (2.0, -0.5)])
     def test_nonpositive_l0_or_gamma_rejected(self, l0, gamma):
