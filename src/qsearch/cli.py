@@ -4,10 +4,11 @@ Each subcommand `cmd_<name>(args)` checks its arguments, computes its
 columns and returns `(computed, tables, written)`: the values it derived that
 the manifest records beside the options (only `fixed-point`'s
 `eps0_computed`, and what ran in place of its options: under `--epsilon`
-N = 2, target 1 and a null `u0`, and a null `seed` wherever nothing was
-drawn), a list of `(file name, header, blocks)` tables, each a list of row
-blocks (one block of columns, or for `ga-verify` one per check and N and for
-`sweep` one per index row), and the CSVs it wrote itself as (path, SHA-256)
+N = 2, target 1 and a null `u0`, a null `seed` wherever nothing was drawn,
+and `analog`'s energy scale E, 1 unless `farhi-gutmann --E` sets it), a
+list of `(file name, header, blocks)` tables, each a list of row blocks (one
+block of columns, or for `ga-verify` one per check and N and for `sweep` one
+per index row), and the CSVs it wrote itself as (path, SHA-256)
 pairs (only `sweep`'s cells write their own).  The runner `_dispatch` alone
 writes the outputs: it makes the output directory once the command returns,
 writes each table as a CSV, and writes a JSON run manifest recording the
@@ -34,7 +35,10 @@ deviation, every N goes through `_check_n`, every target index through
 `grover_digital.check_target`, every grid through `_grid_steps`, the
 fixed-point depth through `fixed_point.check_depth`, the energy scale
 through `analog_search.check_energy`, and `geodesic` starts from the
-search family's own q(0) and q'(0).
+search family's own q(0) and q'(0).  `_theta_grid` is the one theta grid:
+`geodesic` samples it and `damped`'s RK4 steps every point of it, so both
+tables write theta_i = i dtheta.  A sweep whose cell fails removes every
+directory its cells made and names that cell in its one error line.
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
@@ -57,6 +61,7 @@ import json
 import math
 import os
 import random
+import shutil
 import sys
 from itertools import islice
 from pathlib import Path
@@ -289,7 +294,10 @@ def cmd_digital(args):
 def cmd_analog(args):
     n = args.N
     _check_n("analog", n)
-    energy = args.E
+    if args.model == "fenner" and args.E is not None:
+        raise ValueError("analog --model fenner reads no energy scale: --E is for farhi-gutmann")
+    # fenner runs at the unit energy scale, which its E column records
+    energy = 1.0 if args.E is None else args.E
     # both models sample t_i = i dt for i = 0..floor(t_max / dt + 1e-9), by
     # default 1001 times up to their own horizon
     if args.model == "fenner":
@@ -309,7 +317,7 @@ def cmd_analog(args):
     else:
         p_target = an.fg_scan(ts, n, energy).p_target
     columns = [args.model, n, energy, ts, p_target]
-    return {}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], [columns])], []
+    return {"E": energy}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], [columns])], []
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -406,18 +414,29 @@ def _stride(count: int, max_rows: int) -> int:
     return -(-count // max_rows)
 
 
+def _theta_grid(theta_end: float, dtheta: float, max_rows: int | None = None) -> np.ndarray:
+    """The one theta grid: theta_i = i dtheta for i < steps (`_grid_steps`
+    rounded up, at least 1) and theta_end last, or with `max_rows` every
+    stride-th point from 0, made in place (float i times dtheta is int i's)."""
+    steps = max(1, _grid_steps(theta_end, dtheta, round_up=True))
+    stride = 1 if max_rows is None else _stride(steps + 1, max_rows)
+    thetas = np.arange(0, steps + 1, stride, dtype=np.float64)
+    thetas *= dtheta
+    if steps % stride == 0:
+        thetas[-1] = theta_end
+    return thetas
+
+
 def cmd_damped(args):
     l0, gamma, a, b = args.L0, args.gamma, args.A, args.B
-    # the RK4 loop's step count
-    _grid_steps(args.theta_end, args.dtheta, round_up=True)
     h = 1e-6
-    # bessel_solution rejects L0 <= 0 or gamma <= 0 before the RK4 loop runs
+    # bessel_solution rejects L0 <= 0 or gamma <= 0 before the grid is made
     q_minus, q0, q_plus = fp.bessel_solution(np.array([-h, 0.0, h]), a, b, l0, gamma).tolist()
     qdot0 = (q_plus - q_minus) / (2.0 * h)
-    sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, args.theta_end, args.dtheta)
-    stride = _stride(len(sol.thetas), args.max_rows)
-    thetas = sol.thetas[::stride]
-    q = sol.q[::stride]
+    thetas = _theta_grid(args.theta_end, args.dtheta)
+    q = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, thetas)
+    stride = _stride(len(thetas), args.max_rows)
+    thetas, q = thetas[::stride], q[::stride]
     resid = fp.bessel_ode_residual(thetas, a, b, l0, gamma)
     p1 = np.minimum(1.0, q * q)
     return {}, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], [[thetas, q, resid, 1.0 - p1, p1]])], []
@@ -431,13 +450,8 @@ def cmd_geodesic(args):
     # two amplitude classes cost the same at every N; the cap still keeps an
     # integer N far from where N - 1 would overflow a float
     _check_n("geodesic", n)
-    steps = max(1, _grid_steps(args.theta_end, args.dtheta, round_up=True))
-    # rows keep every stride-th point of the grid i * dtheta, whose last
-    # point is theta_end itself
-    stride = _stride(steps + 1, args.max_rows)
+    thetas = _theta_grid(args.theta_end, args.dtheta, args.max_rows)
     family = ig.grover_family(n)
-    index = np.arange(0, steps + 1, stride)
-    thetas = np.where(index < steps, index * args.dtheta, args.theta_end)
     # the geodesic starts where the family does, at theta = 0
     sol = ig.solve_geodesic(family.q(0.0), family.dq(0.0), thetas, family.multiplicity)
     # past pi/2 the metric columns read the family at its domain's end
@@ -611,6 +625,10 @@ class _CellParser(argparse.ArgumentParser):
         raise SweepConfigError(message)
 
 
+# the errors of a run that `main` reports in one line
+_RUN_ERRORS = (ValueError, ArithmeticError, MemoryError, CrossCheckError, OSError)
+
+
 def _run_cell(args) -> list[tuple[Path, str]]:
     """Run one parsed sweep cell, in a worker process when the sweep runs
     more than one at a time; it writes into its own directory."""
@@ -638,15 +656,32 @@ def cmd_sweep(args):
         except SweepConfigError as exc:
             raise SweepConfigError(f"sweep cell {name}: {exc}") from None
         index_rows.append((name, cfg.subcommand, json.dumps(cell, sort_keys=True)))
+    # what the cells will make, so that a failing sweep removes it again
+    made = {d for a in cell_args for d in (Path(a.out), *Path(a.out).parents) if not d.exists()}
     # a forking pool starts all its workers at once: no more workers than cells
     workers = min(args.workers, len(cell_args))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    results = []
+    try:
+        with contextlib.ExitStack() as stack:
+            runs = map(_run_cell, cell_args)
+            if workers > 1:
+                from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cell_args))
-    else:
-        results = [_run_cell(a) for a in cell_args]
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                # first on leaving: a failure cancels the cells not yet started
+                stack.callback(pool.shutdown, cancel_futures=True)
+                runs = pool.map(_run_cell, cell_args)
+            # both yield in cell order, raising a cell's error at its turn
+            for cell_outputs in runs:
+                results.append(cell_outputs)
+    except _RUN_ERRORS as exc:
+        # no cell is running now, and all that a directory the sweep made
+        # holds is the cells' own
+        for d in made:
+            shutil.rmtree(d, ignore_errors=True)
+        # the error class `main` maps to the exit code, naming the cell
+        kind = next(k for k in _RUN_ERRORS if isinstance(exc, k))
+        raise kind(f"sweep cell {index_rows[len(results)][0]}: {exc}") from exc
     written = [output for cell_outputs in results for output in cell_outputs]
     return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], index_rows)], written
 
@@ -722,7 +757,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = subcommand("analog", cmd_analog, "continuous-time target probability over a time grid")
     p.add_argument("--model", choices=["fenner", "farhi-gutmann"], required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--E", type=_finite_float, default=1.0)
+    p.add_argument("--E", type=_finite_float, default=None, help="farhi-gutmann's energy scale (default 1)")
     p.add_argument("--t-max", dest="t_max", type=_finite_float, default=None)
     p.add_argument("--dt", type=_finite_float, default=None)
 

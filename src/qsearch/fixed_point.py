@@ -21,13 +21,13 @@ r^2 p_1 / (1 - p_1) that decays instead of staying constant, and the geodesic
 equation with exponentially decaying Lagrangian becomes
 q'' + gamma q' + (L0/2) exp(-gamma theta) q = 0, solved in closed form by
 first-order Bessel functions of a shrinking argument; the closed form and its
-residual take one theta or an array, each theta's value the same in any array.
+residual take one theta or an array, each theta's value the same in any array,
+and the RK4 gives q at each point of the theta grid it is given.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -184,45 +184,34 @@ def damped_family(c: float, rate: float) -> ParametricFamily:
 # -- damped geodesic ---------------------------------------------------------
 
 
-class DampedPath(NamedTuple):
-    """The damped geodesic q at the RK4 grid points ``thetas``."""
+def damped_geodesic_solve(l0: float, gamma: float, q0: float, qdot0: float, thetas: np.ndarray) -> np.ndarray:
+    """RK4 integration of q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0: q at
+    each point of `thetas`, a grid that starts at theta = 0 (where q = q0 and
+    q' = qdot0) and increases, as the CLI's one theta grid does, or ValueError.
 
-    thetas: np.ndarray
-    q: np.ndarray
-
-
-def damped_geodesic_solve(
-    l0: float,
-    gamma: float,
-    q0: float,
-    qdot0: float,
-    theta_end: float,
-    dtheta: float,
-) -> DampedPath:
-    """RK4 integration of q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0.
-
-    Classic fixed-step RK4 on the pair (q, q') held as two floats; the final
-    step is shortened to land on theta_end.  The acceleration
-    q'' = -gamma q' - (L0/2) e^{-gamma t} q is written out in each stage, and
-    e^{-gamma t} is taken once per abscissa: t + h/2 serves k2 and k3, and
-    t + h serves k4 and the next step's k1.  The products keep the order of
-    the formula, so the path is bitwise the per-stage one.  The path q is
-    kept in C double arrays, 8 bytes a value, and becomes ndarrays once at
-    the end."""
+    Each classic RK4 step goes from a grid point t to the next, t1, with
+    h = t1 - t, on (q, q') held as two floats.  The acceleration is written
+    out in each stage, with e^{-gamma t} once per abscissa: t + h/2 serves k2
+    and k3, and t1 serves k4 and the next step's k1.  The products keep the
+    formula's order, so the path is bitwise the per-stage one.  The grid and
+    q go through float64 memoryviews, so the loop makes no array."""
     if l0 < 0.0 or gamma < 0.0:
         raise ValueError("L0 and gamma must be nonnegative")
-    if dtheta <= 0.0 or theta_end <= 0.0:
-        raise ValueError("step and horizon must be positive")
-
+    ts = memoryview(np.ascontiguousarray(thetas, dtype=np.float64))
+    if ts[0] != 0.0:
+        raise ValueError(f"the grid must start at theta = 0, got {ts[0]!r}")
+    qs = np.empty(len(ts))
+    out = memoryview(qs)
     exp, ng, hl0 = math.exp, -gamma, 0.5 * l0
-    steps = max(1, int(math.ceil(theta_end / dtheta - 1e-12)))
     # e0 is e^{-gamma t} at the step's start, 1 at t = 0
     t, q, qd, e0 = 0.0, float(q0), float(qdot0), 1.0
-    ts, qs = array("d", [t]), array("d", [q])
-    for _ in range(steps):
-        h = min(dtheta, theta_end - t)
+    out[0] = q
+    for i, t1 in enumerate(ts[1:], 1):
+        h = t1 - t
+        if not h > 0.0:
+            raise ValueError(f"the grid must increase, got {t1!r} after {t!r}")
         half = h / 2
-        emid, e1 = exp(ng * (t + half)), exp(ng * (t + h))
+        emid, e1 = exp(ng * (t + half)), exp(ng * t1)
         k1q, k1v = qd, ng * qd - hl0 * e0 * q
         k2q = qd + half * k1v
         k2v = ng * k2q - hl0 * emid * (q + half * k1q)
@@ -232,10 +221,9 @@ def damped_geodesic_solve(
         k4v = ng * k4q - hl0 * e1 * (q + h * k3q)
         q = q + h / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
         qd = qd + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t, e0 = t + h, e1
-        ts.append(t)
-        qs.append(q)
-    return DampedPath(thetas=np.frombuffer(ts), q=np.frombuffer(qs))
+        t, e0 = t1, e1
+        out[i] = q
+    return qs
 
 
 def bessel_solution(theta, a: float, b: float, l0: float, gamma: float):
@@ -262,8 +250,11 @@ def bessel_solution(theta, a: float, b: float, l0: float, gamma: float):
 def bessel_ode_residual(theta, a: float, b: float, l0: float, gamma: float):
     """Residual of the closed form under the damped geodesic equation at one
     theta or each of an array: the :func:`qsearch.info_geom.geodesic_residual`
-    of :func:`bessel_solution`, by central differences of step 1e-3, a chunk
-    of theta at a time."""
+    of :func:`bessel_solution`, by central differences of step h = 1e-3, a
+    chunk of theta at a time.  The stencil's floor, about h^2 omega^4 |q| / 12
+    with omega^2 = (L0/2) e^{-gamma theta}, grows as L0^2: at gamma = 0.05,
+    A = 1, B = 0 on [0, 10] it reads 7.0e-6 at L0 = 10, 1.4e-3 at 100 and 0.25
+    at 1000."""
     theta = np.asarray(theta, dtype=np.float64)
     resid = np.empty(theta.shape)
     for lo in range(0, theta.size, _CHUNK_THETAS):

@@ -268,8 +268,9 @@ def test_c09_damped_geodesic():
     ok = worst_resid < 1e-6
 
     a, b = 1.0, 0.0
-    sol = fp.damped_geodesic_solve(l0, gamma, *damped_cli_start(l0, gamma, a, b), 10.0, 1e-3)
-    worst_rk4 = float(np.max(np.abs(sol.q[::97] - fp.bessel_solution(sol.thetas[::97], a, b, l0, gamma))))
+    grid = cli._theta_grid(10.0, 1e-3)
+    q = fp.damped_geodesic_solve(l0, gamma, *damped_cli_start(l0, gamma, a, b), grid)
+    worst_rk4 = float(np.max(np.abs(q[::97] - fp.bessel_solution(grid[::97], a, b, l0, gamma))))
     ok &= worst_rk4 < 1e-6
 
     slope = fit_p1_decay_exponent()

@@ -468,6 +468,28 @@ class TestDampedAndGeodesic:
         assert rows == 65537
         assert peak < 88 * rows
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--theta-end", "10"],
+            ["--theta-end", repr(math.pi / 2)],
+            ["--theta-end", "7.771", "--dtheta", "3e-3"],
+            ["--theta-end", "100", "--dtheta", "1e-4"],
+            ["--theta-end", "7.771", "--dtheta", "3e-3", "--max-rows", "1048576"],
+        ],
+        ids=["damped-defaults", "geodesic-defaults", "short-last-step", "1e6-steps", "every-point"],
+    )
+    def test_one_theta_grid(self, tmp_path, grid):
+        # both tables sample theta_i = i dtheta with theta_end last, every
+        # stride-th point of it from theta = 0
+        thetas = []
+        for argv in (["damped"], ["geodesic", "--N", "4"]):
+            assert run_cli([*argv, *grid], tmp_path / argv[0]) == 0
+            (csv,) = (tmp_path / argv[0]).glob("*.csv")
+            thetas.append([line.split(",", 1)[0] for line in csv.read_text().splitlines()])
+        assert thetas[0] == thetas[1]
+        assert thetas[0][1] == "0" and len(thetas[0]) > 2
+
     def test_geodesic_columns(self, tmp_path):
         assert run_cli(["geodesic", "--N", "8"], tmp_path) == 0
         header, rows = read_csv(tmp_path / "geodesic_N8.csv")
@@ -992,6 +1014,47 @@ target = 0
         assert "usage:" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "config, cell, message",
+        [
+            ("subcommand = digital\nN = [4, 1]\nk = 1\n", "digital_N-1", "digital needs 2 <= N <= 4194304, got N=1"),
+            (
+                "subcommand = analog\nmodel = fenner\nN = [4, 8]\nt_max = 1\nE = [1, 2]\n",
+                "analog_E-1_N-4",
+                "analog --model fenner reads no energy scale",
+            ),
+        ],
+        ids=["digital-N", "fenner-E"],
+    )
+    def test_failing_cell_leaves_nothing(self, tmp_path, capsys, workers, config, cell, message):
+        # a cell that runs before the failing one, or beside it in the pool,
+        # is removed with its directory, and the one line names the cell
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out" / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]
+        assert cli.main(argv) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith(f"qsearch: error: sweep cell {cell}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_failing_sweep_keeps_what_was_there(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "digital_N-4").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("subcommand = digital\nN = [8, 4, 1]\nk = 1\n")
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_DOMAIN
+        # the cell directory the sweep made goes; the one that was there stays
+        # with what the cell wrote into it
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "digital_N-4",
+            "digital_N-4/digital_N4_k1.csv",
+            "digital_N-4/digital_manifest.json",
+            "notes.txt",
+        ]
+
     @pytest.mark.parametrize(
         "key, option", [("help", "--help"), ("h", "--h"), ("tar", "--tar")], ids=["help", "h", "abbreviation"]
     )
@@ -1176,6 +1239,13 @@ class TestNumericDomain:
             (["geodesic", "--N", "4", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
             (["geodesic", "--N", "4", "--theta-end", "0"], "must be positive, got span 0.0 and step 0.001", "."),
             (["damped", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
+            # the fenner model reads no energy, so an --E there would be a
+            # column that describes nothing
+            (
+                ["analog", "--model", "fenner", "--N", "16", "--E", "-1", "--t-max", "5"],
+                "analog --model fenner reads no energy scale: --E is for farhi-gutmann",
+                ".",
+            ),
             # the directory made for the refused table goes again
             (["damped", "--B", "1e308"], "non-finite value", "fresh/out"),
         ],
@@ -1190,6 +1260,7 @@ class TestNumericDomain:
             "geodesic-negative-horizon",
             "geodesic-zero-horizon",
             "damped-negative-horizon",
+            "fenner-E",
             "damped-B-nan-rows-fresh-out",
         ],
     )
@@ -1215,6 +1286,7 @@ class TestNumericDomain:
             ),
             (["digital", "--N", "1"], f"digital needs 2 <= N <= {cli._N_CAP}, got N=1"),
             (["geodesic", "--N", str(cli._N_CAP), "--theta-end", "0"], "grid span and step must be positive"),
+            (["damped", "--gamma", "0", "--theta-end", "1048.576", "--dtheta", "1e-3"], "L0 and gamma must be positive"),
             (["ga-verify", "--N-list", "4,1"], f"ga-verify needs 2 <= N <= {cli._N_CAP}, got N=1"),
             (["ga-verify", "--N-list", f"4,{2 * cli._N_CAP}"], f"got N={2 * cli._N_CAP}"),
         ],
@@ -1225,6 +1297,7 @@ class TestNumericDomain:
             "farhi-gutmann-energy",
             "digital-N",
             "geodesic-zero-horizon",
+            "damped-gamma-zero",
             "ga-verify-N-1",
             "ga-verify-N-over-cap",
         ],
@@ -1550,8 +1623,18 @@ class TestRunner:
                 # the manifest records what ran
                 {"epsilon": 0.25, "u0": None, "N": 2, "depth": 1, "target": 1, "seed": None, "eps0_computed": 0.25},
             ),
+            # each model records the energy scale its E column carries
+            (["analog", "--model", "fenner", "--N", "4"], {"model": "fenner", "N": 4, "E": 1.0, "t_max": None, "dt": None}),
+            (
+                ["analog", "--model", "farhi-gutmann", "--N", "4"],
+                {"model": "farhi-gutmann", "N": 4, "E": 1.0, "t_max": None, "dt": None},
+            ),
+            (
+                ["analog", "--model", "farhi-gutmann", "--N", "4", "--E", "2"],
+                {"model": "farhi-gutmann", "N": 4, "E": 2.0, "t_max": None, "dt": None},
+            ),
         ],
-        ids=["geodesic", "damped", "fixed-point"],
+        ids=["geodesic", "damped", "fixed-point", "fenner", "farhi-gutmann", "farhi-gutmann-E"],
     )
     def test_manifest_records_every_option(self, tmp_path, argv, params):
         # every option but --out, plus what the command computed

@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from qsearch import cli
 from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 from test_info_geom import check_unitary, general_iterate
@@ -500,49 +501,44 @@ class TestDampedFisher:
             ig.fisher_rao(fam, np.array([0.5, 0.0]))
 
 
-def rk4_oracle(deriv, y0, t0, t1, dt):
-    """Classic fixed-step RK4 on ndarray states; the final step is shortened
-    to land on t1."""
-    steps = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
-    ts = np.empty(steps + 1)
-    ys = np.empty((steps + 1,) + y0.shape)
-    t, y = t0, y0.astype(np.float64)
-    ts[0], ys[0] = t, y
-    for i in range(steps):
-        h = min(dt, t1 - t)
+def rk4_oracle(deriv, y0, ts):
+    """Classic RK4 on ndarray states, one step from each point of the grid
+    ts to the next: the state at every grid point."""
+    ys = np.empty((len(ts),) + y0.shape)
+    ys[0] = y = y0.astype(np.float64)
+    for i, (t, t1) in enumerate(zip(ts[:-1], ts[1:]), 1):
+        h = t1 - t
         k1 = deriv(t, y)
         k2 = deriv(t + h / 2, y + h / 2 * k1)
         k3 = deriv(t + h / 2, y + h / 2 * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        ts[i + 1], ys[i + 1] = t, y
-    return ts, ys
+        k4 = deriv(t1, y + h * k3)
+        ys[i] = y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return ys
 
 
-def damped_oracle(l0, gamma, q0, qdot0, theta_end, dtheta):
-    """The damped geodesic through the ndarray RK4: the grid and q."""
+def damped_oracle(l0, gamma, q0, qdot0, ts):
+    """The damped geodesic's q at each point of the grid ts, through the
+    ndarray RK4."""
 
     def deriv(t, y):
         q, qd = y
         return np.array([qd, -gamma * qd - 0.5 * l0 * math.exp(-gamma * t) * q])
 
-    ts, ys = rk4_oracle(deriv, np.array([q0, qdot0], dtype=np.float64), 0.0, theta_end, dtheta)
-    return ts, ys[:, 0]
+    return rk4_oracle(deriv, np.array([q0, qdot0], dtype=np.float64), ts.tolist())[:, 0]
 
 
-def damped_stage_oracle(l0, gamma, q0, qdot0, theta_end, dtheta):
-    """The damped geodesic through a scalar RK4 that calls the acceleration
-    once per stage, four exponentials a step: the grid and q."""
+def damped_stage_oracle(l0, gamma, q0, qdot0, ts):
+    """The damped geodesic's q at each point of the grid ts, through a scalar
+    RK4 that calls the acceleration once per stage, four exponentials a
+    step."""
 
     def accel(t, q, qd):
         return -gamma * qd - 0.5 * l0 * math.exp(-gamma * t) * q
 
-    steps = max(1, int(math.ceil(theta_end / dtheta - 1e-12)))
-    t, q, qd = 0.0, float(q0), float(qdot0)
-    ts, qs = [t], [q]
-    for _ in range(steps):
-        h = min(dtheta, theta_end - t)
+    q, qd = float(q0), float(qdot0)
+    qs = [q]
+    for t, t1 in zip(ts.tolist(), ts.tolist()[1:]):
+        h = t1 - t
         half = h / 2
         k1q, k1v = qd, accel(t, q, qd)
         k2q = qd + half * k1v
@@ -550,13 +546,11 @@ def damped_stage_oracle(l0, gamma, q0, qdot0, theta_end, dtheta):
         k3q = qd + half * k2v
         k3v = accel(t + half, q + half * k2q, k3q)
         k4q = qd + h * k3v
-        k4v = accel(t + h, q + h * k3q, k4q)
+        k4v = accel(t1, q + h * k3q, k4q)
         q = q + h / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
         qd = qd + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t = t + h
-        ts.append(t)
         qs.append(q)
-    return np.array(ts), np.array(qs)
+    return np.array(qs)
 
 
 def damped_cli_start(l0, gamma, a, b):
@@ -580,10 +574,9 @@ class TestDampedGeodesic:
         ids=["defaults", "other", "short-last-step"],
     )
     def test_bitwise_equal_to_per_stage_rk4(self, l0, gamma, q0, qdot0, theta_end, dtheta):
-        sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, theta_end, dtheta)
-        ts, q = damped_stage_oracle(l0, gamma, q0, qdot0, theta_end, dtheta)
-        assert sol.thetas.tobytes() == ts.tobytes()
-        assert sol.q.tobytes() == q.tobytes()
+        grid = cli._theta_grid(theta_end, dtheta)
+        q = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, grid)
+        assert q.tobytes() == damped_stage_oracle(l0, gamma, q0, qdot0, grid).tobytes()
 
     @pytest.mark.parametrize(
         "l0, gamma, theta_end, dtheta",
@@ -591,23 +584,25 @@ class TestDampedGeodesic:
     )
     def test_bitwise_equal_to_ndarray_rk4(self, l0, gamma, theta_end, dtheta):
         q0, qdot0 = 0.3, -0.8
-        sol = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, theta_end, dtheta)
-        ts, q = damped_oracle(l0, gamma, q0, qdot0, theta_end, dtheta)
-        assert sol.thetas.tobytes() == ts.tobytes()
-        assert sol.q.shape == q.shape and sol.q.tobytes() == q.tobytes()
+        grid = cli._theta_grid(theta_end, dtheta)
+        q = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, grid)
+        want = damped_oracle(l0, gamma, q0, qdot0, grid)
+        assert q.shape == want.shape == grid.shape and q.tobytes() == want.tobytes()
 
     def test_final_step_shortened(self):
         # 7.771 / 3e-3 is not an integer: the last step lands on the horizon
-        sol = fp.damped_geodesic_solve(3.3, 0.7, 0.3, -0.8, 7.771, 3e-3)
-        assert sol.thetas[-1] == pytest.approx(7.771, abs=1e-12)
-        assert sol.thetas[-1] - sol.thetas[-2] == pytest.approx(1e-3, abs=1e-9)
+        grid = cli._theta_grid(7.771, 3e-3)
+        assert grid[-1] == pytest.approx(7.771, abs=1e-12)
+        assert grid[-1] - grid[-2] == pytest.approx(1e-3, abs=1e-9)
+        assert len(fp.damped_geodesic_solve(3.3, 0.7, 0.3, -0.8, grid)) == len(grid)
 
     def test_rk4_matches_bessel_closed_form(self):
         l0, gamma = 2.0, 1.0
         a, b = 1.0, 0.0
-        sol = fp.damped_geodesic_solve(l0, gamma, *damped_cli_start(l0, gamma, a, b), 8.0, 1e-3)
-        every = len(sol.thetas) // 50
-        assert np.max(np.abs(sol.q[::every] - fp.bessel_solution(sol.thetas[::every], a, b, l0, gamma))) < 1e-6
+        grid = cli._theta_grid(8.0, 1e-3)
+        q = fp.damped_geodesic_solve(l0, gamma, *damped_cli_start(l0, gamma, a, b), grid)
+        every = len(grid) // 50
+        assert np.max(np.abs(q[::every] - fp.bessel_solution(grid[::every], a, b, l0, gamma))) < 1e-6
 
     def test_initial_data_is_the_three_scalar_calls(self):
         # one call on [-h, 0, h] is bitwise the three one-theta calls
@@ -619,27 +614,46 @@ class TestDampedGeodesic:
 
     def test_pure_damping_limit(self):
         gamma, q0, qdot0 = 1.3, 0.4, 0.9
-        sol = fp.damped_geodesic_solve(0.0, gamma, q0, qdot0, 5.0, 1e-3)
+        q = fp.damped_geodesic_solve(0.0, gamma, q0, qdot0, cli._theta_grid(5.0, 1e-3))
         want = q0 + qdot0 * (1.0 - math.exp(-gamma * 5.0)) / gamma
-        assert abs(sol.q[-1] - want) < 1e-8
+        assert abs(q[-1] - want) < 1e-8
 
     @pytest.mark.parametrize(
-        "l0, gamma, dtheta, message",
+        "gamma, grid, message",
         [
-            (2.0, -1.0, 1e-3, "L0 and gamma must be nonnegative"),
-            (2.0, 1.0, 0.0, "step and horizon must be positive"),
+            (-1.0, [0.0, 0.5, 1.0], "L0 and gamma must be nonnegative"),
+            (1.0, [0.5, 1.0], "the grid must start at theta = 0, got 0.5"),
+            (1.0, [0.0, 0.5, 0.5, 1.0], "the grid must increase, got 0.5 after 0.5"),
+            (1.0, [0.0, 0.5, 0.4], "the grid must increase, got 0.4 after 0.5"),
         ],
-        ids=["negative-gamma", "zero-step"],
+        ids=["negative-gamma", "not-from-zero", "zero-step", "negative-step"],
     )
-    def test_bad_parameters_rejected(self, l0, gamma, dtheta, message):
+    def test_bad_parameters_rejected(self, gamma, grid, message):
         with pytest.raises(ValueError, match=message):
-            fp.damped_geodesic_solve(l0, gamma, 1.0, 0.0, 1.0, dtheta)
+            fp.damped_geodesic_solve(2.0, gamma, 1.0, 0.0, np.array(grid))
 
     def test_small_gamma_approaches_oscillator(self):
         # gamma -> 0 with L0 = 8 behaves like q'' + 4 q = 0 over short spans
         q0, qdot0 = 1.0, 0.0
-        sol = fp.damped_geodesic_solve(8.0, 1e-6, q0, qdot0, 0.5, 1e-4)
-        assert abs(sol.q[-1] - math.cos(2.0 * 0.5)) < 1e-4
+        q = fp.damped_geodesic_solve(8.0, 1e-6, q0, qdot0, cli._theta_grid(0.5, 1e-4))
+        assert abs(q[-1] - math.cos(2.0 * 0.5)) < 1e-4
+
+    def test_grid_and_path_are_the_only_arrays(self):
+        # the grid and q take 8 bytes a point each, and the loop reads and
+        # writes them through memoryviews, so no third array of that size (a
+        # difference of the grid, a list of exponentials) is made.  The bound
+        # scales with the grid; tracemalloc slows the RK4 loop 5-40 fold, so
+        # the grid has 2^16 steps, not the 10^6 of `damped --theta-end 100
+        # --dtheta 1e-4`
+        tracemalloc.start()
+        try:
+            grid = cli._theta_grid(2**16 * 1e-3, 1e-3)
+            fp.damped_geodesic_solve(2.0, 1.0, 1.0, 0.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 2**16 + 1
+        assert peak <= 2.2 * grid.nbytes
 
 
 class TestBesselSolution:

@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from qsearch import cli
 from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 
@@ -667,11 +668,12 @@ class TestSolveGeodesic:
         n = 4
         q0 = np.array([0.0, 0.6, 0.0, 0.8])
         qdot0 = np.array([1.0, 0.0, 0.3, 0.0])
+        thetas = cli._theta_grid(math.pi / 2, 1e-3)
+        sol = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
         worst = 0.0
         for j in range(n):
-            rk4 = fp.damped_geodesic_solve(2.0, 0.0, q0[j], qdot0[j], math.pi / 2, 1e-3)
-            sol = ig.solve_geodesic(q0, qdot0, rk4.thetas, np.ones(n))
-            worst = max(worst, float(np.max(np.abs(sol.q[:, j] - rk4.q))))
+            rk4 = fp.damped_geodesic_solve(2.0, 0.0, q0[j], qdot0[j], thetas)
+            worst = max(worst, float(np.max(np.abs(sol.q[:, j] - rk4))))
         assert worst < 1e-9
 
     def test_unnormalized_rejected(self):
