@@ -3,13 +3,14 @@
 Each subcommand `cmd_<name>(args)` checks its arguments, computes its
 columns and returns `(computed, tables, written)`: the values it derived that
 the manifest records beside the options (only `fixed-point`'s
-`eps0_computed`, and what ran in place of its options: under `--epsilon`
-N = 2, target 1 and a null `u0`, a null `seed` wherever nothing was drawn,
-and `analog`'s energy scale E, 1 unless `farhi-gutmann --E` sets it), a
-list of `(file name, header, blocks)` tables, each a list of row blocks (one
-block of columns, or for `ga-verify` one per check and N and for `sweep` one
-per index row), and the CSVs it wrote itself as (path, SHA-256)
-pairs (only `sweep`'s cells write their own).  The runner `_dispatch` alone
+`eps0_computed` and `analog`'s energy scale E, 1 unless `farhi-gutmann --E`
+sets it) and in their place, by one rule: an option the run did not read is
+recorded as null, or as the value that ran instead (the N = 2 and target 1
+that a failure epsilon given to `fixed-point --u0` runs); a list of
+`(file name, header, blocks)` tables, each a list of row blocks (one block
+of columns, or for `ga-verify` one per check and N and for `sweep` one per
+index row); and the CSVs it wrote itself as (path, SHA-256) pairs (only
+`sweep`'s cells write their own).  The runner `_dispatch` alone
 writes the outputs: it makes the output directory once the command returns,
 writes each table as a CSV, and writes a JSON run manifest recording the
 command, every option but `--out`, the computed values, timestamps, tool
@@ -19,8 +20,7 @@ written, so no table is read back.  All numeric output uses
 byte-identical CSVs (manifests differ only in their timestamps).
 The randomized path, `fixed-point --u0 random`, draws complex normals from
 the standard library's Mersenne Twister seeded by --seed (`_complex_normals`),
-and the seed is recorded in the manifest; a run that draws nothing records a
-null seed.
+and the seed is recorded in the manifest.
 
 Exit codes: 0 success, 2 usage or configuration error (an output directory
 or file that cannot be made or written among them), 3 numeric-domain
@@ -360,39 +360,37 @@ def _complex_normals(seed: int, count: int) -> np.ndarray:
 
 
 def cmd_fixed_point(args):
-    n, target = args.N, args.target
-    # what the manifest records in place of the options: what ran, and a
-    # null seed where nothing was drawn
-    ran = {}
-    if args.epsilon is not None:
-        if not 0.0 <= args.epsilon < 1.0:
+    # the mode is checked before the depth; what ran in place of an option
+    # that the mode does not read goes to the manifest
+    if args.u0 in ("wh", "random"):
+        n, target = args.N, args.target
+        _check_n("fixed-point", n, low=2 if args.u0 == "wh" else 1)
+        if args.u0 == "wh" and n & (n - 1):
+            raise ValueError(f"Walsh-Hadamard initialization needs N = 2^n, got N={n}")
+        ran = {"seed": None} if args.u0 == "wh" else {}
+    else:
+        epsilon = float(args.u0)
+        if not 0.0 <= epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
         n, target = 2, 1
-        ran = {"N": n, "target": target, "u0": None, "seed": None}
-    elif args.u0 == "wh":
-        _check_n("fixed-point", n)
-        if n & (n - 1):
-            raise ValueError(f"Walsh-Hadamard initialization needs N = 2^n, got N={n}")
-        ran = {"seed": None}
-    else:
-        _check_n("fixed-point", n, low=1)
+        ran = {"N": n, "target": target, "seed": None}
     fp.check_depth(args.depth)
     gd.check_target(n, target)
     # psi0 = U0|0>, the one column of U0 that the recursion reads, is made only
     # now.  The run holds it and one state of N amplitudes: depth 5 takes
     # about 0.4 s and 61 MB RSS at N = 2^20 and 1.3-1.5 s and 157-158 MB at
     # the cap, under either u0 (2-CPU host)
-    if args.epsilon is not None:
-        # the first column of the two-level unitary [[-s, c], [c, s]], whose
-        # source-to-target amplitude c gives failure epsilon
-        psi0 = np.array([-math.sqrt(args.epsilon), math.sqrt(1.0 - args.epsilon)], dtype=np.complex128)
-    elif args.u0 == "wh":
+    if args.u0 == "wh":
         # H^{(x)n}|0>, the uniform state
         psi0 = gd.init_uniform(n).astype(np.complex128)
-    else:
+    elif args.u0 == "random":
         # a Haar-random state, the first column of a Haar-random U0
         psi0 = _complex_normals(args.seed, n)
         psi0 /= np.linalg.norm(psi0)
+    else:
+        # the first column of the two-level unitary [[-s, c], [c, s]], whose
+        # source-to-target amplitude c gives failure epsilon
+        psi0 = np.array([-math.sqrt(epsilon), math.sqrt(1.0 - epsilon)], dtype=np.complex128)
     states = fp.fixed_point_run(psi0, target=target, depth=args.depth)
     eps0 = states[0].eps_k
     # one row per depth k = 1..depth, or depth 0's row alone
@@ -464,29 +462,20 @@ def cmd_geodesic(args):
     return {}, [(f"geodesic_N{n}.csv", header, [columns])], []
 
 
-def _infogeo_family(args):
-    if args.family == "grover":
-        _check_n("infogeo", args.N)
-        fam = ig.grover_family(args.N)
-        lo, hi = 1e-2, math.pi / 2 - 1e-2
-        label = f"grover_N{args.N}"
-    elif args.family == "damped-const":
-        fam = fp.damped_family(args.xi_const, 1.0)
-        lo, hi = 0.0, 10.0
-        label = f"damped_const{args.xi_const}"
-    else:
-        fam = fp.damped_family(args.A, 2.0)
-        lo, hi = 0.0, 10.0
-        label = f"damped_exp{args.A}"
-    return fam, lo, hi, label
-
-
 def cmd_infogeo(args):
     _check_rows(args.points, "point count")
-    fam, lo, hi, label = _infogeo_family(args)
+    if args.family == "grover":
+        _check_n("infogeo", args.N)
+        fam, lo, hi = ig.grover_family(args.N), 1e-2, math.pi / 2 - 1e-2
+        label, unread = f"grover_N{args.N}", {"c": None}
+    else:
+        # p_1 = c e^{-r theta}, with r = 1 for damped-const and 2 for damped-exp
+        fam = fp.damped_family(args.c, 1.0 if args.family == "damped-const" else 2.0)
+        lo, hi = 0.0, 10.0
+        label, unread = f"{args.family.replace('-', '_')}{args.c}", {"N": None}
     thetas = np.linspace(lo, hi, args.points)
     columns = [args.family, thetas, *ig.metric_columns(fam, thetas, 1e-3)]
-    return {}, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], [columns])], []
+    return unread, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], [columns])], []
 
 
 # -- ga-verify --------------------------------------------------------------------
@@ -535,7 +524,8 @@ def cmd_ga_verify(args):
             worst = max(worst, float(np.abs(dev).max()))
         require_agreement("rotor and state-vector iterates on the basis spinors", worst, f"N={n}", msta.TOL_STATE)
         blocks.append(("spinor_iterate", n, 1, worst, 0.0, worst))
-    return {}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], blocks)], []
+    # the command draws nothing
+    return {"seed": None}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], blocks)], []
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -625,8 +615,20 @@ class _CellParser(argparse.ArgumentParser):
         raise SweepConfigError(message)
 
 
-# the errors of a run that `main` reports in one line
-_RUN_ERRORS = (ValueError, ArithmeticError, MemoryError, CrossCheckError, OSError)
+# the errors of a run that `main` reports in one line, as its first match
+# here: error class -> (exit code, message prefix)
+_EXITS = {
+    SweepConfigError: (EXIT_USAGE, ""),
+    ValueError: (EXIT_DOMAIN, ""),
+    ArithmeticError: (EXIT_DOMAIN, ""),
+    MemoryError: (EXIT_DOMAIN, "out of memory: "),
+    CrossCheckError: (EXIT_CROSSCHECK, "internal cross-check failed: "),
+    OSError: (EXIT_USAGE, "cannot write outputs: "),
+}
+
+
+def _exit_class(exc: BaseException) -> type:
+    return next(kind for kind in _EXITS if isinstance(exc, kind))
 
 
 def _run_cell(args) -> list[tuple[Path, str]]:
@@ -674,14 +676,13 @@ def cmd_sweep(args):
             # both yield in cell order, raising a cell's error at its turn
             for cell_outputs in runs:
                 results.append(cell_outputs)
-    except _RUN_ERRORS as exc:
+    except tuple(_EXITS) as exc:
         # no cell is running now, and all that a directory the sweep made
         # holds is the cells' own
         for d in made:
             shutil.rmtree(d, ignore_errors=True)
         # the error class `main` maps to the exit code, naming the cell
-        kind = next(k for k in _RUN_ERRORS if isinstance(exc, k))
-        raise kind(f"sweep cell {index_rows[len(results)][0]}: {exc}") from exc
+        raise _exit_class(exc)(f"sweep cell {index_rows[len(results)][0]}: {exc}") from exc
     written = [output for cell_outputs in results for output in cell_outputs]
     return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], index_rows)], written
 
@@ -725,6 +726,17 @@ def _int_list(text: str) -> str:
     return text
 
 
+def _u0(text: str) -> str:
+    """`wh`, `random` or a finite number, the initial failure epsilon, kept
+    as typed for the manifest."""
+    try:
+        if text in ("wh", "random") or math.isfinite(float(text)):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be 'wh', 'random' or a finite failure epsilon, got {text}")
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -762,8 +774,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--dt", type=_finite_float, default=None)
 
     p = subcommand("fixed-point", cmd_fixed_point, "pi/3 recursion failure probabilities")
-    p.add_argument("--epsilon", type=_finite_float, default=None, help="initial failure; runs N = 2 and target 1")
-    p.add_argument("--u0", choices=["wh", "random"], default="wh")
+    p.add_argument("--u0", type=_u0, default="wh", help="wh, random, or a failure epsilon that runs N = 2, target 1")
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--target", type=int, default=0)
@@ -787,8 +798,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = subcommand("infogeo", cmd_infogeo, "Fisher information and kinetic energy profiles")
     p.add_argument("--family", choices=["grover", "damped-const", "damped-exp"], default="grover")
     p.add_argument("--N", type=int, default=16)
-    p.add_argument("--xi-const", dest="xi_const", type=_finite_float, default=0.5)
-    p.add_argument("--A", type=_finite_float, default=0.5)
+    p.add_argument("--c", type=_finite_float, default=0.5, help="the damped families' c in p_1 = c e^{-r theta}")
     p.add_argument("--points", type=_positive_int, default=200)
 
     p = subcommand("ga-verify", cmd_ga_verify, "rotor vs state-vector cross-verification table")
@@ -796,7 +806,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--k-max", dest="k_max", type=_nonnegative_int, default=None)
     # no run reads it: the command draws nothing, but the benchmark's
     # crosscheck workload still passes one
-    p.add_argument("--seed", type=_nonnegative_int, default=0, help="accepted and recorded; nothing reads it")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="accepted and recorded as null; nothing reads it")
 
     p = subcommand("sweep", cmd_sweep, "cartesian parameter sweep from a config file")
     p.add_argument("--config", required=True)
@@ -810,21 +820,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _dispatch(args)
-    except SweepConfigError as exc:
-        print(f"qsearch: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ArithmeticError) as exc:
-        print(f"qsearch: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except MemoryError as exc:
-        print(f"qsearch: error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except CrossCheckError as exc:
-        print(f"qsearch: error: internal cross-check failed: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
-    except OSError as exc:
-        print(f"qsearch: error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_EXITS) as exc:
+        code, prefix = _EXITS[_exit_class(exc)]
+        print(f"qsearch: error: {prefix}{exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -46,6 +46,11 @@ def usage_exit_code(argv, tmp_path):
     return exc.value.code
 
 
+def error_lines(err):
+    """The lines of stderr that report an error, argparse's usage block aside."""
+    return [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+
+
 def run_cli_traced(argv, tmp_path):
     """Exit code and tracemalloc peak in bytes of one in-process run."""
     tracemalloc.start()
@@ -279,7 +284,7 @@ class TestAnalog:
 
 class TestFixedPoint:
     def test_epsilon_run_failure_column(self, tmp_path):
-        assert run_cli(["fixed-point", "--epsilon", "0.1", "--depth", "2"], tmp_path) == 0
+        assert run_cli(["fixed-point", "--u0", "0.1", "--depth", "2"], tmp_path) == 0
         _, rows = read_csv(tmp_path / "fixed_point_depth2.csv")
         assert [r[0] for r in rows] == ["1", "2"]
         assert float(rows[0][1]) == pytest.approx(1e-3, rel=1e-12)
@@ -287,21 +292,16 @@ class TestFixedPoint:
         assert float(rows[0][3]) < 1e-10
         assert float(rows[1][3]) < 1e-10
 
-    def test_epsilon_one_is_domain_error(self, tmp_path, capsys):
-        assert run_cli(["fixed-point", "--epsilon", "1", "--depth", "1"], tmp_path) == cli.EXIT_DOMAIN
-        assert "epsilon must lie in [0, 1)" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
     def test_depth_cap_rejected(self, tmp_path):
-        assert run_cli(["fixed-point", "--epsilon", "0.1", "--depth", "6"], tmp_path) == cli.EXIT_DOMAIN
+        assert run_cli(["fixed-point", "--u0", "0.1", "--depth", "6"], tmp_path) == cli.EXIT_DOMAIN
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--epsilon", "0.1", "--depth", "6"], "depth must be between 0 and 5 (operator word grows as 3^k)"),
-            (["--epsilon", "0.1", "--depth", "-1"], "depth must be between 0 and 5 (operator word grows as 3^k)"),
+            (["--u0", "0.1", "--depth", "6"], "depth must be between 0 and 5 (operator word grows as 3^k)"),
+            (["--u0", "0.1", "--depth", "-1"], "depth must be between 0 and 5 (operator word grows as 3^k)"),
             # psi0's options are checked before the depth
-            (["--epsilon", "2", "--depth", "6"], "epsilon must lie in [0, 1)"),
+            (["--u0", "2", "--depth", "6"], "epsilon must lie in [0, 1)"),
             (["--u0", "wh", "--N", "3", "--depth", "9"], "Walsh-Hadamard initialization needs N = 2^n, got N=3"),
         ],
         ids=["over", "negative", "bad-epsilon-first", "bad-wh-first"],
@@ -379,7 +379,7 @@ class TestFixedPoint:
         # matrix product gave +0.0
         s, c = math.sqrt(float(eps)), math.sqrt(1.0 - float(eps))
         want = dense_operator(np.array([[-s, c], [c, s]])).apply(basis_state(2, 0))
-        assert np.array_equal(self.run_psi0(tmp_path, monkeypatch, ["--epsilon", eps]), want)
+        assert np.array_equal(self.run_psi0(tmp_path, monkeypatch, ["--u0", eps]), want)
 
     def test_random_psi0_is_a_normalized_draw(self, tmp_path, monkeypatch):
         got = self.run_psi0(tmp_path, monkeypatch, ["--u0", "random", "--N", "64", "--seed", "3"])
@@ -387,14 +387,14 @@ class TestFixedPoint:
         assert np.array_equal(got, z / np.linalg.norm(z))
 
     def test_epsilon_manifest_records_what_ran(self, tmp_path):
-        # --epsilon runs N = 2 and target 1, whatever --N and --target say
-        argv = ["fixed-point", "--epsilon", "0.1", "--N", "64", "--target", "5", "--depth", "2"]
+        # a failure epsilon runs N = 2 and target 1, whatever --N and --target say
+        argv = ["fixed-point", "--u0", "0.1", "--N", "64", "--target", "5", "--depth", "2"]
         assert run_cli(argv, tmp_path) == 0
         params = json.loads((tmp_path / "fixed-point_manifest.json").read_text())["params"]
-        assert (params["N"], params["target"], params["epsilon"]) == (2, 1, 0.1)
+        assert (params["N"], params["target"], params["u0"]) == (2, 1, "0.1")
         assert params["eps0_computed"] == pytest.approx(0.1, rel=1e-15)
-        # no U0 ran and nothing was drawn
-        assert (params["u0"], params["seed"]) == (None, None)
+        # nothing was drawn, and no option is left over from the old spelling
+        assert params["seed"] is None and "epsilon" not in params
 
     def test_walsh_hadamard_auto_epsilon(self, tmp_path):
         run_cli(["fixed-point", "--u0", "wh", "--N", "4", "--depth", "2", "--target", "2"], tmp_path)
@@ -409,9 +409,22 @@ class TestFixedPoint:
         for row in rows:
             assert float(row[3]) < 1e-10
 
-    @pytest.mark.parametrize("eps", ["inf", "nan"])
-    def test_non_finite_epsilon_is_usage_error(self, tmp_path, eps):
-        assert usage_exit_code(["fixed-point", "--epsilon", eps, "--depth", "2"], tmp_path) == cli.EXIT_USAGE
+    @pytest.mark.parametrize("u0", ["nan", "inf", "bogus"])
+    def test_u0_that_is_no_mode_is_one_usage_line(self, tmp_path, capsys, u0):
+        out = tmp_path / "out"
+        assert usage_exit_code(["fixed-point", "--u0", u0, "--depth", "2"], out) == cli.EXIT_USAGE
+        # argparse's usage block, then one error line
+        assert error_lines(capsys.readouterr().err) == [
+            f"qsearch fixed-point: error: argument --u0: must be 'wh', 'random' or a finite failure epsilon, got {u0}"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("u0", ["1", "-0.5"])
+    def test_epsilon_outside_the_unit_interval_is_one_domain_line(self, tmp_path, capsys, u0):
+        out = tmp_path / "out"
+        assert run_cli(["fixed-point", "--u0", u0, "--depth", "2"], out) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == "qsearch: error: epsilon must lie in [0, 1)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "1", "12"])
     def test_walsh_hadamard_size_domain_error(self, tmp_path, capsys, n):
@@ -536,7 +549,7 @@ class TestDampedAndGeodesic:
         assert not (tmp_path / "damped_geodesic.csv").exists()
 
     def test_infogeo_nan_is_usage_error(self, tmp_path):
-        argv = ["infogeo", "--family", "damped-exp", "--A", "nan"]
+        argv = ["infogeo", "--family", "damped-exp", "--c", "nan"]
         assert usage_exit_code(argv, tmp_path) == cli.EXIT_USAGE
 
     def test_infogeo_damped_exp_defaults(self, tmp_path):
@@ -590,8 +603,8 @@ class TestDampedAndGeodesic:
     @pytest.mark.parametrize(
         "argv, name",
         [
-            (["--family", "damped-const", "--xi-const", "0.999995"], "infogeo_damped_const0.999995.csv"),
-            (["--family", "damped-exp", "--A", "0.999995"], "infogeo_damped_exp0.999995.csv"),
+            (["--family", "damped-const", "--c", "0.999995"], "infogeo_damped_const0.999995.csv"),
+            (["--family", "damped-exp", "--c", "0.999995"], "infogeo_damped_exp0.999995.csv"),
         ],
         ids=["damped-const", "damped-exp"],
     )
@@ -607,13 +620,13 @@ class TestDampedAndGeodesic:
     @pytest.mark.parametrize(
         "argv, what",
         [
-            (["--family", "damped-const", "--xi-const", "1"], "p_1 must lie strictly inside"),
-            (["--family", "damped-const", "--xi-const", "0"], "needs c in (0, 1]"),
-            (["--family", "damped-const", "--xi-const", "-0.5"], "needs c in (0, 1]"),
-            (["--family", "damped-exp", "--A", "1.5"], "needs c in (0, 1]"),
-            (["--family", "damped-exp", "--A", "1"], "p_1 must lie strictly inside"),
+            (["--family", "damped-const", "--c", "1"], "p_1 must lie strictly inside"),
+            (["--family", "damped-const", "--c", "0"], "needs c in (0, 1]"),
+            (["--family", "damped-const", "--c", "-0.5"], "needs c in (0, 1]"),
+            (["--family", "damped-exp", "--c", "1.5"], "needs c in (0, 1]"),
+            (["--family", "damped-exp", "--c", "1"], "p_1 must lie strictly inside"),
             # p_1 = c e^{-10} underflows to 0 at the last row
-            (["--family", "damped-const", "--xi-const", "1e-320"], "p_1 must lie strictly inside"),
+            (["--family", "damped-const", "--c", "1e-320"], "p_1 must lie strictly inside"),
         ],
         ids=["const-1", "const-0", "const-negative", "exp-1.5", "exp-1", "const-subnormal"],
     )
@@ -700,7 +713,7 @@ class TestDampedAndGeodesic:
             run_cli(["geodesic", "--N", n], tmp_path)
 
     def test_infogeo_damped_decreases(self, tmp_path):
-        assert run_cli(["infogeo", "--family", "damped-const", "--xi-const", "0.7", "--points", "40"], tmp_path) == 0
+        assert run_cli(["infogeo", "--family", "damped-const", "--c", "0.7", "--points", "40"], tmp_path) == 0
         _, rows = read_csv(tmp_path / "infogeo_damped_const0.7.csv")
         fs = [float(r[2]) for r in rows[1:]]
         assert all(a >= b for a, b in zip(fs, fs[1:]))
@@ -1582,7 +1595,7 @@ class TestRunner:
         [
             (["digital", "--N", "8", "--k", "2"], ["digital_N8_k2.csv"]),
             (["analog", "--model", "fenner", "--N", "8"], ["analog_fenner_N8.csv"]),
-            (["fixed-point", "--epsilon", "0.2", "--depth", "2"], ["fixed_point_depth2.csv"]),
+            (["fixed-point", "--u0", "0.2", "--depth", "2"], ["fixed_point_depth2.csv"]),
             (["damped", "--theta-end", "1"], ["damped_geodesic.csv"]),
             (["geodesic", "--N", "8"], ["geodesic_N8.csv"]),
             (["infogeo", "--points", "5"], ["infogeo_grover_N16.csv"]),
@@ -1618,11 +1631,18 @@ class TestRunner:
                 {"L0": 2.0, "gamma": 1.0, "A": 1.0, "B": 0.0, "theta_end": 1.0, "dtheta": 1e-3, "max_rows": 5},
             ),
             (
-                ["fixed-point", "--epsilon", "0.25", "--depth", "1", "--seed", "9"],
-                # --epsilon runs N = 2 and target 1, with no U0 and no draw:
-                # the manifest records what ran
-                {"epsilon": 0.25, "u0": None, "N": 2, "depth": 1, "target": 1, "seed": None, "eps0_computed": 0.25},
+                ["fixed-point", "--u0", "0.25", "--depth", "1", "--seed", "9"],
+                # a failure epsilon runs N = 2 and target 1 and draws nothing:
+                # the manifest records what ran, and null for the unread seed
+                {"u0": "0.25", "N": 2, "depth": 1, "target": 1, "seed": None, "eps0_computed": 0.25},
             ),
+            # an option that the family does not read is recorded as null
+            (["infogeo", "--family", "grover", "--N", "8"], {"family": "grover", "N": 8, "c": None, "points": 200}),
+            (
+                ["infogeo", "--family", "damped-const", "--c", "0.9", "--N", "64"],
+                {"family": "damped-const", "N": None, "c": 0.9, "points": 200},
+            ),
+            (["ga-verify", "--N-list", "4", "--seed", "5"], {"N_list": "4", "k_max": None, "seed": None}),
             # each model records the energy scale its E column carries
             (["analog", "--model", "fenner", "--N", "4"], {"model": "fenner", "N": 4, "E": 1.0, "t_max": None, "dt": None}),
             (
@@ -1634,13 +1654,41 @@ class TestRunner:
                 {"model": "farhi-gutmann", "N": 4, "E": 2.0, "t_max": None, "dt": None},
             ),
         ],
-        ids=["geodesic", "damped", "fixed-point", "fenner", "farhi-gutmann", "farhi-gutmann-E"],
+        ids=[
+            "geodesic",
+            "damped",
+            "fixed-point",
+            "infogeo-grover",
+            "infogeo-damped",
+            "ga-verify",
+            "fenner",
+            "farhi-gutmann",
+            "farhi-gutmann-E",
+        ],
     )
     def test_manifest_records_every_option(self, tmp_path, argv, params):
         # every option but --out, plus what the command computed
         assert run_cli(argv, tmp_path) == 0
         manifest = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
         assert manifest["params"] == params
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fixed-point", "--depth", "2", "--epsilon", "0.1"],
+            ["infogeo", "--family", "damped-const", "--xi-const", "0.7"],
+            ["infogeo", "--family", "damped-exp", "--A", "0.7"],
+        ],
+        ids=["epsilon", "xi-const", "A"],
+    )
+    def test_old_spelling_is_one_usage_line(self, tmp_path, capsys, argv):
+        # `--u0` takes the failure epsilon, and infogeo's damped families one `--c`
+        out = tmp_path / "out"
+        assert usage_exit_code(argv, out) == cli.EXIT_USAGE
+        assert error_lines(capsys.readouterr().err) == [
+            f"qsearch: error: unrecognized arguments: {argv[-2]} {argv[-1]}"
+        ]
+        assert not out.exists()
 
     def test_import_loads_no_process_pool(self):
         # only `sweep --workers` uses one, and imports it itself
@@ -1666,7 +1714,7 @@ class TestUnwritableOut:
         [
             ["digital", "--N", "8", "--k", "2"],
             ["analog", "--model", "fenner", "--N", "8"],
-            ["fixed-point", "--epsilon", "0.2", "--depth", "2"],
+            ["fixed-point", "--u0", "0.2", "--depth", "2"],
             ["damped", "--theta-end", "1"],
             ["geodesic", "--N", "8"],
             ["infogeo", "--points", "5"],

@@ -291,7 +291,7 @@ class TestFailureLaw:
     @staticmethod
     def starts():
         """(psi0, target) of `fixed-point --u0 wh` at N = 2..4096, target 0
-        and N - 1, and of `--epsilon` at 0.100..0.999 in steps of 0.001."""
+        and N - 1, and of a failure `--u0` at 0.100..0.999 in steps of 0.001."""
         for n in (1 << j for j in range(1, 13)):
             for target in (0, n - 1):
                 yield uniform_state(n), target

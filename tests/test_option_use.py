@@ -1,13 +1,18 @@
 """Guard against options that no run reads.
 
-Each subcommand runs on small invocations, one for each of its modes (every
-value of an option with choices), with its parsed arguments in a namespace
-that records every attribute read.  An option of a subcommand that none of
-its runs reads is an error: it is accepted and recorded in the manifest, yet
-changes nothing.  `--out` is exempt, as is each option in `EXEMPT`, with the
-reason written next to it.
+Each subcommand runs through the runner on small invocations, one for each
+of its modes (every value of an option with choices, and `fixed-point
+--u0`'s two modes and a failure epsilon), with its parsed arguments in a
+namespace that records every attribute read.  An option of a subcommand
+that none of its runs reads is an error: it is accepted, yet changes
+nothing.  `--out` is exempt, as is each option in `EXEMPT`, with the reason
+written next to it.  An option that one run does not read must be recorded
+in that run's manifest as null, or as the value the command ran in its
+place.
 """
 import argparse
+import json
+import math
 
 import pytest
 
@@ -27,7 +32,7 @@ INVOCATIONS = {
     "digital": [["--N", "4", "--k", "1"]],
     "analog": [["--model", "fenner", "--N", "4"], ["--model", "farhi-gutmann", "--N", "4"]],
     "fixed-point": [
-        ["--epsilon", "0.25", "--depth", "1"],
+        ["--u0", "0.25", "--depth", "1"],
         ["--u0", "wh", "--N", "4", "--depth", "1"],
         ["--u0", "random", "--N", "4", "--depth", "1"],
     ],
@@ -55,14 +60,27 @@ class ReadRecorder(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
-def options_read(argv):
-    """The attributes that the subcommand's run reads from its parsed
-    arguments, `func` aside."""
+def run_recorded(argv):
+    """Run one invocation through the runner: the attributes that the
+    subcommand's command reads from its parsed arguments, what the command
+    returned to record beside or in place of them, and the run manifest's
+    params."""
     args = cli.build_parser().parse_args(argv, namespace=ReadRecorder())
+    command, computed = args.func, {}
+
+    def run(a):
+        result = command(a)
+        computed.update(result[0])
+        return result
+
+    args.func = run
     # argparse's own hasattr calls read too
     args._reads.clear()
-    args.func(args)
-    return args._reads - {"func"}
+    cli._dispatch(args)
+    # the runner's own reads
+    read = args._reads - {"func", "out", "subcommand"}
+    manifest = json.loads((cli._out_dir(args) / f"{args.subcommand}_manifest.json").read_text())
+    return read, computed, manifest["params"]
 
 
 def options(name):
@@ -75,9 +93,21 @@ def test_every_option_is_read(name, tmp_path, monkeypatch):
     (tmp_path / "sweep.cfg").write_text(SWEEP_CONFIG)
     read = set()
     for i, argv in enumerate(INVOCATIONS[name]):
-        read |= options_read([name, *argv, "--out", str(tmp_path / f"out{i}")])
+        read |= run_recorded([name, *argv, "--out", str(tmp_path / f"out{i}")])[0]
     exempt = {option for sub, option in EXEMPT if sub == name}
     assert options(name) - read - exempt - {"out"} == set()
+
+
+@pytest.mark.parametrize("name", sorted(SUBPARSERS))
+def test_unread_options_are_recorded_as_null(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text(SWEEP_CONFIG)
+    for i, argv in enumerate(INVOCATIONS[name]):
+        read, computed, params = run_recorded([name, *argv, "--out", str(tmp_path / f"out{i}")])
+        for option in options(name) - read - {"out"}:
+            # null, or what the command ran in the option's place
+            ran_instead = option in computed and computed[option] == params[option]
+            assert params[option] is None or ran_instead, (argv, option)
 
 
 def test_invocations_cover_every_mode():
@@ -88,6 +118,11 @@ def test_invocations_cover_every_mode():
                 flag = action.option_strings[0]
                 given = {argv[argv.index(flag) + 1] if flag in argv else action.default for argv in INVOCATIONS[name]}
                 assert given == set(action.choices), (name, action.dest)
+    # `--u0` takes a mode or a failure epsilon, so it has no choices to list
+    u0 = SUBPARSERS["fixed-point"]._option_string_actions["--u0"]
+    given = {argv[argv.index("--u0") + 1] if "--u0" in argv else u0.default for argv in INVOCATIONS["fixed-point"]}
+    assert {"wh", "random"} <= given
+    assert any(math.isfinite(float(text)) for text in given - {"wh", "random"}), given
     assert all(option in options(name) for name, option in EXEMPT)
 
 
