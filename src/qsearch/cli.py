@@ -6,7 +6,8 @@ the manifest records beside the options (only `fixed-point`'s
 `eps0_computed` and `analog`'s energy scale E, 1 unless `farhi-gutmann --E`
 sets it) and in their place, by one rule: an option the run did not read is
 recorded as null, or as the value that ran instead (the N = 2 and target 1
-that a failure epsilon given to `fixed-point --u0` runs); a list of
+that a failure epsilon given to `fixed-point --u0` runs, and the E = 1 that
+`analog --model fenner` runs); a list of
 `(file name, header, blocks)` tables, each a list of row blocks (one block
 of columns, or for `ga-verify` one per check and N and for `sweep` one per
 index row); and the CSVs it wrote itself as (path, SHA-256) pairs (only
@@ -294,10 +295,8 @@ def cmd_digital(args):
 def cmd_analog(args):
     n = args.N
     _check_n("analog", n)
-    if args.model == "fenner" and args.E is not None:
-        raise ValueError("analog --model fenner reads no energy scale: --E is for farhi-gutmann")
     # fenner runs at the unit energy scale, which its E column records
-    energy = 1.0 if args.E is None else args.E
+    energy = args.E if args.model == "farhi-gutmann" else 1.0
     # both models sample t_i = i dt for i = 0..floor(t_max / dt + 1e-9), by
     # default 1001 times up to their own horizon
     if args.model == "fenner":
@@ -452,8 +451,7 @@ def cmd_geodesic(args):
     family = ig.grover_family(n)
     # the geodesic starts where the family does, at theta = 0
     sol = ig.solve_geodesic(family.q(0.0), family.dq(0.0), thetas, family.multiplicity)
-    # past pi/2 the metric columns read the family at its domain's end
-    metric = ig.metric_columns(family, np.clip(thetas, *family.domain), args.dtheta)
+    metric = ig.metric_columns(family, thetas, args.dtheta)
     n_q_cols = min(n, 4)
     q_target, q_rest = sol.q.T
     columns = [thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), sol.residual]
@@ -466,14 +464,14 @@ def cmd_infogeo(args):
     _check_rows(args.points, "point count")
     if args.family == "grover":
         _check_n("infogeo", args.N)
-        fam, lo, hi = ig.grover_family(args.N), 1e-2, math.pi / 2 - 1e-2
+        fam, hi = ig.grover_family(args.N), math.pi / 2
         label, unread = f"grover_N{args.N}", {"c": None}
     else:
         # p_1 = c e^{-r theta}, with r = 1 for damped-const and 2 for damped-exp
         fam = fp.damped_family(args.c, 1.0 if args.family == "damped-const" else 2.0)
-        lo, hi = 0.0, 10.0
+        hi = 10.0
         label, unread = f"{args.family.replace('-', '_')}{args.c}", {"N": None}
-    thetas = np.linspace(lo, hi, args.points)
+    thetas = np.linspace(0.0, hi, args.points)
     columns = [args.family, thetas, *ig.metric_columns(fam, thetas, 1e-3)]
     return unread, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], [columns])], []
 
@@ -769,7 +767,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = subcommand("analog", cmd_analog, "continuous-time target probability over a time grid")
     p.add_argument("--model", choices=["fenner", "farhi-gutmann"], required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--E", type=_finite_float, default=None, help="farhi-gutmann's energy scale (default 1)")
+    p.add_argument("--E", type=_finite_float, default=1.0, help="farhi-gutmann's energy scale (fenner runs at 1)")
     p.add_argument("--t-max", dest="t_max", type=_finite_float, default=None)
     p.add_argument("--dt", type=_finite_float, default=None)
 

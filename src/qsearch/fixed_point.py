@@ -154,21 +154,18 @@ def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> list[Recursion
 
 
 def damped_family(c: float, rate: float) -> ParametricFamily:
-    """Two-component family p_1 = c e^{-rate theta}, p_0 = 1 - p_1, for
-    c in (0, 1], on theta in [0, 40]: q_1 = sqrt(c) e^{-rate theta/2} with
-    q_1' = -(rate/2) q_1, and q_0 = sqrt(1 - p_1) with
-    q_0' = rate p_1 / (2 q_0).  Each evaluation checks 0 < p_1 < 1 over its
-    theta array, which fails only for c = 1 where e^{-rate theta} rounds to
-    1, theta = 0 included, or for a subnormal c where p_1 underflows to 0."""
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"the damped family needs c in (0, 1], got {c}")
-    root_c = math.sqrt(c)
+    """Two-component family p_1 = c e^{-rate theta}, p_0 = 1 - p_1:
+    q_1 = sqrt(c) e^{-rate theta/2} with q_1' = -(rate/2) q_1, and
+    q_0 = sqrt(1 - p_1) with q_0' = rate p_1 / (2 q_0).  Its one rule,
+    0 < p_1 < 1, is checked over each evaluation's theta array before
+    sqrt(c) is taken (ValueError otherwise): it fails at theta = 0, where
+    p_1 = c, for any c outside (0, 1), and where a subnormal c underflows."""
 
     def p1_q1(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p1 = c * np.exp(-rate * thetas)
         if not np.all((0.0 < p1) & (p1 < 1.0)):
             raise ValueError("p_1 must lie strictly inside (0, 1)")
-        return p1, root_c * np.exp(-0.5 * rate * thetas)
+        return p1, math.sqrt(c) * np.exp(-0.5 * rate * thetas)
 
     def q(thetas: np.ndarray) -> np.ndarray:
         p1, q1 = p1_q1(thetas)
@@ -178,7 +175,7 @@ def damped_family(c: float, rate: float) -> ParametricFamily:
         p1, q1 = p1_q1(thetas)
         return np.stack([0.5 * rate * p1 / np.sqrt(1.0 - p1), -0.5 * rate * q1], axis=-1)
 
-    return ParametricFamily(q, dq, np.ones(2), domain=(0.0, 40.0))
+    return ParametricFamily(q, dq, np.ones(2))
 
 
 # -- damped geodesic ---------------------------------------------------------

@@ -17,8 +17,8 @@ Wigner-Yanase line element F dtheta^2 as columns; :func:`fisher_rao`,
 :func:`kinetic_energy` and :func:`wigner_yanase_line_element` each read one
 of them.  On real amplitudes F = 4 sum m (d sqrt(p))^2 = 4 K holds exactly,
 and a signed amplitude has no kink where its p_l vanishes (q_0 = sin theta
-at theta = 0), so the search family reads F = 4 and K = 1 on all of
-[0, pi/2] with no special case.
+at theta = 0), so the search family reads F = 4 and K = 1 at every theta
+with no special case.
 
 Geodesics in amplitude coordinates obey q'' + q = 0 once the Fisher
 information is constant at 4 and the normalization multiplier is fixed at
@@ -47,13 +47,13 @@ class ParametricFamily(NamedTuple):
     return the amplitudes and their derivatives, with one trailing axis of
     one entry per component: shape (len(thetas), n) for a 1-d array.
     ``multiplicity[l]`` is the number of basis states that component l
-    stands for, each with amplitude q_l.
+    stands for, each with amplitude q_l.  A family with a validity rule
+    states it in ``q`` and ``dq``, which raise ValueError where it fails.
     """
 
     q: Callable[[np.ndarray], np.ndarray]
     dq: Callable[[np.ndarray], np.ndarray]
     multiplicity: np.ndarray
-    domain: tuple[float, float] = (0.0, math.pi / 2)
 
 
 class GeodesicSolution(NamedTuple):
@@ -86,12 +86,7 @@ def metric_columns(family: ParametricFamily, thetas, dtheta: float) -> tuple[np.
     K = <d psi | d psi> = sum m q'^2, the Fisher-Rao metric F = 4 K and the
     Wigner-Yanase line element F dtheta^2, from one evaluation of the
     family's q' over the whole array.  A scalar theta gives scalars."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    lo, hi = family.domain
-    outside = ~((lo <= thetas) & (thetas <= hi))
-    if outside.any():
-        raise ValueError(f"theta {thetas[outside][0]} outside family domain [{lo}, {hi}]")
-    dq = family.dq(thetas)
+    dq = family.dq(np.asarray(thetas, dtype=np.float64))
     m = family.multiplicity
     if m.shape != dq.shape[-1:] or not np.all(m >= 1.0):
         raise ValueError("one multiplicity of at least 1 per component required")

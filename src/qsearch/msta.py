@@ -18,8 +18,6 @@ qubit from the left as the plane's 2x2 iterate acts on its column.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import grover_digital as gd
@@ -53,11 +51,6 @@ def mv_to_qubit(mv: np.ndarray) -> tuple[complex, complex]:
 # -- rotor form of the search iterate ----------------------------------------
 
 
-def _plane_vector(n: int) -> np.ndarray:
-    theta = gd.theta_for(n)
-    return math.sin(theta) * E_TARGET + math.cos(theta) * E_BAD
-
-
 def ga_grover_rotor(n: int) -> Rotor:
     """Half-iterate rotor g = exp(e_target e_bad theta)
     = cos(theta) + e_target e_bad sin(theta), sin(theta) = 1/sqrt(N);
@@ -72,7 +65,8 @@ def ga_grover_orbit(n: int, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ValueError("iteration count must be nonnegative")
     g = ga_grover_rotor(n)
-    v = _plane_vector(n)
+    alpha, beta = gd.alpha_beta(n)
+    v = alpha * E_TARGET + beta * E_BAD
     orbit = np.empty((k_max + 1, 2))
     orbit[0] = v[0b100], v[0b001]
     for k in range(1, k_max + 1):

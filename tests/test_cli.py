@@ -559,9 +559,23 @@ class TestDampedAndGeodesic:
         for row in rows:
             assert math.isfinite(float(row[2])) and math.isfinite(float(row[3]))
 
+    def test_geodesic_past_half_pi_reads_the_family(self, tmp_path):
+        # each row's metric is the search family's own at the theta it
+        # writes, past pi/2 too: its q' is defined at every theta
+        assert run_cli(["geodesic", "--N", "64", "--theta-end", "3"], tmp_path) == 0
+        header, rows = read_csv(tmp_path / "geodesic_N64.csv")
+        thetas = np.array([float(row[0]) for row in rows])
+        assert np.count_nonzero(thetas > math.pi / 2) > 80
+        want = ig.metric_columns(ig.grover_family(64), thetas, 1e-3)
+        for name, column in zip(["F", "K", "ds2_wy"], want):
+            assert [row[header.index(name)] for row in rows] == [fmt(x) for x in column]
+
     def test_infogeo_grover(self, tmp_path):
         assert run_cli(["infogeo", "--family", "grover", "--N", "64", "--points", "50"], tmp_path) == 0
         _, rows = read_csv(tmp_path / "infogeo_grover_N64.csv")
+        # the grid runs from theta = 0 to pi/2 itself: a signed amplitude has
+        # no kink where p vanishes, so both ends read F = 4 too
+        assert rows[0][1] == "0" and rows[-1][1] == fmt(math.pi / 2)
         for row in rows:
             assert float(row[2]) == pytest.approx(4.0, abs=1e-9)
             assert float(row[3]) == pytest.approx(1.0, abs=1e-8)
@@ -618,21 +632,22 @@ class TestDampedAndGeodesic:
             assert all(math.isfinite(float(row[header.index(col)])) for col in ("F", "K", "ds2_wy"))
 
     @pytest.mark.parametrize(
-        "argv, what",
+        "argv",
         [
-            (["--family", "damped-const", "--c", "1"], "p_1 must lie strictly inside"),
-            (["--family", "damped-const", "--c", "0"], "needs c in (0, 1]"),
-            (["--family", "damped-const", "--c", "-0.5"], "needs c in (0, 1]"),
-            (["--family", "damped-exp", "--c", "1.5"], "needs c in (0, 1]"),
-            (["--family", "damped-exp", "--c", "1"], "p_1 must lie strictly inside"),
+            ["--family", "damped-const", "--c", "1"],
+            ["--family", "damped-const", "--c", "0"],
+            ["--family", "damped-const", "--c", "-0.5"],
+            ["--family", "damped-exp", "--c", "1.5"],
+            ["--family", "damped-exp", "--c", "1"],
             # p_1 = c e^{-10} underflows to 0 at the last row
-            (["--family", "damped-const", "--c", "1e-320"], "p_1 must lie strictly inside"),
+            ["--family", "damped-const", "--c", "1e-320"],
         ],
         ids=["const-1", "const-0", "const-negative", "exp-1.5", "exp-1", "const-subnormal"],
     )
-    def test_infogeo_damped_out_of_range_is_domain_error(self, tmp_path, capsys, argv, what):
+    def test_infogeo_damped_out_of_range_is_domain_error(self, tmp_path, capsys, argv):
+        # 0 < p_1 < 1 is the family's one rule, with one message
         assert run_cli(["infogeo", *argv], tmp_path) == cli.EXIT_DOMAIN
-        assert what in capsys.readouterr().err
+        assert capsys.readouterr().err == "qsearch: error: p_1 must lie strictly inside (0, 1)\n"
         assert not list(tmp_path.iterdir())
 
     def test_infogeo_zero_points_is_usage_error(self, tmp_path):
@@ -1033,12 +1048,12 @@ target = 0
         [
             ("subcommand = digital\nN = [4, 1]\nk = 1\n", "digital_N-1", "digital needs 2 <= N <= 4194304, got N=1"),
             (
-                "subcommand = analog\nmodel = fenner\nN = [4, 8]\nt_max = 1\nE = [1, 2]\n",
-                "analog_E-1_N-4",
-                "analog --model fenner reads no energy scale",
+                "subcommand = analog\nmodel = farhi-gutmann\nN = [4, 8]\nt_max = 1\nE = [1, -2]\n",
+                "analog_E--2_N-4",
+                "energy scale must be positive",
             ),
         ],
-        ids=["digital-N", "fenner-E"],
+        ids=["digital-N", "farhi-gutmann-E"],
     )
     def test_failing_cell_leaves_nothing(self, tmp_path, capsys, workers, config, cell, message):
         # a cell that runs before the failing one, or beside it in the pool,
@@ -1252,13 +1267,6 @@ class TestNumericDomain:
             (["geodesic", "--N", "4", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
             (["geodesic", "--N", "4", "--theta-end", "0"], "must be positive, got span 0.0 and step 0.001", "."),
             (["damped", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
-            # the fenner model reads no energy, so an --E there would be a
-            # column that describes nothing
-            (
-                ["analog", "--model", "fenner", "--N", "16", "--E", "-1", "--t-max", "5"],
-                "analog --model fenner reads no energy scale: --E is for farhi-gutmann",
-                ".",
-            ),
             # the directory made for the refused table goes again
             (["damped", "--B", "1e308"], "non-finite value", "fresh/out"),
         ],
@@ -1273,7 +1281,6 @@ class TestNumericDomain:
             "geodesic-negative-horizon",
             "geodesic-zero-horizon",
             "damped-negative-horizon",
-            "fenner-E",
             "damped-B-nan-rows-fresh-out",
         ],
     )
@@ -1283,6 +1290,19 @@ class TestNumericDomain:
         assert err.startswith("qsearch: error: ") and err.count("\n") == 1
         assert message in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_fenner_runs_at_the_unit_energy_scale(self, tmp_path, capsys):
+        # fenner reads no energy: an --E given to it is recorded, like any
+        # option a run does not read, as the value that ran
+        argv = ["analog", "--model", "fenner", "--N", "16", "--t-max", "5"]
+        assert run_cli([*argv, "--E", "-1"], tmp_path / "E") == 0
+        assert run_cli(argv, tmp_path / "default") == 0
+        assert capsys.readouterr().err == ""
+        csv = "analog_fenner_N16.csv"
+        assert (tmp_path / "E" / csv).read_bytes() == (tmp_path / "default" / csv).read_bytes()
+        assert {row[2] for row in read_csv(tmp_path / "E" / csv)[1]} == {"1"}
+        manifest = json.loads((tmp_path / "E" / "analog_manifest.json").read_text())
+        assert manifest["params"]["E"] == 1.0
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -489,16 +489,31 @@ class TestDampedFisher:
                 assert np.max(np.abs(got - want) / want) < 2e-15
 
     def test_domain_validation(self):
+        # 0 < p_1 < 1 is the family's one rule: a c outside (0, 1) fails
+        # where p_1 = c, at theta = 0, and is refused before sqrt(c) is taken
         for c in (1.5, 0.0, -0.5):
-            with pytest.raises(ValueError, match="needs c in"):
-                fp.damped_family(c, 1.0)
-        with pytest.raises(ValueError, match="outside family domain"):
+            fam = fp.damped_family(c, 1.0)
+            for evaluate in (fam.q, fam.dq):
+                with pytest.raises(ValueError, match=r"^p_1 must lie strictly inside \(0, 1\)$"):
+                    evaluate(np.array([0.0]))
+        # a c inside (0, 1) fails wherever p_1 leaves (0, 1)
+        with pytest.raises(ValueError, match="p_1 must lie strictly inside"):
             ig.fisher_rao(fp.damped_family(0.5, 1.0), -20.0)
-        # c = 1 is admitted, but p_1 = 1 at theta = 0 is not
+        # c = 1 reads where p_1 < 1, but p_1 = 1 at theta = 0 is refused
         fam = fp.damped_family(1.0, 2.0)
         assert ig.fisher_rao(fam, 0.5) > 0.0
         with pytest.raises(ValueError, match="p_1 must lie strictly inside"):
             ig.fisher_rao(fam, np.array([0.5, 0.0]))
+
+    def test_q1_is_sqrt_c_times_the_decay(self):
+        # the check comes first, and q_1 keeps the bits of sqrt(c) e^{-r theta/2}
+        thetas = np.linspace(0.0, 10.0, 201)
+        for c in (1e-3, 0.5, 0.999995):
+            for rate in (1.0, 2.0):
+                fam = fp.damped_family(c, rate)
+                want = math.sqrt(c) * np.exp(-0.5 * rate * thetas)
+                assert fam.q(thetas)[:, 1].tobytes() == want.tobytes()
+                assert fam.dq(thetas)[:, 1].tobytes() == (-0.5 * rate * want).tobytes()
 
 
 def rk4_oracle(deriv, y0, ts):

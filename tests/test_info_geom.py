@@ -105,7 +105,7 @@ def trig_family(rng, n=5):
         dl = a * np.cos(t) - 2 * b * np.sin(2 * t)
         return 0.5 * np.sqrt(w) * (dl - np.sum(w * dl, axis=-1, keepdims=True))
 
-    return ig.ParametricFamily(lambda t: np.sqrt(p(t)), dq, np.ones(n), domain=(0.0, 10.0))
+    return ig.ParametricFamily(lambda t: np.sqrt(p(t)), dq, np.ones(n))
 
 
 def grover_oracle(n):
@@ -313,13 +313,11 @@ class TestTwoLevelGrover:
                 lambda t, f=base: f.q(t) / np.sqrt(m),
                 lambda t, f=base: f.dq(t) / np.sqrt(m),
                 m,
-                domain=base.domain,
             )
             expanded = ig.ParametricFamily(
                 lambda t, f=classed: np.repeat(f.q(t), reps, axis=-1),
                 lambda t, f=classed: np.repeat(f.dq(t), reps, axis=-1),
                 np.ones(int(reps.sum())),
-                domain=base.domain,
             )
             theta = rng.uniform(0.3, 3.0)
             got = [*ig.metric_columns(classed, theta, 1e-2), kinetic_energy_via_fisher(classed, theta)]
@@ -395,12 +393,12 @@ class TestFisherRao:
         for theta in (0.2, 0.8, 1.4):
             assert abs(ig.fisher_rao(fam, theta) - 4.0) < 1e-12
 
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            ig.fisher_rao(ig.grover_family(4), 3.0)
-        # one value outside the domain rejects the whole array, and is named
-        with pytest.raises(ValueError, match="theta -0.5 outside"):
-            ig.metric_columns(ig.grover_family(4), np.array([0.1, -0.5, 0.2]), 1e-3)
+    def test_reads_any_theta(self):
+        # sin(theta)|w> + cos(theta)|r> is a great circle: its q and q' are
+        # defined at every real theta, where F = 4
+        for n in (4, 64, 20000):
+            f, k, _ = ig.metric_columns(ig.grover_family(n), np.array([-0.5, 3.0, 100.0]), 1e-3)
+            assert np.all(np.abs(f - 4.0) <= 1e-12) and np.all(np.abs(k - 1.0) <= 1e-12)
 
     def test_samples_along_a_grid(self):
         fam = ig.grover_family(8)
@@ -443,7 +441,7 @@ class TestZerosOfP:
         def dq(t):
             return np.stack([np.cos(t), 0.25 * np.cos(t) / (2.0 * np.sqrt(0.5 + 0.25 * np.sin(t)))], axis=-1)
 
-        fam = ig.ParametricFamily(q, dq, np.ones(2), domain=(-1.0, 1.0))
+        fam = ig.ParametricFamily(q, dq, np.ones(2))
         for analytic in (True, False):
             f, k = self.metrics(fam, family_p(fam), 0.0, analytic)
             assert abs(f - 4.0 * (1.0 + 1.0 / 32.0)) < 1e-8
@@ -459,7 +457,6 @@ class TestFisherInformation:
             lambda t: fam.q(t)[..., perm],
             lambda t: fam.dq(t)[..., perm],
             np.ones(6),
-            domain=fam.domain,
         )
         for theta in (0.5, 1.5, 3.0):
             assert abs(ig.fisher_rao(fam, theta) - ig.fisher_rao(shuffled, theta)) < 1e-12
@@ -476,9 +473,7 @@ class TestFisherInformation:
             # the six basis-state amplitudes: each class repeated m times
             return np.repeat(amps, reps, axis=-1) @ q_mat.T
 
-        rotated = ig.ParametricFamily(
-            lambda t: rotate(base.q(t)), lambda t: rotate(base.dq(t)), np.ones(6), domain=base.domain
-        )
+        rotated = ig.ParametricFamily(lambda t: rotate(base.q(t)), lambda t: rotate(base.dq(t)), np.ones(6))
         for theta in (0.3, 0.7, 1.2):
             assert abs(ig.fisher_rao(rotated, theta) - 4.0) < 1e-12
 
@@ -579,9 +574,9 @@ class TestMetricRow:
 
 class TestCurrentAndKinetic:
     def test_phaseless_amplitudes_are_real(self):
-        # a family carries no phases: its state is the real q, whose
-        # derivative gives the kinetic energy
-        assert "phi" not in ig.ParametricFamily._fields
+        # a family is its amplitudes: no phases and no theta domain; its
+        # state is the real q, whose derivative gives the kinetic energy
+        assert ig.ParametricFamily._fields == ("q", "dq", "multiplicity")
         fam = ig.grover_family(8)
         assert fam.q(0.4).dtype == fam.dq(0.4).dtype == np.float64
         assert ig.kinetic_energy(fam, 0.4) == np.sum(fam.dq(0.4) ** 2 * fam.multiplicity)

@@ -241,11 +241,13 @@ class TestGroverApply:
             orbit = msta.ga_grover_orbit(n, k_max)
             assert len(orbit) == k_max + 1
             # the parent's chain of sandwiches, restarted from zero for each k
+            # at the uniform state's plane vector
             g = msta.ga_grover_rotor(n)
+            alpha, beta = gd.alpha_beta(n)
             assert orbit.shape == (k_max + 1, 2) and orbit.dtype == np.float64
             for k, point in enumerate(orbit.tolist()):
                 assert msta.ga_grover_apply(k, n) == tuple(point)
-                v = msta._plane_vector(n)
+                v = alpha * msta.E_TARGET + beta * msta.E_BAD
                 for _ in range(k):
                     v = g.apply(v)
                 assert tuple(point) == (v[0b100], v[0b001])
