@@ -1,24 +1,23 @@
 """Batch command-line front end.
 
 Each subcommand `cmd_<name>(args)` checks its arguments, computes its
-columns and returns `(computed, tables, written)`: the values it derived that
+columns and returns `(computed, table, written)`: the values it derived that
 the manifest records beside the options (only `fixed-point`'s
 `eps0_computed` and `analog`'s energy scale E, 1 unless `farhi-gutmann --E`
 sets it) and in their place, by one rule: an option the run did not read is
 recorded as null, or as the value that ran instead (the N = 2 and target 1
 that a failure epsilon given to `fixed-point --u0` runs, and the E = 1 that
-`analog --model fenner` runs); a list of
-`(file name, header, blocks)` tables, each a list of row blocks (one block
-of columns, or for `ga-verify` one per check and N and for `sweep` one per
-index row); and the CSVs it wrote itself as (path, SHA-256) pairs (only
-`sweep`'s cells write their own).  The runner `_dispatch` alone
-writes the outputs: it makes the output directory once the command returns,
-writes each table as a CSV, and writes a JSON run manifest recording the
-command, every option but `--out`, the computed values, timestamps, tool
-version, and the SHA-256 of each CSV, hashed from its bytes as they are
-written, so no table is read back.  All numeric output uses
-17-significant-digit formatting, so reruns on the same platform produce
-byte-identical CSVs (manifests differ only in their timestamps).
+`analog --model fenner` runs); its one table as `(file name, header,
+blocks)`, a list of row blocks (one block of columns, or for `ga-verify` one
+per check and N and for `sweep` one per index row); and the CSVs it wrote
+itself as (path, SHA-256) pairs (only `sweep`'s cells write their own).  The
+runner `_dispatch` alone writes the outputs: it makes the output directory
+once the command returns, writes the table as a CSV, and writes a JSON run
+manifest recording the command, every option but `--out`, the computed
+values, timestamps, tool version, and the SHA-256 of each CSV, hashed from
+its bytes as they are written, so no table is read back.  All numeric
+output uses 17-significant-digit formatting, so reruns on the same platform
+produce byte-identical CSVs (manifests differ only in their timestamps).
 The randomized path, `fixed-point --u0 random`, draws complex normals from
 the standard library's Mersenne Twister seeded by --seed (`_complex_normals`),
 and the seed is recorded in the manifest.
@@ -183,26 +182,24 @@ def _out_dir(args) -> Path:
 
 
 def _dispatch(args) -> list[tuple[Path, str]]:
-    """Run the parsed subcommand, then write its tables and its manifest,
-    which records the CSVs the command wrote itself and then the tables.  The
+    """Run the parsed subcommand, then write its table and its manifest,
+    which records the CSVs the command wrote itself and then the table.  The
     output directory is made only once the command returns, and each
     directory the run made is removed again if making the directory or
-    writing a table fails.  Returns the recorded CSVs as (path, SHA-256)
+    writing the table fails.  Returns the recorded CSVs as (path, SHA-256)
     pairs."""
     started = _utc_now()
     # `write_csv` refuses a NaN or infinity, so numpy's warnings about one
     # would only precede the one-line error
     with np.errstate(all="ignore"):
-        computed, tables, written = args.func(args)
+        computed, (name, header, blocks), written = args.func(args)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
     out_dir = _out_dir(args)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    outputs = list(written)
+    sha = _new_sha256()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, header, blocks in tables:
-            sha = _new_sha256()
-            outputs.append((write_csv(out_dir / name, header, blocks, sha), sha.hexdigest()))
+        outputs = [*written, (write_csv(out_dir / name, header, blocks, sha), sha.hexdigest())]
     except BaseException:
         # deepest first; a directory that holds anything stops the removal
         with contextlib.suppress(OSError):
@@ -286,7 +283,7 @@ def cmd_digital(args):
 
     header = ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"]
     columns = [n, ks, theta, closed, sim, abs_error]
-    return {}, [(f"digital_N{n}_k{args.k}.csv", header, [columns])], []
+    return {}, (f"digital_N{n}_k{args.k}.csv", header, [columns]), []
 
 
 # -- analog -------------------------------------------------------------------
@@ -316,7 +313,7 @@ def cmd_analog(args):
     else:
         p_target = an.fg_scan(ts, n, energy).p_target
     columns = [args.model, n, energy, ts, p_target]
-    return {"E": energy}, [(f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], [columns])], []
+    return {"E": energy}, (f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], [columns]), []
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -390,16 +387,16 @@ def cmd_fixed_point(args):
         # the first column of the two-level unitary [[-s, c], [c, s]], whose
         # source-to-target amplitude c gives failure epsilon
         psi0 = np.array([-math.sqrt(epsilon), math.sqrt(1.0 - epsilon)], dtype=np.complex128)
-    states = fp.fixed_point_run(psi0, target=target, depth=args.depth)
-    eps0 = states[0].eps_k
+    _, eps = fp.fixed_point_run(psi0, target=target, depth=args.depth)
+    eps0 = float(eps[0])
     # one row per depth k = 1..depth, or depth 0's row alone
     ks = np.arange(min(1, args.depth), args.depth + 1)
     closed = fp.closed_form_failure(eps0, ks)
-    sim = np.array([states[k].eps_k for k in ks])
+    sim = eps[ks]
 
     header = ["k", "eps_k_closed", "eps_k_simulated", "rel_error"]
     columns = [ks, closed, sim, np.abs(sim - closed) / np.maximum(closed, 1e-300)]
-    return {"eps0_computed": eps0} | ran, [(f"fixed_point_depth{args.depth}.csv", header, [columns])], []
+    return {"eps0_computed": eps0} | ran, (f"fixed_point_depth{args.depth}.csv", header, [columns]), []
 
 
 # -- damped geodesic ------------------------------------------------------------
@@ -436,7 +433,7 @@ def cmd_damped(args):
     thetas, q = thetas[::stride], q[::stride]
     resid = fp.bessel_ode_residual(thetas, a, b, l0, gamma)
     p1 = np.minimum(1.0, q * q)
-    return {}, [("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], [[thetas, q, resid, 1.0 - p1, p1]])], []
+    return {}, ("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], [[thetas, q, resid, 1.0 - p1, p1]]), []
 
 
 # -- geodesic / infogeo ----------------------------------------------------------
@@ -450,14 +447,14 @@ def cmd_geodesic(args):
     thetas = _theta_grid(args.theta_end, args.dtheta, args.max_rows)
     family = ig.grover_family(n)
     # the geodesic starts where the family does, at theta = 0
-    sol = ig.solve_geodesic(family.q(0.0), family.dq(0.0), thetas, family.multiplicity)
+    q, resid = ig.solve_geodesic(family.q(0.0), family.dq(0.0), thetas, family.multiplicity)
     metric = ig.metric_columns(family, thetas, args.dtheta)
     n_q_cols = min(n, 4)
-    q_target, q_rest = sol.q.T
-    columns = [thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), sol.residual]
+    q_target, q_rest = q.T
+    columns = [thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), resid]
 
     header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual"]
-    return {}, [(f"geodesic_N{n}.csv", header, [columns])], []
+    return {}, (f"geodesic_N{n}.csv", header, [columns]), []
 
 
 def cmd_infogeo(args):
@@ -473,7 +470,7 @@ def cmd_infogeo(args):
         label, unread = f"{args.family.replace('-', '_')}{args.c}", {"N": None}
     thetas = np.linspace(0.0, hi, args.points)
     columns = [args.family, thetas, *ig.metric_columns(fam, thetas, 1e-3)]
-    return unread, [(f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], [columns])], []
+    return unread, (f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], [columns]), []
 
 
 # -- ga-verify --------------------------------------------------------------------
@@ -523,7 +520,7 @@ def cmd_ga_verify(args):
         require_agreement("rotor and state-vector iterates on the basis spinors", worst, f"N={n}", msta.TOL_STATE)
         blocks.append(("spinor_iterate", n, 1, worst, 0.0, worst))
     # the command draws nothing
-    return {"seed": None}, [("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], blocks)], []
+    return {"seed": None}, ("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], blocks), []
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -533,14 +530,10 @@ class SweepConfigError(ValueError):
     """Malformed sweep configuration: reported as a usage error."""
 
 
-class SweepConfig(NamedTuple):
-    subcommand: str
-    grids: dict
-    fixed: dict
-
-
-def parse_sweep_config(path: Path) -> SweepConfig:
-    """Flat key = value lines; [a, b, c] marks a swept axis."""
+def parse_sweep_config(path: Path) -> tuple[str, dict, dict]:
+    """Flat key = value lines; [a, b, c] marks a swept axis.  Returns
+    (subcommand, grids, fixed): each swept key's values, and each fixed
+    key's value."""
     subcommand = None
     grids: dict = {}
     fixed: dict = {}
@@ -583,15 +576,14 @@ def parse_sweep_config(path: Path) -> SweepConfig:
         raise SweepConfigError("sweep config must name a subcommand")
     if subcommand == "sweep":
         raise SweepConfigError("a sweep config cannot name the sweep subcommand")
-    return SweepConfig(subcommand=subcommand, grids=grids, fixed=fixed)
+    return subcommand, grids, fixed
 
 
-def _sweep_cells(cfg: SweepConfig) -> list[dict]:
+def _sweep_cells(grids: dict, fixed: dict) -> list[dict]:
     """Cartesian product of the grids over the fixed keys; never empty."""
-    keys = sorted(cfg.grids)
-    cells = [dict(cfg.fixed)]
-    for key in keys:
-        cells = [dict(cell, **{key: v}) for cell in cells for v in cfg.grids[key]]
+    cells = [dict(fixed)]
+    for key in sorted(grids):
+        cells = [dict(cell, **{key: v}) for cell in cells for v in grids[key]]
     return cells
 
 
@@ -636,18 +628,18 @@ def _run_cell(args) -> list[tuple[Path, str]]:
 
 
 def cmd_sweep(args):
-    cfg = parse_sweep_config(Path(args.config))
+    subcommand, grids, fixed = parse_sweep_config(Path(args.config))
     # the index has a row per cell, and each cell is planned before any runs
-    _check_rows(math.prod(map(len, cfg.grids.values())), "sweep cell count", _ROW_CAP)
-    cells = _sweep_cells(cfg)
+    _check_rows(math.prod(map(len, grids.values())), "sweep cell count", _ROW_CAP)
+    cells = _sweep_cells(grids, fixed)
     # every cell is parsed before any runs, so a bad key or value stops the
     # sweep before it writes anything
     parser = build_parser(_CellParser)
     cell_args = []
     index_rows = []
     for cell in cells:
-        name = _cell_name(cfg.subcommand, cell, cfg.grids.keys())
-        argv = [cfg.subcommand]
+        name = _cell_name(subcommand, cell, grids.keys())
+        argv = [subcommand]
         for key, value in cell.items():
             argv.extend([f"--{key.replace('_', '-')}", str(value)])
         argv.extend(["--out", str(_out_dir(args) / name)])
@@ -655,7 +647,7 @@ def cmd_sweep(args):
             cell_args.append(parser.parse_args(argv))
         except SweepConfigError as exc:
             raise SweepConfigError(f"sweep cell {name}: {exc}") from None
-        index_rows.append((name, cfg.subcommand, json.dumps(cell, sort_keys=True)))
+        index_rows.append((name, subcommand, json.dumps(cell, sort_keys=True)))
     # what the cells will make, so that a failing sweep removes it again
     made = {d for a in cell_args for d in (Path(a.out), *Path(a.out).parents) if not d.exists()}
     # a forking pool starts all its workers at once: no more workers than cells
@@ -682,7 +674,7 @@ def cmd_sweep(args):
         # the error class `main` maps to the exit code, naming the cell
         raise _exit_class(exc)(f"sweep cell {index_rows[len(results)][0]}: {exc}") from exc
     written = [output for cell_outputs in results for output in cell_outputs]
-    return {}, [("sweep_index.csv", ["cell", "subcommand", "params"], index_rows)], written
+    return {}, ("sweep_index.csv", ["cell", "subcommand", "params"], index_rows), written
 
 
 # -- parser ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,14 +63,6 @@ def _reflect_psi0(state: np.ndarray, psi0: np.ndarray, phi: float) -> np.ndarray
     return state
 
 
-class RecursionState(NamedTuple):
-    """One depth of the recursion: overlap and failure probability."""
-
-    k: int
-    c_k: complex
-    eps_k: float
-
-
 def _word(k: int) -> list[tuple[bool, float]]:
     """A_k's letters in the order they act on a state, each (about psi0?,
     phase): A_0 = I and A_{k+1} = A_k R_psi A_k^dag R_t A_k, where A_k^dag is
@@ -98,7 +89,9 @@ def closed_form_failure(eps: float, k):
 
 def coefficient_track(c0: complex, depth: int) -> list[tuple[complex, float]]:
     """Overlap recursion c_{k+1} = omega (omega + eps_k) c_k with
-    eps_{k+1} = eps_k^3, starting from the depth-zero overlap."""
+    eps_{k+1} = eps_k^3, starting from the depth-zero overlap: one
+    (c_k, eps_k) pair per depth 0..depth, which :func:`fixed_point_run`
+    checks its two arrays against."""
     out = [(complex(c0), 1.0 - abs(c0) ** 2)]
     for _ in range(depth):
         c, eps = out[-1]
@@ -106,9 +99,10 @@ def coefficient_track(c0: complex, depth: int) -> list[tuple[complex, float]]:
     return out
 
 
-def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> list[RecursionState]:
+def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Run the recursion from psi0 = U0|0>, a complex unit vector, to the
-    given depth, returning both tracks per depth.
+    given depth, returning the simulated overlaps c_k (complex) and failure
+    probabilities eps_k (float), one array each of depth + 1 entries.
 
     The simulated and coefficient tracks must agree to TOL_TRACKS at every
     depth.  The simulated amplitudes carry rounding errors of up to 5e-15 at
@@ -126,28 +120,28 @@ def fixed_point_run(psi0: np.ndarray, target: int, depth: int) -> list[Recursion
     if not abs(np.vdot(psi0, psi0).real - 1.0) <= 1e-10:
         raise ValueError("psi0 must be a unit vector")
     psi = psi0.copy()
-    states = []
+    c, eps, applied = [], [], 0
     for k in range(depth + 1):
-        # A_{k-1}'s word begins A_k's: each letter after it reflects psi in place
-        for about_psi0, phi in _word(k)[len(_word(k - 1)) :]:
+        # A_{k-1}'s word begins A_k's: each letter past those applied reflects psi in place
+        word = _word(k)
+        for about_psi0, phi in word[applied:]:
             if about_psi0:
                 _reflect_psi0(psi, psi0, phi)
             else:
                 selective_phase(psi, target, phi)
-        c = complex(psi[target])
+        applied = len(word)
+        c.append(complex(psi[target]))
         # the failure probability is summed over the non-target amplitudes:
         # 1 - |c|^2 loses all relative precision once eps^(3^k) is tiny.  The
         # target amplitude is zeroed for the sum and put back, so no third
         # state is made
         psi[target] = 0.0
-        eps = float(np.real(np.vdot(psi, psi)))
-        psi[target] = c
-        states.append(RecursionState(k=k, c_k=c, eps_k=eps))
-    track = coefficient_track(states[0].c_k, depth)
-    for rec, (c_rec, eps_rec) in zip(states, track):
-        for what, dev in (("overlaps", abs(rec.c_k - c_rec)), ("failure probabilities", abs(rec.eps_k - eps_rec))):
-            require_agreement(f"simulated and coefficient-track {what}", dev, f"depth {rec.k}", TOL_TRACKS)
-    return states
+        eps.append(float(np.vdot(psi, psi).real))
+        psi[target] = c[k]
+    for k, (c_rec, eps_rec) in enumerate(coefficient_track(c[0], depth)):
+        for what, dev in (("overlaps", abs(c[k] - c_rec)), ("failure probabilities", abs(eps[k] - eps_rec))):
+            require_agreement(f"simulated and coefficient-track {what}", dev, f"depth {k}", TOL_TRACKS)
+    return np.array(c), np.array(eps)
 
 
 # -- damped family -----------------------------------------------------------

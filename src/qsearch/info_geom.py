@@ -56,15 +56,6 @@ class ParametricFamily(NamedTuple):
     multiplicity: np.ndarray
 
 
-class GeodesicSolution(NamedTuple):
-    """A geodesic at the requested parameter values: ``q`` holds one row per
-    value and one column per amplitude class, and ``residual`` one
-    :func:`geodesic_residual` per value, the largest over the classes."""
-
-    q: np.ndarray
-    residual: np.ndarray
-
-
 def grover_family(n: int) -> ParametricFamily:
     """Search family over N basis states as two classes: the target with
     q_0 = sin(theta), and the N - 1 non-target states, each with
@@ -141,10 +132,11 @@ def solve_geodesic(
     qdot0: Sequence[float],
     thetas: Sequence[float],
     multiplicity: Sequence[float],
-) -> GeodesicSolution:
+) -> tuple[np.ndarray, np.ndarray]:
     """Geodesic q = q0 cos(theta) + qdot0 sin(theta), the solution of
     q'' + q = 0 (constant Lagrangian 2, unit multiplier) from normalized
-    amplitudes q0, evaluated only at the given parameter values.
+    amplitudes q0, evaluated only at the given parameter values: returns
+    (q, residual), q with one row per value and one column per class.
 
     q0 and qdot0 hold one amplitude per class of basis states, and
     ``multiplicity`` counts the states of each class; sum m q0^2 must be 1.
@@ -168,5 +160,5 @@ def solve_geodesic(
         return np.cos(theta) * q0 + np.sin(theta) * qdot0
 
     resid = np.max(np.abs(geodesic_residual(path, column)), axis=1)
-    return GeodesicSolution(q=path(column), residual=resid)
+    return path(column), resid
 

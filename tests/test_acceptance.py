@@ -188,13 +188,13 @@ def test_c06_information_geometry():
     q0[0] = 0.0
     qdot0 = np.zeros(n)
     qdot0[0] = 1.0
-    sol = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
+    q, resid = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
     # the residual column the CLI writes: central differences of step 1e-3,
     # whose h^2/12 truncation term is about 8.3e-8 where sin(theta) = 1
-    worst_resid = float(np.max(sol.residual))
+    worst_resid = float(np.max(resid))
     ok &= worst_resid <= 1e-7
     want = np.column_stack([np.sin(thetas)] + [np.cos(thetas) / root] * (n - 1))
-    path_gap = float(np.max(np.abs(sol.q - want)))
+    path_gap = float(np.max(np.abs(q - want)))
     ok &= path_gap <= 1e-12
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
@@ -240,11 +240,11 @@ def test_c08_fixed_point_failure_law():
 
     def check(u0, target):
         nonlocal worst
-        states = fp.fixed_point_run(u0[:, 0], target=target, depth=3)
-        eps0 = states[0].eps_k
-        for rec in states:
-            want = fp.closed_form_failure(eps0, rec.k)
-            worst = max(worst, abs(rec.eps_k - want) / max(want, 1e-300))
+        _, eps = fp.fixed_point_run(u0[:, 0], target=target, depth=3)
+        eps0 = float(eps[0])
+        for k, eps_k in enumerate(eps):
+            want = fp.closed_form_failure(eps0, k)
+            worst = max(worst, abs(eps_k - want) / max(want, 1e-300))
         return eps0
 
     eps_wh = check(walsh_hadamard(2), target=1)

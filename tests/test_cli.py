@@ -40,6 +40,19 @@ def run_cli(argv, tmp_path):
     return cli.main([*argv, "--out", str(tmp_path)])
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(args, env=None, **kwargs):
+    """`subprocess.run` of this interpreter on `args`, with this checkout's
+    `src` first on the child's PYTHONPATH, so the child imports the qsearch
+    under test whether or not the parent's path names it."""
+    env = dict(os.environ if env is None else env)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + inherited if inherited else "")
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 def usage_exit_code(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv, tmp_path)
@@ -339,9 +352,9 @@ class TestFixedPoint:
         # the tolerance set just below the measured deviation: the printed
         # deviation must still read above the printed tolerance
         fp = cli.fp
-        states = fp.fixed_point_run(np.full(16, 0.25, dtype=np.complex128), target=0, depth=2)
-        track = fp.coefficient_track(states[0].c_k, 2)
-        measured = max(max(abs(s.c_k - c), abs(s.eps_k - e)) for s, (c, e) in zip(states, track))
+        c_sim, eps_sim = (a.tolist() for a in fp.fixed_point_run(np.full(16, 0.25, dtype=np.complex128), 0, 2))
+        track = fp.coefficient_track(c_sim[0], 2)
+        measured = max(max(abs(cs - c), abs(es - e)) for cs, es, (c, e) in zip(c_sim, eps_sim, track))
         monkeypatch.setattr(fp, "TOL_TRACKS", float(np.nextafter(measured, -1.0)))
         assert run_cli(["fixed-point", "--N", "16", "--depth", "2"], tmp_path) == cli.EXIT_CROSSCHECK
         err = capsys.readouterr().err
@@ -709,9 +722,9 @@ class TestDampedAndGeodesic:
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
         thetas = [float(row[0]) for row in rows]
-        sol = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
+        qs, resids = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
         assert header[4:] == ["q_0", "q_1", "q_2", "q_3", "residual"]
-        for row, q, resid in zip(rows, sol.q, sol.residual):
+        for row, q, resid in zip(rows, qs, resids):
             assert row[4:8] == [fmt(x) for x in q[:4]]
             assert row[8] == fmt(resid)
 
@@ -891,7 +904,9 @@ target = 0
 
     def test_cells_over_the_cap_are_never_built(self, tmp_path, capsys, monkeypatch):
         # 1025 x 1025 cells: planning them all would take about 0.8 GB
-        monkeypatch.setattr(cli, "_sweep_cells", lambda cfg: pytest.fail("built the cells of an over-cap sweep"))
+        monkeypatch.setattr(
+            cli, "_sweep_cells", lambda grids, fixed: pytest.fail("built the cells of an over-cap sweep")
+        )
         values = ", ".join(map(str, range(2, 1027)))
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"subcommand = digital\nN = [{values}]\nk = [{values}]\n")
@@ -1354,9 +1369,7 @@ class TestNumericDomain:
     def test_one_stderr_line_in_a_fresh_process(self, tmp_path, argv):
         # a fresh interpreter prints numpy's RuntimeWarnings, which pytest
         # would otherwise capture
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsearch.cli", *argv, "--out", str(tmp_path)], capture_output=True, text=True
-        )
+        proc = run_python(["-m", "qsearch.cli", *argv, "--out", str(tmp_path)], capture_output=True, text=True)
         assert proc.returncode == cli.EXIT_DOMAIN
         assert proc.stderr.startswith("qsearch: error: cannot write the non-finite value")
         assert proc.stderr.count("\n") == 1
@@ -1583,7 +1596,7 @@ class TestWriteCsv:
         # no CSV and no manifest, and removes each directory it made
         first = [np.arange(cli._CHUNK_ROWS + 1), 0.5]
         table = ("t.csv", ["a", "b"], [first, [3, 1.0], bad_block])
-        monkeypatch.setattr(cli, "cmd_digital", lambda args: ({}, [table], []))
+        monkeypatch.setattr(cli, "cmd_digital", lambda args: ({}, table, []))
         assert run_cli(["digital", "--N", "4"], tmp_path / "fresh" / "out") == cli.EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and what in err
@@ -1713,14 +1726,14 @@ class TestRunner:
     def test_import_loads_no_process_pool(self):
         # only `sweep --workers` uses one, and imports it itself
         code = "import sys, qsearch.cli; print(any(m.startswith('concurrent') for m in sys.modules))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        proc = run_python(["-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
 
     def test_import_loads_no_dataclasses(self):
         # the result types are named tuples: no methods are generated and
         # compiled at start-up
         code = "import sys, qsearch.cli; print('dataclasses' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        proc = run_python(["-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
 
 
@@ -1803,11 +1816,7 @@ class TestManifestStamps:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         env = dict(os.environ, QSEARCH_OUT=str(tmp_path))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsearch.cli", "digital", "--N", "4"],
-            capture_output=True,
-            env=env,
-        )
+        proc = run_python(["-m", "qsearch.cli", "digital", "--N", "4"], capture_output=True, env=env)
         assert proc.returncode == 0
         assert (tmp_path / "digital_N4_kauto.csv").exists()
 
@@ -1820,7 +1829,7 @@ class TestEntryPoint:
             f"sys.argv = ['qsearch', 'digital', '--N', '4', '--out', {str(tmp_path)!r}]\n"
             "runpy.run_module('qsearch.cli', run_name='__main__')\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout.split()[-1]) > 0
         assert (tmp_path / "digital_N4_kauto.csv").exists()
@@ -1838,7 +1847,7 @@ class TestEntryPoint:
             f"sys.argv = ['qsearch', 'digital', '--N', '4', '--out', {str(tmp_path)!r}]\n"
             f"sys.exit({func}())\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout.split()[-1]) > 0
         assert (tmp_path / "digital_N4_kauto.csv").exists()
@@ -1856,8 +1865,8 @@ class TestEntryPoint:
         cfg.write_text("subcommand = analog\nmodel = fenner\nN = [4, 8]\n")
         serial, forked = tmp_path / "serial", tmp_path / "forked"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(serial), "--workers", "1"]) == 0
-        proc = subprocess.run(
-            [sys.executable, "-m", "qsearch.cli", "sweep", "--config", str(cfg), "--out", str(forked), "--workers", "2"],
+        proc = run_python(
+            ["-m", "qsearch.cli", "sweep", "--config", str(cfg), "--out", str(forked), "--workers", "2"],
             capture_output=True,
             text=True,
         )
@@ -1879,7 +1888,7 @@ class TestEntryPoint:
             "import os, qsearch.cli; task = '/proc/self/task'; "
             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(task)) if os.path.isdir(task) else None)"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        proc = run_python(["-c", code], capture_output=True, text=True, env=env, check=True)
         value, count = proc.stdout.split()
         return value, None if count == "None" else int(count)
 
@@ -1899,7 +1908,7 @@ class TestEntryPoint:
             "loaded = [name for name in ('numpy.random', '_hashlib', 'hashlib') if name in sys.modules]\n"
             "assert not loaded, f'loaded {loaded}'\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python(["-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fixed_point_depth2.csv", "ga_verify.csv"]
 

@@ -216,12 +216,11 @@ class TestSelectivePhase:
 
 class TestFailureLaw:
     def test_walsh_hadamard_n4(self):
-        states = fp.fixed_point_run(walsh_hadamard(2)[:, 0], target=2, depth=3)
-        eps = states[0].eps_k
-        assert abs(eps - 0.75) < 1e-14
-        for rec in states:
-            want = fp.closed_form_failure(eps, rec.k)
-            assert abs(rec.eps_k - want) <= 1e-10 * max(want, 1e-12)
+        _, eps = fp.fixed_point_run(walsh_hadamard(2)[:, 0], target=2, depth=3)
+        assert abs(eps[0] - 0.75) < 1e-14
+        for k, eps_k in enumerate(eps):
+            want = fp.closed_form_failure(eps[0], k)
+            assert abs(eps_k - want) <= 1e-10 * max(want, 1e-12)
 
     def test_random_unitaries(self):
         rng = np.random.default_rng(53)
@@ -229,22 +228,19 @@ class TestFailureLaw:
             n = int(rng.choice([4, 8, 16]))
             u0 = haar_unitary(n, rng)
             target = int(rng.integers(0, n))
-            states = fp.fixed_point_run(u0[:, 0], target=target, depth=3)
-            eps = states[0].eps_k
-            for rec in states:
-                want = fp.closed_form_failure(eps, rec.k)
-                assert abs(rec.eps_k - want) <= 1e-10 * max(want, 1e-12)
+            _, eps = fp.fixed_point_run(u0[:, 0], target=target, depth=3)
+            for k, eps_k in enumerate(eps):
+                want = fp.closed_form_failure(eps[0], k)
+                assert abs(eps_k - want) <= 1e-10 * max(want, 1e-12)
 
     def test_monotone_decrease(self):
-        states = fp.fixed_point_run(walsh_hadamard(3)[:, 0], target=1, depth=3)
-        fails = [rec.eps_k for rec in states]
-        assert all(a > b for a, b in zip(fails, fails[1:]))
+        _, fails = fp.fixed_point_run(walsh_hadamard(3)[:, 0], target=1, depth=3)
+        assert np.all(fails[:-1] > fails[1:])
 
     def test_exact_start_stays_exact(self):
         # U0 mapping source directly onto the target: eps = 0 at every depth
-        states = fp.fixed_point_run(np.array([0.0, 1.0]), target=1, depth=3)
-        for rec in states:
-            assert rec.eps_k < 1e-12
+        _, eps = fp.fixed_point_run(np.array([0.0, 1.0]), target=1, depth=3)
+        assert np.all(eps < 1e-12)
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
@@ -306,9 +302,8 @@ class TestFailureLaw:
         # near 1e-30 where the closed form is far smaller
         worst_rel, worst_amp = 0.0, 0.0
         for psi0, target in self.starts():
-            states = fp.fixed_point_run(psi0, target=target, depth=5)
-            closed = fp.closed_form_failure(states[0].eps_k, np.arange(6))
-            sim = np.array([rec.eps_k for rec in states])
+            _, sim = fp.fixed_point_run(psi0, target=target, depth=5)
+            closed = fp.closed_form_failure(float(sim[0]), np.arange(6))
             rel = np.abs(sim - closed) / np.maximum(closed, 1e-300)
             worst_rel = max(worst_rel, float(rel[closed >= 1e-8].max()))
             worst_amp = max(worst_amp, float(np.abs(np.sqrt(sim) - np.sqrt(closed)).max()))
@@ -364,19 +359,21 @@ class TestWalshHadamardOperator:
 
     def test_run_matches_dense_matrix(self):
         for n_qubits, target in [(1, 1), (2, 2), (3, 5), (5, 0), (6, 41), (8, 200)]:
-            fast = fp.fixed_point_run(uniform_state(1 << n_qubits), target=target, depth=4)
+            c_run, eps_run = fp.fixed_point_run(uniform_state(1 << n_qubits), target=target, depth=4)
             dense = word_states(dense_operator(walsh_hadamard(n_qubits)), target, depth=4)
-            for rec, psi in zip(fast, dense):
+            assert len(c_run) == len(eps_run) == len(dense) == 5
+            for c_k, eps_k, psi in zip(c_run, eps_run, dense):
                 c, eps = overlap_and_failure(psi, target)
-                assert abs(rec.c_k - c) < 1e-12
-                assert abs(rec.eps_k - eps) < 1e-12
+                assert abs(c_k - c) < 1e-12
+                assert abs(eps_k - eps) < 1e-12
 
     def test_depth_reuse_counts(self, monkeypatch):
         # depth k + 1 starts from depth k's state: reaching depth 5 reflects
-        # about psi0 and about the target (3^5 - 1)/2 = 121 times each; the
-        # word has no U0 letter left, and the run is given none
-        calls = {"psi0": 0, "target": 0}
-        reflect_psi0, selective_phase = fp._reflect_psi0, fp.selective_phase
+        # about psi0 and about the target (3^5 - 1)/2 = 121 times each, and
+        # spells each depth's word once; the word has no U0 letter left, and
+        # the run is given none
+        calls = {"psi0": 0, "target": 0, "word": 0}
+        reflect_psi0, selective_phase, word = fp._reflect_psi0, fp.selective_phase, fp._word
 
         def counted(key, step):
             def wrapper(*args):
@@ -387,8 +384,9 @@ class TestWalshHadamardOperator:
 
         monkeypatch.setattr(fp, "_reflect_psi0", counted("psi0", reflect_psi0))
         monkeypatch.setattr(fp, "selective_phase", counted("target", selective_phase))
+        monkeypatch.setattr(fp, "_word", counted("word", word))
         fp.fixed_point_run(uniform_state(16), target=3, depth=5)
-        assert calls == {"psi0": 121, "target": 121}
+        assert calls == {"psi0": 121, "target": 121, "word": 6}
 
     def test_peak_memory_is_a_few_states(self):
         # the run keeps one state beside psi0, not one per depth, steps it in
@@ -441,12 +439,12 @@ class TestU0Word:
         psi0 = u0[:, 0].copy()
         for target in sorted({0, n - 1}):
             want = word_states(dense_operator(u0), target, depth=4)
-            run = fp.fixed_point_run(psi0, target=target, depth=4)
+            c_run, eps_run = fp.fixed_point_run(psi0, target=target, depth=4)
             for k, psi in enumerate(want):
                 got = apply_letters(fp._word(k), psi0, psi0, target)
                 assert np.max(np.abs(got - psi)) < 1e-12
                 c, eps = overlap_and_failure(psi, target)
-                assert abs(run[k].c_k - c) < 1e-12 and abs(run[k].eps_k - eps) < 1e-12
+                assert abs(c_run[k] - c) < 1e-12 and abs(eps_run[k] - eps) < 1e-12
 
 
 class TestCoefficientIdentity:

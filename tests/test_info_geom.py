@@ -616,8 +616,8 @@ class TestGeodesicResidual:
         q0[1:] = 1.0 / math.sqrt(n - 1)
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        sol = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
-        assert sol.residual.shape == (101,) and np.max(sol.residual) < 1e-6
+        _, resid = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
+        assert resid.shape == (101,) and np.max(resid) < 1e-6
 
 
 class TestSolveGeodesic:
@@ -628,19 +628,19 @@ class TestSolveGeodesic:
         q0[1:] = 1.0 / root
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        sol = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
+        q, _ = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
         want = np.full(n, math.cos(math.pi / 2) / root)
         want[0] = math.sin(math.pi / 2)
-        assert np.max(np.abs(sol.q[-1] - want)) < 1e-6
+        assert np.max(np.abs(q[-1] - want)) < 1e-6
 
     def test_reversal_retraces(self):
         n = 3
         q0 = np.array([0.0, 0.6, 0.8])
         qdot0 = np.array([1.0, 0.0, 0.0])
-        fwd = ig.solve_geodesic(q0, qdot0, [0.0, 1.0], np.ones(n))
+        fwd, _ = ig.solve_geodesic(q0, qdot0, [0.0, 1.0], np.ones(n))
         qdot_end = math.cos(1.0) * qdot0 - math.sin(1.0) * q0
-        back = ig.solve_geodesic(fwd.q[-1] / np.linalg.norm(fwd.q[-1]), -qdot_end, [0.0, 1.0], np.ones(n))
-        assert np.max(np.abs(back.q[-1] - q0)) < 1e-6
+        back, _ = ig.solve_geodesic(fwd[-1] / np.linalg.norm(fwd[-1]), -qdot_end, [0.0, 1.0], np.ones(n))
+        assert np.max(np.abs(back[-1] - q0)) < 1e-6
 
     def test_norm_drift(self):
         n = 5
@@ -649,12 +649,12 @@ class TestSolveGeodesic:
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
         thetas = np.linspace(0.0, math.pi / 2, 101)
-        sol = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
+        q, _ = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
         qdot = np.cos(thetas)[:, None] * qdot0 - np.sin(thetas)[:, None] * q0
-        norms = np.sum(sol.q**2, axis=1) + 0.0
+        norms = np.sum(q**2, axis=1) + 0.0
         # q'' = -q conserves q.q + qdot.qdot; with |qdot0| = 1 the amplitude
         # norm oscillates but the invariant stays put
-        invariant = np.sum(sol.q**2, axis=1) + np.sum(qdot**2, axis=1)
+        invariant = np.sum(q**2, axis=1) + np.sum(qdot**2, axis=1)
         assert np.max(np.abs(invariant - invariant[0])) < 1e-8
         assert norms[0] == pytest.approx(1.0)
 
@@ -664,11 +664,11 @@ class TestSolveGeodesic:
         q0 = np.array([0.0, 0.6, 0.0, 0.8])
         qdot0 = np.array([1.0, 0.0, 0.3, 0.0])
         thetas = cli._theta_grid(math.pi / 2, 1e-3)
-        sol = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
+        q, _ = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
         worst = 0.0
         for j in range(n):
             rk4 = fp.damped_geodesic_solve(2.0, 0.0, q0[j], qdot0[j], thetas)
-            worst = max(worst, float(np.max(np.abs(sol.q[:, j] - rk4))))
+            worst = max(worst, float(np.max(np.abs(q[:, j] - rk4))))
         assert worst < 1e-9
 
     def test_unnormalized_rejected(self):
