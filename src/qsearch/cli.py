@@ -25,17 +25,20 @@ and the seed is recorded in the manifest.
 Exit codes: 0 success, 2 usage or configuration error (an output directory
 or file that cannot be made or written among them), 3 numeric-domain
 error (a rejected value, an overflow or division by zero, a non-finite
-number in a table, which `write_csv` refuses to write, or an allocation that
-runs out of memory), 4 failed internal cross-check (the fixed-point
-simulation and its coefficient track, or `ga-verify`'s rotor and
-state-vector plane coordinates, or iterates on the basis spinors, disagreed
-beyond their tolerance; nothing is written).  Each rule has one check: every
+number in a table, which `write_csv` refuses to write, a `damped` grid
+outside RK4's stability region, or an allocation that runs out of memory), 4
+failed internal cross-check (nothing is written): `fixed-point`'s simulated
+and coefficient-track overlaps or failure probabilities, `ga-verify`'s rotor
+and state-vector plane coordinates or its rotor and state-vector iterates on
+the basis spinors, or `geodesic`'s geodesic and search-family amplitudes
+disagreed beyond their tolerance.  Each rule has one check: every
 cross-check raises through `qsearch.require_agreement`, naming one
 deviation, every N goes through `_check_n`, every target index through
 `grover_digital.check_target`, every grid through `_grid_steps`, the
 fixed-point depth through `fixed_point.check_depth`, the energy scale
-through `analog_search.check_energy`, and `geodesic` starts from the
-search family's own q(0) and q'(0).  `_theta_grid` is the one theta grid:
+through `analog_search.check_energy`, the damped RK4's step through
+`fixed_point.damped_geodesic_solve`, and `geodesic` starts from the search
+family's own q(0) and q'(0).  `_theta_grid` is the one theta grid:
 `geodesic` samples it and `damped`'s RK4 steps every point of it, so both
 tables write theta_i = i dtheta.  A sweep whose cell fails removes every
 directory its cells made and names that cell in its one error line.
@@ -217,8 +220,9 @@ def _dispatch(args) -> list[tuple[Path, str]]:
 
 
 # largest accepted N: a state is 32 MiB of float64 amplitudes here, and
-# `digital --N 4194304 --k auto` (1608 in-place iterates) takes about 3.6 s
-# and peaks near 61 MB RSS (median of 3 processes, 2-CPU host)
+# `digital --N 4194304 --k auto` (1608 in-place iterates, each moving about
+# 96 MB through memory) takes about 8 s and peaks near 61 MB RSS (median of 3
+# fresh processes, 2-CPU host whose bench/probe.py read 0.43-0.66 s)
 _N_CAP = 1 << 22
 
 # largest step count of a time or angle grid, of `digital --k`, of `infogeo
@@ -447,13 +451,16 @@ def cmd_geodesic(args):
     thetas = _theta_grid(args.theta_end, args.dtheta, args.max_rows)
     family = ig.grover_family(n)
     # the geodesic starts where the family does, at theta = 0
-    q, resid = ig.solve_geodesic(family.q(0.0), family.dq(0.0), thetas, family.multiplicity)
+    q = ig.solve_geodesic(family.q(0.0), family.dq(0.0), thetas, family.multiplicity)
+    # the paper's claim: the search family is that geodesic, class by class
+    gap = np.max(np.abs(q - family.q(thetas)), axis=1)
+    require_agreement("geodesic and search-family amplitudes", float(np.max(gap)), f"N={n}", ig.TOL_FAMILY)
     metric = ig.metric_columns(family, thetas, args.dtheta)
     n_q_cols = min(n, 4)
     q_target, q_rest = q.T
-    columns = [thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), resid]
+    columns = [thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), gap]
 
-    header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "residual"]
+    header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "family_gap"]
     return {}, (f"geodesic_N{n}.csv", header, [columns]), []
 
 

@@ -22,7 +22,8 @@ equation with exponentially decaying Lagrangian becomes
 q'' + gamma q' + (L0/2) exp(-gamma theta) q = 0, solved in closed form by
 first-order Bessel functions of a shrinking argument; the closed form and its
 residual take one theta or an array, each theta's value the same in any array,
-and the RK4 gives q at each point of the theta grid it is given.
+and the RK4 gives q at each point of the theta grid it is given, a grid whose
+steps keep every eigenvalue of the equation inside RK4's stability region.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import bessel, require_agreement
 from .grover_digital import check_target
-from .info_geom import ParametricFamily, geodesic_residual
+from .info_geom import ParametricFamily
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
 MAX_DEPTH = 5
@@ -43,6 +44,10 @@ TOL_TRACKS = 1e-10
 _CHUNK = 1 << 13
 # thetas per Bessel residual call: its series temporaries stay near 128 KiB each
 _CHUNK_THETAS = 1 << 14
+# radius of the largest left half-disk inside RK4's stability region
+# |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (2.61558..., by bisection; the
+# imaginary-axis limit is 2 sqrt 2), rounded down
+RK4_RADIUS = 2.6155
 
 
 def selective_phase(state: np.ndarray, index: int, phi: float) -> np.ndarray:
@@ -179,6 +184,10 @@ def damped_geodesic_solve(l0: float, gamma: float, q0: float, qdot0: float, thet
     """RK4 integration of q'' + gamma q' + (L0/2) e^{-gamma theta} q = 0: q at
     each point of `thetas`, a grid that starts at theta = 0 (where q = q0 and
     q' = qdot0) and increases, as the CLI's one theta grid does, or ValueError.
+    So is a grid whose largest step h has h max(sqrt(L0/2), gamma) > RK4_RADIUS,
+    before the loop: every eigenvalue lambda of the equation has Re lambda <= 0
+    and |lambda| <= max(sqrt(L0/2), gamma), and past that radius RK4 can grow
+    where the path decays (a step inside it is stable, not accurate).
 
     Each classic RK4 step goes from a grid point t to the next, t1, with
     h = t1 - t, on (q, q') held as two floats.  The acceleration is written
@@ -191,6 +200,11 @@ def damped_geodesic_solve(l0: float, gamma: float, q0: float, qdot0: float, thet
     ts = memoryview(np.ascontiguousarray(thetas, dtype=np.float64))
     if ts[0] != 0.0:
         raise ValueError(f"the grid must start at theta = 0, got {ts[0]!r}")
+    h_max, lam = float(np.diff(ts).max(initial=0.0)), max(math.sqrt(0.5 * l0), gamma)
+    if h_max * lam > RK4_RADIUS:
+        raise ValueError(
+            f"RK4 is unstable on this grid: step {h_max!r} times max(sqrt(L0/2), gamma) {lam!r} exceeds {RK4_RADIUS}"
+        )
     qs = np.empty(len(ts))
     out = memoryview(qs)
     exp, ng, hl0 = math.exp, -gamma, 0.5 * l0
@@ -239,16 +253,21 @@ def bessel_solution(theta, a: float, b: float, l0: float, gamma: float):
 
 
 def bessel_ode_residual(theta, a: float, b: float, l0: float, gamma: float):
-    """Residual of the closed form under the damped geodesic equation at one
-    theta or each of an array: the :func:`qsearch.info_geom.geodesic_residual`
-    of :func:`bessel_solution`, by central differences of step h = 1e-3, a
-    chunk of theta at a time.  The stencil's floor, about h^2 omega^4 |q| / 12
-    with omega^2 = (L0/2) e^{-gamma theta}, grows as L0^2: at gamma = 0.05,
-    A = 1, B = 0 on [0, 10] it reads 7.0e-6 at L0 = 10, 1.4e-3 at 100 and 0.25
-    at 1000."""
+    """Residual q'' + gamma q' + (L0/2) e^{-gamma theta} q of the closed form
+    under the damped geodesic equation at one theta or each of an array, by
+    central differences of :func:`bessel_solution` at theta and theta +- h, a
+    chunk of theta at a time; h = 1e-3 balances the 1/h^2 roundoff of a second
+    difference against its truncation.  The stencil's floor, about
+    h^2 omega^4 |q| / 12 with omega^2 = (L0/2) e^{-gamma theta}, grows as
+    L0^2: at gamma = 0.05, A = 1, B = 0 on [0, 10] it reads 7.0e-6 at L0 = 10,
+    1.4e-3 at 100 and 0.25 at 1000."""
+    h = 1e-3
     theta = np.asarray(theta, dtype=np.float64)
     resid = np.empty(theta.shape)
     for lo in range(0, theta.size, _CHUNK_THETAS):
-        chunk = slice(lo, lo + _CHUNK_THETAS)
-        resid.flat[chunk] = geodesic_residual(lambda t: bessel_solution(t, a, b, l0, gamma), theta.flat[chunk], l0, gamma)
+        t = theta.flat[lo : lo + _CHUNK_THETAS]
+        q_minus, q, q_plus = (bessel_solution(x, a, b, l0, gamma) for x in (t - h, t, t + h))
+        d2q = (q_plus - 2.0 * q + q_minus) / (h * h)
+        dq = (q_plus - q_minus) / (2.0 * h)
+        resid.flat[lo : lo + _CHUNK_THETAS] = d2q + gamma * dq + 0.5 * l0 * np.exp(-gamma * t) * q
     return resid[()]

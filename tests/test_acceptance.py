@@ -19,7 +19,7 @@ from test_analog_search import scanned_first_peak, unitary_series_exp
 from test_fixed_point import damped_cli_start, fit_p1_decay_exponent
 from test_ga_core import mirror, orientation_sign, rotate, vector
 from test_grover_digital import matrix_G, matrix_inversion, matrix_oracle
-from test_info_geom import fd_metric, grover_p, thermal_fisher_beta, verify_step_geometry
+from test_info_geom import fd_metric, grover_p, solve_geodesic_residual, thermal_fisher_beta, verify_step_geometry
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -188,10 +188,10 @@ def test_c06_information_geometry():
     q0[0] = 0.0
     qdot0 = np.zeros(n)
     qdot0[0] = 1.0
-    q, resid = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
-    # the residual column the CLI writes: central differences of step 1e-3,
-    # whose h^2/12 truncation term is about 8.3e-8 where sin(theta) = 1
-    worst_resid = float(np.max(resid))
+    q = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
+    # the oracle's central differences of step 1e-3 along the path, whose
+    # h^2/12 truncation term is about 8.3e-8 where sin(theta) = 1
+    worst_resid = float(np.max(solve_geodesic_residual(q0, qdot0, thetas, np.ones(n))))
     ok &= worst_resid <= 1e-7
     want = np.column_stack([np.sin(thetas)] + [np.cos(thetas) / root] * (n - 1))
     path_gap = float(np.max(np.abs(q - want)))

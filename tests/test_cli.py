@@ -557,6 +557,35 @@ class TestDampedAndGeodesic:
         assert "L0 and gamma must be positive" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_damped_grid_just_inside_rk4_stability_runs(self, tmp_path):
+        # h sqrt(L0/2) = 0.0369 sqrt(5000) = 2.609, inside the radius
+        # 2.6155: stable, so |q| stays within the closed form's 15.4 (it
+        # never passes its start, 7.2).  Stability is not accuracy: the RK4
+        # is 19 off the closed form here, and 9.1 at --dtheta 0.01
+        argv = ["damped", "--L0", "1e4", "--gamma", "0.05", "--A", "0.7", "--B", "-0.2", "--dtheta", "0.0369"]
+        assert run_cli(argv, tmp_path) == 0
+        _, rows = read_csv(tmp_path / "damped_geodesic.csv")
+        assert float(rows[-1][0]) == 10.0
+        assert max(abs(float(row[1])) for row in rows) <= 15.5
+
+    @pytest.mark.parametrize("drift", [1e-9, float("nan")], ids=["drift", "nan"])
+    def test_geodesic_off_the_search_family_exits_4(self, tmp_path, capsys, monkeypatch, drift):
+        # a geodesic that leaves the search family, by 1e-9 or by a NaN,
+        # fails the family check: one line, and no output directory
+        solve = ig.solve_geodesic
+        monkeypatch.setattr(cli.ig, "solve_geodesic", lambda *args: solve(*args) + drift)
+        assert run_cli(["geodesic", "--N", "64"], tmp_path / "out") == cli.EXIT_CROSSCHECK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        deviation, tolerance = re.fullmatch(
+            r"qsearch: error: internal cross-check failed: geodesic and search-family amplitudes differ by (\S+) "
+            r"at N=64 \(tolerance (\S+)\)\n",
+            err,
+        ).groups()
+        assert float(tolerance) == ig.TOL_FAMILY == 1e-12
+        assert deviation == "nan" if drift != drift else float(deviation) == pytest.approx(drift)
+        assert not (tmp_path / "out").exists()
+
     def test_damped_nan_is_usage_error(self, tmp_path):
         assert usage_exit_code(["damped", "--L0", "nan"], tmp_path) == cli.EXIT_USAGE
         assert not (tmp_path / "damped_geodesic.csv").exists()
@@ -713,7 +742,8 @@ class TestDampedAndGeodesic:
         assert peak < 4 << 20
 
     def test_geodesic_matches_one_component_per_state(self, tmp_path):
-        # q_j and the per-row residual against the N-component solve, to the bit
+        # q_j and the per-row family gap against the N-component solve and
+        # the search family written out per state, to the bit
         n = 64
         assert run_cli(["geodesic", "--N", str(n)], tmp_path) == 0
         header, rows = read_csv(tmp_path / f"geodesic_N{n}.csv")
@@ -722,11 +752,13 @@ class TestDampedAndGeodesic:
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
         thetas = [float(row[0]) for row in rows]
-        qs, resids = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
-        assert header[4:] == ["q_0", "q_1", "q_2", "q_3", "residual"]
-        for row, q, resid in zip(rows, qs, resids):
+        qs = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
+        family = np.column_stack([np.sin(thetas)] + [np.cos(thetas) / math.sqrt(n - 1)] * (n - 1))
+        gaps = np.max(np.abs(qs - family), axis=1)
+        assert header[4:] == ["q_0", "q_1", "q_2", "q_3", "family_gap"]
+        for row, q, gap in zip(rows, qs, gaps):
             assert row[4:8] == [fmt(x) for x in q[:4]]
-            assert row[8] == fmt(resid)
+            assert row[8] == fmt(gap)
 
     @pytest.mark.parametrize("n", ["100000", "149130"])
     def test_geodesic_default_grid_admitted(self, tmp_path, monkeypatch, n):
@@ -1278,7 +1310,16 @@ class TestNumericDomain:
             (["damped", "--gamma", "1e308"], "", "."),
             (["damped", "--gamma", "1e-300"], "", "."),
             # sqrt(2 L0 / gamma^2) overflows, so z is infinite and J1(z) NaN
-            (["damped", "--L0", "1e308", "--gamma", "1e-5"], "non-finite value nan to a CSV (column q)", "."),
+            (["damped", "--L0", "1e4", "--gamma", "1e-153"], "non-finite value nan to a CSV (column q)", "."),
+            # h sqrt(L0/2) = 7e150: refused before the RK4 runs
+            (["damped", "--L0", "1e308", "--gamma", "1e-5"], "RK4 is unstable on this grid", "."),
+            # h sqrt(L0/2) = 7.1: the RK4 wrote q = 1.16e175 with exit 0
+            (
+                ["damped", "--L0", "1e4", "--gamma", "0.05", "--A", "0.7", "--B", "-0.2", "--dtheta", "0.1"],
+                "RK4 is unstable on this grid: step 0.10000000000000142 times max(sqrt(L0/2), gamma) "
+                "70.71067811865476 exceeds 2.6155",
+                ".",
+            ),
             (["geodesic", "--N", "4", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
             (["geodesic", "--N", "4", "--theta-end", "0"], "must be positive, got span 0.0 and step 0.001", "."),
             (["damped", "--theta-end", "-1"], "must be positive, got span -1.0 and step 0.001", "."),
@@ -1293,6 +1334,8 @@ class TestNumericDomain:
             "damped-gamma-overflow",
             "damped-gamma-zero-division",
             "damped-L0-z-inf",
+            "damped-L0-past-rk4-stability",
+            "damped-step-past-rk4-stability",
             "geodesic-negative-horizon",
             "geodesic-zero-horizon",
             "damped-negative-horizon",

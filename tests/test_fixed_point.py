@@ -651,10 +651,36 @@ class TestDampedGeodesic:
         q = fp.damped_geodesic_solve(8.0, 1e-6, q0, qdot0, cli._theta_grid(0.5, 1e-4))
         assert abs(q[-1] - math.cos(2.0 * 0.5)) < 1e-4
 
+    def test_rk4_radius_is_inside_the_stability_region(self):
+        # RK4_RADIUS is the largest left half-disk inside
+        # |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1, rounded down: on the
+        # half-disk's boundary |R| stays within 1 (to rounding), and 1e-4
+        # further out it does not
+        def worst(r):
+            arc = r * np.exp(1j * np.linspace(math.pi / 2, 3 * math.pi / 2, 100001))
+            z = np.concatenate([arc, 1j * np.linspace(-r, r, 100001)])
+            return float(np.max(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)))
+
+        assert worst(fp.RK4_RADIUS) <= 1.0 + 1e-15
+        assert worst(fp.RK4_RADIUS + 1e-4) > 1.0 + 1e-6
+
+    @pytest.mark.parametrize("l0, gamma", [(2e4, 0.0), (0.0, 100.0)], ids=["omega", "gamma"])
+    def test_grid_past_the_stability_radius_refused(self, l0, gamma):
+        # the largest eigenvalue is 100, as omega = sqrt(L0/2) or as gamma:
+        # a step 1% inside RK4_RADIUS / 100 runs and stays bounded, one 1%
+        # past it is refused before the loop
+        h = fp.RK4_RADIUS / 100.0
+        q = fp.damped_geodesic_solve(l0, gamma, 1.0, 1.0, cli._theta_grid(1.0, 0.99 * h))
+        assert np.all(np.abs(q) <= 1.02)
+        message = r"^RK4 is unstable on this grid: step \S+ times max\(sqrt\(L0/2\), gamma\) 100.0 exceeds 2.6155$"
+        with pytest.raises(ValueError, match=message):
+            fp.damped_geodesic_solve(l0, gamma, 1.0, 1.0, cli._theta_grid(1.0, 1.01 * h))
+
     def test_grid_and_path_are_the_only_arrays(self):
         # the grid and q take 8 bytes a point each, and the loop reads and
         # writes them through memoryviews, so no third array of that size (a
-        # difference of the grid, a list of exponentials) is made.  The bound
+        # list of exponentials) is made; the stability check's difference of
+        # the grid is freed before q is made.  The bound
         # scales with the grid; tracemalloc slows the RK4 loop 5-40 fold, so
         # the grid has 2^16 steps, not the 10^6 of `damped --theta-end 100
         # --dtheta 1e-4`

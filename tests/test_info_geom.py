@@ -62,6 +62,27 @@ def family_p(family):
     return lambda t: family.q(t) ** 2
 
 
+def geodesic_residual(q_path, theta):
+    """Oracle of the flat geodesic equation: the residual q'' + q of a path
+    callable theta -> q, by central differences of step h = 1e-3 at theta
+    and theta +- h.  That step is wider than a first-derivative step: a
+    second difference amplifies roundoff in q by 1/h^2, and h = 1e-3
+    balances that against the h^2/12 truncation term, about 8.3e-8 where
+    |q| = 1.  A residual from analytic derivatives would read the equation
+    the path was built from, and so could not fail."""
+    h = 1e-3
+    q_minus, q, q_plus = q_path(theta - h), q_path(theta), q_path(theta + h)
+    return (q_plus - 2.0 * q + q_minus) / (h * h) + q
+
+
+def solve_geodesic_residual(q0, qdot0, thetas, multiplicity):
+    """The oracle applied to :func:`qsearch.info_geom.solve_geodesic`'s
+    path: the largest |residual| over the classes at each theta."""
+    column = np.asarray(thetas, dtype=np.float64)[:, None]
+    resid = geodesic_residual(lambda t: ig.solve_geodesic(q0, qdot0, t[:, 0], multiplicity), column)
+    return np.max(np.abs(resid), axis=1)
+
+
 def kinetic_energy_via_fisher(family, theta):
     """Oracle of the two-route kinetic energy check: on real amplitudes
     <d psi|d psi> = F/4, against :func:`qsearch.info_geom.kinetic_energy`."""
@@ -600,14 +621,14 @@ class TestCurrentAndKinetic:
 class TestGeodesicResidual:
     def test_constant_path_fails_by_itself(self):
         qconst = np.array([0.6, 0.8])
-        resid = ig.geodesic_residual(lambda t: qconst, 0.9)
+        resid = geodesic_residual(lambda t: qconst, 0.9)
         assert np.allclose(resid, qconst, atol=1e-6)
 
     @pytest.mark.parametrize("theta", [0.3, 0.9, 1.4])
     def test_callable_path_on_the_exact_geodesic(self, theta):
         # central differences of step 1e-3 leave about 7e-8; a second
         # difference of step 1e-5 would read up to 1.6e-6 from roundoff
-        resid = ig.geodesic_residual(lambda t: np.array([math.cos(t), math.sin(t)]), theta)
+        resid = geodesic_residual(lambda t: np.array([math.cos(t), math.sin(t)]), theta)
         assert np.max(np.abs(resid)) < 1e-7
 
     def test_rk4_path_residual(self):
@@ -616,7 +637,7 @@ class TestGeodesicResidual:
         q0[1:] = 1.0 / math.sqrt(n - 1)
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        _, resid = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
+        resid = solve_geodesic_residual(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
         assert resid.shape == (101,) and np.max(resid) < 1e-6
 
 
@@ -628,7 +649,7 @@ class TestSolveGeodesic:
         q0[1:] = 1.0 / root
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
-        q, _ = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
+        q = ig.solve_geodesic(q0, qdot0, np.linspace(0.0, math.pi / 2, 101), np.ones(n))
         want = np.full(n, math.cos(math.pi / 2) / root)
         want[0] = math.sin(math.pi / 2)
         assert np.max(np.abs(q[-1] - want)) < 1e-6
@@ -637,9 +658,9 @@ class TestSolveGeodesic:
         n = 3
         q0 = np.array([0.0, 0.6, 0.8])
         qdot0 = np.array([1.0, 0.0, 0.0])
-        fwd, _ = ig.solve_geodesic(q0, qdot0, [0.0, 1.0], np.ones(n))
+        fwd = ig.solve_geodesic(q0, qdot0, [0.0, 1.0], np.ones(n))
         qdot_end = math.cos(1.0) * qdot0 - math.sin(1.0) * q0
-        back, _ = ig.solve_geodesic(fwd[-1] / np.linalg.norm(fwd[-1]), -qdot_end, [0.0, 1.0], np.ones(n))
+        back = ig.solve_geodesic(fwd[-1] / np.linalg.norm(fwd[-1]), -qdot_end, [0.0, 1.0], np.ones(n))
         assert np.max(np.abs(back[-1] - q0)) < 1e-6
 
     def test_norm_drift(self):
@@ -649,7 +670,7 @@ class TestSolveGeodesic:
         qdot0 = np.zeros(n)
         qdot0[0] = 1.0
         thetas = np.linspace(0.0, math.pi / 2, 101)
-        q, _ = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
+        q = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
         qdot = np.cos(thetas)[:, None] * qdot0 - np.sin(thetas)[:, None] * q0
         norms = np.sum(q**2, axis=1) + 0.0
         # q'' = -q conserves q.q + qdot.qdot; with |qdot0| = 1 the amplitude
@@ -664,7 +685,7 @@ class TestSolveGeodesic:
         q0 = np.array([0.0, 0.6, 0.0, 0.8])
         qdot0 = np.array([1.0, 0.0, 0.3, 0.0])
         thetas = cli._theta_grid(math.pi / 2, 1e-3)
-        q, _ = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
+        q = ig.solve_geodesic(q0, qdot0, thetas, np.ones(n))
         worst = 0.0
         for j in range(n):
             rk4 = fp.damped_geodesic_solve(2.0, 0.0, q0[j], qdot0[j], thetas)
