@@ -17,6 +17,15 @@ Modules:
 
 __version__ = "0.1.0"
 
+# items per pass of every loop that bounds its temporaries by slicing its
+# input: a table's rows, psi0's amplitudes, thetas, times, or candidate normals
+CHUNK = 1 << 12
+
+
+def chunks(count: int):
+    """Slices of at most CHUNK items that cover range(count) in order."""
+    return (slice(lo, lo + CHUNK) for lo in range(0, count, CHUNK))
+
 
 class CrossCheckError(RuntimeError):
     """Two independent computations of one quantity disagreed beyond their

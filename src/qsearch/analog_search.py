@@ -17,8 +17,8 @@ any 2x2 Hermitian matrix and the only propagator here:
 Both models are tabulated alike: :func:`fenner_state` and :func:`fg_scan`
 take one time or an array of times and return the target probability at
 each, which is what a table reads.  One propagator call serves each chunk of
-4096 times, so neither a (T, 2, 2) propagator array nor a (T, 2) state of a
-whole grid is built.
+`qsearch.CHUNK` times, so neither a (T, 2, 2) propagator array nor a (T, 2)
+state of a whole grid is built.
 
 The printed closed form for the optimal search time carries an arcsine whose
 argument exceeds one; we evaluate asin(sqrt((N-1)/N)) instead, which restores
@@ -32,13 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import chunks
 from .grover_digital import alpha_beta
 
 TOL_ALG = 1e-12
-
-# times per propagator call: each call builds a few (chunk, 2, 2) complex
-# temporaries, so the chunk, not the grid, sets their size
-_CHUNK_TIMES = 4096
 
 
 class EvolutionResult(NamedTuple):
@@ -57,8 +54,7 @@ def _evolve_uniform(h: np.ndarray, n: int, ts) -> EvolutionResult:
     times = np.asarray(ts, dtype=np.float64)
     p_target = np.empty(times.shape)
     flat_times, flat_p = times.reshape(-1), p_target.reshape(-1)
-    for start in range(0, len(flat_times), _CHUNK_TIMES):
-        chunk = slice(start, start + _CHUNK_TIMES)
+    for chunk in chunks(len(flat_times)):
         flat_p[chunk] = np.abs((plane_propagator(h, flat_times[chunk]) @ start_state)[:, 0]) ** 2
     # [()] makes one time's probability a scalar and leaves an array whole
     return EvolutionResult(ts=ts, p_target=p_target[()])

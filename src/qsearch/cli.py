@@ -1,23 +1,24 @@
 """Batch command-line front end.
 
 Each subcommand `cmd_<name>(args)` checks its arguments, computes its
-columns and returns `(computed, table, written)`: the values it derived that
-the manifest records beside the options (only `fixed-point`'s
-`eps0_computed` and `analog`'s energy scale E, 1 unless `farhi-gutmann --E`
-sets it) and in their place, by one rule: an option the run did not read is
-recorded as null, or as the value that ran instead (the N = 2 and target 1
-that a failure epsilon given to `fixed-point --u0` runs, and the E = 1 that
-`analog --model fenner` runs); its one table as `(file name, header,
+columns and returns `(computed, table)`: the values it derived that the
+manifest records beside the options (only `fixed-point`'s `eps0_computed`
+and `analog`'s energy scale E, 1 unless `farhi-gutmann --E` sets it) and in
+their place, by one rule: an option the run did not read is recorded as
+null, or as the value that ran instead (the N = 2 and target 1 that a
+failure epsilon given to `fixed-point --u0` runs, and the E = 1 that
+`analog --model fenner` runs); and its one table as `(file name, header,
 blocks)`, a list of row blocks (one block of columns, or for `ga-verify` one
-per check and N and for `sweep` one per index row); and the CSVs it wrote
-itself as (path, SHA-256) pairs (only `sweep`'s cells write their own).  The
-runner `_dispatch` alone writes the outputs: it makes the output directory
-once the command returns, writes the table as a CSV, and writes a JSON run
-manifest recording the command, every option but `--out`, the computed
-values, timestamps, tool version, and the SHA-256 of each CSV, hashed from
-its bytes as they are written, so no table is read back.  All numeric
-output uses 17-significant-digit formatting, so reruns on the same platform
-produce byte-identical CSVs (manifests differ only in their timestamps).
+per check and N).  The runner `_dispatch` alone writes the outputs: it
+makes the output directory once the command returns, writes the table as a
+CSV, and writes a JSON run manifest recording the command, every option but
+`--out`, the computed values, timestamps, tool version, and the SHA-256 of
+that CSV, hashed from its bytes as they are written, so no table is read
+back.  Each CSV is recorded once, by the run that wrote it: a sweep cell's
+manifest records the cell's CSV, and the sweep's records its index.  All
+numeric output uses 17-significant-digit formatting, so reruns on the same
+platform produce byte-identical CSVs (manifests differ only in their
+timestamps).
 The randomized path, `fixed-point --u0 random`, draws complex normals from
 the standard library's Mersenne Twister seeded by --seed (`_complex_normals`),
 and the seed is recorded in the manifest.
@@ -80,7 +81,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import CrossCheckError, __version__, require_agreement
+from . import CHUNK, CrossCheckError, __version__, chunks, require_agreement
 from . import analog_search as an
 from . import fixed_point as fp
 from . import ga_core
@@ -105,9 +106,6 @@ def _sha256_constructor():
 
 
 _new_sha256 = _sha256_constructor()
-
-# rows per `%` pass: a pass boxes its cells, so the chunk sets the added peak
-_CHUNK_ROWS = 4096
 
 
 def write_csv(path: Path, header, blocks, sha) -> Path:
@@ -138,9 +136,10 @@ def write_csv(path: Path, header, blocks, sha) -> Path:
             if len(lengths) != 1:
                 raise ValueError(f"the array columns of {path.name} must share one length, got {sorted(lengths)}")
             line = ",".join(cells) + "\n"
-            for start in range(0, lengths.pop(), _CHUNK_ROWS):
-                chunk = zip(*(column[start : start + _CHUNK_ROWS].tolist() for column in arrays)) if arrays else [()]
-                yield "".join(line % row for row in chunk)
+            # a `%` pass boxes its cells, so the chunk sets the added peak
+            for chunk in chunks(lengths.pop()):
+                rows = zip(*(column[chunk].tolist() for column in arrays)) if arrays else [()]
+                yield "".join(line % row for row in rows)
 
     part = path.with_name(path.name + ".part")
     try:
@@ -184,36 +183,34 @@ def _out_dir(args) -> Path:
     return Path(args.out or os.environ.get("QSEARCH_OUT") or "qsearch-out")
 
 
-def _dispatch(args) -> list[tuple[Path, str]]:
-    """Run the parsed subcommand, then write its table and its manifest,
-    which records the CSVs the command wrote itself and then the table.  The
-    output directory is made only once the command returns, and each
-    directory the run made is removed again if making the directory or
-    writing the table fails.  Returns the recorded CSVs as (path, SHA-256)
-    pairs."""
+def _dispatch(args) -> None:
+    """Run the parsed subcommand, then write its table and the manifest that
+    records it.  The output directory is made only once the command returns.
+    If making it, writing the table or writing the manifest fails, the table
+    this run wrote and each directory the run made are removed again."""
     started = _utc_now()
     # `write_csv` refuses a NaN or infinity, so numpy's warnings about one
     # would only precede the one-line error
     with np.errstate(all="ignore"):
-        computed, (name, header, blocks), written = args.func(args)
+        computed, (name, header, blocks) = args.func(args)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
     out_dir = _out_dir(args)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    sha = _new_sha256()
+    sha, table = _new_sha256(), None
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = [*written, (write_csv(out_dir / name, header, blocks, sha), sha.hexdigest())]
+        table = write_csv(out_dir / name, header, blocks, sha)
+        manifest = RunManifest(args.subcommand, params, started, _utc_now(), outputs=[])
+        manifest.record(table, sha.hexdigest())
+        manifest.write(out_dir)
     except BaseException:
         # deepest first; a directory that holds anything stops the removal
         with contextlib.suppress(OSError):
+            if table:
+                table.unlink()
             for d in made:
                 d.rmdir()
         raise
-    manifest = RunManifest(args.subcommand, params, started, _utc_now(), outputs=[])
-    for path, sha256 in outputs:
-        manifest.record(path, sha256)
-    manifest.write(out_dir)
-    return outputs
 
 
 # -- digital ------------------------------------------------------------------
@@ -287,7 +284,7 @@ def cmd_digital(args):
 
     header = ["N", "k", "theta", "p_success_closed", "p_success_simulated", "abs_error"]
     columns = [n, ks, theta, closed, sim, abs_error]
-    return {}, (f"digital_N{n}_k{args.k}.csv", header, [columns]), []
+    return {}, (f"digital_N{n}_k{args.k}.csv", header, [columns])
 
 
 # -- analog -------------------------------------------------------------------
@@ -317,15 +314,11 @@ def cmd_analog(args):
     else:
         p_target = an.fg_scan(ts, n, energy).p_target
     columns = [args.model, n, energy, ts, p_target]
-    return {"E": energy}, (f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], [columns]), []
+    return {"E": energy}, (f"analog_{args.model}_N{n}.csv", ["model", "N", "E", "t", "p_target"], [columns])
 
 
 # -- fixed point ---------------------------------------------------------------
 
-
-# candidate points per `randbytes` call: the bytes and each float temporary
-# of one pass stay within 128 KiB
-_NORMALS_CHUNK = 1 << 13
 
 
 def _complex_normals(seed: int, count: int) -> np.ndarray:
@@ -346,7 +339,7 @@ def _complex_normals(seed: int, count: int) -> np.ndarray:
     while done < count:
         # pi/4 of the candidates fall inside the circle: a few more than 4/pi
         # per normal still needed
-        candidates = min(_NORMALS_CHUNK, (count - done) * 4 // 3 + 16)
+        candidates = min(CHUNK, (count - done) * 4 // 3 + 16)
         words = np.frombuffer(rng.randbytes(16 * candidates), "<i8")
         w = (((words >> 10) | 1) * 2.0**-53).view(np.complex128)
         s = w.real * w.real + w.imag * w.imag
@@ -400,7 +393,7 @@ def cmd_fixed_point(args):
 
     header = ["k", "eps_k_closed", "eps_k_simulated", "rel_error"]
     columns = [ks, closed, sim, np.abs(sim - closed) / np.maximum(closed, 1e-300)]
-    return {"eps0_computed": eps0} | ran, (f"fixed_point_depth{args.depth}.csv", header, [columns]), []
+    return {"eps0_computed": eps0} | ran, (f"fixed_point_depth{args.depth}.csv", header, [columns])
 
 
 # -- damped geodesic ------------------------------------------------------------
@@ -436,8 +429,7 @@ def cmd_damped(args):
     stride = _stride(len(thetas), args.max_rows)
     thetas, q = thetas[::stride], q[::stride]
     resid = fp.bessel_ode_residual(thetas, a, b, l0, gamma)
-    p1 = np.minimum(1.0, q * q)
-    return {}, ("damped_geodesic.csv", ["theta", "q", "residual", "p0", "p1"], [[thetas, q, resid, 1.0 - p1, p1]]), []
+    return {}, ("damped_geodesic.csv", ["theta", "q", "residual"], [[thetas, q, resid]])
 
 
 # -- geodesic / infogeo ----------------------------------------------------------
@@ -461,7 +453,7 @@ def cmd_geodesic(args):
     columns = [thetas, *metric, q_target, *[q_rest] * (n_q_cols - 1), gap]
 
     header = ["theta", "F", "K", "ds2_wy", *[f"q_{j}" for j in range(n_q_cols)], "family_gap"]
-    return {}, (f"geodesic_N{n}.csv", header, [columns]), []
+    return {}, (f"geodesic_N{n}.csv", header, [columns])
 
 
 def cmd_infogeo(args):
@@ -477,7 +469,7 @@ def cmd_infogeo(args):
         label, unread = f"{args.family.replace('-', '_')}{args.c}", {"N": None}
     thetas = np.linspace(0.0, hi, args.points)
     columns = [args.family, thetas, *ig.metric_columns(fam, thetas, 1e-3)]
-    return unread, (f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], [columns]), []
+    return unread, (f"infogeo_{label}.csv", ["family", "theta", "F", "K", "ds2_wy"], [columns])
 
 
 # -- ga-verify --------------------------------------------------------------------
@@ -527,7 +519,7 @@ def cmd_ga_verify(args):
         require_agreement("rotor and state-vector iterates on the basis spinors", worst, f"N={n}", msta.TOL_STATE)
         blocks.append(("spinor_iterate", n, 1, worst, 0.0, worst))
     # the command draws nothing
-    return {"seed": None}, ("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], blocks), []
+    return {"seed": None}, ("ga_verify.csv", ["check", "N", "k", "ga_value", "digital_value", "abs_dev"], blocks)
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -628,10 +620,10 @@ def _exit_class(exc: BaseException) -> type:
     return next(kind for kind in _EXITS if isinstance(exc, kind))
 
 
-def _run_cell(args) -> list[tuple[Path, str]]:
+def _run_cell(args) -> None:
     """Run one parsed sweep cell, in a worker process when the sweep runs
     more than one at a time; it writes into its own directory."""
-    return _dispatch(args)
+    _dispatch(args)
 
 
 def cmd_sweep(args):
@@ -642,8 +634,7 @@ def cmd_sweep(args):
     # every cell is parsed before any runs, so a bad key or value stops the
     # sweep before it writes anything
     parser = build_parser(_CellParser)
-    cell_args = []
-    index_rows = []
+    cell_args, names, params = [], [], []
     for cell in cells:
         name = _cell_name(subcommand, cell, grids.keys())
         argv = [subcommand]
@@ -654,12 +645,13 @@ def cmd_sweep(args):
             cell_args.append(parser.parse_args(argv))
         except SweepConfigError as exc:
             raise SweepConfigError(f"sweep cell {name}: {exc}") from None
-        index_rows.append((name, subcommand, json.dumps(cell, sort_keys=True)))
+        names.append(name)
+        params.append(json.dumps(cell, sort_keys=True))
     # what the cells will make, so that a failing sweep removes it again
     made = {d for a in cell_args for d in (Path(a.out), *Path(a.out).parents) if not d.exists()}
     # a forking pool starts all its workers at once: no more workers than cells
     workers = min(args.workers, len(cell_args))
-    results = []
+    done = 0
     try:
         with contextlib.ExitStack() as stack:
             runs = map(_run_cell, cell_args)
@@ -671,17 +663,17 @@ def cmd_sweep(args):
                 stack.callback(pool.shutdown, cancel_futures=True)
                 runs = pool.map(_run_cell, cell_args)
             # both yield in cell order, raising a cell's error at its turn
-            for cell_outputs in runs:
-                results.append(cell_outputs)
+            for _ in runs:
+                done += 1
     except tuple(_EXITS) as exc:
         # no cell is running now, and all that a directory the sweep made
         # holds is the cells' own
         for d in made:
             shutil.rmtree(d, ignore_errors=True)
         # the error class `main` maps to the exit code, naming the cell
-        raise _exit_class(exc)(f"sweep cell {index_rows[len(results)][0]}: {exc}") from exc
-    written = [output for cell_outputs in results for output in cell_outputs]
-    return {}, ("sweep_index.csv", ["cell", "subcommand", "params"], index_rows), written
+        raise _exit_class(exc)(f"sweep cell {names[done]}: {exc}") from exc
+    index = [np.array(names), subcommand, np.array(params)]
+    return {}, ("sweep_index.csv", ["cell", "subcommand", "params"], [index])
 
 
 # -- parser ----------------------------------------------------------------------

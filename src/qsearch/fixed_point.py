@@ -32,18 +32,13 @@ import math
 
 import numpy as np
 
-from . import bessel, require_agreement
+from . import bessel, chunks, require_agreement
 from .grover_digital import check_target
 from .info_geom import ParametricFamily
 
 OMEGA = cmath.exp(1j * math.pi / 3.0)
 MAX_DEPTH = 5
 TOL_TRACKS = 1e-10
-# psi0's amplitudes per product in a reflection: the product is the only
-# temporary, 128 KiB, so a run holds psi0 and its state and little more
-_CHUNK = 1 << 13
-# thetas per Bessel residual call: its series temporaries stay near 128 KiB each
-_CHUNK_THETAS = 1 << 14
 # radius of the largest left half-disk inside RK4's stability region
 # |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (2.61558..., by bisection; the
 # imaginary-axis limit is 2 sqrt 2), rounded down
@@ -61,10 +56,11 @@ def selective_phase(state: np.ndarray, index: int, phi: float) -> np.ndarray:
 
 def _reflect_psi0(state: np.ndarray, psi0: np.ndarray, phi: float) -> np.ndarray:
     """Apply R = I - (1 - e^{i phi}) |psi0><psi0| to a complex state in place
-    and return it, a chunk of psi0 at a time."""
+    and return it, a chunk of psi0 at a time: the product is the only
+    temporary, so a run holds psi0 and its state and little more."""
     a = (1.0 - cmath.exp(1j * phi)) * np.vdot(psi0, state)
-    for lo in range(0, state.shape[0], _CHUNK):
-        state[lo : lo + _CHUNK] -= a * psi0[lo : lo + _CHUNK]
+    for chunk in chunks(state.shape[0]):
+        state[chunk] -= a * psi0[chunk]
     return state
 
 
@@ -264,10 +260,10 @@ def bessel_ode_residual(theta, a: float, b: float, l0: float, gamma: float):
     h = 1e-3
     theta = np.asarray(theta, dtype=np.float64)
     resid = np.empty(theta.shape)
-    for lo in range(0, theta.size, _CHUNK_THETAS):
-        t = theta.flat[lo : lo + _CHUNK_THETAS]
+    for chunk in chunks(theta.size):
+        t = theta.flat[chunk]
         q_minus, q, q_plus = (bessel_solution(x, a, b, l0, gamma) for x in (t - h, t, t + h))
         d2q = (q_plus - 2.0 * q + q_minus) / (h * h)
         dq = (q_plus - q_minus) / (2.0 * h)
-        resid.flat[lo : lo + _CHUNK_THETAS] = d2q + gamma * dq + 0.5 * l0 * np.exp(-gamma * t) * q
+        resid.flat[chunk] = d2q + gamma * dq + 0.5 * l0 * np.exp(-gamma * t) * q
     return resid[()]

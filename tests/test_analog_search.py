@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qsearch import CHUNK
 from qsearch import analog_search as an
 from qsearch import grover_digital as gd
 
@@ -184,7 +185,7 @@ class TestFennerState:
         # across the chunk seams and a short last chunk, each probability
         # is read from the whole grid's propagator applied at once, bit for bit
         n = 64
-        ts = np.arange(2 * an._CHUNK_TIMES + 5) * 0.003
+        ts = np.arange(2 * CHUNK + 5) * 0.003
         if model == "fenner":
             h, res = an.fenner_matrix(n), an.fenner_state(ts, n)
         else:

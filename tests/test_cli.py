@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsearch import CHUNK
 from qsearch import analog_search as an
 from qsearch import cli
 from qsearch import grover_digital as gd
@@ -468,10 +469,9 @@ class TestDampedAndGeodesic:
     def test_damped_columns(self, tmp_path):
         assert run_cli(["damped", "--theta-end", "6.0"], tmp_path) == 0
         header, rows = read_csv(tmp_path / "damped_geodesic.csv")
-        assert header == ["theta", "q", "residual", "p0", "p1"]
+        assert header == ["theta", "q", "residual"]
         for row in rows:
             assert abs(float(row[2])) < 1e-5
-            assert abs(float(row[3]) + float(row[4]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("argv", [[], ["--theta-end", "20", "--max-rows", "1048576"]], ids=["200-rows", "20001-rows"])
     def test_one_residual_call_per_table(self, tmp_path, monkeypatch, argv):
@@ -485,8 +485,8 @@ class TestDampedAndGeodesic:
 
     def test_damped_table_memory_per_row(self, tmp_path):
         # 2^16 rows: the RK4 path and the table's columns take about 40 B a
-        # row, and one 2^14-theta chunk of the residual's temporaries about
-        # 2.9 MB in all.  A residual over the whole table at once reached
+        # row, and one chunk of thetas of the residual's temporaries a fixed
+        # amount.  A residual over the whole table at once reached
         # 163 B a row, and a list of per-row residuals 115
         code, peak = run_cli_traced(["damped", "--theta-end", "65.536", "--max-rows", "1048576"], tmp_path)
         assert code == 0
@@ -924,6 +924,19 @@ target = 0
             files = list((out / cell).glob("*.csv"))
             assert len(files) == 1
 
+    def test_index_is_one_block(self, tmp_path, monkeypatch):
+        # the cell names, the subcommand and each cell's params as JSON, in
+        # grid order, written as one block of three columns
+        blocks = []
+        write_csv = cli.write_csv
+        monkeypatch.setattr(cli, "write_csv", lambda path, *rest: blocks.append(rest[1]) or write_csv(path, *rest))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(self.write_config(tmp_path)), "--out", str(out)]) == 0
+        assert len(blocks[-1]) == 1
+        lines = (out / "sweep_index.csv").read_text().splitlines()
+        assert lines[:2] == ["cell,subcommand,params", 'digital_N-4_k-1,digital,{"N": "4", "k": "1", "target": "0"}']
+        assert [line.split(",")[0] for line in lines[1:]] == [f"digital_N-{n}_k-{k}" for n in (4, 8) for k in (1, 2, 3)]
+
     def test_cell_count_over_the_cap_is_domain_error(self, tmp_path, capsys, monkeypatch):
         # the index has a row per cell, so the table cap bounds the grid product
         monkeypatch.setattr(cli, "_ROW_CAP", 4)
@@ -1043,25 +1056,25 @@ target = 0
             assert outs[0][name] == outs[1][name], name
 
     def test_manifests_differ_only_in_timestamps(self, tmp_path):
-        # on two workers, whose cells hand the hashes of the bytes they wrote
-        # back to the sweep's manifest
+        # the sweep's manifest and each cell's, written on two workers
         cfg = self.write_config(tmp_path)
-        manifests = []
+        runs = []
         for run in ("m1", "m2"):
             out = tmp_path / run
             assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 0
-            data = json.loads((out / "sweep_manifest.json").read_text())
-            for o in data["outputs"]:
-                assert o["sha256"] == hashlib.sha256(Path(o["path"]).read_bytes()).hexdigest()
-            data.pop("started")
-            data.pop("finished")
-            # output paths embed the run directory; compare names and hashes
-            data["outputs"] = [
-                (os.path.basename(o["path"]), o["sha256"]) for o in data["outputs"]
-            ]
-            data["params"]["config"] = os.path.basename(data["params"]["config"])
-            manifests.append(data)
-        assert manifests[0] == manifests[1]
+            manifests = {}
+            for path in out.rglob("*_manifest.json"):
+                data = json.loads(path.read_text())
+                for o in data["outputs"]:
+                    assert o["sha256"] == hashlib.sha256(Path(o["path"]).read_bytes()).hexdigest()
+                data.pop("started")
+                data.pop("finished")
+                # output paths embed the run directory; compare them below it
+                data["outputs"] = [(Path(o["path"]).relative_to(out).as_posix(), o["sha256"]) for o in data["outputs"]]
+                manifests[path.relative_to(out).as_posix()] = data
+            runs.append(manifests)
+        assert len(runs[0]) == 7
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("config", ["missing.cfg", "."], ids=["missing", "directory"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, config):
@@ -1230,12 +1243,12 @@ class TestComplexNormals:
         # within an ulp or two: numpy's vector log may round apart from libm's
         np.testing.assert_allclose(cli._complex_normals(3, 2000), polar_normals(3, 2000), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("count", [0, 1, 7, cli._NORMALS_CHUNK, 3 * cli._NORMALS_CHUNK + 5])
+    @pytest.mark.parametrize("count", [0, 1, 7, 2 * CHUNK, 6 * CHUNK + 5])
     def test_count_shape_and_prefix(self, count):
         # several chunks of candidates: a smaller count reads the same stream
         z = cli._complex_normals(11, count)
         assert z.shape == (count,) and z.dtype == np.complex128
-        assert np.array_equal(z, cli._complex_normals(11, 4 * cli._NORMALS_CHUNK)[:count])
+        assert np.array_equal(z, cli._complex_normals(11, 8 * CHUNK)[:count])
 
     def test_seeds_draw_apart(self):
         assert not np.array_equal(cli._complex_normals(1, 8), cli._complex_normals(2, 8))
@@ -1556,7 +1569,7 @@ class TestWriteCsv:
             b"n,x,s,model,E\n1,0.10000000000000001,a,100%,2.5\n2,1e-300,b,100%,2.5\n3,-0,,100%,2.5\n"
         )
         # every chunk of rows, the last one short
-        n_rows = 2 * cli._CHUNK_ROWS + 3
+        n_rows = 2 * CHUNK + 3
         path = cli.write_csv(tmp_path / "long.csv", ["i"], [[np.arange(n_rows)]], hashlib.sha256())
         assert path.read_text() == "i\n" + "".join(f"{i}\n" for i in range(n_rows))
 
@@ -1594,7 +1607,7 @@ class TestWriteCsv:
     def test_failed_row_leaves_no_partial_csv(self, tmp_path):
         # a cell ASCII cannot encode fails the write in the second chunk of rows
         path = tmp_path / "t.csv"
-        n_rows = 2 * cli._CHUNK_ROWS
+        n_rows = 2 * CHUNK
         columns = [np.arange(n_rows), np.array(["x"] * (n_rows - 1) + ["\u00e9"])]
         with pytest.raises(UnicodeEncodeError):
             cli.write_csv(path, ["a", "b"], [columns], hashlib.sha256())
@@ -1637,9 +1650,9 @@ class TestWriteCsv:
         # the first block's rows, more than a chunk, are already in the
         # `.part` file when the last block fails: the run removes it, writes
         # no CSV and no manifest, and removes each directory it made
-        first = [np.arange(cli._CHUNK_ROWS + 1), 0.5]
+        first = [np.arange(CHUNK + 1), 0.5]
         table = ("t.csv", ["a", "b"], [first, [3, 1.0], bad_block])
-        monkeypatch.setattr(cli, "cmd_digital", lambda args: ({}, table, []))
+        monkeypatch.setattr(cli, "cmd_digital", lambda args: ({}, table))
         assert run_cli(["digital", "--N", "4"], tmp_path / "fresh" / "out") == cli.EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and what in err
@@ -1676,15 +1689,13 @@ class TestRunner:
             (["geodesic", "--N", "8"], ["geodesic_N8.csv"]),
             (["infogeo", "--points", "5"], ["infogeo_grover_N16.csv"]),
             (["ga-verify", "--N-list", "4"], ["ga_verify.csv"]),
-            (
-                ["sweep", "--config", "sweep.cfg", "--workers", "2"],
-                ["digital_N-8/digital_N8_kauto.csv", "digital_N-4/digital_N4_kauto.csv", "sweep_index.csv"],
-            ),
+            (["sweep", "--config", "sweep.cfg", "--workers", "2"], ["sweep_index.csv"]),
         ],
         ids=["digital", "analog", "fixed-point", "damped", "geodesic", "infogeo", "ga-verify", "sweep"],
     )
     def test_manifest_records_every_csv(self, tmp_path, monkeypatch, argv, names):
-        # the sweep's cells are recorded in grid order, then its index
+        # each CSV is recorded once, by the manifest of the run that wrote
+        # it: the sweep's records its index, and each cell's its own table
         (tmp_path / "sweep.cfg").write_text("subcommand = digital\nN = [8, 4]\n")
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "out"
@@ -1693,7 +1704,13 @@ class TestRunner:
         assert manifest["command"] == argv[0]
         recorded = [(Path(o["path"]).relative_to(out).as_posix(), o["sha256"]) for o in manifest["outputs"]]
         assert recorded == [(name, hashlib.sha256((out / name).read_bytes()).hexdigest()) for name in names]
-        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv")) == sorted(names)
+        every = []
+        for path in out.rglob("*_manifest.json"):
+            for o in json.loads(path.read_text())["outputs"]:
+                assert Path(o["path"]).parent == path.parent
+                assert o["sha256"] == hashlib.sha256(Path(o["path"]).read_bytes()).hexdigest()
+                every.append(Path(o["path"]).relative_to(out).as_posix())
+        assert sorted(every) == sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv"))
 
     @pytest.mark.parametrize(
         "argv, params",
@@ -1828,6 +1845,24 @@ class TestUnwritableOut:
         assert run_cli(["digital", "--N", "4", "--k", "1"], tmp_path) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("qsearch: error: cannot write outputs: ")
         assert [p.name for p in tmp_path.iterdir()] == ["digital_N4_k1.csv"]
+
+    def test_manifest_that_cannot_be_written(self, tmp_path, monkeypatch, capsys):
+        # a directory in the manifest's place: the table just written goes
+        # too, so no CSV is left without its manifest
+        (tmp_path / "digital_manifest.json").mkdir()
+        assert run_cli(["digital", "--N", "4", "--k", "1"], tmp_path) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("qsearch: error: cannot write outputs: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["digital_manifest.json"]
+        # a full disk: the directories the run made go with the table
+
+        def full_disk(manifest, out_dir):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.RunManifest, "write", full_disk)
+        assert run_cli(["digital", "--N", "4", "--k", "1"], tmp_path / "fresh" / "out") == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "qsearch: error: cannot write outputs: [Errno 28] No space left on device\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["digital_manifest.json"]
 
     def test_directories_made_for_a_failed_write_go(self, tmp_path, monkeypatch, capsys):
         def full_disk(path, header, columns, sha):

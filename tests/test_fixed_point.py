@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from qsearch import cli
+from qsearch import CHUNK, cli
 from qsearch import fixed_point as fp
 from qsearch import info_geom as ig
 from test_info_geom import check_unitary, general_iterate
@@ -401,7 +401,7 @@ class TestWalshHadamardOperator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= state_bytes + 2 * 16 * fp._CHUNK
+        assert peak <= state_bytes + 2 * 16 * CHUNK
 
 
 class TestAdjointRecursion:
@@ -715,11 +715,11 @@ class TestBesselSolution:
         # z = sqrt(2 L0)/gamma e^{-gamma theta/2} runs from 2828 down to 1.6,
         # across the z = 12 cutoff, over two full chunks and a short tail;
         # the slice starts and ends inside chunks
-        thetas = np.linspace(0.0, 300.0, 2 * fp._CHUNK_THETAS + 123)
+        thetas = np.linspace(0.0, 300.0, 2 * CHUNK + 123)
         whole = fp.bessel_ode_residual(thetas, 0.7, -0.2, 1e4, 0.05)
-        part = slice(5000, 5000 + fp._CHUNK_THETAS + 7)
+        part = slice(5000, 5000 + CHUNK + 7)
         assert whole[part].tobytes() == fp.bessel_ode_residual(thetas[part], 0.7, -0.2, 1e4, 0.05).tobytes()
-        for i in (0, 5000, fp._CHUNK_THETAS, len(thetas) - 1):
+        for i in (0, 5000, CHUNK, len(thetas) - 1):
             assert whole[i] == fp.bessel_ode_residual(float(thetas[i]), 0.7, -0.2, 1e4, 0.05)
 
     def test_zero_constants_give_zero(self):
