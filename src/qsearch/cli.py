@@ -157,7 +157,7 @@ def write_csv(path: Path, header, blocks, sha) -> Path:
 
 class RunManifest(NamedTuple):
     """A run's record; `record` appends each CSV's path and SHA-256 to
-    `outputs`, and `write` saves the fields as `<command>_manifest.json`."""
+    `outputs`, and `write` saves the fields as JSON at `path`."""
 
     command: str
     params: dict
@@ -169,10 +169,9 @@ class RunManifest(NamedTuple):
     def record(self, path: Path, sha256: str) -> None:
         self.outputs.append({"path": str(path), "sha256": sha256})
 
-    def write(self, out_dir: Path) -> Path:
-        target = out_dir / f"{self.command}_manifest.json"
-        target.write_text(json.dumps(self._asdict(), indent=2, sort_keys=True) + "\n")
-        return target
+    def write(self, path: Path) -> Path:
+        path.write_text(json.dumps(self._asdict(), indent=2, sort_keys=True) + "\n")
+        return path
 
 
 def _utc_now() -> str:
@@ -184,10 +183,12 @@ def _out_dir(args) -> Path:
 
 
 def _dispatch(args) -> None:
-    """Run the parsed subcommand, then write its table and the manifest that
-    records it.  The output directory is made only once the command returns.
-    If making it, writing the table or writing the manifest fails, the table
-    this run wrote and each directory the run made are removed again."""
+    """Run the parsed subcommand, then write its table and the manifest
+    `<subcommand>_manifest.json` that records it, in a directory made only
+    once the command returns.  Both are written under `.new` names, then
+    renamed into place, table first, so a failed run leaves an earlier table
+    and manifest whole (if the manifest cannot take its place, the table just
+    placed goes again); each directory the run made is then removed again."""
     started = _utc_now()
     # `write_csv` refuses a NaN or infinity, so numpy's warnings about one
     # would only precede the one-line error
@@ -196,18 +197,22 @@ def _dispatch(args) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
     out_dir = _out_dir(args)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    sha, table = _new_sha256(), None
+    targets = (out_dir / name, out_dir / f"{args.subcommand}_manifest.json")
+    staged = [target.with_name(target.name + ".new") for target in targets]
+    sha, placed = _new_sha256(), []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        table = write_csv(out_dir / name, header, blocks, sha)
+        write_csv(staged[0], header, blocks, sha)
         manifest = RunManifest(args.subcommand, params, started, _utc_now(), outputs=[])
-        manifest.record(table, sha.hexdigest())
-        manifest.write(out_dir)
+        manifest.record(targets[0], sha.hexdigest())
+        manifest.write(staged[1])
+        for part, target in zip(staged, targets):
+            placed.append(part.replace(target))
     except BaseException:
         # deepest first; a directory that holds anything stops the removal
         with contextlib.suppress(OSError):
-            if table:
-                table.unlink()
+            for path in (*staged, *placed):
+                path.unlink(missing_ok=True)
             for d in made:
                 d.rmdir()
         raise

@@ -1856,13 +1856,41 @@ class TestUnwritableOut:
         assert [p.name for p in tmp_path.iterdir()] == ["digital_manifest.json"]
         # a full disk: the directories the run made go with the table
 
-        def full_disk(manifest, out_dir):
+        def full_disk(manifest, path):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cli.RunManifest, "write", full_disk)
         assert run_cli(["digital", "--N", "4", "--k", "1"], tmp_path / "fresh" / "out") == cli.EXIT_USAGE
         assert capsys.readouterr().err == "qsearch: error: cannot write outputs: [Errno 28] No space left on device\n"
         assert [p.name for p in tmp_path.iterdir()] == ["digital_manifest.json"]
+
+    def test_rerun_that_cannot_write_its_manifest_keeps_the_earlier_record(self, tmp_path, monkeypatch, capsys):
+        argv = ["digital", "--N", "4", "--k", "1"]
+        assert run_cli(argv, tmp_path) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["digital_N4_k1.csv", "digital_manifest.json"]
+        # an earlier manifest that cannot be written to is still replaced
+        (tmp_path / "digital_manifest.json").chmod(0o444)
+        assert run_cli(argv, tmp_path) == 0
+        assert json.loads((tmp_path / "digital_manifest.json").read_text())["outputs"] == json.loads(
+            before["digital_manifest.json"]
+        )["outputs"]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_write = cli.RunManifest.write
+
+        def full_disk(manifest, path):
+            # the disk fills part-way through the manifest
+            real_write(manifest, path)
+            with path.open("r+") as fh:
+                fh.truncate(10)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.RunManifest, "write", full_disk)
+        assert run_cli(["digital", "--N", "4", "--k", "1", "--target", "3"], tmp_path) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "qsearch: error: cannot write outputs: [Errno 28] No space left on device\n"
+        # the earlier table and the manifest that records it are whole, and
+        # nothing staged is left
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_directories_made_for_a_failed_write_go(self, tmp_path, monkeypatch, capsys):
         def full_disk(path, header, columns, sha):

@@ -713,9 +713,11 @@ class TestBesselSolution:
 
     def test_residual_does_not_depend_on_its_chunk(self):
         # z = sqrt(2 L0)/gamma e^{-gamma theta/2} runs from 2828 down to 1.6,
-        # across the z = 12 cutoff, over two full chunks and a short tail;
-        # the slice starts and ends inside chunks
-        thetas = np.linspace(0.0, 300.0, 2 * CHUNK + 123)
+        # across the z = 12 cutoff (near index 9039), over three full chunks
+        # and a short tail; the slice starts and ends inside chunks, crosses
+        # the cutoff and is itself longer than a chunk, so its own seam falls
+        # elsewhere than the whole grid's
+        thetas = np.linspace(0.0, 300.0, 3 * CHUNK + 123)
         whole = fp.bessel_ode_residual(thetas, 0.7, -0.2, 1e4, 0.05)
         part = slice(5000, 5000 + CHUNK + 7)
         assert whole[part].tobytes() == fp.bessel_ode_residual(thetas[part], 0.7, -0.2, 1e4, 0.05).tobytes()
