@@ -14,7 +14,9 @@ makes the output directory once the command returns, writes the table as a
 CSV, and writes a JSON run manifest recording the command, every option but
 `--out`, the computed values, timestamps, tool version, and the SHA-256 of
 that CSV, hashed from its bytes as they are written, so no table is read
-back.  Each CSV is recorded once, by the run that wrote it: a sweep cell's
+back.  It alone stages both as `.new` files, renames each into place once,
+and on a failure removes them and each directory the run did not find.
+Each CSV is recorded once, by the run that wrote it: a sweep cell's
 manifest records the cell's CSV, and the sweep's records its index.  All
 numeric output uses 17-significant-digit formatting, so reruns on the same
 platform produce byte-identical CSVs (manifests differ only in their
@@ -31,8 +33,10 @@ outside RK4's stability region, or an allocation that runs out of memory), 4
 failed internal cross-check (nothing is written): `fixed-point`'s simulated
 and coefficient-track overlaps or failure probabilities, `ga-verify`'s rotor
 and state-vector plane coordinates or its rotor and state-vector iterates on
-the basis spinors, or `geodesic`'s geodesic and search-family amplitudes
-disagreed beyond their tolerance.  Each rule has one check: every
+the basis spinors, `geodesic`'s geodesic and search-family amplitudes, or
+`damped`'s damped RK4 and closed-form paths (over the written rows, to
+`fixed_point.TOL_DAMPED` max(1, max |q|)) disagreed beyond their
+tolerance.  Each rule has one check: every
 cross-check raises through `qsearch.require_agreement`, naming one
 deviation, every N goes through `_check_n`, every target index through
 `grover_digital.check_target`, every grid through `_grid_steps`, the
@@ -41,8 +45,8 @@ through `analog_search.check_energy`, the damped RK4's step through
 `fixed_point.damped_geodesic_solve`, and `geodesic` starts from the search
 family's own q(0) and q'(0).  `_theta_grid` is the one theta grid:
 `geodesic` samples it and `damped`'s RK4 steps every point of it, so both
-tables write theta_i = i dtheta.  A sweep whose cell fails removes every
-directory its cells made and names that cell in its one error line.
+tables write theta_i = i dtheta.  A sweep whose cell fails removes the cell
+directories it made and names that cell in its one error line.
 
 The CLI owns its process, so it alone sets OpenBLAS to one thread before
 numpy is imported; a user's OPENBLAS_NUM_THREADS wins.  `sweep --workers` is
@@ -114,9 +118,10 @@ def write_csv(path: Path, header, blocks, sha) -> Path:
     block repeats (a block of scalars alone is one row), and is written
     through one printf line, one conversion per column dtype.  Unequal
     lengths or a non-finite float raise ValueError before the block's first
-    row is written; rows go to a `.part` file that replaces `path` once all
-    are, and is removed if a block fails.  Each encoded chunk of rows goes
-    to the hash object `sha` as it is written, so no second read is needed."""
+    row is written.  Rows go straight to `path`, the staged name that
+    `_dispatch` chose and removes if a block fails.  Each encoded chunk of
+    rows goes to the hash object `sha` as it is written, so no second read
+    is needed."""
 
     def texts():
         yield ",".join(header) + "\n"
@@ -141,17 +146,11 @@ def write_csv(path: Path, header, blocks, sha) -> Path:
                 rows = zip(*(column[chunk].tolist() for column in arrays)) if arrays else [()]
                 yield "".join(line % row for row in rows)
 
-    part = path.with_name(path.name + ".part")
-    try:
-        with part.open("wb") as fh:
-            for text in texts():
-                data = text.encode("ascii")
-                sha.update(data)
-                fh.write(data)
-        part.replace(path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+    with path.open("wb") as fh:
+        for text in texts():
+            data = text.encode("ascii")
+            sha.update(data)
+            fh.write(data)
     return path
 
 
@@ -185,22 +184,23 @@ def _out_dir(args) -> Path:
 def _dispatch(args) -> None:
     """Run the parsed subcommand, then write its table and the manifest
     `<subcommand>_manifest.json` that records it, in a directory made only
-    once the command returns.  Both are written under `.new` names, then
-    renamed into place, table first, so a failed run leaves an earlier table
-    and manifest whole (if the manifest cannot take its place, the table just
-    placed goes again); each directory the run made is then removed again."""
+    once the command returns, under `.new` names that each go into place by
+    one rename, table first.  A failed run, in its command or its writes,
+    leaves an earlier table and manifest whole (if the manifest cannot take
+    its place, the table just placed goes again) and removes each directory
+    that did not exist when it started, a sweep's cells with a fresh --out."""
     started = _utc_now()
-    # `write_csv` refuses a NaN or infinity, so numpy's warnings about one
-    # would only precede the one-line error
-    with np.errstate(all="ignore"):
-        computed, (name, header, blocks) = args.func(args)
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
     out_dir = _out_dir(args)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    targets = (out_dir / name, out_dir / f"{args.subcommand}_manifest.json")
-    staged = [target.with_name(target.name + ".new") for target in targets]
-    sha, placed = _new_sha256(), []
+    sha, staged, placed = _new_sha256(), [], []
     try:
+        # `write_csv` refuses a NaN or infinity, so numpy's warnings about one
+        # would only precede the one-line error
+        with np.errstate(all="ignore"):
+            computed, (name, header, blocks) = args.func(args)
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "subcommand")} | computed
+        targets = (out_dir / name, out_dir / f"{args.subcommand}_manifest.json")
+        staged = [target.with_name(target.name + ".new") for target in targets]
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(staged[0], header, blocks, sha)
         manifest = RunManifest(args.subcommand, params, started, _utc_now(), outputs=[])
@@ -209,12 +209,11 @@ def _dispatch(args) -> None:
         for part, target in zip(staged, targets):
             placed.append(part.replace(target))
     except BaseException:
-        # deepest first; a directory that holds anything stops the removal
         with contextlib.suppress(OSError):
             for path in (*staged, *placed):
                 path.unlink(missing_ok=True)
-            for d in made:
-                d.rmdir()
+        for d in made:
+            shutil.rmtree(d, ignore_errors=True)
         raise
 
 
@@ -433,6 +432,17 @@ def cmd_damped(args):
     q = fp.damped_geodesic_solve(l0, gamma, q0, qdot0, thetas)
     stride = _stride(len(thetas), args.max_rows)
     thetas, q = thetas[::stride], q[::stride]
+    # the paper's check: the RK4 path is the closed form on every written row
+    closed = fp.bessel_solution(thetas, a, b, l0, gamma)
+    scale = float(np.max(np.abs(closed), where=np.isfinite(closed), initial=1.0))
+    # in place, so the check adds no array to the table's peak
+    gap = np.abs(np.subtract(q, closed, out=closed), out=closed)
+    # a row whose gap is not finite has a non-finite q or closed form, so a
+    # non-finite q or residual, which `write_csv` refuses (exit 3)
+    gap[~np.isfinite(gap)] = 0.0
+    worst = int(np.argmax(gap))
+    where = f"theta={float(thetas[worst])!r}"
+    require_agreement("damped RK4 and closed-form paths", float(gap[worst]), where, fp.TOL_DAMPED * scale)
     resid = fp.bessel_ode_residual(thetas, a, b, l0, gamma)
     return {}, ("damped_geodesic.csv", ["theta", "q", "residual"], [[thetas, q, resid]])
 
@@ -652,8 +662,8 @@ def cmd_sweep(args):
             raise SweepConfigError(f"sweep cell {name}: {exc}") from None
         names.append(name)
         params.append(json.dumps(cell, sort_keys=True))
-    # what the cells will make, so that a failing sweep removes it again
-    made = {d for a in cell_args for d in (Path(a.out), *Path(a.out).parents) if not d.exists()}
+    # the cell directories to remove if a cell fails (`_dispatch` removes a fresh --out)
+    made = [Path(a.out) for a in cell_args if not Path(a.out).exists()]
     # a forking pool starts all its workers at once: no more workers than cells
     workers = min(args.workers, len(cell_args))
     done = 0

@@ -29,7 +29,7 @@ from qsearch import info_geom as ig
 from qsearch import msta
 from qsearch.ga_core import Rotor, reverse
 from test_analog_search import ga_fenner_basis_change
-from test_fixed_point import basis_state, dense_operator, walsh_hadamard_operator
+from test_fixed_point import basis_state, damped_cli_start, dense_operator, walsh_hadamard_operator
 from test_ga_core import blade
 
 
@@ -531,7 +531,14 @@ class TestDampedAndGeodesic:
             run_cli([*argv, "--max-rows", "0"], tmp_path)
         assert exc.value.code == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [["geodesic", "--N", "8"], ["damped"]], ids=["geodesic", "damped"])
+    @pytest.mark.parametrize(
+        "argv",
+        # a slow oscillation, h sqrt(L0/2) = 0.025, that the RK4 follows to
+        # 1.9e-10 on a step of 0.25 (2.5e-6 at the default L0 = 2, which the
+        # closed-form check refuses)
+        [["geodesic", "--N", "8"], ["damped", "--L0", "0.02", "--gamma", "0.1"]],
+        ids=["geodesic", "damped"],
+    )
     def test_max_rows_is_a_maximum(self, tmp_path, argv):
         # a floor stride wrote 2 m - 1 rows for a grid of 2 m - 1 points
         m = 5
@@ -557,16 +564,56 @@ class TestDampedAndGeodesic:
         assert "L0 and gamma must be positive" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_damped_grid_just_inside_rk4_stability_runs(self, tmp_path):
+    def test_damped_grid_just_inside_rk4_stability_runs(self, tmp_path, capsys):
         # h sqrt(L0/2) = 0.0369 sqrt(5000) = 2.609, inside the radius
-        # 2.6155: stable, so |q| stays within the closed form's 15.4 (it
-        # never passes its start, 7.2).  Stability is not accuracy: the RK4
-        # is 19 off the closed form here, and 9.1 at --dtheta 0.01
+        # 2.6155: the RK4 runs and is stable, so |q| stays within the closed
+        # form's 15.4 (it never passes its start, 7.2).  Stability is not
+        # accuracy: the RK4 is 19 off the closed form here, and the run's
+        # closed-form check refuses the table
+        l0, gamma, a, b = 1e4, 0.05, 0.7, -0.2
+        grid = cli._theta_grid(10.0, 0.0369)
+        q = cli.fp.damped_geodesic_solve(l0, gamma, *damped_cli_start(l0, gamma, a, b), grid)
+        assert grid[-1] == 10.0
+        assert np.abs(q).max() <= 15.5
         argv = ["damped", "--L0", "1e4", "--gamma", "0.05", "--A", "0.7", "--B", "-0.2", "--dtheta", "0.0369"]
-        assert run_cli(argv, tmp_path) == 0
-        _, rows = read_csv(tmp_path / "damped_geodesic.csv")
-        assert float(rows[-1][0]) == 10.0
-        assert max(abs(float(row[1])) for row in rows) <= 15.5
+        assert run_cli(argv, tmp_path / "out") == cli.EXIT_CROSSCHECK
+        deviation = re.search(r"paths differ by (\S+) at theta=", capsys.readouterr().err).group(1)
+        stride = cli._stride(len(grid), 200)
+        closed = cli.fp.bessel_solution(grid[::stride], a, b, l0, gamma)
+        assert float(deviation) == np.abs(q[::stride] - closed).max() == pytest.approx(19.14, abs=0.01)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "dtheta, code, gap",
+        [("1e-4", 0, 1.3e-7), ("1e-3", 4, 1.2e-3), ("0.01", 4, 9.1)],
+        ids=["1e-4", "1e-3", "0.01"],
+    )
+    def test_damped_gap_is_bound_to_the_closed_form(self, tmp_path, capsys, dtheta, code, gap):
+        # the stiff example (|q| <= 15.4) on stable grids (0.0369 above): the
+        # RK4 must follow the closed form to 1e-6 max(1, max |q|) on every row
+        argv = ["damped", "--L0", "1e4", "--gamma", "0.05", "--A", "0.7", "--B", "-0.2", "--dtheta", dtheta]
+        assert run_cli(argv, tmp_path / "out") == code
+        if code:
+            deviation, tolerance = re.fullmatch(
+                r"qsearch: error: internal cross-check failed: damped RK4 and closed-form paths differ by (\S+) "
+                r"at theta=\S+ \(tolerance (\S+)\)\n",
+                capsys.readouterr().err,
+            ).groups()
+            assert gap / 1.1 < float(deviation) < gap
+            assert float(tolerance) == pytest.approx(cli.fp.TOL_DAMPED * 15.4, rel=0.01)
+            assert not (tmp_path / "out").exists()
+        else:
+            _, rows = read_csv(tmp_path / "out" / "damped_geodesic.csv")
+            closed = cli.fp.bessel_solution(np.array([float(row[0]) for row in rows]), 0.7, -0.2, 1e4, 0.05)
+            assert np.abs(np.array([float(row[1]) for row in rows]) - closed).max() < gap
+
+    @pytest.mark.parametrize("drift, code", [(0.9e-6, 0), (1.1e-6, 4)], ids=["inside", "outside"])
+    def test_damped_tolerance_is_absolute_below_unit_scale(self, tmp_path, capsys, monkeypatch, drift, code):
+        # at the defaults |q| <= 0.58, so the bound is 1e-6 itself
+        solve = cli.fp.damped_geodesic_solve
+        monkeypatch.setattr(cli.fp, "damped_geodesic_solve", lambda *args: solve(*args) + drift)
+        assert run_cli(["damped"], tmp_path / "out") == code
+        assert ("(tolerance 1e-06)" in capsys.readouterr().err) == bool(code)
 
     @pytest.mark.parametrize("drift", [1e-9, float("nan")], ids=["drift", "nan"])
     def test_geodesic_off_the_search_family_exits_4(self, tmp_path, capsys, monkeypatch, drift):
@@ -1127,6 +1174,30 @@ target = 0
         assert err.startswith(f"qsearch: error: sweep cell {cell}: {message}") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("which", ["index", "manifest"])
+    def test_sweep_that_cannot_write_its_record_leaves_nothing(self, tmp_path, monkeypatch, capsys, which, workers):
+        # every cell has finished when the sweep's own index or manifest
+        # fails to write: the cells go with the fresh --out they were made in
+        def refusing(real, position, name):
+            def write(*args):
+                if args[position].name.startswith(name):
+                    raise OSError(28, "No space left on device")
+                return real(*args)
+
+            return write
+
+        if which == "index":
+            monkeypatch.setattr(cli, "write_csv", refusing(cli.write_csv, 0, "sweep_index.csv"))
+        else:
+            monkeypatch.setattr(cli.RunManifest, "write", refusing(cli.RunManifest.write, 1, "sweep_manifest.json"))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("subcommand = digital\nN = [4, 8]\nk = 1\n")
+        out = tmp_path / "fresh" / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "qsearch: error: cannot write outputs: [Errno 28] No space left on device\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.cfg"]
+
     def test_failing_sweep_keeps_what_was_there(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "digital_N-4").mkdir(parents=True)
@@ -1604,20 +1675,28 @@ class TestWriteCsv:
         assert blob == ("\n".join(lines) + "\n").encode("ascii")
         assert sha.hexdigest() == hashlib.sha256(blob).hexdigest()
 
-    def test_failed_row_leaves_no_partial_csv(self, tmp_path):
-        # a cell ASCII cannot encode fails the write in the second chunk of rows
-        path = tmp_path / "t.csv"
+    def test_failed_row_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
+        # a cell ASCII cannot encode fails the write in the second chunk of
+        # rows, which `write_csv` has started to write into the name it was
+        # given: the run removes its staged file and each directory it made
         n_rows = 2 * CHUNK
         columns = [np.arange(n_rows), np.array(["x"] * (n_rows - 1) + ["\u00e9"])]
         with pytest.raises(UnicodeEncodeError):
-            cli.write_csv(path, ["a", "b"], [columns], hashlib.sha256())
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"], [columns], hashlib.sha256())
+        (tmp_path / "t.csv").unlink(missing_ok=True)
+        table = ["t.csv", ["a", "b"], [columns]]
+        monkeypatch.setattr(cli, "cmd_digital", lambda args: ({}, tuple(table)))
+        assert run_cli(["digital", "--N", "4"], tmp_path / "fresh" / "out") == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
-        # an earlier table of the same name stays whole
-        cli.write_csv(path, ["a", "b"], [[np.array([1]), 2.0]], hashlib.sha256())
-        with pytest.raises(UnicodeEncodeError):
-            cli.write_csv(path, ["a", "b"], [columns], hashlib.sha256())
-        assert path.read_text() == "a,b\n1,2\n"
-        assert list(tmp_path.iterdir()) == [path]
+        # an earlier table of the same name and its manifest stay whole
+        table[2] = [[np.array([1]), 2.0]]
+        assert run_cli(["digital", "--N", "4"], tmp_path) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert before["t.csv"] == b"a,b\n1,2\n"
+        table[2] = [columns]
+        assert run_cli(["digital", "--N", "4"], tmp_path) == cli.EXIT_DOMAIN
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize(
         "header, columns, what",
@@ -1628,10 +1707,10 @@ class TestWriteCsv:
         ids=["unequal-lengths", "header-longer"],
     )
     def test_columns_must_make_a_table(self, tmp_path, header, columns, what):
-        # zip would otherwise drop the rows or the column beyond the shortest
+        # zip would otherwise drop the rows or the column beyond the shortest;
+        # the run that stages the file removes it (`test_failure_in_a_later_block_writes_nothing`)
         with pytest.raises(ValueError, match=what):
             cli.write_csv(tmp_path / "t.csv", header, [columns], hashlib.sha256())
-        assert list(tmp_path.iterdir()) == []
 
     def test_block_of_scalars_is_one_row(self, tmp_path):
         blocks = [[1, 2.5, "x%"], [np.arange(2), 0.0, "y"], [np.int64(7), np.float64(-0.0), np.str_("z")]]
@@ -1643,13 +1722,30 @@ class TestWriteCsv:
         [
             ([np.arange(2), np.array([1.0, math.nan])], "non-finite value nan"),
             ([np.arange(2), np.arange(3.0)], "got [2, 3]"),
+            # the tables `test_columns_must_make_a_table` and
+            # `test_non_finite_float_is_refused` hand `write_csv` directly
+            ([np.arange(2)], "shorter"),
+            *(
+                ([np.array([1, 3]), column], f"non-finite value {float(value)} to a CSV (column b)")
+                for value in (math.nan, math.inf, -math.inf, np.float64(np.nan), np.float32(np.inf))
+                for column in (np.array([2.0, value], dtype=np.result_type(value)), value)
+            ),
         ],
-        ids=["non-finite", "unequal-lengths"],
+        ids=[
+            "non-finite",
+            "unequal-lengths",
+            "header-longer",
+            *(
+                f"{value}-{kind}"
+                for value in ("nan", "inf", "-inf", "numpy-nan", "numpy-float32-inf")
+                for kind in ("array", "scalar")
+            ),
+        ],
     )
     def test_failure_in_a_later_block_writes_nothing(self, tmp_path, monkeypatch, capsys, bad_block, what):
         # the first block's rows, more than a chunk, are already in the
-        # `.part` file when the last block fails: the run removes it, writes
-        # no CSV and no manifest, and removes each directory it made
+        # staged `.new` file when the last block fails: the run removes it,
+        # writes no CSV and no manifest, and removes each directory it made
         first = [np.arange(CHUNK + 1), 0.5]
         table = ("t.csv", ["a", "b"], [first, [3, 1.0], bad_block])
         monkeypatch.setattr(cli, "cmd_digital", lambda args: ({}, table))
@@ -1671,11 +1767,11 @@ class TestWriteCsv:
         ids=["nan", "inf", "-inf", "numpy-nan", "numpy-float32-inf"],
     )
     def test_non_finite_float_is_refused(self, tmp_path, value):
-        # in an array column of the value's own dtype, and as a scalar column
+        # in an array column of the value's own dtype, and as a scalar column;
+        # the run that stages the file removes it (`test_failure_in_a_later_block_writes_nothing`)
         for column in (np.array([2.0, value], dtype=np.result_type(value)), value):
             with pytest.raises(ValueError, match=r"non-finite value .* \(column b\)"):
                 cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[np.array([1, 3]), column]], hashlib.sha256())
-            assert list(tmp_path.iterdir()) == []
 
 
 class TestRunner:
@@ -1840,7 +1936,7 @@ class TestUnwritableOut:
         assert [p.name for p in out.iterdir()] == ["digital_N-4"]
 
     def test_table_that_cannot_be_written(self, tmp_path, capsys):
-        # a directory in the CSV's place: the rename fails, the `.part` goes
+        # a directory in the CSV's place: the rename fails, the staged `.new` goes
         (tmp_path / "digital_N4_k1.csv").mkdir()
         assert run_cli(["digital", "--N", "4", "--k", "1"], tmp_path) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("qsearch: error: cannot write outputs: ")
